@@ -322,15 +322,29 @@ def _cmd_zeta(cfg: RunConfig):
     return payload, rows, header, 0, {}
 
 
+def _sim_option(cfg: RunConfig, key: str, default, kind):
+    """A numeric simulate option as ``kind`` (float or int); None stays None."""
+    value = cfg.options.get(key, default)
+    if value is None:
+        return None
+    try:
+        out = kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"{key} must be a number, got {value!r}") from exc
+    if kind is int and out != value:
+        raise ValidationError(f"{key} must be an integer, got {value!r}")
+    return out
+
+
 def _cmd_simulate(cfg: RunConfig):
     sim_cfg = nssim.SimConfig(
         arc=cfg.arc, params=cfg.params,
-        sector_angle=float(cfg.options.get("sector_angle", 0.5)),
-        r_out=cfg.options.get("r_out"),
-        n_s=int(cfg.options.get("n_s", 32)),
-        n_r=int(cfg.options.get("n_r", 32)),
-        dt=cfg.options.get("dt"),
-        t_end=float(cfg.options.get("t_end", 0.02)),
+        sector_angle=_sim_option(cfg, "sector_angle", 0.5, float),
+        r_out=_sim_option(cfg, "r_out", None, float),
+        n_s=_sim_option(cfg, "n_s", 32, int),
+        n_r=_sim_option(cfg, "n_r", 32, int),
+        dt=_sim_option(cfg, "dt", None, float),
+        t_end=_sim_option(cfg, "t_end", 0.02, float),
     )
     probes = cfg.options.get("probes")
     report = nssim.run_experiment(sim_cfg, probes)

@@ -157,6 +157,19 @@ def test_determinism_simulate(tmp_path):
     assert (tmp_path / "a" / "field.csv").read_bytes() == (tmp_path / "b" / "field.csv").read_bytes()
 
 
+@pytest.mark.parametrize("bad", [
+    {"dt": 0}, {"dt": -1e-4}, {"t_end": float("nan")}, {"n_s": "abc"}, {"n_r": 16.5},
+    {"sector_angle": float("nan")}, {"sector_angle": 1e300},
+])
+def test_simulate_rejects_invalid_numbers(tmp_path, capsys, bad):
+    cfg = write_config(tmp_path, {"command": "simulate", "n_s": 16, "n_r": 16,
+                                  "t_end": 0.002, **bad})
+    rc = main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("lamsep: error:")
+
+
 def test_unknown_command_errors():
     with pytest.raises(SystemExit):
         main(["frobnicate"])

@@ -1,14 +1,20 @@
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.sparse
 
+from lamsep import nssim
 from lamsep.errors import ConfigError, ProbeOutsideGrid
 from lamsep.field import LaminarParams, profile_h
 from lamsep.geometry import ArcBoundary
 from lamsep.nssim import (
     SimConfig,
     SimState,
+    _assemble,
     _centripetal_head,
     _grid,
+    _solve_neumann,
     _tangential_rhs,
     divergence,
     init_sim,
@@ -37,6 +43,10 @@ def test_config_validation():
         make_cfg(r_out=0.5).validate()  # below 2*bl
     with pytest.raises(ConfigError):
         make_cfg(dt=1.0).validate()  # CFL blown
+    for bad in ({"dt": 0.0}, {"dt": -1e-4}, {"dt": np.inf}, {"t_end": np.nan},
+                {"t_end": 0.0}, {"sector_angle": np.nan}, {"sector_angle": 1e300}):
+        with pytest.raises(ConfigError):
+            dataclasses.replace(make_cfg(), **bad).validate()
     make_cfg().validate()
 
 
@@ -151,6 +161,73 @@ def test_zero_field_is_fixed_point():
     after = step(zero, cfg)
     assert np.array_equal(after.us, zero.us)
     assert np.array_equal(after.ur, zero.ur)
+
+
+def _reference_assemble(cfg, dirichlet_theta):
+    """The flux-form Laplacian built one cell at a time."""
+    g = _grid(cfg)
+    n_s, n_r = cfg.n_s, cfg.n_r
+    rows, cols, vals = [], [], []
+    diag = np.zeros(n_s * n_r)
+
+    def couple(ka, kb, c):
+        rows.append(ka)
+        cols.append(kb)
+        vals.append(-c)
+        diag[ka] += c
+
+    for i in range(n_s):
+        for j in range(n_r):
+            me = i * n_r + j
+            if j + 1 < n_r:
+                couple(me, me + 1, g.rho_f[j + 1] * g.dth / g.drh)
+            if j > 0:
+                couple(me, me - 1, g.rho_f[j] * g.dth / g.drh)
+            c_th = g.drh / (g.rho_c[j] * g.dth)
+            if i + 1 < n_s:
+                couple(me, me + n_r, c_th)
+            elif dirichlet_theta:
+                diag[me] += 2.0 * c_th
+            if i > 0:
+                couple(me, me - n_r, c_th)
+            elif dirichlet_theta:
+                diag[me] += 2.0 * c_th
+    rows.extend(range(n_s * n_r))
+    cols.extend(range(n_s * n_r))
+    vals.extend(diag)
+    return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(n_s * n_r, n_s * n_r))
+
+
+@pytest.mark.parametrize("dirichlet_theta", [False, True])
+def test_assemble_matches_cell_loop(dirichlet_theta):
+    cfg = SimConfig(arc=make_cfg().arc, params=PARAMS, n_s=16, n_r=24, sector_angle=0.5)
+    a_vec = _assemble(cfg, dirichlet_theta)
+    a_ref = _reference_assemble(cfg, dirichlet_theta)
+    assert a_vec.shape == a_ref.shape == (16 * 24, 16 * 24)
+    assert abs(a_vec - a_ref).max() == 0
+
+
+def test_projection_solve_to_roundoff(monkeypatch):
+    # the cached LU solve of the pinned all-Neumann system satisfies the full
+    # (unpinned) system and leaves a divergence-free field to roundoff
+    cfg = make_cfg(n=24)
+    solves = []
+
+    def recording_solve(cfg_, b):
+        phi = _solve_neumann(cfg_, b)
+        solves.append((b.ravel().copy(), phi.ravel().copy()))
+        return phi
+
+    monkeypatch.setattr(nssim, "_solve_neumann", recording_solve)
+    state = init_sim(cfg)
+    for _ in range(3):
+        state = step(state, cfg)
+    assert len(solves) == 3
+    a_full = _assemble(cfg, dirichlet_theta=False)
+    for b, phi in solves:
+        assert np.linalg.norm(a_full @ phi + b) <= 1e-12 * np.linalg.norm(b)
+        assert abs(phi.mean()) <= 1e-14
+    assert np.max(np.abs(divergence(cfg, state.us, state.ur))) <= 1e-12
 
 
 def test_step_preserves_noslip_and_divergence():
