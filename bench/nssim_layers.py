@@ -4,11 +4,11 @@
 
 ``--before`` and ``--after`` are ``src/`` directories of two checkouts (make
 the old one with ``git clone`` so its sha is known).  Each side runs in fresh interpreters with
-``PYTHONPATH`` set to its tree; the sides alternate over ``--repeats`` rounds
+``PYTHONPATH`` set to its tree; the sides alternate over ``REPEATS`` rounds
 so that drift in machine speed hits both alike.  For n = 32/128/256 a round
-times ``_assemble`` (the all-Neumann operator), a cold ``init_sim`` (grid and
-pressure caches cleared) and single ``step`` calls after a warm-up step, and
-keeps the fields after ``--steps`` steps.  The output holds the machine, both
+times ``_assemble`` (the all-Neumann operator), a cold ``init_sim`` (every
+``lru_cache`` in ``nssim`` cleared) and single ``step`` calls after a warm-up
+step, and keeps the fields after ``STEPS[n]`` steps.  The output holds the machine, both
 git shas, per-side medians over rounds, and the largest differences of the
 final fields and of the default ``lamsep simulate`` CSVs between the sides.
 Keep it out of the test suite: timings must not gate tests.
@@ -31,6 +31,7 @@ from pathlib import Path
 import numpy as np
 
 SIZES = (32, 128, 256)
+REPEATS = 3
 STEPS = {32: 20, 128: 8, 256: 4}
 INIT_REPEATS = 3
 
@@ -50,8 +51,9 @@ def _measure(n: int, steps: int, fields_path: str) -> dict:
 
     init_times = []
     for _ in range(INIT_REPEATS):
-        for cached in (nssim._grid, nssim._poisson_neumann, nssim._poisson_dirichlet_theta):
-            cached.cache_clear()
+        for cached in vars(nssim).values():
+            if hasattr(cached, "cache_clear"):
+                cached.cache_clear()
         t0 = time.perf_counter()
         state = nssim.init_sim(cfg)
         init_times.append(time.perf_counter() - t0)
@@ -105,12 +107,12 @@ def _max_abs_diff(a, b) -> float:
     return float(np.max(np.abs(a - b)))
 
 
-def compare(before: str, after: str, repeats: int) -> dict:
+def compare(before: str, after: str) -> dict:
     sides = {"before": before, "after": after}
     samples = {side: {n: [] for n in SIZES} for side in sides}
     drift = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for rnd in range(repeats):
+        for rnd in range(REPEATS):
             order = list(sides) if rnd % 2 == 0 else list(sides)[::-1]
             for n in SIZES:
                 for side in order:
@@ -141,7 +143,7 @@ def compare(before: str, after: str, repeats: int) -> dict:
                     "numpy": np.__version__,
                     "scipy": __import__("scipy").__version__},
         "git_sha": {side: _git_sha(src) for side, src in sides.items()},
-        "method": {"repeats": repeats, "steps_timed": STEPS, "init_repeats": INIT_REPEATS,
+        "method": {"repeats": REPEATS, "steps_timed": STEPS, "init_repeats": INIT_REPEATS,
                    "config": "delta 1, alpha1 2.5, alpha2 1, nu 1, sector 0.5, n_s = n_r = n, "
                              "default dt; medians over rounds of per-process medians"},
         "layers_s": layers,
@@ -155,7 +157,6 @@ def main() -> None:
     parser.add_argument("--before")
     parser.add_argument("--after")
     parser.add_argument("--out")
-    parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument("--measure", type=int, help=argparse.SUPPRESS)
     parser.add_argument("--steps", type=int, help=argparse.SUPPRESS)
     parser.add_argument("--fields", help=argparse.SUPPRESS)
@@ -165,7 +166,7 @@ def main() -> None:
         return
     if not (args.before and args.after and args.out):
         parser.error("--before, --after and --out are required")
-    result = compare(args.before, args.after, args.repeats)
+    result = compare(args.before, args.after)
     Path(args.out).write_text(json.dumps(result, indent=2) + "\n")
 
 

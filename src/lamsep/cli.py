@@ -329,9 +329,10 @@ def _sim_option(cfg: RunConfig, key: str, default, kind):
         return None
     try:
         out = kind(value)
+        integral = kind is not int or float(value) == out
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{key} must be a number, got {value!r}") from exc
-    if kind is int and out != value:
+    if not integral:
         raise ValidationError(f"{key} must be an integer, got {value!r}")
     return out
 

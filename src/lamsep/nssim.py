@@ -17,8 +17,9 @@ dp/drho = h(rho-delta)**2/rho.  The measured interior tangential gradient is
 reported next to the wall-anchored formula, never asserted equal to it.
 
 Both pressure solves are direct.  The two flux-form Laplacians depend only on
-the SimConfig, so each is assembled and LU-factored (SuperLU) once per config
-and cached; every step then costs one pair of triangular solves.  The
+the mesh (wall arc, sector angle, outer radius, grid size), not on dt, t_end or
+the flow parameters, so each is assembled and LU-factored (SuperLU) once per
+mesh and cached; every step then costs one pair of triangular solves.  The
 all-Neumann projection matrix is singular up to a constant, so cell 0 is pinned
 (its row and column are dropped, phi[0] = 0) and the solution is shifted to
 zero mean afterwards.  The dropped equation holds automatically because the
@@ -32,6 +33,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 import scipy.integrate
@@ -143,7 +145,7 @@ class SimState:
 
 
 class _Grid:
-    def __init__(self, cfg: SimConfig):
+    def __init__(self, cfg: SimConfig | _Mesh):
         self.delta = cfg.arc.delta
         self.dth = cfg.sector_angle / cfg.n_s
         self.drh = cfg.R_out / cfg.n_r
@@ -153,9 +155,33 @@ class _Grid:
         self.theta_c = self.dth * (np.arange(cfg.n_s) + 0.5)
 
 
+class _Mesh(NamedTuple):
+    """The part of a SimConfig that the grid and both Laplacians depend on.
+
+    Configs that differ only in dt, t_end or the flow parameters map to the same
+    mesh, so they share one cached grid and one pair of LU factors.  The field
+    names are the SimConfig ones, so a mesh can stand in for its config in
+    ``_Grid`` and ``_assemble``.
+    """
+
+    arc: ArcBoundary
+    sector_angle: float
+    R_out: float
+    n_s: int
+    n_r: int
+
+
+def _mesh(cfg: SimConfig | _Mesh) -> _Mesh:
+    return _Mesh(cfg.arc, cfg.sector_angle, cfg.R_out, cfg.n_s, cfg.n_r)
+
+
+def _grid(cfg: SimConfig | _Mesh) -> _Grid:
+    return _grid_of(_mesh(cfg))
+
+
 @lru_cache(maxsize=16)
-def _grid(cfg: SimConfig) -> _Grid:
-    return _Grid(cfg)
+def _grid_of(mesh: _Mesh) -> _Grid:
+    return _Grid(mesh)
 
 
 # ----------------------------------------------------------------------------
@@ -253,7 +279,7 @@ def divergence(cfg: SimConfig, us: np.ndarray, ur: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
-def _poisson_neumann(cfg: SimConfig):
+def _poisson_neumann(mesh: _Mesh):
     """LU factors of the all-Neumann projection Laplacian with cell 0 pinned.
 
     The all-Neumann matrix is singular (constants span its null space); dropping
@@ -261,23 +287,21 @@ def _poisson_neumann(cfg: SimConfig):
     nonsingular system.  The dropped row is implied by the others whenever the
     right-hand side has zero mean, which the caller enforces.
     """
-    return _factor(_assemble(cfg, dirichlet_theta=False)[1:, 1:])
+    return _factor(_assemble(mesh, dirichlet_theta=False)[1:, 1:])
 
 
 @lru_cache(maxsize=16)
-def _poisson_dirichlet_theta(cfg: SimConfig):
+def _poisson_dirichlet_theta(mesh: _Mesh):
     """LU factors of the Laplacian with Dirichlet theta-planes, Neumann radial walls."""
-    return _factor(_assemble(cfg, dirichlet_theta=True))
+    return _factor(_assemble(mesh, dirichlet_theta=True))
 
 
 def _factor(mat):
-    # both matrices are symmetric, so a minimum-degree ordering of A^T + A fits
-    # them better than the default COLAMD: about half the fill-in and 2-4x
-    # faster solves at n = 32..256
+    # both matrices are symmetric, so order on the pattern of A^T + A
     return scipy.sparse.linalg.splu(mat.tocsc(), permc_spec="MMD_AT_PLUS_A")
 
 
-def _assemble(cfg: SimConfig, dirichlet_theta: bool) -> scipy.sparse.csr_matrix:
+def _assemble(cfg: SimConfig | _Mesh, dirichlet_theta: bool) -> scipy.sparse.csr_matrix:
     """Flux-form (negative) Laplacian on the cell centers, row k = i * n_r + j."""
     g = _grid(cfg)
     n_s, n_r = cfg.n_s, cfg.n_r
@@ -312,7 +336,7 @@ def _assemble(cfg: SimConfig, dirichlet_theta: bool) -> scipy.sparse.csr_matrix:
 def _solve_neumann(cfg: SimConfig, b: np.ndarray) -> np.ndarray:
     """Zero-mean phi with A phi = -b for the all-Neumann A; b must have zero mean."""
     phi = np.zeros(cfg.n_s * cfg.n_r)
-    phi[1:] = _poisson_neumann(cfg).solve(-b.ravel()[1:])
+    phi[1:] = _poisson_neumann(_mesh(cfg)).solve(-b.ravel()[1:])
     phi -= phi.mean()
     return phi.reshape(cfg.n_s, cfg.n_r)
 
@@ -373,7 +397,7 @@ def initial_pressure(cfg: SimConfig, us: np.ndarray, ur: np.ndarray) -> np.ndarr
     b[0, :] += 2.0 * c_th * p_in
     b[-1, :] += 2.0 * c_th * p_out
 
-    return _poisson_dirichlet_theta(cfg).solve(b.ravel()).reshape(n_s, n_r)
+    return _poisson_dirichlet_theta(_mesh(cfg)).solve(b.ravel()).reshape(n_s, n_r)
 
 
 def init_sim(cfg: SimConfig) -> SimState:

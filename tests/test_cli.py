@@ -159,7 +159,7 @@ def test_determinism_simulate(tmp_path):
 
 @pytest.mark.parametrize("bad", [
     {"dt": 0}, {"dt": -1e-4}, {"t_end": float("nan")}, {"n_s": "abc"}, {"n_r": 16.5},
-    {"sector_angle": float("nan")}, {"sector_angle": 1e300},
+    {"n_s": "16.5"}, {"sector_angle": float("nan")}, {"sector_angle": 1e300},
 ])
 def test_simulate_rejects_invalid_numbers(tmp_path, capsys, bad):
     cfg = write_config(tmp_path, {"command": "simulate", "n_s": 16, "n_r": 16,
@@ -168,6 +168,13 @@ def test_simulate_rejects_invalid_numbers(tmp_path, capsys, bad):
     assert rc == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("lamsep: error:")
+
+
+@pytest.mark.parametrize("ok", [{"n_s": "16"}, {"n_r": 16.0}])
+def test_simulate_accepts_integral_grid_sizes(tmp_path, ok):
+    cfg = write_config(tmp_path, {"command": "simulate", "n_s": 16, "n_r": 16,
+                                  "t_end": 0.002, **ok})
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
 
 
 def test_unknown_command_errors():

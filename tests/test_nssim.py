@@ -277,6 +277,16 @@ def test_dt_halving_first_order():
     assert ratio == pytest.approx(2.0, abs=0.3)
 
 
+def test_dt_sweep_shares_one_grid_and_factorization():
+    cached = (nssim._grid_of, nssim._poisson_neumann, nssim._poisson_dirichlet_theta)
+    before = [f.cache_info() for f in cached]
+    for dt in (2e-4, 1e-4, 5e-5):
+        cfg = dataclasses.replace(make_cfg(n=20, dt=dt, t_end=0.02), sector_angle=0.55)
+        step(init_sim(cfg), cfg)
+    for f, old in zip(cached, before):
+        assert f.cache_info().misses - old.misses == 1, f
+
+
 def test_zero_viscosity_limit_sanity():
     params = LaminarParams(1.0, 1.0, 1e-4)
     arc = ArcBoundary(5.0, 0.0, (0.0, 0.0), (0.0, 2.5))
