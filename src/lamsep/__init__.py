@@ -85,15 +85,27 @@ from .theorems import (
     theorem2_limit,
     theorem2_ratio,
 )
-from .nssim import (
-    ExperimentReport,
-    SimConfig,
-    SimState,
-    init_sim,
-    measure_ratio,
-    probe_diagnostics,
-    run_experiment,
-    step,
+
+# The sector solver loads scipy.sparse, which only ``simulate`` needs, so its
+# names resolve on first use (PEP 562) instead of at ``import lamsep``.
+_NSSIM_EXPORTS = (
+    "ExperimentReport",
+    "SimConfig",
+    "SimState",
+    "init_sim",
+    "measure_ratio",
+    "probe_diagnostics",
+    "run_experiment",
+    "step",
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+
+def __getattr__(name):
+    if name in _NSSIM_EXPORTS:
+        from . import nssim
+
+        return getattr(nssim, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+__all__ = [name for name in dir() if not name.startswith("_")] + list(_NSSIM_EXPORTS)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field as dc_field
@@ -26,7 +27,7 @@ from .errors import LamsepError, ParseError, ValidationError
 from .field import LaminarParams, laminar_field, stationary_gradp_field
 from .fdops import StencilSpec, fd_advection
 from .geometry import ArcBoundary, to_cartesian
-from . import nssim, theorems, tracing
+from . import theorems, tracing
 
 SCHEMA_VERSION = 1
 
@@ -94,6 +95,27 @@ class RunReport:
         )
 
 
+def _number(key: str, value, kind=float):
+    """``value`` as ``kind`` (float, or int for an integral value), else a ValidationError."""
+    try:
+        out = kind(value)
+        integral = kind is not int or float(value) == out
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"{key} must be a number, got {value!r}") from exc
+    if not integral:
+        raise ValidationError(f"{key} must be an integer, got {value!r}")
+    return out
+
+
+def _finite_pair(key: str, value) -> tuple[float, float]:
+    """``value`` as two finite floats, else a ValidationError."""
+    if isinstance(value, (list, tuple)) and len(value) == 2:
+        pair = (_number(key, value[0]), _number(key, value[1]))
+        if all(math.isfinite(v) for v in pair):
+            return pair
+    raise ValidationError(f"{key} must be two finite numbers, got {value!r}")
+
+
 def parse_config(path=None, overrides: dict | None = None, command: str | None = None) -> RunConfig:
     """Merge a JSON config file with flag overrides into a validated RunConfig."""
     raw: dict = {}
@@ -121,18 +143,25 @@ def parse_config(path=None, overrides: dict | None = None, command: str | None =
         raise ParseError(f"unknown config key(s) for {cmd}: {', '.join(unknown)}")
 
     problems = []
-    alpha1 = float(raw.get("alpha1", 1.0))
-    alpha2 = float(raw.get("alpha2", 1.0))
-    nu = float(raw.get("nu", 1.0))
-    delta = float(raw.get("delta", 1.0))
-    if alpha1 <= 0:
-        problems.append(f"alpha1 must be positive, got {alpha1}")
-    if alpha2 <= 0:
-        problems.append(f"alpha2 must be positive, got {alpha2}")
-    if nu <= 0:
-        problems.append(f"nu must be positive, got {nu}")
-    if delta <= 0:
-        problems.append(f"delta must be positive, got {delta}")
+    numbers = {}
+    for key, default in (("alpha1", 1.0), ("alpha2", 1.0), ("nu", 1.0), ("delta", 1.0),
+                         ("phase", 0.0)):
+        try:
+            value = numbers[key] = _number(key, raw.get(key, default))
+        except ValidationError as exc:
+            problems.append(str(exc))
+            continue
+        if not math.isfinite(value):
+            problems.append(f"{key} must be finite, got {value}")
+        elif key != "phase" and value <= 0:
+            problems.append(f"{key} must be positive, got {value}")
+    pairs = {}
+    for key in ("center", "s_range"):
+        try:
+            if key in raw:
+                pairs[key] = _finite_pair(key, raw[key])
+        except ValidationError as exc:
+            problems.append(str(exc))
     if cmd == "sweep":
         for key in _COMMAND_KEYS["sweep"]:
             if key in raw and not raw[key]:
@@ -140,14 +169,16 @@ def parse_config(path=None, overrides: dict | None = None, command: str | None =
     if problems:
         raise ValidationError("; ".join(problems))
 
-    s_range = raw.get("s_range", [0.0, 0.5 * delta])
-    arc = ArcBoundary(
-        delta=delta,
-        phase=float(raw.get("phase", 0.0)),
-        center=tuple(raw.get("center", (0.0, 0.0))),
-        s_range=(float(s_range[0]), float(s_range[1])),
-    )
-    params = LaminarParams(alpha1=alpha1, alpha2=alpha2, nu=nu)
+    try:
+        arc = ArcBoundary(
+            delta=numbers["delta"],
+            phase=numbers["phase"],
+            center=pairs.get("center", (0.0, 0.0)),
+            s_range=pairs.get("s_range", (0.0, 0.5 * numbers["delta"])),
+        )
+    except ValueError as exc:  # a decreasing s_range
+        raise ValidationError(str(exc)) from exc
+    params = LaminarParams(alpha1=numbers["alpha1"], alpha2=numbers["alpha2"], nu=numbers["nu"])
     options = {k: raw[k] for k in raw if k in _COMMAND_KEYS[cmd]}
     return RunConfig(
         command=cmd, params=params, arc=arc, options=options,
@@ -325,19 +356,12 @@ def _cmd_zeta(cfg: RunConfig):
 def _sim_option(cfg: RunConfig, key: str, default, kind):
     """A numeric simulate option as ``kind`` (float or int); None stays None."""
     value = cfg.options.get(key, default)
-    if value is None:
-        return None
-    try:
-        out = kind(value)
-        integral = kind is not int or float(value) == out
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"{key} must be a number, got {value!r}") from exc
-    if not integral:
-        raise ValidationError(f"{key} must be an integer, got {value!r}")
-    return out
+    return None if value is None else _number(key, value, kind)
 
 
 def _cmd_simulate(cfg: RunConfig):
+    from . import nssim  # the solver's scipy.sparse import is paid by simulate only
+
     sim_cfg = nssim.SimConfig(
         arc=cfg.arc, params=cfg.params,
         sector_angle=_sim_option(cfg, "sector_angle", 0.5, float),
@@ -348,6 +372,10 @@ def _cmd_simulate(cfg: RunConfig):
         t_end=_sim_option(cfg, "t_end", 0.02, float),
     )
     probes = cfg.options.get("probes")
+    if probes is not None:
+        if not isinstance(probes, list):
+            raise ValidationError(f"probes must be a list of numbers, got {probes!r}")
+        probes = [_number("probes", r) for r in probes]
     report = nssim.run_experiment(sim_cfg, probes)
     rows = list(report.rows())
     header = ["t", "probe_r", "u_t", "ratio"]

@@ -40,11 +40,6 @@ class ExtrapolationResult:
     levels_used: int
 
 
-def default_step(delta: float, bl: float) -> float:
-    """Default FD step: 1e-3 of the larger geometric scale in play."""
-    return 1e-3 * max(delta, bl if np.isfinite(bl) else delta)
-
-
 def _check_guard(points: np.ndarray, guard: Callable[[np.ndarray], bool] | None):
     if guard is None:
         return

@@ -36,7 +36,6 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-import scipy.integrate
 import scipy.sparse
 import scipy.sparse.linalg
 
@@ -341,22 +340,45 @@ def _solve_neumann(cfg: SimConfig, b: np.ndarray) -> np.ndarray:
     return phi.reshape(cfg.n_s, cfg.n_r)
 
 
+def _log_moments(u: np.ndarray):
+    """I_n(u) = integral_0^u s^n / (1 + s) ds for n = 2, 3, 4, to roundoff relative to I_n.
+
+    From u = 1/2 up, the closed form I_0 = log1p(u), I_n = u^n/n - I_(n-1) loses
+    at most a few digits.  Below 1/2 that recurrence cancels (I_n ~ u^(n+1) is
+    left from terms ~ u), so I_4 is summed from its series
+    u^5 sum_k (-u)^k/(k + 5), whose 48 terms reach roundoff at u = 1/2, and the
+    recurrence runs downwards, where it adds a small I_n to a larger u^n/n.
+    """
+    i2, i3, i4 = (np.empty_like(u) for _ in range(3))
+    up = u >= 0.5
+    x = u[up]
+    i1 = x - np.log1p(x)
+    i2[up] = x**2 / 2 - i1
+    i3[up] = x**3 / 3 - i2[up]
+    i4[up] = x**4 / 4 - i3[up]
+    x = u[~up]
+    series = np.zeros_like(x)
+    for k in range(47, -1, -1):
+        series = 1.0 / (k + 5) - x * series
+    i4[~up] = x**5 * series
+    i3[~up] = x**4 / 4 - i4[~up]
+    i2[~up] = x**3 / 3 - i3[~up]
+    return i2, i3, i4
+
+
 def _centripetal_head(cfg: SimConfig, rho) -> np.ndarray:
-    """F(rho) = integral_delta^rho h(r'-delta)^2 / r' dr': the radial pressure head."""
+    """F(rho) = integral_delta^rho h(r'-delta)^2 / r' dr': the radial pressure head.
+
+    In closed form: with u = (rho - delta)/delta,
+    h(delta*u)^2 = delta^2 (a1^2 u^2 - a1 a2 delta u^3 + (a2 delta/2)^2 u^4), so
+    F = delta^2 (a1^2 I_2 - a1 a2 delta I_3 + (a2 delta/2)^2 I_4) with the
+    moments I_n of ``_log_moments``.
+    """
     delta = cfg.arc.delta
-
-    def integrand(t):
-        return profile_h(cfg.params, t - delta) ** 2 / t
-
-    rho = np.atleast_1d(np.asarray(rho, dtype=float))
-    out = np.zeros_like(rho)
-    order = np.argsort(rho)
-    prev_rho, prev_val = delta, 0.0
-    for idx in order:
-        val, _ = scipy.integrate.quad(integrand, prev_rho, rho[idx], epsabs=1e-13, epsrel=1e-12)
-        out[idx] = prev_val + val
-        prev_rho, prev_val = rho[idx], out[idx]
-    return out
+    a1, a2 = cfg.params.alpha1, cfg.params.alpha2
+    u = (np.atleast_1d(np.asarray(rho, dtype=float)) - delta) / delta
+    i2, i3, i4 = _log_moments(u)
+    return delta**2 * (a1 * a1 * i2 - a1 * a2 * delta * i3 + 0.25 * (a2 * delta) ** 2 * i4)
 
 
 def initial_pressure(cfg: SimConfig, us: np.ndarray, ur: np.ndarray) -> np.ndarray:

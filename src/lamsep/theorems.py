@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import mpmath
 import numpy as np
 
 from .errors import DomainError
@@ -186,6 +185,8 @@ def oracle_limit(params: LaminarParams, delta: float) -> float:
     Evaluates the ratio with 40-digit arithmetic at r in {1e-4, 5e-5, 2.5e-5}
     times min(bl, delta) and removes the O(r) term by first-order extrapolation.
     """
+    import mpmath  # only the theorem-2 commands pay for the 40-digit arithmetic
+
     _require_theorem_params(params)
     with mpmath.workdps(40):
         a1 = mpmath.mpf(params.alpha1)

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import lamsep
 from lamsep.cli import main, parse_config
 from lamsep.errors import ParseError, ValidationError
 
@@ -32,6 +37,27 @@ def test_parse_rejects_unknown_key(tmp_path):
     path = write_config(tmp_path, {"command": "verify-theorem2", "alpha3": 2.0})
     with pytest.raises(ParseError, match="alpha3"):
         parse_config(path)
+
+
+@pytest.mark.parametrize("bad", [
+    {"alpha1": "x"}, {"alpha1": float("nan")}, {"alpha2": float("inf")}, {"nu": [1.0]},
+    {"delta": None}, {"phase": "x"}, {"phase": float("nan")}, {"s_range": [1]},
+    {"s_range": [0.0, float("nan")]}, {"s_range": [0.5, 0.0]}, {"center": 3},
+    {"center": ["a", 0.0]}, {"center": [0.0, 0.0, 0.0]},
+])
+def test_parse_rejects_malformed_numbers(tmp_path, capsys, bad):
+    path = write_config(tmp_path, {"command": "verify-theorem2", **bad})
+    with pytest.raises(ValidationError, match=next(iter(bad))):
+        parse_config(path)
+    assert main(["verify-theorem2", "--config", path, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("lamsep: error:")
+
+
+def test_parse_rejects_non_finite_flag(capsys, tmp_path):
+    assert main(["verify-theorem2", "--alpha1", "nan", "--out", str(tmp_path / "o")]) == 1
+    assert "alpha1 must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_parse_reports_all_violations(tmp_path):
@@ -160,6 +186,7 @@ def test_determinism_simulate(tmp_path):
 @pytest.mark.parametrize("bad", [
     {"dt": 0}, {"dt": -1e-4}, {"t_end": float("nan")}, {"n_s": "abc"}, {"n_r": 16.5},
     {"n_s": "16.5"}, {"sector_angle": float("nan")}, {"sector_angle": 1e300},
+    {"probes": ["a"]}, {"probes": [0.1, None]}, {"probes": 0.1},
 ])
 def test_simulate_rejects_invalid_numbers(tmp_path, capsys, bad):
     cfg = write_config(tmp_path, {"command": "simulate", "n_s": 16, "n_r": 16,
@@ -207,3 +234,37 @@ def test_zeta_perturbed_command(tmp_path):
     assert rc == 0
     report = json.loads((tmp_path / "o" / "report.json").read_text())
     assert report["payload"]["fitted_c"] > 0
+
+
+def _fresh_python(code: str) -> str:
+    """Run ``code`` in a new interpreter that imports this checkout's lamsep."""
+    src = str(Path(lamsep.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, timeout=120, check=True)
+    return out.stdout.strip()
+
+
+def test_analysis_commands_import_no_solver_scipy_or_mpmath(tmp_path):
+    loaded = _fresh_python(
+        "import sys\n"
+        "import lamsep.cli\n"
+        "heavy = lambda: sorted(m for m in sys.modules\n"
+        "                       if m.split('.')[0] in ('scipy', 'mpmath') or m == 'lamsep.nssim')\n"
+        "print(heavy())\n"
+        f"rc = lamsep.cli.main(['verify-theorem1', '--out', {str(tmp_path / 'o')!r}])\n"
+        "print(rc, heavy())\n"
+    )
+    lines = loaded.splitlines()
+    assert lines[0] == "[]" and lines[-1] == "0 []"
+
+
+def test_lazy_solver_names_still_resolve():
+    out = _fresh_python(
+        "import lamsep\n"
+        "print(lamsep.SimConfig.__module__)\n"
+        "from lamsep import *\n"
+        "print(SimConfig is lamsep.SimConfig, run_experiment is lamsep.nssim.run_experiment)\n"
+        "print(all(hasattr(lamsep, name) for name in lamsep.__all__))\n"
+    )
+    assert out.splitlines() == ["lamsep.nssim", "True True", "True"]

@@ -198,6 +198,26 @@ def _reference_assemble(cfg, dirichlet_theta):
     return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(n_s * n_r, n_s * n_r))
 
 
+@pytest.mark.parametrize("delta", [0.25, 0.5, 1.0, 2.0, 4.0])
+def test_centripetal_head_matches_quadrature(delta):
+    import scipy.integrate
+
+    # bl = a1/a2 from 0.25 to 10: the head spans u = (rho - delta)/delta from
+    # below 1e-3 to 80, on both sides of the closed form's series switch at 1/2
+    for a1, a2 in ((1.0, 1.0), (2.5, 1.0), (5.0, 0.5), (0.5, 2.0)):
+        params = LaminarParams(alpha1=a1, alpha2=a2, nu=1.0)
+        arc = ArcBoundary(delta, 0.0, (0.0, 0.0), (0.0, 0.5 * delta))
+        cfg = SimConfig(arc=arc, params=params, n_s=16, n_r=256)
+        rho = _grid(cfg).rho_c
+        quad = np.array([
+            scipy.integrate.quad(lambda t: profile_h(params, t - delta) ** 2 / t, delta, r,
+                                 epsabs=0.0, epsrel=1e-13)[0]
+            for r in rho
+        ])
+        head = _centripetal_head(cfg, rho)
+        assert np.max(np.abs(head - quad)) <= 1e-12 * np.max(np.abs(quad))
+
+
 @pytest.mark.parametrize("dirichlet_theta", [False, True])
 def test_assemble_matches_cell_loop(dirichlet_theta):
     cfg = SimConfig(arc=make_cfg().arc, params=PARAMS, n_s=16, n_r=24, sector_angle=0.5)
