@@ -6,12 +6,15 @@
 the old one with ``git clone`` so its sha is known).  Each side runs in fresh interpreters with
 ``PYTHONPATH`` set to its tree; the sides alternate over ``REPEATS`` rounds
 so that drift in machine speed hits both alike.  For n = 32/128/256 a round
-times ``_assemble`` (the all-Neumann operator), a cold ``init_sim`` (every
-``lru_cache`` in ``nssim`` cleared) and single ``step`` calls after a warm-up
-step, and keeps the fields after ``STEPS[n]`` steps.  The output holds the machine, both
-git shas, per-side medians over rounds, and the largest differences of the
-final fields and of the default ``lamsep simulate`` CSVs between the sides.
-Keep it out of the test suite: timings must not gate tests.
+times the build of each cached pressure operator (``_poisson_neumann`` and
+``_poisson_dirichlet_theta``, bypassing their caches), a cold ``init_sim``
+(every ``lru_cache`` in ``nssim`` cleared) and single ``step`` calls after a
+warm-up step, measures each operator's relative residual on a random
+right-hand side, and keeps the fields after ``STEPS[n]`` steps.  The output
+holds the machine, both git shas, per-side medians over rounds, and the
+largest differences of the final fields and of the default ``lamsep simulate``
+CSVs between the sides.  Keep it out of the test suite: timings must not gate
+tests.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from importlib import metadata
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +38,39 @@ SIZES = (32, 128, 256)
 REPEATS = 3
 STEPS = {32: 20, 128: 8, 256: 4}
 INIT_REPEATS = 3
+
+
+def _apply_laplacian(g, x: np.ndarray, dirichlet_theta: bool) -> np.ndarray:
+    """The flux-form (negative) Laplacian of ``nssim`` applied face by face."""
+    c_r = g.rho_f[1:-1] * g.dth / g.drh
+    c_th = g.drh / (g.rho_c * g.dth)
+    out = np.zeros_like(x)
+    flux = c_r * (x[:, 1:] - x[:, :-1])
+    out[:, :-1] -= flux
+    out[:, 1:] += flux
+    flux = c_th * (x[1:] - x[:-1])
+    out[:-1] -= flux
+    out[1:] += flux
+    if dirichlet_theta:
+        out[[0, -1]] += 2.0 * c_th * x[[0, -1]]
+    return out
+
+
+def _residuals(nssim, cfg) -> dict:
+    """Relative residuals of the projection and t = 0 pressure solves."""
+    g = nssim._grid(cfg)
+    rng = np.random.default_rng(cfg.n_s)
+    b = rng.standard_normal((cfg.n_s, cfg.n_r))
+    b -= b.mean()
+    phi = nssim._solve_neumann(cfg, b)
+    neumann = np.linalg.norm(_apply_laplacian(g, phi, False) + b) / np.linalg.norm(b)
+    b = rng.standard_normal((cfg.n_s, cfg.n_r))
+    solver = nssim._poisson_dirichlet_theta(nssim._mesh(cfg))
+    # a SuperLU factor takes and returns flat vectors
+    flat = hasattr(solver, "perm_c")
+    x = np.reshape(solver.solve(b.ravel() if flat else b), b.shape)
+    dirichlet = np.linalg.norm(_apply_laplacian(g, x, True) - b) / np.linalg.norm(b)
+    return {"residual_neumann": float(neumann), "residual_dirichlet": float(dirichlet)}
 
 
 def _measure(n: int, steps: int, fields_path: str) -> dict:
@@ -45,9 +82,12 @@ def _measure(n: int, steps: int, fields_path: str) -> dict:
     arc = ArcBoundary(1.0, 0.0, (0.0, 0.0), (0.0, 0.5))
     cfg = nssim.SimConfig(arc=arc, params=LaminarParams(2.5, 1.0, 1.0),
                           n_s=n, n_r=n, sector_angle=0.5)
-    t0 = time.perf_counter()
-    nssim._assemble(cfg, False)
-    assemble_s = time.perf_counter() - t0
+    mesh = nssim._mesh(cfg)
+    factor_s = {}
+    for name in ("_poisson_neumann", "_poisson_dirichlet_theta"):
+        t0 = time.perf_counter()
+        getattr(nssim, name).__wrapped__(mesh)
+        factor_s[f"factor{name.removeprefix('_poisson')}_s"] = time.perf_counter() - t0
 
     init_times = []
     for _ in range(INIT_REPEATS):
@@ -69,8 +109,9 @@ def _measure(n: int, steps: int, fields_path: str) -> dict:
         state = nssim.step(state, cfg)
         step_times.append(time.perf_counter() - t0)
     np.savez(fields_path, us=state.us, ur=state.ur, p=state.p, p0=p0)
-    return {"assemble_s": assemble_s, "init_sim_s": statistics.median(init_times),
-            "first_step_s": first_step_s, "step_s": statistics.median(step_times)}
+    return {**factor_s, "init_sim_s": statistics.median(init_times),
+            "first_step_s": first_step_s, "step_s": statistics.median(step_times),
+            **_residuals(nssim, cfg)}
 
 
 def _run_side(src: str, n: int, steps: int, fields_path: str) -> dict:
@@ -95,6 +136,13 @@ def _simulate_csvs(src: str, workdir: Path) -> dict:
         tables[name] = {col: np.array([float(r[k]) for r in rows[1:]])
                         for k, col in enumerate(rows[0])}
     return tables
+
+
+def _version(package: str) -> str | None:
+    try:
+        return metadata.version(package)
+    except metadata.PackageNotFoundError:
+        return None
 
 
 def _git_sha(src: str) -> str | None:
@@ -140,8 +188,7 @@ def compare(before: str, after: str) -> dict:
     return {
         "machine": {"platform": platform.platform(), "processor": platform.machine(),
                     "cpus": os.cpu_count(), "python": platform.python_version(),
-                    "numpy": np.__version__,
-                    "scipy": __import__("scipy").__version__},
+                    "numpy": np.__version__, "scipy": _version("scipy")},
         "git_sha": {side: _git_sha(src) for side, src in sides.items()},
         "method": {"repeats": REPEATS, "steps_timed": STEPS, "init_repeats": INIT_REPEATS,
                    "config": "delta 1, alpha1 2.5, alpha2 1, nu 1, sector 0.5, n_s = n_r = n, "

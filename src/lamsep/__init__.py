@@ -1,6 +1,6 @@
 """lamsep: laminar flow next to a curved wall, verified numerically.
 
-A numpy/scipy library (plus the ``lamsep`` CLI) that builds the parallel
+A numpy library (plus the ``lamsep`` CLI) that builds the parallel
 shear flow around a constant-curvature no-slip wall, checks every closed form
 against finite-difference oracles, quantifies why no such flow can be
 stationary, extrapolates the negative near-wall material-derivative limit,
@@ -86,8 +86,8 @@ from .theorems import (
     theorem2_ratio,
 )
 
-# The sector solver loads scipy.sparse, which only ``simulate`` needs, so its
-# names resolve on first use (PEP 562) instead of at ``import lamsep``.
+# Only ``simulate`` needs the sector solver, so its names resolve on first use
+# (PEP 562) instead of at ``import lamsep``.
 _NSSIM_EXPORTS = (
     "ExperimentReport",
     "SimConfig",

@@ -17,7 +17,8 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field as dc_field
+from contextlib import contextmanager
+from dataclasses import dataclass, field as dc_field, replace
 from pathlib import Path
 
 import numpy as np
@@ -107,12 +108,43 @@ def _number(key: str, value, kind=float):
     return out
 
 
+def _finite(key: str, value, kind=float):
+    """``value`` as a finite ``kind`` (float or int), else a ValidationError."""
+    out = _number(key, value, kind)
+    if not math.isfinite(out):
+        raise ValidationError(f"{key} must be finite, got {value!r}")
+    return out
+
+
+def _option(cfg: RunConfig, key: str, default, kind=float):
+    """Command option ``key`` as a finite ``kind``; absent or null gives ``default``."""
+    value = cfg.options.get(key)
+    return default if value is None else _finite(key, value, kind)
+
+
+def _option_list(cfg: RunConfig, key: str, default):
+    """Command option ``key`` as a non-empty list of finite numbers; absent or null gives ``default``."""
+    value = cfg.options.get(key)
+    if value is None:
+        return default
+    if not isinstance(value, list) or not value:
+        raise ValidationError(f"{key} must be a non-empty list of numbers, got {value!r}")
+    return [_finite(key, v) for v in value]
+
+
+@contextmanager
+def _invalid_input():
+    """Report the library's argument checks (ValueError) as a ValidationError."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValidationError(str(exc)) from exc
+
+
 def _finite_pair(key: str, value) -> tuple[float, float]:
     """``value`` as two finite floats, else a ValidationError."""
     if isinstance(value, (list, tuple)) and len(value) == 2:
-        pair = (_number(key, value[0]), _number(key, value[1]))
-        if all(math.isfinite(v) for v in pair):
-            return pair
+        return _finite(key, value[0]), _finite(key, value[1])
     raise ValidationError(f"{key} must be two finite numbers, got {value!r}")
 
 
@@ -147,13 +179,11 @@ def parse_config(path=None, overrides: dict | None = None, command: str | None =
     for key, default in (("alpha1", 1.0), ("alpha2", 1.0), ("nu", 1.0), ("delta", 1.0),
                          ("phase", 0.0)):
         try:
-            value = numbers[key] = _number(key, raw.get(key, default))
+            value = numbers[key] = _finite(key, raw.get(key, default))
         except ValidationError as exc:
             problems.append(str(exc))
             continue
-        if not math.isfinite(value):
-            problems.append(f"{key} must be finite, got {value}")
-        elif key != "phase" and value <= 0:
+        if key != "phase" and value <= 0:
             problems.append(f"{key} must be positive, got {value}")
     pairs = {}
     for key in ("center", "s_range"):
@@ -267,30 +297,28 @@ def _classification_field(cfg: RunConfig):
     if kind == "fan":
         source = cfg.options.get("source")
         if source is None:
-            source = to_cartesian(cfg.arc, (cfg.arc.s_range[0] - 2.0 * cfg.arc.delta, 0.0))
-        return tracing.fan_field(source)
+            return tracing.fan_field(
+                to_cartesian(cfg.arc, (cfg.arc.s_range[0] - 2.0 * cfg.arc.delta, 0.0)))
+        return tracing.fan_field(_finite_pair("source", source))
     if kind == "weak":
-        return tracing.radial_growth_field(cfg.arc, float(cfg.options.get("growth", 1.0)))
+        return tracing.radial_growth_field(cfg.arc, _option(cfg, "growth", 1.0))
     raise ValidationError(f"unknown classify field {kind!r}")
 
 
 def _cmd_classify(cfg: RunConfig):
     arc, params = cfg.arc, cfg.params
     scale = min(params.bl, arc.delta)
-    radii = cfg.options.get("radii", [0.2 * scale, 0.1 * scale, 0.05 * scale])
-    s = float(cfg.options.get("s", arc.s_range[0] + 0.2 * (arc.s_range[1] - arc.s_range[0])))
-    s1 = float(cfg.options.get("s1", arc.s_range[0] + 0.5 * (arc.s_range[1] - arc.s_range[0])))
-    thresh = float(cfg.options.get("C", 1.2))
+    radii = _option_list(cfg, "radii", [0.2 * scale, 0.1 * scale, 0.05 * scale])
+    s = _option(cfg, "s", arc.s_range[0] + 0.2 * (arc.s_range[1] - arc.s_range[0]))
+    s1 = _option(cfg, "s1", arc.s_range[0] + 0.5 * (arc.s_range[1] - arc.s_range[0]))
+    thresh = _option(cfg, "C", 1.2)
+    tol_par = _option(cfg, "tol_par", 1e-4)
     trace_cfg = tracing.default_trace_config(arc, params)
-    if "step" in cfg.options:
-        trace_cfg = tracing.TraceConfig(
-            step=float(cfg.options["step"]), max_length=trace_cfg.max_length,
-            stagnation_tol=trace_cfg.stagnation_tol,
-        )
-    result = tracing.classify_flow(
-        _classification_field(cfg), arc, radii, s, s1, thresh, trace_cfg,
-        tol_par=float(cfg.options.get("tol_par", 1e-4)),
-    )
+    step = _option(cfg, "step", trace_cfg.step)
+    field = _classification_field(cfg)
+    with _invalid_input():
+        trace_cfg = replace(trace_cfg, step=step)
+        result = tracing.classify_flow(field, arc, radii, s, s1, thresh, trace_cfg, tol_par=tol_par)
     payload = {"kind": result.kind, "C_threshold": result.C_threshold,
                "evidence": [{"r": r, "ratio": q} for r, q in result.evidence]}
     return payload, result.evidence, ["r", "L_over_r"], 0, {}
@@ -299,13 +327,16 @@ def _cmd_classify(cfg: RunConfig):
 def _cmd_trace(cfg: RunConfig):
     arc, params = cfg.arc, cfg.params
     kind = cfg.options.get("kind", "streamline")
-    start = to_cartesian(arc, (float(cfg.options.get("start_s", 0.0)),
-                               float(cfg.options.get("start_r", 0.1 * arc.delta))))
-    trace_cfg = tracing.TraceConfig(
-        step=float(cfg.options.get("step", 1e-3 * arc.delta)),
-        max_length=float(cfg.options.get("length", arc.delta)),
-        stagnation_tol=1e-10 * params.alpha1 * arc.delta,
-    )
+    start_r = _option(cfg, "start_r", 0.1 * arc.delta)
+    if start_r < 0:
+        raise ValidationError(f"start_r must be >= 0 (on or above the wall), got {start_r}")
+    start = to_cartesian(arc, (_option(cfg, "start_s", 0.0), start_r))
+    with _invalid_input():
+        trace_cfg = tracing.TraceConfig(
+            step=_option(cfg, "step", 1e-3 * arc.delta),
+            max_length=_option(cfg, "length", arc.delta),
+            stagnation_tol=1e-10 * params.alpha1 * arc.delta,
+        )
     if kind == "streamline":
         line = tracing.trace_streamline(laminar_field(arc, params), start, trace_cfg)
     elif kind in ("pressure", "level"):
@@ -323,7 +354,7 @@ def _cmd_trace(cfg: RunConfig):
 def _cmd_zeta(cfg: RunConfig):
     arc, params = cfg.arc, cfg.params
     which = cfg.options.get("pressure", "angular")
-    amp = float(cfg.options.get("amp", 0.2))
+    amp = _option(cfg, "amp", 0.2)
     if which == "angular":
         p_field = tracing.angular_pressure(arc, params)
     elif which == "perturbed":
@@ -331,11 +362,11 @@ def _cmd_zeta(cfg: RunConfig):
     else:
         raise ValidationError(f"unknown pressure field {which!r}")
     scale = min(params.bl, arc.delta)
-    r_list = cfg.options.get("r_list", [0.08 * scale, 0.04 * scale, 0.02 * scale])
-    s = float(cfg.options.get("s", arc.s_range[0] + 0.2 * (arc.s_range[1] - arc.s_range[0])))
-    report = tracing.zeta_check(
-        p_field, arc, params, s, r_list, float(cfg.options.get("eps_over_r", 2.0)),
-    )
+    r_list = _option_list(cfg, "r_list", [0.08 * scale, 0.04 * scale, 0.02 * scale])
+    s = _option(cfg, "s", arc.s_range[0] + 0.2 * (arc.s_range[1] - arc.s_range[0]))
+    eps_over_r = _option(cfg, "eps_over_r", 2.0)
+    with _invalid_input():
+        report = tracing.zeta_check(p_field, arc, params, s, r_list, eps_over_r)
     rows = [
         (sm.r, sm.eps, sm.s_hat, sm.r_hat2, sm.traced_length, sm.lower_bound, sm.upper_bound)
         for sm in report.samples
@@ -353,30 +384,19 @@ def _cmd_zeta(cfg: RunConfig):
     return payload, rows, header, 0, {}
 
 
-def _sim_option(cfg: RunConfig, key: str, default, kind):
-    """A numeric simulate option as ``kind`` (float or int); None stays None."""
-    value = cfg.options.get(key, default)
-    return None if value is None else _number(key, value, kind)
-
-
 def _cmd_simulate(cfg: RunConfig):
-    from . import nssim  # the solver's scipy.sparse import is paid by simulate only
+    from . import nssim  # only simulate loads the solver
 
     sim_cfg = nssim.SimConfig(
         arc=cfg.arc, params=cfg.params,
-        sector_angle=_sim_option(cfg, "sector_angle", 0.5, float),
-        r_out=_sim_option(cfg, "r_out", None, float),
-        n_s=_sim_option(cfg, "n_s", 32, int),
-        n_r=_sim_option(cfg, "n_r", 32, int),
-        dt=_sim_option(cfg, "dt", None, float),
-        t_end=_sim_option(cfg, "t_end", 0.02, float),
+        sector_angle=_option(cfg, "sector_angle", 0.5),
+        r_out=_option(cfg, "r_out", None),
+        n_s=_option(cfg, "n_s", 32, int),
+        n_r=_option(cfg, "n_r", 32, int),
+        dt=_option(cfg, "dt", None),
+        t_end=_option(cfg, "t_end", 0.02),
     )
-    probes = cfg.options.get("probes")
-    if probes is not None:
-        if not isinstance(probes, list):
-            raise ValidationError(f"probes must be a list of numbers, got {probes!r}")
-        probes = [_number("probes", r) for r in probes]
-    report = nssim.run_experiment(sim_cfg, probes)
+    report = nssim.run_experiment(sim_cfg, _option_list(cfg, "probes", None))
     rows = list(report.rows())
     header = ["t", "probe_r", "u_t", "ratio"]
     payload = {
@@ -393,18 +413,21 @@ def _cmd_simulate(cfg: RunConfig):
 
 
 def _cmd_sweep(cfg: RunConfig):
-    deltas = cfg.options.get("delta_values", [cfg.arc.delta])
-    alpha1s = cfg.options.get("alpha1_values", [cfg.params.alpha1])
-    alpha2s = cfg.options.get("alpha2_values", [cfg.params.alpha2])
-    nus = cfg.options.get("nu_values", [cfg.params.nu])
+    deltas = _option_list(cfg, "delta_values", [cfg.arc.delta])
+    if min(deltas) <= 0:
+        raise ValidationError(f"delta_values must be positive, got {deltas}")
+    alpha1s = _option_list(cfg, "alpha1_values", [cfg.params.alpha1])
+    alpha2s = _option_list(cfg, "alpha2_values", [cfg.params.alpha2])
+    nus = _option_list(cfg, "nu_values", [cfg.params.nu])
     rows = []
     for d in deltas:
         for a1 in alpha1s:
             for a2 in alpha2s:
                 for nu in nus:
-                    params = LaminarParams(alpha1=float(a1), alpha2=float(a2), nu=float(nu))
-                    rep2 = theorems.theorem2_limit(params, float(d))
-                    rep1 = theorems.theorem1_verify(params, float(d))
+                    with _invalid_input():
+                        params = LaminarParams(alpha1=a1, alpha2=a2, nu=nu)
+                    rep2 = theorems.theorem2_limit(params, d)
+                    rep1 = theorems.theorem1_verify(params, d)
                     rows.append((d, a1, a2, nu, rep2.limit.value, rep2.oracle_value,
                                  rep2.paper_value, rep1.min_mismatch))
     header = ["delta", "alpha1", "alpha2", "nu", "limit", "oracle", "paper", "min_mismatch"]

@@ -18,12 +18,15 @@ reported next to the wall-anchored formula, never asserted equal to it.
 
 Both pressure solves are direct.  The two flux-form Laplacians depend only on
 the mesh (wall arc, sector angle, outer radius, grid size), not on dt, t_end or
-the flow parameters, so each is assembled and LU-factored (SuperLU) once per
-mesh and cached; every step then costs one pair of triangular solves.  The
-all-Neumann projection matrix is singular up to a constant, so cell 0 is pinned
-(its row and column are dropped, phi[0] = 0) and the solution is shifted to
-zero mean afterwards.  The dropped equation holds automatically because the
-projection right-hand side is made mean-free first.
+the flow parameters, and they separate in theta: a cosine (Neumann planes) or
+sine (Dirichlet planes) transform in theta leaves one tridiagonal system in rho
+per theta-mode (Buzbee, Golub & Nielson, SIAM J. Numer. Anal. 7, 1970).  Each
+mesh's transform and Thomas factors are built once and cached; every step then
+costs two (n_s x n_s) matrix products and one batched pair of tridiagonal
+sweeps.  The all-Neumann projection matrix is singular up to a constant, so its
+theta-mode 0 pins cell j = 0 to zero and the solution is shifted to zero mean
+afterwards.  The dropped equation holds automatically because the projection
+right-hand side is made mean-free first.
 """
 
 from __future__ import annotations
@@ -36,8 +39,6 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.linalg
 
 from .errors import ConfigError, Diverged, ProbeOutsideGrid
 from .field import LaminarParams, profile_h
@@ -158,9 +159,9 @@ class _Mesh(NamedTuple):
     """The part of a SimConfig that the grid and both Laplacians depend on.
 
     Configs that differ only in dt, t_end or the flow parameters map to the same
-    mesh, so they share one cached grid and one pair of LU factors.  The field
-    names are the SimConfig ones, so a mesh can stand in for its config in
-    ``_Grid`` and ``_assemble``.
+    mesh, so they share one cached grid and one pair of factored Laplacians.  The
+    field names are the SimConfig ones, so a mesh can stand in for its config in
+    ``_Grid``.
     """
 
     arc: ArcBoundary
@@ -277,67 +278,94 @@ def divergence(cfg: SimConfig, us: np.ndarray, ur: np.ndarray) -> np.ndarray:
 # ----------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=16)
-def _poisson_neumann(mesh: _Mesh):
-    """LU factors of the all-Neumann projection Laplacian with cell 0 pinned.
+class _SeparablePoisson(NamedTuple):
+    """A flux-form Laplacian diagonalised in theta, tridiagonal in rho.
 
-    The all-Neumann matrix is singular (constants span its null space); dropping
-    the row and column of cell 0 fixes the gauge phi[0] = 0 and leaves a
+    Column m of ``basis`` is theta-mode m; in that mode the operator is the
+    symmetric tridiagonal R + lambda_m * diag(c_th) in rho, stored as its Thomas
+    factors with rows j and columns m, so each sweep step is one row operation
+    over all modes.  ``multiplier[j]`` (row 0 unused) serves both sweeps because
+    the systems are symmetric.
+    """
+
+    basis: np.ndarray        # (n_s, n_s), orthonormal columns
+    multiplier: np.ndarray   # (n_r, n_s)
+    inv_pivot: np.ndarray    # (n_r, n_s)
+
+    def solve(self, f: np.ndarray) -> np.ndarray:
+        """x with A x = f, both (n_s, n_r) arrays indexed [i, j]."""
+        y = f.T @ self.basis
+        mult, inv_pivot = self.multiplier, self.inv_pivot
+        for j in range(1, len(y)):
+            y[j] -= mult[j] * y[j - 1]
+        y[-1] *= inv_pivot[-1]
+        for j in range(len(y) - 2, -1, -1):
+            y[j] *= inv_pivot[j]
+            y[j] -= mult[j + 1] * y[j + 1]
+        return self.basis @ y.T
+
+
+@lru_cache(maxsize=16)
+def _poisson_neumann(mesh: _Mesh) -> _SeparablePoisson:
+    """The all-Neumann projection Laplacian, gauge phi[mode 0, j = 0] = 0.
+
+    The all-Neumann matrix is singular (constants span its null space), and so
+    is its theta-mode 0.  That mode's row and column j = 0 become the identity
+    with a zero right-hand side (a zero reciprocal pivot), which leaves a
     nonsingular system.  The dropped row is implied by the others whenever the
     right-hand side has zero mean, which the caller enforces.
     """
-    return _factor(_assemble(mesh, dirichlet_theta=False)[1:, 1:])
+    return _separable(mesh, dirichlet_theta=False)
 
 
 @lru_cache(maxsize=16)
-def _poisson_dirichlet_theta(mesh: _Mesh):
-    """LU factors of the Laplacian with Dirichlet theta-planes, Neumann radial walls."""
-    return _factor(_assemble(mesh, dirichlet_theta=True))
+def _poisson_dirichlet_theta(mesh: _Mesh) -> _SeparablePoisson:
+    """The Laplacian with Dirichlet theta-planes and Neumann radial walls."""
+    return _separable(mesh, dirichlet_theta=True)
 
 
-def _factor(mat):
-    # both matrices are symmetric, so order on the pattern of A^T + A
-    return scipy.sparse.linalg.splu(mat.tocsc(), permc_spec="MMD_AT_PLUS_A")
+def _separable(mesh: _Mesh, dirichlet_theta: bool) -> _SeparablePoisson:
+    """Factor the flux-form (negative) Laplacian A = I_theta (x) R + T_theta (x) diag(c_th).
 
-
-def _assemble(cfg: SimConfig | _Mesh, dirichlet_theta: bool) -> scipy.sparse.csr_matrix:
-    """Flux-form (negative) Laplacian on the cell centers, row k = i * n_r + j."""
-    g = _grid(cfg)
-    n_s, n_r = cfg.n_s, cfg.n_r
-    k = np.arange(n_s * n_r).reshape(n_s, n_r)
-    # face coefficients between radial neighbours j, j+1 and theta neighbours i, i+1
-    c_r = np.broadcast_to(g.rho_f[1:-1] * g.dth / g.drh, (n_s, n_r - 1))
+    Neither the theta-face coefficient c_th nor the rho-face one c_r depends on
+    i, so A splits into the radial operator R (Neumann at both walls) and the
+    theta second difference T_theta, whose end entries are 1 for Neumann planes
+    and 3 for Dirichlet ones (the boundary value sits on the face, half a cell
+    from the center).  T_theta's eigenvectors are the DCT-II (Neumann) or
+    DST-II (Dirichlet) vectors with eigenvalues 4 sin^2(pi m / (2 n_s)); the
+    closed forms make the Neumann mode 0 exactly 0.
+    """
+    g = _grid(mesh)
+    n_s, n_r = mesh.n_s, mesh.n_r
+    c_r = g.rho_f[1:-1] * g.dth / g.drh
     c_th = g.drh / (g.rho_c * g.dth)
-    c_th_faces = np.broadcast_to(c_th, (n_s - 1, n_r))
 
-    # diagonal summed face by face in the order (j+1, j-1, i+1, i-1) that a
-    # cell-by-cell loop uses, so each entry rounds the same way
-    outer, inner, ahead, behind = (np.zeros((n_s, n_r)) for _ in range(4))
-    outer[:, :-1] = c_r
-    inner[:, 1:] = c_r
-    ahead[:-1, :] = c_th_faces
-    behind[1:, :] = c_th_faces
-    if dirichlet_theta:
-        # the boundary value sits on the face, half a cell from the center
-        ahead[-1, :] = 2.0 * c_th
-        behind[0, :] = 2.0 * c_th
-    diag = outer + inner + ahead + behind
+    modes = np.arange(1, n_s + 1) if dirichlet_theta else np.arange(n_s)
+    angle = np.pi / n_s * np.outer(np.arange(n_s) + 0.5, modes)
+    basis = np.sin(angle) if dirichlet_theta else np.cos(angle)
+    basis /= np.linalg.norm(basis, axis=0)
+    eig = 4.0 * np.sin(0.5 * np.pi * modes / n_s) ** 2
 
-    rows = np.concatenate([k[:, :-1].ravel(), k[:, 1:].ravel(),
-                           k[:-1, :].ravel(), k[1:, :].ravel(), k.ravel()])
-    cols = np.concatenate([k[:, 1:].ravel(), k[:, :-1].ravel(),
-                           k[1:, :].ravel(), k[:-1, :].ravel(), k.ravel()])
-    vals = np.concatenate([-c_r.ravel(), -c_r.ravel(),
-                           -c_th_faces.ravel(), -c_th_faces.ravel(), diag.ravel()])
-    return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(n_s * n_r, n_s * n_r))
+    diag = np.zeros(n_r)
+    diag[:-1] += c_r
+    diag[1:] += c_r
+    diag = diag[:, None] + c_th[:, None] * eig[None, :]
+    multiplier = np.zeros((n_r, n_s))
+    inv_pivot = np.empty((n_r, n_s))
+    inv_pivot[0] = 1.0 / diag[0]
+    if not dirichlet_theta:
+        inv_pivot[0, 0] = 0.0  # the gauge: mode 0, cell j = 0 decoupled and zero
+    for j in range(1, n_r):
+        multiplier[j] = -c_r[j - 1] * inv_pivot[j - 1]
+        inv_pivot[j] = 1.0 / (diag[j] + c_r[j - 1] * multiplier[j])
+    return _SeparablePoisson(basis, multiplier, inv_pivot)
 
 
 def _solve_neumann(cfg: SimConfig, b: np.ndarray) -> np.ndarray:
     """Zero-mean phi with A phi = -b for the all-Neumann A; b must have zero mean."""
-    phi = np.zeros(cfg.n_s * cfg.n_r)
-    phi[1:] = _poisson_neumann(_mesh(cfg)).solve(-b.ravel()[1:])
+    phi = _poisson_neumann(_mesh(cfg)).solve(-b)
     phi -= phi.mean()
-    return phi.reshape(cfg.n_s, cfg.n_r)
+    return phi
 
 
 def _log_moments(u: np.ndarray):
@@ -419,7 +447,7 @@ def initial_pressure(cfg: SimConfig, us: np.ndarray, ur: np.ndarray) -> np.ndarr
     b[0, :] += 2.0 * c_th * p_in
     b[-1, :] += 2.0 * c_th * p_out
 
-    return _poisson_dirichlet_theta(_mesh(cfg)).solve(b.ravel()).reshape(n_s, n_r)
+    return _poisson_dirichlet_theta(_mesh(cfg)).solve(b)
 
 
 def init_sim(cfg: SimConfig) -> SimState:

@@ -302,6 +302,8 @@ def classify_flow(
     """
     if C <= 1:
         raise ValueError(f"threshold C must exceed 1, got {C}")
+    if tol_par <= 0:
+        raise ValueError(f"tol_par must be positive, got {tol_par}")
     radii = list(radii)
     if any(r <= 0 for r in radii) or any(b >= a for a, b in zip(radii, radii[1:])):
         raise ValueError("radii must be positive and strictly decreasing")

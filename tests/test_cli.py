@@ -186,7 +186,7 @@ def test_determinism_simulate(tmp_path):
 @pytest.mark.parametrize("bad", [
     {"dt": 0}, {"dt": -1e-4}, {"t_end": float("nan")}, {"n_s": "abc"}, {"n_r": 16.5},
     {"n_s": "16.5"}, {"sector_angle": float("nan")}, {"sector_angle": 1e300},
-    {"probes": ["a"]}, {"probes": [0.1, None]}, {"probes": 0.1},
+    {"probes": ["a"]}, {"probes": [0.1, None]}, {"probes": 0.1}, {"probes": []},
 ])
 def test_simulate_rejects_invalid_numbers(tmp_path, capsys, bad):
     cfg = write_config(tmp_path, {"command": "simulate", "n_s": 16, "n_r": 16,
@@ -202,6 +202,25 @@ def test_simulate_accepts_integral_grid_sizes(tmp_path, ok):
     cfg = write_config(tmp_path, {"command": "simulate", "n_s": 16, "n_r": 16,
                                   "t_end": 0.002, **ok})
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+
+
+@pytest.mark.parametrize("command, bad", [
+    ("classify", {"s": "x"}), ("classify", {"C": float("inf")}), ("classify", {"step": -1.0}),
+    ("classify", {"tol_par": -1.0}),
+    ("classify", {"radii": [0.01, 0.02, 0.04]}), ("classify", {"radii": []}),
+    ("classify", {"field": "fan", "source": [0.0, "a"]}),
+    ("trace", {"step": "x"}), ("trace", {"length": float("nan")}), ("trace", {"start_r": -1.0}),
+    ("zeta-check", {"amp": "x"}), ("zeta-check", {"r_list": [0.01, 0.02]}),
+    ("sweep", {"alpha1_values": [-1]}), ("sweep", {"alpha1_values": ["x"]}),
+    ("sweep", {"delta_values": [-1]}), ("sweep", {"nu_values": 2.0}),
+])
+def test_command_options_rejected_with_one_line(tmp_path, capsys, command, bad):
+    # alpha1 = 2 keeps zeta-check off its degenerate zero-wall-gradient default
+    cfg = write_config(tmp_path, {"command": command, "alpha1": 2.0, **bad})
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("lamsep: error:")
+    assert list(bad)[-1].removesuffix("_values") in err[0]
 
 
 def test_unknown_command_errors():
@@ -268,3 +287,14 @@ def test_lazy_solver_names_still_resolve():
         "print(all(hasattr(lamsep, name) for name in lamsep.__all__))\n"
     )
     assert out.splitlines() == ["lamsep.nssim", "True True", "True"]
+
+
+def test_simulate_imports_no_scipy(tmp_path):
+    cfg = write_config(tmp_path, {"command": "simulate", "n_s": 16, "n_r": 16, "t_end": 0.002})
+    loaded = _fresh_python(
+        "import sys\n"
+        "import lamsep.cli\n"
+        f"rc = lamsep.cli.main(['simulate', '--config', {cfg!r}, '--out', {str(tmp_path / 'o')!r}])\n"
+        "print(rc, sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+    )
+    assert loaded.splitlines()[-1] == "0 []"

@@ -11,9 +11,10 @@ from lamsep.geometry import ArcBoundary
 from lamsep.nssim import (
     SimConfig,
     SimState,
-    _assemble,
     _centripetal_head,
     _grid,
+    _mesh,
+    _poisson_dirichlet_theta,
     _solve_neumann,
     _tangential_rhs,
     divergence,
@@ -218,18 +219,31 @@ def test_centripetal_head_matches_quadrature(delta):
         assert np.max(np.abs(head - quad)) <= 1e-12 * np.max(np.abs(quad))
 
 
-@pytest.mark.parametrize("dirichlet_theta", [False, True])
-def test_assemble_matches_cell_loop(dirichlet_theta):
-    cfg = SimConfig(arc=make_cfg().arc, params=PARAMS, n_s=16, n_r=24, sector_angle=0.5)
-    a_vec = _assemble(cfg, dirichlet_theta)
-    a_ref = _reference_assemble(cfg, dirichlet_theta)
-    assert a_vec.shape == a_ref.shape == (16 * 24, 16 * 24)
-    assert abs(a_vec - a_ref).max() == 0
+@pytest.mark.parametrize("sector_angle", [0.5, 2 * np.pi])
+@pytest.mark.parametrize("delta", [0.25, 1.0, 4.0])
+@pytest.mark.parametrize("n_s, n_r", [(16, 24), (24, 16), (17, 19)])
+def test_separable_solves_match_cell_loop(n_s, n_r, delta, sector_angle):
+    # both theta-mode solvers invert the matrix built one cell at a time
+    arc = ArcBoundary(delta, 0.0, (0.0, 0.0), (0.0, 0.5 * delta))
+    cfg = SimConfig(arc=arc, params=PARAMS, n_s=n_s, n_r=n_r, sector_angle=sector_angle)
+    rng = np.random.default_rng(n_s * n_r)
+
+    b = rng.standard_normal((n_s, n_r))
+    b -= b.mean()
+    phi = _solve_neumann(cfg, b)
+    a_neumann = _reference_assemble(cfg, dirichlet_theta=False)
+    assert np.linalg.norm(a_neumann @ phi.ravel() + b.ravel()) <= 1e-12 * np.linalg.norm(b)
+    assert abs(phi.mean()) <= 1e-14
+
+    b = rng.standard_normal((n_s, n_r))
+    x = _poisson_dirichlet_theta(_mesh(cfg)).solve(b)
+    a_dirichlet = _reference_assemble(cfg, dirichlet_theta=True)
+    assert np.linalg.norm(a_dirichlet @ x.ravel() - b.ravel()) <= 1e-12 * np.linalg.norm(b)
 
 
 def test_projection_solve_to_roundoff(monkeypatch):
-    # the cached LU solve of the pinned all-Neumann system satisfies the full
-    # (unpinned) system and leaves a divergence-free field to roundoff
+    # the cached theta-mode solve of the gauged all-Neumann system satisfies
+    # the full system and leaves a divergence-free field to roundoff
     cfg = make_cfg(n=24)
     solves = []
 
@@ -243,7 +257,7 @@ def test_projection_solve_to_roundoff(monkeypatch):
     for _ in range(3):
         state = step(state, cfg)
     assert len(solves) == 3
-    a_full = _assemble(cfg, dirichlet_theta=False)
+    a_full = _reference_assemble(cfg, dirichlet_theta=False)
     for b, phi in solves:
         assert np.linalg.norm(a_full @ phi + b) <= 1e-12 * np.linalg.norm(b)
         assert abs(phi.mean()) <= 1e-14

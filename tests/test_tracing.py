@@ -169,6 +169,8 @@ def test_classify_rejects_bad_inputs():
         classify_flow(field, ARC, [0.1, 0.2], 0.1, 0.25, 1.2, CFG)  # not decreasing
     with pytest.raises(ValueError):
         classify_flow(field, ARC, [0.2, 0.1], 0.1, 0.25, 0.9, CFG)  # C <= 1
+    with pytest.raises(ValueError):
+        classify_flow(field, ARC, [0.2, 0.1], 0.1, 0.25, 1.2, CFG, tol_par=-1.0)
 
 
 def test_pressure_line_constant_gradient():
