@@ -1,7 +1,8 @@
 """Finite-difference oracles and Richardson extrapolation.
 
-These routines only ever call ``field.evaluator`` — never the analytic
-derivative closures — so they stay independent of the formulas they verify.
+These routines only ever evaluate the field itself — an array call of the
+handle, which maps its point evaluator over the stencil — never the analytic
+derivative closures, so they stay independent of the formulas they verify.
 """
 
 from __future__ import annotations

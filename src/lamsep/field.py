@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import ArcBoundary
+from .geometry import ArcBoundary, center_offset
 
 VARIANTS = ("paper", "corrected")
 
@@ -59,46 +59,77 @@ class LaminarParams:
         return cls(float(obj["alpha1"]), float(obj["alpha2"]), float(obj["nu"]))
 
 
+def _map_points(point, x, width: int) -> np.ndarray:
+    """Apply a point function to every point of an (..., 2) array.
+
+    ``width`` is 2 for a vector field and 0 for a scalar one; the result has
+    the points' leading shape plus that trailing axis.
+    """
+    pts = np.asarray(x, dtype=float)
+    if pts.shape[-1:] != (2,):
+        raise ValueError(f"points must have shape (..., 2), got {pts.shape}")
+    values = [point(a, b) for a, b in pts.reshape(-1, 2).tolist()]
+    return np.array(values, dtype=float).reshape(pts.shape[:-1] + ((width,) if width else ()))
+
+
 @dataclass(frozen=True)
 class FieldHandle:
     """An evaluable planar vector field, optionally with analytic derivatives.
 
-    ``evaluator`` maps points of shape (..., 2) to vectors of the same shape.
-    ``jacobian`` and ``laplacian``, when given, must match the finite-difference
-    oracles of :mod:`lamsep.fdops`.
+    ``evaluator`` is the field's one formula, in point form: it maps the
+    coordinates of one point, as Python floats, to the two components of the
+    vector, ``(x, y) -> (u, v)``.  Calling the handle is how the package
+    evaluates a field, in one of two ways:
+
+    - ``field((x, y))``, with a tuple, is one point: it returns the tuple
+      ``(u, v)``.  The tracer marches on these.
+    - ``field(points)``, with any other array-like of shape (..., 2), maps the
+      evaluator over the points and returns an array of the same shape.
+
+    ``jacobian`` and ``laplacian``, when given, take and return arrays and
+    must match the finite-difference oracles of :mod:`lamsep.fdops`.
     """
 
-    evaluator: Callable[[np.ndarray], np.ndarray]
+    evaluator: Callable[[float, float], tuple[float, float]]
     jacobian: Callable[[np.ndarray], np.ndarray] | None = None
     laplacian: Callable[[np.ndarray], np.ndarray] | None = None
     name: str = ""
     divergence_free: bool = False
 
-    def __call__(self, x) -> np.ndarray:
-        return self.evaluator(np.asarray(x, dtype=float))
+    def __call__(self, x):
+        if type(x) is tuple:
+            return self.evaluator(*x)
+        return _map_points(self.evaluator, x, 2)
 
 
 @dataclass(frozen=True)
 class ScalarFieldHandle:
-    """An evaluable planar scalar field (pressure), optionally with a gradient."""
+    """An evaluable planar scalar field (pressure), optionally with a gradient.
 
-    evaluator: Callable[[np.ndarray], np.ndarray]
-    gradient: Callable[[np.ndarray], np.ndarray] | None = None
+    Point form as for :class:`FieldHandle`: ``evaluator`` maps ``(x, y)`` to
+    one float, and ``gradient``, when given, maps ``(x, y)`` to the pair
+    ``(dp/dx, dp/dy)``.  ``field((x, y))`` returns a float, ``field(points)``
+    an array of the points' leading shape.
+    """
+
+    evaluator: Callable[[float, float], float]
+    gradient: Callable[[float, float], tuple[float, float]] | None = None
     name: str = ""
 
-    def __call__(self, x) -> np.ndarray:
-        return self.evaluator(np.asarray(x, dtype=float))
+    def __call__(self, x):
+        if type(x) is tuple:
+            return self.evaluator(*x)
+        return _map_points(self.evaluator, x, 0)
 
 
 def profile_h(params: LaminarParams, r):
-    """Speed at wall distance r: alpha1*r - (alpha2/2)*r**2."""
-    r = np.asarray(r, dtype=float)
+    """Speed at wall distance r (a float or an array): alpha1*r - (alpha2/2)*r**2."""
     return params.alpha1 * r - 0.5 * params.alpha2 * r * r
 
 
 def profile_h_prime(params: LaminarParams, r):
     """d h / d r = alpha1 - alpha2 * r."""
-    return params.alpha1 - params.alpha2 * np.asarray(r, dtype=float)
+    return params.alpha1 - params.alpha2 * r
 
 
 def _clockwise_tangent(rel: np.ndarray) -> np.ndarray:
@@ -117,11 +148,10 @@ def laminar_field(arc: ArcBoundary, params: LaminarParams) -> FieldHandle:
     center = arc.center_array
     delta = arc.delta
 
-    def evaluate(x: np.ndarray) -> np.ndarray:
-        rel = np.asarray(x, dtype=float) - center
-        d = np.linalg.norm(rel, axis=-1)
+    def evaluate(x: float, y: float) -> tuple[float, float]:
+        rx, ry, d = center_offset(arc.center, x, y)
         g = profile_h(params, d - delta) / d
-        return g[..., None] * _clockwise_tangent(rel)
+        return g * ry, g * -rx
 
     def jacobian(x: np.ndarray) -> np.ndarray:
         rel = np.asarray(x, dtype=float) - center
@@ -151,18 +181,22 @@ def laminar_field(arc: ArcBoundary, params: LaminarParams) -> FieldHandle:
     )
 
 
-def analytic_laplacian(params: LaminarParams, delta: float, r):
-    """Vector Laplacian of the laminar field at wall distance r, in (tangent, normal) parts.
-
-    tangential = -alpha2 + (alpha1 - alpha2*r)/(r + delta) - h(r)/(r + delta)**2,
-    normal = 0.  nu * tangential equals the ansatz component P(r).
-    """
-    r = np.asarray(r, dtype=float)
-    tangential = (
+def _laplacian_tangential(params: LaminarParams, delta: float, r):
+    return (
         -params.alpha2
         + (params.alpha1 - params.alpha2 * r) / (r + delta)
         - profile_h(params, r) / (r + delta) ** 2
     )
+
+
+def analytic_laplacian(params: LaminarParams, delta: float, r):
+    """Vector Laplacian of the laminar field at wall distance r, in (tangent, normal) parts.
+
+    tangential = -alpha2 + (alpha1 - alpha2*r)/(r + delta) - h(r)/(r + delta)**2,
+    normal = 0.  nu * tangential equals the ansatz component P(r).  Here and in
+    the helpers below r is a float or an array.
+    """
+    tangential = _laplacian_tangential(params, delta, r)
     return tangential, np.zeros_like(tangential)
 
 
@@ -177,8 +211,8 @@ def advection(params: LaminarParams, delta: float, r, variant: str = "paper"):
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
     h = profile_h(params, r)
     if variant == "paper":
-        return -h / (np.asarray(r, dtype=float) + delta)
-    return -h * h / (np.asarray(r, dtype=float) + delta)
+        return -h / (r + delta)
+    return -h * h / (r + delta)
 
 
 def stationary_gradp_ansatz(params: LaminarParams, delta: float, r, variant: str = "paper"):
@@ -188,25 +222,22 @@ def stationary_gradp_ansatz(params: LaminarParams, delta: float, r, variant: str
     Pperp(r) = h(r)/(r+d) under the printed variant; the "corrected" variant
     carries the extra factor h(r) (see ``advection``).
     """
-    tangential, _ = analytic_laplacian(params, delta, r)
     pperp = -advection(params, delta, r, variant)
-    return params.nu * tangential, pperp
+    return params.nu * _laplacian_tangential(params, delta, r), pperp
 
 
 def stationary_gradp_field(
     arc: ArcBoundary, params: LaminarParams, variant: str = "paper"
 ) -> FieldHandle:
     """The ansatz gradient as a planar field: P(r) along circles, Pperp(r) outward."""
-    center = arc.center_array
     delta = arc.delta
 
-    def evaluate(x: np.ndarray) -> np.ndarray:
-        rel = np.asarray(x, dtype=float) - center
-        d = np.linalg.norm(rel, axis=-1)
+    def evaluate(x: float, y: float) -> tuple[float, float]:
+        rx, ry, d = center_offset(arc.center, x, y)
         p_t, p_n = stationary_gradp_ansatz(params, delta, d - delta, variant)
-        n_hat = rel / d[..., None]
-        t_hat = _clockwise_tangent(n_hat)
-        return p_t[..., None] * t_hat + p_n[..., None] * n_hat
+        n0, n1 = rx / d, ry / d
+        # p_t along the clockwise tangent (n1, -n0), p_n along the normal
+        return p_t * n1 + p_n * n0, p_t * -n0 + p_n * n1
 
     return FieldHandle(evaluator=evaluate, name=f"gradp-ansatz-{variant}")
 

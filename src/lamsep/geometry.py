@@ -9,7 +9,9 @@ With ``a(s) = (s + phase) / delta`` the parametrization is
     outward normal   e2(s)   = (sin a, cos a)
 
 and the normal-coordinate chart places (s, r) at ``center + (delta+r)*e2(s)``.
-All functions broadcast over numpy arrays of ``s`` and ``r``.
+The array maps broadcast over numpy arrays of ``s`` and ``r``; ``chart_pair``
+and ``center_offset`` are their float twins for one point, which the tracer
+calls in its loops, and agree with them bit for bit.
 """
 
 from __future__ import annotations
@@ -134,6 +136,19 @@ def local_frame(arc: ArcBoundary, s: float) -> LocalFrame:
     )
 
 
+def chart_pair(arc: ArcBoundary, s: float, r: float):
+    """Float twin of ``to_cartesian`` and ``arc_normal`` at one (s, r).
+
+    Returns the plane point (x, y) and the outward normal (n0, n1) = e2(s) as
+    float pairs, bit for bit the array maps' values; the tangent e1(s) is
+    (n1, -n0).
+    """
+    a = (s + arc.phase) / arc.delta
+    n0, n1 = math.sin(a), math.cos(a)
+    scale = arc.delta + r
+    return (arc.center[0] + scale * n0, arc.center[1] + scale * n1), (n0, n1)
+
+
 def to_cartesian(arc: ArcBoundary, p: NormalPoint | tuple[float, float]):
     """Chart map: (s, r) -> center + (delta + r) * e2(s)."""
     if isinstance(p, NormalPoint):
@@ -148,18 +163,18 @@ def to_cartesian(arc: ArcBoundary, p: NormalPoint | tuple[float, float]):
 
 
 def from_cartesian(arc: ArcBoundary, x) -> NormalPoint:
-    """Invert the chart: plane point -> NormalPoint.
+    """Invert the chart: plane point (a float pair or a 2-vector) -> NormalPoint.
 
     Raises PointBelowWall for points inside the wall circle and OutOfChart for
     angular positions outside the padded sector.
     """
-    rel = np.asarray(x, dtype=float) - arc.center_array
-    dist = float(np.hypot(rel[0], rel[1]))
+    rx, ry = float(x[0]) - arc.center[0], float(x[1]) - arc.center[1]
+    dist = float(np.hypot(rx, ry))
     if dist < arc.delta * (1.0 - 1e-12):
         raise PointBelowWall(f"|x - center| = {dist} < delta = {arc.delta}")
     r = max(dist - arc.delta, 0.0)
     # angle convention matches arc_point: x offset = sin, y offset = cos
-    s_raw = math.atan2(rel[0], rel[1]) * arc.delta - arc.phase
+    s_raw = math.atan2(rx, ry) * arc.delta - arc.phase
     lo, hi = arc.padded_s_range
     period = 2.0 * math.pi * arc.delta
     mid = 0.5 * (arc.s_range[0] + arc.s_range[1])
@@ -167,6 +182,16 @@ def from_cartesian(arc: ArcBoundary, x) -> NormalPoint:
     if not lo <= s <= hi:
         raise OutOfChart(f"s = {s} outside padded sector [{lo}, {hi}]")
     return NormalPoint(s=s, r=r)
+
+
+def center_offset(center, x: float, y: float) -> tuple[float, float, float]:
+    """Offset (rx, ry) of the point (x, y) from ``center`` and its length.
+
+    The length is sqrt(rx*rx + ry*ry), bit for bit what
+    ``np.linalg.norm(offsets, axis=-1)`` gives (math.hypot is not).
+    """
+    rx, ry = x - center[0], y - center[1]
+    return rx, ry, math.sqrt(rx * rx + ry * ry)
 
 
 def local_center_distance(delta: float, s, r):

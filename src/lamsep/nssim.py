@@ -282,26 +282,31 @@ class _SeparablePoisson(NamedTuple):
     """A flux-form Laplacian diagonalised in theta, tridiagonal in rho.
 
     Column m of ``basis`` is theta-mode m; in that mode the operator is the
-    symmetric tridiagonal R + lambda_m * diag(c_th) in rho, stored as its Thomas
-    factors with rows j and columns m, so each sweep step is one row operation
-    over all modes.  ``multiplier[j]`` (row 0 unused) serves both sweeps because
-    the systems are symmetric.
+    symmetric tridiagonal R + lambda_m * diag(c_th) in rho, with off-diagonal
+    -c_r[j] between rows j and j + 1.  Its Thomas factors are kept with rows j
+    and columns m, so each sweep step is one row operation over all modes.
+    With reciprocal pivots d_j, the solve scales the right-hand side by d
+    first; the forward sweep then subtracts ``lower[j] = -c_r[j-1] d_j`` times
+    the row before (row 0 unused) and the back sweep ``upper[j] = -c_r[j] d_j``
+    times the row after (last row unused).
     """
 
     basis: np.ndarray        # (n_s, n_s), orthonormal columns
-    multiplier: np.ndarray   # (n_r, n_s)
     inv_pivot: np.ndarray    # (n_r, n_s)
+    lower: np.ndarray        # (n_r, n_s)
+    upper: np.ndarray        # (n_r, n_s)
 
     def solve(self, f: np.ndarray) -> np.ndarray:
         """x with A x = f, both (n_s, n_r) arrays indexed [i, j]."""
         y = f.T @ self.basis
-        mult, inv_pivot = self.multiplier, self.inv_pivot
-        for j in range(1, len(y)):
-            y[j] -= mult[j] * y[j - 1]
-        y[-1] *= inv_pivot[-1]
-        for j in range(len(y) - 2, -1, -1):
-            y[j] *= inv_pivot[j]
-            y[j] -= mult[j + 1] * y[j + 1]
+        y *= self.inv_pivot
+        rows, term = list(y), np.empty(y.shape[1])
+        for prev, row, low in zip(rows, rows[1:], self.lower[1:]):
+            np.multiply(low, prev, out=term)
+            row -= term
+        for after, row, up in zip(rows[:0:-1], rows[-2::-1], self.upper[-2::-1]):
+            np.multiply(up, after, out=term)
+            row -= term
         return self.basis @ y.T
 
 
@@ -350,15 +355,17 @@ def _separable(mesh: _Mesh, dirichlet_theta: bool) -> _SeparablePoisson:
     diag[:-1] += c_r
     diag[1:] += c_r
     diag = diag[:, None] + c_th[:, None] * eig[None, :]
-    multiplier = np.zeros((n_r, n_s))
     inv_pivot = np.empty((n_r, n_s))
     inv_pivot[0] = 1.0 / diag[0]
     if not dirichlet_theta:
         inv_pivot[0, 0] = 0.0  # the gauge: mode 0, cell j = 0 decoupled and zero
     for j in range(1, n_r):
-        multiplier[j] = -c_r[j - 1] * inv_pivot[j - 1]
-        inv_pivot[j] = 1.0 / (diag[j] + c_r[j - 1] * multiplier[j])
-    return _SeparablePoisson(basis, multiplier, inv_pivot)
+        inv_pivot[j] = 1.0 / (diag[j] - c_r[j - 1] * (c_r[j - 1] * inv_pivot[j - 1]))
+    lower = np.zeros((n_r, n_s))
+    lower[1:] = -c_r[:, None] * inv_pivot[1:]
+    upper = np.zeros((n_r, n_s))
+    upper[:-1] = -c_r[:, None] * inv_pivot[:-1]
+    return _SeparablePoisson(basis, inv_pivot, lower, upper)
 
 
 def _solve_neumann(cfg: SimConfig, b: np.ndarray) -> np.ndarray:
@@ -642,16 +649,14 @@ def dump_field_csv(state: SimState, cfg: SimConfig, path) -> None:
     g = _grid(cfg)
     us_c = 0.5 * (state.us[:-1, :] + state.us[1:, :])
     ur_c = 0.5 * (state.ur[:, :-1] + state.ur[:, 1:])
-    s0 = cfg.arc.s_range[0]
+    s = cfg.arc.s_range[0] + g.delta * g.theta_c
+    r = g.rho_c - g.delta
+    xy = to_cartesian(cfg.arc, (s[:, None], r[None, :]))
+    shape = (cfg.n_s, cfg.n_r)
+    columns = [np.broadcast_to(s[:, None], shape), np.broadcast_to(r[None, :], shape),
+               xy[..., 0], xy[..., 1], us_c, ur_c, state.p]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["s", "r", "x", "y", "u_t", "u_r", "p"])
-        for i in range(cfg.n_s):
-            s = s0 + g.delta * g.theta_c[i]
-            for j in range(cfg.n_r):
-                r = g.rho_c[j] - g.delta
-                x, y = to_cartesian(cfg.arc, (s, r))
-                writer.writerow([
-                    f"{s:.17g}", f"{r:.17g}", f"{x:.17g}", f"{y:.17g}",
-                    f"{us_c[i, j]:.17g}", f"{ur_c[i, j]:.17g}", f"{state.p[i, j]:.17g}",
-                ])
+        for row in zip(*(c.ravel().tolist() for c in columns)):
+            writer.writerow([f"{v:.17g}" for v in row])

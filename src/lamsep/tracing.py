@@ -5,6 +5,15 @@ integration, so every traced curve is arc-length parametrized.  Crossing
 events (a normal ray, a target wall distance, a pressure level, another traced
 curve) are located by bisection along the last step followed by one secant
 polish, which stays robust for nearly tangential crossings.
+
+The march runs on float pairs: a point is a tuple ``(x, y)``, and each field
+is called in point form, ``field((x, y)) -> (u, v)`` (see
+:class:`lamsep.field.FieldHandle`).  Numpy enters only where a whole traced
+curve is handled at once: building a :class:`Polyline` and intersecting a step
+with one.  Each float operation is the one the array form performed (numpy's
+``hypot``, BLAS ``dot`` and ``arctan2`` are kept where they were, since the
+``math`` versions round differently), so traces are bit for bit those of the
+array code.
 """
 
 from __future__ import annotations
@@ -33,6 +42,8 @@ from .geometry import (
     arc_point,
     arc_segment_length,
     arc_tangent,
+    center_offset,
+    chart_pair,
     from_cartesian,
     to_cartesian,
 )
@@ -127,27 +138,45 @@ class BoundTolerances:
 # ----------------------------------------------------------------------------
 
 
+def _center_distance(arc: ArcBoundary, x) -> float:
+    """|x - center| as ``np.linalg.norm`` of the 2-vector forms it.
+
+    That is sqrt of the BLAS dot product, which fuses a multiply and an add,
+    so it can differ from sqrt(rx*rx + ry*ry) in the last bit.
+    """
+    rel = np.subtract(x, arc.center)
+    return math.sqrt(np.dot(rel, rel))
+
+
 def _rk_step(fn, x, h, order):
+    """One RK step of size h from the float pair x; fn maps a pair to a pair."""
+    x0, x1 = x
     k1 = fn(x)
     if order == 2:
-        k2 = fn(x + 0.5 * h * k1)
-        return x + h * k2
-    k2 = fn(x + 0.5 * h * k1)
-    k3 = fn(x + 0.5 * h * k2)
-    k4 = fn(x + h * k3)
-    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        k2 = fn((x0 + 0.5 * h * k1[0], x1 + 0.5 * h * k1[1]))
+        return x0 + h * k2[0], x1 + h * k2[1]
+    k2 = fn((x0 + 0.5 * h * k1[0], x1 + 0.5 * h * k1[1]))
+    k3 = fn((x0 + 0.5 * h * k2[0], x1 + 0.5 * h * k2[1]))
+    k4 = fn((x0 + h * k3[0], x1 + h * k3[1]))
+    h6 = h / 6.0
+    return (x0 + h6 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]),
+            x1 + h6 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]))
 
 
 def _unit_direction(field: FieldHandle, tol: float, sign: float = 1.0, perpendicular=False):
+    """The field normalized to unit length (optionally turned +90 degrees), in point form."""
     def fn(x):
-        v = field(x)
-        speed = float(np.hypot(v[0], v[1]))
+        try:
+            u, v = field(x)
+        except ZeroDivisionError as exc:
+            raise StagnationEncountered(f"field is singular at {x}") from exc
+        speed = float(np.hypot(u, v))
         if speed < tol:
             raise StagnationEncountered(f"|field| = {speed} < {tol} at {x}")
-        v = v / speed
+        u, v = u / speed, v / speed
         if perpendicular:
-            v = np.array([-v[1], v[0]])
-        return sign * v
+            u, v = -v, u
+        return sign * u, sign * v
 
     return fn
 
@@ -155,11 +184,13 @@ def _unit_direction(field: FieldHandle, tol: float, sign: float = 1.0, perpendic
 def _march(dirfn, start, cfg: TraceConfig, guard=None, on_point=None):
     """Fixed-step march of a unit direction field; optional per-point callback.
 
-    ``on_point(x_prev, x_new, cum_prev, h)`` may return a (hit_point, hit_length)
-    pair to stop the trace at an event.  Returns (points, hit) where hit is the
-    callback result or None when max_length was exhausted.
+    Points are float pairs, ``start`` included once converted.  ``guard(x)``
+    may reject a point.  ``on_point(x_prev, x_new, cum_prev, h)`` may return a
+    (hit_point, hit_length) pair to stop the trace at an event.  Returns
+    (points, hit) where hit is the callback result or None when max_length was
+    exhausted.
     """
-    x = np.asarray(start, dtype=float)
+    x = (float(start[0]), float(start[1]))
     if guard is not None and not guard(x):
         raise LeftDomain(f"start point {x} outside guarded domain")
     pts = [x]
@@ -278,7 +309,7 @@ def poincare_L(
         raise NoCrossing(f"streamline left the chart before reaching s1={s1}") from exc
     if hit is None:
         raise NoCrossing(f"no crossing of the normal ray at s1={s1} within {cfg.max_length}")
-    tau = float(np.linalg.norm(hit[0] - arc.center_array)) - arc.delta
+    tau = _center_distance(arc, hit[0]) - arc.delta
     if tau <= 0:
         raise NoCrossing(f"crossing found below the wall (tau={tau})")
     return tau
@@ -332,12 +363,11 @@ def classify_flow(
 
 def fan_field(source) -> FieldHandle:
     """Unit field of straight rays out of a virtual source point."""
-    src = np.asarray(source, dtype=float)
+    src = (float(source[0]), float(source[1]))
 
-    def evaluate(x: np.ndarray) -> np.ndarray:
-        rel = np.asarray(x, dtype=float) - src
-        d = np.linalg.norm(rel, axis=-1)
-        return rel / d[..., None]
+    def evaluate(x: float, y: float) -> tuple[float, float]:
+        rx, ry, d = center_offset(src, x, y)
+        return rx / d, ry / d
 
     return FieldHandle(evaluator=evaluate, name="fan")
 
@@ -362,17 +392,15 @@ def radial_growth_field(arc: ArcBoundary, growth: float) -> FieldHandle:
     The Poincare ratio is L(r)/r = 1/(1 - growth*r*(s1-s)): above 1 and tending
     to 1 as r -> 0, i.e. weak diverging.
     """
-    center = arc.center_array
     delta = arc.delta
 
-    def evaluate(x: np.ndarray) -> np.ndarray:
-        rel = np.asarray(x, dtype=float) - center
-        d = np.linalg.norm(rel, axis=-1)
+    def evaluate(x: float, y: float) -> tuple[float, float]:
+        rx, ry, d = center_offset(arc.center, x, y)
         r = d - delta
-        n_hat = rel / d[..., None]
-        t_hat = np.stack([n_hat[..., 1], -n_hat[..., 0]], axis=-1)
-        w = (growth * r * r * delta / d)[..., None]
-        return t_hat + w * n_hat
+        n0, n1 = rx / d, ry / d
+        w = growth * r * r * delta / d
+        # the clockwise tangent (n1, -n0) tilted outward by w
+        return n1 + w * n0, -n0 + w * n1
 
     return FieldHandle(evaluator=evaluate, name="radial-growth")
 
@@ -383,10 +411,14 @@ def radial_growth_field(arc: ArcBoundary, growth: float) -> FieldHandle:
 
 
 def _first_polyline_crossing(a0, a1, pts):
-    """Earliest intersection of segment a0->a1 with a polyline; (t, point) or None."""
+    """Earliest intersection of the step a0->a1 (float pairs) with a polyline.
+
+    Vectorised over the polyline's segments; returns (t, point, segment index)
+    or None.
+    """
     q0 = pts[:-1]
     q1 = pts[1:]
-    d1 = a1 - a0
+    d1 = (a1[0] - a0[0], a1[1] - a0[1])
     d2 = q1 - q0
     w = q0 - a0
     denom = d1[0] * d2[:, 1] - d1[1] * d2[:, 0]
@@ -399,7 +431,7 @@ def _first_polyline_crossing(a0, a1, pts):
         return None
     idx = int(np.argmin(np.where(valid, t, np.inf)))
     t_hit = float(np.clip(t[idx], 0.0, 1.0))
-    return t_hit, a0 + t_hit * d1, idx
+    return t_hit, (a0[0] + t_hit * d1[0], a0[1] + t_hit * d1[1]), idx
 
 
 @dataclass(frozen=True)
@@ -456,7 +488,7 @@ def eta_trace(
             return None
         t_hit, point, seg_idx = hit
         crossing["segment"] = seg_idx
-        crossing["chord"] = x_new - x_prev
+        crossing["chord"] = np.subtract(x_new, x_prev)
         return point, cum + t_hit * h
 
     try:
@@ -486,11 +518,20 @@ def eta_ratio(
     eps_list = list(eps_list)
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("eps_list must be strictly decreasing")
-    samples = [(eps, eta_trace(gradp, arc, s, r, eps, cfg).ratio) for eps in eps_list]
+    return _traced_limit([(eps, eta_trace(gradp, arc, s, r, eps, cfg).ratio) for eps in eps_list])
+
+
+def _traced_limit(samples) -> ExtrapolationResult:
+    """First-order Richardson limit of traced (h, value) samples.
+
+    Samples that already agree to tracer accuracy (a spread below 1e-9 of the
+    last value) leave nothing to extrapolate: the last value is the limit.
+    Their differences are roundoff, so Richardson's monotonicity check would
+    refuse them for no reason.
+    """
     values = [v for _, v in samples]
     spread = max(values) - min(values)
     if spread < 1e-9 * max(abs(values[-1]), 1e-300):
-        # already converged to tracer accuracy; nothing left to extrapolate
         return ExtrapolationResult(values[-1], spread, float("nan"), len(samples))
     return richardson(samples, order=1)
 
@@ -514,27 +555,23 @@ def perturbed_angular_pressure(
     still equals nu*(a1/delta - a2)*e1.
     """
     k = params.nu * (params.alpha1 / arc.delta - params.alpha2)
-    center = arc.center_array
     delta = arc.delta
     s_mid = 0.5 * (arc.s_range[0] + arc.s_range[1])
     period = 2.0 * math.pi * delta
 
-    def station(x: np.ndarray) -> np.ndarray:
-        rel = np.asarray(x, dtype=float) - center
-        s_raw = np.arctan2(rel[..., 0], rel[..., 1]) * delta - arc.phase
-        return s_raw - period * np.round((s_raw - s_mid) / period)
+    def evaluate(x: float, y: float) -> float:
+        rx, ry, d = center_offset(arc.center, x, y)
+        # the station s of (x, y), unwrapped next to the sector
+        s_raw = float(np.arctan2(rx, ry)) * delta - arc.phase
+        station = s_raw - period * round((s_raw - s_mid) / period)
+        return k * station + amp * (d - delta) ** 2
 
-    def evaluate(x: np.ndarray) -> np.ndarray:
-        rel = np.asarray(x, dtype=float) - center
-        d = np.linalg.norm(rel, axis=-1)
-        return k * station(x) + amp * (d - delta) ** 2
-
-    def gradient(x: np.ndarray) -> np.ndarray:
-        rel = np.asarray(x, dtype=float) - center
-        d = np.linalg.norm(rel, axis=-1)
-        n_hat = rel / d[..., None]
-        t_hat = np.stack([n_hat[..., 1], -n_hat[..., 0]], axis=-1)
-        return (k * delta / d)[..., None] * t_hat + (2.0 * amp * (d - delta))[..., None] * n_hat
+    def gradient(x: float, y: float) -> tuple[float, float]:
+        rx, ry, d = center_offset(arc.center, x, y)
+        n0, n1 = rx / d, ry / d
+        g_t, g_n = k * delta / d, 2.0 * amp * (d - delta)
+        # g_t along the clockwise tangent (n1, -n0), g_n along the normal
+        return g_t * n1 + g_n * n0, g_t * -n0 + g_n * n1
 
     name = "angular-pressure" if amp == 0.0 else f"angular-pressure+{amp}r2"
     return ScalarFieldHandle(evaluator=evaluate, gradient=gradient, name=name)
@@ -545,18 +582,16 @@ def wall_incompatible_pressure(
 ) -> ScalarFieldHandle:
     """Angular pressure plus slope*(dist - delta): breaks the wall gradient."""
     base = angular_pressure(arc, params)
-    center = arc.center_array
     delta = arc.delta
 
-    def evaluate(x: np.ndarray) -> np.ndarray:
-        rel = np.asarray(x, dtype=float) - center
-        d = np.linalg.norm(rel, axis=-1)
-        return base.evaluator(x) + slope * (d - delta)
+    def evaluate(x: float, y: float) -> float:
+        d = center_offset(arc.center, x, y)[2]
+        return base.evaluator(x, y) + slope * (d - delta)
 
-    def gradient(x: np.ndarray) -> np.ndarray:
-        rel = np.asarray(x, dtype=float) - center
-        d = np.linalg.norm(rel, axis=-1)
-        return base.gradient(x) + slope * rel / d[..., None]
+    def gradient(x: float, y: float) -> tuple[float, float]:
+        rx, ry, d = center_offset(arc.center, x, y)
+        gx, gy = base.gradient(x, y)
+        return gx + slope * rx / d, gy + slope * ry / d
 
     return ScalarFieldHandle(evaluator=evaluate, gradient=gradient, name="wall-incompatible")
 
@@ -565,14 +600,11 @@ def _gradient_handle(p_field: ScalarFieldHandle, fd_step: float) -> FieldHandle:
     if p_field.gradient is not None:
         return FieldHandle(evaluator=p_field.gradient, name=p_field.name + "-grad")
 
-    def fd_grad(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
+    def fd_grad(x: float, y: float) -> tuple[float, float]:
         h = fd_step
-        ex = np.array([h, 0.0])
-        ey = np.array([0.0, h])
-        gx = (p_field(x + ex) - p_field(x - ex)) / (2 * h)
-        gy = (p_field(x + ey) - p_field(x - ey)) / (2 * h)
-        return np.stack([gx, gy], axis=-1)
+        gx = (p_field((x + h, y)) - p_field((x - h, y))) / (2 * h)
+        gy = (p_field((x, y + h)) - p_field((x, y - h))) / (2 * h)
+        return gx, gy
 
     return FieldHandle(evaluator=fd_grad, name=p_field.name + "-fdgrad")
 
@@ -624,7 +656,7 @@ def _zeta_sample(
                             integrator_order=cfg.integrator_order)
 
     def height(x):
-        return float(np.linalg.norm(x - arc.center_array)) - delta - r
+        return _center_distance(arc, x) - delta - r
 
     def on_height(x_prev, x_new, cum, h):
         h_prev, h_new = height(x_prev), height(x_new)
@@ -704,13 +736,14 @@ def _piecewise_linear_length(
     s_k, r_k = s0, r0
     total = 0.0
     for _ in range(n):
-        x = to_cartesian(arc, (s_k, r_k))
+        x, (n0, n1) = chart_pair(arc, s_k, r_k)
         g = gradp(x)
         gnorm = float(np.hypot(g[0], g[1]))
         if gnorm == 0.0:
             raise CriticalPoint(f"gradient vanished at {x}")
-        cos_t = abs(float(np.dot(g, arc_tangent(arc, s_k)))) / gnorm
-        sin_t = float(np.dot(g, arc_normal(arc, s_k))) / gnorm
+        # BLAS dot products, as with the array tangent and normal
+        cos_t = abs(float(np.dot(g, (n1, -n0)))) / gnorm
+        sin_t = float(np.dot(g, (n0, n1))) / gnorm
         seg = (delta + r_k) / delta * ds / cos_t
         total += seg
         r_k = r_k + seg * sin_t
@@ -802,14 +835,9 @@ def zeta_check(
             upper_bound=hi_b, pw_sums=sm.pw_sums,
         ))
 
-    ratio_samples = [
+    ratio = _traced_limit([
         (sm.r, sm.traced_length * delta / ((sm.r + delta) * sm.eps)) for sm in samples
-    ]
-    spread = max(v for _, v in ratio_samples) - min(v for _, v in ratio_samples)
-    if spread < 1e-12:
-        ratio = ExtrapolationResult(ratio_samples[-1][1], spread, float("nan"), len(ratio_samples))
-    else:
-        ratio = richardson(ratio_samples, order=1)
+    ])
 
     within = None
     if caps is not None:

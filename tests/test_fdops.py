@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -13,17 +15,11 @@ from lamsep.field import FieldHandle, LaminarParams, laminar_field, profile_h_pr
 from lamsep.geometry import ArcBoundary, local_frame
 
 
-def make_field(fn):
-    return FieldHandle(evaluator=lambda x: np.asarray(fn(x), dtype=float))
-
-
-CONST = make_field(lambda x: np.broadcast_to([1.5, -2.0], x.shape).copy())
-LINEAR = make_field(lambda x: np.stack([x[..., 1], -x[..., 0]], axis=-1))
-HARMONIC = make_field(
-    lambda x: np.stack([x[..., 0] ** 2 - x[..., 1] ** 2, -2 * x[..., 0] * x[..., 1]], axis=-1)
-)
-QUADRATIC = make_field(lambda x: np.stack([x[..., 1] ** 2, np.zeros_like(x[..., 0])], axis=-1))
-ROTATION = make_field(lambda x: np.stack([-x[..., 1], x[..., 0]], axis=-1))
+CONST = FieldHandle(evaluator=lambda x, y: (1.5, -2.0))
+LINEAR = FieldHandle(evaluator=lambda x, y: (y, -x))
+HARMONIC = FieldHandle(evaluator=lambda x, y: (x * x - y * y, -2 * x * y))
+QUADRATIC = FieldHandle(evaluator=lambda x, y: (y * y, 0.0))
+ROTATION = FieldHandle(evaluator=lambda x, y: (-y, x))
 
 
 def test_stencil_validation():
@@ -43,7 +39,7 @@ def test_gradient_linear_exact():
 
 
 def test_gradient_order4_exact_on_quartics():
-    quartic = make_field(lambda x: np.stack([x[..., 0] ** 4, x[..., 1] ** 4], axis=-1))
+    quartic = FieldHandle(evaluator=lambda x, y: (x**4, y**4))
     jac = fd_gradient(quartic, [0.5, 0.5], StencilSpec(h=1e-2, order=4))
     assert jac[0, 0] == pytest.approx(4 * 0.5**3, abs=1e-11)
     assert jac[1, 1] == pytest.approx(4 * 0.5**3, abs=1e-11)
@@ -72,9 +68,7 @@ def test_laplacian_quadratic_exact():
 
 
 def test_laplacian_order_convergence():
-    smooth = make_field(
-        lambda x: np.stack([np.sin(x[..., 0]) * np.cos(x[..., 1]), np.cos(x[..., 0])], axis=-1)
-    )
+    smooth = FieldHandle(evaluator=lambda x, y: (math.sin(x) * math.cos(y), math.cos(x)))
     x = np.array([0.3, 0.6])
     exact = np.array([-2 * np.sin(0.3) * np.cos(0.6), -np.cos(0.3)])
     for order in (2, 4):
@@ -145,7 +139,7 @@ def test_fd_never_touches_analytic_paths():
         raise AssertionError("analytic derivative path must not be called")
 
     field = FieldHandle(
-        evaluator=lambda x: np.stack([x[..., 1] ** 2, x[..., 0] ** 2], axis=-1),
+        evaluator=lambda x, y: (y * y, x * x),
         jacobian=booby_trap,
         laplacian=booby_trap,
     )

@@ -11,6 +11,8 @@ from lamsep.geometry import (
     arc_point,
     arc_segment_length,
     arc_tangent,
+    center_offset,
+    chart_pair,
     from_cartesian,
     local_center_distance,
     local_frame,
@@ -181,3 +183,29 @@ def test_json_round_trip():
     assert arc2 == ARC
     obj = json.loads(text)
     assert set(obj) == {"delta", "phase", "center", "s_range"}
+
+
+def test_float_twins_match_array_maps_bit_for_bit():
+    # the tracer's per-point loops call the float twins; traces stay identical
+    # to the array maps only if every bit agrees
+    rng = np.random.default_rng(7)
+    arc = ArcBoundary(delta=1.7, phase=0.3, center=(0.4, -1.1), s_range=(-0.5, 2.0))
+    s = rng.uniform(-3.0, 5.0, 2000)
+    r = rng.uniform(0.0, 3.0, 2000) * 10.0 ** rng.uniform(-6, 0, 2000)
+    points = to_cartesian(arc, (s, r))
+    normals = arc_normal(arc, s)
+    tangents = arc_tangent(arc, s)
+    norms = np.linalg.norm(points - arc.center_array, axis=-1)
+    for k in range(len(s)):
+        (x, y), (n0, n1) = chart_pair(arc, float(s[k]), float(r[k]))
+        assert (x, y) == tuple(points[k])
+        assert (n0, n1) == tuple(normals[k])
+        assert (n1, -n0) == tuple(tangents[k])
+        rx, ry, d = center_offset(arc.center, x, y)
+        assert (rx, ry) == tuple(points[k] - arc.center_array)
+        assert d == norms[k]
+    # from_cartesian reads a float pair as it reads a 2-vector
+    for k in range(0, len(s), 50):
+        if norms[k] >= arc.delta and arc.padded_s_range[0] <= s[k] <= arc.padded_s_range[1]:
+            pair = tuple(float(v) for v in points[k])
+            assert from_cartesian(arc, pair) == from_cartesian(arc, points[k])

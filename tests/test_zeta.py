@@ -1,7 +1,12 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
-from lamsep.errors import DomainError, WallGradientMismatch
+from lamsep import tracing
+from lamsep.cli import main
+from lamsep.errors import DomainError, NonMonotoneSequence, WallGradientMismatch
 from lamsep.field import LaminarParams
 from lamsep.geometry import ArcBoundary, arc_point, arc_tangent
 from lamsep.tracing import (
@@ -30,7 +35,7 @@ def test_angular_pressure_wall_gradient():
     p = angular_pressure(ARC, PARAMS)
     k = PARAMS.nu * (PARAMS.alpha1 / ARC.delta - PARAMS.alpha2)
     for s in np.linspace(*ARC.s_range, 7):
-        g = p.gradient(arc_point(ARC, s))
+        g = p.gradient(*arc_point(ARC, s))
         assert np.allclose(g, k * arc_tangent(ARC, s), atol=1e-13)
 
 
@@ -133,3 +138,32 @@ def test_zeta_fd_gradient_fallback():
     report = zeta_check(no_grad, ARC, PARAMS, s=0.1, r_list=[0.04],
                         eps_over_r=2.0, cfg=CFG, fd_step=1e-6)
     assert report.ratio.value == pytest.approx(1.0, abs=1e-3)
+
+
+def test_zeta_check_accepts_ratios_equal_to_tracer_accuracy(tmp_path):
+    # seed 9 of the cli-analysis workload: the three ratios agree to 3e-11, far
+    # inside tracer accuracy, but their roundoff differences grow, which an
+    # absolute 1e-12 guard handed to Richardson's monotonicity check
+    config = {"alpha1": 3.5645163940544538, "alpha2": 1.4929019846247842,
+              "nu": 0.9175585393740624, "delta": 2.3339542099073345}
+    path = tmp_path / "zeta.json"
+    path.write_text(json.dumps(config))
+    assert main(["zeta-check", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    payload = json.loads((tmp_path / "out" / "report.json").read_text())["payload"]
+    assert payload["bounds_hold"] is True
+    assert abs(payload["ratio_limit"] - 1.0) <= 2e-11
+
+
+def test_zeta_check_still_refuses_non_monotone_ratios(monkeypatch):
+    # ratios 1, 1 + 1e-6, 1 - 1e-6: differences that grow, far above tracer accuracy
+    real_sample = tracing._zeta_sample
+    factors = iter([1.0, 1.0 + 1e-6, 1.0 - 1e-6])
+
+    def bumped(*args):
+        sample, line = real_sample(*args)
+        return dataclasses.replace(sample, traced_length=sample.traced_length * next(factors)), line
+
+    monkeypatch.setattr(tracing, "_zeta_sample", bumped)
+    with pytest.raises(NonMonotoneSequence):
+        zeta_check(angular_pressure(ARC, PARAMS), ARC, PARAMS,
+                   s=0.1, r_list=R_LIST, eps_over_r=2.0, cfg=CFG)
