@@ -2,7 +2,7 @@
 
 ratio(r) = (P(r) - wall-anchored tangential gradient) / h(r) is negative for
 all 0 < r < bl and tends to a finite negative limit as r -> 0.  Two closed
-forms compete for that limit; the high-precision oracle decides.  The limit
+forms compete for that limit; the exact rational oracle decides.  The limit
 grows with the wall curvature 1/delta and scales linearly in the viscosity.
 """
 
@@ -20,7 +20,7 @@ print("== extrapolation and adjudication ==")
 rep = theorem2_limit(params, 1.0)
 print(f"Richardson limit      : {rep.limit.value:+.9f} "
       f"(error estimate {rep.limit.error_estimate:.1e})")
-print(f"high-precision oracle : {rep.oracle_value:+.9f}")
+print(f"exact rational oracle : {rep.oracle_value:+.9f}")
 print(f"printed closed form   : {rep.paper_value:+.9f}")
 print(f"re-derived closed form: {rep.derived_value:+.9f}")
 print(f"-> the extrapolated limit agrees with: {rep.agrees_with}")

@@ -12,7 +12,6 @@ derivative limits disagree beyond tolerance (the tracked erratum).
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -25,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .errors import LamsepError, ParseError, ValidationError
-from .field import LaminarParams, laminar_field, stationary_gradp_field
+from .field import LaminarParams, laminar_field, stationary_gradp_field, write_csv
 from .fdops import StencilSpec, fd_advection
 from .geometry import ArcBoundary, to_cartesian
 from . import theorems, tracing
@@ -216,14 +215,6 @@ def parse_config(path=None, overrides: dict | None = None, command: str | None =
     )
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([v if isinstance(v, str) else f"{v:.17g}" for v in row])
-
-
 def _fd_variant_note(cfg: RunConfig) -> str:
     """Adjudicate the advection variant by finite differences, live."""
     from .field import advection
@@ -257,7 +248,7 @@ def run(cfg: RunConfig) -> RunReport:
         erratum_notes=notes,
         exit_code=exit_code,
     )
-    _write_csv(cfg.out / "data.csv", header, rows)
+    write_csv(cfg.out / "data.csv", header, rows)
     (cfg.out / "report.json").write_text(report.to_json())
     return report
 
@@ -345,10 +336,8 @@ def _cmd_trace(cfg: RunConfig):
         line = tracing.trace_pressure_line(gradp, start, trace_cfg, direction)
     else:
         raise ValidationError(f"unknown trace kind {kind!r}")
-    rows = [(i, x, y, c) for i, ((x, y), c) in
-            enumerate(zip(line.points, line.cumulative_length))]
     payload = {"kind": kind, "points": len(line.points), "length": line.length}
-    return payload, rows, ["index", "x", "y", "cumlen"], 0, {}
+    return payload, line.rows(), line.CSV_HEADER, 0, {}
 
 
 def _cmd_zeta(cfg: RunConfig):
@@ -397,8 +386,6 @@ def _cmd_simulate(cfg: RunConfig):
         t_end=_option(cfg, "t_end", 0.02),
     )
     report = nssim.run_experiment(sim_cfg, _option_list(cfg, "probes", None))
-    rows = list(report.rows())
-    header = ["t", "probe_r", "u_t", "ratio"]
     payload = {
         "probe_r": report.probe_r,
         "t0": [
@@ -409,7 +396,7 @@ def _cmd_simulate(cfg: RunConfig):
         "first_reversal": report.first_reversal,
     }
     nssim.dump_field_csv(report.final_state, sim_cfg, cfg.out / "field.csv")
-    return payload, rows, header, 0, {}
+    return payload, report.rows(), report.CSV_HEADER, 0, {}
 
 
 def _cmd_sweep(cfg: RunConfig):
@@ -419,7 +406,7 @@ def _cmd_sweep(cfg: RunConfig):
     alpha1s = _option_list(cfg, "alpha1_values", [cfg.params.alpha1])
     alpha2s = _option_list(cfg, "alpha2_values", [cfg.params.alpha2])
     nus = _option_list(cfg, "nu_values", [cfg.params.nu])
-    rows = []
+    rows, levels_used = [], []
     for d in deltas:
         for a1 in alpha1s:
             for a2 in alpha2s:
@@ -430,8 +417,9 @@ def _cmd_sweep(cfg: RunConfig):
                     rep1 = theorems.theorem1_verify(params, d)
                     rows.append((d, a1, a2, nu, rep2.limit.value, rep2.oracle_value,
                                  rep2.paper_value, rep1.min_mismatch))
+                    levels_used.append(rep2.limit.levels_used)
     header = ["delta", "alpha1", "alpha2", "nu", "limit", "oracle", "paper", "min_mismatch"]
-    payload = {"rows": len(rows)}
+    payload = {"rows": len(rows), "levels_used": levels_used}
     return payload, rows, header, 0, {}
 
 

@@ -242,12 +242,16 @@ def stationary_gradp_field(
     return FieldHandle(evaluator=evaluate, name=f"gradp-ansatz-{variant}")
 
 
+def write_csv(path, header, rows) -> None:
+    """The one CSV writer: a header row, then ``rows``.  String cells pass
+    through; every other cell gets 17 significant digits, so floats round-trip."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([v if isinstance(v, str) else f"{v:.17g}" for v in row] for row in rows)
+
+
 def export_field_csv(field: FieldHandle, points: np.ndarray, path) -> None:
     """Sample ``field`` at ``points`` (N, 2) and write CSV columns x,y,u1,u2."""
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    vals = field(pts)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "y", "u1", "u2"])
-        for (x, y), (u1, u2) in zip(pts, vals):
-            writer.writerow([f"{x:.17g}", f"{y:.17g}", f"{u1:.17g}", f"{u2:.17g}"])
+    write_csv(path, ["x", "y", "u1", "u2"], np.hstack([pts, field(pts)]).tolist())

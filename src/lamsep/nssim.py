@@ -31,7 +31,6 @@ right-hand side is made mean-free first.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
@@ -41,7 +40,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, Diverged, ProbeOutsideGrid
-from .field import LaminarParams, profile_h
+from .field import LaminarParams, profile_h, write_csv
 from .geometry import ArcBoundary
 
 
@@ -588,6 +587,8 @@ class ExperimentReport:
     first_reversal: list             # per probe: time or None
     final_state: SimState | None = None
 
+    CSV_HEADER = ("t", "probe_r", "u_t", "ratio")
+
     def rows(self):
         """Long-format rows (t, probe_r, u_t, ratio); ratio is the t=0 value."""
         t0_ratio = {s.r: s.ratio for s in self.t0_samples}
@@ -596,11 +597,7 @@ class ExperimentReport:
                 yield t, r, self.u_t[k, col], t0_ratio.get(r, float("nan"))
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "probe_r", "u_t", "ratio"])
-            for t, r, u, ratio in self.rows():
-                writer.writerow([f"{t:.17g}", f"{r:.17g}", f"{u:.17g}", f"{ratio:.17g}"])
+        write_csv(path, self.CSV_HEADER, self.rows())
 
 
 def run_experiment(cfg: SimConfig, r_probe_list=None) -> ExperimentReport:
@@ -655,8 +652,5 @@ def dump_field_csv(state: SimState, cfg: SimConfig, path) -> None:
     shape = (cfg.n_s, cfg.n_r)
     columns = [np.broadcast_to(s[:, None], shape), np.broadcast_to(r[None, :], shape),
                xy[..., 0], xy[..., 1], us_c, ur_c, state.p]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["s", "r", "x", "y", "u_t", "u_r", "p"])
-        for row in zip(*(c.ravel().tolist() for c in columns)):
-            writer.writerow([f"{v:.17g}" for v in row])
+    write_csv(path, ["s", "r", "x", "y", "u_t", "u_r", "p"],
+              zip(*(c.ravel().tolist() for c in columns)))

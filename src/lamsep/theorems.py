@@ -9,7 +9,7 @@ Second statement: the wall-tangential material derivative over the flow speed,
     ratio(r) = (P(r) - nu*(a1/d - a2) * d/(d + r)) / h(r),
 
 is negative and tends to a finite negative limit as r -> 0.  The printed
-closed form of that limit is kept alongside an independent high-precision
+closed form of that limit is kept alongside an independent exact rational
 oracle; the two disagree by a factor of 2 in the alpha2 term, and every report
 records which one the numerics support.
 """
@@ -20,12 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, NonMonotoneSequence
 from .fdops import ExtrapolationResult, richardson
 from .field import LaminarParams, profile_h, stationary_gradp_ansatz
 from .geometry import ArcBoundary
 
 ADJUDICATION_RTOL = 1e-4
+MIN_LEVELS = 4  # fewest r-grid levels a theorem-2 limit is fitted on
 
 
 def _require_theorem_params(params: LaminarParams):
@@ -180,34 +181,30 @@ def derived_limit(params: LaminarParams, delta: float) -> float:
 
 
 def oracle_limit(params: LaminarParams, delta: float) -> float:
-    """High-precision r -> 0 limit of theorem2_ratio, independent of any closed form.
+    """Exact rational r -> 0 limit of theorem2_ratio, independent of any closed form.
 
-    Evaluates the ratio with 40-digit arithmetic at r in {1e-4, 5e-5, 2.5e-5}
-    times min(bl, delta) and removes the O(r) term by first-order extrapolation.
+    Float inputs are exact rationals, so the ratio is evaluated in Fractions at r
+    in {1e-4, 5e-5, 2.5e-5} times min(bl, delta).  Richardson removes the O(r)
+    term from each pair and the O(r^2) term from the two extrapolants.
     """
-    import mpmath  # only the theorem-2 commands pay for the 40-digit arithmetic
+    from fractions import Fraction  # only the theorem-2 commands pay for the import
 
     _require_theorem_params(params)
-    with mpmath.workdps(40):
-        a1 = mpmath.mpf(params.alpha1)
-        a2 = mpmath.mpf(params.alpha2)
-        nu = mpmath.mpf(params.nu)
-        d = mpmath.mpf(delta)
-        scale = min(params.alpha1 / params.alpha2, delta)
+    a1, a2, nu, d = (Fraction(v) for v in (params.alpha1, params.alpha2, params.nu, delta))
+    half_a2 = a2 / 2
+    wall_num = nu * (a1 / d - a2) * d
 
-        def ratio(r):
-            h = a1 * r - a2 / 2 * r * r
-            p_t = nu * ((a1 - a2 * r) / (r + d) - h / (r + d) ** 2 - a2)
-            wall = nu * (a1 / d - a2) * d / (d + r)
-            return (p_t - wall) / h
+    def ratio(r):
+        s = r + d
+        h = a1 * r - half_a2 * r * r
+        p_t = nu * ((a1 - a2 * r) / s - h / (s * s) - a2)
+        return (p_t - wall_num / s) / h
 
-        rs = [mpmath.mpf(scale) * f for f in (mpmath.mpf("1e-4"), mpmath.mpf("5e-5"),
-                                              mpmath.mpf("2.5e-5"))]
-        vals = [ratio(r) for r in rs]
-        ext1 = vals[1] + (vals[1] - vals[0]) / (rs[0] / rs[1] - 1)
-        ext2 = vals[2] + (vals[2] - vals[1]) / (rs[1] / rs[2] - 1)
-        # one more elimination of the O(r^2) remainder (step ratio 2)
-        return float(ext2 + (ext2 - ext1) / 3)
+    scale = Fraction(min(params.alpha1 / params.alpha2, delta))
+    samples = [(r, ratio(r)) for r in (scale / 10000, scale / 20000, scale / 40000)]
+    coarse = richardson(samples[:2], order=1).value
+    fine = richardson(samples[1:], order=1).value
+    return float(richardson([(samples[0][0], coarse), (samples[1][0], fine)], order=2).value)
 
 
 @dataclass(frozen=True)
@@ -227,11 +224,26 @@ class Theorem2Report:
             "limit_extrapolated": self.limit.value,
             "limit_error_estimate": self.limit.error_estimate,
             "limit_observed_order": self.limit.observed_order,
+            "limit_levels_used": self.limit.levels_used,
             "paper_value": self.paper_value,
             "oracle_value": self.oracle_value,
             "derived_value": self.derived_value,
             "agrees_with": self.agrees_with,
         }
+
+
+def _fine_tail_limit(samples) -> ExtrapolationResult:
+    """First-order Richardson on the longest fine-end tail (at least MIN_LEVELS
+    samples) whose differences shrink: where the ratio's slope changes sign in
+    the grid, its differences grow once before they shrink.
+    """
+    last_start = max(len(samples) - MIN_LEVELS, 0)
+    for start in range(last_start + 1):
+        try:
+            return richardson(samples[start:], order=1)
+        except NonMonotoneSequence:
+            if start == last_start:
+                raise
 
 
 def theorem2_limit(params: LaminarParams, delta: float, r_grid=None) -> Theorem2Report:
@@ -241,7 +253,7 @@ def theorem2_limit(params: LaminarParams, delta: float, r_grid=None) -> Theorem2
         r_grid = default_r_grid(params, delta)
     r_grid = np.asarray(r_grid, dtype=float)
     ratios = theorem2_ratio(params, delta, r_grid)
-    limit = richardson(list(zip(r_grid, ratios)), order=1)
+    limit = _fine_tail_limit(list(zip(r_grid.tolist(), ratios.tolist())))
     paper = paper_limit(params, delta)
     oracle = oracle_limit(params, delta)
     if abs(limit.value - oracle) <= ADJUDICATION_RTOL * abs(oracle):

@@ -18,7 +18,6 @@ array code.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field as dc_field
 
@@ -35,7 +34,7 @@ from .errors import (
     WallGradientMismatch,
 )
 from .fdops import ExtrapolationResult, richardson
-from .field import FieldHandle, LaminarParams, ScalarFieldHandle
+from .field import FieldHandle, LaminarParams, ScalarFieldHandle, write_csv
 from .geometry import (
     ArcBoundary,
     arc_normal,
@@ -76,12 +75,15 @@ class Polyline:
         if np.max(np.abs(expect - self.cumulative_length)) > tol * scale:
             raise ValueError("cumulative_length inconsistent with chord sums")
 
+    CSV_HEADER = ("index", "x", "y", "cumlen")
+
+    def rows(self) -> list[tuple]:
+        """CSV rows (index, x, y, cumlen), one per point."""
+        return [(i, x, y, c) for i, ((x, y), c) in
+                enumerate(zip(self.points.tolist(), self.cumulative_length.tolist()))]
+
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["index", "x", "y", "cumlen"])
-            for i, ((x, y), c) in enumerate(zip(self.points, self.cumulative_length)):
-                writer.writerow([i, f"{x:.17g}", f"{y:.17g}", f"{c:.17g}"])
+        write_csv(path, self.CSV_HEADER, self.rows())
 
 
 @dataclass(frozen=True)
@@ -295,6 +297,8 @@ def poincare_L(
 
     def on_point(x_prev, x_new, cum, h):
         p_prev, p_new = station(x_prev), station(x_new)
+        if p_new == 0.0:  # the march landed on the station itself
+            return x_new, cum + h
         if p_prev == 0.0 or (p_prev > 0) == (p_new > 0):
             return None
         hit, extra = _refine_on_step(

@@ -265,17 +265,20 @@ def _fresh_python(code: str) -> str:
 
 
 def test_analysis_commands_import_no_solver_scipy_or_mpmath(tmp_path):
+    commands = ("verify-theorem1", "verify-theorem2", "sweep")
     loaded = _fresh_python(
         "import sys\n"
         "import lamsep.cli\n"
         "heavy = lambda: sorted(m for m in sys.modules\n"
         "                       if m.split('.')[0] in ('scipy', 'mpmath') or m == 'lamsep.nssim')\n"
         "print(heavy())\n"
-        f"rc = lamsep.cli.main(['verify-theorem1', '--out', {str(tmp_path / 'o')!r}])\n"
-        "print(rc, heavy())\n"
+        + "".join(f"print(lamsep.cli.main([{cmd!r}, '--out', {str(tmp_path / cmd)!r}]), heavy())\n"
+                  for cmd in commands)
     )
-    lines = loaded.splitlines()
-    assert lines[0] == "[]" and lines[-1] == "0 []"
+    # drop the "lamsep <command>: wrote ..." lines of each run
+    lines = [line for line in loaded.splitlines() if not line.startswith("lamsep")]
+    # verify-theorem2 exits 2 on the tracked erratum
+    assert lines == ["[]", "0 []", "2 []", "0 []"]
 
 
 def test_lazy_solver_names_still_resolve():

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -91,17 +92,30 @@ def test_guard_raises():
         fd_gradient(LINEAR, [0.0, 1e-5], StencilSpec(h=1e-3), guard=guard)
 
 
-def test_richardson_exact_order2():
-    samples = [(h, 3.7 + 2.0 * h**2) for h in (0.1, 0.05, 0.025)]
+# float samples extrapolate to roundoff; Fraction samples stay exact
+NUMBER_TYPES = pytest.mark.parametrize("num", [float, Fraction])
+
+
+def _assert_limit(value, num, want: str):
+    if num is Fraction:
+        assert value == Fraction(want)
+    else:
+        assert value == pytest.approx(float(want), abs=1e-12)
+
+
+@NUMBER_TYPES
+def test_richardson_exact_order2(num):
+    samples = [(h, num("3.7") + 2 * h**2) for h in map(num, ("0.1", "0.05", "0.025"))]
     res = richardson(samples, order=2)
-    assert res.value == pytest.approx(3.7, abs=1e-12)
+    _assert_limit(res.value, num, "3.7")
     assert res.observed_order == pytest.approx(2.0, abs=1e-6)
 
 
-def test_richardson_order1():
-    samples = [(h, -1.0 + 0.5 * h) for h in (0.2, 0.1, 0.05)]
+@NUMBER_TYPES
+def test_richardson_order1(num):
+    samples = [(h, num("-1") + num("0.5") * h) for h in map(num, ("0.2", "0.1", "0.05"))]
     res = richardson(samples, order=1)
-    assert res.value == pytest.approx(-1.0, abs=1e-12)
+    _assert_limit(res.value, num, "-1")
     assert res.observed_order == pytest.approx(1.0, abs=1e-6)
 
 
@@ -115,9 +129,11 @@ def test_richardson_theorem2_samples():
     assert abs(res.observed_order - 1.0) < 0.2
 
 
-def test_richardson_nonmonotone_raises():
+@NUMBER_TYPES
+def test_richardson_nonmonotone_raises(num):
+    samples = [(num(h), num(v)) for h, v in (("0.1", "1.0"), ("0.05", "1.5"), ("0.025", "3.0"))]
     with pytest.raises(NonMonotoneSequence):
-        richardson([(0.1, 1.0), (0.05, 1.5), (0.025, 3.0)], order=1)
+        richardson(samples, order=1)
 
 
 def test_richardson_needs_two_samples():

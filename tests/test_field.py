@@ -1,3 +1,6 @@
+import csv
+import math
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,7 @@ from lamsep.field import (
     profile_h_prime,
     stationary_gradp_ansatz,
     stationary_gradp_field,
+    write_csv,
 )
 from lamsep.geometry import ArcBoundary, arc_normal, arc_tangent, local_frame, to_cartesian
 
@@ -200,3 +204,21 @@ def test_export_field_csv(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "x,y,u1,u2"
     assert len(lines) == 3
+
+
+def test_write_csv_round_trips_floats_and_passes_strings(tmp_path):
+    path = tmp_path / "out.csv"
+    rows = [(0.1, "", 7), (1 / 3, "label", -2.5e-300), (np.float64(1e300), "x,y", math.nan)]
+    write_csv(path, ["a", "b", "c"], rows)
+    with open(path, newline="") as fh:
+        header, *got = list(csv.reader(fh))
+    assert header == ["a", "b", "c"]
+    assert len(got) == len(rows)
+    for want_row, got_row in zip(rows, got):
+        for want, cell in zip(want_row, got_row):
+            if isinstance(want, str):
+                assert cell == want
+            elif math.isnan(want):
+                assert math.isnan(float(cell))
+            else:
+                assert float(cell) == want

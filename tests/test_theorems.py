@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from lamsep.errors import DomainError
+from lamsep.errors import DomainError, NonMonotoneSequence
+from lamsep.fdops import richardson
 from lamsep.field import LaminarParams, stationary_gradp_ansatz
 from lamsep.theorems import (
     default_r_grid,
@@ -131,6 +132,27 @@ def test_limit_matches_derived_closed_form_random():
         a1, a2, d, nu = rng.uniform(0.2, 5.0, 4)
         params = LaminarParams(alpha1=a1, alpha2=a2, nu=nu)
         assert oracle_limit(params, d) == pytest.approx(derived_limit(params, d), rel=1e-7)
+
+
+def test_limit_fits_the_shrinking_fine_tail():
+    # on this draw the ratio's differences grow at index 8 of the default grid
+    params = LaminarParams(alpha1=1.009152605113314, alpha2=0.9312154012848579,
+                           nu=0.7538635012091175)
+    d = 2.958967730362642
+    grid = default_r_grid(params, d)
+    with pytest.raises(NonMonotoneSequence):
+        richardson(list(zip(grid, theorem2_ratio(params, d, grid))), order=1)
+    report = theorem2_limit(params, d)
+    assert report.limit.levels_used == 4
+    assert report.to_dict()["limit_levels_used"] == 4
+    assert report.agrees_with == "oracle"
+    assert report.limit.value == pytest.approx(report.oracle_value, rel=1e-8)
+
+
+def test_limit_without_shrinking_tail_raises():
+    # steps that grow toward the wall: no tail of four or more levels shrinks
+    with pytest.raises(NonMonotoneSequence):
+        theorem2_limit(UNIT, 1.0, r_grid=[0.2, 0.19, 0.17, 0.14, 0.1, 0.05])
 
 
 def test_limit_monotone_in_delta():

@@ -122,6 +122,20 @@ def test_poincare_identity_on_laminar():
         assert L == pytest.approx(r, abs=1e-6 * r)
 
 
+def test_poincare_counts_a_march_point_exactly_on_the_station():
+    # a laminar draw whose r = 0.547 streamline has march point 180 exactly at s1
+    arc = ArcBoundary(delta=2.7344054603316077, phase=0.0, center=(0.0, 0.0),
+                      s_range=(0.0, 1.3672027301658038))
+    params = LaminarParams(alpha1=3.0459975177293237, alpha2=0.6501557024114218,
+                           nu=1.9669277506667733)
+    cfg = default_trace_config(arc, params)
+    field = laminar_field(arc, params)
+    s, s1, r = 0.27344054603316076, 0.6836013650829019, 0.5468810920663215
+    line = trace_streamline(field, to_cartesian(arc, (s, r)), cfg)
+    assert from_cartesian(arc, line.points[180]).s == s1
+    assert poincare_L(field, arc, s, s1, r, cfg) == pytest.approx(r, rel=1e-12)
+
+
 def test_poincare_laminar_sweep():
     field = laminar_field(ARC, PARAMS)
     for r in np.linspace(0.01, 0.3, 8):
