@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import json
 import os
 import platform
@@ -81,9 +82,11 @@ def _measure() -> dict:
     pair = (float(start[0]), float(start[1]))
     point = pair if isinstance(field(pair), tuple) else np.array(pair)
     direction = tracing._unit_direction(field, cfg.stagnation_tol)
+    # an older tracer's _rk_step also takes the RK order
+    order = (4,) if "order" in inspect.signature(tracing._rk_step).parameters else ()
     out = {
         "field_eval_us": 1e6 * _best_of(lambda: field(point), TIMED_CALLS),
-        "rk_step_us": 1e6 * _best_of(lambda: tracing._rk_step(direction, point, cfg.step, 4),
+        "rk_step_us": 1e6 * _best_of(lambda: tracing._rk_step(direction, point, cfg.step, *order),
                                      TIMED_CALLS // 4),
     }
     digests = {}

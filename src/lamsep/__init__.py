@@ -16,7 +16,6 @@ from .errors import (
     Diverged,
     DomainError,
     LamsepError,
-    LeftDomain,
     NoCrossing,
     NoIntersection,
     NonMonotoneSequence,
@@ -25,7 +24,6 @@ from .errors import (
     PointBelowWall,
     ProbeOutsideGrid,
     StagnationEncountered,
-    StencilOutOfDomain,
     ValidationError,
     WallGradientMismatch,
 )

@@ -4,7 +4,9 @@
 
 Configs are flat JSON objects; command-line flags override file values and
 unknown keys are rejected.  Every run writes ``report.json`` (the envelope may
-carry a wall-clock time) and a deterministic ``data.csv``.  Exit codes:
+carry a wall-clock time) and a deterministic ``data.csv``.  ``report.json`` is
+strict JSON: a non-finite number is written as ``null`` and its dotted path is
+listed under ``non_finite``.  Exit codes:
 0 success, 1 error, 2 when the printed and independently derived material
 derivative limits disagree beyond tolerance (the tracked erratum).
 """
@@ -37,7 +39,7 @@ _COMMAND_KEYS = {
     "verify-theorem1": {"r_grid", "use_tracing"},
     "verify-theorem2": {"r_grid"},
     "classify": {"field", "radii", "s", "s1", "C", "source", "growth", "step", "tol_par"},
-    "trace": {"field", "kind", "start_s", "start_r", "length", "step"},
+    "trace": {"kind", "start_s", "start_r", "length", "step"},
     "zeta-check": {"pressure", "s", "r_list", "eps_over_r", "amp"},
     "simulate": {"sector_angle", "r_out", "n_s", "n_r", "dt", "t_end", "probes"},
     "sweep": {"delta_values", "alpha1_values", "alpha2_values", "nu_values"},
@@ -80,23 +82,37 @@ class RunReport:
     exit_code: int = 0
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "schema_version": self.schema_version,
-                "command": self.command,
-                "config": self.config,
-                "payload": self.payload,
-                "erratum_notes": self.erratum_notes,
-                "wall_clock_s": self.wall_clock,
-                "library_version": self.version,
-            },
-            indent=2,
-            sort_keys=True,
-        )
+        envelope = {
+            "schema_version": self.schema_version,
+            "command": self.command,
+            "config": self.config,
+            "payload": self.payload,
+            "erratum_notes": self.erratum_notes,
+            "wall_clock_s": self.wall_clock,
+            "library_version": self.version,
+        }
+        non_finite: list[str] = []
+        envelope = {key: _nulled(value, key, non_finite) for key, value in envelope.items()}
+        envelope["non_finite"] = non_finite
+        return json.dumps(envelope, indent=2, sort_keys=True, allow_nan=False)
+
+
+def _nulled(value, path: str, non_finite: list[str]):
+    """``value`` with each non-finite float as None; their dotted paths go to ``non_finite``."""
+    if isinstance(value, float) and not math.isfinite(value):
+        non_finite.append(path)
+        return None
+    if isinstance(value, dict):
+        return {k: _nulled(v, f"{path}.{k}", non_finite) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_nulled(v, f"{path}.{i}", non_finite) for i, v in enumerate(value)]
+    return value
 
 
 def _number(key: str, value, kind=float):
     """``value`` as ``kind`` (float, or int for an integral value), else a ValidationError."""
+    if isinstance(value, bool):  # JSON true/false are not numbers
+        raise ValidationError(f"{key} must be a number, got {value!r}")
     try:
         out = kind(value)
         integral = kind is not int or float(value) == out
@@ -175,7 +191,8 @@ def parse_config(path=None, overrides: dict | None = None, command: str | None =
 
     problems = []
     numbers = {}
-    for key, default in (("alpha1", 1.0), ("alpha2", 1.0), ("nu", 1.0), ("delta", 1.0),
+    # alpha1 = 2 keeps the defaults off the degenerate wall gradient alpha1/delta = alpha2
+    for key, default in (("alpha1", 2.0), ("alpha2", 1.0), ("nu", 1.0), ("delta", 1.0),
                          ("phase", 0.0)):
         try:
             value = numbers[key] = _finite(key, raw.get(key, default))
@@ -254,11 +271,13 @@ def run(cfg: RunConfig) -> RunReport:
 
 
 def _cmd_theorem1(cfg: RunConfig):
-    r_grid = cfg.options.get("r_grid")
+    use_tracing = cfg.options.get("use_tracing")
+    if use_tracing is not None and not isinstance(use_tracing, bool):
+        raise ValidationError(f"use_tracing must be true or false, got {use_tracing!r}")
     report = theorems.theorem1_verify(
         cfg.params, cfg.arc.delta,
-        r_grid=r_grid,
-        use_tracing=bool(cfg.options.get("use_tracing", False)),
+        r_grid=_option_list(cfg, "r_grid", None),
+        use_tracing=bool(use_tracing),
         arc=cfg.arc,
     )
     rows = list(zip(report.r_grid, report.lhs, report.rhs, report.mismatch))
@@ -267,7 +286,9 @@ def _cmd_theorem1(cfg: RunConfig):
 
 
 def _cmd_theorem2(cfg: RunConfig):
-    report = theorems.theorem2_limit(cfg.params, cfg.arc.delta, r_grid=cfg.options.get("r_grid"))
+    r_grid = _option_list(cfg, "r_grid", None)
+    with _invalid_input():  # too few or non-decreasing r values
+        report = theorems.theorem2_limit(cfg.params, cfg.arc.delta, r_grid=r_grid)
     rows = list(zip(report.r_grid, report.ratio))
     agree = abs(report.paper_value - report.oracle_value) <= theorems.ADJUDICATION_RTOL * abs(
         report.oracle_value
@@ -283,16 +304,19 @@ def _cmd_theorem2(cfg: RunConfig):
 
 def _classification_field(cfg: RunConfig):
     kind = cfg.options.get("field", "laminar")
+    # every option is checked, also those the chosen field does not read
+    source = cfg.options.get("source")
+    if source is not None:
+        source = _finite_pair("source", source)
+    growth = _option(cfg, "growth", 1.0)
     if kind == "laminar":
         return laminar_field(cfg.arc, cfg.params)
     if kind == "fan":
-        source = cfg.options.get("source")
         if source is None:
-            return tracing.fan_field(
-                to_cartesian(cfg.arc, (cfg.arc.s_range[0] - 2.0 * cfg.arc.delta, 0.0)))
-        return tracing.fan_field(_finite_pair("source", source))
+            source = to_cartesian(cfg.arc, (cfg.arc.s_range[0] - 2.0 * cfg.arc.delta, 0.0))
+        return tracing.fan_field(source)
     if kind == "weak":
-        return tracing.radial_growth_field(cfg.arc, _option(cfg, "growth", 1.0))
+        return tracing.radial_growth_field(cfg.arc, growth)
     raise ValidationError(f"unknown classify field {kind!r}")
 
 

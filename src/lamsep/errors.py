@@ -17,20 +17,12 @@ class DomainError(LamsepError):
     """An argument violates a documented domain restriction (e.g. r >= alpha1/alpha2)."""
 
 
-class StencilOutOfDomain(LamsepError):
-    """A finite-difference stencil point falls outside the guarded domain."""
-
-
 class NonMonotoneSequence(LamsepError):
     """Successive differences of an extrapolation sequence do not shrink."""
 
 
 class StagnationEncountered(LamsepError):
     """The speed dropped below the stagnation tolerance while tracing."""
-
-
-class LeftDomain(LamsepError):
-    """A traced curve left the guarded domain."""
 
 
 class NoCrossing(LamsepError):
@@ -54,7 +46,7 @@ class ConfigError(LamsepError):
 
 
 class Diverged(LamsepError):
-    """The simulated velocity grew beyond the divergence guard."""
+    """The simulated tangential velocity grew beyond ten times its initial maximum."""
 
 
 class ProbeOutsideGrid(LamsepError):

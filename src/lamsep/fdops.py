@@ -8,11 +8,11 @@ derivative closures, so they stay independent of the formulas they verify.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import NonMonotoneSequence, StencilOutOfDomain
+from .errors import NonMonotoneSequence
 from .field import FieldHandle, write_csv
 
 _E = np.eye(2)
@@ -40,21 +40,12 @@ class ExtrapolationResult:
     levels_used: int
 
 
-def _check_guard(points: np.ndarray, guard: Callable[[np.ndarray], bool] | None):
-    if guard is None:
-        return
-    for p in points.reshape(-1, 2):
-        if not guard(p):
-            raise StencilOutOfDomain(f"stencil point {p} outside guarded domain")
-
-
-def fd_gradient(field: FieldHandle, x, spec: StencilSpec, guard=None) -> np.ndarray:
+def fd_gradient(field: FieldHandle, x, spec: StencilSpec) -> np.ndarray:
     """Jacobian J[i, j] = du_i/dx_j by central differences, O(h^order)."""
     x = np.asarray(x, dtype=float)
     h = spec.h
     if spec.order == 2:
         pts = np.stack([x + h * _E[j] for j in range(2)] + [x - h * _E[j] for j in range(2)])
-        _check_guard(pts, guard)
         vals = field(pts)
         cols = [(vals[j] - vals[2 + j]) / (2 * h) for j in range(2)]
     else:
@@ -64,38 +55,35 @@ def fd_gradient(field: FieldHandle, x, spec: StencilSpec, guard=None) -> np.ndar
             + [x - h * _E[j] for j in range(2)]
             + [x - 2 * h * _E[j] for j in range(2)]
         )
-        _check_guard(pts, guard)
         v = field(pts)
         cols = [(-v[j] + 8 * v[2 + j] - 8 * v[4 + j] + v[6 + j]) / (12 * h) for j in range(2)]
     return np.stack(cols, axis=-1)
 
 
-def fd_laplacian(field: FieldHandle, x, spec: StencilSpec, guard=None) -> np.ndarray:
+def fd_laplacian(field: FieldHandle, x, spec: StencilSpec) -> np.ndarray:
     """Vector Laplacian by the 5-point (order 2) or 9-point (order 4) stencil."""
     x = np.asarray(x, dtype=float)
     h = spec.h
     if spec.order == 2:
         pts = np.stack([x + h * _E[0], x - h * _E[0], x + h * _E[1], x - h * _E[1], x])
-        _check_guard(pts, guard)
         v = field(pts)
         return (v[0] + v[1] + v[2] + v[3] - 4 * v[4]) / (h * h)
     out = np.zeros(2)
     for j in range(2):
         pts = np.stack([x + 2 * h * _E[j], x + h * _E[j], x, x - h * _E[j], x - 2 * h * _E[j]])
-        _check_guard(pts, guard)
         v = field(pts)
         out = out + (-v[0] + 16 * v[1] - 30 * v[2] + 16 * v[3] - v[4]) / (12 * h * h)
     return out
 
 
-def fd_divergence(field: FieldHandle, x, spec: StencilSpec, guard=None) -> float:
+def fd_divergence(field: FieldHandle, x, spec: StencilSpec) -> float:
     """Divergence from the FD Jacobian trace."""
-    return float(np.trace(fd_gradient(field, x, spec, guard)))
+    return float(np.trace(fd_gradient(field, x, spec)))
 
 
-def fd_advection(field: FieldHandle, x, spec: StencilSpec, guard=None) -> np.ndarray:
+def fd_advection(field: FieldHandle, x, spec: StencilSpec) -> np.ndarray:
     """(u . grad) u at x: FD Jacobian contracted with u(x)."""
-    jac = fd_gradient(field, x, spec, guard)
+    jac = fd_gradient(field, x, spec)
     return jac @ field(np.asarray(x, dtype=float))
 
 

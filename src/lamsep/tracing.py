@@ -1,10 +1,13 @@
 """Streamline and pressure-line tracing next to the curved wall.
 
-Everything here works on normalized direction fields with fixed-step RK
-integration, so every traced curve is arc-length parametrized.  Crossing
-events (a normal ray, a target wall distance, a pressure level, another traced
-curve) are located by bisection along the last step followed by one secant
-polish, which stays robust for nearly tangential crossings.
+Everything here works on normalized direction fields with one fixed-step
+classical RK4 march, so every traced curve is arc-length parametrized.  A
+crossing event (a normal ray, a target wall distance, a pressure level) is the
+first sign change of a scalar along the march, made by :func:`_crossing`: a
+march point exactly on the target is the hit, and a sign change within a step
+is located by bisection along the step followed by one secant polish, which
+stays robust for nearly tangential crossings.  The pressure line of the eta
+ratio stops instead where it first meets the traced level curve.
 
 The march runs on float pairs: a point is a tuple ``(x, y)``, and each field
 is called in point form, ``field((x, y)) -> (u, v)`` (see
@@ -19,7 +22,7 @@ array code.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
@@ -30,7 +33,6 @@ from .errors import (
     NoIntersection,
     OutOfChart,
     StagnationEncountered,
-    LeftDomain,
     WallGradientMismatch,
 )
 from .fdops import ExtrapolationResult, richardson
@@ -91,15 +93,12 @@ class TraceConfig:
     step: float
     max_length: float
     stagnation_tol: float = 1e-12
-    integrator_order: int = 4
 
     def __post_init__(self):
         if self.step <= 0 or self.max_length <= self.step:
             raise ValueError("need step > 0 and max_length > step")
         if self.stagnation_tol <= 0:
             raise ValueError("stagnation_tol must be positive")
-        if self.integrator_order not in (2, 4):
-            raise ValueError("integrator_order must be 2 or 4")
 
 
 def default_trace_config(arc: ArcBoundary, params: LaminarParams | None = None) -> TraceConfig:
@@ -108,7 +107,6 @@ def default_trace_config(arc: ArcBoundary, params: LaminarParams | None = None) 
         step=1e-3 * arc.delta,
         max_length=10.0 * arc.delta,
         stagnation_tol=tol,
-        integrator_order=4,
     )
 
 
@@ -121,7 +119,7 @@ class FlowClass:
 
 @dataclass(frozen=True)
 class BoundTolerances:
-    """Fitted (or capped) constants of the level-set length bounds."""
+    """Fitted constants of the level-set length bounds."""
 
     c: float
     c1: float
@@ -150,13 +148,10 @@ def _center_distance(arc: ArcBoundary, x) -> float:
     return math.sqrt(np.dot(rel, rel))
 
 
-def _rk_step(fn, x, h, order):
-    """One RK step of size h from the float pair x; fn maps a pair to a pair."""
+def _rk_step(fn, x, h):
+    """One classical RK4 step of size h from the float pair x; fn maps a pair to a pair."""
     x0, x1 = x
     k1 = fn(x)
-    if order == 2:
-        k2 = fn((x0 + 0.5 * h * k1[0], x1 + 0.5 * h * k1[1]))
-        return x0 + h * k2[0], x1 + h * k2[1]
     k2 = fn((x0 + 0.5 * h * k1[0], x1 + 0.5 * h * k1[1]))
     k3 = fn((x0 + 0.5 * h * k2[0], x1 + 0.5 * h * k2[1]))
     k4 = fn((x0 + h * k3[0], x1 + h * k3[1]))
@@ -183,18 +178,15 @@ def _unit_direction(field: FieldHandle, tol: float, sign: float = 1.0, perpendic
     return fn
 
 
-def _march(dirfn, start, cfg: TraceConfig, guard=None, on_point=None):
+def _march(dirfn, start, cfg: TraceConfig, on_point=None):
     """Fixed-step march of a unit direction field; optional per-point callback.
 
-    Points are float pairs, ``start`` included once converted.  ``guard(x)``
-    may reject a point.  ``on_point(x_prev, x_new, cum_prev, h)`` may return a
-    (hit_point, hit_length) pair to stop the trace at an event.  Returns
-    (points, hit) where hit is the callback result or None when max_length was
-    exhausted.
+    Points are float pairs, ``start`` included once converted.
+    ``on_point(x_prev, x_new, cum_prev, h)`` may return a (hit_point,
+    hit_length) pair to stop the trace at an event.  Returns (points, hit)
+    where hit is the callback result or None when max_length was exhausted.
     """
     x = (float(start[0]), float(start[1]))
-    if guard is not None and not guard(x):
-        raise LeftDomain(f"start point {x} outside guarded domain")
     pts = [x]
     cum = 0.0
     n_full = int(math.floor(cfg.max_length / cfg.step + 1e-12))
@@ -203,9 +195,7 @@ def _march(dirfn, start, cfg: TraceConfig, guard=None, on_point=None):
     if remainder > 1e-9 * cfg.step:
         steps.append(remainder)
     for h in steps:
-        x_new = _rk_step(dirfn, x, h, cfg.integrator_order)
-        if guard is not None and not guard(x_new):
-            raise LeftDomain(f"trace left guarded domain near {x_new}")
+        x_new = _rk_step(dirfn, x, h)
         if on_point is not None:
             hit = on_point(x, x_new, cum, h)
             if hit is not None:
@@ -217,7 +207,37 @@ def _march(dirfn, start, cfg: TraceConfig, guard=None, on_point=None):
     return pts, None
 
 
-def _refine_on_step(dirfn, x_prev, step, order, psi, psi_prev, psi_new, tol):
+def _march_pressure(dirfn, start, cfg: TraceConfig, on_point=None):
+    """:func:`_march` along the pressure gradient or a level curve.
+
+    There the direction field stagnates only where the gradient vanishes, so a
+    stagnation is a :class:`CriticalPoint`.
+    """
+    try:
+        return _march(dirfn, start, cfg, on_point)
+    except StagnationEncountered as exc:
+        raise CriticalPoint(str(exc)) from exc
+
+
+def _crossing(dirfn, psi, tol):
+    """March callback that stops at the first sign change of ``psi``.
+
+    A march point with psi exactly 0 is the hit.  Otherwise a sign change
+    within a step is refined to |psi| <= tol along that step.
+    """
+    def on_point(x_prev, x_new, cum, h):
+        p_prev, p_new = psi(x_prev), psi(x_new)
+        if p_new == 0.0:  # the march landed on the target itself
+            return x_new, cum + h
+        if p_prev == 0.0 or (p_prev > 0) == (p_new > 0):
+            return None
+        hit, extra = _refine_on_step(dirfn, x_prev, h, psi, p_prev, p_new, tol)
+        return hit, cum + extra
+
+    return on_point
+
+
+def _refine_on_step(dirfn, x_prev, step, psi, psi_prev, psi_new, tol):
     """Locate psi == 0 between x_prev and its full step by bisection + secant."""
     lo, hi = 0.0, 1.0
     f_lo, f_hi = psi_prev, psi_new
@@ -225,7 +245,7 @@ def _refine_on_step(dirfn, x_prev, step, order, psi, psi_prev, psi_new, tol):
     def value(lam):
         if lam == 0.0:
             return x_prev, f_lo
-        x = _rk_step(dirfn, x_prev, lam * step, order)
+        x = _rk_step(dirfn, x_prev, lam * step)
         return x, psi(x)
 
     x_mid = x_prev
@@ -252,10 +272,10 @@ def _refine_on_step(dirfn, x_prev, step, order, psi, psi_prev, psi_new, tol):
 # ----------------------------------------------------------------------------
 
 
-def trace_streamline(field: FieldHandle, start, cfg: TraceConfig, guard=None) -> Polyline:
+def trace_streamline(field: FieldHandle, start, cfg: TraceConfig) -> Polyline:
     """Integrate the normalized velocity from ``start`` for cfg.max_length."""
     dirfn = _unit_direction(field, cfg.stagnation_tol)
-    pts, _ = _march(dirfn, start, cfg, guard=guard)
+    pts, _ = _march(dirfn, start, cfg)
     return Polyline.from_points(pts)
 
 
@@ -265,18 +285,14 @@ def trace_pressure_line(
     cfg: TraceConfig,
     direction: str = "along",
     orientation: float = 1.0,
-    guard=None,
 ) -> Polyline:
     """Integrate the normalized pressure gradient ("along") or its perpendicular."""
     if direction not in ("along", "perpendicular"):
         raise ValueError(f"direction must be 'along' or 'perpendicular', got {direction!r}")
-    try:
-        dirfn = _unit_direction(
-            gradp, cfg.stagnation_tol, sign=orientation, perpendicular=direction == "perpendicular"
-        )
-        pts, _ = _march(dirfn, start, cfg, guard=guard)
-    except StagnationEncountered as exc:
-        raise CriticalPoint(str(exc)) from exc
+    dirfn = _unit_direction(
+        gradp, cfg.stagnation_tol, sign=orientation, perpendicular=direction == "perpendicular"
+    )
+    pts, _ = _march_pressure(dirfn, start, cfg)
     return Polyline.from_points(pts)
 
 
@@ -295,20 +311,8 @@ def poincare_L(
     def station(x):
         return from_cartesian(arc, x).s - s1
 
-    def on_point(x_prev, x_new, cum, h):
-        p_prev, p_new = station(x_prev), station(x_new)
-        if p_new == 0.0:  # the march landed on the station itself
-            return x_new, cum + h
-        if p_prev == 0.0 or (p_prev > 0) == (p_new > 0):
-            return None
-        hit, extra = _refine_on_step(
-            dirfn, x_prev, h, cfg.integrator_order, station, p_prev, p_new,
-            tol=1e-13 * arc.delta,
-        )
-        return hit, cum + extra
-
     try:
-        _, hit = _march(dirfn, start, cfg, on_point=on_point)
+        _, hit = _march(dirfn, start, cfg, _crossing(dirfn, station, 1e-13 * arc.delta))
     except OutOfChart as exc:
         raise NoCrossing(f"streamline left the chart before reaching s1={s1}") from exc
     if hit is None:
@@ -414,16 +418,14 @@ def radial_growth_field(arc: ArcBoundary, growth: float) -> FieldHandle:
 # ----------------------------------------------------------------------------
 
 
-def _first_polyline_crossing(a0, a1, pts):
+def _first_polyline_crossing(a0, a1, q0, d2):
     """Earliest intersection of the step a0->a1 (float pairs) with a polyline.
 
-    Vectorised over the polyline's segments; returns (t, point, segment index)
-    or None.
+    The polyline is given by its segments, starts q0 and vectors d2 (arrays
+    of shape (n, 2)), built once per polyline.  Vectorised over the segments;
+    returns (t, point, segment index) or None.
     """
-    q0 = pts[:-1]
-    q1 = pts[1:]
     d1 = (a1[0] - a0[0], a1[1] - a0[1])
-    d2 = q1 - q0
     w = q0 - a0
     denom = d1[0] * d2[:, 1] - d1[1] * d2[:, 0]
     ok = np.abs(denom) > 1e-300
@@ -455,17 +457,9 @@ def eta_trace(
     phi_len = float(arc_segment_length(arc, s, s + eps, r))
     start = to_cartesian(arc, (s, r))
     anchor = to_cartesian(arc, (s + eps, r))
-    level_cfg = TraceConfig(
-        step=phi_len / 80.0,
-        max_length=3.0 * phi_len,
-        stagnation_tol=cfg.stagnation_tol,
-        integrator_order=cfg.integrator_order,
-    )
-    try:
-        fwd = trace_pressure_line(gradp, anchor, level_cfg, "perpendicular", +1.0)
-        back = trace_pressure_line(gradp, anchor, level_cfg, "perpendicular", -1.0)
-    except StagnationEncountered as exc:
-        raise CriticalPoint(str(exc)) from exc
+    level_cfg = replace(cfg, step=phi_len / 80.0, max_length=3.0 * phi_len)
+    fwd = trace_pressure_line(gradp, anchor, level_cfg, "perpendicular", +1.0)
+    back = trace_pressure_line(gradp, anchor, level_cfg, "perpendicular", -1.0)
     level_pts = np.vstack([back.points[::-1], fwd.points[1:]])
 
     # orient the pressure line toward increasing s so it meets the level curve
@@ -477,17 +471,14 @@ def eta_trace(
         return EtaSample(eps=eps, eta_length=0.0, phi_length=phi_len, ratio=0.0,
                          corner_angle=0.5 * math.pi)
     dirfn = _unit_direction(gradp, cfg.stagnation_tol, sign=sign)
-    press_cfg = TraceConfig(
-        step=phi_len / 80.0,
-        max_length=4.0 * phi_len,
-        stagnation_tol=cfg.stagnation_tol,
-        integrator_order=cfg.integrator_order,
-    )
+    press_cfg = replace(cfg, step=phi_len / 80.0, max_length=4.0 * phi_len)
+    seg_starts = level_pts[:-1]
+    seg_vectors = level_pts[1:] - seg_starts
 
     crossing = {}
 
     def on_point(x_prev, x_new, cum, h):
-        hit = _first_polyline_crossing(x_prev, x_new, level_pts)
+        hit = _first_polyline_crossing(x_prev, x_new, seg_starts, seg_vectors)
         if hit is None:
             return None
         t_hit, point, seg_idx = hit
@@ -495,16 +486,13 @@ def eta_trace(
         crossing["chord"] = np.subtract(x_new, x_prev)
         return point, cum + t_hit * h
 
-    try:
-        _, hit = _march(dirfn, start, press_cfg, on_point=on_point)
-    except StagnationEncountered as exc:
-        raise CriticalPoint(str(exc)) from exc
+    _, hit = _march_pressure(dirfn, start, press_cfg, on_point)
     if hit is None:
         raise NoIntersection(
             f"pressure line from (s={s}, r={r}) missed the level curve for eps={eps}"
         )
     eta_len = float(hit[1])
-    level_seg = level_pts[crossing["segment"] + 1] - level_pts[crossing["segment"]]
+    level_seg = seg_vectors[crossing["segment"]]
     chord = crossing["chord"]
     cosang = abs(np.dot(chord, level_seg)) / (np.linalg.norm(chord) * np.linalg.norm(level_seg))
     corner = math.acos(min(1.0, float(cosang)))
@@ -632,7 +620,6 @@ class ZetaReport:
     samples: list
     fitted: BoundTolerances
     bounds_hold: bool
-    within_caps: bool | None
     ratio: ExtrapolationResult
     wall_gradient_rel_dev: float
 
@@ -646,7 +633,7 @@ def _zeta_sample(
     r: float,
     eps: float,
     cfg: TraceConfig,
-) -> tuple[ZetaSample, Polyline]:
+) -> ZetaSample:
     delta = arc.delta
     wall_pt = arc_point(arc, s)
 
@@ -655,27 +642,13 @@ def _zeta_sample(
     perp = np.array([-g0[1], g0[0]])
     orient = 1.0 if float(np.dot(perp, arc_normal(arc, s))) >= 0 else -1.0
     dirfn_level = _unit_direction(gradp, cfg.stagnation_tol, sign=orient, perpendicular=True)
-    level_cfg = TraceConfig(step=r / 100.0, max_length=4.0 * r,
-                            stagnation_tol=cfg.stagnation_tol,
-                            integrator_order=cfg.integrator_order)
+    level_cfg = replace(cfg, step=r / 100.0, max_length=4.0 * r)
 
     def height(x):
         return _center_distance(arc, x) - delta - r
 
-    def on_height(x_prev, x_new, cum, h):
-        h_prev, h_new = height(x_prev), height(x_new)
-        if (h_prev > 0) == (h_new > 0):
-            return None
-        hit, extra = _refine_on_step(
-            dirfn_level, x_prev, h, level_cfg.integrator_order,
-            height, h_prev, h_new, tol=1e-13 * delta,
-        )
-        return hit, cum + extra
-
-    try:
-        _, foot_hit = _march(dirfn_level, wall_pt, level_cfg, on_point=on_height)
-    except StagnationEncountered as exc:
-        raise CriticalPoint(str(exc)) from exc
+    _, foot_hit = _march_pressure(dirfn_level, wall_pt, level_cfg,
+                                  _crossing(dirfn_level, height, 1e-13 * delta))
     if foot_hit is None:
         raise NoIntersection(f"level curve from phi({s}) never reached wall distance {r}")
     foot, r_hat = foot_hit
@@ -686,29 +659,13 @@ def _zeta_sample(
     p_target = float(p_field(arc_point(arc, s + eps)))
     dirfn_press = _unit_direction(gradp, cfg.stagnation_tol, sign=sign_k)
     arc_span = float(arc_segment_length(arc, s, s + eps, r))
-    press_cfg = TraceConfig(step=arc_span / 100.0, max_length=5.0 * arc_span,
-                            stagnation_tol=cfg.stagnation_tol,
-                            integrator_order=cfg.integrator_order)
+    press_cfg = replace(cfg, step=arc_span / 100.0, max_length=5.0 * arc_span)
 
     def level_gap(x):
         return float(p_field(x)) - p_target
 
-    zeta_pts = None
-
-    def on_level(x_prev, x_new, cum, h):
-        g_prev, g_new = level_gap(x_prev), level_gap(x_new)
-        if (g_prev > 0) == (g_new > 0):
-            return None
-        hit, extra = _refine_on_step(
-            dirfn_press, x_prev, h, press_cfg.integrator_order,
-            level_gap, g_prev, g_new, tol=1e-14 * (abs(p_target) + 1.0),
-        )
-        return hit, cum + extra
-
-    try:
-        pts, zeta_hit = _march(dirfn_press, foot, press_cfg, on_point=on_level)
-    except StagnationEncountered as exc:
-        raise CriticalPoint(str(exc)) from exc
+    _, zeta_hit = _march_pressure(dirfn_press, foot, press_cfg,
+                                  _crossing(dirfn_press, level_gap, 1e-14 * (abs(p_target) + 1.0)))
     if zeta_hit is None:
         raise NoIntersection(f"pressure line from the foot missed the level of phi({s + eps})")
     zeta_pt, traced = zeta_hit
@@ -718,12 +675,11 @@ def _zeta_sample(
     for n in (32, 64, 128, 256):
         pw[n] = _piecewise_linear_length(gradp, arc, s_hat, np_foot.r, np_zeta.s, n)
 
-    sample = ZetaSample(
+    return ZetaSample(
         r=r, eps=eps, s_hat=s_hat, r_hat=float(r_hat), s_hat2=np_zeta.s, r_hat2=np_zeta.r,
         traced_length=float(traced), lower_bound=float("nan"), upper_bound=float("nan"),
         pw_sums=pw,
     )
-    return sample, Polyline.from_points(pts)
 
 
 def _piecewise_linear_length(
@@ -763,7 +719,6 @@ def zeta_check(
     r_list,
     eps_over_r: float,
     cfg: TraceConfig | None = None,
-    caps: BoundTolerances | None = None,
     fd_step: float | None = None,
 ) -> ZetaReport:
     """Verify the level-set construction and its length bounds on a pressure field.
@@ -801,7 +756,7 @@ def zeta_check(
     if any(b >= a for a, b in zip(r_list, r_list[1:])):
         raise ValueError("r_list must be strictly decreasing")
     sign_k = 1.0 if k > 0 else -1.0
-    raw = [_zeta_sample(p_field, gradp, arc, sign_k, s, r, eps_over_r * r, cfg)[0] for r in r_list]
+    raw = [_zeta_sample(p_field, gradp, arc, sign_k, s, r, eps_over_r * r, cfg) for r in r_list]
 
     # fit the constants
     tiny = 1e-12
@@ -833,21 +788,10 @@ def zeta_check(
     for sm in raw:
         lo_b, hi_b = bounds(sm, fitted.c, fitted.epsilon_hat)
         holds = holds and lo_b <= sm.traced_length <= hi_b
-        samples.append(ZetaSample(
-            r=sm.r, eps=sm.eps, s_hat=sm.s_hat, r_hat=sm.r_hat, s_hat2=sm.s_hat2,
-            r_hat2=sm.r_hat2, traced_length=sm.traced_length, lower_bound=lo_b,
-            upper_bound=hi_b, pw_sums=sm.pw_sums,
-        ))
+        samples.append(replace(sm, lower_bound=lo_b, upper_bound=hi_b))
 
     ratio = _traced_limit([
         (sm.r, sm.traced_length * delta / ((sm.r + delta) * sm.eps)) for sm in samples
     ])
-
-    within = None
-    if caps is not None:
-        within = (
-            fitted.c <= caps.c and fitted.c1 <= caps.c1 and fitted.c2 <= caps.c2
-            and fitted.epsilon_hat <= caps.epsilon_hat
-        )
     return ZetaReport(samples=samples, fitted=fitted, bounds_hold=holds,
-                      within_caps=within, ratio=ratio, wall_gradient_rel_dev=rel_dev)
+                      ratio=ratio, wall_gradient_rel_dev=rel_dev)

@@ -7,8 +7,10 @@ from pathlib import Path
 import pytest
 
 import lamsep
-from lamsep.cli import main, parse_config
+from lamsep.cli import COMMANDS, main, parse_config
 from lamsep.errors import ParseError, ValidationError
+
+from conftest import load_strict_json
 
 
 def write_config(tmp_path, obj, name="cfg.json"):
@@ -41,7 +43,7 @@ def test_parse_rejects_unknown_key(tmp_path):
 
 @pytest.mark.parametrize("bad", [
     {"alpha1": "x"}, {"alpha1": float("nan")}, {"alpha2": float("inf")}, {"nu": [1.0]},
-    {"delta": None}, {"phase": "x"}, {"phase": float("nan")}, {"s_range": [1]},
+    {"delta": None}, {"alpha1": True}, {"phase": "x"}, {"phase": float("nan")}, {"s_range": [1]},
     {"s_range": [0.0, float("nan")]}, {"s_range": [0.5, 0.0]}, {"center": 3},
     {"center": ["a", 0.0]}, {"center": [0.0, 0.0, 0.0]},
 ])
@@ -103,12 +105,30 @@ def test_theorem1_run_exit0(tmp_path):
 
 
 def test_theorem2_run_exit2_and_adjudication(tmp_path):
-    rc = main(["verify-theorem2", "--out", str(tmp_path / "o")])
+    # alpha1 = alpha2 = nu = delta = 1: paper -2, oracle -3
+    rc = main(["verify-theorem2", "--alpha1", "1", "--out", str(tmp_path / "o")])
     assert rc == 2  # printed and derived limits disagree: tracked erratum
     report = json.loads((tmp_path / "o" / "report.json").read_text())
     assert report["payload"]["agrees_with"] == "oracle"
     assert report["payload"]["paper_value"] == pytest.approx(-2.0)
     assert report["payload"]["oracle_value"] == pytest.approx(-3.0, rel=1e-6)
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_every_command_runs_on_an_empty_config(tmp_path, command):
+    # the defaults keep off the degenerate wall gradient alpha1/delta = alpha2
+    path = write_config(tmp_path, {})
+    expected = 2 if command == "verify-theorem2" else 0  # the tracked erratum
+    assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == expected
+
+
+def test_report_writes_non_finite_values_as_null(tmp_path):
+    # two r values leave no triplet to observe the order from
+    path = write_config(tmp_path, {"r_grid": [0.01, 0.005]})
+    assert main(["verify-theorem2", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    report = load_strict_json(tmp_path / "o" / "report.json")
+    assert report["payload"]["limit_observed_order"] is None
+    assert report["non_finite"] == ["payload.limit_observed_order"]
 
 
 def test_classify_laminar_run(tmp_path):
@@ -213,9 +233,11 @@ def test_simulate_accepts_integral_grid_sizes(tmp_path, ok):
     ("zeta-check", {"amp": "x"}), ("zeta-check", {"r_list": [0.01, 0.02]}),
     ("sweep", {"alpha1_values": [-1]}), ("sweep", {"alpha1_values": ["x"]}),
     ("sweep", {"delta_values": [-1]}), ("sweep", {"nu_values": 2.0}),
+    ("verify-theorem1", {"r_grid": "x"}), ("verify-theorem2", {"r_grid": [0.01, "a"]}),
+    ("verify-theorem1", {"use_tracing": "x"}), ("classify", {"source": [0.0, "a"]}),
+    ("classify", {"growth": "x"}),
 ])
 def test_command_options_rejected_with_one_line(tmp_path, capsys, command, bad):
-    # alpha1 = 2 keeps zeta-check off its degenerate zero-wall-gradient default
     cfg = write_config(tmp_path, {"command": command, "alpha1": 2.0, **bad})
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err.splitlines()
@@ -234,6 +256,7 @@ def test_run_reports_wall_clock_only_in_envelope(tmp_path):
     report = json.loads((tmp_path / "o" / "report.json").read_text())
     assert "wall_clock_s" in report
     assert "schema_version" in report
+    assert report["non_finite"] == []
     data = (tmp_path / "o" / "data.csv").read_text()
     assert "wall" not in data
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from lamsep.errors import NonMonotoneSequence, StencilOutOfDomain
+from lamsep.errors import NonMonotoneSequence
 from lamsep.fdops import (
     StencilSpec,
     fd_advection,
@@ -84,12 +84,6 @@ def test_laplacian_order_convergence():
 def test_advection_rigid_rotation():
     adv = fd_advection(ROTATION, [1.0, 0.0], StencilSpec(h=1e-4))
     assert np.allclose(adv, [-1.0, 0.0], atol=1e-8)
-
-
-def test_guard_raises():
-    guard = lambda p: p[1] > 0  # noqa: E731
-    with pytest.raises(StencilOutOfDomain):
-        fd_gradient(LINEAR, [0.0, 1e-5], StencilSpec(h=1e-3), guard=guard)
 
 
 # float samples extrapolate to roundoff; Fraction samples stay exact

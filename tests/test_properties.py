@@ -1,0 +1,112 @@
+"""Property tests: the paper's statements on random valid parameters, and the
+CLI's one-line refusal of random malformed configs.
+
+Hypothesis runs derandomized, so the examples are the same on every run.
+"""
+
+import contextlib
+import io
+import json
+import math
+
+from hypothesis import given, settings, strategies as st
+
+from lamsep.cli import main
+from lamsep.field import LaminarParams, laminar_field
+from lamsep.geometry import ArcBoundary
+from lamsep.theorems import (
+    default_r_grid,
+    oracle_limit,
+    theorem1_verify,
+    theorem2_limit,
+    theorem2_ratio,
+)
+from lamsep.tracing import default_trace_config, poincare_L
+
+PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=30, database=None)
+
+
+def _between(lo: float, hi: float):
+    return st.floats(min_value=lo, max_value=hi, allow_nan=False, allow_infinity=False)
+
+
+# the parameter box the cli-analysis benchmark draws from, widened on every side
+VALID = st.tuples(_between(0.5, 8.0), _between(0.25, 4.0), _between(0.25, 4.0),
+                  _between(0.25, 8.0))
+
+
+@PROPERTY_SETTINGS
+@given(VALID)
+def test_theorems_hold_for_valid_parameters(draw):
+    alpha1, alpha2, nu, delta = draw
+    params = LaminarParams(alpha1=alpha1, alpha2=alpha2, nu=nu)
+    # theorem 1: the stationary balance fails by a positive margin
+    assert theorem1_verify(params, delta).min_mismatch > 0
+    # theorem 2: the material derivative points against the flow, and its limit
+    # extrapolates to the exact rational oracle
+    assert all(q < 0 for q in theorem2_ratio(params, delta, default_r_grid(params, delta)))
+    oracle = oracle_limit(params, delta)
+    assert abs(theorem2_limit(params, delta).limit.value - oracle) <= 1e-4 * abs(oracle)
+
+
+@PROPERTY_SETTINGS
+@given(VALID)
+def test_laminar_return_map_is_the_identity(draw):
+    alpha1, alpha2, nu, delta = draw
+    params = LaminarParams(alpha1=alpha1, alpha2=alpha2, nu=nu)
+    arc = ArcBoundary(delta=delta, phase=0.0, center=(0.0, 0.0), s_range=(0.0, 0.5 * delta))
+    r = 0.1 * min(params.bl, delta)
+    height = poincare_L(laminar_field(arc, params), arc, 0.1 * delta, 0.25 * delta, r,
+                        default_trace_config(arc, params))
+    assert abs(height - r) <= 1e-6 * r
+
+
+# malformed values by the kind of value a key takes
+NOT_A_NUMBER = st.sampled_from(["x", math.nan, math.inf, -math.inf, True, [1.0], {}])
+NOT_A_LIST = st.sampled_from(["x", 1.0, [], ["x"], [math.nan], [True], {}])
+NOT_A_PAIR = st.sampled_from(["x", 3.0, [1.0], [0.0, "a"], [0.0, math.inf], [0.0, 1.0, 2.0]])
+NOT_A_NAME = st.sampled_from(["nope", 5, []])
+SCALARS = {
+    "": ("alpha1", "alpha2", "nu", "delta", "phase"),
+    "classify": ("s", "s1", "C", "growth", "step", "tol_par"),
+    "trace": ("start_s", "start_r", "length", "step"),
+    "zeta-check": ("s", "eps_over_r", "amp"),
+    "simulate": ("sector_angle", "r_out", "n_s", "n_r", "dt", "t_end"),
+}
+LISTS = {
+    "verify-theorem1": ("r_grid",), "verify-theorem2": ("r_grid",), "classify": ("radii",),
+    "zeta-check": ("r_list",), "simulate": ("probes",),
+    "sweep": ("delta_values", "alpha1_values", "alpha2_values", "nu_values"),
+}
+PAIRS = {"": ("center", "s_range"), "classify": ("source",)}
+NAMES = {"classify": ("field",), "trace": ("kind",), "zeta-check": ("pressure",)}
+COMMANDS = ("verify-theorem1", "verify-theorem2", "classify", "trace", "zeta-check",
+            "simulate", "sweep")
+
+
+@st.composite
+def malformed_configs(draw):
+    command = draw(st.sampled_from(COMMANDS))
+    choices = []
+    for table, bad in ((SCALARS, NOT_A_NUMBER), (LISTS, NOT_A_LIST), (PAIRS, NOT_A_PAIR),
+                       (NAMES, NOT_A_NAME)):
+        choices += [(key, bad) for key in table.get("", ()) + table.get(command, ())]
+    if command == "verify-theorem1":
+        choices.append(("use_tracing", st.sampled_from(["x", 1, []])))
+    key, bad = draw(st.sampled_from(choices))
+    return command, {key: draw(bad)}
+
+
+@PROPERTY_SETTINGS
+@given(malformed_configs())
+def test_malformed_config_is_one_line_error(tmp_path_factory, case):
+    command, config = case
+    tmp = tmp_path_factory.mktemp("malformed")
+    path = tmp / "config.json"
+    path.write_text(json.dumps(config))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main([command, "--config", str(path), "--out", str(tmp / "o")])
+    lines = err.getvalue().splitlines()
+    assert code == 1, (command, config)
+    assert len(lines) == 1 and lines[0].startswith("lamsep: error:"), lines
