@@ -5,13 +5,14 @@
 ``--before`` and ``--after`` are ``src/`` directories of two checkouts (make
 the old one with ``git clone`` so its sha is known).  Each side runs in fresh interpreters with
 ``PYTHONPATH`` set to its tree; the sides alternate over ``REPEATS`` rounds
-so that drift in machine speed hits both alike.  For n = 32/128/256 a round
-times the build of each cached pressure operator (``_poisson_neumann`` and
-``_poisson_dirichlet_theta``, bypassing their caches), a cold ``init_sim``
-(every ``lru_cache`` in ``nssim`` cleared) and single ``step`` calls after a
-warm-up step, measures each operator's relative residual on a random
-right-hand side, and keeps the fields after ``STEPS[n]`` steps.  The output
-holds the machine, both git shas, per-side medians over rounds, and the
+so that drift in machine speed hits both alike.  Both trees must keep the
+grid and its two factored pressure operators in one cached object per mesh
+(``nssim._grid``).  For n = 32/128/256 a round times the build of each
+operator (``nssim._separable`` called directly, outside the cache), a cold
+``init_sim`` (the ``lru_cache`` in ``nssim`` cleared) and single ``step``
+calls after a warm-up step, measures each operator's relative residual on a
+random right-hand side, and keeps the fields after ``STEPS[n]`` steps.  The
+output holds the machine, both git shas, per-side medians over rounds, and the
 largest differences of the final fields and of the default ``lamsep simulate``
 CSVs between the sides.  Keep it out of the test suite: timings must not gate
 tests.
@@ -65,10 +66,7 @@ def _residuals(nssim, cfg) -> dict:
     phi = nssim._solve_neumann(cfg, b)
     neumann = np.linalg.norm(_apply_laplacian(g, phi, False) + b) / np.linalg.norm(b)
     b = rng.standard_normal((cfg.n_s, cfg.n_r))
-    solver = nssim._poisson_dirichlet_theta(nssim._mesh(cfg))
-    # a SuperLU factor takes and returns flat vectors
-    flat = hasattr(solver, "perm_c")
-    x = np.reshape(solver.solve(b.ravel() if flat else b), b.shape)
+    x = g.dirichlet_theta.solve(b)
     dirichlet = np.linalg.norm(_apply_laplacian(g, x, True) - b) / np.linalg.norm(b)
     return {"residual_neumann": float(neumann), "residual_dirichlet": float(dirichlet)}
 
@@ -82,24 +80,22 @@ def _measure(n: int, steps: int, fields_path: str) -> dict:
     arc = ArcBoundary(1.0, 0.0, (0.0, 0.0), (0.0, 0.5))
     cfg = nssim.SimConfig(arc=arc, params=LaminarParams(2.5, 1.0, 1.0),
                           n_s=n, n_r=n, sector_angle=0.5)
-    mesh = nssim._mesh(cfg)
+    g = nssim._grid(cfg)
     factor_s = {}
-    for name in ("_poisson_neumann", "_poisson_dirichlet_theta"):
+    for name, dirichlet_theta in (("neumann", False), ("dirichlet_theta", True)):
         t0 = time.perf_counter()
-        getattr(nssim, name).__wrapped__(mesh)
-        factor_s[f"factor{name.removeprefix('_poisson')}_s"] = time.perf_counter() - t0
+        nssim._separable(g, dirichlet_theta)
+        factor_s[f"factor_{name}_s"] = time.perf_counter() - t0
 
     init_times = []
     for _ in range(INIT_REPEATS):
-        for cached in vars(nssim).values():
-            if hasattr(cached, "cache_clear"):
-                cached.cache_clear()
+        nssim._mesh_grid.cache_clear()
         t0 = time.perf_counter()
         state = nssim.init_sim(cfg)
         init_times.append(time.perf_counter() - t0)
     p0 = state.p
 
-    # the first step builds the projection operator, so it is timed apart
+    # the first step is the warm-up, so it is timed apart
     t0 = time.perf_counter()
     state = nssim.step(state, cfg)
     first_step_s = time.perf_counter() - t0

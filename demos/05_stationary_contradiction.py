@@ -44,7 +44,7 @@ print(f"min over 300 draws of min_r M(r)/r = {worst:.6f}  (> 0)")
 print()
 print("== the same gap seen by tracing ==")
 p2 = LaminarParams(alpha1=2.0, alpha2=1.0, nu=1.0)
-report = theorem1_verify(p2, 1.0, use_tracing=True, crosscheck_radii=[0.1])
+report = theorem1_verify(p2, 1.0, use_tracing=True)  # traced at r_grid[0] = 0.1
 r, traced, ansatz, factor = report.geometric_crosscheck[0]
 lhs, rhs, _ = theorem1_mismatch(p2, 1.0, r)
 print(f"at r={r}: level-set route gives |grad p| = {traced:.6f},")

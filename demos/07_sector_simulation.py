@@ -20,6 +20,7 @@ from lamsep import (
     run_experiment,
     theorem2_ratio,
 )
+from lamsep.field import write_csv
 
 params = LaminarParams(alpha1=1.0, alpha2=1.0, nu=1.0)
 
@@ -47,5 +48,5 @@ print("kinetic energy:", f"{rep.kinetic_energy[0]:.6f} -> {rep.kinetic_energy[-1
 print("first reversal per probe:", rep.first_reversal,
       " (no reversal under the pinned-flux sector conditions)")
 
-rep.to_csv("sector_series.csv")
+write_csv("sector_series.csv", rep.CSV_HEADER, rep.rows())
 print("wrote sector_series.csv (t, probe_r, u_t, ratio)")

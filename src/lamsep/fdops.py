@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NonMonotoneSequence
-from .field import FieldHandle, write_csv
+from .field import FieldHandle
 
 _E = np.eye(2)
 
@@ -131,9 +131,3 @@ def richardson(samples: Sequence[tuple[float, float]], order: float) -> Extrapol
     return ExtrapolationResult(
         value=value, error_estimate=error, observed_order=observed, levels_used=len(samples)
     )
-
-
-def dump_samples_csv(samples: Sequence[tuple[float, float]], path, reference: float | None = None):
-    """Diagnostic dump: rows of (h, value, error-vs-reference)."""
-    write_csv(path, ["h", "value", "error"],
-              [(h, v, "" if reference is None else abs(v - reference)) for h, v in samples])

@@ -14,7 +14,6 @@ pressure-gradient ansatz) are all verified against finite differences in
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -49,14 +48,6 @@ class LaminarParams:
     def bl(self) -> float:
         """Boundary-layer thickness alpha1/alpha2 (inf in pure-shear test mode)."""
         return self.alpha1 / self.alpha2 if self.alpha2 > 0 else float("inf")
-
-    def to_json(self) -> str:
-        return json.dumps({"alpha1": self.alpha1, "alpha2": self.alpha2, "nu": self.nu})
-
-    @classmethod
-    def from_json(cls, text: str) -> "LaminarParams":
-        obj = json.loads(text)
-        return cls(float(obj["alpha1"]), float(obj["alpha2"]), float(obj["nu"]))
 
 
 def _map_points(point, x, width: int) -> np.ndarray:
@@ -94,7 +85,6 @@ class FieldHandle:
     jacobian: Callable[[np.ndarray], np.ndarray] | None = None
     laplacian: Callable[[np.ndarray], np.ndarray] | None = None
     name: str = ""
-    divergence_free: bool = False
 
     def __call__(self, x):
         if type(x) is tuple:
@@ -104,16 +94,16 @@ class FieldHandle:
 
 @dataclass(frozen=True)
 class ScalarFieldHandle:
-    """An evaluable planar scalar field (pressure), optionally with a gradient.
+    """An evaluable planar scalar field (pressure) with its analytic gradient.
 
     Point form as for :class:`FieldHandle`: ``evaluator`` maps ``(x, y)`` to
-    one float, and ``gradient``, when given, maps ``(x, y)`` to the pair
+    one float, and ``gradient`` maps ``(x, y)`` to the pair
     ``(dp/dx, dp/dy)``.  ``field((x, y))`` returns a float, ``field(points)``
     an array of the points' leading shape.
     """
 
     evaluator: Callable[[float, float], float]
-    gradient: Callable[[float, float], tuple[float, float]] | None = None
+    gradient: Callable[[float, float], tuple[float, float]]
     name: str = ""
 
     def __call__(self, x):
@@ -177,7 +167,6 @@ def laminar_field(arc: ArcBoundary, params: LaminarParams) -> FieldHandle:
         jacobian=jacobian,
         laplacian=laplacian,
         name="laminar",
-        divergence_free=True,
     )
 
 
@@ -249,9 +238,3 @@ def write_csv(path, header, rows) -> None:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows([v if isinstance(v, str) else f"{v:.17g}" for v in row] for row in rows)
-
-
-def export_field_csv(field: FieldHandle, points: np.ndarray, path) -> None:
-    """Sample ``field`` at ``points`` (N, 2) and write CSV columns x,y,u1,u2."""
-    pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    write_csv(path, ["x", "y", "u1", "u2"], np.hstack([pts, field(pts)]).tolist())

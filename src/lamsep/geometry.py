@@ -16,7 +16,6 @@ calls in its loops, and agree with them bit for bit.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -55,26 +54,6 @@ class ArcBoundary:
         s1, s2 = self.s_range
         pad = CHART_PADDING * (s2 - s1)
         return s1 - pad, s2 + pad
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "delta": self.delta,
-                "phase": self.phase,
-                "center": list(self.center),
-                "s_range": list(self.s_range),
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "ArcBoundary":
-        obj = json.loads(text)
-        return cls(
-            delta=float(obj["delta"]),
-            phase=float(obj["phase"]),
-            center=(float(obj["center"][0]), float(obj["center"][1])),
-            s_range=(float(obj["s_range"][0]), float(obj["s_range"][1])),
-        )
 
 
 @dataclass(frozen=True)

@@ -20,18 +20,19 @@ Both pressure solves are direct.  The two flux-form Laplacians depend only on
 the mesh (wall arc, sector angle, outer radius, grid size), not on dt, t_end or
 the flow parameters, and they separate in theta: a cosine (Neumann planes) or
 sine (Dirichlet planes) transform in theta leaves one tridiagonal system in rho
-per theta-mode (Buzbee, Golub & Nielson, SIAM J. Numer. Anal. 7, 1970).  Each
-mesh's transform and Thomas factors are built once and cached; every step then
-costs two (n_s x n_s) matrix products and one batched pair of tridiagonal
-sweeps.  The all-Neumann projection matrix is singular up to a constant, so its
-theta-mode 0 pins cell j = 0 to zero and the solution is shifted to zero mean
-afterwards.  The dropped equation holds automatically because the projection
-right-hand side is made mean-free first.
+per theta-mode (Buzbee, Golub & Nielson, SIAM J. Numer. Anal. 7, 1970).  One
+cached object per mesh (``_grid``) holds the grid arrays and both solvers'
+transforms and Thomas factors, so configs that differ only in dt, t_end or the
+flow parameters share it; every step then costs two (n_s x n_s) matrix
+products and one batched pair of tridiagonal sweeps.  The all-Neumann
+projection matrix is singular up to a constant, so its theta-mode 0 pins cell
+j = 0 to zero and the solution is shifted to zero mean afterwards.  The
+dropped equation holds automatically because the projection right-hand side
+is made mean-free first.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -54,15 +55,10 @@ class SimConfig:
     n_r: int = 32
     dt: float | None = None          # default 0.4 of the stability limit
     t_end: float = 0.05
-    nu_override: float | None = None  # test mode: >= 0 overrides params.nu
 
     @property
     def R_out(self) -> float:
         return 2.0 * self.params.bl if self.r_out is None else self.r_out
-
-    @property
-    def nu(self) -> float:
-        return self.params.nu if self.nu_override is None else self.nu_override
 
     @property
     def effective_dt(self) -> float:
@@ -94,32 +90,6 @@ class SimConfig:
         umax = float(np.max(np.abs(profile_h(self.params, g.rho_c - self.arc.delta))))
         return umax * self.effective_dt / min(self.arc.delta * g.dth, g.drh)
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "arc": json.loads(self.arc.to_json()),
-            "params": json.loads(self.params.to_json()),
-            "sector_angle": self.sector_angle,
-            "r_out": self.r_out,
-            "n_s": self.n_s,
-            "n_r": self.n_r,
-            "dt": self.dt,
-            "t_end": self.t_end,
-        })
-
-    @classmethod
-    def from_json(cls, text: str) -> "SimConfig":
-        obj = json.loads(text)
-        return cls(
-            arc=ArcBoundary.from_json(json.dumps(obj["arc"])),
-            params=LaminarParams.from_json(json.dumps(obj["params"])),
-            sector_angle=float(obj.get("sector_angle", 0.5)),
-            r_out=obj.get("r_out"),
-            n_s=int(obj.get("n_s", 32)),
-            n_r=int(obj.get("n_r", 32)),
-            dt=obj.get("dt"),
-            t_end=float(obj.get("t_end", 0.05)),
-        )
-
 
 def stable_dt(cfg: SimConfig) -> float:
     """0.4 of the explicit advective/viscous stability limit."""
@@ -127,8 +97,7 @@ def stable_dt(cfg: SimConfig) -> float:
     umax = float(np.max(np.abs(profile_h(cfg.params, g.rho_c - cfg.arc.delta))))
     h_min = min(cfg.arc.delta * g.dth, g.drh)
     dt_adv = h_min / umax if umax > 0 else math.inf
-    nu = cfg.nu
-    dt_visc = 0.25 * h_min**2 / nu if nu > 0 else math.inf
+    dt_visc = 0.25 * h_min**2 / cfg.params.nu
     return 0.4 * min(dt_adv, dt_visc)
 
 
@@ -140,47 +109,35 @@ class SimState:
     t: float
     # fixed wall-anchored background pressure driving the momentum update;
     # the projection potential only corrects divergence on top of it
-    p_anchor: np.ndarray | None = None
+    p_anchor: np.ndarray
 
 
 class _Grid:
-    def __init__(self, cfg: SimConfig | _Mesh):
-        self.delta = cfg.arc.delta
-        self.dth = cfg.sector_angle / cfg.n_s
-        self.drh = cfg.R_out / cfg.n_r
-        self.rho_f = self.delta + self.drh * np.arange(cfg.n_r + 1)
-        self.rho_c = self.delta + self.drh * (np.arange(cfg.n_r) + 0.5)
-        self.theta_f = self.dth * np.arange(cfg.n_s + 1)
-        self.theta_c = self.dth * (np.arange(cfg.n_s) + 0.5)
+    """One mesh's arrays and both factored pressure solvers; see ``_grid``."""
+
+    def __init__(self, arc: ArcBoundary, sector_angle: float, R_out: float, n_s: int, n_r: int):
+        self.delta = arc.delta
+        self.dth = sector_angle / n_s
+        self.drh = R_out / n_r
+        self.rho_f = self.delta + self.drh * np.arange(n_r + 1)
+        self.rho_c = self.delta + self.drh * (np.arange(n_r) + 0.5)
+        self.theta_c = self.dth * (np.arange(n_s) + 0.5)
+        self.neumann = _separable(self, dirichlet_theta=False)
+        self.dirichlet_theta = _separable(self, dirichlet_theta=True)
 
 
-class _Mesh(NamedTuple):
-    """The part of a SimConfig that the grid and both Laplacians depend on.
+def _grid(cfg: SimConfig) -> _Grid:
+    """The grid of the config's mesh (arc, sector angle, R_out, n_s, n_r).
 
-    Configs that differ only in dt, t_end or the flow parameters map to the same
-    mesh, so they share one cached grid and one pair of factored Laplacians.  The
-    field names are the SimConfig ones, so a mesh can stand in for its config in
-    ``_Grid``.
+    Configs that differ only in dt, t_end or the flow parameters share one
+    cached grid, and so one pair of factored Laplacians.
     """
-
-    arc: ArcBoundary
-    sector_angle: float
-    R_out: float
-    n_s: int
-    n_r: int
-
-
-def _mesh(cfg: SimConfig | _Mesh) -> _Mesh:
-    return _Mesh(cfg.arc, cfg.sector_angle, cfg.R_out, cfg.n_s, cfg.n_r)
-
-
-def _grid(cfg: SimConfig | _Mesh) -> _Grid:
-    return _grid_of(_mesh(cfg))
+    return _mesh_grid(cfg.arc, cfg.sector_angle, cfg.R_out, cfg.n_s, cfg.n_r)
 
 
 @lru_cache(maxsize=16)
-def _grid_of(mesh: _Mesh) -> _Grid:
-    return _Grid(mesh)
+def _mesh_grid(arc: ArcBoundary, sector_angle: float, R_out: float, n_s: int, n_r: int) -> _Grid:
+    return _Grid(arc, sector_angle, R_out, n_s, n_r)
 
 
 # ----------------------------------------------------------------------------
@@ -196,7 +153,7 @@ def _us_with_radial_ghosts(cfg: SimConfig, us: np.ndarray) -> np.ndarray:
     return np.concatenate([ghost_wall[:, None], us, ghost_out[:, None]], axis=1)
 
 
-def _ur_with_theta_ghosts(cfg: SimConfig, ur: np.ndarray) -> np.ndarray:
+def _ur_with_theta_ghosts(ur: np.ndarray) -> np.ndarray:
     """Prepend the inflow ghost (u_r = 0 on the plane), append outflow zero-gradient."""
     ghost_in = -2.0 * ur[0, :] + ur[1, :] / 3.0
     ghost_out = ur[-1, :]
@@ -242,7 +199,7 @@ def _tangential_rhs(cfg: SimConfig, us: np.ndarray, ur: np.ndarray):
 def _radial_rhs(cfg: SimConfig, us: np.ndarray, ur: np.ndarray):
     """(-advection, viscous) radial terms at interior rho-faces j=1..n_r-1."""
     g = _grid(cfg)
-    urg = _ur_with_theta_ghosts(cfg, ur)             # (n_s+2, n_r+1)
+    urg = _ur_with_theta_ghosts(ur)                  # (n_s+2, n_r+1)
     rf = g.rho_f[None, 1:-1]
     ur_i = ur[:, 1:-1]
 
@@ -309,26 +266,7 @@ class _SeparablePoisson(NamedTuple):
         return self.basis @ y.T
 
 
-@lru_cache(maxsize=16)
-def _poisson_neumann(mesh: _Mesh) -> _SeparablePoisson:
-    """The all-Neumann projection Laplacian, gauge phi[mode 0, j = 0] = 0.
-
-    The all-Neumann matrix is singular (constants span its null space), and so
-    is its theta-mode 0.  That mode's row and column j = 0 become the identity
-    with a zero right-hand side (a zero reciprocal pivot), which leaves a
-    nonsingular system.  The dropped row is implied by the others whenever the
-    right-hand side has zero mean, which the caller enforces.
-    """
-    return _separable(mesh, dirichlet_theta=False)
-
-
-@lru_cache(maxsize=16)
-def _poisson_dirichlet_theta(mesh: _Mesh) -> _SeparablePoisson:
-    """The Laplacian with Dirichlet theta-planes and Neumann radial walls."""
-    return _separable(mesh, dirichlet_theta=True)
-
-
-def _separable(mesh: _Mesh, dirichlet_theta: bool) -> _SeparablePoisson:
+def _separable(g: _Grid, dirichlet_theta: bool) -> _SeparablePoisson:
     """Factor the flux-form (negative) Laplacian A = I_theta (x) R + T_theta (x) diag(c_th).
 
     Neither the theta-face coefficient c_th nor the rho-face one c_r depends on
@@ -338,9 +276,15 @@ def _separable(mesh: _Mesh, dirichlet_theta: bool) -> _SeparablePoisson:
     from the center).  T_theta's eigenvectors are the DCT-II (Neumann) or
     DST-II (Dirichlet) vectors with eigenvalues 4 sin^2(pi m / (2 n_s)); the
     closed forms make the Neumann mode 0 exactly 0.
+
+    The all-Neumann matrix is singular (constants span its null space), and so
+    is its theta-mode 0.  That mode's row and column j = 0 become the identity
+    with a zero right-hand side (a zero reciprocal pivot): the gauge
+    phi[mode 0, j = 0] = 0, which leaves a nonsingular system.  The dropped row
+    is implied by the others whenever the right-hand side has zero mean, which
+    ``_solve_neumann`` requires.
     """
-    g = _grid(mesh)
-    n_s, n_r = mesh.n_s, mesh.n_r
+    n_s, n_r = g.theta_c.size, g.rho_c.size
     c_r = g.rho_f[1:-1] * g.dth / g.drh
     c_th = g.drh / (g.rho_c * g.dth)
 
@@ -369,7 +313,7 @@ def _separable(mesh: _Mesh, dirichlet_theta: bool) -> _SeparablePoisson:
 
 def _solve_neumann(cfg: SimConfig, b: np.ndarray) -> np.ndarray:
     """Zero-mean phi with A phi = -b for the all-Neumann A; b must have zero mean."""
-    phi = _poisson_neumann(_mesh(cfg)).solve(-b)
+    phi = _grid(cfg).neumann.solve(-b)
     phi -= phi.mean()
     return phi
 
@@ -415,7 +359,7 @@ def _centripetal_head(cfg: SimConfig, rho) -> np.ndarray:
     return delta**2 * (a1 * a1 * i2 - a1 * a2 * delta * i3 + 0.25 * (a2 * delta) ** 2 * i4)
 
 
-def initial_pressure(cfg: SimConfig, us: np.ndarray, ur: np.ndarray) -> np.ndarray:
+def initial_pressure(cfg: SimConfig, us: np.ndarray) -> np.ndarray:
     """Diagnostic t = 0 pressure on the sector.
 
     Radial walls carry the momentum-consistent Neumann data (centripetal at
@@ -425,8 +369,7 @@ def initial_pressure(cfg: SimConfig, us: np.ndarray, ur: np.ndarray) -> np.ndarr
     """
     g = _grid(cfg)
     n_s, n_r = cfg.n_s, cfg.n_r
-    nu = cfg.nu
-    kwall = nu * (cfg.params.alpha1 / g.delta - cfg.params.alpha2)
+    kwall = cfg.params.nu * (cfg.params.alpha1 / g.delta - cfg.params.alpha2)
 
     # radial momentum data of the circular initial state (u_r = 0, theta-uniform,
     # so only the centripetal term survives on the radial faces)
@@ -453,7 +396,7 @@ def initial_pressure(cfg: SimConfig, us: np.ndarray, ur: np.ndarray) -> np.ndarr
     b[0, :] += 2.0 * c_th * p_in
     b[-1, :] += 2.0 * c_th * p_out
 
-    return _poisson_dirichlet_theta(_mesh(cfg)).solve(b)
+    return g.dirichlet_theta.solve(b)
 
 
 def init_sim(cfg: SimConfig) -> SimState:
@@ -462,7 +405,7 @@ def init_sim(cfg: SimConfig) -> SimState:
     g = _grid(cfg)
     us = np.tile(profile_h(cfg.params, g.rho_c - g.delta), (cfg.n_s + 1, 1))
     ur = np.zeros((cfg.n_s, cfg.n_r + 1))
-    p = initial_pressure(cfg, us, ur)
+    p = initial_pressure(cfg, us)
     return SimState(us=us, ur=ur, p=p, t=0.0, p_anchor=p)
 
 
@@ -471,17 +414,15 @@ def step(state: SimState, cfg: SimConfig) -> SimState:
     background pressure, then a projection for incompressibility."""
     g = _grid(cfg)
     dt = cfg.effective_dt
-    nu = cfg.nu
-    us, ur = state.us, state.ur
+    nu = cfg.params.nu
+    us, ur, pa = state.us, state.ur, state.p_anchor
 
     neg_adv_t, visc_t = _tangential_rhs(cfg, us, ur)
     neg_adv_r, visc_r = _radial_rhs(cfg, us, ur)
 
     us_star = us.copy()
     us_star[1:-1, :] += dt * (neg_adv_t + nu * visc_t)
-    if state.p_anchor is not None:
-        pa = state.p_anchor
-        us_star[1:-1, :] -= dt * (pa[1:, :] - pa[:-1, :]) / (g.rho_c[None, :] * g.dth)
+    us_star[1:-1, :] -= dt * (pa[1:, :] - pa[:-1, :]) / (g.rho_c[None, :] * g.dth)
     # the inflow face (us[0]) is never updated: it keeps its initial profile;
     # the outflow face is advected out
     c_out = np.maximum(us[-1, :], 0.0)
@@ -489,9 +430,7 @@ def step(state: SimState, cfg: SimConfig) -> SimState:
 
     ur_star = ur.copy()
     ur_star[:, 1:-1] += dt * (neg_adv_r + nu * visc_r)
-    if state.p_anchor is not None:
-        pa = state.p_anchor
-        ur_star[:, 1:-1] -= dt * (pa[:, 1:] - pa[:, :-1]) / g.drh
+    ur_star[:, 1:-1] -= dt * (pa[:, 1:] - pa[:, :-1]) / g.drh
     ur_star[:, 0] = 0.0
     ur_star[:, -1] = 0.0
 
@@ -514,9 +453,7 @@ def step(state: SimState, cfg: SimConfig) -> SimState:
     umax0 = float(np.max(np.abs(profile_h(cfg.params, g.rho_c - g.delta))))
     if float(np.max(np.abs(us_new))) > 10.0 * max(umax0, 1e-30):
         raise Diverged(f"max tangential velocity exceeded 10x the initial maximum at t={state.t}")
-    p_total = phi if state.p_anchor is None else state.p_anchor + phi
-    return SimState(us=us_new, ur=ur_new, p=p_total, t=state.t + dt,
-                    p_anchor=state.p_anchor)
+    return SimState(us=us_new, ur=ur_new, p=pa + phi, t=state.t + dt, p_anchor=pa)
 
 
 # ----------------------------------------------------------------------------
@@ -545,7 +482,7 @@ def probe_diagnostics(state: SimState, cfg: SimConfig, r_probe_list) -> list[Pro
     """Discrete tangential budget at mid-sector: viscous term, pressure gradient,
     and their material-derivative ratio against the local speed."""
     g = _grid(cfg)
-    nu = cfg.nu
+    nu = cfg.params.nu
     i_mid = cfg.n_s // 2
     _, visc_t = _tangential_rhs(cfg, state.us, state.ur)
     kwall = nu * (cfg.params.alpha1 / g.delta - cfg.params.alpha2)
@@ -585,7 +522,7 @@ class ExperimentReport:
     u_t: np.ndarray                  # (n_times, n_probes)
     kinetic_energy: np.ndarray
     first_reversal: list             # per probe: time or None
-    final_state: SimState | None = None
+    final_state: SimState
 
     CSV_HEADER = ("t", "probe_r", "u_t", "ratio")
 
@@ -595,9 +532,6 @@ class ExperimentReport:
         for k, t in enumerate(self.times):
             for col, r in enumerate(self.probe_r):
                 yield t, r, self.u_t[k, col], t0_ratio.get(r, float("nan"))
-
-    def to_csv(self, path) -> None:
-        write_csv(path, self.CSV_HEADER, self.rows())
 
 
 def run_experiment(cfg: SimConfig, r_probe_list=None) -> ExperimentReport:

@@ -102,14 +102,14 @@ def theorem1_verify(
     r_grid=None,
     use_tracing: bool = False,
     arc: ArcBoundary | None = None,
-    crosscheck_radii=None,
 ) -> Theorem1Report:
     """Evaluate the stationary contradiction on a grid of wall distances.
 
-    With use_tracing, also reproduce |grad p| by the level-set route (the
-    traced eta ratio times the wall-anchored magnitude) and compare it with the
-    ansatz magnitude sqrt(P^2 + Pperp^2); the two disagree by the factor
-    lhs/rhs, which is the contradiction seen geometrically.
+    With use_tracing, also reproduce |grad p| at the grid's first radius
+    r_grid[0] by the level-set route (the traced eta ratio times the
+    wall-anchored magnitude) and compare it with the ansatz magnitude
+    sqrt(P^2 + Pperp^2); the two disagree by the factor lhs/rhs, which is the
+    contradiction seen geometrically.
     """
     _require_theorem_params(params)
     if r_grid is None:
@@ -124,21 +124,19 @@ def theorem1_verify(
         if arc is None:
             arc = ArcBoundary(delta=delta, phase=0.0, center=(0.0, 0.0),
                               s_range=(0.0, 0.5 * delta))
-        if crosscheck_radii is None:
-            crosscheck_radii = [float(r_grid[0])]
         cfg = tracing.default_trace_config(arc, params)
         from .field import stationary_gradp_field
 
         gradp = stationary_gradp_field(arc, params)
         s_mid = 0.3 * (arc.s_range[0] + arc.s_range[1])
         eps_list = [4e-3 * delta, 2e-3 * delta, 1e-3 * delta]
-        for r in crosscheck_radii:
-            ratio = tracing.eta_ratio(gradp, arc, s_mid, float(r), eps_list, cfg)
-            p_t, p_n = stationary_gradp_ansatz(params, delta, float(r))
-            ansatz_mag = float(np.hypot(p_t, p_n))
-            wall_mag = params.nu * abs(params.alpha1 / delta - params.alpha2)
-            traced_mag = wall_mag * (delta / (delta + float(r))) / ratio.value
-            crosscheck.append((float(r), traced_mag, ansatz_mag, traced_mag / ansatz_mag))
+        r = float(r_grid[0])
+        ratio = tracing.eta_ratio(gradp, arc, s_mid, r, eps_list, cfg)
+        p_t, p_n = stationary_gradp_ansatz(params, delta, r)
+        ansatz_mag = float(np.hypot(p_t, p_n))
+        wall_mag = params.nu * abs(params.alpha1 / delta - params.alpha2)
+        traced_mag = wall_mag * (delta / (delta + r)) / ratio.value
+        crosscheck.append((r, traced_mag, ansatz_mag, traced_mag / ansatz_mag))
 
     return Theorem1Report(
         r_grid=r_grid,

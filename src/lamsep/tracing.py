@@ -36,7 +36,7 @@ from .errors import (
     WallGradientMismatch,
 )
 from .fdops import ExtrapolationResult, richardson
-from .field import FieldHandle, LaminarParams, ScalarFieldHandle, write_csv
+from .field import FieldHandle, LaminarParams, ScalarFieldHandle
 from .geometry import (
     ArcBoundary,
     arc_normal,
@@ -83,9 +83,6 @@ class Polyline:
         """CSV rows (index, x, y, cumlen), one per point."""
         return [(i, x, y, c) for i, ((x, y), c) in
                 enumerate(zip(self.points.tolist(), self.cumulative_length.tolist()))]
-
-    def to_csv(self, path) -> None:
-        write_csv(path, self.CSV_HEADER, self.rows())
 
 
 @dataclass(frozen=True)
@@ -541,13 +538,16 @@ def angular_pressure(arc: ArcBoundary, params: LaminarParams) -> ScalarFieldHand
 def perturbed_angular_pressure(
     arc: ArcBoundary, params: LaminarParams, amp: float
 ) -> ScalarFieldHandle:
-    """Angular pressure plus the radial perturbation amp*(dist - delta)**2.
+    """Angular pressure plus the radial perturbation amp*k*(dist - delta)**2/delta.
 
-    The perturbation vanishes to first order at the wall, so the wall gradient
-    still equals nu*(a1/delta - a2)*e1.
+    k = nu*(a1/delta - a2) is the wall gradient.  The perturbation vanishes to
+    first order at the wall, so the wall gradient still equals k*e1.  Scaled
+    by k/delta, it tilts the level curves by an angle that depends on the
+    dimensionless ``amp`` and on (dist - delta)/delta only, however small k is.
     """
     k = params.nu * (params.alpha1 / arc.delta - params.alpha2)
     delta = arc.delta
+    scale = amp * k / delta
     s_mid = 0.5 * (arc.s_range[0] + arc.s_range[1])
     period = 2.0 * math.pi * delta
 
@@ -556,12 +556,12 @@ def perturbed_angular_pressure(
         # the station s of (x, y), unwrapped next to the sector
         s_raw = float(np.arctan2(rx, ry)) * delta - arc.phase
         station = s_raw - period * round((s_raw - s_mid) / period)
-        return k * station + amp * (d - delta) ** 2
+        return k * station + scale * (d - delta) ** 2
 
     def gradient(x: float, y: float) -> tuple[float, float]:
         rx, ry, d = center_offset(arc.center, x, y)
         n0, n1 = rx / d, ry / d
-        g_t, g_n = k * delta / d, 2.0 * amp * (d - delta)
+        g_t, g_n = k * delta / d, 2.0 * scale * (d - delta)
         # g_t along the clockwise tangent (n1, -n0), g_n along the normal
         return g_t * n1 + g_n * n0, g_t * -n0 + g_n * n1
 
@@ -588,17 +588,8 @@ def wall_incompatible_pressure(
     return ScalarFieldHandle(evaluator=evaluate, gradient=gradient, name="wall-incompatible")
 
 
-def _gradient_handle(p_field: ScalarFieldHandle, fd_step: float) -> FieldHandle:
-    if p_field.gradient is not None:
-        return FieldHandle(evaluator=p_field.gradient, name=p_field.name + "-grad")
-
-    def fd_grad(x: float, y: float) -> tuple[float, float]:
-        h = fd_step
-        gx = (p_field((x + h, y)) - p_field((x - h, y))) / (2 * h)
-        gy = (p_field((x, y + h)) - p_field((x, y - h))) / (2 * h)
-        return gx, gy
-
-    return FieldHandle(evaluator=fd_grad, name=p_field.name + "-fdgrad")
+def _gradient_handle(p_field: ScalarFieldHandle) -> FieldHandle:
+    return FieldHandle(evaluator=p_field.gradient, name=p_field.name + "-grad")
 
 
 @dataclass(frozen=True)
@@ -719,7 +710,6 @@ def zeta_check(
     r_list,
     eps_over_r: float,
     cfg: TraceConfig | None = None,
-    fd_step: float | None = None,
 ) -> ZetaReport:
     """Verify the level-set construction and its length bounds on a pressure field.
 
@@ -738,7 +728,7 @@ def zeta_check(
         raise DomainError("zeta machinery needs a nonzero wall gradient nu*(a1/delta - a2)")
     if cfg is None:
         cfg = default_trace_config(arc, params)
-    gradp = _gradient_handle(p_field, fd_step if fd_step is not None else 1e-5 * delta)
+    gradp = _gradient_handle(p_field)
 
     # wall-compatibility gate
     lo, hi = arc.s_range

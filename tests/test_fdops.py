@@ -157,12 +157,3 @@ def test_fd_never_touches_analytic_paths():
     fd_laplacian(field, [0.3, 0.4], StencilSpec(h=1e-3))
     fd_advection(field, [0.3, 0.4], StencilSpec(h=1e-3))
 
-
-def test_dump_samples_csv(tmp_path):
-    from lamsep.fdops import dump_samples_csv
-
-    path = tmp_path / "samples.csv"
-    dump_samples_csv([(0.1, 1.01), (0.05, 1.0025)], path, reference=1.0)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "h,value,error"
-    assert len(lines) == 3

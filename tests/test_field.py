@@ -9,7 +9,6 @@ from lamsep.field import (
     LaminarParams,
     advection,
     analytic_laplacian,
-    export_field_csv,
     laminar_field,
     profile_h,
     profile_h_prime,
@@ -51,11 +50,6 @@ def test_params_validation_and_bl():
         LaminarParams(1.0, 1.0, 0.0)
     assert LaminarParams(2.0, 4.0, 1.0).bl == pytest.approx(0.5)
     assert LaminarParams(1.0, 0.0, 1.0).bl == np.inf  # pure-shear test mode
-
-
-def test_params_json_round_trip():
-    p = LaminarParams(1.5, 2.5, 0.25)
-    assert LaminarParams.from_json(p.to_json()) == p
 
 
 def test_laminar_local_components_at_s0():
@@ -194,16 +188,6 @@ def test_gradp_field_components():
     p_t, p_n = stationary_gradp_ansatz(PARAMS, ARC.delta, r)
     assert np.dot(g, arc_tangent(ARC, s)) == pytest.approx(p_t, rel=1e-12)
     assert np.dot(g, arc_normal(ARC, s)) == pytest.approx(p_n, rel=1e-12)
-
-
-def test_export_field_csv(tmp_path):
-    field = laminar_field(ARC, PARAMS)
-    pts = np.array([to_cartesian(ARC, (0.1, r)) for r in (0.1, 0.2)])
-    path = tmp_path / "field.csv"
-    export_field_csv(field, pts, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "x,y,u1,u2"
-    assert len(lines) == 3
 
 
 def test_write_csv_round_trips_floats_and_passes_strings(tmp_path):

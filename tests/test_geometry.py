@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -175,14 +173,6 @@ def test_arc_validation():
         ArcBoundary(delta=-1.0, phase=0.0, center=(0.0, 0.0), s_range=(0.0, 1.0))
     with pytest.raises(ValueError):
         ArcBoundary(delta=1.0, phase=0.0, center=(0.0, 0.0), s_range=(1.0, 0.0))
-
-
-def test_json_round_trip():
-    text = ARC.to_json()
-    arc2 = ArcBoundary.from_json(text)
-    assert arc2 == ARC
-    obj = json.loads(text)
-    assert set(obj) == {"delta", "phase", "center", "s_range"}
 
 
 def test_float_twins_match_array_maps_bit_for_bit():

@@ -77,8 +77,9 @@ def test_verify_report_positive_and_equal_case():
 
 def test_verify_tracing_crosscheck():
     params = LaminarParams(alpha1=2.0, alpha2=1.0, nu=1.0)
-    report = theorem1_verify(params, 1.0, use_tracing=True, crosscheck_radii=[0.1])
-    (r, traced, ansatz, factor) = report.geometric_crosscheck[0]
+    report = theorem1_verify(params, 1.0, use_tracing=True)
+    (r, traced, ansatz, factor), = report.geometric_crosscheck
+    assert r == report.r_grid[0] == 0.1
     lhs, rhs, _ = theorem1_mismatch(params, 1.0, r)
     # the level-set route and the ansatz magnitude disagree by exactly lhs/rhs
     assert factor == pytest.approx(lhs / rhs, rel=1e-3)

@@ -8,7 +8,7 @@ from lamsep import tracing
 from lamsep.cli import main
 from lamsep.errors import DomainError, NonMonotoneSequence, WallGradientMismatch
 from lamsep.field import LaminarParams
-from lamsep.geometry import ArcBoundary, arc_point, arc_tangent
+from lamsep.geometry import ArcBoundary, arc_point, arc_tangent, to_cartesian
 from lamsep.tracing import (
     BoundTolerances,
     angular_pressure,
@@ -22,6 +22,9 @@ ARC = ArcBoundary(delta=1.0, phase=0.0, center=(0.0, 0.0), s_range=(0.0, 0.5))
 PARAMS = LaminarParams(alpha1=2.0, alpha2=1.0, nu=1.0)  # wall gradient K = 1
 CFG = default_trace_config(ARC, PARAMS)
 R_LIST = [0.08, 0.04, 0.02]
+# delta != 1 and a wall gradient k = nu*(a1/delta - a2) = 0.390... != 1
+SKEW_ARC = ArcBoundary(delta=1.7, phase=0.2, center=(0.5, -0.7), s_range=(0.0, 0.6))
+SKEW_PARAMS = LaminarParams(alpha1=2.7, alpha2=1.1, nu=0.8)
 
 
 def test_bound_tolerances_validation():
@@ -118,14 +121,27 @@ def test_zeta_foot_data_independent_of_s():
     assert max(heights) - min(heights) <= 1e-6
 
 
-def test_zeta_fd_gradient_fallback():
-    from lamsep.field import ScalarFieldHandle
-
-    analytic = angular_pressure(ARC, PARAMS)
-    no_grad = ScalarFieldHandle(evaluator=analytic.evaluator, gradient=None, name="fd-only")
-    report = zeta_check(no_grad, ARC, PARAMS, s=0.1, r_list=[0.04],
-                        eps_over_r=2.0, cfg=CFG, fd_step=1e-6)
-    assert report.ratio.value == pytest.approx(1.0, abs=1e-3)
+@pytest.mark.parametrize("p_field", [
+    angular_pressure(SKEW_ARC, SKEW_PARAMS),
+    perturbed_angular_pressure(SKEW_ARC, SKEW_PARAMS, amp=0.3),
+    perturbed_angular_pressure(SKEW_ARC, SKEW_PARAMS, amp=-0.3),
+    wall_incompatible_pressure(SKEW_ARC, SKEW_PARAMS, slope=0.2),
+], ids=lambda p: p.name)
+def test_pressure_gradient_matches_central_differences(p_field):
+    # zeta_check traces on the analytic gradient alone, so it must be the
+    # gradient of the evaluator; here delta = 1.7 and k = 0.39, so a missing
+    # factor k or 1/delta shows
+    rng = np.random.default_rng(11)
+    s = rng.uniform(0.05, 0.55, 20)
+    r = rng.uniform(0.01, 0.8, 20)
+    h = 1e-5
+    for x, y in to_cartesian(SKEW_ARC, (s, r)).tolist():
+        fd = np.array([
+            (p_field((x + h, y)) - p_field((x - h, y))) / (2 * h),
+            (p_field((x, y + h)) - p_field((x, y - h))) / (2 * h),
+        ])
+        g = np.array(p_field.gradient(x, y))
+        assert np.linalg.norm(fd - g) <= 1e-7 * np.linalg.norm(g), (x, y)
 
 
 def test_zeta_check_accepts_ratios_equal_to_tracer_accuracy(tmp_path):
@@ -140,6 +156,29 @@ def test_zeta_check_accepts_ratios_equal_to_tracer_accuracy(tmp_path):
     payload = json.loads((tmp_path / "out" / "report.json").read_text())["payload"]
     assert payload["bounds_hold"] is True
     assert abs(payload["ratio_limit"] - 1.0) <= 2e-11
+
+
+@pytest.mark.parametrize("seed, amp, config", [
+    (9, 0.3, {"alpha1": 3.5645163940544538, "alpha2": 1.4929019846247842,
+              "nu": 0.9175585393740624, "delta": 2.3339542099073345}),
+    (19, 0.3, {"alpha1": 2.033721890904818, "alpha2": 0.9629433455566547,
+               "nu": 0.5875866004275692, "delta": 1.1482172721699286}),
+    (46, 0.3, {"alpha1": 4.824731962805635, "alpha2": 1.8717031871807674,
+               "nu": 0.5652481930872675, "delta": 2.561940861738463}),
+    (53, 0.3, {"alpha1": 3.2763428421453904, "alpha2": 1.5665190509488902,
+               "nu": 1.0382583650830317, "delta": 2.0988956910406817}),
+    (39, -0.5, {"alpha1": 3.0338365705452612, "alpha2": 1.1275199201523503,
+                "nu": 0.8458156607586738, "delta": 2.8473661031973565}),
+])
+def test_zeta_check_perturbed_amp_is_relative_to_wall_gradient(tmp_path, seed, amp, config):
+    # zeta-check draws of cli-analysis seeds with a1/delta close to a2: with
+    # amp*(d - delta)**2 unscaled by the small wall gradient k, the level curves
+    # tilted nearly flat and the check refused these valid inputs
+    path = tmp_path / "zeta.json"
+    path.write_text(json.dumps({**config, "pressure": "perturbed", "amp": amp}))
+    assert main(["zeta-check", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    payload = json.loads((tmp_path / "out" / "report.json").read_text())["payload"]
+    assert payload["bounds_hold"] is True
 
 
 def test_zeta_check_still_refuses_non_monotone_ratios(monkeypatch):
