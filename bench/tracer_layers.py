@@ -113,7 +113,7 @@ def _measure() -> dict:
     r_list = [0.08 * scale, 0.04 * scale, 0.02 * scale]
     out["zeta_check_s"], report = _timed(
         lambda: tracing.zeta_check(p_field, arc, params, s0, r_list, 2.0))
-    digests["zeta_check"] = _digest([(sm.s_hat, sm.r_hat2, sm.traced_length, sm.pw_sums)
+    digests["zeta_check"] = _digest([(sm.s_hat, sm.r_hat2, sm.traced_length)
                                      for sm in report.samples])
     out["digests"] = digests
     return out

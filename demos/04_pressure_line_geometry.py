@@ -22,7 +22,11 @@ from lamsep import (
     stationary_gradp_field,
     zeta_check,
 )
-from lamsep.tracing import angular_pressure, perturbed_angular_pressure
+from lamsep.tracing import (
+    angular_pressure,
+    perturbed_angular_pressure,
+    piecewise_linear_length,
+)
 
 arc = ArcBoundary(delta=1.0, phase=0.0, center=(0.0, 0.0), s_range=(0.0, 0.5))
 
@@ -41,14 +45,13 @@ print(f"extrapolation error estimate {res.error_estimate:.1e}, order {res.observ
 print()
 print("== zeta machinery on wall-compatible pressure fields ==")
 params2 = LaminarParams(alpha1=2.0, alpha2=1.0, nu=1.0)  # nonzero wall gradient
-cfg2 = default_trace_config(arc, params2)
 
 plain = zeta_check(angular_pressure(arc, params2), arc, params2,
-                   s=0.1, r_list=[0.04, 0.02, 0.01], eps_over_r=2.0, cfg=cfg2)
+                   s=0.1, r_list=[0.04, 0.02, 0.01], eps_over_r=2.0)
 print(f"angular pressure (circular pressure lines): ratio limit = {plain.ratio.value:.9f}")
 
-pert = zeta_check(perturbed_angular_pressure(arc, params2, amp=0.3), arc, params2,
-                  s=0.1, r_list=[0.08, 0.04, 0.02], eps_over_r=2.0, cfg=cfg2)
+p_pert = perturbed_angular_pressure(arc, params2, amp=0.3)
+pert = zeta_check(p_pert, arc, params2, s=0.1, r_list=[0.08, 0.04, 0.02], eps_over_r=2.0)
 print(f"perturbed pressure: fitted c = {pert.fitted.c:.4f}, "
       f"eps_hat = {pert.fitted.epsilon_hat:.4f}, bounds hold: {pert.bounds_hold}")
 print(" r      |zeta| traced      lower bound       upper bound")
@@ -58,5 +61,6 @@ for sm in pert.samples:
 sm = pert.samples[0]
 print()
 print("piecewise-linear reconstruction converges to the traced length (order 1):")
-for n, val in sm.pw_sums.items():
+for n in (32, 64, 128, 256):
+    val = piecewise_linear_length(p_pert, arc, sm, n)
     print(f"  N={n:4d}: sum = {val:.10f}   error = {abs(val - sm.traced_length):.2e}")

@@ -21,6 +21,7 @@ from lamsep import (
     theorem2_ratio,
 )
 from lamsep.field import write_csv
+from lamsep.nssim import kinetic_energy
 
 params = LaminarParams(alpha1=1.0, alpha2=1.0, nu=1.0)
 
@@ -44,7 +45,8 @@ rep = run_experiment(cfg)
 print("probe heights:", [f"{r:.4f}" for r in rep.probe_r])
 print(f"t = {rep.times[0]:.3f}: u_t = {np.round(rep.u_t[0], 6)}")
 print(f"t = {rep.times[-1]:.3f}: u_t = {np.round(rep.u_t[-1], 6)}")
-print("kinetic energy:", f"{rep.kinetic_energy[0]:.6f} -> {rep.kinetic_energy[-1]:.6f}")
+energy = [kinetic_energy(state, cfg) for state in (init_sim(cfg), rep.final_state)]
+print("kinetic energy:", f"{energy[0]:.6f} -> {energy[1]:.6f}")
 print("first reversal per probe:", rep.first_reversal,
       " (no reversal under the pinned-flux sector conditions)")
 

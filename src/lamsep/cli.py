@@ -277,8 +277,7 @@ def _cmd_theorem1(cfg: RunConfig):
     report = theorems.theorem1_verify(
         cfg.params, cfg.arc.delta,
         r_grid=_option_list(cfg, "r_grid", None),
-        use_tracing=bool(use_tracing),
-        arc=cfg.arc,
+        arc=cfg.arc if use_tracing else None,
     )
     rows = list(zip(report.r_grid, report.lhs, report.rhs, report.mismatch))
     notes = {"pperp_variant_supported_by_fd": _fd_variant_note(cfg)}
@@ -460,13 +459,11 @@ _HANDLERS = {
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="lamsep", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for cmd in COMMANDS:
-        p = sub.add_parser(cmd)
-        p.add_argument("--config", default=None)
-        p.add_argument("--out", default=None)
-        for key in ("alpha1", "alpha2", "nu", "delta"):
-            p.add_argument(f"--{key}", type=float, default=None)
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("--config", default=None)
+    parser.add_argument("--out", default=None)
+    for key in ("alpha1", "alpha2", "nu", "delta"):
+        parser.add_argument(f"--{key}", type=float, default=None)
     return parser
 
 

@@ -1,8 +1,9 @@
 """Finite-difference oracles and Richardson extrapolation.
 
 These routines only ever evaluate the field itself — an array call of the
-handle, which maps its point evaluator over the stencil — never the analytic
-derivative closures, so they stay independent of the formulas they verify.
+handle, which maps its point evaluator over the stencil — so they stay
+independent of the closed-form derivatives they verify (``analytic_laplacian``
+and ``advection`` in :mod:`lamsep.field`).
 """
 
 from __future__ import annotations

@@ -65,7 +65,7 @@ def _map_points(point, x, width: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FieldHandle:
-    """An evaluable planar vector field, optionally with analytic derivatives.
+    """An evaluable planar vector field.
 
     ``evaluator`` is the field's one formula, in point form: it maps the
     coordinates of one point, as Python floats, to the two components of the
@@ -77,13 +77,12 @@ class FieldHandle:
     - ``field(points)``, with any other array-like of shape (..., 2), maps the
       evaluator over the points and returns an array of the same shape.
 
-    ``jacobian`` and ``laplacian``, when given, take and return arrays and
-    must match the finite-difference oracles of :mod:`lamsep.fdops`.
+    Derivatives of a field come from the finite-difference oracles of
+    :mod:`lamsep.fdops`; the laminar field's closed forms are functions of the
+    wall distance (``analytic_laplacian``, ``advection``).
     """
 
     evaluator: Callable[[float, float], tuple[float, float]]
-    jacobian: Callable[[np.ndarray], np.ndarray] | None = None
-    laplacian: Callable[[np.ndarray], np.ndarray] | None = None
     name: str = ""
 
     def __call__(self, x):
@@ -122,11 +121,6 @@ def profile_h_prime(params: LaminarParams, r):
     return params.alpha1 - params.alpha2 * r
 
 
-def _clockwise_tangent(rel: np.ndarray) -> np.ndarray:
-    # rotate the outward radial direction by -90 degrees: (x, y) -> (y, -x)
-    return np.stack([rel[..., 1], -rel[..., 0]], axis=-1)
-
-
 def laminar_field(arc: ArcBoundary, params: LaminarParams) -> FieldHandle:
     """Velocity field with speed h(dist - delta) along clockwise circles.
 
@@ -135,7 +129,6 @@ def laminar_field(arc: ArcBoundary, params: LaminarParams) -> FieldHandle:
     with rho = sqrt((delta + r)**2 + s**2); on the wall the field vanishes and
     |u(Phi(s, r))| = h(r).
     """
-    center = arc.center_array
     delta = arc.delta
 
     def evaluate(x: float, y: float) -> tuple[float, float]:
@@ -143,37 +136,13 @@ def laminar_field(arc: ArcBoundary, params: LaminarParams) -> FieldHandle:
         g = profile_h(params, d - delta) / d
         return g * ry, g * -rx
 
-    def jacobian(x: np.ndarray) -> np.ndarray:
-        rel = np.asarray(x, dtype=float) - center
-        d = np.linalg.norm(rel, axis=-1)
-        h = profile_h(params, d - delta)
-        hp = profile_h_prime(params, d - delta)
-        g = h / d
-        gp = (hp * d - h) / (d * d)
-        tang = _clockwise_tangent(rel)
-        jac = gp[..., None, None] * tang[..., :, None] * (rel / d[..., None])[..., None, :]
-        rot = np.array([[0.0, 1.0], [-1.0, 0.0]])
-        return jac + g[..., None, None] * rot
-
-    def laplacian(x: np.ndarray) -> np.ndarray:
-        rel = np.asarray(x, dtype=float) - center
-        d = np.linalg.norm(rel, axis=-1)
-        r = d - delta
-        mag = -params.alpha2 + profile_h_prime(params, r) / d - profile_h(params, r) / d**2
-        return mag[..., None] * _clockwise_tangent(rel) / d[..., None]
-
-    return FieldHandle(
-        evaluator=evaluate,
-        jacobian=jacobian,
-        laplacian=laplacian,
-        name="laminar",
-    )
+    return FieldHandle(evaluator=evaluate, name="laminar")
 
 
 def _laplacian_tangential(params: LaminarParams, delta: float, r):
     return (
         -params.alpha2
-        + (params.alpha1 - params.alpha2 * r) / (r + delta)
+        + profile_h_prime(params, r) / (r + delta)
         - profile_h(params, r) / (r + delta) ** 2
     )
 

@@ -87,14 +87,18 @@ class SimConfig:
 
     def cfl(self) -> float:
         g = _grid(self)
-        umax = float(np.max(np.abs(profile_h(self.params, g.rho_c - self.arc.delta))))
-        return umax * self.effective_dt / min(self.arc.delta * g.dth, g.drh)
+        return _top_speed(self) * self.effective_dt / min(self.arc.delta * g.dth, g.drh)
+
+
+def _top_speed(cfg: SimConfig) -> float:
+    """max |h(rho_c - delta)| over the cell centres: the initial profile's top speed."""
+    return float(np.max(np.abs(profile_h(cfg.params, _grid(cfg).rho_c - cfg.arc.delta))))
 
 
 def stable_dt(cfg: SimConfig) -> float:
     """0.4 of the explicit advective/viscous stability limit."""
     g = _grid(cfg)
-    umax = float(np.max(np.abs(profile_h(cfg.params, g.rho_c - cfg.arc.delta))))
+    umax = _top_speed(cfg)
     h_min = min(cfg.arc.delta * g.dth, g.drh)
     dt_adv = h_min / umax if umax > 0 else math.inf
     dt_visc = 0.25 * h_min**2 / cfg.params.nu
@@ -450,8 +454,7 @@ def step(state: SimState, cfg: SimConfig) -> SimState:
     ur_new = ur_star.copy()
     ur_new[:, 1:-1] -= dt * (phi[:, 1:] - phi[:, :-1]) / g.drh
 
-    umax0 = float(np.max(np.abs(profile_h(cfg.params, g.rho_c - g.delta))))
-    if float(np.max(np.abs(us_new))) > 10.0 * max(umax0, 1e-30):
+    if float(np.max(np.abs(us_new))) > 10.0 * max(_top_speed(cfg), 1e-30):
         raise Diverged(f"max tangential velocity exceeded 10x the initial maximum at t={state.t}")
     return SimState(us=us_new, ur=ur_new, p=pa + phi, t=state.t + dt, p_anchor=pa)
 
@@ -520,7 +523,6 @@ class ExperimentReport:
     t0_samples: list
     times: np.ndarray
     u_t: np.ndarray                  # (n_times, n_probes)
-    kinetic_energy: np.ndarray
     first_reversal: list             # per probe: time or None
     final_state: SimState
 
@@ -549,13 +551,11 @@ def run_experiment(cfg: SimConfig, r_probe_list=None) -> ExperimentReport:
 
     times = [0.0]
     series = [[float(state.us[i_mid, j]) for j in probe_idx]]
-    energy = [kinetic_energy(state, cfg)]
     n_steps = max(1, int(round(cfg.t_end / cfg.effective_dt)))
     for _ in range(n_steps):
         state = step(state, cfg)
         times.append(state.t)
         series.append([float(state.us[i_mid, j]) for j in probe_idx])
-        energy.append(kinetic_energy(state, cfg))
 
     u_t = np.array(series)
     first_rev = []
@@ -567,7 +567,6 @@ def run_experiment(cfg: SimConfig, r_probe_list=None) -> ExperimentReport:
         t0_samples=t0_samples,
         times=np.array(times),
         u_t=u_t,
-        kinetic_energy=np.array(energy),
         first_reversal=first_rev,
         final_state=state,
     )

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DomainError, NonMonotoneSequence
 from .fdops import ExtrapolationResult, richardson
-from .field import LaminarParams, profile_h, stationary_gradp_ansatz
+from .field import LaminarParams, profile_h, stationary_gradp_ansatz, stationary_gradp_field
 from .geometry import ArcBoundary
 
 ADJUDICATION_RTOL = 1e-4
@@ -100,12 +100,11 @@ def theorem1_verify(
     params: LaminarParams,
     delta: float,
     r_grid=None,
-    use_tracing: bool = False,
     arc: ArcBoundary | None = None,
 ) -> Theorem1Report:
     """Evaluate the stationary contradiction on a grid of wall distances.
 
-    With use_tracing, also reproduce |grad p| at the grid's first radius
+    Given the wall ``arc``, also reproduce |grad p| at the grid's first radius
     r_grid[0] by the level-set route (the traced eta ratio times the
     wall-anchored magnitude) and compare it with the ansatz magnitude
     sqrt(P^2 + Pperp^2); the two disagree by the factor lhs/rhs, which is the
@@ -118,15 +117,10 @@ def theorem1_verify(
     lhs, rhs, mism = theorem1_mismatch(params, delta, r_grid)
 
     crosscheck = []
-    if use_tracing:
+    if arc is not None:
         from . import tracing  # local import: tracing pulls in the integrator stack
 
-        if arc is None:
-            arc = ArcBoundary(delta=delta, phase=0.0, center=(0.0, 0.0),
-                              s_range=(0.0, 0.5 * delta))
         cfg = tracing.default_trace_config(arc, params)
-        from .field import stationary_gradp_field
-
         gradp = stationary_gradp_field(arc, params)
         s_mid = 0.3 * (arc.s_range[0] + arc.s_range[1])
         eps_list = [4e-3 * delta, 2e-3 * delta, 1e-3 * delta]

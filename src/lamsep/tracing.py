@@ -68,15 +68,6 @@ class Polyline:
     def length(self) -> float:
         return float(self.cumulative_length[-1])
 
-    def validate(self, tol: float = 1e-12) -> None:
-        chords = np.linalg.norm(np.diff(self.points, axis=0), axis=1)
-        if np.any(chords == 0):
-            raise ValueError("consecutive polyline points must be distinct")
-        expect = np.concatenate([[0.0], np.cumsum(chords)])
-        scale = max(self.length, 1.0)
-        if np.max(np.abs(expect - self.cumulative_length)) > tol * scale:
-            raise ValueError("cumulative_length inconsistent with chord sums")
-
     CSV_HEADER = ("index", "x", "y", "cumlen")
 
     def rows(self) -> list[tuple]:
@@ -98,12 +89,11 @@ class TraceConfig:
             raise ValueError("stagnation_tol must be positive")
 
 
-def default_trace_config(arc: ArcBoundary, params: LaminarParams | None = None) -> TraceConfig:
-    tol = 1e-10 * params.alpha1 * arc.delta if params is not None else 1e-12
+def default_trace_config(arc: ArcBoundary, params: LaminarParams) -> TraceConfig:
     return TraceConfig(
         step=1e-3 * arc.delta,
         max_length=10.0 * arc.delta,
-        stagnation_tol=tol,
+        stagnation_tol=1e-10 * params.alpha1 * arc.delta,
     )
 
 
@@ -603,7 +593,6 @@ class ZetaSample:
     traced_length: float
     lower_bound: float
     upper_bound: float
-    pw_sums: dict
 
 
 @dataclass(frozen=True)
@@ -643,8 +632,6 @@ def _zeta_sample(
     if foot_hit is None:
         raise NoIntersection(f"level curve from phi({s}) never reached wall distance {r}")
     foot, r_hat = foot_hit
-    np_foot = from_cartesian(arc, foot)
-    s_hat = np_foot.s
 
     # zeta trace: pressure line from the foot to the level of phi(s + eps)
     p_target = float(p_field(arc_point(arc, s + eps)))
@@ -661,30 +648,27 @@ def _zeta_sample(
         raise NoIntersection(f"pressure line from the foot missed the level of phi({s + eps})")
     zeta_pt, traced = zeta_hit
     np_zeta = from_cartesian(arc, zeta_pt)
-
-    pw = {}
-    for n in (32, 64, 128, 256):
-        pw[n] = _piecewise_linear_length(gradp, arc, s_hat, np_foot.r, np_zeta.s, n)
-
     return ZetaSample(
-        r=r, eps=eps, s_hat=s_hat, r_hat=float(r_hat), s_hat2=np_zeta.s, r_hat2=np_zeta.r,
-        traced_length=float(traced), lower_bound=float("nan"), upper_bound=float("nan"),
-        pw_sums=pw,
+        r=r, eps=eps, s_hat=from_cartesian(arc, foot).s, r_hat=float(r_hat),
+        s_hat2=np_zeta.s, r_hat2=np_zeta.r, traced_length=float(traced),
+        lower_bound=float("nan"), upper_bound=float("nan"),
     )
 
 
-def _piecewise_linear_length(
-    gradp: FieldHandle, arc: ArcBoundary, s0: float, r0: float, s1: float, n: int
+def piecewise_linear_length(
+    p_field: ScalarFieldHandle, arc: ArcBoundary, sample: ZetaSample, n: int
 ) -> float:
-    """Euler reconstruction of the pressure-line length in wall coordinates.
+    """Euler reconstruction of a zeta sample's pressure-line length in wall coordinates.
 
-    March n equal wall-arc steps from (s0, r0); at each node tilt by the angle
-    between the gradient and the wall tangent, summing segment lengths
-    ((delta + r)/delta) * ds / cos(theta).  First-order in 1/n.
+    March n equal wall-arc steps from (sample.s_hat, sample.r), the foot (at
+    wall distance r to the crossing tolerance), to sample.s_hat2; at each node
+    tilt by the angle between the gradient and the wall tangent, summing
+    segment lengths ((delta + r)/delta) * ds / cos(theta).  First-order in 1/n.
     """
+    gradp = _gradient_handle(p_field)
     delta = arc.delta
-    ds = (s1 - s0) / n
-    s_k, r_k = s0, r0
+    ds = (sample.s_hat2 - sample.s_hat) / n
+    s_k, r_k = sample.s_hat, sample.r
     total = 0.0
     for _ in range(n):
         x, (n0, n1) = chart_pair(arc, s_k, r_k)
@@ -709,7 +693,6 @@ def zeta_check(
     s: float,
     r_list,
     eps_over_r: float,
-    cfg: TraceConfig | None = None,
 ) -> ZetaReport:
     """Verify the level-set construction and its length bounds on a pressure field.
 
@@ -726,8 +709,7 @@ def zeta_check(
     k = params.nu * (params.alpha1 / delta - params.alpha2)
     if k == 0:
         raise DomainError("zeta machinery needs a nonzero wall gradient nu*(a1/delta - a2)")
-    if cfg is None:
-        cfg = default_trace_config(arc, params)
+    cfg = default_trace_config(arc, params)
     gradp = _gradient_handle(p_field)
 
     # wall-compatibility gate

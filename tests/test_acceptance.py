@@ -40,6 +40,7 @@ from lamsep.tracing import (
     fan_expected_crossing,
     fan_field,
     perturbed_angular_pressure,
+    piecewise_linear_length,
     poincare_L,
     radial_growth_field,
     zeta_check,
@@ -188,19 +189,19 @@ def test_criterion_7_eta_geometric_ratio():
 
 def test_criterion_8_zeta_machinery():
     params = LaminarParams(alpha1=2.0, alpha2=1.0, nu=1.0)
-    cfg = default_trace_config(ARC, params)
 
     rep = zeta_check(angular_pressure(ARC, params), ARC, params,
-                     s=0.1, r_list=[0.04, 0.02, 0.01], eps_over_r=2.0, cfg=cfg)
+                     s=0.1, r_list=[0.04, 0.02, 0.01], eps_over_r=2.0)
     assert rep.ratio.value == pytest.approx(1.0, abs=1e-3)
 
-    pert = zeta_check(perturbed_angular_pressure(ARC, params, amp=0.3), ARC, params,
-                      s=0.1, r_list=[0.08, 0.04, 0.02], eps_over_r=2.0, cfg=cfg)
+    p_pert = perturbed_angular_pressure(ARC, params, amp=0.3)
+    pert = zeta_check(p_pert, ARC, params, s=0.1, r_list=[0.08, 0.04, 0.02], eps_over_r=2.0)
     assert pert.bounds_hold
     assert np.isfinite(pert.fitted.c) and pert.fitted.c > 0
     assert 0 < pert.fitted.epsilon_hat < 0.5
     sm = pert.samples[0]
-    errs = {n: abs(v - sm.traced_length) for n, v in sm.pw_sums.items()}
+    errs = {n: abs(piecewise_linear_length(p_pert, ARC, sm, n) - sm.traced_length)
+            for n in (32, 64, 128, 256)}
     for n in (32, 64, 128):
         assert errs[2 * n] <= errs[n] / 1.8  # order >= 1
     report(8, f"zeta ratio -> {rep.ratio.value:.6f}; bounds hold with fitted "

@@ -142,18 +142,3 @@ def test_richardson_error_estimate_shrinks():
     res = richardson(samples, order=1)
     assert res.error_estimate < 0.3 * 0.2**2
     assert res.levels_used == 4
-
-
-def test_fd_never_touches_analytic_paths():
-    def booby_trap(_x):
-        raise AssertionError("analytic derivative path must not be called")
-
-    field = FieldHandle(
-        evaluator=lambda x, y: (y * y, x * x),
-        jacobian=booby_trap,
-        laplacian=booby_trap,
-    )
-    fd_gradient(field, [0.3, 0.4], StencilSpec(h=1e-3))
-    fd_laplacian(field, [0.3, 0.4], StencilSpec(h=1e-3))
-    fd_advection(field, [0.3, 0.4], StencilSpec(h=1e-3))
-

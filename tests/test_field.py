@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from lamsep.fdops import StencilSpec, fd_advection, fd_divergence, fd_gradient, fd_laplacian
+from lamsep.fdops import StencilSpec, fd_advection, fd_divergence, fd_laplacian
 from lamsep.field import (
     LaminarParams,
     advection,
@@ -106,14 +106,6 @@ def test_divergence_free_fd():
         assert abs(fd_divergence(field, x, spec)) <= 1e-8 * scale
 
 
-def test_analytic_jacobian_matches_fd():
-    field = laminar_field(ARC, PARAMS)
-    spec = StencilSpec(h=1e-5, order=4)
-    pts, _ = chart_points(20, seed=4)
-    for x in pts:
-        assert np.allclose(field.jacobian(x), fd_gradient(field, x, spec), atol=1e-9)
-
-
 def test_analytic_laplacian_closed_forms():
     tang, norm = analytic_laplacian(PARAMS, 1.0, 0.0)
     assert tang == pytest.approx(PARAMS.alpha1 / 1.0 - PARAMS.alpha2)
@@ -133,14 +125,6 @@ def test_analytic_laplacian_matches_fd_with_order2():
         errs.append(abs(np.dot(lap, t_hat) - expected))
     orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
     assert np.all(np.abs(orders - 2.0) < 0.2)
-
-
-def test_laplacian_handle_matches_fd():
-    field = laminar_field(ARC, PARAMS)
-    spec = StencilSpec(h=1e-3, order=4)
-    pts, _ = chart_points(20, seed=5)
-    for x in pts:
-        assert np.allclose(field.laplacian(x), fd_laplacian(field, x, spec), atol=1e-8)
 
 
 def test_advection_variants_closed_forms():

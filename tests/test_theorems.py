@@ -4,6 +4,7 @@ import pytest
 from lamsep.errors import DomainError, NonMonotoneSequence
 from lamsep.fdops import richardson
 from lamsep.field import LaminarParams, stationary_gradp_ansatz
+from lamsep.geometry import ArcBoundary
 from lamsep.theorems import (
     default_r_grid,
     derived_limit,
@@ -77,7 +78,8 @@ def test_verify_report_positive_and_equal_case():
 
 def test_verify_tracing_crosscheck():
     params = LaminarParams(alpha1=2.0, alpha2=1.0, nu=1.0)
-    report = theorem1_verify(params, 1.0, use_tracing=True)
+    arc = ArcBoundary(delta=1.0, phase=0.0, center=(0.0, 0.0), s_range=(0.0, 0.5))
+    report = theorem1_verify(params, 1.0, arc=arc)
     (r, traced, ansatz, factor), = report.geometric_crosscheck
     assert r == report.r_grid[0] == 0.1
     lhs, rhs, _ = theorem1_mismatch(params, 1.0, r)

@@ -46,14 +46,7 @@ ROTATION = FieldHandle(evaluator=lambda x, y: (-y, x))
 def test_polyline_invariants():
     line = Polyline.from_points([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]])
     assert line.length == pytest.approx(2.0)
-    line.validate()
     assert np.all(np.diff(line.cumulative_length) >= 0)
-
-
-def test_polyline_rejects_duplicate_points():
-    line = Polyline.from_points([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
-    with pytest.raises(ValueError):
-        line.validate()
 
 
 def test_polyline_csv(tmp_path):

@@ -12,15 +12,14 @@ from lamsep.geometry import ArcBoundary, arc_point, arc_tangent, to_cartesian
 from lamsep.tracing import (
     BoundTolerances,
     angular_pressure,
-    default_trace_config,
     perturbed_angular_pressure,
+    piecewise_linear_length,
     wall_incompatible_pressure,
     zeta_check,
 )
 
 ARC = ArcBoundary(delta=1.0, phase=0.0, center=(0.0, 0.0), s_range=(0.0, 0.5))
 PARAMS = LaminarParams(alpha1=2.0, alpha2=1.0, nu=1.0)  # wall gradient K = 1
-CFG = default_trace_config(ARC, PARAMS)
 R_LIST = [0.08, 0.04, 0.02]
 # delta != 1 and a wall gradient k = nu*(a1/delta - a2) = 0.390... != 1
 SKEW_ARC = ArcBoundary(delta=1.7, phase=0.2, center=(0.5, -0.7), s_range=(0.0, 0.6))
@@ -44,7 +43,7 @@ def test_angular_pressure_wall_gradient():
 
 def test_zeta_angular_field_exact():
     report = zeta_check(angular_pressure(ARC, PARAMS), ARC, PARAMS,
-                        s=0.1, r_list=R_LIST, eps_over_r=2.0, cfg=CFG)
+                        s=0.1, r_list=R_LIST, eps_over_r=2.0)
     assert report.ratio.value == pytest.approx(1.0, abs=1e-3)
     assert report.bounds_hold
     for sm in report.samples:
@@ -56,16 +55,16 @@ def test_zeta_angular_field_exact():
 
 
 def test_zeta_angular_pw_sums_match_traced():
-    report = zeta_check(angular_pressure(ARC, PARAMS), ARC, PARAMS,
-                        s=0.1, r_list=[0.04], eps_over_r=2.0, cfg=CFG)
+    p = angular_pressure(ARC, PARAMS)
+    report = zeta_check(p, ARC, PARAMS, s=0.1, r_list=[0.04], eps_over_r=2.0)
     sm = report.samples[0]
-    for n, val in sm.pw_sums.items():
-        assert val == pytest.approx(sm.traced_length, rel=1e-9)
+    for n in (32, 64, 128, 256):
+        assert piecewise_linear_length(p, ARC, sm, n) == pytest.approx(sm.traced_length, rel=1e-9)
 
 
 def test_zeta_perturbed_bounds_hold_with_finite_constants():
     p = perturbed_angular_pressure(ARC, PARAMS, amp=0.3)
-    report = zeta_check(p, ARC, PARAMS, s=0.1, r_list=R_LIST, eps_over_r=2.0, cfg=CFG)
+    report = zeta_check(p, ARC, PARAMS, s=0.1, r_list=R_LIST, eps_over_r=2.0)
     assert report.bounds_hold
     assert np.isfinite(report.fitted.c)
     assert 0 < report.fitted.epsilon_hat < 0.5
@@ -76,37 +75,48 @@ def test_zeta_perturbed_bounds_hold_with_finite_constants():
         assert sm.r_hat2 <= (1 + report.fitted.epsilon_hat) * sm.r
 
 
-def test_zeta_perturbed_pw_convergence_order():
-    p = perturbed_angular_pressure(ARC, PARAMS, amp=0.3)
-    report = zeta_check(p, ARC, PARAMS, s=0.1, r_list=[0.08], eps_over_r=2.0, cfg=CFG)
+def _assert_pw_convergence_order(arc, params):
+    p = perturbed_angular_pressure(arc, params, amp=0.3)
+    report = zeta_check(p, arc, params, s=0.1, r_list=[0.08], eps_over_r=2.0)
     sm = report.samples[0]
-    errs = {n: abs(v - sm.traced_length) for n, v in sm.pw_sums.items()}
+    sums = {n: piecewise_linear_length(p, arc, sm, n) for n in (32, 64, 128, 256)}
+    errs = {n: abs(v - sm.traced_length) for n, v in sums.items()}
     for n in (32, 64, 128):
         assert errs[2 * n] <= errs[n] / 1.8  # order >= 1
     # successive sums differ by <= C/N
-    c_fit = max(abs(sm.pw_sums[n] - sm.pw_sums[2 * n]) * n for n in (32, 64, 128))
+    c_fit = max(abs(sums[n] - sums[2 * n]) * n for n in (32, 64, 128))
     for n in (32, 64, 128):
-        assert abs(sm.pw_sums[n] - sm.pw_sums[2 * n]) <= c_fit / n + 1e-15
+        assert abs(sums[n] - sums[2 * n]) <= c_fit / n + 1e-15
+
+
+def test_zeta_perturbed_pw_convergence_order():
+    _assert_pw_convergence_order(ARC, PARAMS)
+
+
+def test_zeta_perturbed_pw_convergence_order_off_origin():
+    # phase 0.2, centre (0.5, -0.7), delta 1.7: the reconstruction's chart
+    # steps and tilt angles must not assume the unit arc at the origin
+    _assert_pw_convergence_order(SKEW_ARC, SKEW_PARAMS)
 
 
 def test_zeta_ratio_limit_extrapolates_to_one_perturbed():
     p = perturbed_angular_pressure(ARC, PARAMS, amp=0.3)
     report = zeta_check(p, ARC, PARAMS, s=0.1, r_list=[0.04, 0.02, 0.01],
-                        eps_over_r=2.0, cfg=CFG)
+                        eps_over_r=2.0)
     assert report.ratio.value == pytest.approx(1.0, abs=5e-3)
 
 
 def test_zeta_wall_violation_raises():
     bad = wall_incompatible_pressure(ARC, PARAMS, slope=0.1)
     with pytest.raises(WallGradientMismatch):
-        zeta_check(bad, ARC, PARAMS, s=0.1, r_list=[0.04], eps_over_r=2.0, cfg=CFG)
+        zeta_check(bad, ARC, PARAMS, s=0.1, r_list=[0.04], eps_over_r=2.0)
 
 
 def test_zeta_requires_nonzero_wall_gradient():
     balanced = LaminarParams(alpha1=1.0, alpha2=1.0, nu=1.0)  # K = 0
     with pytest.raises(DomainError):
         zeta_check(angular_pressure(ARC, balanced), ARC, balanced,
-                   s=0.1, r_list=[0.04], eps_over_r=2.0, cfg=CFG)
+                   s=0.1, r_list=[0.04], eps_over_r=2.0)
 
 
 def test_zeta_foot_data_independent_of_s():
@@ -114,7 +124,7 @@ def test_zeta_foot_data_independent_of_s():
     p = perturbed_angular_pressure(ARC, PARAMS, amp=0.3)
     shifts, heights = [], []
     for s in (0.08, 0.14, 0.2):
-        report = zeta_check(p, ARC, PARAMS, s=s, r_list=[0.04], eps_over_r=2.0, cfg=CFG)
+        report = zeta_check(p, ARC, PARAMS, s=s, r_list=[0.04], eps_over_r=2.0)
         shifts.append(report.samples[0].s_hat - s)
         heights.append(report.samples[0].r_hat)
     assert max(shifts) - min(shifts) <= 1e-6
@@ -193,4 +203,4 @@ def test_zeta_check_still_refuses_non_monotone_ratios(monkeypatch):
     monkeypatch.setattr(tracing, "_zeta_sample", bumped)
     with pytest.raises(NonMonotoneSequence):
         zeta_check(angular_pressure(ARC, PARAMS), ARC, PARAMS,
-                   s=0.1, r_list=R_LIST, eps_over_r=2.0, cfg=CFG)
+                   s=0.1, r_list=R_LIST, eps_over_r=2.0)
