@@ -171,6 +171,8 @@ def parse_config(path=None, overrides: dict | None = None, command: str | None =
             raw = json.loads(Path(path).read_text())
         except json.JSONDecodeError as exc:
             raise ParseError(f"config {path}: line {exc.lineno}: {exc.msg}") from exc
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"config {path}: not UTF-8 text (byte {exc.start})") from exc
         if not isinstance(raw, dict):
             raise ParseError(f"config {path}: top level must be a JSON object")
     if overrides:
@@ -208,6 +210,9 @@ def parse_config(path=None, overrides: dict | None = None, command: str | None =
                 pairs[key] = _finite_pair(key, raw[key])
         except ValidationError as exc:
             problems.append(str(exc))
+    out = raw.get("out", "lamsep-out")
+    if not isinstance(out, str) or not out:
+        problems.append(f"out must be a non-empty path, got {out!r}")
     if cmd == "sweep":
         for key in _COMMAND_KEYS["sweep"]:
             if key in raw and not raw[key]:
@@ -228,7 +233,7 @@ def parse_config(path=None, overrides: dict | None = None, command: str | None =
     options = {k: raw[k] for k in raw if k in _COMMAND_KEYS[cmd]}
     return RunConfig(
         command=cmd, params=params, arc=arc, options=options,
-        out=Path(raw.get("out", "lamsep-out")),
+        out=Path(out),
     )
 
 
@@ -241,7 +246,8 @@ def _fd_variant_note(cfg: RunConfig) -> str:
     r = 0.1 * min(params.bl, arc.delta)
     x = to_cartesian(arc, (0.0, r))
     spec = StencilSpec(h=1e-4 * arc.delta, order=4)
-    normal = float(np.dot(fd_advection(field, x, spec), (x - arc.center_array) / np.linalg.norm(x - arc.center_array)))
+    rel = np.subtract(x, arc.center)
+    normal = float(np.dot(fd_advection(field, x, spec), rel / np.linalg.norm(rel)))
     best, best_err = "neither", np.inf
     for variant in ("paper", "corrected"):
         err = abs(normal - advection(params, arc.delta, r, variant))
@@ -473,7 +479,7 @@ def main(argv=None) -> int:
     try:
         cfg = parse_config(args.config, overrides, command=args.command)
         report = run(cfg)
-    except LamsepError as exc:
+    except (LamsepError, OSError) as exc:  # OSError: an unreadable config or unwritable --out
         print(f"lamsep: error: {exc}", file=sys.stderr)
         return 1
     print(f"lamsep {report.command}: wrote {cfg.out / 'report.json'} and {cfg.out / 'data.csv'}")

@@ -1,9 +1,9 @@
 """Finite-difference oracles and Richardson extrapolation.
 
-These routines only ever evaluate the field itself — an array call of the
-handle, which maps its point evaluator over the stencil — so they stay
-independent of the closed-form derivatives they verify (``analytic_laplacian``
-and ``advection`` in :mod:`lamsep.field`).
+These routines only ever evaluate the field itself — one point call of the
+handle per stencil point — so they stay independent of the closed-form
+derivatives they verify (``analytic_laplacian`` and ``advection`` in
+:mod:`lamsep.field`).
 """
 
 from __future__ import annotations
@@ -41,13 +41,18 @@ class ExtrapolationResult:
     levels_used: int
 
 
+def _at_rows(field: FieldHandle, pts) -> np.ndarray:
+    """The field at each row of the (n, 2) points ``pts``, one point call per row."""
+    return np.array([field((a, b)) for a, b in np.asarray(pts, dtype=float).tolist()])
+
+
 def fd_gradient(field: FieldHandle, x, spec: StencilSpec) -> np.ndarray:
     """Jacobian J[i, j] = du_i/dx_j by central differences, O(h^order)."""
     x = np.asarray(x, dtype=float)
     h = spec.h
     if spec.order == 2:
         pts = np.stack([x + h * _E[j] for j in range(2)] + [x - h * _E[j] for j in range(2)])
-        vals = field(pts)
+        vals = _at_rows(field, pts)
         cols = [(vals[j] - vals[2 + j]) / (2 * h) for j in range(2)]
     else:
         pts = np.stack(
@@ -56,7 +61,7 @@ def fd_gradient(field: FieldHandle, x, spec: StencilSpec) -> np.ndarray:
             + [x - h * _E[j] for j in range(2)]
             + [x - 2 * h * _E[j] for j in range(2)]
         )
-        v = field(pts)
+        v = _at_rows(field, pts)
         cols = [(-v[j] + 8 * v[2 + j] - 8 * v[4 + j] + v[6 + j]) / (12 * h) for j in range(2)]
     return np.stack(cols, axis=-1)
 
@@ -67,12 +72,12 @@ def fd_laplacian(field: FieldHandle, x, spec: StencilSpec) -> np.ndarray:
     h = spec.h
     if spec.order == 2:
         pts = np.stack([x + h * _E[0], x - h * _E[0], x + h * _E[1], x - h * _E[1], x])
-        v = field(pts)
+        v = _at_rows(field, pts)
         return (v[0] + v[1] + v[2] + v[3] - 4 * v[4]) / (h * h)
     out = np.zeros(2)
     for j in range(2):
         pts = np.stack([x + 2 * h * _E[j], x + h * _E[j], x, x - h * _E[j], x - 2 * h * _E[j]])
-        v = field(pts)
+        v = _at_rows(field, pts)
         out = out + (-v[0] + 16 * v[1] - 30 * v[2] + 16 * v[3] - v[4]) / (12 * h * h)
     return out
 
@@ -85,7 +90,7 @@ def fd_divergence(field: FieldHandle, x, spec: StencilSpec) -> float:
 def fd_advection(field: FieldHandle, x, spec: StencilSpec) -> np.ndarray:
     """(u . grad) u at x: FD Jacobian contracted with u(x)."""
     jac = fd_gradient(field, x, spec)
-    return jac @ field(np.asarray(x, dtype=float))
+    return jac @ _at_rows(field, [x])[0]
 
 
 def richardson(samples: Sequence[tuple[float, float]], order: float) -> ExtrapolationResult:

@@ -50,19 +50,6 @@ class LaminarParams:
         return self.alpha1 / self.alpha2 if self.alpha2 > 0 else float("inf")
 
 
-def _map_points(point, x, width: int) -> np.ndarray:
-    """Apply a point function to every point of an (..., 2) array.
-
-    ``width`` is 2 for a vector field and 0 for a scalar one; the result has
-    the points' leading shape plus that trailing axis.
-    """
-    pts = np.asarray(x, dtype=float)
-    if pts.shape[-1:] != (2,):
-        raise ValueError(f"points must have shape (..., 2), got {pts.shape}")
-    values = [point(a, b) for a, b in pts.reshape(-1, 2).tolist()]
-    return np.array(values, dtype=float).reshape(pts.shape[:-1] + ((width,) if width else ()))
-
-
 @dataclass(frozen=True)
 class FieldHandle:
     """An evaluable planar vector field.
@@ -70,12 +57,8 @@ class FieldHandle:
     ``evaluator`` is the field's one formula, in point form: it maps the
     coordinates of one point, as Python floats, to the two components of the
     vector, ``(x, y) -> (u, v)``.  Calling the handle is how the package
-    evaluates a field, in one of two ways:
-
-    - ``field((x, y))``, with a tuple, is one point: it returns the tuple
-      ``(u, v)``.  The tracer marches on these.
-    - ``field(points)``, with any other array-like of shape (..., 2), maps the
-      evaluator over the points and returns an array of the same shape.
+    evaluates a field: ``field((x, y))`` evaluates one point and returns the
+    pair ``(u, v)``.
 
     Derivatives of a field come from the finite-difference oracles of
     :mod:`lamsep.fdops`; the laminar field's closed forms are functions of the
@@ -86,9 +69,7 @@ class FieldHandle:
     name: str = ""
 
     def __call__(self, x):
-        if type(x) is tuple:
-            return self.evaluator(*x)
-        return _map_points(self.evaluator, x, 2)
+        return self.evaluator(*x)
 
 
 @dataclass(frozen=True)
@@ -97,8 +78,7 @@ class ScalarFieldHandle:
 
     Point form as for :class:`FieldHandle`: ``evaluator`` maps ``(x, y)`` to
     one float, and ``gradient`` maps ``(x, y)`` to the pair
-    ``(dp/dx, dp/dy)``.  ``field((x, y))`` returns a float, ``field(points)``
-    an array of the points' leading shape.
+    ``(dp/dx, dp/dy)``.  ``field((x, y))`` returns the float p(x, y).
     """
 
     evaluator: Callable[[float, float], float]
@@ -106,9 +86,7 @@ class ScalarFieldHandle:
     name: str = ""
 
     def __call__(self, x):
-        if type(x) is tuple:
-            return self.evaluator(*x)
-        return _map_points(self.evaluator, x, 0)
+        return self.evaluator(*x)
 
 
 def profile_h(params: LaminarParams, r):

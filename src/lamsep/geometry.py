@@ -9,9 +9,9 @@ With ``a(s) = (s + phase) / delta`` the parametrization is
     outward normal   e2(s)   = (sin a, cos a)
 
 and the normal-coordinate chart places (s, r) at ``center + (delta+r)*e2(s)``.
-The array maps broadcast over numpy arrays of ``s`` and ``r``; ``chart_pair``
-and ``center_offset`` are their float twins for one point, which the tracer
-calls in its loops, and agree with them bit for bit.
+The maps take one station ``s`` as a float and return float pairs, so the
+tracer calls them point by point; ``to_cartesian`` also takes an array of
+wall distances ``r`` at one station and then returns arrays of x and y.
 """
 
 from __future__ import annotations
@@ -44,10 +44,6 @@ class ArcBoundary:
             raise ValueError(f"s_range must be increasing, got {self.s_range}")
         object.__setattr__(self, "center", (float(self.center[0]), float(self.center[1])))
         object.__setattr__(self, "s_range", (float(self.s_range[0]), float(self.s_range[1])))
-
-    @property
-    def center_array(self) -> np.ndarray:
-        return np.array(self.center, dtype=float)
 
     @property
     def padded_s_range(self) -> tuple[float, float]:
@@ -85,60 +81,40 @@ class LocalFrame:
         return float(np.dot(vec, self.e1)), float(np.dot(vec, self.e2))
 
 
-def _angle(arc: ArcBoundary, s):
-    return (np.asarray(s, dtype=float) + arc.phase) / arc.delta
-
-
-def arc_point(arc: ArcBoundary, s):
+def arc_point(arc: ArcBoundary, s: float) -> tuple[float, float]:
     """Boundary point phi(s); clockwise, unit speed."""
-    a = _angle(arc, s)
-    return arc.center_array + arc.delta * np.stack([np.sin(a), np.cos(a)], axis=-1)
+    return to_cartesian(arc, (s, 0.0))
 
 
-def arc_tangent(arc: ArcBoundary, s):
-    """Unit tangent e1(s) = d phi/ds."""
-    a = _angle(arc, s)
-    return np.stack([np.cos(a), -np.sin(a)], axis=-1)
+def arc_tangent(arc: ArcBoundary, s: float) -> tuple[float, float]:
+    """Unit tangent e1(s) = d phi/ds = (n1, -n0) for the normal (n0, n1)."""
+    n0, n1 = arc_normal(arc, s)
+    return n1, -n0
 
 
-def arc_normal(arc: ArcBoundary, s):
-    """Unit normal e2(s), pointing away from the center (into the fluid)."""
-    a = _angle(arc, s)
-    return np.stack([np.sin(a), np.cos(a)], axis=-1)
+def arc_normal(arc: ArcBoundary, s: float) -> tuple[float, float]:
+    """Unit normal e2(s) = (sin a, cos a), pointing away from the center (into the fluid)."""
+    a = (s + arc.phase) / arc.delta
+    return math.sin(a), math.cos(a)
 
 
 def local_frame(arc: ArcBoundary, s: float) -> LocalFrame:
     return LocalFrame(
-        origin=arc_point(arc, s),
-        e1=arc_tangent(arc, s),
-        e2=arc_normal(arc, s),
+        origin=np.array(arc_point(arc, s)),
+        e1=np.array(arc_tangent(arc, s)),
+        e2=np.array(arc_normal(arc, s)),
     )
 
 
-def chart_pair(arc: ArcBoundary, s: float, r: float):
-    """Float twin of ``to_cartesian`` and ``arc_normal`` at one (s, r).
+def to_cartesian(arc: ArcBoundary, p: tuple[float, float]):
+    """Chart map: (s, r) -> center + (delta + r) * e2(s), as the pair (x, y).
 
-    Returns the plane point (x, y) and the outward normal (n0, n1) = e2(s) as
-    float pairs, bit for bit the array maps' values; the tangent e1(s) is
-    (n1, -n0).
+    ``s`` is one float; ``r`` may be an array, which gives arrays x and y.
     """
-    a = (s + arc.phase) / arc.delta
-    n0, n1 = math.sin(a), math.cos(a)
+    s, r = p
+    n0, n1 = arc_normal(arc, s)
     scale = arc.delta + r
-    return (arc.center[0] + scale * n0, arc.center[1] + scale * n1), (n0, n1)
-
-
-def to_cartesian(arc: ArcBoundary, p: NormalPoint | tuple[float, float]):
-    """Chart map: (s, r) -> center + (delta + r) * e2(s)."""
-    if isinstance(p, NormalPoint):
-        s, r = p.s, p.r
-    else:
-        s, r = p
-    s = np.asarray(s, dtype=float)
-    r = np.asarray(r, dtype=float)
-    a = _angle(arc, s)
-    offset = np.stack([np.sin(a), np.cos(a)], axis=-1)
-    return arc.center_array + (arc.delta + r)[..., None] * offset
+    return arc.center[0] + scale * n0, arc.center[1] + scale * n1
 
 
 def from_cartesian(arc: ArcBoundary, x) -> NormalPoint:
@@ -187,4 +163,4 @@ def arc_segment_length(arc: ArcBoundary, s1, s2, r):
 
     Concentric arcs scale with their radius: ((r + delta) / delta) * (s2 - s1).
     """
-    return (np.asarray(r, dtype=float) + arc.delta) / arc.delta * (np.asarray(s2) - np.asarray(s1))
+    return (r + arc.delta) / arc.delta * (s2 - s1)

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -60,9 +60,16 @@ class SimConfig:
     def R_out(self) -> float:
         return 2.0 * self.params.bl if self.r_out is None else self.r_out
 
-    @property
+    # cached_property writes the instance __dict__, so it works on a frozen
+    # config; dataclasses.replace builds a new config with an empty cache
+    @cached_property
     def effective_dt(self) -> float:
         return stable_dt(self) if self.dt is None else self.dt
+
+    @cached_property
+    def top_speed(self) -> float:
+        """max |h(rho_c - delta)| over the cell centres: the initial profile's top speed."""
+        return float(np.max(np.abs(profile_h(self.params, _grid(self).rho_c - self.arc.delta))))
 
     def validate(self) -> None:
         problems = []
@@ -87,18 +94,13 @@ class SimConfig:
 
     def cfl(self) -> float:
         g = _grid(self)
-        return _top_speed(self) * self.effective_dt / min(self.arc.delta * g.dth, g.drh)
-
-
-def _top_speed(cfg: SimConfig) -> float:
-    """max |h(rho_c - delta)| over the cell centres: the initial profile's top speed."""
-    return float(np.max(np.abs(profile_h(cfg.params, _grid(cfg).rho_c - cfg.arc.delta))))
+        return self.top_speed * self.effective_dt / min(self.arc.delta * g.dth, g.drh)
 
 
 def stable_dt(cfg: SimConfig) -> float:
     """0.4 of the explicit advective/viscous stability limit."""
     g = _grid(cfg)
-    umax = _top_speed(cfg)
+    umax = cfg.top_speed
     h_min = min(cfg.arc.delta * g.dth, g.drh)
     dt_adv = h_min / umax if umax > 0 else math.inf
     dt_visc = 0.25 * h_min**2 / cfg.params.nu
@@ -454,7 +456,7 @@ def step(state: SimState, cfg: SimConfig) -> SimState:
     ur_new = ur_star.copy()
     ur_new[:, 1:-1] -= dt * (phi[:, 1:] - phi[:, :-1]) / g.drh
 
-    if float(np.max(np.abs(us_new))) > 10.0 * max(_top_speed(cfg), 1e-30):
+    if float(np.max(np.abs(us_new))) > 10.0 * max(cfg.top_speed, 1e-30):
         raise Diverged(f"max tangential velocity exceeded 10x the initial maximum at t={state.t}")
     return SimState(us=us_new, ur=ur_new, p=pa + phi, t=state.t + dt, p_anchor=pa)
 
@@ -581,9 +583,9 @@ def dump_field_csv(state: SimState, cfg: SimConfig, path) -> None:
     ur_c = 0.5 * (state.ur[:, :-1] + state.ur[:, 1:])
     s = cfg.arc.s_range[0] + g.delta * g.theta_c
     r = g.rho_c - g.delta
-    xy = to_cartesian(cfg.arc, (s[:, None], r[None, :]))
+    xy = np.array([to_cartesian(cfg.arc, (si, r)) for si in s.tolist()])  # (n_s, 2, n_r)
     shape = (cfg.n_s, cfg.n_r)
     columns = [np.broadcast_to(s[:, None], shape), np.broadcast_to(r[None, :], shape),
-               xy[..., 0], xy[..., 1], us_c, ur_c, state.p]
+               xy[:, 0], xy[:, 1], us_c, ur_c, state.p]
     write_csv(path, ["s", "r", "x", "y", "u_t", "u_r", "p"],
               zip(*(c.ravel().tolist() for c in columns)))

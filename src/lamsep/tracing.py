@@ -44,7 +44,6 @@ from .geometry import (
     arc_segment_length,
     arc_tangent,
     center_offset,
-    chart_pair,
     from_cartesian,
     to_cartesian,
 )
@@ -370,12 +369,11 @@ def fan_field(source) -> FieldHandle:
 def fan_expected_crossing(arc: ArcBoundary, source, s: float, s1: float, r: float) -> float:
     """Exact Poincare height of a fan field: intersect the ray from the source
     through Phi(s, r) with the normal ray at s1."""
-    src = np.asarray(source, dtype=float)
     a = to_cartesian(arc, (s, r))
     e2 = arc_normal(arc, s1)
     # solve source + w*(a - source) = center + t*e2
-    mat = np.column_stack([a - src, -e2])
-    w, t = np.linalg.solve(mat, arc.center_array - src)
+    mat = np.column_stack([np.subtract(a, source), np.negative(e2)])
+    w, t = np.linalg.solve(mat, np.subtract(arc.center, source))
     if w <= 0 or t <= arc.delta:
         raise NoCrossing("fan ray does not reach the target normal ray above the wall")
     return float(t - arc.delta)
@@ -671,12 +669,13 @@ def piecewise_linear_length(
     s_k, r_k = sample.s_hat, sample.r
     total = 0.0
     for _ in range(n):
-        x, (n0, n1) = chart_pair(arc, s_k, r_k)
+        x = to_cartesian(arc, (s_k, r_k))
+        n0, n1 = arc_normal(arc, s_k)
         g = gradp(x)
         gnorm = float(np.hypot(g[0], g[1]))
         if gnorm == 0.0:
             raise CriticalPoint(f"gradient vanished at {x}")
-        # BLAS dot products, as with the array tangent and normal
+        # BLAS dot products: they can round differently from g0*t0 + g1*t1
         cos_t = abs(float(np.dot(g, (n1, -n0)))) / gnorm
         sin_t = float(np.dot(g, (n0, n1))) / gnorm
         seg = (delta + r_k) / delta * ds / cos_t
@@ -717,7 +716,7 @@ def zeta_check(
     rel_dev = 0.0
     for si in np.linspace(lo, hi, 9):
         g = gradp(arc_point(arc, si))
-        dev = float(np.linalg.norm(g - k * arc_tangent(arc, si))) / abs(k)
+        dev = float(np.linalg.norm(np.subtract(g, np.multiply(k, arc_tangent(arc, si))))) / abs(k)
         rel_dev = max(rel_dev, dev)
     if rel_dev > 1e-6:
         raise WallGradientMismatch(

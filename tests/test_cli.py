@@ -76,6 +76,32 @@ def test_parse_malformed_json(tmp_path):
         parse_config(str(path))
 
 
+@pytest.mark.parametrize("bad", [5, None, ["a"], ""])
+def test_config_out_must_be_a_non_empty_path(tmp_path, monkeypatch, capsys, bad):
+    # no --out flag, so the file's value is the one in force
+    monkeypatch.chdir(tmp_path)
+    path = write_config(tmp_path, {"command": "verify-theorem2", "out": bad})
+    assert main(["verify-theorem2", "--config", path]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("lamsep: error: out must")
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+@pytest.mark.parametrize("case", ["missing", "directory", "not-utf8", "out-is-a-file"])
+def test_file_system_errors_end_in_one_line(tmp_path, capsys, case):
+    config, out = tmp_path / "cfg.json", tmp_path / "o"
+    if case == "directory":
+        config.mkdir()
+    elif case == "not-utf8":
+        config.write_bytes(b'{"alpha1": "\xff"}')
+    elif case == "out-is-a-file":
+        config.write_text("{}")
+        out.write_text("")
+    assert main(["verify-theorem2", "--config", str(config), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("lamsep: error:")
+
+
 def test_flags_override_file(tmp_path):
     path = write_config(tmp_path, {"command": "verify-theorem2", "alpha1": 1.0})
     cfg = parse_config(path, {"alpha1": 3.0})

@@ -93,7 +93,7 @@ def test_tangency():
     pts, _ = chart_points(40, seed=2)
     for x in pts:
         u = field(x)
-        radial = x - ARC.center_array
+        radial = np.subtract(x, ARC.center)
         assert abs(np.dot(u, radial)) <= 1e-10 * np.linalg.norm(u) * np.linalg.norm(radial)
 
 

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 
 import numpy as np
@@ -7,7 +8,7 @@ import scipy.sparse
 from lamsep import nssim
 from lamsep.errors import ConfigError, ProbeOutsideGrid
 from lamsep.field import LaminarParams, profile_h, write_csv
-from lamsep.geometry import ArcBoundary
+from lamsep.geometry import ArcBoundary, to_cartesian
 from lamsep.nssim import (
     SimConfig,
     _centripetal_head,
@@ -16,6 +17,7 @@ from lamsep.nssim import (
     _solve_neumann,
     _tangential_rhs,
     divergence,
+    dump_field_csv,
     init_sim,
     kinetic_energy,
     measure_ratio,
@@ -380,3 +382,18 @@ def test_experiment_csv_long_format(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "t,probe_r,u_t,ratio"
     assert len(lines) == 1 + len(rep.times) * len(rep.probe_r)
+
+
+def test_field_csv_xy_is_the_chart_of_each_row(tmp_path):
+    # dump_field_csv charts one theta row at a time over all radii; each (x, y)
+    # must be the one-point chart of its row's (s, r), bit for bit
+    arc = ArcBoundary(1.7, 0.3, (0.4, -1.1), (0.0, 0.85))
+    cfg = SimConfig(arc=arc, params=PARAMS, n_s=16, n_r=18, sector_angle=0.5)
+    path = tmp_path / "field.csv"
+    dump_field_csv(init_sim(cfg), cfg, path)
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == cfg.n_s * cfg.n_r
+    for row in rows:
+        xy = to_cartesian(arc, (float(row["s"]), float(row["r"])))
+        assert (float(row["x"]), float(row["y"])) == xy

@@ -20,20 +20,16 @@ from lamsep.geometry import ArcBoundary, from_cartesian, to_cartesian
 from lamsep.tracing import (
     Polyline,
     TraceConfig,
-    _gradient_handle,
-    angular_pressure,
     classify_flow,
     default_trace_config,
     eta_ratio,
     eta_trace,
     fan_expected_crossing,
     fan_field,
-    perturbed_angular_pressure,
     poincare_L,
     radial_growth_field,
     trace_pressure_line,
     trace_streamline,
-    wall_incompatible_pressure,
 )
 
 ARC = ArcBoundary(delta=1.0, phase=0.0, center=(0.0, 0.0), s_range=(0.0, 0.5))
@@ -74,7 +70,7 @@ def test_streamline_stays_on_circle():
     start = to_cartesian(ARC, (0.05, 0.2))
     cfg = TraceConfig(step=1e-3, max_length=0.4, stagnation_tol=CFG.stagnation_tol)
     line = trace_streamline(field, start, cfg)
-    dists = np.linalg.norm(line.points - ARC.center_array, axis=1)
+    dists = np.linalg.norm(line.points - ARC.center, axis=1)
     assert np.max(np.abs(dists - 1.2)) <= 1e-6
 
 
@@ -272,7 +268,7 @@ def test_eta_right_angle_at_intersection():
 
 def _array_direction(field, tol, sign=1.0, perpendicular=False):
     def fn(x):
-        v = field(x)
+        v = np.array(field((float(x[0]), float(x[1]))))
         speed = float(np.hypot(v[0], v[1]))
         if speed < tol:
             raise StagnationEncountered(f"|field| = {speed} at {x}")
@@ -314,7 +310,7 @@ def _array_poincare_L(field, arc, s, s1, r, cfg):
     def station(x):
         return from_cartesian(arc, x).s - s1
 
-    x, cum = to_cartesian(arc, (s, r)), 0.0
+    x, cum = np.array(to_cartesian(arc, (s, r))), 0.0
     for h in _array_steps(cfg):
         x_new = _array_rk4(fn, x, h)
         f_lo, f_hi = station(x), station(x_new)
@@ -338,7 +334,7 @@ def _array_poincare_L(field, arc, s, s1, r, cfg):
     else:
         lam = min(max(hi - f_hi * (hi - lo) / (f_hi - f_lo), 0.0), 1.0)
         x_mid = _array_rk4(fn, x, lam * h)
-    return float(np.linalg.norm(x_mid - arc.center_array)) - arc.delta
+    return float(np.linalg.norm(x_mid - arc.center)) - arc.delta
 
 
 def test_float_march_matches_array_reference():
@@ -361,29 +357,3 @@ def test_float_march_matches_array_reference():
     cfg_L = TraceConfig(step=1e-3, max_length=1.0, stagnation_tol=1e-10)
     got = poincare_L(field, arc, 0.1, 0.35, 0.12, cfg_L)
     assert got == _array_poincare_L(field, arc, 0.1, 0.35, 0.12, cfg_L)
-
-
-def test_array_call_equals_stacked_point_calls():
-    arc = ArcBoundary(delta=1.3, phase=0.2, center=(0.5, -0.7), s_range=(0.0, 0.6))
-    params = LaminarParams(alpha1=2.7, alpha2=1.1, nu=0.8)
-    rng = np.random.default_rng(3)
-    pts = to_cartesian(arc, (rng.uniform(-0.1, 0.7, (4, 3)), rng.uniform(0.01, 0.5, (4, 3))))
-    angular = angular_pressure(arc, params)
-    vector_fields = [
-        laminar_field(arc, params),
-        stationary_gradp_field(arc, params),
-        stationary_gradp_field(arc, params, "corrected"),
-        fan_field(to_cartesian(arc, (-2.0, 0.0))),
-        radial_growth_field(arc, 1.5),
-        _gradient_handle(angular),
-        _gradient_handle(wall_incompatible_pressure(arc, params, 0.2)),
-    ]
-    for field in vector_fields:
-        stacked = [[field((float(x), float(y))) for x, y in row] for row in pts]
-        assert np.array_equal(field(pts), np.array(stacked)), field.name
-        assert np.array_equal(field(pts[0, 0]), np.array(stacked[0][0])), field.name
-    for p_field in (angular, perturbed_angular_pressure(arc, params, 0.3),
-                    wall_incompatible_pressure(arc, params, 0.2)):
-        stacked = [[p_field((float(x), float(y))) for x, y in row] for row in pts]
-        assert np.array_equal(p_field(pts), np.array(stacked)), p_field.name
-        assert p_field(pts[0, 0]).shape == ()

@@ -38,7 +38,7 @@ def test_angular_pressure_wall_gradient():
     k = PARAMS.nu * (PARAMS.alpha1 / ARC.delta - PARAMS.alpha2)
     for s in np.linspace(*ARC.s_range, 7):
         g = p.gradient(*arc_point(ARC, s))
-        assert np.allclose(g, k * arc_tangent(ARC, s), atol=1e-13)
+        assert np.allclose(g, np.multiply(k, arc_tangent(ARC, s)), atol=1e-13)
 
 
 def test_zeta_angular_field_exact():
@@ -145,7 +145,7 @@ def test_pressure_gradient_matches_central_differences(p_field):
     s = rng.uniform(0.05, 0.55, 20)
     r = rng.uniform(0.01, 0.8, 20)
     h = 1e-5
-    for x, y in to_cartesian(SKEW_ARC, (s, r)).tolist():
+    for x, y in (to_cartesian(SKEW_ARC, (si, ri)) for si, ri in zip(s.tolist(), r.tolist())):
         fd = np.array([
             (p_field((x + h, y)) - p_field((x - h, y))) / (2 * h),
             (p_field((x, y + h)) - p_field((x, y - h))) / (2 * h),
