@@ -41,7 +41,7 @@ print("== the right-triangle distance to the center ==")
 frame = local_frame(arc, 0.35)
 for s_loc, r_loc in ((0.4, 0.1), (-0.2, 0.7)):
     y = frame.to_world(s_loc, r_loc)
-    direct = np.linalg.norm(y - arc.center)
+    direct = np.linalg.norm(np.subtract(y, arc.center))
     closed = local_center_distance(arc.delta, s_loc, r_loc)
     print(f"frame point (s={s_loc:+.1f}, r={r_loc:.1f}): |Cy| = {direct:.12f}"
           f"  closed form = {closed:.12f}")

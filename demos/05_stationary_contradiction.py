@@ -35,9 +35,9 @@ worst = np.inf
 for _ in range(300):
     a1, a2, d = rng.uniform(0.1, 10.0, 3)
     p = LaminarParams(alpha1=a1, alpha2=a2, nu=1.0)
-    grid = default_r_grid(p, d)
+    grid = np.asarray(default_r_grid(p, d))
     grid = grid[grid < 0.5 * min(p.bl, d)]
-    _, _, m = theorem1_mismatch(p, d, grid)
+    m = np.array([theorem1_mismatch(p, d, r)[2] for r in grid])
     worst = min(worst, float(np.min(m / grid)))
 print(f"min over 300 draws of min_r M(r)/r = {worst:.6f}  (> 0)")
 

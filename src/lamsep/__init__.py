@@ -1,11 +1,12 @@
 """lamsep: laminar flow next to a curved wall, verified numerically.
 
-A numpy library (plus the ``lamsep`` CLI) that builds the parallel
-shear flow around a constant-curvature no-slip wall, checks every closed form
-against finite-difference oracles, quantifies why no such flow can be
-stationary, extrapolates the negative near-wall material-derivative limit,
-and runs a desk-scale unsteady Navier-Stokes experiment on an annular sector
-exhibiting the predicted near-wall deceleration.
+A library (plus the ``lamsep`` CLI) that builds the parallel shear flow
+around a constant-curvature no-slip wall, checks every closed form against
+finite-difference oracles, quantifies why no such flow can be stationary,
+extrapolates the negative near-wall material-derivative limit, and runs a
+desk-scale unsteady Navier-Stokes experiment on an annular sector exhibiting
+the predicted near-wall deceleration.  The analysis is pure Python; only the
+sector solver (:mod:`lamsep.nssim`, loaded on first use) needs numpy.
 """
 
 __version__ = "0.1.0"

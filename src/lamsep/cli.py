@@ -22,13 +22,11 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field as dc_field, replace
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .errors import LamsepError, ParseError, ValidationError
+from .errors import DomainError, LamsepError, ParseError, ValidationError
 from .field import LaminarParams, laminar_field, stationary_gradp_field, write_csv
 from .fdops import StencilSpec, fd_advection
-from .geometry import ArcBoundary, to_cartesian
+from .geometry import ArcBoundary, center_offset, to_cartesian
 from . import theorems, tracing
 
 SCHEMA_VERSION = 1
@@ -246,9 +244,10 @@ def _fd_variant_note(cfg: RunConfig) -> str:
     r = 0.1 * min(params.bl, arc.delta)
     x = to_cartesian(arc, (0.0, r))
     spec = StencilSpec(h=1e-4 * arc.delta, order=4)
-    rel = np.subtract(x, arc.center)
-    normal = float(np.dot(fd_advection(field, x, spec), rel / np.linalg.norm(rel)))
-    best, best_err = "neither", np.inf
+    rx, ry, dist = center_offset(arc.center, *x)
+    adv_x, adv_y = fd_advection(field, x, spec)
+    normal = (adv_x * rx + adv_y * ry) / dist
+    best, best_err = "neither", math.inf
     for variant in ("paper", "corrected"):
         err = abs(normal - advection(params, arc.delta, r, variant))
         if err < best_err:
@@ -261,7 +260,12 @@ def run(cfg: RunConfig) -> RunReport:
     t0 = time.perf_counter()
     cfg.out.mkdir(parents=True, exist_ok=True)
     handler = _HANDLERS[cfg.command]
-    payload, rows, header, exit_code, notes = handler(cfg)
+    try:
+        payload, rows, header, exit_code, notes = handler(cfg)
+    except ArithmeticError as exc:  # a float overflow or a division by an underflowed zero
+        raise DomainError(
+            f"{cfg.command}: the parameters take a value out of floating-point range ({exc})"
+        ) from exc
     report = RunReport(
         command=cfg.command,
         config=cfg.resolved(),
@@ -280,11 +284,10 @@ def _cmd_theorem1(cfg: RunConfig):
     use_tracing = cfg.options.get("use_tracing")
     if use_tracing is not None and not isinstance(use_tracing, bool):
         raise ValidationError(f"use_tracing must be true or false, got {use_tracing!r}")
-    report = theorems.theorem1_verify(
-        cfg.params, cfg.arc.delta,
-        r_grid=_option_list(cfg, "r_grid", None),
-        arc=cfg.arc if use_tracing else None,
-    )
+    r_grid = _option_list(cfg, "r_grid", None)
+    with _invalid_input():  # a trace config the parameters make invalid
+        report = theorems.theorem1_verify(
+            cfg.params, cfg.arc.delta, r_grid=r_grid, arc=cfg.arc if use_tracing else None)
     rows = list(zip(report.r_grid, report.lhs, report.rhs, report.mismatch))
     notes = {"pperp_variant_supported_by_fd": _fd_variant_note(cfg)}
     return report.to_dict(), rows, ["r", "lhs", "rhs", "mismatch"], 0, notes
@@ -333,11 +336,10 @@ def _cmd_classify(cfg: RunConfig):
     s1 = _option(cfg, "s1", arc.s_range[0] + 0.5 * (arc.s_range[1] - arc.s_range[0]))
     thresh = _option(cfg, "C", 1.2)
     tol_par = _option(cfg, "tol_par", 1e-4)
-    trace_cfg = tracing.default_trace_config(arc, params)
-    step = _option(cfg, "step", trace_cfg.step)
     field = _classification_field(cfg)
     with _invalid_input():
-        trace_cfg = replace(trace_cfg, step=step)
+        trace_cfg = tracing.default_trace_config(arc, params)
+        trace_cfg = replace(trace_cfg, step=_option(cfg, "step", trace_cfg.step))
         result = tracing.classify_flow(field, arc, radii, s, s1, thresh, trace_cfg, tol_par=tol_par)
     payload = {"kind": result.kind, "C_threshold": result.C_threshold,
                "evidence": [{"r": r, "ratio": q} for r, q in result.evidence]}

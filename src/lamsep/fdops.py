@@ -8,15 +8,12 @@ derivatives they verify (``analytic_laplacian`` and ``advection`` in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .errors import NonMonotoneSequence
 from .field import FieldHandle
-
-_E = np.eye(2)
 
 
 @dataclass(frozen=True)
@@ -41,62 +38,62 @@ class ExtrapolationResult:
     levels_used: int
 
 
-def _at_rows(field: FieldHandle, pts) -> np.ndarray:
-    """The field at each row of the (n, 2) points ``pts``, one point call per row."""
-    return np.array([field((a, b)) for a, b in np.asarray(pts, dtype=float).tolist()])
+def _shifted(x: tuple[float, float], j: int, d: float) -> tuple[float, float]:
+    """The point x moved by d along axis j."""
+    return (x[0] + d, x[1]) if j == 0 else (x[0], x[1] + d)
 
 
-def fd_gradient(field: FieldHandle, x, spec: StencilSpec) -> np.ndarray:
-    """Jacobian J[i, j] = du_i/dx_j by central differences, O(h^order)."""
-    x = np.asarray(x, dtype=float)
+def _partial(field: FieldHandle, x, j: int, spec: StencilSpec) -> tuple[float, float]:
+    """d(u, v)/dx_j at x by central differences, O(h^order)."""
     h = spec.h
     if spec.order == 2:
-        pts = np.stack([x + h * _E[j] for j in range(2)] + [x - h * _E[j] for j in range(2)])
-        vals = _at_rows(field, pts)
-        cols = [(vals[j] - vals[2 + j]) / (2 * h) for j in range(2)]
-    else:
-        pts = np.stack(
-            [x + 2 * h * _E[j] for j in range(2)]
-            + [x + h * _E[j] for j in range(2)]
-            + [x - h * _E[j] for j in range(2)]
-            + [x - 2 * h * _E[j] for j in range(2)]
-        )
-        v = _at_rows(field, pts)
-        cols = [(-v[j] + 8 * v[2 + j] - 8 * v[4 + j] + v[6 + j]) / (12 * h) for j in range(2)]
-    return np.stack(cols, axis=-1)
+        (a0, a1), (b0, b1) = field(_shifted(x, j, h)), field(_shifted(x, j, -h))
+        return (a0 - b0) / (2 * h), (a1 - b1) / (2 * h)
+    p2, p1, m1, m2 = (field(_shifted(x, j, d)) for d in (2 * h, h, -h, -2 * h))
+    return tuple((-p2[i] + 8 * p1[i] - 8 * m1[i] + m2[i]) / (12 * h) for i in range(2))
 
 
-def fd_laplacian(field: FieldHandle, x, spec: StencilSpec) -> np.ndarray:
+def fd_gradient(field: FieldHandle, x, spec: StencilSpec):
+    """Jacobian J[i][j] = du_i/dx_j by central differences, O(h^order), as two row pairs."""
+    x = (float(x[0]), float(x[1]))
+    c0, c1 = _partial(field, x, 0, spec), _partial(field, x, 1, spec)
+    return (c0[0], c1[0]), (c0[1], c1[1])
+
+
+def fd_laplacian(field: FieldHandle, x, spec: StencilSpec) -> tuple[float, float]:
     """Vector Laplacian by the 5-point (order 2) or 9-point (order 4) stencil."""
-    x = np.asarray(x, dtype=float)
+    x = (float(x[0]), float(x[1]))
     h = spec.h
+    c = field(x)
     if spec.order == 2:
-        pts = np.stack([x + h * _E[0], x - h * _E[0], x + h * _E[1], x - h * _E[1], x])
-        v = _at_rows(field, pts)
-        return (v[0] + v[1] + v[2] + v[3] - 4 * v[4]) / (h * h)
-    out = np.zeros(2)
+        v = [field(_shifted(x, j, d)) for j in range(2) for d in (h, -h)]
+        return tuple((v[0][i] + v[1][i] + v[2][i] + v[3][i] - 4 * c[i]) / (h * h)
+                     for i in range(2))
+    out = (0.0, 0.0)
     for j in range(2):
-        pts = np.stack([x + 2 * h * _E[j], x + h * _E[j], x, x - h * _E[j], x - 2 * h * _E[j]])
-        v = _at_rows(field, pts)
-        out = out + (-v[0] + 16 * v[1] - 30 * v[2] + 16 * v[3] - v[4]) / (12 * h * h)
+        p2, p1, m1, m2 = (field(_shifted(x, j, d)) for d in (2 * h, h, -h, -2 * h))
+        out = tuple(out[i] + (-p2[i] + 16 * p1[i] - 30 * c[i] + 16 * m1[i] - m2[i]) / (12 * h * h)
+                    for i in range(2))
     return out
 
 
 def fd_divergence(field: FieldHandle, x, spec: StencilSpec) -> float:
     """Divergence from the FD Jacobian trace."""
-    return float(np.trace(fd_gradient(field, x, spec)))
+    (j00, _), (_, j11) = fd_gradient(field, x, spec)
+    return j00 + j11
 
 
-def fd_advection(field: FieldHandle, x, spec: StencilSpec) -> np.ndarray:
+def fd_advection(field: FieldHandle, x, spec: StencilSpec) -> tuple[float, float]:
     """(u . grad) u at x: FD Jacobian contracted with u(x)."""
-    jac = fd_gradient(field, x, spec)
-    return jac @ _at_rows(field, [x])[0]
+    (j00, j01), (j10, j11) = fd_gradient(field, x, spec)
+    u0, u1 = field((float(x[0]), float(x[1])))
+    return j00 * u0 + j01 * u1, j10 * u0 + j11 * u1
 
 
 def richardson(samples: Sequence[tuple[float, float]], order: float) -> ExtrapolationResult:
     """Eliminate the leading O(h^order) term from (h, value) samples.
 
-    Samples must have strictly decreasing h.  Successive extrapolants are
+    Samples must have positive, strictly decreasing h.  Successive extrapolants are
     produced from consecutive pairs; the last one is reported, with the error
     estimate taken from the spread of extrapolants (or the last correction when
     only two samples are given).  Observed order comes from sample triplets.
@@ -107,8 +104,8 @@ def richardson(samples: Sequence[tuple[float, float]], order: float) -> Extrapol
         raise ValueError("richardson needs at least two samples")
     hs = [h for h, _ in samples]
     vs = [v for _, v in samples]
-    if any(b >= a for a, b in zip(hs, hs[1:])):
-        raise ValueError("step sizes must be strictly decreasing")
+    if hs[-1] <= 0 or any(b >= a for a, b in zip(hs, hs[1:])):
+        raise ValueError("step sizes must be positive and strictly decreasing")
 
     diffs = [abs(b - a) for a, b in zip(vs, vs[1:])]
     for k in range(len(diffs) - 1):
@@ -127,13 +124,21 @@ def richardson(samples: Sequence[tuple[float, float]], order: float) -> Extrapol
     else:
         error = abs(value - vs[-1])
 
-    orders = []  # np.log, not math.log: they differ in the last bit on ~0.1 % of arguments
+    orders = []
     for k in range(len(vs) - 2):
         num = vs[k] - vs[k + 1]
         den = vs[k + 1] - vs[k + 2]
-        if den != 0 and num / den > 0:
-            orders.append(np.log(float(num / den)) / np.log(float(hs[k] / hs[k + 1])))
-    observed = float(np.median(orders)) if orders else float("nan")
+        shrink = float(num / den) if den != 0 else 0.0
+        if shrink > 0:
+            orders.append(math.log(shrink) / math.log(float(hs[k] / hs[k + 1])))
+    observed = _median(orders) if orders else float("nan")
     return ExtrapolationResult(
         value=value, error_estimate=error, observed_order=observed, levels_used=len(samples)
     )
+
+
+def _median(values: list[float]) -> float:
+    """Middle value; the mean of the two middle values of an even count."""
+    ordered = sorted(values)
+    mid = len(ordered) // 2
+    return ordered[mid] if len(ordered) % 2 else (ordered[mid - 1] + ordered[mid]) / 2

@@ -17,8 +17,6 @@ import csv
 from dataclasses import dataclass, field
 from typing import Callable
 
-import numpy as np
-
 from .geometry import ArcBoundary, center_offset
 
 VARIANTS = ("paper", "corrected")
@@ -118,11 +116,8 @@ def laminar_field(arc: ArcBoundary, params: LaminarParams) -> FieldHandle:
 
 
 def _laplacian_tangential(params: LaminarParams, delta: float, r):
-    return (
-        -params.alpha2
-        + profile_h_prime(params, r) / (r + delta)
-        - profile_h(params, r) / (r + delta) ** 2
-    )
+    s = r + delta
+    return -params.alpha2 + profile_h_prime(params, r) / s - profile_h(params, r) / (s * s)
 
 
 def analytic_laplacian(params: LaminarParams, delta: float, r):
@@ -132,8 +127,7 @@ def analytic_laplacian(params: LaminarParams, delta: float, r):
     normal = 0.  nu * tangential equals the ansatz component P(r).  Here and in
     the helpers below r is a float or an array.
     """
-    tangential = _laplacian_tangential(params, delta, r)
-    return tangential, np.zeros_like(tangential)
+    return _laplacian_tangential(params, delta, r), 0.0
 
 
 def advection(params: LaminarParams, delta: float, r, variant: str = "paper"):

@@ -19,8 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import OutOfChart, PointBelowWall
 
 # from_cartesian accepts this fraction of the s-range beyond each end, so
@@ -66,19 +64,21 @@ class NormalPoint:
 
 @dataclass(frozen=True)
 class LocalFrame:
-    """Orthonormal frame at a wall point: origin Q, tangent e1, outward normal e2."""
+    """Orthonormal frame at a wall point: origin Q, tangent e1, outward normal e2 (float pairs)."""
 
-    origin: np.ndarray
-    e1: np.ndarray
-    e2: np.ndarray
+    origin: tuple[float, float]
+    e1: tuple[float, float]
+    e2: tuple[float, float]
 
-    def to_world(self, s: float, r: float) -> np.ndarray:
+    def to_world(self, s: float, r: float) -> tuple[float, float]:
         """Map frame coordinates (s, r) to the plane: Q + s*e1 + r*e2."""
-        return self.origin + s * self.e1 + r * self.e2
+        (q0, q1), (t0, t1), (n0, n1) = self.origin, self.e1, self.e2
+        return q0 + s * t0 + r * n0, q1 + s * t1 + r * n1
 
-    def components(self, vec: np.ndarray) -> tuple[float, float]:
+    def components(self, vec) -> tuple[float, float]:
         """Decompose a plane vector into (tangential, normal) components."""
-        return float(np.dot(vec, self.e1)), float(np.dot(vec, self.e2))
+        (t0, t1), (n0, n1) = self.e1, self.e2
+        return vec[0] * t0 + vec[1] * t1, vec[0] * n0 + vec[1] * n1
 
 
 def arc_point(arc: ArcBoundary, s: float) -> tuple[float, float]:
@@ -99,11 +99,7 @@ def arc_normal(arc: ArcBoundary, s: float) -> tuple[float, float]:
 
 
 def local_frame(arc: ArcBoundary, s: float) -> LocalFrame:
-    return LocalFrame(
-        origin=np.array(arc_point(arc, s)),
-        e1=np.array(arc_tangent(arc, s)),
-        e2=np.array(arc_normal(arc, s)),
-    )
+    return LocalFrame(origin=arc_point(arc, s), e1=arc_tangent(arc, s), e2=arc_normal(arc, s))
 
 
 def to_cartesian(arc: ArcBoundary, p: tuple[float, float]):
@@ -124,7 +120,7 @@ def from_cartesian(arc: ArcBoundary, x) -> NormalPoint:
     angular positions outside the padded sector.
     """
     rx, ry = float(x[0]) - arc.center[0], float(x[1]) - arc.center[1]
-    dist = float(np.hypot(rx, ry))
+    dist = abs(complex(rx, ry))  # libm hypot
     if dist < arc.delta * (1.0 - 1e-12):
         raise PointBelowWall(f"|x - center| = {dist} < delta = {arc.delta}")
     r = max(dist - arc.delta, 0.0)
@@ -142,23 +138,23 @@ def from_cartesian(arc: ArcBoundary, x) -> NormalPoint:
 def center_offset(center, x: float, y: float) -> tuple[float, float, float]:
     """Offset (rx, ry) of the point (x, y) from ``center`` and its length.
 
-    The length is sqrt(rx*rx + ry*ry), bit for bit what
-    ``np.linalg.norm(offsets, axis=-1)`` gives (math.hypot is not).
+    The length is sqrt(rx*rx + ry*ry), which the field evaluators rely on for
+    their values; math.hypot would round differently in the last bit.
     """
     rx, ry = x - center[0], y - center[1]
     return rx, ry, math.sqrt(rx * rx + ry * ry)
 
 
-def local_center_distance(delta: float, s, r):
+def local_center_distance(delta: float, s: float, r: float) -> float:
     """Distance from the arc center to the frame point Q + s*e1 + r*e2.
 
     Equals sqrt((delta + r)^2 + s^2): the frame coordinates form a right
     triangle with the center offset delta + r.
     """
-    return np.hypot(np.asarray(delta, dtype=float) + r, s)
+    return abs(complex(delta + r, s))
 
 
-def arc_segment_length(arc: ArcBoundary, s1, s2, r):
+def arc_segment_length(arc: ArcBoundary, s1: float, s2: float, r: float) -> float:
     """Length of the offset arc {Phi(s', r): s1 <= s' <= s2}.
 
     Concentric arcs scale with their radius: ((r + delta) / delta) * (s2 - s1).

@@ -16,9 +16,8 @@ records which one the numerics support.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import DomainError, NonMonotoneSequence
 from .fdops import ExtrapolationResult, richardson
@@ -34,20 +33,24 @@ def _require_theorem_params(params: LaminarParams):
         raise DomainError("theorem operations require alpha2 > 0 (no pure-shear test mode)")
 
 
-def _require_inside_layer(params: LaminarParams, r):
-    r = np.asarray(r, dtype=float)
-    if np.any(r <= 0) or np.any(r >= params.bl):
+def _require_inside_layer(params: LaminarParams, r: float):
+    if not 0 < r < params.bl:
         raise DomainError(f"need 0 < r < bl = {params.bl}, got {r}")
 
 
-def default_r_grid(params: LaminarParams, delta: float, n: int = 12) -> np.ndarray:
+def default_r_grid(params: LaminarParams, delta: float, n: int = 12) -> list[float]:
     """Geometric grid: n points from 0.1*min(bl, delta) down by factor 2."""
     top = 0.1 * min(params.bl, delta)
-    return top * 0.5 ** np.arange(n)
+    return [top * 0.5**k for k in range(n)]
 
 
-def theorem1_mismatch(params: LaminarParams, delta: float, r):
-    """Both sides of the stationary balance and the gap between them.
+def _float_grid(params: LaminarParams, delta: float, r_grid) -> list[float]:
+    """``r_grid`` as floats, or the default grid when it is None."""
+    return default_r_grid(params, delta) if r_grid is None else [float(r) for r in r_grid]
+
+
+def theorem1_mismatch(params: LaminarParams, delta: float, r: float):
+    """Both sides of the stationary balance at wall distance r, and the gap between them.
 
     lhs = |a1/d - a2| * d/(d + r) is the wall-anchored gradient magnitude the
     level-set route produces; rhs = |P(r)|/nu is what the field's Laplacian
@@ -59,30 +62,30 @@ def theorem1_mismatch(params: LaminarParams, delta: float, r):
     """
     _require_theorem_params(params)
     _require_inside_layer(params, r)
-    r = np.asarray(r, dtype=float)
     a1, a2 = params.alpha1, params.alpha2
     h = profile_h(params, r)
-    lhs = np.abs(a1 / delta - a2) * delta / (delta + r)
-    rhs = np.abs((a1 - a2 * r) / (r + delta) - h / (r + delta) ** 2 - a2)
-    mismatch = h / (delta + r) ** 2 + 2.0 * a2 * r / (r + delta)
+    s = delta + r
+    lhs = abs(a1 / delta - a2) * delta / s
+    rhs = abs((a1 - a2 * r) / s - h / (s * s) - a2)
+    mismatch = h / (s * s) + 2.0 * a2 * r / s
     return lhs, rhs, mismatch
 
 
 @dataclass(frozen=True)
 class Theorem1Report:
-    r_grid: np.ndarray
-    lhs: np.ndarray
-    rhs: np.ndarray
-    mismatch: np.ndarray
+    r_grid: list[float]
+    lhs: list[float]
+    rhs: list[float]
+    mismatch: list[float]
     min_mismatch: float
     geometric_crosscheck: list
 
     def to_dict(self) -> dict:
         return {
-            "r_grid": self.r_grid.tolist(),
-            "lhs": self.lhs.tolist(),
-            "rhs": self.rhs.tolist(),
-            "mismatch": self.mismatch.tolist(),
+            "r_grid": self.r_grid,
+            "lhs": self.lhs,
+            "rhs": self.rhs,
+            "mismatch": self.mismatch,
             "min_mismatch": self.min_mismatch,
             "geometric_crosscheck": [
                 {
@@ -111,10 +114,9 @@ def theorem1_verify(
     contradiction seen geometrically.
     """
     _require_theorem_params(params)
-    if r_grid is None:
-        r_grid = default_r_grid(params, delta)
-    r_grid = np.asarray(r_grid, dtype=float)
-    lhs, rhs, mism = theorem1_mismatch(params, delta, r_grid)
+    r_grid = _float_grid(params, delta, r_grid)
+    lhs, rhs, mism = (list(side) for side in
+                      zip(*(theorem1_mismatch(params, delta, r) for r in r_grid)))
 
     crosscheck = []
     if arc is not None:
@@ -124,10 +126,10 @@ def theorem1_verify(
         gradp = stationary_gradp_field(arc, params)
         s_mid = 0.3 * (arc.s_range[0] + arc.s_range[1])
         eps_list = [4e-3 * delta, 2e-3 * delta, 1e-3 * delta]
-        r = float(r_grid[0])
+        r = r_grid[0]
         ratio = tracing.eta_ratio(gradp, arc, s_mid, r, eps_list, cfg)
         p_t, p_n = stationary_gradp_ansatz(params, delta, r)
-        ansatz_mag = float(np.hypot(p_t, p_n))
+        ansatz_mag = abs(complex(p_t, p_n))  # libm hypot
         wall_mag = params.nu * abs(params.alpha1 / delta - params.alpha2)
         traced_mag = wall_mag * (delta / (delta + r)) / ratio.value
         crosscheck.append((r, traced_mag, ansatz_mag, traced_mag / ansatz_mag))
@@ -137,12 +139,12 @@ def theorem1_verify(
         lhs=lhs,
         rhs=rhs,
         mismatch=mism,
-        min_mismatch=float(np.min(mism)),
+        min_mismatch=min(mism),
         geometric_crosscheck=crosscheck,
     )
 
 
-def theorem2_ratio(params: LaminarParams, delta: float, r):
+def theorem2_ratio(params: LaminarParams, delta: float, r: float) -> float:
     """Tangential material derivative over flow speed at wall distance r.
 
     (P(r) - nu*(a1/delta - a2)*delta/(delta + r)) / h(r): the numerator pairs
@@ -151,7 +153,6 @@ def theorem2_ratio(params: LaminarParams, delta: float, r):
     """
     _require_theorem_params(params)
     _require_inside_layer(params, r)
-    r = np.asarray(r, dtype=float)
     p_t, _ = stationary_gradp_ansatz(params, delta, r)
     wall = params.nu * (params.alpha1 / delta - params.alpha2) * delta / (delta + r)
     return (p_t - wall) / profile_h(params, r)
@@ -201,8 +202,8 @@ def oracle_limit(params: LaminarParams, delta: float) -> float:
 
 @dataclass(frozen=True)
 class Theorem2Report:
-    r_grid: np.ndarray
-    ratio: np.ndarray
+    r_grid: list[float]
+    ratio: list[float]
     limit: ExtrapolationResult
     paper_value: float
     oracle_value: float
@@ -211,8 +212,8 @@ class Theorem2Report:
 
     def to_dict(self) -> dict:
         return {
-            "r_grid": self.r_grid.tolist(),
-            "ratio": self.ratio.tolist(),
+            "r_grid": self.r_grid,
+            "ratio": self.ratio,
             "limit_extrapolated": self.limit.value,
             "limit_error_estimate": self.limit.error_estimate,
             "limit_observed_order": self.limit.observed_order,
@@ -241,13 +242,15 @@ def _fine_tail_limit(samples) -> ExtrapolationResult:
 def theorem2_limit(params: LaminarParams, delta: float, r_grid=None) -> Theorem2Report:
     """Extrapolate theorem2_ratio to r -> 0 and adjudicate against both candidates."""
     _require_theorem_params(params)
-    if r_grid is None:
-        r_grid = default_r_grid(params, delta)
-    r_grid = np.asarray(r_grid, dtype=float)
-    ratios = theorem2_ratio(params, delta, r_grid)
-    limit = _fine_tail_limit(list(zip(r_grid.tolist(), ratios.tolist())))
+    r_grid = _float_grid(params, delta, r_grid)
+    ratios = [theorem2_ratio(params, delta, r) for r in r_grid]
+    limit = _fine_tail_limit(list(zip(r_grid, ratios)))
     paper = paper_limit(params, delta)
     oracle = oracle_limit(params, delta)
+    derived = derived_limit(params, delta)
+    if not all(math.isfinite(v) for v in [*ratios, limit.value, paper, oracle, derived]):
+        raise DomainError("the theorem-2 ratio or a limit overflows the float range "
+                          "at these parameters")
     if abs(limit.value - oracle) <= ADJUDICATION_RTOL * abs(oracle):
         agrees = "oracle"
     elif abs(limit.value - paper) <= ADJUDICATION_RTOL * abs(paper):
@@ -256,10 +259,10 @@ def theorem2_limit(params: LaminarParams, delta: float, r_grid=None) -> Theorem2
         agrees = "neither"
     return Theorem2Report(
         r_grid=r_grid,
-        ratio=np.asarray(ratios),
+        ratio=ratios,
         limit=limit,
         paper_value=paper,
         oracle_value=oracle,
-        derived_value=derived_limit(params, delta),
+        derived_value=derived,
         agrees_with=agrees,
     )

@@ -11,20 +11,15 @@ ratio stops instead where it first meets the traced level curve.
 
 The march runs on float pairs: a point is a tuple ``(x, y)``, and each field
 is called in point form, ``field((x, y)) -> (u, v)`` (see
-:class:`lamsep.field.FieldHandle`).  Numpy enters only where a whole traced
-curve is handled at once: building a :class:`Polyline` and intersecting a step
-with one.  Each float operation is the one the array form performed (numpy's
-``hypot``, BLAS ``dot`` and ``arctan2`` are kept where they were, since the
-``math`` versions round differently), so traces are bit for bit those of the
-array code.
+:class:`lamsep.field.FieldHandle`).  A traced curve is a :class:`Polyline`
+of such pairs.  Lengths of direction vectors use libm's ``hypot`` (through
+``abs(complex(x, y))``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field, replace
-
-import numpy as np
 
 from .errors import (
     CriticalPoint,
@@ -51,28 +46,30 @@ from .geometry import (
 
 @dataclass(frozen=True)
 class Polyline:
-    """Ordered traced path with cumulative chord lengths."""
+    """Ordered traced path (float pairs) with cumulative chord lengths."""
 
-    points: np.ndarray
-    cumulative_length: np.ndarray
+    points: list[tuple[float, float]]
+    cumulative_length: list[float]
 
     @classmethod
     def from_points(cls, points) -> "Polyline":
-        pts = np.asarray(points, dtype=float).reshape(-1, 2)
-        chords = np.linalg.norm(np.diff(pts, axis=0), axis=1)
-        cum = np.concatenate([[0.0], np.cumsum(chords)])
+        pts = [(float(x), float(y)) for x, y in points]
+        cum = [0.0]
+        for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
+            dx, dy = x1 - x0, y1 - y0
+            cum.append(cum[-1] + math.sqrt(dx * dx + dy * dy))
         return cls(points=pts, cumulative_length=cum)
 
     @property
     def length(self) -> float:
-        return float(self.cumulative_length[-1])
+        return self.cumulative_length[-1]
 
     CSV_HEADER = ("index", "x", "y", "cumlen")
 
     def rows(self) -> list[tuple]:
         """CSV rows (index, x, y, cumlen), one per point."""
         return [(i, x, y, c) for i, ((x, y), c) in
-                enumerate(zip(self.points.tolist(), self.cumulative_length.tolist()))]
+                enumerate(zip(self.points, self.cumulative_length))]
 
 
 @dataclass(frozen=True)
@@ -124,16 +121,6 @@ class BoundTolerances:
 # ----------------------------------------------------------------------------
 
 
-def _center_distance(arc: ArcBoundary, x) -> float:
-    """|x - center| as ``np.linalg.norm`` of the 2-vector forms it.
-
-    That is sqrt of the BLAS dot product, which fuses a multiply and an add,
-    so it can differ from sqrt(rx*rx + ry*ry) in the last bit.
-    """
-    rel = np.subtract(x, arc.center)
-    return math.sqrt(np.dot(rel, rel))
-
-
 def _rk_step(fn, x, h):
     """One classical RK4 step of size h from the float pair x; fn maps a pair to a pair."""
     x0, x1 = x
@@ -153,7 +140,7 @@ def _unit_direction(field: FieldHandle, tol: float, sign: float = 1.0, perpendic
             u, v = field(x)
         except ZeroDivisionError as exc:
             raise StagnationEncountered(f"field is singular at {x}") from exc
-        speed = float(np.hypot(u, v))
+        speed = abs(complex(u, v))  # libm hypot
         if speed < tol:
             raise StagnationEncountered(f"|field| = {speed} < {tol} at {x}")
         u, v = u / speed, v / speed
@@ -303,7 +290,7 @@ def poincare_L(
         raise NoCrossing(f"streamline left the chart before reaching s1={s1}") from exc
     if hit is None:
         raise NoCrossing(f"no crossing of the normal ray at s1={s1} within {cfg.max_length}")
-    tau = _center_distance(arc, hit[0]) - arc.delta
+    tau = center_offset(arc.center, *hit[0])[2] - arc.delta
     if tau <= 0:
         raise NoCrossing(f"crossing found below the wall (tau={tau})")
     return tau
@@ -333,15 +320,15 @@ def classify_flow(
     if any(r <= 0 for r in radii) or any(b >= a for a, b in zip(radii, radii[1:])):
         raise ValueError("radii must be positive and strictly decreasing")
     evidence = [(r, poincare_L(field, arc, s, s1, r, cfg) / r) for r in radii]
-    ratios = np.array([ratio for _, ratio in evidence])
-    dev = np.abs(ratios - 1.0)
-    if np.all(dev <= tol_par):
+    ratios = [ratio for _, ratio in evidence]
+    dev = [abs(q - 1.0) for q in ratios]
+    if all(d <= tol_par for d in dev):
         kind = "Parallel"
-    elif np.all(ratios > C):
+    elif all(q > C for q in ratios):
         kind = "StrongDiverging"
     elif (
-        np.all(ratios >= 1.0 - tol_par)
-        and np.all(np.diff(dev) <= 0.05 * dev[:-1])
+        all(q >= 1.0 - tol_par for q in ratios)
+        and all(b - a <= 0.05 * a for a, b in zip(dev, dev[1:]))
         and dev[-1] <= 0.5 * dev[0]
     ):
         kind = "WeakDiverging"
@@ -370,13 +357,18 @@ def fan_expected_crossing(arc: ArcBoundary, source, s: float, s1: float, r: floa
     """Exact Poincare height of a fan field: intersect the ray from the source
     through Phi(s, r) with the normal ray at s1."""
     a = to_cartesian(arc, (s, r))
-    e2 = arc_normal(arc, s1)
-    # solve source + w*(a - source) = center + t*e2
-    mat = np.column_stack([np.subtract(a, source), np.negative(e2)])
-    w, t = np.linalg.solve(mat, np.subtract(arc.center, source))
+    n0, n1 = arc_normal(arc, s1)
+    # solve source + w*(a - source) = center + t*e2 by Cramer's rule
+    a0, a1 = a[0] - source[0], a[1] - source[1]
+    b0, b1 = arc.center[0] - source[0], arc.center[1] - source[1]
+    det = -a0 * n1 + n0 * a1
+    if det == 0:
+        raise NoCrossing("fan ray is parallel to the target normal ray")
+    w = (-b0 * n1 + n0 * b1) / det
+    t = (a0 * b1 - b0 * a1) / det
     if w <= 0 or t <= arc.delta:
         raise NoCrossing("fan ray does not reach the target normal ray above the wall")
-    return float(t - arc.delta)
+    return t - arc.delta
 
 
 def radial_growth_field(arc: ArcBoundary, growth: float) -> FieldHandle:
@@ -403,26 +395,59 @@ def radial_growth_field(arc: ArcBoundary, growth: float) -> FieldHandle:
 # ----------------------------------------------------------------------------
 
 
-def _first_polyline_crossing(a0, a1, q0, d2):
+# segments per bounding box of the polyline crossing search
+_BLOCK = 16
+# the parameter slack of a crossing, and the (wider) box padding that covers it
+_CROSS_EPS = 1e-12
+_BOX_PAD = 1e-9
+
+
+def _segment_blocks(points):
+    """The segments (qx, qy, dx, dy) of the polyline through ``points``, and a
+    padded bounding box (xmin, xmax, ymin, ymax, first, stop) for each run of
+    _BLOCK consecutive segments, built once per polyline."""
+    segs = [(x0, y0, x1 - x0, y1 - y0) for (x0, y0), (x1, y1) in zip(points, points[1:])]
+    blocks = []
+    for first in range(0, len(segs), _BLOCK):
+        stop = min(first + _BLOCK, len(segs))
+        xs = [p[0] for p in points[first:stop + 1]]
+        ys = [p[1] for p in points[first:stop + 1]]
+        pad = _BOX_PAD * max(abs(dx) + abs(dy) for _, _, dx, dy in segs[first:stop])
+        blocks.append((min(xs) - pad, max(xs) + pad, min(ys) - pad, max(ys) + pad, first, stop))
+    return segs, blocks
+
+
+def _first_polyline_crossing(a0, a1, segs, blocks):
     """Earliest intersection of the step a0->a1 (float pairs) with a polyline.
 
-    The polyline is given by its segments, starts q0 and vectors d2 (arrays
-    of shape (n, 2)), built once per polyline.  Vectorised over the segments;
-    returns (t, point, segment index) or None.
+    The polyline is given by :func:`_segment_blocks`.  A block whose box misses
+    the step's box, both padded well beyond the parameter slack, holds no
+    crossing; the others are tested segment by segment.  Returns (t, point,
+    segment index) or None.
     """
-    d1 = (a1[0] - a0[0], a1[1] - a0[1])
-    w = q0 - a0
-    denom = d1[0] * d2[:, 1] - d1[1] * d2[:, 0]
-    ok = np.abs(denom) > 1e-300
-    t = np.where(ok, (w[:, 0] * d2[:, 1] - w[:, 1] * d2[:, 0]) / np.where(ok, denom, 1.0), np.inf)
-    u = np.where(ok, (w[:, 0] * d1[1] - w[:, 1] * d1[0]) / np.where(ok, denom, 1.0), np.inf)
-    eps = 1e-12
-    valid = ok & (t >= -eps) & (t <= 1 + eps) & (u >= -eps) & (u <= 1 + eps)
-    if not np.any(valid):
+    d1x, d1y = a1[0] - a0[0], a1[1] - a0[1]
+    pad = _BOX_PAD * (abs(d1x) + abs(d1y))
+    x_lo, x_hi = min(a0[0], a1[0]) - pad, max(a0[0], a1[0]) + pad
+    y_lo, y_hi = min(a0[1], a1[1]) - pad, max(a0[1], a1[1]) + pad
+    lo, hi = -_CROSS_EPS, 1.0 + _CROSS_EPS
+    best_t, best_idx = math.inf, None
+    for bx_lo, bx_hi, by_lo, by_hi, first, stop in blocks:
+        if bx_hi < x_lo or bx_lo > x_hi or by_hi < y_lo or by_lo > y_hi:
+            continue
+        for idx in range(first, stop):
+            qx, qy, d2x, d2y = segs[idx]
+            denom = d1x * d2y - d1y * d2x
+            if not abs(denom) > 1e-300:
+                continue
+            wx, wy = qx - a0[0], qy - a0[1]
+            t = (wx * d2y - wy * d2x) / denom
+            u = (wx * d1y - wy * d1x) / denom
+            if lo <= t <= hi and lo <= u <= hi and t < best_t:
+                best_t, best_idx = t, idx
+    if best_idx is None:
         return None
-    idx = int(np.argmin(np.where(valid, t, np.inf)))
-    t_hit = float(np.clip(t[idx], 0.0, 1.0))
-    return t_hit, (a0[0] + t_hit * d1[0], a0[1] + t_hit * d1[1]), idx
+    t_hit = min(max(best_t, 0.0), 1.0)
+    return t_hit, (a0[0] + t_hit * d1x, a0[1] + t_hit * d1y), best_idx
 
 
 @dataclass(frozen=True)
@@ -439,36 +464,36 @@ def eta_trace(
 ) -> EtaSample:
     """Trace the pressure line from Phi(s, r) to the level curve through
     Phi(s+eps, r) and measure its length against the offset arc."""
-    phi_len = float(arc_segment_length(arc, s, s + eps, r))
+    phi_len = arc_segment_length(arc, s, s + eps, r)
     start = to_cartesian(arc, (s, r))
     anchor = to_cartesian(arc, (s + eps, r))
     level_cfg = replace(cfg, step=phi_len / 80.0, max_length=3.0 * phi_len)
     fwd = trace_pressure_line(gradp, anchor, level_cfg, "perpendicular", +1.0)
     back = trace_pressure_line(gradp, anchor, level_cfg, "perpendicular", -1.0)
-    level_pts = np.vstack([back.points[::-1], fwd.points[1:]])
+    level_pts = back.points[::-1] + fwd.points[1:]
 
     # orient the pressure line toward increasing s so it meets the level curve
     g0 = gradp(start)
-    along = float(np.dot(g0, arc_tangent(arc, s)))
+    t0, t1 = arc_tangent(arc, s)
+    along = g0[0] * t0 + g0[1] * t1
     sign = 1.0 if along >= 0 else -1.0
-    if abs(along) <= 1e-13 * float(np.linalg.norm(g0)):
+    if abs(along) <= 1e-13 * abs(complex(*g0)):
         # gradient purely normal: the level curve already passes through the start
         return EtaSample(eps=eps, eta_length=0.0, phi_length=phi_len, ratio=0.0,
                          corner_angle=0.5 * math.pi)
     dirfn = _unit_direction(gradp, cfg.stagnation_tol, sign=sign)
     press_cfg = replace(cfg, step=phi_len / 80.0, max_length=4.0 * phi_len)
-    seg_starts = level_pts[:-1]
-    seg_vectors = level_pts[1:] - seg_starts
+    segs, blocks = _segment_blocks(level_pts)
 
     crossing = {}
 
     def on_point(x_prev, x_new, cum, h):
-        hit = _first_polyline_crossing(x_prev, x_new, seg_starts, seg_vectors)
+        hit = _first_polyline_crossing(x_prev, x_new, segs, blocks)
         if hit is None:
             return None
         t_hit, point, seg_idx = hit
         crossing["segment"] = seg_idx
-        crossing["chord"] = np.subtract(x_new, x_prev)
+        crossing["chord"] = (x_new[0] - x_prev[0], x_new[1] - x_prev[1])
         return point, cum + t_hit * h
 
     _, hit = _march_pressure(dirfn, start, press_cfg, on_point)
@@ -476,11 +501,11 @@ def eta_trace(
         raise NoIntersection(
             f"pressure line from (s={s}, r={r}) missed the level curve for eps={eps}"
         )
-    eta_len = float(hit[1])
-    level_seg = seg_vectors[crossing["segment"]]
-    chord = crossing["chord"]
-    cosang = abs(np.dot(chord, level_seg)) / (np.linalg.norm(chord) * np.linalg.norm(level_seg))
-    corner = math.acos(min(1.0, float(cosang)))
+    eta_len = hit[1]
+    _, _, lx, ly = segs[crossing["segment"]]
+    cx, cy = crossing["chord"]
+    cosang = abs(cx * lx + cy * ly) / (abs(complex(cx, cy)) * abs(complex(lx, ly)))
+    corner = math.acos(min(1.0, cosang))
     return EtaSample(eps=eps, eta_length=eta_len, phi_length=phi_len,
                      ratio=eta_len / phi_len, corner_angle=corner)
 
@@ -542,7 +567,7 @@ def perturbed_angular_pressure(
     def evaluate(x: float, y: float) -> float:
         rx, ry, d = center_offset(arc.center, x, y)
         # the station s of (x, y), unwrapped next to the sector
-        s_raw = float(np.arctan2(rx, ry)) * delta - arc.phase
+        s_raw = math.atan2(rx, ry) * delta - arc.phase
         station = s_raw - period * round((s_raw - s_mid) / period)
         return k * station + scale * (d - delta) ** 2
 
@@ -617,13 +642,13 @@ def _zeta_sample(
 
     # foot trace: level curve from phi(s) up to wall distance r
     g0 = gradp(wall_pt)
-    perp = np.array([-g0[1], g0[0]])
-    orient = 1.0 if float(np.dot(perp, arc_normal(arc, s))) >= 0 else -1.0
+    n0, n1 = arc_normal(arc, s)
+    orient = 1.0 if -g0[1] * n0 + g0[0] * n1 >= 0 else -1.0
     dirfn_level = _unit_direction(gradp, cfg.stagnation_tol, sign=orient, perpendicular=True)
     level_cfg = replace(cfg, step=r / 100.0, max_length=4.0 * r)
 
     def height(x):
-        return _center_distance(arc, x) - delta - r
+        return center_offset(arc.center, *x)[2] - delta - r
 
     _, foot_hit = _march_pressure(dirfn_level, wall_pt, level_cfg,
                                   _crossing(dirfn_level, height, 1e-13 * delta))
@@ -632,13 +657,13 @@ def _zeta_sample(
     foot, r_hat = foot_hit
 
     # zeta trace: pressure line from the foot to the level of phi(s + eps)
-    p_target = float(p_field(arc_point(arc, s + eps)))
+    p_target = p_field(arc_point(arc, s + eps))
     dirfn_press = _unit_direction(gradp, cfg.stagnation_tol, sign=sign_k)
-    arc_span = float(arc_segment_length(arc, s, s + eps, r))
+    arc_span = arc_segment_length(arc, s, s + eps, r)
     press_cfg = replace(cfg, step=arc_span / 100.0, max_length=5.0 * arc_span)
 
     def level_gap(x):
-        return float(p_field(x)) - p_target
+        return p_field(x) - p_target
 
     _, zeta_hit = _march_pressure(dirfn_press, foot, press_cfg,
                                   _crossing(dirfn_press, level_gap, 1e-14 * (abs(p_target) + 1.0)))
@@ -647,8 +672,8 @@ def _zeta_sample(
     zeta_pt, traced = zeta_hit
     np_zeta = from_cartesian(arc, zeta_pt)
     return ZetaSample(
-        r=r, eps=eps, s_hat=from_cartesian(arc, foot).s, r_hat=float(r_hat),
-        s_hat2=np_zeta.s, r_hat2=np_zeta.r, traced_length=float(traced),
+        r=r, eps=eps, s_hat=from_cartesian(arc, foot).s, r_hat=r_hat,
+        s_hat2=np_zeta.s, r_hat2=np_zeta.r, traced_length=traced,
         lower_bound=float("nan"), upper_bound=float("nan"),
     )
 
@@ -671,13 +696,12 @@ def piecewise_linear_length(
     for _ in range(n):
         x = to_cartesian(arc, (s_k, r_k))
         n0, n1 = arc_normal(arc, s_k)
-        g = gradp(x)
-        gnorm = float(np.hypot(g[0], g[1]))
+        g0, g1 = gradp(x)
+        gnorm = abs(complex(g0, g1))  # libm hypot
         if gnorm == 0.0:
             raise CriticalPoint(f"gradient vanished at {x}")
-        # BLAS dot products: they can round differently from g0*t0 + g1*t1
-        cos_t = abs(float(np.dot(g, (n1, -n0)))) / gnorm
-        sin_t = float(np.dot(g, (n0, n1))) / gnorm
+        cos_t = abs(g0 * n1 - g1 * n0) / gnorm
+        sin_t = (g0 * n0 + g1 * n1) / gnorm
         seg = (delta + r_k) / delta * ds / cos_t
         total += seg
         r_k = r_k + seg * sin_t
@@ -714,10 +738,11 @@ def zeta_check(
     # wall-compatibility gate
     lo, hi = arc.s_range
     rel_dev = 0.0
-    for si in np.linspace(lo, hi, 9):
-        g = gradp(arc_point(arc, si))
-        dev = float(np.linalg.norm(np.subtract(g, np.multiply(k, arc_tangent(arc, si))))) / abs(k)
-        rel_dev = max(rel_dev, dev)
+    spacing = (hi - lo) / 8
+    for si in [lo + j * spacing for j in range(8)] + [hi]:
+        gx, gy = gradp(arc_point(arc, si))
+        t0, t1 = arc_tangent(arc, si)
+        rel_dev = max(rel_dev, abs(complex(gx - k * t0, gy - k * t1)) / abs(k))
     if rel_dev > 1e-6:
         raise WallGradientMismatch(
             f"wall gradient deviates from nu*(a1/delta - a2)*e1 by {rel_dev:.3e} relative"

@@ -76,9 +76,9 @@ def test_criterion_1_theorem1_contradiction():
     for _ in range(1000):
         a1, a2_, dd = rng.uniform(0.1, 10.0, 3)
         params = LaminarParams(alpha1=a1, alpha2=a2_, nu=1.0)
-        grid = default_r_grid(params, dd)
+        grid = np.asarray(default_r_grid(params, dd))
         grid = grid[grid < 0.5 * min(params.bl, dd)]
-        _, _, mm = theorem1_mismatch(params, dd, grid)
+        mm = np.asarray([theorem1_mismatch(params, dd, r)[2] for r in grid])
         assert np.all(mm > 0)
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0

@@ -102,6 +102,18 @@ def test_file_system_errors_end_in_one_line(tmp_path, capsys, case):
     assert len(err) == 1 and err[0].startswith("lamsep: error:")
 
 
+@pytest.mark.parametrize("command, config", [
+    ("verify-theorem1", {"delta": 1e-170}), ("verify-theorem2", {"delta": 1e-170}),
+    ("zeta-check", {"delta": 1e-170}), ("sweep", {"delta_values": [1e-300]}),
+])
+def test_underflowing_delta_ends_in_one_line(tmp_path, capsys, command, config):
+    # delta**2 underflows to 0, so a closed form divides by zero
+    path = write_config(tmp_path, config)
+    assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("lamsep: error:"), err
+
+
 def test_flags_override_file(tmp_path):
     path = write_config(tmp_path, {"command": "verify-theorem2", "alpha1": 1.0})
     cfg = parse_config(path, {"alpha1": 3.0})
@@ -314,20 +326,30 @@ def _fresh_python(code: str) -> str:
 
 
 def test_analysis_commands_import_no_solver_scipy_or_mpmath(tmp_path):
-    commands = ("verify-theorem1", "verify-theorem2", "sweep")
+    # numpy is the solver's alone: no analysis command loads it, simulate does
+    theorem1 = write_config(tmp_path, {"use_tracing": True}, "theorem1.json")
+    simulate = write_config(tmp_path, {"n_s": 16, "n_r": 16, "t_end": 0.002}, "simulate.json")
+    runs = [["verify-theorem1", "--config", theorem1]] + [
+        [cmd] for cmd in ("verify-theorem2", "classify", "trace", "zeta-check", "sweep")]
     loaded = _fresh_python(
         "import sys\n"
-        "import lamsep.cli\n"
-        "heavy = lambda: sorted(m for m in sys.modules\n"
-        "                       if m.split('.')[0] in ('scipy', 'mpmath') or m == 'lamsep.nssim')\n"
+        "heavy = lambda: sorted(m for m in sys.modules if m == 'lamsep.nssim'\n"
+        "                       or m.split('.')[0] in ('numpy', 'scipy', 'mpmath'))\n"
+        "import lamsep\n"
         "print(heavy())\n"
-        + "".join(f"print(lamsep.cli.main([{cmd!r}, '--out', {str(tmp_path / cmd)!r}]), heavy())\n"
-                  for cmd in commands)
+        "import lamsep.cli\n"
+        "print(heavy())\n"
+        + "".join(f"print(lamsep.cli.main({argv + ['--out', str(tmp_path / argv[0])]!r}), heavy())\n"
+                  for argv in runs)
+        + "print('SimConfig from', lamsep.SimConfig.__module__, 'numpy' in sys.modules)\n"
+        + f"print(lamsep.cli.main(['simulate', '--config', {simulate!r}, "
+          f"'--out', {str(tmp_path / 'simulate')!r}]))\n"
     )
     # drop the "lamsep <command>: wrote ..." lines of each run
     lines = [line for line in loaded.splitlines() if not line.startswith("lamsep")]
     # verify-theorem2 exits 2 on the tracked erratum
-    assert lines == ["[]", "0 []", "2 []", "0 []"]
+    assert lines == ["[]", "[]", "0 []", "2 []", "0 []", "0 []", "0 []", "0 []",
+                     "SimConfig from lamsep.nssim True", "0"]
 
 
 def test_lazy_solver_names_still_resolve():

@@ -41,7 +41,7 @@ def test_gradient_linear_exact():
 
 def test_gradient_order4_exact_on_quartics():
     quartic = FieldHandle(evaluator=lambda x, y: (x**4, y**4))
-    jac = fd_gradient(quartic, [0.5, 0.5], StencilSpec(h=1e-2, order=4))
+    jac = np.asarray(fd_gradient(quartic, [0.5, 0.5], StencilSpec(h=1e-2, order=4)))
     assert jac[0, 0] == pytest.approx(4 * 0.5**3, abs=1e-11)
     assert jac[1, 1] == pytest.approx(4 * 0.5**3, abs=1e-11)
 
@@ -52,9 +52,9 @@ def test_gradient_matches_wall_shear():
     field = laminar_field(arc, params)
     frame = local_frame(arc, 0.0)
     x = frame.to_world(0.0, 0.2)
-    jac = fd_gradient(field, x, StencilSpec(h=1e-4, order=2))
+    jac = np.asarray(fd_gradient(field, x, StencilSpec(h=1e-4, order=2)))
     # dv1/dr at s=0 is the profile slope
-    dv1_dr = frame.e1 @ jac @ frame.e2
+    dv1_dr = np.asarray(frame.e1) @ jac @ np.asarray(frame.e2)
     assert dv1_dr == pytest.approx(profile_h_prime(params, 0.2), abs=1e-6)
 
 

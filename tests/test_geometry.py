@@ -129,7 +129,7 @@ def test_local_center_distance_matches_global_frame():
     for _ in range(25):
         s_loc = rng.uniform(-0.5, 0.5)
         r_loc = rng.uniform(0.0, 1.0)
-        y = frame.to_world(s_loc, r_loc)
+        y = np.asarray(frame.to_world(s_loc, r_loc))
         dist = np.linalg.norm(y - ARC.center)
         assert dist == pytest.approx(local_center_distance(ARC.delta, s_loc, r_loc), rel=1e-12)
 
@@ -160,7 +160,8 @@ def test_frame_orthonormal_and_center_offset():
     assert np.dot(frame.e1, frame.e2) == pytest.approx(0.0, abs=1e-15)
     assert np.linalg.norm(frame.e1) == pytest.approx(1.0)
     assert np.linalg.norm(frame.e2) == pytest.approx(1.0)
-    assert np.allclose(frame.origin - ARC.center, ARC.delta * frame.e2, atol=1e-14)
+    assert np.allclose(np.subtract(frame.origin, ARC.center), ARC.delta * np.asarray(frame.e2),
+                       atol=1e-14)
 
 
 def test_normal_point_validation():

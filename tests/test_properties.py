@@ -1,5 +1,6 @@
-"""Property tests: the paper's statements on random valid parameters, and the
-CLI's one-line refusal of random malformed configs.
+"""Property tests: the paper's statements on random valid parameters, the
+CLI's one-line refusal of random malformed configs, and its report or
+one-line refusal at parameters of any magnitude.
 
 Hypothesis runs derandomized, so the examples are the same on every run.
 """
@@ -9,7 +10,7 @@ import io
 import json
 import math
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lamsep.cli import main
 from lamsep.field import LaminarParams, laminar_field
@@ -22,6 +23,8 @@ from lamsep.theorems import (
     theorem2_ratio,
 )
 from lamsep.tracing import default_trace_config, poincare_L
+
+from conftest import load_strict_json
 
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=30, database=None)
 
@@ -44,7 +47,7 @@ def test_theorems_hold_for_valid_parameters(draw):
     assert theorem1_verify(params, delta).min_mismatch > 0
     # theorem 2: the material derivative points against the flow, and its limit
     # extrapolates to the exact rational oracle
-    assert all(q < 0 for q in theorem2_ratio(params, delta, default_r_grid(params, delta)))
+    assert all(theorem2_ratio(params, delta, r) < 0 for r in default_r_grid(params, delta))
     oracle = oracle_limit(params, delta)
     assert abs(theorem2_limit(params, delta).limit.value - oracle) <= 1e-4 * abs(oracle)
 
@@ -59,6 +62,16 @@ def test_laminar_return_map_is_the_identity(draw):
     height = poincare_L(laminar_field(arc, params), arc, 0.1 * delta, 0.25 * delta, r,
                         default_trace_config(arc, params))
     assert abs(height - r) <= 1e-6 * r
+
+
+def _run_cli(tmp, command: str, config: dict) -> tuple[int, list[str]]:
+    """Run ``lamsep command`` on ``config`` in-process; the exit code and the stderr lines."""
+    path = tmp / "config.json"
+    path.write_text(json.dumps(config))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main([command, "--config", str(path), "--out", str(tmp / "o")])
+    return code, err.getvalue().splitlines()
 
 
 # malformed values by the kind of value a key takes
@@ -101,12 +114,37 @@ def malformed_configs(draw):
 @given(malformed_configs())
 def test_malformed_config_is_one_line_error(tmp_path_factory, case):
     command, config = case
-    tmp = tmp_path_factory.mktemp("malformed")
-    path = tmp / "config.json"
-    path.write_text(json.dumps(config))
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-        code = main([command, "--config", str(path), "--out", str(tmp / "o")])
-    lines = err.getvalue().splitlines()
+    code, lines = _run_cli(tmp_path_factory.mktemp("malformed"), command, config)
     assert code == 1, (command, config)
     assert len(lines) == 1 and lines[0].startswith("lamsep: error:"), lines
+
+
+# log-uniform over nearly the whole float range: products and squares of these
+# overflow, and their quotients underflow
+MAGNITUDE = st.floats(min_value=-300.0, max_value=300.0).map(lambda e: 10.0**e)
+
+
+@st.composite
+def extreme_configs(draw):
+    command = draw(st.sampled_from(("verify-theorem1", "verify-theorem2", "classify", "trace",
+                                    "zeta-check")))
+    config = {key: draw(MAGNITUDE) for key in ("delta", "alpha1", "alpha2", "nu")}
+    if command == "verify-theorem1":
+        config["use_tracing"] = draw(st.booleans())
+    return command, config
+
+
+@PROPERTY_SETTINGS
+@example(("verify-theorem2", {"delta": 1e-170}))  # delta**2 underflows to 0
+@given(extreme_configs())
+def test_extreme_magnitudes_end_in_a_report_or_one_line_error(tmp_path_factory, case):
+    command, config = case
+    tmp = tmp_path_factory.mktemp("extreme")
+    code, lines = _run_cli(tmp, command, config)
+    if code == 1:
+        assert len(lines) == 1 and lines[0].startswith("lamsep: error:"), lines
+        return
+    # verify-theorem2 exits 2 on the tracked erratum
+    assert code == 0 or (code == 2 and command == "verify-theorem2"), (command, config, code)
+    report = load_strict_json(tmp / "o" / "report.json")
+    assert report["command"] == command

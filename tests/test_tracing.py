@@ -70,7 +70,7 @@ def test_streamline_stays_on_circle():
     start = to_cartesian(ARC, (0.05, 0.2))
     cfg = TraceConfig(step=1e-3, max_length=0.4, stagnation_tol=CFG.stagnation_tol)
     line = trace_streamline(field, start, cfg)
-    dists = np.linalg.norm(line.points - ARC.center, axis=1)
+    dists = np.linalg.norm(np.asarray(line.points) - ARC.center, axis=1)
     assert np.max(np.abs(dists - 1.2)) <= 1e-6
 
 
@@ -83,7 +83,7 @@ def test_streamline_endpoint_convergence_order():
         cfg = TraceConfig(step=step, max_length=0.4 + step / 2, stagnation_tol=1e-14)
         n = int(0.4 / step)
         line = trace_streamline(field, start, cfg)
-        ends.append(line.points[n])
+        ends.append(np.asarray(line.points[n]))
     errs = [np.linalg.norm(ends[0] - ends[1]), np.linalg.norm(ends[1] - ends[2])]
     assert np.log2(errs[0] / errs[1]) == pytest.approx(4.0, abs=0.4)
 
@@ -337,6 +337,20 @@ def _array_poincare_L(field, arc, s, s1, r, cfg):
     return float(np.linalg.norm(x_mid - arc.center)) - arc.delta
 
 
+# Largest relative deviations of the float march from the array reference,
+# measured on the case below and on 40 random arcs and parameters: 0 for the
+# traced points (abs(complex(u, v)) is libm's hypot, as np.hypot is) and
+# 4.8e-15 for poincare_L, whose |x - center| the reference takes from a BLAS
+# dot and the tracer as sqrt(rx*rx + ry*ry).
+POINTS_RTOL = 0.0
+HEIGHT_RTOL = 1e-13
+
+
+def _rel_dev(got, ref) -> float:
+    got, ref = np.asarray(got), np.asarray(ref)
+    return float(np.max(np.abs(got - ref)) / np.max(np.abs(ref)))
+
+
 def test_float_march_matches_array_reference():
     arc = ArcBoundary(delta=1.3, phase=0.2, center=(0.5, -0.7), s_range=(0.0, 0.6))
     params = LaminarParams(alpha1=2.7, alpha2=1.1, nu=0.8)
@@ -346,14 +360,17 @@ def test_float_march_matches_array_reference():
     field = laminar_field(arc, params)
     line = trace_streamline(field, start, cfg)
     expected = _array_trace(_array_direction(field, cfg.stagnation_tol), start, cfg)
-    assert np.array_equal(line.points, expected)
+    assert np.shape(line.points) == expected.shape
+    assert _rel_dev(line.points, expected) <= POINTS_RTOL
 
     gradp = stationary_gradp_field(arc, params)
     for direction, sign in (("along", 1.0), ("perpendicular", -1.0)):
         line = trace_pressure_line(gradp, start, cfg, direction, orientation=sign)
         fn = _array_direction(gradp, cfg.stagnation_tol, sign, direction == "perpendicular")
-        assert np.array_equal(line.points, _array_trace(fn, start, cfg))
+        expected = _array_trace(fn, start, cfg)
+        assert np.shape(line.points) == expected.shape
+        assert _rel_dev(line.points, expected) <= POINTS_RTOL
 
     cfg_L = TraceConfig(step=1e-3, max_length=1.0, stagnation_tol=1e-10)
     got = poincare_L(field, arc, 0.1, 0.35, 0.12, cfg_L)
-    assert got == _array_poincare_L(field, arc, 0.1, 0.35, 0.12, cfg_L)
+    assert _rel_dev(got, _array_poincare_L(field, arc, 0.1, 0.35, 0.12, cfg_L)) <= HEIGHT_RTOL
