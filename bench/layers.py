@@ -1,8 +1,7 @@
 """Layer timings, output agreement and end-to-end benchmark pairs between two checkouts.
 
     python3 bench/layers.py --before OLD --after . --out BENCH_<topic>.json \
-        [--pairs 10 --first-seed 1 --seconds 40 --workloads cli-analysis sim-default] \
-        [--output-seeds cli-analysis=120 sim-default=20]
+        [--pairs 10 --first-seed 1 --seconds 40 --workloads cli-analysis sim-default]
 
 ``--before`` and ``--after`` are repository roots (each with ``src/`` and
 ``perfbench/``; make the old one with ``git clone`` or ``git archive``).  Every
@@ -20,10 +19,10 @@ Layers (north-star aim 1), over ``REPEATS`` alternating rounds:
 - at n = 32/128/256: one projection pressure solve, a cold ``init_sim`` and
   one ``nssim.step`` after a warm-up step.
 
-Outputs: each side runs every invocation of the given workload seeds once,
-in-process in one interpreter; per command the file gets the exit codes that
-differ, how many CSVs are byte-identical and the largest relative difference
-of a CSV cell between the sides.
+Outputs: each side runs every invocation of seeds 1..N of each workload in
+``OUTPUT_SEEDS`` once, in-process in one interpreter; per command the file gets
+the exit codes that differ, how many CSVs are byte-identical and the largest
+relative difference of a CSV cell between the sides.
 
 Pairs: with ``--pairs N`` each workload runs ``perfbench/run.py --seconds S``
 once per side on each of N seeds, the side that goes first alternating.  The
@@ -53,6 +52,7 @@ REPEATS = 5
 IMPORTS_PER_ROUND = 3
 TIMED_CALLS = 2000
 SIM_SIZES = (32, 128, 256)
+OUTPUT_SEEDS = {"cli-analysis": 120, "sim-default": 20}  # seeds 1..N compared per workload
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
@@ -232,9 +232,9 @@ def _largest_rel_diff(a: list[list[str]], b: list[list[str]]) -> float:
     return worst
 
 
-def outputs(sides: dict[str, Path], seeds: dict[str, int]) -> dict:
+def outputs(sides: dict[str, Path]) -> dict:
     result = {}
-    for workload, count in seeds.items():
+    for workload, count in OUTPUT_SEEDS.items():
         with tempfile.TemporaryDirectory() as tmp:
             runs = {side: json.loads(_side(root, "--outputs", workload, str(count),
                                            str(Path(tmp) / side)))
@@ -317,14 +317,6 @@ def _git_sha(root: Path) -> str | None:
     return proc.stdout.strip() or None
 
 
-def _seed_counts(items: list[str]) -> dict[str, int]:
-    counts = {}
-    for item in items:
-        workload, _, count = item.partition("=")
-        counts[workload] = int(count)
-    return counts
-
-
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--before", type=Path)
@@ -334,8 +326,6 @@ def main() -> None:
     parser.add_argument("--first-seed", type=int, default=1)
     parser.add_argument("--seconds", type=float, default=40.0)
     parser.add_argument("--workloads", nargs="+", default=["cli-analysis", "sim-default"])
-    parser.add_argument("--output-seeds", nargs="*", default=["cli-analysis=120", "sim-default=20"],
-                        metavar="WORKLOAD=N")
     parser.add_argument("--measure", metavar="TMP", help=argparse.SUPPRESS)
     parser.add_argument("--outputs", nargs=3, metavar=("WORKLOAD", "N", "DIR"),
                         help=argparse.SUPPRESS)
@@ -366,7 +356,7 @@ def main() -> None:
                      "side and seed, the side that goes first alternating",
         },
         "layers": layers(sides),
-        "outputs": outputs(sides, _seed_counts(args.output_seeds)),
+        "outputs": outputs(sides),
     }
     if seeds:
         result["end_to_end"] = pairs(sides, args.workloads, seeds, args.seconds)

@@ -154,6 +154,17 @@ def _invalid_input():
         raise ValidationError(str(exc)) from exc
 
 
+@contextmanager
+def _float_range():
+    """Report a closed form that leaves the float range at the given parameters (an
+    overflow, or a division by a square or quotient that underflowed to zero) as a
+    DomainError."""
+    try:
+        yield
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise DomainError(f"a value leaves the float range at these parameters ({exc})") from exc
+
+
 def _finite_pair(key: str, value) -> tuple[float, float]:
     """``value`` as two finite floats, else a ValidationError."""
     if isinstance(value, (list, tuple)) and len(value) == 2:
@@ -260,12 +271,7 @@ def run(cfg: RunConfig) -> RunReport:
     t0 = time.perf_counter()
     cfg.out.mkdir(parents=True, exist_ok=True)
     handler = _HANDLERS[cfg.command]
-    try:
-        payload, rows, header, exit_code, notes = handler(cfg)
-    except ArithmeticError as exc:  # a float overflow or a division by an underflowed zero
-        raise DomainError(
-            f"{cfg.command}: the parameters take a value out of floating-point range ({exc})"
-        ) from exc
+    payload, rows, header, exit_code, notes = handler(cfg)
     report = RunReport(
         command=cfg.command,
         config=cfg.resolved(),
@@ -285,7 +291,7 @@ def _cmd_theorem1(cfg: RunConfig):
     if use_tracing is not None and not isinstance(use_tracing, bool):
         raise ValidationError(f"use_tracing must be true or false, got {use_tracing!r}")
     r_grid = _option_list(cfg, "r_grid", None)
-    with _invalid_input():  # a trace config the parameters make invalid
+    with _invalid_input(), _float_range():  # a trace config the parameters make invalid
         report = theorems.theorem1_verify(
             cfg.params, cfg.arc.delta, r_grid=r_grid, arc=cfg.arc if use_tracing else None)
     rows = list(zip(report.r_grid, report.lhs, report.rhs, report.mismatch))
@@ -295,7 +301,7 @@ def _cmd_theorem1(cfg: RunConfig):
 
 def _cmd_theorem2(cfg: RunConfig):
     r_grid = _option_list(cfg, "r_grid", None)
-    with _invalid_input():  # too few or non-decreasing r values
+    with _invalid_input(), _float_range():  # too few or non-decreasing r values
         report = theorems.theorem2_limit(cfg.params, cfg.arc.delta, r_grid=r_grid)
     rows = list(zip(report.r_grid, report.ratio))
     agree = abs(report.paper_value - report.oracle_value) <= theorems.ADJUDICATION_RTOL * abs(
@@ -385,7 +391,7 @@ def _cmd_zeta(cfg: RunConfig):
     r_list = _option_list(cfg, "r_list", [0.08 * scale, 0.04 * scale, 0.02 * scale])
     s = _option(cfg, "s", arc.s_range[0] + 0.2 * (arc.s_range[1] - arc.s_range[0]))
     eps_over_r = _option(cfg, "eps_over_r", 2.0)
-    with _invalid_input():
+    with _invalid_input(), _float_range():
         report = tracing.zeta_check(p_field, arc, params, s, r_list, eps_over_r)
     rows = [
         (sm.r, sm.eps, sm.s_hat, sm.r_hat2, sm.traced_length, sm.lower_bound, sm.upper_bound)
@@ -444,8 +450,9 @@ def _cmd_sweep(cfg: RunConfig):
                 for nu in nus:
                     with _invalid_input():
                         params = LaminarParams(alpha1=a1, alpha2=a2, nu=nu)
-                    rep2 = theorems.theorem2_limit(params, d)
-                    rep1 = theorems.theorem1_verify(params, d)
+                    with _float_range():
+                        rep2 = theorems.theorem2_limit(params, d)
+                        rep1 = theorems.theorem1_verify(params, d)
                     rows.append((d, a1, a2, nu, rep2.limit.value, rep2.oracle_value,
                                  rep2.paper_value, rep1.min_mismatch))
                     levels_used.append(rep2.limit.levels_used)
