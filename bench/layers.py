@@ -11,13 +11,18 @@ measurement runs in fresh interpreters with ``PYTHONPATH`` set to the side's
 Layers (north-star aim 1), over ``REPEATS`` alternating rounds:
 - package import: the wall time of a fresh ``python -c "import lamsep.cli"``
   and ``"import lamsep.nssim"`` (and ``"pass"``, the interpreter alone);
+- a whole ``simulate`` process: the wall time of a fresh
+  ``python -m lamsep.cli simulate`` of one step at n = 32 and n = 128;
 - config parse (``cli.parse_config``), one laminar field evaluation and one
   RK4 ``_rk_step``, the Richardson fit of the default theorem-2 grid, the exact
   rational ``oracle_limit`` and report and CSV writing, as best per-call times;
 - the in-process ``cli.run`` of each cli-analysis command of seed 1, and the
   theorem-1 ``eta_ratio``, where the polyline crossing search runs;
-- at n = 32/128/256: one projection pressure solve, a cold ``init_sim`` and
-  one ``nssim.step`` after a warm-up step.
+- at n = 32/64/128/256: one projection pressure solve, a cold ``init_sim`` and
+  one ``nssim.step`` after a warm-up step, in an interpreter whose
+  environment leaves ``OPENBLAS_NUM_THREADS`` unset (``nssim.*``, OpenBLAS's
+  default thread count) and in one that sets it to 1
+  (``nssim.*_one_blas_thread_s``).
 
 Outputs: each side runs every invocation of seeds 1..N of each workload in
 ``OUTPUT_SEEDS`` once, in-process in one interpreter; per command the file gets
@@ -51,7 +56,8 @@ from pathlib import Path
 REPEATS = 5
 IMPORTS_PER_ROUND = 3
 TIMED_CALLS = 2000
-SIM_SIZES = (32, 128, 256)
+SIM_SIZES = (32, 64, 128, 256)
+SIM_PROCESS_SIZES = (32, 128)
 OUTPUT_SEEDS = {"cli-analysis": 120, "sim-default": 20}  # seeds 1..N compared per workload
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -178,19 +184,43 @@ def _run_outputs(workload: str, seeds: list[int], out_dir: Path) -> list:
 # ----------------------------------------------------------------------------
 
 
-def _side(root: Path, *args: str) -> str:
-    """Run this script in a fresh interpreter on ``root``'s source; its last stdout line."""
+def _env(root: Path, blas_threads: str | None = None) -> dict:
+    """This environment with ``root``'s source on PYTHONPATH and OPENBLAS_NUM_THREADS
+    set to ``blas_threads``, or unset when that is None."""
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
-    proc = subprocess.run([sys.executable, __file__, *args], env=env, check=True,
-                          capture_output=True, text=True)
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    return env
+
+
+def _side(root: Path, *args: str, blas_threads: str | None = None) -> str:
+    """Run this script in a fresh interpreter on ``root``'s source; its last stdout line."""
+    proc = subprocess.run([sys.executable, __file__, *args], env=_env(root, blas_threads),
+                          check=True, capture_output=True, text=True)
     return proc.stdout.splitlines()[-1]
 
 
-def _import_s(root: Path, code: str) -> float:
-    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+def _process_s(root: Path, *argv: str) -> float:
+    """Wall time of a fresh ``python argv`` on ``root``'s source."""
     t0 = time.perf_counter()
-    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+    subprocess.run([sys.executable, *argv], env=_env(root), check=True,
+                   stdout=subprocess.DEVNULL)
     return time.perf_counter() - t0
+
+
+def _process_layers(root: Path, tmp: Path) -> dict:
+    """The import and whole-``simulate`` process layers, medians of IMPORTS_PER_ROUND."""
+    argvs = {f"import.{name}": ["-c", code] for name, code in (
+        ("python_s", "pass"), ("lamsep_cli_s", "import lamsep.cli"),
+        ("lamsep_nssim_s", "import lamsep.nssim"))}
+    for n in SIM_PROCESS_SIZES:
+        config = tmp / f"simulate-{n}.json"
+        config.write_text(json.dumps({"n_s": n, "n_r": n, "t_end": 1e-9}))  # one step
+        argvs[f"process.simulate_{n}_s"] = ["-m", "lamsep.cli", "simulate", "--config",
+                                            str(config), "--out", str(tmp / f"simulate-{n}")]
+    return {name: statistics.median(_process_s(root, *argv) for _ in range(IMPORTS_PER_ROUND))
+            for name, argv in argvs.items()}
 
 
 def layers(sides: dict[str, Path]) -> dict:
@@ -200,10 +230,11 @@ def layers(sides: dict[str, Path]) -> dict:
             root = sides[side]
             with tempfile.TemporaryDirectory() as tmp:
                 row = json.loads(_side(root, "--measure", tmp))
-            for name, code in (("python_s", "pass"), ("lamsep_cli_s", "import lamsep.cli"),
-                               ("lamsep_nssim_s", "import lamsep.nssim")):
-                row[f"import.{name}"] = statistics.median(
-                    _import_s(root, code) for _ in range(IMPORTS_PER_ROUND))
+                row.update(_process_layers(root, Path(tmp)))
+            row.update(json.loads(_side(root, "--measure-solver")))
+            one_thread = json.loads(_side(root, "--measure-solver", blas_threads="1"))
+            row.update({key.removesuffix("_s") + "_one_blas_thread_s": value
+                        for key, value in one_thread.items()})
             samples[side].append(row)
     medians = {side: {key: statistics.median(r[key] for r in runs) for key in runs[0]}
                for side, runs in samples.items()}
@@ -327,11 +358,15 @@ def main() -> None:
     parser.add_argument("--seconds", type=float, default=40.0)
     parser.add_argument("--workloads", nargs="+", default=["cli-analysis", "sim-default"])
     parser.add_argument("--measure", metavar="TMP", help=argparse.SUPPRESS)
+    parser.add_argument("--measure-solver", action="store_true", help=argparse.SUPPRESS)
     parser.add_argument("--outputs", nargs=3, metavar=("WORKLOAD", "N", "DIR"),
                         help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.measure:
-        print(json.dumps({**_measure_analysis(Path(args.measure)), **_measure_solver()}))
+        print(json.dumps(_measure_analysis(Path(args.measure))))
+        return
+    if args.measure_solver:
+        print(json.dumps(_measure_solver()))
         return
     if args.outputs:
         workload, count, out_dir = args.outputs
@@ -349,8 +384,10 @@ def main() -> None:
         "git_sha": {side: _git_sha(root) for side, root in sides.items()},
         "method": {
             "layers": f"{REPEATS} alternating rounds; medians over rounds of the best per-call "
-                      f"time of three batches (imports: median of {IMPORTS_PER_ROUND} fresh "
-                      "interpreters per round, wall time of the whole process)",
+                      f"time of three batches (imports and simulate processes: median of "
+                      f"{IMPORTS_PER_ROUND} fresh interpreters per round, wall time of the "
+                      "whole process); OPENBLAS_NUM_THREADS unset except in the "
+                      "*_one_blas_thread_s solver layers, where it is 1",
             "outputs": "every invocation of the listed workload seeds, in-process, once per side",
             "pairs": f"perfbench/run.py --seconds {args.seconds} on seeds {seeds}, one run per "
                      "side and seed, the side that goes first alternating",

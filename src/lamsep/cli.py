@@ -4,9 +4,10 @@
 
 Configs are flat JSON objects; command-line flags override file values and
 unknown keys are rejected.  Every run writes ``report.json`` (the envelope may
-carry a wall-clock time) and a deterministic ``data.csv``.  ``report.json`` is
-strict JSON: a non-finite number is written as ``null`` and its dotted path is
-listed under ``non_finite``.  Exit codes:
+carry a wall-clock time and the seconds spent in each stage) and a
+deterministic ``data.csv``.  ``report.json`` is strict JSON: a non-finite
+number is written as ``null`` and its dotted path is listed under
+``non_finite``.  Exit codes:
 0 success, 1 error, 2 when the printed and independently derived material
 derivative limits disagree beyond tolerance (the tracked erratum).
 """
@@ -16,20 +17,27 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field as dc_field, replace
+from importlib import import_module
 from pathlib import Path
+from typing import NamedTuple
 
-from . import __version__
+from . import _IMPORT_START, __version__
 from .errors import DomainError, LamsepError, ParseError, ValidationError
 from .field import LaminarParams, laminar_field, stationary_gradp_field, write_csv
 from .fdops import StencilSpec, fd_advection
 from .geometry import ArcBoundary, center_offset, to_cartesian
-from . import theorems, tracing
 
-SCHEMA_VERSION = 1
+# 2: the envelope gained stage_s
+SCHEMA_VERSION = 2
+# OpenBLAS runs a matrix product of m*n*k <= 65536 * 4 multiply-adds on one
+# thread (its GEMM threading cut-off).  The solver's theta transforms are
+# (n_r x n_s) @ (n_s x n_s) products, so below this size the thread pool that
+# OpenBLAS starts when numpy loads would never be used.
+_ONE_BLAS_THREAD_MAX = 65536 * 4
 
 _SHARED_KEYS = {"command", "alpha1", "alpha2", "nu", "delta", "phase", "center",
                 "s_range", "out"}
@@ -45,13 +53,13 @@ _COMMAND_KEYS = {
 COMMANDS = tuple(_COMMAND_KEYS)
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     command: str
     params: LaminarParams
     arc: ArcBoundary
-    options: dict = dc_field(default_factory=dict)
-    out: Path = Path("lamsep-out")
+    options: dict
+    out: Path
+    parse_s: float  # the time parse_config took
 
     def resolved(self) -> dict:
         return {
@@ -68,25 +76,25 @@ class RunConfig:
         }
 
 
-@dataclass
-class RunReport:
+class RunReport(NamedTuple):
     command: str
     config: dict
     payload: dict
     wall_clock: float
+    stage_s: dict
     version: str
     erratum_notes: dict
-    schema_version: int = SCHEMA_VERSION
-    exit_code: int = 0
+    exit_code: int
 
     def to_json(self) -> str:
         envelope = {
-            "schema_version": self.schema_version,
+            "schema_version": SCHEMA_VERSION,
             "command": self.command,
             "config": self.config,
             "payload": self.payload,
             "erratum_notes": self.erratum_notes,
             "wall_clock_s": self.wall_clock,
+            "stage_s": self.stage_s,
             "library_version": self.version,
         }
         non_finite: list[str] = []
@@ -165,6 +173,13 @@ def _float_range():
         raise DomainError(f"a value leaves the float range at these parameters ({exc})") from exc
 
 
+def _require_finite(values) -> None:
+    """Refuse results that overflowed the float range: huge valid parameters can
+    take a closed form or a traced length past it without raising."""
+    if not all(math.isfinite(v) for v in values):
+        raise DomainError("a value leaves the float range at these parameters")
+
+
 def _finite_pair(key: str, value) -> tuple[float, float]:
     """``value`` as two finite floats, else a ValidationError."""
     if isinstance(value, (list, tuple)) and len(value) == 2:
@@ -174,6 +189,7 @@ def _finite_pair(key: str, value) -> tuple[float, float]:
 
 def parse_config(path=None, overrides: dict | None = None, command: str | None = None) -> RunConfig:
     """Merge a JSON config file with flag overrides into a validated RunConfig."""
+    t0 = time.perf_counter()
     raw: dict = {}
     if path is not None:
         try:
@@ -240,10 +256,8 @@ def parse_config(path=None, overrides: dict | None = None, command: str | None =
         raise ValidationError(str(exc)) from exc
     params = LaminarParams(alpha1=numbers["alpha1"], alpha2=numbers["alpha2"], nu=numbers["nu"])
     options = {k: raw[k] for k in raw if k in _COMMAND_KEYS[cmd]}
-    return RunConfig(
-        command=cmd, params=params, arc=arc, options=options,
-        out=Path(out),
-    )
+    return RunConfig(command=cmd, params=params, arc=arc, options=options, out=Path(out),
+                     parse_s=time.perf_counter() - t0)
 
 
 def _fd_variant_note(cfg: RunConfig) -> str:
@@ -266,22 +280,41 @@ def _fd_variant_note(cfg: RunConfig) -> str:
     return best
 
 
+def _load(module: str):
+    """The library module ``lamsep.<module>``, imported on first use.
+
+    Each command loads only the modules it runs; the time an import takes goes
+    to the import stage of the run that makes it.
+    """
+    global _late_import_s
+    t0 = time.perf_counter()
+    loaded = import_module(f".{module}", __package__)
+    _late_import_s += time.perf_counter() - t0
+    return loaded
+
+
 def run(cfg: RunConfig) -> RunReport:
     """Dispatch a validated config, write report.json and data.csv, return the report."""
     t0 = time.perf_counter()
+    late_before = _late_import_s
     cfg.out.mkdir(parents=True, exist_ok=True)
     handler = _HANDLERS[cfg.command]
     payload, rows, header, exit_code, notes = handler(cfg)
+    t1 = time.perf_counter()
+    write_csv(cfg.out / "data.csv", header, rows)
+    late = _late_import_s - late_before
     report = RunReport(
         command=cfg.command,
         config=cfg.resolved(),
         payload=payload,
-        wall_clock=time.perf_counter() - t0,
+        wall_clock=t1 - t0,
+        # report.json itself is written after the clocks stop
+        stage_s={"import": _IMPORT_S + late, "parse": cfg.parse_s, "compute": t1 - t0 - late,
+                 "write": time.perf_counter() - t1},
         version=__version__,
         erratum_notes=notes,
         exit_code=exit_code,
     )
-    write_csv(cfg.out / "data.csv", header, rows)
     (cfg.out / "report.json").write_text(report.to_json())
     return report
 
@@ -291,9 +324,12 @@ def _cmd_theorem1(cfg: RunConfig):
     if use_tracing is not None and not isinstance(use_tracing, bool):
         raise ValidationError(f"use_tracing must be true or false, got {use_tracing!r}")
     r_grid = _option_list(cfg, "r_grid", None)
+    theorems = _load("theorems")
     with _invalid_input(), _float_range():  # a trace config the parameters make invalid
         report = theorems.theorem1_verify(
             cfg.params, cfg.arc.delta, r_grid=r_grid, arc=cfg.arc if use_tracing else None)
+    _require_finite([*report.lhs, *report.rhs, *report.mismatch,
+                     *(v for check in report.geometric_crosscheck for v in check)])
     rows = list(zip(report.r_grid, report.lhs, report.rhs, report.mismatch))
     notes = {"pperp_variant_supported_by_fd": _fd_variant_note(cfg)}
     return report.to_dict(), rows, ["r", "lhs", "rhs", "mismatch"], 0, notes
@@ -301,6 +337,7 @@ def _cmd_theorem1(cfg: RunConfig):
 
 def _cmd_theorem2(cfg: RunConfig):
     r_grid = _option_list(cfg, "r_grid", None)
+    theorems = _load("theorems")
     with _invalid_input(), _float_range():  # too few or non-decreasing r values
         report = theorems.theorem2_limit(cfg.params, cfg.arc.delta, r_grid=r_grid)
     rows = list(zip(report.r_grid, report.ratio))
@@ -328,9 +365,9 @@ def _classification_field(cfg: RunConfig):
     if kind == "fan":
         if source is None:
             source = to_cartesian(cfg.arc, (cfg.arc.s_range[0] - 2.0 * cfg.arc.delta, 0.0))
-        return tracing.fan_field(source)
+        return _load("tracing").fan_field(source)
     if kind == "weak":
-        return tracing.radial_growth_field(cfg.arc, growth)
+        return _load("tracing").radial_growth_field(cfg.arc, growth)
     raise ValidationError(f"unknown classify field {kind!r}")
 
 
@@ -343,9 +380,10 @@ def _cmd_classify(cfg: RunConfig):
     thresh = _option(cfg, "C", 1.2)
     tol_par = _option(cfg, "tol_par", 1e-4)
     field = _classification_field(cfg)
+    tracing = _load("tracing")
     with _invalid_input():
         trace_cfg = tracing.default_trace_config(arc, params)
-        trace_cfg = replace(trace_cfg, step=_option(cfg, "step", trace_cfg.step))
+        trace_cfg = trace_cfg._replace(step=_option(cfg, "step", trace_cfg.step))
         result = tracing.classify_flow(field, arc, radii, s, s1, thresh, trace_cfg, tol_par=tol_par)
     payload = {"kind": result.kind, "C_threshold": result.C_threshold,
                "evidence": [{"r": r, "ratio": q} for r, q in result.evidence]}
@@ -359,6 +397,7 @@ def _cmd_trace(cfg: RunConfig):
     if start_r < 0:
         raise ValidationError(f"start_r must be >= 0 (on or above the wall), got {start_r}")
     start = to_cartesian(arc, (_option(cfg, "start_s", 0.0), start_r))
+    tracing = _load("tracing")
     with _invalid_input():
         trace_cfg = tracing.TraceConfig(
             step=_option(cfg, "step", 1e-3 * arc.delta),
@@ -373,6 +412,7 @@ def _cmd_trace(cfg: RunConfig):
         line = tracing.trace_pressure_line(gradp, start, trace_cfg, direction)
     else:
         raise ValidationError(f"unknown trace kind {kind!r}")
+    _require_finite([line.length])
     payload = {"kind": kind, "points": len(line.points), "length": line.length}
     return payload, line.rows(), line.CSV_HEADER, 0, {}
 
@@ -381,6 +421,7 @@ def _cmd_zeta(cfg: RunConfig):
     arc, params = cfg.arc, cfg.params
     which = cfg.options.get("pressure", "angular")
     amp = _option(cfg, "amp", 0.2)
+    tracing = _load("tracing")
     if which == "angular":
         p_field = tracing.angular_pressure(arc, params)
     elif which == "perturbed":
@@ -411,14 +452,17 @@ def _cmd_zeta(cfg: RunConfig):
 
 
 def _cmd_simulate(cfg: RunConfig):
-    from . import nssim  # only simulate loads the solver
-
+    n_s, n_r = _option(cfg, "n_s", 32, int), _option(cfg, "n_r", 32, int)
+    if n_s * n_s * n_r <= _ONE_BLAS_THREAD_MAX and "numpy" not in sys.modules:
+        # OpenBLAS reads this once, when numpy loads; a value already set is kept
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    nssim = _load("nssim")
     sim_cfg = nssim.SimConfig(
         arc=cfg.arc, params=cfg.params,
         sector_angle=_option(cfg, "sector_angle", 0.5),
         r_out=_option(cfg, "r_out", None),
-        n_s=_option(cfg, "n_s", 32, int),
-        n_r=_option(cfg, "n_r", 32, int),
+        n_s=n_s,
+        n_r=n_r,
         dt=_option(cfg, "dt", None),
         t_end=_option(cfg, "t_end", 0.02),
     )
@@ -443,6 +487,7 @@ def _cmd_sweep(cfg: RunConfig):
     alpha1s = _option_list(cfg, "alpha1_values", [cfg.params.alpha1])
     alpha2s = _option_list(cfg, "alpha2_values", [cfg.params.alpha2])
     nus = _option_list(cfg, "nu_values", [cfg.params.nu])
+    theorems = _load("theorems")
     rows, levels_used = [], []
     for d in deltas:
         for a1 in alpha1s:
@@ -497,6 +542,11 @@ def main(argv=None) -> int:
               "(tracked erratum); exit 2", file=sys.stderr)
     return report.exit_code
 
+
+# seconds spent importing modules on first use (see _load), and the import of
+# the package and of this module: the import stage of every report
+_late_import_s = 0.0
+_IMPORT_S = time.perf_counter() - _IMPORT_START
 
 if __name__ == "__main__":
     sys.exit(main())

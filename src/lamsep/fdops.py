@@ -9,29 +9,35 @@ derivatives they verify (``analytic_laplacian`` and ``advection`` in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import NonMonotoneSequence
 from .field import FieldHandle
 
 
-@dataclass(frozen=True)
-class StencilSpec:
+class _StencilFields(NamedTuple):
+    h: float
+    order: int
+
+
+class StencilSpec(_StencilFields):
     """Central-difference stencil: step h and truncation order (2 or 4)."""
 
-    h: float
-    order: int = 2
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.h <= 0:
-            raise ValueError(f"step h must be positive, got {self.h}")
-        if self.order not in (2, 4):
-            raise ValueError(f"order must be 2 or 4, got {self.order}")
+    def __new__(cls, h, order=2):
+        if h <= 0:
+            raise ValueError(f"step h must be positive, got {h}")
+        if order not in (2, 4):
+            raise ValueError(f"order must be 2 or 4, got {order}")
+        return super().__new__(cls, h, order)
+
+    @classmethod
+    def _make(cls, fields):  # so that _replace checks its fields too
+        return cls(*fields)
 
 
-@dataclass(frozen=True)
-class ExtrapolationResult:
+class ExtrapolationResult(NamedTuple):
     value: float
     error_estimate: float
     observed_order: float

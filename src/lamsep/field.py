@@ -14,33 +14,40 @@ pressure-gradient ansatz) are all verified against finite differences in
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .geometry import ArcBoundary, center_offset
 
 VARIANTS = ("paper", "corrected")
 
 
-@dataclass(frozen=True)
-class LaminarParams:
+class _ParamFields(NamedTuple):
+    alpha1: float
+    alpha2: float
+    nu: float
+
+
+class LaminarParams(_ParamFields):
     """Wall shear rate alpha1, profile curvature alpha2, kinematic viscosity nu.
 
     alpha2 == 0 is permitted as an internal pure-shear test mode; the theorem
     operations reject it.
     """
 
-    alpha1: float
-    alpha2: float
-    nu: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.alpha1 <= 0:
-            raise ValueError(f"alpha1 must be positive, got {self.alpha1}")
-        if self.alpha2 < 0:
-            raise ValueError(f"alpha2 must be >= 0, got {self.alpha2}")
-        if self.nu <= 0:
-            raise ValueError(f"nu must be positive, got {self.nu}")
+    def __new__(cls, alpha1, alpha2, nu):
+        if alpha1 <= 0:
+            raise ValueError(f"alpha1 must be positive, got {alpha1}")
+        if alpha2 < 0:
+            raise ValueError(f"alpha2 must be >= 0, got {alpha2}")
+        if nu <= 0:
+            raise ValueError(f"nu must be positive, got {nu}")
+        return super().__new__(cls, alpha1, alpha2, nu)
+
+    @classmethod
+    def _make(cls, fields):  # so that _replace checks its fields too
+        return cls(*fields)
 
     @property
     def bl(self) -> float:
@@ -48,8 +55,7 @@ class LaminarParams:
         return self.alpha1 / self.alpha2 if self.alpha2 > 0 else float("inf")
 
 
-@dataclass(frozen=True)
-class FieldHandle:
+class FieldHandle(NamedTuple):
     """An evaluable planar vector field.
 
     ``evaluator`` is the field's one formula, in point form: it maps the
@@ -70,8 +76,7 @@ class FieldHandle:
         return self.evaluator(*x)
 
 
-@dataclass(frozen=True)
-class ScalarFieldHandle:
+class ScalarFieldHandle(NamedTuple):
     """An evaluable planar scalar field (pressure) with its analytic gradient.
 
     Point form as for :class:`FieldHandle`: ``evaluator`` maps ``(x, y)`` to

@@ -17,7 +17,7 @@ wall distances ``r`` at one station and then returns arrays of x and y.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import OutOfChart, PointBelowWall
 
@@ -26,22 +26,29 @@ from .errors import OutOfChart, PointBelowWall
 CHART_PADDING = 0.10
 
 
-@dataclass(frozen=True)
-class ArcBoundary:
-    """Circular wall segment: radius ``delta``, phase shift, center, s-interval."""
-
+class _ArcFields(NamedTuple):
     delta: float
     phase: float
     center: tuple[float, float]
     s_range: tuple[float, float]
 
-    def __post_init__(self):
-        if self.delta <= 0:
-            raise ValueError(f"delta must be positive, got {self.delta}")
-        if self.s_range[0] >= self.s_range[1]:
-            raise ValueError(f"s_range must be increasing, got {self.s_range}")
-        object.__setattr__(self, "center", (float(self.center[0]), float(self.center[1])))
-        object.__setattr__(self, "s_range", (float(self.s_range[0]), float(self.s_range[1])))
+
+class ArcBoundary(_ArcFields):
+    """Circular wall segment: radius ``delta``, phase shift, center, s-interval."""
+
+    __slots__ = ()
+
+    def __new__(cls, delta, phase, center, s_range):
+        if delta <= 0:
+            raise ValueError(f"delta must be positive, got {delta}")
+        if s_range[0] >= s_range[1]:
+            raise ValueError(f"s_range must be increasing, got {s_range}")
+        return super().__new__(cls, delta, phase, (float(center[0]), float(center[1])),
+                               (float(s_range[0]), float(s_range[1])))
+
+    @classmethod
+    def _make(cls, fields):  # so that _replace checks its fields too
+        return cls(*fields)
 
     @property
     def padded_s_range(self) -> tuple[float, float]:
@@ -50,20 +57,27 @@ class ArcBoundary:
         return s1 - pad, s2 + pad
 
 
-@dataclass(frozen=True)
-class NormalPoint:
-    """Wall-fitted coordinates: arc length ``s`` along the wall, distance ``r`` above it."""
-
+class _NormalFields(NamedTuple):
     s: float
     r: float
 
-    def __post_init__(self):
-        if self.r < 0:
-            raise ValueError(f"wall distance r must be >= 0, got {self.r}")
+
+class NormalPoint(_NormalFields):
+    """Wall-fitted coordinates: arc length ``s`` along the wall, distance ``r`` above it."""
+
+    __slots__ = ()
+
+    def __new__(cls, s, r):
+        if r < 0:
+            raise ValueError(f"wall distance r must be >= 0, got {r}")
+        return super().__new__(cls, s, r)
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
 
 
-@dataclass(frozen=True)
-class LocalFrame:
+class LocalFrame(NamedTuple):
     """Orthonormal frame at a wall point: origin Q, tangent e1, outward normal e2 (float pairs)."""
 
     origin: tuple[float, float]

@@ -34,7 +34,6 @@ is made mean-free first.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
@@ -45,8 +44,7 @@ from .field import LaminarParams, profile_h, write_csv
 from .geometry import ArcBoundary
 
 
-@dataclass(frozen=True)
-class SimConfig:
+class _SimFields(NamedTuple):
     arc: ArcBoundary
     params: LaminarParams
     sector_angle: float = 0.5
@@ -56,12 +54,15 @@ class SimConfig:
     dt: float | None = None          # default 0.4 of the stability limit
     t_end: float = 0.05
 
+
+class SimConfig(_SimFields):
+    # no __slots__: cached_property keeps its values in the instance __dict__,
+    # and _replace builds a new config with an empty cache
+
     @property
     def R_out(self) -> float:
         return 2.0 * self.params.bl if self.r_out is None else self.r_out
 
-    # cached_property writes the instance __dict__, so it works on a frozen
-    # config; dataclasses.replace builds a new config with an empty cache
     @cached_property
     def effective_dt(self) -> float:
         return stable_dt(self) if self.dt is None else self.dt
@@ -107,8 +108,7 @@ def stable_dt(cfg: SimConfig) -> float:
     return 0.4 * min(dt_adv, dt_visc)
 
 
-@dataclass(frozen=True)
-class SimState:
+class SimState(NamedTuple):
     us: np.ndarray   # (n_s + 1, n_r) tangential velocity at theta-faces
     ur: np.ndarray   # (n_s, n_r + 1) radial velocity at rho-faces
     p: np.ndarray    # (n_s, n_r) pressure at cell centers
@@ -466,8 +466,7 @@ def step(state: SimState, cfg: SimConfig) -> SimState:
 # ----------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ProbeSample:
+class ProbeSample(NamedTuple):
     r: float
     u_t: float
     visc_t: float
@@ -519,8 +518,7 @@ def kinetic_energy(state: SimState, cfg: SimConfig) -> float:
     return float(0.5 * np.sum((us_c**2 + ur_c**2) * vol))
 
 
-@dataclass(frozen=True)
-class ExperimentReport:
+class ExperimentReport(NamedTuple):
     probe_r: list
     t0_samples: list
     times: np.ndarray

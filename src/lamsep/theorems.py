@@ -17,7 +17,7 @@ records which one the numerics support.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError, NonMonotoneSequence
 from .fdops import ExtrapolationResult, richardson
@@ -71,8 +71,7 @@ def theorem1_mismatch(params: LaminarParams, delta: float, r: float):
     return lhs, rhs, mismatch
 
 
-@dataclass(frozen=True)
-class Theorem1Report:
+class Theorem1Report(NamedTuple):
     r_grid: list[float]
     lhs: list[float]
     rhs: list[float]
@@ -200,8 +199,7 @@ def oracle_limit(params: LaminarParams, delta: float) -> float:
     return float(richardson([(samples[0][0], coarse), (samples[1][0], fine)], order=2).value)
 
 
-@dataclass(frozen=True)
-class Theorem2Report:
+class Theorem2Report(NamedTuple):
     r_grid: list[float]
     ratio: list[float]
     limit: ExtrapolationResult

@@ -19,7 +19,7 @@ of such pairs.  Lengths of direction vectors use libm's ``hypot`` (through
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field, replace
+from typing import NamedTuple
 
 from .errors import (
     CriticalPoint,
@@ -44,8 +44,7 @@ from .geometry import (
 )
 
 
-@dataclass(frozen=True)
-class Polyline:
+class Polyline(NamedTuple):
     """Ordered traced path (float pairs) with cumulative chord lengths."""
 
     points: list[tuple[float, float]]
@@ -72,17 +71,25 @@ class Polyline:
                 enumerate(zip(self.points, self.cumulative_length))]
 
 
-@dataclass(frozen=True)
-class TraceConfig:
+class _TraceFields(NamedTuple):
     step: float
     max_length: float
-    stagnation_tol: float = 1e-12
+    stagnation_tol: float
 
-    def __post_init__(self):
-        if self.step <= 0 or self.max_length <= self.step:
+
+class TraceConfig(_TraceFields):
+    __slots__ = ()
+
+    def __new__(cls, step, max_length, stagnation_tol=1e-12):
+        if step <= 0 or max_length <= step:
             raise ValueError("need step > 0 and max_length > step")
-        if self.stagnation_tol <= 0:
+        if stagnation_tol <= 0:
             raise ValueError("stagnation_tol must be positive")
+        return super().__new__(cls, step, max_length, stagnation_tol)
+
+    @classmethod
+    def _make(cls, fields):  # so that _replace checks its fields too
+        return cls(*fields)
 
 
 def default_trace_config(arc: ArcBoundary, params: LaminarParams) -> TraceConfig:
@@ -93,27 +100,34 @@ def default_trace_config(arc: ArcBoundary, params: LaminarParams) -> TraceConfig
     )
 
 
-@dataclass(frozen=True)
-class FlowClass:
+class FlowClass(NamedTuple):
     kind: str
     C_threshold: float
-    evidence: list = dc_field(default_factory=list)
+    evidence: list
 
 
-@dataclass(frozen=True)
-class BoundTolerances:
-    """Fitted constants of the level-set length bounds."""
-
+class _BoundFields(NamedTuple):
     c: float
     c1: float
     c2: float
     epsilon_hat: float
 
-    def __post_init__(self):
-        if min(self.c, self.c1, self.c2, self.epsilon_hat) <= 0:
+
+class BoundTolerances(_BoundFields):
+    """Fitted constants of the level-set length bounds."""
+
+    __slots__ = ()
+
+    def __new__(cls, c, c1, c2, epsilon_hat):
+        if min(c, c1, c2, epsilon_hat) <= 0:
             raise ValueError("all bound constants must be positive")
-        if self.epsilon_hat >= 0.5:
+        if epsilon_hat >= 0.5:
             raise ValueError("epsilon_hat must be < 0.5")
+        return super().__new__(cls, c, c1, c2, epsilon_hat)
+
+    @classmethod
+    def _make(cls, fields):  # so that _replace checks its fields too
+        return cls(*fields)
 
 
 # ----------------------------------------------------------------------------
@@ -450,8 +464,7 @@ def _first_polyline_crossing(a0, a1, segs, blocks):
     return t_hit, (a0[0] + t_hit * d1x, a0[1] + t_hit * d1y), best_idx
 
 
-@dataclass(frozen=True)
-class EtaSample:
+class EtaSample(NamedTuple):
     eps: float
     eta_length: float
     phi_length: float
@@ -467,7 +480,7 @@ def eta_trace(
     phi_len = arc_segment_length(arc, s, s + eps, r)
     start = to_cartesian(arc, (s, r))
     anchor = to_cartesian(arc, (s + eps, r))
-    level_cfg = replace(cfg, step=phi_len / 80.0, max_length=3.0 * phi_len)
+    level_cfg = cfg._replace(step=phi_len / 80.0, max_length=3.0 * phi_len)
     fwd = trace_pressure_line(gradp, anchor, level_cfg, "perpendicular", +1.0)
     back = trace_pressure_line(gradp, anchor, level_cfg, "perpendicular", -1.0)
     level_pts = back.points[::-1] + fwd.points[1:]
@@ -482,7 +495,7 @@ def eta_trace(
         return EtaSample(eps=eps, eta_length=0.0, phi_length=phi_len, ratio=0.0,
                          corner_angle=0.5 * math.pi)
     dirfn = _unit_direction(gradp, cfg.stagnation_tol, sign=sign)
-    press_cfg = replace(cfg, step=phi_len / 80.0, max_length=4.0 * phi_len)
+    press_cfg = cfg._replace(step=phi_len / 80.0, max_length=4.0 * phi_len)
     segs, blocks = _segment_blocks(level_pts)
 
     crossing = {}
@@ -605,8 +618,7 @@ def _gradient_handle(p_field: ScalarFieldHandle) -> FieldHandle:
     return FieldHandle(evaluator=p_field.gradient, name=p_field.name + "-grad")
 
 
-@dataclass(frozen=True)
-class ZetaSample:
+class ZetaSample(NamedTuple):
     r: float
     eps: float
     s_hat: float
@@ -618,8 +630,7 @@ class ZetaSample:
     upper_bound: float
 
 
-@dataclass(frozen=True)
-class ZetaReport:
+class ZetaReport(NamedTuple):
     samples: list
     fitted: BoundTolerances
     bounds_hold: bool
@@ -645,7 +656,7 @@ def _zeta_sample(
     n0, n1 = arc_normal(arc, s)
     orient = 1.0 if -g0[1] * n0 + g0[0] * n1 >= 0 else -1.0
     dirfn_level = _unit_direction(gradp, cfg.stagnation_tol, sign=orient, perpendicular=True)
-    level_cfg = replace(cfg, step=r / 100.0, max_length=4.0 * r)
+    level_cfg = cfg._replace(step=r / 100.0, max_length=4.0 * r)
 
     def height(x):
         return center_offset(arc.center, *x)[2] - delta - r
@@ -660,7 +671,7 @@ def _zeta_sample(
     p_target = p_field(arc_point(arc, s + eps))
     dirfn_press = _unit_direction(gradp, cfg.stagnation_tol, sign=sign_k)
     arc_span = arc_segment_length(arc, s, s + eps, r)
-    press_cfg = replace(cfg, step=arc_span / 100.0, max_length=5.0 * arc_span)
+    press_cfg = cfg._replace(step=arc_span / 100.0, max_length=5.0 * arc_span)
 
     def level_gap(x):
         return p_field(x) - p_target
@@ -784,7 +795,7 @@ def zeta_check(
     for sm in raw:
         lo_b, hi_b = bounds(sm, fitted.c, fitted.epsilon_hat)
         holds = holds and lo_b <= sm.traced_length <= hi_b
-        samples.append(replace(sm, lower_bound=lo_b, upper_bound=hi_b))
+        samples.append(sm._replace(lower_bound=lo_b, upper_bound=hi_b))
 
     ratio = _traced_limit([
         (sm.r, sm.traced_length * delta / ((sm.r + delta) * sm.eps)) for sm in samples

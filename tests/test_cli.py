@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -316,11 +317,18 @@ def test_zeta_perturbed_command(tmp_path):
     assert report["payload"]["fitted_c"] > 0
 
 
-def _fresh_python(code: str) -> str:
-    """Run ``code`` in a new interpreter that imports this checkout's lamsep."""
+def _fresh_env(**env) -> dict:
+    """This process's environment with this checkout's lamsep first on PYTHONPATH, and
+    ``env`` applied on top: a None value removes the variable."""
     src = str(Path(lamsep.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+    merged = {**os.environ, "PYTHONPATH": path, **env}
+    return {key: value for key, value in merged.items() if value is not None}
+
+
+def _fresh_python(code: str, **env) -> str:
+    """Run ``code`` in a new interpreter that imports this checkout's lamsep (see _fresh_env)."""
+    out = subprocess.run([sys.executable, "-c", code], env=_fresh_env(**env),
                          capture_output=True, text=True, timeout=120, check=True)
     return out.stdout.strip()
 
@@ -372,3 +380,90 @@ def test_simulate_imports_no_scipy(tmp_path):
         "print(rc, sorted(m for m in sys.modules if m.startswith('scipy')))\n"
     )
     assert loaded.splitlines()[-1] == "0 []"
+
+
+@pytest.mark.parametrize("command, config", [
+    ("trace", {"delta": 6.1e285}),  # the chord lengths overflow
+    ("verify-theorem1", {"delta": 5.2e140, "alpha2": 8.8e200}),  # every lhs overflows
+])
+def test_results_beyond_the_float_range_end_in_one_line(tmp_path, capsys, command, config):
+    path = write_config(tmp_path, config)
+    assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["lamsep: error: a value leaves the float range at these parameters"]
+
+
+# the modules lamsep.cli itself imports, and those each command adds
+_CLI_MODULES = ["lamsep", "lamsep.cli", "lamsep.errors", "lamsep.fdops", "lamsep.field",
+                "lamsep.geometry"]
+_COMMAND_MODULES = {
+    "verify-theorem1": "theorems", "verify-theorem2": "theorems", "sweep": "theorems",
+    "classify": "tracing", "trace": "tracing", "zeta-check": "tracing", "simulate": "nssim",
+}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, command):
+    config = {"n_s": 16, "n_r": 16, "t_end": 0.002} if command == "simulate" else {}
+    path, out = write_config(tmp_path, config), str(tmp_path / "o")
+    loaded = json.loads(_fresh_python(
+        "import json, sys\n"
+        "import lamsep.cli\n"
+        f"rc = lamsep.cli.main([{command!r}, '--config', {path!r}, '--out', {out!r}])\n"
+        "print(json.dumps([rc, sorted(m for m in sys.modules if m.startswith('lamsep')),\n"
+        "                  'dataclasses' in sys.modules]))\n"
+    ).splitlines()[-1])
+    rc, modules, dataclasses_loaded = loaded
+    assert rc == (2 if command == "verify-theorem2" else 0)
+    assert modules == sorted(_CLI_MODULES + [f"lamsep.{_COMMAND_MODULES[command]}"])
+    if command != "simulate":  # numpy may load dataclasses itself
+        assert not dataclasses_loaded
+
+
+_SIMULATE_ONE_STEP = (
+    "import os, sys\n"
+    "import lamsep.cli\n"
+    "rc = lamsep.cli.main(['simulate', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
+    "print(rc, os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+)
+
+
+@pytest.mark.parametrize("n, preset, expected", [
+    (32, None, "1"),     # the theta transforms fall under OpenBLAS's threading cut-off
+    (128, None, None),   # large grids keep their BLAS threads
+    (32, "2", "2"),      # a value the user set is kept
+])
+def test_simulate_uses_one_blas_thread_for_small_grids(tmp_path, n, preset, expected):
+    path = write_config(tmp_path, {"n_s": n, "n_r": n, "t_end": 1e-9})  # one step
+    out = subprocess.run([sys.executable, "-c", _SIMULATE_ONE_STEP, path, str(tmp_path / "o")],
+                         env=_fresh_env(OPENBLAS_NUM_THREADS=preset), capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert out.stdout.splitlines()[-1] == f"0 {expected}"
+
+
+def test_importing_the_solver_leaves_the_environment_alone():
+    out = _fresh_python(
+        "import os\n"
+        "before = dict(os.environ)\n"
+        "import lamsep.nssim\n"
+        "print(dict(os.environ) == before, 'OPENBLAS_NUM_THREADS' in os.environ)\n",
+        OPENBLAS_NUM_THREADS=None)
+    assert out == "True False"
+
+
+@pytest.mark.parametrize("command, config", [
+    ("verify-theorem1", {}), ("simulate", {"n_s": 16, "n_r": 16, "t_end": 0.002}),
+])
+def test_report_splits_the_process_time_by_stage(tmp_path, command, config):
+    path, out = write_config(tmp_path, config), tmp_path / "o"
+    t0 = time.perf_counter()
+    subprocess.run([sys.executable, "-m", "lamsep.cli", command, "--config", path,
+                    "--out", str(out)], env=_fresh_env(), capture_output=True, timeout=120,
+                   check=True)
+    wall = time.perf_counter() - t0
+    report = load_strict_json(out / "report.json")
+    assert report["schema_version"] == 2
+    stages = report["stage_s"]
+    assert sorted(stages) == ["compute", "import", "parse", "write"]
+    assert all(value >= 0 for value in stages.values())
+    assert sum(stages.values()) <= wall

@@ -50,6 +50,12 @@ def test_params_validation_and_bl():
         LaminarParams(1.0, 1.0, 0.0)
     assert LaminarParams(2.0, 4.0, 1.0).bl == pytest.approx(0.5)
     assert LaminarParams(1.0, 0.0, 1.0).bl == np.inf  # pure-shear test mode
+    params = LaminarParams(2.0, 4.0, 1.0)
+    assert params == LaminarParams(2.0, 4.0, 1.0) and hash(params) == hash((2.0, 4.0, 1.0))
+    with pytest.raises(AttributeError):
+        params.nu = 2.0
+    with pytest.raises(ValueError):
+        params._replace(nu=0.0)
 
 
 def test_laminar_local_components_at_s0():

@@ -176,6 +176,19 @@ def test_arc_validation():
         ArcBoundary(delta=1.0, phase=0.0, center=(0.0, 0.0), s_range=(1.0, 0.0))
 
 
+def test_arc_is_an_immutable_value_checked_on_replace():
+    same = ArcBoundary(delta=2.0, phase=0.0, center=(0, 0), s_range=(0, 1))
+    assert same == ARC and hash(same) == hash(ARC)  # the solver's grid cache key
+    assert same.center == (0.0, 0.0) and all(type(v) is float for v in same.s_range)
+    with pytest.raises(AttributeError):
+        ARC.delta = 3.0
+    assert ARC._replace(s_range=(0, 2)).s_range == (0.0, 2.0)
+    with pytest.raises(ValueError):
+        ARC._replace(delta=-1.0)
+    with pytest.raises(ValueError):
+        NormalPoint(s=0.0, r=1.0)._replace(r=-0.1)
+
+
 def test_center_offset_matches_array_norm_bit_for_bit():
     # the field evaluators take |x - center| from center_offset; traces keep
     # their bits only if it agrees with np.linalg.norm in every bit

@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 
 import numpy as np
 import pytest
@@ -47,7 +46,7 @@ def test_config_validation():
     for bad in ({"dt": 0.0}, {"dt": -1e-4}, {"dt": np.inf}, {"t_end": np.nan},
                 {"t_end": 0.0}, {"sector_angle": np.nan}, {"sector_angle": 1e300}):
         with pytest.raises(ConfigError):
-            dataclasses.replace(make_cfg(), **bad).validate()
+            make_cfg()._replace(**bad).validate()
     make_cfg().validate()
 
 
@@ -341,7 +340,7 @@ def test_dt_sweep_shares_one_grid_and_factorization():
     before = nssim._mesh_grid.cache_info()
     grids = set()
     for dt in (2e-4, 1e-4, 5e-5):
-        cfg = dataclasses.replace(make_cfg(n=20, dt=dt, t_end=0.02), sector_angle=0.55)
+        cfg = make_cfg(n=20, dt=dt, t_end=0.02)._replace(sector_angle=0.55)
         step(init_sim(cfg), cfg)
         grids.add(id(_grid(cfg)))
     assert nssim._mesh_grid.cache_info().misses - before.misses == 1
@@ -372,6 +371,10 @@ def test_stable_dt_respects_cfl():
     assert cfg.dt is None
     assert cfg.effective_dt == stable_dt(cfg)
     assert cfg.cfl() <= 0.5
+    # computed once per config; _replace starts a new config with an empty cache
+    assert cfg.effective_dt is cfg.effective_dt and cfg.top_speed is cfg.top_speed
+    finer = cfg._replace(n_s=48, n_r=48)
+    assert finer.effective_dt == stable_dt(finer) < cfg.effective_dt
 
 
 def test_experiment_csv_long_format(tmp_path):

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 
 import numpy as np
@@ -198,7 +197,7 @@ def test_zeta_check_still_refuses_non_monotone_ratios(monkeypatch):
 
     def bumped(*args):
         sample = real_sample(*args)
-        return dataclasses.replace(sample, traced_length=sample.traced_length * next(factors))
+        return sample._replace(traced_length=sample.traced_length * next(factors))
 
     monkeypatch.setattr(tracing, "_zeta_sample", bumped)
     with pytest.raises(NonMonotoneSequence):
