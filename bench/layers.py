@@ -22,12 +22,18 @@ Layers (north-star aim 1), over ``REPEATS`` alternating rounds:
   one ``nssim.step`` after a warm-up step, in an interpreter whose
   environment leaves ``OPENBLAS_NUM_THREADS`` unset (``nssim.*``, OpenBLAS's
   default thread count) and in one that sets it to 1
-  (``nssim.*_one_blas_thread_s``).
+  (``nssim.*_one_blas_thread_s``);
+- at n = 32/128: one whole ``run_experiment`` to t_end = ``RUN_T_END`` on the
+  warm grid (``nssim.run_{n}_s``) and the steps it took (``nssim.run_{n}_steps``,
+  from the default-thread interpreter), so that a change in the step count shows
+  next to a change in the cost of a step.
 
 Outputs: each side runs every invocation of seeds 1..N of each workload in
 ``OUTPUT_SEEDS`` once, in-process in one interpreter; per command the file gets
 the exit codes that differ, how many CSVs are byte-identical and the largest
-relative difference of a CSV cell between the sides.
+relative difference of a CSV cell between the sides.  For ``simulate``, whose
+series may change with the time step, it also counts the reports whose
+``payload.t0`` (the t = 0 budget, which no time step touches) is identical.
 
 Pairs: with ``--pairs N`` each workload runs ``perfbench/run.py --seconds S``
 once per side on each of N seeds, the side that goes first alternating.  The
@@ -58,6 +64,8 @@ IMPORTS_PER_ROUND = 3
 TIMED_CALLS = 2000
 SIM_SIZES = (32, 64, 128, 256)
 SIM_PROCESS_SIZES = (32, 128)
+RUN_SIZES = (32, 128)
+RUN_T_END = 0.01
 OUTPUT_SEEDS = {"cli-analysis": 120, "sim-default": 20}  # seeds 1..N compared per workload
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -153,6 +161,12 @@ def _measure_solver() -> dict:
         out[f"nssim.init_sim_{n}_s"] = statistics.median(init_times)
         state = nssim.step(state, cfg)  # warm-up
         out[f"nssim.step_{n}_s"] = _best_of(lambda: nssim.step(state, cfg), 3)
+        if n in RUN_SIZES:
+            run_cfg = cfg._replace(t_end=RUN_T_END)
+            t0 = time.perf_counter()
+            report = nssim.run_experiment(run_cfg)
+            out[f"nssim.run_{n}_s"] = time.perf_counter() - t0
+            out[f"nssim.run_{n}_steps"] = len(report.times) - 1
     return out
 
 
@@ -234,7 +248,7 @@ def layers(sides: dict[str, Path]) -> dict:
             row.update(json.loads(_side(root, "--measure-solver")))
             one_thread = json.loads(_side(root, "--measure-solver", blas_threads="1"))
             row.update({key.removesuffix("_s") + "_one_blas_thread_s": value
-                        for key, value in one_thread.items()})
+                        for key, value in one_thread.items() if key.endswith("_s")})
             samples[side].append(row)
     medians = {side: {key: statistics.median(r[key] for r in runs) for key in runs[0]}
                for side, runs in samples.items()}
@@ -280,6 +294,13 @@ def outputs(sides: dict[str, Path]) -> dict:
                 if old_code != code:
                     entry["exit_codes_differ"].append(f"seed {seed}: {index}-{command}")
                 before_dir, after_dir = (Path(tmp) / side / f"{seed}-{index}" for side in sides)
+                if command == "simulate":
+                    t0 = [json.loads((d / "report.json").read_text())["payload"].get("t0")
+                          if (d / "report.json").exists() else None
+                          for d in (before_dir, after_dir)]
+                    same = t0[0] is not None and json.dumps(t0[0]) == json.dumps(t0[1])
+                    key = "payload_t0_identical" if same else "payload_t0_differ"
+                    entry[key] = entry.get(key, 0) + 1
                 for path in sorted(after_dir.glob("*.csv")):
                     old = before_dir / path.name
                     if not old.exists():

@@ -475,6 +475,10 @@ def _cmd_simulate(cfg: RunConfig):
             for s in report.t0_samples
         ],
         "first_reversal": report.first_reversal,
+        "dt": sim_cfg.effective_dt,
+        "steps": sim_cfg.steps,
+        "cfl": sim_cfg.cfl(),
+        "dt_bound": sim_cfg.dt_bound,
     }
     nssim.dump_field_csv(report.final_state, sim_cfg, cfg.out / "field.csv")
     return payload, report.rows(), report.CSV_HEADER, 0, {}

@@ -204,6 +204,32 @@ def test_simulate_run(tmp_path):
     assert all(entry["ratio"] < 0 for entry in report["payload"]["t0"])
 
 
+@pytest.mark.parametrize("config, bound", [
+    ({"t_end": 0.002}, "radial_viscous"), ({"t_end": 0.002, "dt": 3e-4}, "given"),
+    ({"t_end": 0.002, "nu": 1e-3}, "advective"),
+])
+def test_simulate_reports_its_time_step(tmp_path, config, bound):
+    cfg = write_config(tmp_path, {"n_s": 16, "n_r": 16, **config})
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    payload = load_strict_json(tmp_path / "o" / "report.json")["payload"]
+    assert payload["dt_bound"] == bound
+    assert payload["dt"] * payload["steps"] == pytest.approx(0.002, rel=1e-12)
+    assert 0 < payload["cfl"] <= 0.5
+    if "dt" in config:
+        assert payload["steps"] == 7 and payload["dt"] <= config["dt"]
+    times = {row.split(",")[0] for row in
+             (tmp_path / "o" / "data.csv").read_text().splitlines()[1:]}
+    assert len(times) == payload["steps"] + 1
+
+
+def test_simulate_refuses_a_huge_grid_in_one_line(tmp_path, capsys):
+    # the cached solver arrays of this grid would need about 1e6 GiB
+    cfg = write_config(tmp_path, {"n_s": 8388608, "n_r": 16})
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("lamsep: error: grid 8388608x16 needs")
+
+
 def test_sweep_monotone_and_nu_scaling(tmp_path):
     cfg = write_config(tmp_path, {"command": "sweep", "delta_values": [0.5, 1.0, 2.0],
                                   "nu_values": [1.0, 2.0]})

@@ -1,4 +1,9 @@
 import csv
+import importlib.util
+import math
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -369,6 +374,9 @@ def test_experiment_report_and_csv(tmp_path):
 def test_stable_dt_respects_cfl():
     cfg = make_cfg(n=24)
     assert cfg.dt is None
+    # t_end / stable_dt is exactly 72 here (and 288 on the finer grid), so the
+    # equal steps to t_end are stable_dt itself
+    assert cfg.steps == math.ceil(cfg.t_end / stable_dt(cfg)) == 72
     assert cfg.effective_dt == stable_dt(cfg)
     assert cfg.cfl() <= 0.5
     # computed once per config; _replace starts a new config with an empty cache
@@ -400,3 +408,179 @@ def test_field_csv_xy_is_the_chart_of_each_row(tmp_path):
     for row in rows:
         xy = to_cartesian(arc, (float(row["s"]), float(row["r"])))
         assert (float(row["x"]), float(row["y"])) == xy
+
+
+# ----------------------------------------------------------------------------
+# the implicit theta-viscosity and the step rule
+# ----------------------------------------------------------------------------
+
+
+def _old_tangential_limit(cfg):
+    """The explicit viscous limit on the wall-tangential cell width, 0.25*(delta*dtheta)**2/nu."""
+    return 0.25 * (cfg.arc.delta * _grid(cfg).dth) ** 2 / cfg.params.nu
+
+
+def _theta_line_reference(cfg, component):
+    """I - nu*dt*T_theta/(rho*dtheta)**2 on every theta-line, built one cell at a time.
+
+    Returns the dense matrix over the unknowns (row-major [i, j]) and, for u_s,
+    the weights of the inflow and outflow faces, whose values are Dirichlet
+    data moved to the right-hand side.
+    """
+    g = _grid(cfg)
+    nu_dt = cfg.params.nu * cfg.effective_dt
+    if component == "us":  # interior faces i = 1..n_s-1 at the cell-centre radii
+        n_i, rho = cfg.n_s - 1, g.rho_c
+    else:                  # all theta-centres at the interior rho-faces
+        n_i, rho = cfg.n_s, g.rho_f[1:-1]
+    n_j = rho.size
+    a = np.zeros((n_i * n_j, n_i * n_j))
+    ends = np.zeros((2, n_i, n_j))
+    for i in range(n_i):
+        for j in range(n_j):
+            me = i * n_j + j
+            c = nu_dt / (rho[j] * g.dth) ** 2
+            a[me, me] += 1.0 + 2.0 * c
+            for side, k in ((0, i - 1), (1, i + 1)):
+                if 0 <= k < n_i:
+                    a[me, k * n_j + j] -= c
+                elif component == "us":
+                    ends[side, i, j] += c       # the end face's value times c
+                elif side == 0:                 # inflow ghost -2 u_0 + u_1 / 3
+                    a[me, j] += 2.0 * c
+                    a[me, n_j + j] -= c / 3.0
+                else:                           # zero-gradient outflow ghost u_(n-1)
+                    a[me, me] -= c
+    return a, ends
+
+
+@pytest.mark.parametrize("delta", [0.25, 4.0])
+@pytest.mark.parametrize("n_s, n_r", [(16, 24), (24, 16), (17, 19)])
+def test_theta_line_solves_match_cell_loop(n_s, n_r, delta):
+    # both components' theta-line solves invert the matrix built one cell at a
+    # time, at a stiff nu*dt (20x the old explicit limit)
+    arc = ArcBoundary(delta, 0.0, (0.0, 0.0), (0.0, 0.5 * delta))
+    cfg = SimConfig(arc=arc, params=PARAMS, n_s=n_s, n_r=n_r, sector_angle=0.5)
+    cfg = cfg._replace(dt=20.0 * _old_tangential_limit(cfg), t_end=1.0)
+    lines = cfg._theta_lines
+    rng = np.random.default_rng(n_s * n_r)
+
+    a, ends = _theta_line_reference(cfg, "us")
+    f = rng.standard_normal((n_s - 1, n_r))
+    inflow, outflow = rng.standard_normal((2, n_r))
+    rhs = f.copy()
+    rhs[0] += lines.us_end * inflow
+    rhs[-1] += lines.us_end * outflow
+    x = lines.us.solve(rhs)
+    b = f + ends[0] * inflow + ends[1] * outflow
+    assert np.linalg.norm(a @ x.ravel() - b.ravel()) <= 1e-12 * np.linalg.norm(b)
+
+    a, _ = _theta_line_reference(cfg, "ur")
+    f = rng.standard_normal((n_s, n_r - 1))
+    x = lines.ur.solve(f.copy())
+    assert np.linalg.norm(a @ x.ravel() - f.ravel()) <= 1e-12 * np.linalg.norm(f)
+
+
+def test_steps_far_beyond_the_old_tangential_limit_stay_bounded():
+    # 50 steps at 20x the explicit limit on the wall-tangential cell width: an
+    # explicit theta second difference multiplies its highest mode by about
+    # 1 - 20*4 each step and diverges; the implicit one damps it
+    arc = ArcBoundary(1.0, 0.0, (0.0, 0.0), (0.0, 0.5))
+    cfg = SimConfig(arc=arc, params=PARAMS, n_s=48, n_r=16, sector_angle=0.5)
+    dt = 20.0 * _old_tangential_limit(cfg)
+    cfg = cfg._replace(dt=dt, t_end=50 * dt)
+    assert cfg.effective_dt == pytest.approx(dt, rel=1e-12)
+    state = init_sim(cfg)
+    for _ in range(50):
+        state = step(state, cfg)
+    assert np.max(np.abs(state.us)) <= 1.5 * cfg.top_speed
+    assert np.max(np.abs(state.ur)) <= 0.5 * cfg.top_speed
+    assert np.max(np.abs(divergence(cfg, state.us, state.ur))) <= 1e-8
+    assert wall_noslip_residual(cfg, state) <= 1e-12
+
+
+@pytest.mark.parametrize("kw", [{}, {"n": 16, "t_end": 0.002}, {"dt": 3e-4, "t_end": 0.002},
+                                {"dt": 1e-4, "t_end": 0.05}, {"delta": 4.0, "t_end": 0.0123}])
+def test_run_ends_at_t_end_in_equal_steps_within_the_limit(kw):
+    cfg = make_cfg(**kw)
+    limit = stable_dt(cfg) if cfg.dt is None else cfg.dt
+    assert cfg.effective_dt <= limit
+    assert cfg.steps == max(1, math.ceil(cfg.t_end / limit))
+    rep = run_experiment(cfg)
+    assert len(rep.times) == cfg.steps + 1
+    assert rep.times[-1] == pytest.approx(cfg.t_end, rel=1e-12, abs=0.0)
+    assert np.allclose(np.diff(rep.times), cfg.effective_dt, rtol=1e-12, atol=0.0)
+
+
+def test_step_count_rounds_up_where_the_quotient_rounds_down():
+    # a dt just below t_end / k needs k + 1 steps; for some k the quotient
+    # t_end / dt rounds down onto k itself, and the count must still be k + 1
+    cfg, t_end = make_cfg(), 0.05
+    rounded_onto_k = 0
+    for k in range(1, 400):
+        dt = math.nextafter(t_end / k, 0.0)
+        rounded_onto_k += t_end / dt == k
+        c = cfg._replace(dt=dt, t_end=t_end)
+        assert c.steps == k + 1
+        assert c.effective_dt <= dt
+    assert rounded_onto_k > 0
+
+
+def test_dt_bound_names_the_binding_limit():
+    assert make_cfg(dt=1e-4).dt_bound == "given"
+    assert make_cfg(n=24).dt_bound == "radial_viscous"
+    # at a thousandth of the viscosity, advection across the tangential cell binds
+    slow = make_cfg(n=24)._replace(params=LaminarParams(1.0, 1.0, 1e-3))
+    assert slow.dt_bound == "advective"
+    assert stable_dt(slow) == pytest.approx(0.4 * (1.0 * _grid(slow).dth) / slow.top_speed)
+
+
+def _sim_default_configs(seed):
+    """SimConfigs of the benchmark's sim-default workload (perfbench/workloads.py)."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclass looks its module up there
+    spec.loader.exec_module(workloads)
+    out = []
+    for inv in workloads.generate("sim-default", seed):
+        c, delta = inv.config, inv.config["delta"]
+        out.append(SimConfig(arc=ArcBoundary(delta, 0.0, (0.0, 0.0), (0.0, 0.5 * delta)),
+                             params=LaminarParams(c["alpha1"], c["alpha2"], c["nu"]),
+                             n_s=c["n_s"], n_r=c["n_r"], t_end=c["t_end"]))
+    return out
+
+
+def _final_u_t(cfg, dt=None):
+    return run_experiment(cfg if dt is None else cfg._replace(dt=dt)).u_t[-1]
+
+
+def test_default_dt_time_error_on_sim_default_configs():
+    # the final probe u_t at the default dt is within 2e-3 relative of a dt/16 run,
+    # and that error shrinks at least 3x from dt to dt/4 (first order: 5x)
+    for cfg in _sim_default_configs(1):
+        dt = cfg.effective_dt
+        ref = _final_u_t(cfg, dt / 16)
+        err = np.max(np.abs(_final_u_t(cfg) - ref) / np.abs(ref))
+        err_quarter = np.max(np.abs(_final_u_t(cfg, dt / 4) - ref) / np.abs(ref))
+        assert err <= 2e-3
+        assert err >= 3.0 * err_quarter
+
+
+def test_validate_refuses_a_huge_grid_before_allocating(monkeypatch):
+    # the cached theta-bases and Thomas factors of 8388608 x 16 would take about
+    # 1e6 GiB: the config is refused before any grid is built
+    def no_grid(*args):
+        raise AssertionError("a grid was built for a refused config")
+
+    monkeypatch.setattr(nssim, "_mesh_grid", no_grid)
+    cfg = make_cfg()._replace(n_s=8388608, n_r=16)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match="GiB"):
+            init_sim(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert nssim._cached_bytes(512, 512) <= nssim._CACHE_LIMIT_BYTES
