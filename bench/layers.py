@@ -26,7 +26,13 @@ Layers (north-star aim 1), over ``REPEATS`` alternating rounds:
 - at n = 32/128: one whole ``run_experiment`` to t_end = ``RUN_T_END`` on the
   warm grid (``nssim.run_{n}_s``) and the steps it took (``nssim.run_{n}_steps``,
   from the default-thread interpreter), so that a change in the step count shows
-  next to a change in the cost of a step.
+  next to a change in the cost of a step;
+- at n = 32/64: whole runs each side of ``nssim._IMPLICIT_MIN_GAIN`` (3), the
+  step-count cut below which the theta-viscosity stays explicit: at the
+  viscosity where leaving the wall-tangential limit out would cut the step count
+  ``GAIN`` times (0.1: advection sets the step), each ``GAIN_RUN_STEPS`` steps of
+  the explicit scheme long (``nssim.run_gain_{GAIN}_{n}_s`` as the best of
+  three, and ``nssim.run_gain_{GAIN}_{n}_steps``).
 
 Outputs: each side runs every invocation of seeds 1..N of each workload in
 ``OUTPUT_SEEDS`` once, in-process in one interpreter; per command the file gets
@@ -66,6 +72,9 @@ SIM_SIZES = (32, 64, 128, 256)
 SIM_PROCESS_SIZES = (32, 128)
 RUN_SIZES = (32, 128)
 RUN_T_END = 0.01
+GAIN_RUN_SIZES = (32, 64)
+GAINS = (0.1, 2.4, 3.75)
+GAIN_RUN_STEPS = 60
 OUTPUT_SEEDS = {"cli-analysis": 120, "sim-default": 20}  # seeds 1..N compared per workload
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -167,6 +176,18 @@ def _measure_solver() -> dict:
             report = nssim.run_experiment(run_cfg)
             out[f"nssim.run_{n}_s"] = time.perf_counter() - t0
             out[f"nssim.run_{n}_steps"] = len(report.times) - 1
+        if n in GAIN_RUN_SIZES:
+            h = arc.delta * nssim._grid(cfg).dth  # the smallest cell width
+            adv = h / cfg.top_speed               # the advective limit, whatever nu
+            for gain in GAINS:
+                # nu where the explicit limit 0.25*h**2/nu is adv/gain
+                # (a quarter step short of GAIN_RUN_STEPS, so that no rounding adds a step)
+                run_cfg = cfg._replace(params=LaminarParams(2.5, 1.0, gain * 0.25 * h * h / adv),
+                                       t_end=(GAIN_RUN_STEPS - 0.25) * 0.4 * adv / max(gain, 1.0))
+                report = nssim.run_experiment(run_cfg)
+                out[f"nssim.run_gain_{gain:g}_{n}_s"] = _best_of(
+                    lambda: nssim.run_experiment(run_cfg), 1)
+                out[f"nssim.run_gain_{gain:g}_{n}_steps"] = len(report.times) - 1
     return out
 
 

@@ -10,7 +10,12 @@ the radial Laplacian, the -u/rho**2 term, the +-2/rho**2 d/dtheta couplings,
 the advection and the anchored pressure stay explicit.  That leaves one
 tridiagonal system along theta on each radial line for each velocity
 component, so the default step is bounded by advection and by diffusion across
-one wall-normal cell only.  Internally the flow runs in the +theta direction;
+one wall-normal cell only.  The theta-line sweeps make a step cost up to about
+twice an explicit one, so a config takes them only where they cut the default
+step count at least ``_IMPLICIT_MIN_GAIN`` times (or where a given step is
+beyond the explicit limit on the wall-tangential cell); elsewhere, as where
+advection sets the step, the theta second difference stays explicit and the
+step is the explicit scheme's.  Internally the flow runs in the +theta direction;
 the wall-arc coordinate is s = delta * theta, so +theta is the wall-tangent
 direction e1 of the arc geometry.
 
@@ -51,15 +56,16 @@ from .field import LaminarParams, profile_h, write_csv
 from .geometry import ArcBoundary
 
 
-# the cached theta-bases and Thomas factors of one config must fit this many bytes
-_CACHE_LIMIT_BYTES = 2**30
+# the implicit theta-lines are taken by default only where they cut the step
+# count at least this many times: they make a step cost up to about twice an
+# explicit one (BENCH_imex.json)
+_IMPLICIT_MIN_GAIN = 3.0
 
-
-def _cached_bytes(n_s: int, n_r: int) -> int:
-    """Bytes of one config's cached arrays: the two (n_s x n_s) theta-bases and the
-    Thomas factors (three arrays each) of both pressure solvers and both theta-line
-    solves, all of about n_s * n_r entries."""
-    return 8 * (2 * n_s * n_s + 12 * n_s * n_r)
+# a simulate run's arrays must fit this many bytes; a run's peak memory grows by
+# about 40 arrays of n_s * n_r entries (peak RSS of 16 x 4096..32768 runs, both
+# theta schemes, field.csv included), and _RUN_ARRAYS keeps a margin over that
+_MEMORY_LIMIT_BYTES = 2**30
+_RUN_ARRAYS = 48
 
 
 class _SimFields(NamedTuple):
@@ -97,11 +103,23 @@ class SimConfig(_SimFields):
 
     @property
     def dt_bound(self) -> str:
-        """What sets the step: "given" (the config's dt), "advective" or "radial_viscous"."""
+        """What sets the step: "t_end" (one step, shorter than the limit), "given"
+        (the config's dt), or the binding limit of ``_dt_limits``."""
+        limit = stable_dt(self) if self.dt is None else self.dt
+        if self.t_end < limit:
+            return "t_end"
         if self.dt is not None:
             return "given"
         limits = _dt_limits(self)
         return min(limits, key=limits.get)
+
+    @cached_property
+    def theta_implicit(self) -> bool:
+        """Whether ``step`` takes the theta second difference of the viscosity at the
+        new time level: where the default step leaves out the wall-tangential
+        limit, and where the step taken is beyond 0.4 of that limit."""
+        return ("tangential_viscous" not in _dt_limits(self)
+                or self.effective_dt > 0.4 * _tangential_limit(self))
 
     @cached_property
     def top_speed(self) -> float:
@@ -116,10 +134,10 @@ class SimConfig(_SimFields):
         problems = []
         if self.n_s < 16 or self.n_r < 16:
             problems.append(f"grid must be at least 16x16, got {self.n_s}x{self.n_r}")
-        elif _cached_bytes(self.n_s, self.n_r) > _CACHE_LIMIT_BYTES:
-            problems.append(f"grid {self.n_s}x{self.n_r} needs "
-                            f"{_cached_bytes(self.n_s, self.n_r) / 2**30:.3g} GiB of cached "
-                            f"solver arrays, more than {_CACHE_LIMIT_BYTES / 2**30:g} GiB")
+        elif _run_bytes(self.n_s, self.n_r) > _MEMORY_LIMIT_BYTES:
+            problems.append(f"grid {self.n_s}x{self.n_r} needs about "
+                            f"{_run_bytes(self.n_s, self.n_r) / 2**30:.3g} GiB of solver "
+                            f"arrays, more than {_MEMORY_LIMIT_BYTES / 2**30:g} GiB")
         if not np.isfinite(self.R_out) or self.R_out <= 0:
             problems.append(f"R_out must be finite and positive, got {self.R_out}")
         elif np.isfinite(self.params.bl) and self.R_out < 2.0 * self.params.bl:
@@ -142,19 +160,37 @@ class SimConfig(_SimFields):
         return self.top_speed * self.effective_dt / min(self.arc.delta * g.dth, g.drh)
 
 
+def _tangential_limit(cfg: SimConfig) -> float:
+    """The explicit viscous limit across one wall-tangential cell."""
+    return 0.25 * (cfg.arc.delta * _grid(cfg).dth) ** 2 / cfg.params.nu
+
+
 def _dt_limits(cfg: SimConfig) -> dict[str, float]:
-    """The advective limit on the smallest cell and the viscous limit across one
-    wall-normal cell; the wall-tangential second difference is implicit."""
+    """The limits on the default step: advection across the smallest cell,
+    diffusion across one wall-normal cell, and diffusion across one
+    wall-tangential cell unless leaving it out (the theta-lines implicit) cuts
+    the step count at least ``_IMPLICIT_MIN_GAIN`` times."""
     g = _grid(cfg)
     umax = cfg.top_speed
     h_min = min(cfg.arc.delta * g.dth, g.drh)
-    return {"advective": h_min / umax if umax > 0 else math.inf,
-            "radial_viscous": 0.25 * g.drh**2 / cfg.params.nu}
+    limits = {"advective": h_min / umax if umax > 0 else math.inf,
+              "radial_viscous": 0.25 * g.drh**2 / cfg.params.nu}
+    tangential = _tangential_limit(cfg)
+    if min(limits.values()) < _IMPLICIT_MIN_GAIN * tangential:
+        limits["tangential_viscous"] = tangential
+    return limits
 
 
 def stable_dt(cfg: SimConfig) -> float:
-    """0.4 of the advective/radial-viscous stability limit."""
+    """0.4 of the smallest limit of ``_dt_limits``."""
     return 0.4 * min(_dt_limits(cfg).values())
+
+
+def _run_bytes(n_s: int, n_r: int) -> int:
+    """About the peak bytes of a simulate run's arrays: the two (n_s x n_s)
+    theta-bases and ``_RUN_ARRAYS`` arrays of n_s * n_r entries (the Thomas
+    factors, the state, each step's temporaries and the field.csv table)."""
+    return 8 * (2 * n_s * n_s + _RUN_ARRAYS * n_s * n_r)
 
 
 class SimState(NamedTuple):
@@ -245,21 +281,23 @@ def _tangential_rhs(cfg: SimConfig, us: np.ndarray, ur: np.ndarray, theta_implic
     ur_at_us = 0.5 * (ur_c[:-1, :] + ur_c[1:, :])    # (n_s-1, n_r) at interior faces
     adv = ur_at_us * dus_dr + us_i / rc * dus_dth + ur_at_us * us_i / rc
 
-    lap_r = (
+    lap = (  # radial part
         g.rho_f[None, 1:] * (usg[1:-1, 2:] - usg[1:-1, 1:-1])
         - g.rho_f[None, :-1] * (usg[1:-1, 1:-1] - usg[1:-1, :-2])
     ) / (rc * g.drh**2)
-    dur_dth = (ur_c[1:, :] - ur_c[:-1, :]) / g.dth
-    visc = lap_r - us_i / rc**2 + 2.0 / rc**2 * dur_dth
     if not theta_implicit:
-        visc += (us[2:, :] - 2 * us_i + us[:-2, :]) / (rc**2 * g.dth**2)
+        lap = lap + (us[2:, :] - 2 * us_i + us[:-2, :]) / (rc**2 * g.dth**2)
+    dur_dth = (ur_c[1:, :] - ur_c[:-1, :]) / g.dth
+    visc = lap - us_i / rc**2 + 2.0 / rc**2 * dur_dth
     return -adv, visc
 
 
-def _radial_rhs(cfg: SimConfig, us: np.ndarray, ur: np.ndarray):
-    """(-advection, viscous) radial terms at interior rho-faces j=1..n_r-1; the
-    viscous term leaves out the theta second difference, which ``step`` takes
-    at the new time level."""
+def _radial_rhs(cfg: SimConfig, us: np.ndarray, ur: np.ndarray, theta_implicit=False):
+    """(-advection, viscous) radial terms at interior rho-faces j=1..n_r-1.
+
+    With ``theta_implicit`` the viscous term leaves out the theta second
+    difference, which ``step`` takes at the new time level.
+    """
     g = _grid(cfg)
     urg = _ur_with_theta_ghosts(ur)                  # (n_s+2, n_r+1)
     rf = g.rho_f[None, 1:-1]
@@ -272,12 +310,14 @@ def _radial_rhs(cfg: SimConfig, us: np.ndarray, ur: np.ndarray):
     us_at_ur = 0.5 * (us_f[:-1, :] + us_f[1:, :])    # (n_s, n_r-1)
     adv = ur_i * dur_dr + us_at_ur / rf * dur_dth - us_at_ur**2 / rf
 
-    lap_r = (
+    lap = (  # radial part
         g.rho_c[None, 1:] * (ur[:, 2:] - ur_i)
         - g.rho_c[None, :-1] * (ur_i - ur[:, :-2])
     ) / (rf * g.drh**2)
+    if not theta_implicit:
+        lap = lap + (urg[2:, 1:-1] - 2 * ur_i + urg[:-2, 1:-1]) / (rf**2 * g.dth**2)
     dus_dth = (us_f[1:, :] - us_f[:-1, :]) / g.dth
-    visc = lap_r - ur_i / rf**2 - 2.0 / rf**2 * dus_dth
+    visc = lap - ur_i / rf**2 - 2.0 / rf**2 * dus_dth
     return -adv, visc
 
 
@@ -534,17 +574,18 @@ def init_sim(cfg: SimConfig) -> SimState:
 
 
 def step(state: SimState, cfg: SimConfig) -> SimState:
-    """Advance one time step: IMEX Euler against the anchored background
-    pressure, with the theta second difference of the viscosity implicit, then a
-    projection for incompressibility."""
+    """Advance one time step: Euler against the anchored background pressure,
+    with the theta second difference of the viscosity implicit where
+    ``cfg.theta_implicit`` (IMEX) and explicit elsewhere, then a projection for
+    incompressibility."""
     g = _grid(cfg)
     dt = cfg.effective_dt
     nu = cfg.params.nu
-    lines = cfg._theta_lines
+    implicit = cfg.theta_implicit
     us, ur, pa = state.us, state.ur, state.p_anchor
 
-    neg_adv_t, visc_t = _tangential_rhs(cfg, us, ur, theta_implicit=True)
-    neg_adv_r, visc_r = _radial_rhs(cfg, us, ur)
+    neg_adv_t, visc_t = _tangential_rhs(cfg, us, ur, theta_implicit=implicit)
+    neg_adv_r, visc_r = _radial_rhs(cfg, us, ur, theta_implicit=implicit)
 
     us_star = us.copy()
     # the inflow face (us[0]) is never updated: it keeps its initial profile;
@@ -553,15 +594,20 @@ def step(state: SimState, cfg: SimConfig) -> SimState:
     us_star[-1, :] = us[-1, :] - dt * c_out / (g.rho_c * g.dth) * (us[-1, :] - us[-2, :])
     rhs = us[1:-1, :] + dt * (neg_adv_t + nu * visc_t)
     rhs -= dt * (pa[1:, :] - pa[:-1, :]) / (g.rho_c[None, :] * g.dth)
-    # both end faces are Dirichlet values of the interior theta-lines
-    rhs[0] += lines.us_end * us_star[0]
-    rhs[-1] += lines.us_end * us_star[-1]
-    us_star[1:-1, :] = lines.us.solve(rhs)
+    if implicit:
+        lines = cfg._theta_lines
+        # both end faces are Dirichlet values of the interior theta-lines
+        rhs[0] += lines.us_end * us_star[0]
+        rhs[-1] += lines.us_end * us_star[-1]
+        rhs = lines.us.solve(rhs)
+    us_star[1:-1, :] = rhs
 
     ur_star = np.zeros_like(ur)
     rhs = ur[:, 1:-1] + dt * (neg_adv_r + nu * visc_r)
     rhs -= dt * (pa[:, 1:] - pa[:, :-1]) / g.drh
-    ur_star[:, 1:-1] = lines.ur.solve(rhs)
+    if implicit:
+        rhs = lines.ur.solve(rhs)
+    ur_star[:, 1:-1] = rhs
 
     # global mass balance before the all-Neumann projection
     flux_in = float(np.sum(us_star[0, :])) * g.drh

@@ -204,16 +204,19 @@ def test_simulate_run(tmp_path):
     assert all(entry["ratio"] < 0 for entry in report["payload"]["t0"])
 
 
-@pytest.mark.parametrize("config, bound", [
-    ({"t_end": 0.002}, "radial_viscous"), ({"t_end": 0.002, "dt": 3e-4}, "given"),
-    ({"t_end": 0.002, "nu": 1e-3}, "advective"),
+@pytest.mark.parametrize("config, bound, scheme", [
+    ({"t_end": 0.02}, "radial_viscous", "implicit"),
+    ({"t_end": 0.002, "dt": 3e-4}, "given", "implicit"),
+    ({"t_end": 0.2, "nu": 1e-3}, "advective", "explicit"),
+    ({"t_end": 1e-5}, "t_end", "implicit"),
 ])
-def test_simulate_reports_its_time_step(tmp_path, config, bound):
+def test_simulate_reports_its_time_step(tmp_path, config, bound, scheme):
     cfg = write_config(tmp_path, {"n_s": 16, "n_r": 16, **config})
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
     payload = load_strict_json(tmp_path / "o" / "report.json")["payload"]
     assert payload["dt_bound"] == bound
-    assert payload["dt"] * payload["steps"] == pytest.approx(0.002, rel=1e-12)
+    assert payload["theta_viscosity"] == scheme
+    assert payload["dt"] * payload["steps"] == pytest.approx(config["t_end"], rel=1e-12)
     assert 0 < payload["cfl"] <= 0.5
     if "dt" in config:
         assert payload["steps"] == 7 and payload["dt"] <= config["dt"]
@@ -223,7 +226,7 @@ def test_simulate_reports_its_time_step(tmp_path, config, bound):
 
 
 def test_simulate_refuses_a_huge_grid_in_one_line(tmp_path, capsys):
-    # the cached solver arrays of this grid would need about 1e6 GiB
+    # the solver arrays of this grid would need about 1e6 GiB
     cfg = write_config(tmp_path, {"n_s": 8388608, "n_r": 16})
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err.splitlines()

@@ -1,9 +1,6 @@
 import csv
-import importlib.util
 import math
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -531,24 +528,62 @@ def test_dt_bound_names_the_binding_limit():
     assert make_cfg(n=24).dt_bound == "radial_viscous"
     # at a thousandth of the viscosity, advection across the tangential cell binds
     slow = make_cfg(n=24)._replace(params=LaminarParams(1.0, 1.0, 1e-3))
-    assert slow.dt_bound == "advective"
+    assert slow.dt_bound == "advective" and not slow.theta_implicit
     assert stable_dt(slow) == pytest.approx(0.4 * (1.0 * _grid(slow).dth) / slow.top_speed)
+    # at 5e-3 diffusion across the tangential cell binds, but the implicit
+    # theta-lines would cut the step count under _IMPLICIT_MIN_GAIN times
+    mid = make_cfg(n=24)._replace(params=LaminarParams(1.0, 1.0, 5e-3))
+    assert mid.dt_bound == "tangential_viscous" and not mid.theta_implicit
+    assert stable_dt(mid) == pytest.approx(0.4 * _old_tangential_limit(mid), rel=1e-12)
+    # one step, shorter than the limit: t_end sets it
+    for short in (make_cfg(t_end=1e-5), make_cfg(dt=1e-4, t_end=1e-5)):
+        assert short.steps == 1 and short.dt_bound == "t_end"
 
 
-def _sim_default_configs(seed):
-    """SimConfigs of the benchmark's sim-default workload (perfbench/workloads.py)."""
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_workloads", Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = workloads  # its dataclass looks its module up there
-    spec.loader.exec_module(workloads)
-    out = []
-    for inv in workloads.generate("sim-default", seed):
-        c, delta = inv.config, inv.config["delta"]
-        out.append(SimConfig(arc=ArcBoundary(delta, 0.0, (0.0, 0.0), (0.0, 0.5 * delta)),
-                             params=LaminarParams(c["alpha1"], c["alpha2"], c["nu"]),
-                             n_s=c["n_s"], n_r=c["n_r"], t_end=c["t_end"]))
-    return out
+def _cfg_with_gain(gain):
+    """A 24 x 24 config at the viscosity where leaving the wall-tangential limit
+    out of the default step cuts the step count ``gain`` times (advection binds)."""
+    base = make_cfg(n=24)
+    dth = _grid(base).dth
+    nu = gain * 0.25 * dth**2 * base.top_speed / dth
+    return base._replace(params=LaminarParams(1.0, 1.0, nu))
+
+
+@pytest.mark.parametrize("side", [0.8, 1.25])
+def test_theta_viscosity_is_implicit_where_it_cuts_the_step_count_enough(side):
+    gain = side * nssim._IMPLICIT_MIN_GAIN
+    cfg = _cfg_with_gain(gain)
+    tangential = _old_tangential_limit(cfg)
+    implicit = side > 1
+    assert cfg.theta_implicit is implicit
+    assert stable_dt(cfg) == pytest.approx(0.4 * (gain if implicit else 1.0) * tangential,
+                                           rel=1e-12)
+    assert cfg.dt_bound == ("advective" if implicit else "tangential_viscous")
+    # a given step beyond 0.4 of the explicit wall-tangential limit is implicit on
+    # either side; within it, the default's choice holds
+    assert cfg._replace(dt=0.5 * tangential).theta_implicit
+    assert cfg._replace(dt=0.3 * tangential).theta_implicit is implicit
+    # the default step of either scheme stays bounded and divergence-free
+    cfg = cfg._replace(t_end=30 * cfg.effective_dt)
+    state = init_sim(cfg)
+    for _ in range(cfg.steps):
+        state = step(state, cfg)
+    assert np.max(np.abs(state.us)) <= 1.5 * cfg.top_speed
+    assert np.max(np.abs(divergence(cfg, state.us, state.ur))) <= 1e-8
+
+
+# the benchmark's sim-default configs of seed 1: 32 x 32, bl = alpha1/alpha2 = 2.5,
+# and t_end = 150 steps of the explicit scheme, 150 / (10 * 64**2) * delta**2 / nu
+SIM_DEFAULT_SEED_1 = LaminarParams(4.098607258776841, 4.098607258776841 / 2.5,
+                                   1.749577941590583)
+
+
+def _sim_default_configs():
+    nu = SIM_DEFAULT_SEED_1.nu
+    return [SimConfig(arc=ArcBoundary(delta, 0.0, (0.0, 0.0), (0.0, 0.5 * delta)),
+                      params=SIM_DEFAULT_SEED_1, n_s=32, n_r=32,
+                      t_end=150 / (10.0 * 64**2) * delta * delta / nu)
+            for delta in (1.0, 2.0, 4.0)]
 
 
 def _final_u_t(cfg, dt=None):
@@ -558,7 +593,8 @@ def _final_u_t(cfg, dt=None):
 def test_default_dt_time_error_on_sim_default_configs():
     # the final probe u_t at the default dt is within 2e-3 relative of a dt/16 run,
     # and that error shrinks at least 3x from dt to dt/4 (first order: 5x)
-    for cfg in _sim_default_configs(1):
+    for cfg in _sim_default_configs():
+        assert cfg.theta_implicit
         dt = cfg.effective_dt
         ref = _final_u_t(cfg, dt / 16)
         err = np.max(np.abs(_final_u_t(cfg) - ref) / np.abs(ref))
@@ -568,8 +604,8 @@ def test_default_dt_time_error_on_sim_default_configs():
 
 
 def test_validate_refuses_a_huge_grid_before_allocating(monkeypatch):
-    # the cached theta-bases and Thomas factors of 8388608 x 16 would take about
-    # 1e6 GiB: the config is refused before any grid is built
+    # 8388608 x 16 would need about 1e6 GiB: the config is refused before any
+    # grid is built
     def no_grid(*args):
         raise AssertionError("a grid was built for a refused config")
 
@@ -583,4 +619,8 @@ def test_validate_refuses_a_huge_grid_before_allocating(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
-    assert nssim._cached_bytes(512, 512) <= nssim._CACHE_LIMIT_BYTES
+    # the bound counts each step's arrays, not only the cached ones: 16 x 500000
+    # caches about 0.7 GiB of factors but needs about 3 GiB at its peak
+    with pytest.raises(ConfigError, match="GiB"):
+        make_cfg()._replace(n_s=16, n_r=500000).validate()
+    assert nssim._run_bytes(512, 512) <= nssim._MEMORY_LIMIT_BYTES
