@@ -2,11 +2,13 @@
 
     python3 bench/layers.py --before OLD --after . --out BENCH_<topic>.json \
         [--pairs 10 --first-seed 1 --seconds 40 --workloads cli-analysis sim-default]
+    OPENBLAS_NUM_THREADS=1 python3 bench/layers.py --gain-runs OLD .   # gain runs alone
 
 ``--before`` and ``--after`` are repository roots (each with ``src/`` and
 ``perfbench/``; make the old one with ``git clone`` or ``git archive``).  Every
-measurement runs in fresh interpreters with ``PYTHONPATH`` set to the side's
-``src/``, and the sides alternate so that drift in machine speed hits both alike.
+measurement except the gain runs is made in fresh interpreters with
+``PYTHONPATH`` set to the side's ``src/``, and the sides alternate so that drift
+in machine speed hits both alike.
 
 Layers (north-star aim 1), over ``REPEATS`` alternating rounds:
 - package import: the wall time of a fresh ``python -c "import lamsep.cli"``
@@ -27,12 +29,20 @@ Layers (north-star aim 1), over ``REPEATS`` alternating rounds:
   warm grid (``nssim.run_{n}_s``) and the steps it took (``nssim.run_{n}_steps``,
   from the default-thread interpreter), so that a change in the step count shows
   next to a change in the cost of a step;
-- at n = 32/64: whole runs each side of ``nssim._IMPLICIT_MIN_GAIN`` (3), the
-  step-count cut below which the theta-viscosity stays explicit: at the
-  viscosity where leaving the wall-tangential limit out would cut the step count
-  ``GAIN`` times (0.1: advection sets the step), each ``GAIN_RUN_STEPS`` steps of
-  the explicit scheme long (``nssim.run_gain_{GAIN}_{n}_s`` as the best of
-  three, and ``nssim.run_gain_{GAIN}_{n}_steps``).
+- gain runs, at n = 32/64: whole ``run_experiment`` runs at the viscosity where
+  leaving the wall-tangential diffusion limit ``0.25*(delta*dtheta)**2/nu`` out
+  of the step cuts the explicit scheme's step count ``GAIN`` times (0.1:
+  advection sets the step by far; 1.0 and 1.5 bracket the break-even of the
+  implicit theta-lines, whose steps cost more but number ``GAIN`` times fewer;
+  2.4 and 3.75: larger cuts), each ``GAIN_RUN_STEPS`` explicit steps long.  Both
+  sides' ``src/lamsep`` are loaded into one interpreter under their own package
+  names and their runs alternate, ``GAIN_RUNS`` each from a fresh config (its
+  step count and theta-line factors inside the timed run, the mesh grid warm),
+  with one BLAS thread as ``simulate`` takes at these sizes: timings taken in
+  separate fresh interpreters differ by up to about 15 % for unchanged code.
+  Per run: each side's median, quartiles and step count
+  (``nssim.run_gain_{GAIN}_{n}``), the ratio of the medians, the median of the
+  ratios of runs made back to back, and the runs the change won.
 
 Outputs: each side runs every invocation of seeds 1..N of each workload in
 ``OUTPUT_SEEDS`` once, in-process in one interpreter; per command the file gets
@@ -53,6 +63,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import importlib.util
 import io
 import json
 import os
@@ -73,8 +84,9 @@ SIM_PROCESS_SIZES = (32, 128)
 RUN_SIZES = (32, 128)
 RUN_T_END = 0.01
 GAIN_RUN_SIZES = (32, 64)
-GAINS = (0.1, 2.4, 3.75)
+GAINS = (0.1, 1.0, 1.5, 2.4, 3.75)
 GAIN_RUN_STEPS = 60
+GAIN_RUNS = 30
 OUTPUT_SEEDS = {"cli-analysis": 120, "sim-default": 20}  # seeds 1..N compared per workload
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -176,19 +188,70 @@ def _measure_solver() -> dict:
             report = nssim.run_experiment(run_cfg)
             out[f"nssim.run_{n}_s"] = time.perf_counter() - t0
             out[f"nssim.run_{n}_steps"] = len(report.times) - 1
-        if n in GAIN_RUN_SIZES:
-            h = arc.delta * nssim._grid(cfg).dth  # the smallest cell width
-            adv = h / cfg.top_speed               # the advective limit, whatever nu
-            for gain in GAINS:
-                # nu where the explicit limit 0.25*h**2/nu is adv/gain
-                # (a quarter step short of GAIN_RUN_STEPS, so that no rounding adds a step)
-                run_cfg = cfg._replace(params=LaminarParams(2.5, 1.0, gain * 0.25 * h * h / adv),
-                                       t_end=(GAIN_RUN_STEPS - 0.25) * 0.4 * adv / max(gain, 1.0))
-                report = nssim.run_experiment(run_cfg)
-                out[f"nssim.run_gain_{gain:g}_{n}_s"] = _best_of(
-                    lambda: nssim.run_experiment(run_cfg), 1)
-                out[f"nssim.run_gain_{gain:g}_{n}_steps"] = len(report.times) - 1
     return out
+
+
+def _load_side(name: str, root: Path):
+    """Load ``root``'s ``src/lamsep`` as the package ``name``, so that both sides
+    run in one interpreter; its nssim, field and geometry modules."""
+    package_dir = root / "src" / "lamsep"
+    spec = importlib.util.spec_from_file_location(
+        name, package_dir / "__init__.py", submodule_search_locations=[str(package_dir)])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    return tuple(importlib.import_module(f"{name}.{module}")
+                 for module in ("nssim", "field", "geometry"))
+
+
+def _gain_config(nssim, field, geometry, n: int, gain: float):
+    """The n x n gain run at ``gain``: nu where the explicit wall-tangential limit
+    0.25*h**2/nu is adv/gain (h the smallest cell, adv the advective limit),
+    and t_end a quarter step short of GAIN_RUN_STEPS explicit steps, so that no
+    rounding adds a step."""
+    arc = geometry.ArcBoundary(1.0, 0.0, (0.0, 0.0), (0.0, 0.5))
+    cfg = nssim.SimConfig(arc=arc, params=field.LaminarParams(2.5, 1.0, 1.0),
+                          n_s=n, n_r=n, sector_angle=0.5)
+    h = arc.delta * nssim._grid(cfg).dth
+    adv = h / cfg.top_speed  # whatever nu
+    return cfg._replace(params=field.LaminarParams(2.5, 1.0, gain * 0.25 * h * h / adv),
+                        t_end=(GAIN_RUN_STEPS - 0.25) * 0.4 * adv / max(gain, 1.0))
+
+
+def _measure_gain_runs(roots: dict[str, Path]) -> dict:
+    """The gain runs of both sides, interleaved in this interpreter, in seconds."""
+    mods = {side: _load_side(f"lamsep_{side}", root) for side, root in roots.items()}
+    out = {}
+    for n in GAIN_RUN_SIZES:
+        for gain in GAINS:
+            cfgs = {side: _gain_config(*m, n, gain) for side, m in mods.items()}
+            times = {side: [] for side in mods}
+            steps = {side: len(mods[side][0].run_experiment(cfg).times) - 1  # warm-up
+                     for side, cfg in cfgs.items()}
+            for k in range(GAIN_RUNS):
+                for side in (list(mods) if k % 2 == 0 else list(mods)[::-1]):
+                    cfg = cfgs[side]._replace()  # a fresh config: nothing cached on it
+                    t0 = time.perf_counter()
+                    mods[side][0].run_experiment(cfg)
+                    times[side].append(time.perf_counter() - t0)
+            entry = {side: {**_quartiles(times[side]), "steps": steps[side]} for side in mods}
+            entry["after_over_before"] = entry["after"]["median"] / entry["before"]["median"]
+            # run k of each side ran back to back, so their ratio cancels the
+            # drift in machine speed between runs
+            entry["paired_after_over_before"] = statistics.median(
+                a / b for a, b in zip(times["after"], times["before"]))
+            entry["runs_after_faster"] = sum(a < b for a, b in zip(times["after"],
+                                                                  times["before"]))
+            out[f"nssim.run_gain_{gain:g}_{n}"] = entry
+    return out
+
+
+def gain_runs(sides: dict[str, Path]) -> dict:
+    """``_measure_gain_runs`` in a fresh interpreter with one BLAS thread."""
+    proc = subprocess.run(
+        [sys.executable, __file__, "--gain-runs", str(sides["before"]), str(sides["after"])],
+        env=_env(sides["after"], blas_threads="1"), check=True, capture_output=True, text=True)
+    return json.loads(proc.stdout.splitlines()[-1])
 
 
 def _run_outputs(workload: str, seeds: list[int], out_dir: Path) -> list:
@@ -403,7 +466,13 @@ def main() -> None:
     parser.add_argument("--measure-solver", action="store_true", help=argparse.SUPPRESS)
     parser.add_argument("--outputs", nargs=3, metavar=("WORKLOAD", "N", "DIR"),
                         help=argparse.SUPPRESS)
+    parser.add_argument("--gain-runs", nargs=2, type=Path, metavar=("BEFORE", "AFTER"),
+                        help="time only the gain runs of the two roots, in this interpreter")
     args = parser.parse_args()
+    if args.gain_runs:
+        before, after = (root.resolve() for root in args.gain_runs)
+        print(json.dumps(_measure_gain_runs({"before": before, "after": after})))
+        return
     if args.measure:
         print(json.dumps(_measure_analysis(Path(args.measure))))
         return
@@ -430,11 +499,15 @@ def main() -> None:
                       f"{IMPORTS_PER_ROUND} fresh interpreters per round, wall time of the "
                       "whole process); OPENBLAS_NUM_THREADS unset except in the "
                       "*_one_blas_thread_s solver layers, where it is 1",
+            "gain_runs": f"both sides in one interpreter with one BLAS thread, {GAIN_RUNS} "
+                         "alternating runs each from a fresh config after one warm-up run; "
+                         "quartiles in seconds",
             "outputs": "every invocation of the listed workload seeds, in-process, once per side",
             "pairs": f"perfbench/run.py --seconds {args.seconds} on seeds {seeds}, one run per "
                      "side and seed, the side that goes first alternating",
         },
         "layers": layers(sides),
+        "gain_runs": gain_runs(sides),
         "outputs": outputs(sides),
     }
     if seeds:

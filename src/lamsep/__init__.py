@@ -53,8 +53,8 @@ _EXPORTS = {
         "theorem2_limit", "theorem2_ratio",
     ), "theorems"),
     **dict.fromkeys((
-        "ExperimentReport", "SimConfig", "SimState", "init_sim", "measure_ratio",
-        "probe_diagnostics", "run_experiment", "step",
+        "ExperimentReport", "SimConfig", "SimState", "init_sim", "probe_diagnostics",
+        "run_experiment", "step",
     ), "nssim"),
 }
 

@@ -479,7 +479,6 @@ def _cmd_simulate(cfg: RunConfig):
         "steps": sim_cfg.steps,
         "cfl": sim_cfg.cfl(),
         "dt_bound": sim_cfg.dt_bound,
-        "theta_viscosity": "implicit" if sim_cfg.theta_implicit else "explicit",
     }
     nssim.dump_field_csv(report.final_state, sim_cfg, cfg.out / "field.csv")
     return payload, report.rows(), report.CSV_HEADER, 0, {}

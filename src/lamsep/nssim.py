@@ -8,16 +8,15 @@ at the radial walls.  The theta second difference of both viscous terms, the
 stiff part on the narrow wall-tangential cells, is taken at the new time level;
 the radial Laplacian, the -u/rho**2 term, the +-2/rho**2 d/dtheta couplings,
 the advection and the anchored pressure stay explicit.  That leaves one
-tridiagonal system along theta on each radial line for each velocity
-component, so the default step is bounded by advection and by diffusion across
-one wall-normal cell only.  The theta-line sweeps make a step cost up to about
-twice an explicit one, so a config takes them only where they cut the default
-step count at least ``_IMPLICIT_MIN_GAIN`` times (or where a given step is
-beyond the explicit limit on the wall-tangential cell); elsewhere, as where
-advection sets the step, the theta second difference stays explicit and the
-step is the explicit scheme's.  Internally the flow runs in the +theta direction;
-the wall-arc coordinate is s = delta * theta, so +theta is the wall-tangent
-direction e1 of the arc geometry.
+tridiagonal system along theta on each radial line of each velocity component,
+all solved in one batched sweep, so the default step is bounded by advection
+and by diffusion across one wall-normal cell only.  The sweep makes a step cost
+about 1.1-1.2 times an explicit one: where advection sets the step, that is
+what the one scheme costs; where diffusion across the wall-tangential cell
+would set an explicit step, the step count falls by the factor that limit is
+dropped by.  Internally the flow runs in the +theta direction; the wall-arc
+coordinate is s = delta * theta, so +theta is the wall-tangent direction e1 of
+the arc geometry.
 
 Boundary conditions: no-slip at the inner wall, the initial profile pinned at
 the outer radius, the shear profile at the inflow plane, convective outflow.
@@ -36,8 +35,8 @@ cached object per mesh (``_grid``) holds the grid arrays and both solvers'
 transforms and Thomas factors, so configs that differ only in dt, t_end or the
 flow parameters share it; every step then costs two (n_s x n_s) matrix
 products and one batched pair of tridiagonal sweeps for the projection, and
-two batched theta-line sweeps for the viscosity, whose Thomas factors depend
-on nu*dt and are kept per config.  The all-Neumann projection matrix is
+one batched theta-line sweep for the viscosity, whose Thomas factors depend on
+nu*dt and are kept per config.  The all-Neumann projection matrix is
 singular up to a constant, so its theta-mode 0 pins cell j = 0 to zero and the
 solution is shifted to zero mean afterwards.  The dropped equation holds
 automatically because the projection right-hand side is made mean-free first.
@@ -56,14 +55,13 @@ from .field import LaminarParams, profile_h, write_csv
 from .geometry import ArcBoundary
 
 
-# the implicit theta-lines are taken by default only where they cut the step
-# count at least this many times: they make a step cost up to about twice an
-# explicit one (BENCH_imex.json)
-_IMPLICIT_MIN_GAIN = 3.0
+# a run takes at most this many steps (the test and benchmark runs take at most
+# a few hundred): a config that needs more is refused before it starts
+_MAX_STEPS = 10**6
 
 # a simulate run's arrays must fit this many bytes; a run's peak memory grows by
-# about 40 arrays of n_s * n_r entries (peak RSS of 16 x 4096..32768 runs, both
-# theta schemes, field.csv included), and _RUN_ARRAYS keeps a margin over that
+# about 40 arrays of n_s * n_r entries (peak RSS of 16 x 4096..32768 runs,
+# field.csv included), and _RUN_ARRAYS keeps a margin over that
 _MEMORY_LIMIT_BYTES = 2**30
 _RUN_ARRAYS = 48
 
@@ -114,14 +112,6 @@ class SimConfig(_SimFields):
         return min(limits, key=limits.get)
 
     @cached_property
-    def theta_implicit(self) -> bool:
-        """Whether ``step`` takes the theta second difference of the viscosity at the
-        new time level: where the default step leaves out the wall-tangential
-        limit, and where the step taken is beyond 0.4 of that limit."""
-        return ("tangential_viscous" not in _dt_limits(self)
-                or self.effective_dt > 0.4 * _tangential_limit(self))
-
-    @cached_property
     def top_speed(self) -> float:
         """max |h(rho_c - delta)| over the cell centres: the initial profile's top speed."""
         return float(np.max(np.abs(profile_h(self.params, _grid(self).rho_c - self.arc.delta))))
@@ -149,8 +139,11 @@ class SimConfig(_SimFields):
         if not (0 < self.t_end < math.inf):
             problems.append(f"t_end must be finite and positive, got {self.t_end}")
         if not problems:  # the grid is built only for a config that passed the checks above
-            cfl = self.cfl()
-            if cfl > 0.5:
+            limit = stable_dt(self) if self.dt is None else self.dt
+            if not self.t_end <= _MAX_STEPS * limit:  # before cfl(), which counts the steps
+                problems.append(f"t_end = {self.t_end:g} needs more than {_MAX_STEPS} "
+                                f"steps of at most {limit:.3g}")
+            elif (cfl := self.cfl()) > 0.5:
                 problems.append(f"CFL = {cfl:.3f} exceeds 0.5")
         if problems:
             raise ConfigError("; ".join(problems))
@@ -160,25 +153,15 @@ class SimConfig(_SimFields):
         return self.top_speed * self.effective_dt / min(self.arc.delta * g.dth, g.drh)
 
 
-def _tangential_limit(cfg: SimConfig) -> float:
-    """The explicit viscous limit across one wall-tangential cell."""
-    return 0.25 * (cfg.arc.delta * _grid(cfg).dth) ** 2 / cfg.params.nu
-
-
 def _dt_limits(cfg: SimConfig) -> dict[str, float]:
-    """The limits on the default step: advection across the smallest cell,
-    diffusion across one wall-normal cell, and diffusion across one
-    wall-tangential cell unless leaving it out (the theta-lines implicit) cuts
-    the step count at least ``_IMPLICIT_MIN_GAIN`` times."""
+    """The limits on the default step: advection across the smallest cell and
+    diffusion across one wall-normal cell (the theta second difference is
+    implicit)."""
     g = _grid(cfg)
     umax = cfg.top_speed
     h_min = min(cfg.arc.delta * g.dth, g.drh)
-    limits = {"advective": h_min / umax if umax > 0 else math.inf,
-              "radial_viscous": 0.25 * g.drh**2 / cfg.params.nu}
-    tangential = _tangential_limit(cfg)
-    if min(limits.values()) < _IMPLICIT_MIN_GAIN * tangential:
-        limits["tangential_viscous"] = tangential
-    return limits
+    return {"advective": h_min / umax if umax > 0 else math.inf,
+            "radial_viscous": 0.25 * g.drh**2 / cfg.params.nu}
 
 
 def stable_dt(cfg: SimConfig) -> float:
@@ -342,24 +325,26 @@ class _Thomas(NamedTuple):
     kept with rows k and columns the systems, so each sweep step is one row
     operation over all systems.  With reciprocal pivots d_k, the solve scales
     the right-hand side by d first; the forward sweep then subtracts
-    ``lower[k] = sub[k] d_k`` times the row before (row 0 unused) and the back
-    sweep ``upper[k] = sup[k] d_k`` times the row after (last row unused).
+    ``sub[k] d_k`` times the row before (k = 1, 2, ...) and the back sweep
+    ``sup[k] d_k`` times the row after (k = rows - 2, ..., 0).  Those rows are
+    kept in the order the sweeps read them, so a solve makes no row views of
+    the factors.
     """
 
     inv_pivot: np.ndarray    # (rows, systems)
-    lower: np.ndarray        # (rows, systems)
-    upper: np.ndarray        # (rows, systems)
+    lower: list              # sub[k] d_k for k = 1 .. rows - 1, each (systems,)
+    upper: list              # sup[k] d_k for k = rows - 2 .. 0, each (systems,)
 
     def solve(self, y: np.ndarray) -> np.ndarray:
         """Overwrite the (rows, systems) right-hand sides ``y`` with the solutions."""
         y *= self.inv_pivot
         rows, term = list(y), np.empty(y.shape[1])
-        for prev, row, low in zip(rows, rows[1:], self.lower[1:]):
-            np.multiply(low, prev, out=term)
-            row -= term
-        for after, row, up in zip(rows[:0:-1], rows[-2::-1], self.upper[-2::-1]):
-            np.multiply(up, after, out=term)
-            row -= term
+        for prev, row, low in zip(rows, rows[1:], self.lower):
+            np.multiply(low, prev, term)
+            np.subtract(row, term, row)
+        for after, row, up in zip(rows[:0:-1], rows[-2::-1], self.upper):
+            np.multiply(up, after, term)
+            np.subtract(row, term, row)
         return y
 
 
@@ -376,11 +361,7 @@ def _thomas(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray) -> _Thomas:
     inv_pivot[0] = 1.0 / diag[0]
     for k in range(1, diag.shape[0]):
         inv_pivot[k] = 1.0 / (diag[k] - sub[k] * (sup[k - 1] * inv_pivot[k - 1]))
-    lower = sub * inv_pivot
-    lower[0] = 0.0
-    upper = sup * inv_pivot
-    upper[-1] = 0.0
-    return _Thomas(inv_pivot, lower, upper)
+    return _Thomas(inv_pivot, list((sub * inv_pivot)[1:]), list((sup * inv_pivot)[-2::-1]))
 
 
 class _SeparablePoisson(NamedTuple):
@@ -442,10 +423,15 @@ def _separable(g: _Grid, dirichlet_theta: bool) -> _SeparablePoisson:
 
 class _ThetaLines(NamedTuple):
     """The implicit theta-viscosity of one config: I - nu*dt*T_theta/(rho*dtheta)**2
-    on each radial line, with T_theta the theta second difference of each component."""
+    on each radial line, with T_theta the theta second difference of each component.
 
-    us: _Thomas              # (n_s - 1, n_r): the interior u_s faces i = 1..n_s-1
-    ur: _Thomas              # (n_s, n_r - 1): u_r at the interior rho-faces
+    Both components' lines are the columns of one batch of n_s rows: columns
+    0..n_r-1 are the u_s lines over the interior faces i = 1..n_s-1, padded
+    with one identity row at the bottom, and the n_r - 1 columns after them are
+    the u_r lines at the interior rho-faces.
+    """
+
+    factors: _Thomas         # (n_s, 2 n_r - 1)
     us_end: np.ndarray       # (n_r,) nu*dt/(rho_c*dtheta)**2, the weight of each Dirichlet end
 
 
@@ -454,25 +440,28 @@ def _theta_line_factors(cfg: SimConfig) -> _ThetaLines:
 
     u_s: the inflow face (the fixed profile) and the outflow face (advected
     before the solve) are Dirichlet ends, so each interior line is the plain
-    second difference with 1 + 2c on the diagonal and -c off it.  u_r: the
-    inflow ghost -2 u_0 + u_1/3 makes the first row of T_theta (-4, 4/3), and
-    zero-gradient outflow makes the last row (1, -1).
+    second difference with 1 + 2c on the diagonal and -c off it; its pad row
+    is decoupled (zero off-diagonals).  u_r: the inflow ghost -2 u_0 + u_1/3
+    makes the first row of T_theta (-4, 4/3), and zero-gradient outflow makes
+    the last row (1, -1).
     """
     g = _grid(cfg)
     nu_dt = cfg.params.nu * cfg.effective_dt
     c_s = nu_dt / (g.rho_c * g.dth) ** 2
     c_r = nu_dt / (g.rho_f[1:-1] * g.dth) ** 2
+    c = np.concatenate([c_s, c_r])
+    us, ur = slice(0, cfg.n_r), slice(cfg.n_r, None)
 
-    off = np.broadcast_to(-c_s, (cfg.n_s - 1, cfg.n_r))
-    us = _thomas(off, 1.0 + 2.0 * np.broadcast_to(c_s, off.shape), off)
-
-    diag = np.tile(1.0 + 2.0 * c_r, (cfg.n_s, 1))
-    diag[0] = 1.0 + 4.0 * c_r
-    diag[-1] = 1.0 + c_r
-    sub = np.tile(-c_r, (cfg.n_s, 1))
+    diag = np.tile(1.0 + 2.0 * c, (cfg.n_s, 1))
+    sub = np.tile(-c, (cfg.n_s, 1))
     sup = sub.copy()
-    sup[0] = -(4.0 / 3.0) * c_r
-    return _ThetaLines(us, _thomas(sub, diag, sup), c_s)
+    diag[-1, us] = 1.0
+    sub[-1, us] = 0.0
+    sup[-2, us] = 0.0
+    diag[0, ur] = 1.0 + 4.0 * c_r
+    diag[-1, ur] = 1.0 + c_r
+    sup[0, ur] = -(4.0 / 3.0) * c_r
+    return _ThetaLines(_thomas(sub, diag, sup), c_s)
 
 
 def _solve_neumann(cfg: SimConfig, b: np.ndarray) -> np.ndarray:
@@ -575,39 +564,39 @@ def init_sim(cfg: SimConfig) -> SimState:
 
 def step(state: SimState, cfg: SimConfig) -> SimState:
     """Advance one time step: Euler against the anchored background pressure,
-    with the theta second difference of the viscosity implicit where
-    ``cfg.theta_implicit`` (IMEX) and explicit elsewhere, then a projection for
-    incompressibility."""
+    with the theta second difference of the viscosity implicit (IMEX), then a
+    projection for incompressibility."""
     g = _grid(cfg)
     dt = cfg.effective_dt
     nu = cfg.params.nu
-    implicit = cfg.theta_implicit
+    n_r = cfg.n_r
+    lines = cfg._theta_lines
     us, ur, pa = state.us, state.ur, state.p_anchor
 
-    neg_adv_t, visc_t = _tangential_rhs(cfg, us, ur, theta_implicit=implicit)
-    neg_adv_r, visc_r = _radial_rhs(cfg, us, ur, theta_implicit=implicit)
+    neg_adv_t, visc_t = _tangential_rhs(cfg, us, ur, theta_implicit=True)
+    neg_adv_r, visc_r = _radial_rhs(cfg, us, ur, theta_implicit=True)
 
     us_star = us.copy()
     # the inflow face (us[0]) is never updated: it keeps its initial profile;
     # the outflow face is advected out
     c_out = np.maximum(us[-1, :], 0.0)
     us_star[-1, :] = us[-1, :] - dt * c_out / (g.rho_c * g.dth) * (us[-1, :] - us[-2, :])
-    rhs = us[1:-1, :] + dt * (neg_adv_t + nu * visc_t)
-    rhs -= dt * (pa[1:, :] - pa[:-1, :]) / (g.rho_c[None, :] * g.dth)
-    if implicit:
-        lines = cfg._theta_lines
-        # both end faces are Dirichlet values of the interior theta-lines
-        rhs[0] += lines.us_end * us_star[0]
-        rhs[-1] += lines.us_end * us_star[-1]
-        rhs = lines.us.solve(rhs)
-    us_star[1:-1, :] = rhs
 
+    # one right-hand side for both components' theta-lines, laid out as
+    # ``_ThetaLines``; the u_s pad row stays zero
+    rhs = np.zeros((cfg.n_s, 2 * n_r - 1))
+    rhs_s, rhs_r = rhs[:-1, :n_r], rhs[:, n_r:]
+    np.add(us[1:-1, :], dt * (neg_adv_t + nu * visc_t), out=rhs_s)
+    rhs_s -= dt * (pa[1:, :] - pa[:-1, :]) / (g.rho_c[None, :] * g.dth)
+    # both end faces are Dirichlet values of the interior u_s lines
+    rhs_s[0] += lines.us_end * us_star[0]
+    rhs_s[-1] += lines.us_end * us_star[-1]
+    np.add(ur[:, 1:-1], dt * (neg_adv_r + nu * visc_r), out=rhs_r)
+    rhs_r -= dt * (pa[:, 1:] - pa[:, :-1]) / g.drh
+    lines.factors.solve(rhs)
+    us_star[1:-1, :] = rhs_s
     ur_star = np.zeros_like(ur)
-    rhs = ur[:, 1:-1] + dt * (neg_adv_r + nu * visc_r)
-    rhs -= dt * (pa[:, 1:] - pa[:, :-1]) / g.drh
-    if implicit:
-        rhs = lines.ur.solve(rhs)
-    ur_star[:, 1:-1] = rhs
+    ur_star[:, 1:-1] = rhs_r
 
     # global mass balance before the all-Neumann projection
     flux_in = float(np.sum(us_star[0, :])) * g.drh
@@ -674,11 +663,6 @@ def probe_diagnostics(state: SimState, cfg: SimConfig, r_probe_list) -> list[Pro
     return out
 
 
-def measure_ratio(state: SimState, cfg: SimConfig, r_probe_list) -> list[tuple[float, float]]:
-    """Discrete <nu*lap(u) - grad p, t_hat> / <u0, t_hat> at each probe radius."""
-    return [(p.r, p.ratio) for p in probe_diagnostics(state, cfg, r_probe_list)]
-
-
 def kinetic_energy(state: SimState, cfg: SimConfig) -> float:
     g = _grid(cfg)
     us_c = 0.5 * (state.us[:-1, :] + state.us[1:, :])
@@ -699,10 +683,9 @@ class ExperimentReport(NamedTuple):
 
     def rows(self):
         """Long-format rows (t, probe_r, u_t, ratio); ratio is the t=0 value."""
-        t0_ratio = {s.r: s.ratio for s in self.t0_samples}
         for k, t in enumerate(self.times):
-            for col, r in enumerate(self.probe_r):
-                yield t, r, self.u_t[k, col], t0_ratio.get(r, float("nan"))
+            for col, (r, t0) in enumerate(zip(self.probe_r, self.t0_samples)):
+                yield t, r, self.u_t[k, col], t0.ratio
 
 
 def run_experiment(cfg: SimConfig, r_probe_list=None) -> ExperimentReport:

@@ -23,7 +23,7 @@ from lamsep.field import (
 )
 from lamsep.fdops import StencilSpec, fd_advection, fd_laplacian, richardson
 from lamsep.geometry import ArcBoundary, arc_normal, arc_tangent, to_cartesian
-from lamsep.nssim import SimConfig, _grid, _tangential_rhs, init_sim, measure_ratio
+from lamsep.nssim import SimConfig, _grid, _tangential_rhs, init_sim, probe_diagnostics
 from lamsep.theorems import (
     default_r_grid,
     oracle_limit,
@@ -242,8 +242,7 @@ def test_criterion_9_simulation():
     cfg = SimConfig(arc=ARC, params=UNIT, n_s=128, n_r=64, sector_angle=0.5)
     state = init_sim(cfg)
     probes = np.linspace(0.03, UNIT.bl / 4, 6)
-    ratios = measure_ratio(state, cfg, probes)
-    assert all(v < 0 for _, v in ratios)
+    assert all(s.ratio < 0 for s in probe_diagnostics(state, cfg, probes))
 
     # (c) curvature monotonicity at matched r/delta
     mags = {}
@@ -251,8 +250,8 @@ def test_criterion_9_simulation():
         arc = ArcBoundary(delta, 0.0, (0.0, 0.0), (0.0, 0.5 * delta))
         cfg_d = SimConfig(arc=arc, params=UNIT, n_s=64, n_r=64, sector_angle=0.5)
         st = init_sim(cfg_d)
-        (_, ratio), = measure_ratio(st, cfg_d, [0.1 * delta])
-        mags[delta] = abs(ratio)
+        sample, = probe_diagnostics(st, cfg_d, [0.1 * delta])
+        mags[delta] = abs(sample.ratio)
     assert mags[0.5] > mags[1.0]
     elapsed = time.perf_counter() - start
     assert elapsed < 120.0

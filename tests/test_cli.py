@@ -204,18 +204,17 @@ def test_simulate_run(tmp_path):
     assert all(entry["ratio"] < 0 for entry in report["payload"]["t0"])
 
 
-@pytest.mark.parametrize("config, bound, scheme", [
-    ({"t_end": 0.02}, "radial_viscous", "implicit"),
-    ({"t_end": 0.002, "dt": 3e-4}, "given", "implicit"),
-    ({"t_end": 0.2, "nu": 1e-3}, "advective", "explicit"),
-    ({"t_end": 1e-5}, "t_end", "implicit"),
+@pytest.mark.parametrize("config, bound", [
+    ({"t_end": 0.02}, "radial_viscous"),
+    ({"t_end": 0.002, "dt": 3e-4}, "given"),
+    ({"t_end": 0.2, "nu": 1e-3}, "advective"),
+    ({"t_end": 1e-5}, "t_end"),
 ])
-def test_simulate_reports_its_time_step(tmp_path, config, bound, scheme):
+def test_simulate_reports_its_time_step(tmp_path, config, bound):
     cfg = write_config(tmp_path, {"n_s": 16, "n_r": 16, **config})
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
     payload = load_strict_json(tmp_path / "o" / "report.json")["payload"]
     assert payload["dt_bound"] == bound
-    assert payload["theta_viscosity"] == scheme
     assert payload["dt"] * payload["steps"] == pytest.approx(config["t_end"], rel=1e-12)
     assert 0 < payload["cfl"] <= 0.5
     if "dt" in config:
@@ -231,6 +230,25 @@ def test_simulate_refuses_a_huge_grid_in_one_line(tmp_path, capsys):
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("lamsep: error: grid 8388608x16 needs")
+
+
+@pytest.mark.parametrize("config", [{"n_s": 16, "n_r": 16, "nu": 1e308}, {"nu": 1e300},
+                                    {"dt": 1e-300}])
+def test_simulate_refuses_a_run_of_too_many_steps_in_one_line(tmp_path, capsys, monkeypatch,
+                                                              config):
+    # t_end over the step limit is inf, about 1e301 and 2e298 steps: the run is
+    # refused before its step count is taken or a step is made
+    from lamsep import nssim
+
+    def no_step(*args):
+        raise AssertionError("a step was taken for a refused config")
+
+    monkeypatch.setattr(nssim, "step", no_step)
+    cfg = write_config(tmp_path, config)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("lamsep: error: t_end = 0.02 needs more than "
+                                               "1000000 steps")
 
 
 def test_sweep_monotone_and_nu_scaling(tmp_path):

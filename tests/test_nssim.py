@@ -21,7 +21,6 @@ from lamsep.nssim import (
     dump_field_csv,
     init_sim,
     kinetic_energy,
-    measure_ratio,
     probe_diagnostics,
     run_experiment,
     stable_dt,
@@ -120,7 +119,7 @@ def test_viscous_operator_order2_on_nonpolynomial_profile():
     assert np.all(np.abs(orders - 2.0) < 0.3)
 
 
-def test_measure_ratio_matches_theorem_across_deltas():
+def test_t0_ratio_matches_theorem_across_deltas():
     for delta in (0.5, 1.0, 2.0):
         cfg = make_cfg(delta=delta, n=32)
         state = init_sim(cfg)
@@ -130,12 +129,12 @@ def test_measure_ratio_matches_theorem_across_deltas():
             assert s.ratio < 0
 
 
-def test_measure_ratio_negative_near_wall():
+def test_t0_ratio_negative_near_wall():
     cfg = make_cfg(n=32)
     state = init_sim(cfg)
     probes = np.linspace(0.03, PARAMS.bl / 4, 6)
-    for r, ratio in measure_ratio(state, cfg, probes):
-        assert ratio < 0
+    for sample in probe_diagnostics(state, cfg, probes):
+        assert sample.ratio < 0
 
 
 def test_curvature_monotonicity_at_matched_relative_height():
@@ -143,8 +142,8 @@ def test_curvature_monotonicity_at_matched_relative_height():
     for delta in (0.5, 1.0):
         cfg = make_cfg(delta=delta, n=64)
         state = init_sim(cfg)
-        (_, ratio), = measure_ratio(state, cfg, [0.1 * delta])
-        ratios[delta] = ratio
+        sample, = probe_diagnostics(state, cfg, [0.1 * delta])
+        ratios[delta] = sample.ratio
     assert abs(ratios[0.5]) > abs(ratios[1.0])
 
 
@@ -454,28 +453,35 @@ def _theta_line_reference(cfg, component):
 @pytest.mark.parametrize("delta", [0.25, 4.0])
 @pytest.mark.parametrize("n_s, n_r", [(16, 24), (24, 16), (17, 19)])
 def test_theta_line_solves_match_cell_loop(n_s, n_r, delta):
-    # both components' theta-line solves invert the matrix built one cell at a
-    # time, at a stiff nu*dt (20x the old explicit limit)
+    # the one theta-line solve inverts both components' matrices built one cell
+    # at a time, at a stiff nu*dt (20x the old explicit limit)
     arc = ArcBoundary(delta, 0.0, (0.0, 0.0), (0.0, 0.5 * delta))
     cfg = SimConfig(arc=arc, params=PARAMS, n_s=n_s, n_r=n_r, sector_angle=0.5)
     cfg = cfg._replace(dt=20.0 * _old_tangential_limit(cfg), t_end=1.0)
     lines = cfg._theta_lines
     rng = np.random.default_rng(n_s * n_r)
 
+    # one stacked solve: the u_s lines in the first n_r columns (last row an
+    # identity pad, which must neither change nor be changed by the lines),
+    # the u_r lines in the n_r - 1 after them
+    f_s = rng.standard_normal((n_s - 1, n_r))
+    inflow, outflow, pad = rng.standard_normal((3, n_r))
+    f_r = rng.standard_normal((n_s, n_r - 1))
+    rhs = np.empty((n_s, 2 * n_r - 1))
+    rhs[:-1, :n_r] = f_s
+    rhs[-1, :n_r] = pad
+    rhs[0, :n_r] += lines.us_end * inflow
+    rhs[-2, :n_r] += lines.us_end * outflow
+    rhs[:, n_r:] = f_r
+    x = lines.factors.solve(rhs)
+
     a, ends = _theta_line_reference(cfg, "us")
-    f = rng.standard_normal((n_s - 1, n_r))
-    inflow, outflow = rng.standard_normal((2, n_r))
-    rhs = f.copy()
-    rhs[0] += lines.us_end * inflow
-    rhs[-1] += lines.us_end * outflow
-    x = lines.us.solve(rhs)
-    b = f + ends[0] * inflow + ends[1] * outflow
-    assert np.linalg.norm(a @ x.ravel() - b.ravel()) <= 1e-12 * np.linalg.norm(b)
+    b = f_s + ends[0] * inflow + ends[1] * outflow
+    assert np.linalg.norm(a @ x[:-1, :n_r].ravel() - b.ravel()) <= 1e-12 * np.linalg.norm(b)
+    assert np.array_equal(x[-1, :n_r], pad)
 
     a, _ = _theta_line_reference(cfg, "ur")
-    f = rng.standard_normal((n_s, n_r - 1))
-    x = lines.ur.solve(f.copy())
-    assert np.linalg.norm(a @ x.ravel() - f.ravel()) <= 1e-12 * np.linalg.norm(f)
+    assert np.linalg.norm(a @ x[:, n_r:].ravel() - f_r.ravel()) <= 1e-12 * np.linalg.norm(f_r)
 
 
 def test_steps_far_beyond_the_old_tangential_limit_stay_bounded():
@@ -528,48 +534,33 @@ def test_dt_bound_names_the_binding_limit():
     assert make_cfg(n=24).dt_bound == "radial_viscous"
     # at a thousandth of the viscosity, advection across the tangential cell binds
     slow = make_cfg(n=24)._replace(params=LaminarParams(1.0, 1.0, 1e-3))
-    assert slow.dt_bound == "advective" and not slow.theta_implicit
+    assert slow.dt_bound == "advective"
     assert stable_dt(slow) == pytest.approx(0.4 * (1.0 * _grid(slow).dth) / slow.top_speed)
-    # at 5e-3 diffusion across the tangential cell binds, but the implicit
-    # theta-lines would cut the step count under _IMPLICIT_MIN_GAIN times
-    mid = make_cfg(n=24)._replace(params=LaminarParams(1.0, 1.0, 5e-3))
-    assert mid.dt_bound == "tangential_viscous" and not mid.theta_implicit
-    assert stable_dt(mid) == pytest.approx(0.4 * _old_tangential_limit(mid), rel=1e-12)
     # one step, shorter than the limit: t_end sets it
     for short in (make_cfg(t_end=1e-5), make_cfg(dt=1e-4, t_end=1e-5)):
         assert short.steps == 1 and short.dt_bound == "t_end"
 
 
-def _cfg_with_gain(gain):
-    """A 24 x 24 config at the viscosity where leaving the wall-tangential limit
-    out of the default step cuts the step count ``gain`` times (advection binds)."""
+def test_default_step_where_advection_binds_stays_bounded():
+    # at nu = 1e-3, and at the viscosities where dropping the wall-tangential
+    # limit cuts the explicit step count only 1.0x and 2.4x, the default step is
+    # 0.4 of the advective and radial limits alone, and 30 such steps stay
+    # bounded and divergence-free
     base = make_cfg(n=24)
     dth = _grid(base).dth
-    nu = gain * 0.25 * dth**2 * base.top_speed / dth
-    return base._replace(params=LaminarParams(1.0, 1.0, nu))
-
-
-@pytest.mark.parametrize("side", [0.8, 1.25])
-def test_theta_viscosity_is_implicit_where_it_cuts_the_step_count_enough(side):
-    gain = side * nssim._IMPLICIT_MIN_GAIN
-    cfg = _cfg_with_gain(gain)
-    tangential = _old_tangential_limit(cfg)
-    implicit = side > 1
-    assert cfg.theta_implicit is implicit
-    assert stable_dt(cfg) == pytest.approx(0.4 * (gain if implicit else 1.0) * tangential,
-                                           rel=1e-12)
-    assert cfg.dt_bound == ("advective" if implicit else "tangential_viscous")
-    # a given step beyond 0.4 of the explicit wall-tangential limit is implicit on
-    # either side; within it, the default's choice holds
-    assert cfg._replace(dt=0.5 * tangential).theta_implicit
-    assert cfg._replace(dt=0.3 * tangential).theta_implicit is implicit
-    # the default step of either scheme stays bounded and divergence-free
-    cfg = cfg._replace(t_end=30 * cfg.effective_dt)
-    state = init_sim(cfg)
-    for _ in range(cfg.steps):
-        state = step(state, cfg)
-    assert np.max(np.abs(state.us)) <= 1.5 * cfg.top_speed
-    assert np.max(np.abs(divergence(cfg, state.us, state.ur))) <= 1e-8
+    advective = dth / base.top_speed  # delta = 1: the tangential cell is the smallest
+    nus = [1e-3] + [gain * 0.25 * dth**2 / advective for gain in (1.0, 2.4)]
+    for nu in nus:
+        cfg = base._replace(params=LaminarParams(1.0, 1.0, nu))
+        radial = 0.25 * _grid(cfg).drh ** 2 / nu
+        assert stable_dt(cfg) == pytest.approx(0.4 * min(advective, radial), rel=1e-12)
+        assert cfg.dt_bound == "advective"
+        cfg = cfg._replace(t_end=30 * cfg.effective_dt)
+        state = init_sim(cfg)
+        for _ in range(cfg.steps):
+            state = step(state, cfg)
+        assert np.max(np.abs(state.us)) <= 1.5 * cfg.top_speed
+        assert np.max(np.abs(divergence(cfg, state.us, state.ur))) <= 1e-8
 
 
 # the benchmark's sim-default configs of seed 1: 32 x 32, bl = alpha1/alpha2 = 2.5,
@@ -594,7 +585,6 @@ def test_default_dt_time_error_on_sim_default_configs():
     # the final probe u_t at the default dt is within 2e-3 relative of a dt/16 run,
     # and that error shrinks at least 3x from dt to dt/4 (first order: 5x)
     for cfg in _sim_default_configs():
-        assert cfg.theta_implicit
         dt = cfg.effective_dt
         ref = _final_u_t(cfg, dt / 16)
         err = np.max(np.abs(_final_u_t(cfg) - ref) / np.abs(ref))
