@@ -411,7 +411,7 @@ def test_field_csv_xy_is_the_chart_of_each_row(tmp_path):
 # ----------------------------------------------------------------------------
 
 
-def _old_tangential_limit(cfg):
+def _explicit_wall_tangential_limit(cfg):
     """The explicit viscous limit on the wall-tangential cell width, 0.25*(delta*dtheta)**2/nu."""
     return 0.25 * (cfg.arc.delta * _grid(cfg).dth) ** 2 / cfg.params.nu
 
@@ -457,7 +457,7 @@ def test_theta_line_solves_match_cell_loop(n_s, n_r, delta):
     # at a time, at a stiff nu*dt (20x the old explicit limit)
     arc = ArcBoundary(delta, 0.0, (0.0, 0.0), (0.0, 0.5 * delta))
     cfg = SimConfig(arc=arc, params=PARAMS, n_s=n_s, n_r=n_r, sector_angle=0.5)
-    cfg = cfg._replace(dt=20.0 * _old_tangential_limit(cfg), t_end=1.0)
+    cfg = cfg._replace(dt=20.0 * _explicit_wall_tangential_limit(cfg), t_end=1.0)
     lines = cfg._theta_lines
     rng = np.random.default_rng(n_s * n_r)
 
@@ -490,7 +490,7 @@ def test_steps_far_beyond_the_old_tangential_limit_stay_bounded():
     # 1 - 20*4 each step and diverges; the implicit one damps it
     arc = ArcBoundary(1.0, 0.0, (0.0, 0.0), (0.0, 0.5))
     cfg = SimConfig(arc=arc, params=PARAMS, n_s=48, n_r=16, sector_angle=0.5)
-    dt = 20.0 * _old_tangential_limit(cfg)
+    dt = 20.0 * _explicit_wall_tangential_limit(cfg)
     cfg = cfg._replace(dt=dt, t_end=50 * dt)
     assert cfg.effective_dt == pytest.approx(dt, rel=1e-12)
     state = init_sim(cfg)
