@@ -541,26 +541,49 @@ def test_dt_bound_names_the_binding_limit():
         assert short.steps == 1 and short.dt_bound == "t_end"
 
 
-def test_default_step_where_advection_binds_stays_bounded():
-    # at nu = 1e-3, and at the viscosities where dropping the wall-tangential
-    # limit cuts the explicit step count only 1.0x and 2.4x, the default step is
-    # 0.4 of the advective and radial limits alone, and 30 such steps stay
-    # bounded and divergence-free
+def _assert_default_step_is_advective_and_bounded(nu):
+    """At a 24 x 24 config of viscosity ``nu``, where advection binds: the default
+    step is 0.4 of the advective and radial limits alone, and 30 such steps stay
+    bounded and divergence-free."""
     base = make_cfg(n=24)
     dth = _grid(base).dth
     advective = dth / base.top_speed  # delta = 1: the tangential cell is the smallest
-    nus = [1e-3] + [gain * 0.25 * dth**2 / advective for gain in (1.0, 2.4)]
-    for nu in nus:
-        cfg = base._replace(params=LaminarParams(1.0, 1.0, nu))
-        radial = 0.25 * _grid(cfg).drh ** 2 / nu
-        assert stable_dt(cfg) == pytest.approx(0.4 * min(advective, radial), rel=1e-12)
-        assert cfg.dt_bound == "advective"
-        cfg = cfg._replace(t_end=30 * cfg.effective_dt)
-        state = init_sim(cfg)
-        for _ in range(cfg.steps):
-            state = step(state, cfg)
-        assert np.max(np.abs(state.us)) <= 1.5 * cfg.top_speed
-        assert np.max(np.abs(divergence(cfg, state.us, state.ur))) <= 1e-8
+    cfg = base._replace(params=LaminarParams(1.0, 1.0, nu))
+    radial = 0.25 * _grid(cfg).drh ** 2 / nu
+    assert stable_dt(cfg) == pytest.approx(0.4 * min(advective, radial), rel=1e-12)
+    assert cfg.dt_bound == "advective"
+    cfg = cfg._replace(t_end=30 * cfg.effective_dt)
+    state = init_sim(cfg)
+    for _ in range(cfg.steps):
+        state = step(state, cfg)
+    assert np.max(np.abs(state.us)) <= 1.5 * cfg.top_speed
+    assert np.max(np.abs(divergence(cfg, state.us, state.ur))) <= 1e-8
+
+
+def _nu_with_gain(gain):
+    """The viscosity at which leaving the wall-tangential limit out of the default
+    step of a 24 x 24 config cuts the explicit step count ``gain`` times."""
+    base = make_cfg(n=24)
+    dth = _grid(base).dth
+    return gain * 0.25 * dth**2 * base.top_speed / dth
+
+
+def test_default_step_where_advection_binds_stays_bounded():
+    # at nu = 1e-3, and where dropping the wall-tangential limit cuts nothing
+    for nu in (1e-3, _nu_with_gain(1.0)):
+        _assert_default_step_is_advective_and_bounded(nu)
+
+
+@pytest.mark.parametrize("side", [0.8, 1.25])
+def test_theta_viscosity_is_implicit_where_it_cuts_the_step_count_enough(side):
+    # each side of a 3x cut of the explicit step count (2.4x and 3.75x), the
+    # theta-lines are implicit: the default step leaves the wall-tangential limit
+    # out, so it is side * 3 times 0.4 of that limit
+    gain = side * 3.0
+    cfg = make_cfg(n=24)._replace(params=LaminarParams(1.0, 1.0, _nu_with_gain(gain)))
+    assert stable_dt(cfg) == pytest.approx(0.4 * gain * _explicit_wall_tangential_limit(cfg),
+                                           rel=1e-12)
+    _assert_default_step_is_advective_and_bounded(cfg.params.nu)
 
 
 # the benchmark's sim-default configs of seed 1: 32 x 32, bl = alpha1/alpha2 = 2.5,
