@@ -4,8 +4,11 @@ A library (plus the ``lamsep`` CLI) that builds the parallel shear flow
 around a constant-curvature no-slip wall, checks every closed form against
 finite-difference oracles, quantifies why no such flow can be stationary,
 extrapolates the negative near-wall material-derivative limit, and runs a
-desk-scale unsteady Navier-Stokes experiment on an annular sector exhibiting
-the predicted near-wall deceleration.  The analysis is pure Python; only the
+desk-scale unsteady Navier-Stokes experiment on an annular sector.  What that
+experiment reproduces is the sign of the t = 0 tangential momentum budget: the
+material derivative opposes the flow near the wall, more strongly at smaller
+delta.  With its inflow pinned, the sector's velocity series relaxes toward a
+steady profile rather than decelerating.  The analysis is pure Python; only the
 sector solver (:mod:`lamsep.nssim`) needs numpy.
 
 ``import lamsep`` loads nothing else: each public name below resolves on first

@@ -10,11 +10,8 @@ the radial Laplacian, the -u/rho**2 term, the +-2/rho**2 d/dtheta couplings,
 the advection and the anchored pressure stay explicit.  That leaves one
 tridiagonal system along theta on each radial line of each velocity component,
 all solved in one batched sweep, so the default step is bounded by advection
-and by diffusion across one wall-normal cell only.  The sweep makes a step cost
-about 1.1-1.2 times an explicit one: where advection sets the step, that is
-what the one scheme costs; where diffusion across the wall-tangential cell
-would set an explicit step, the step count falls by the factor that limit is
-dropped by.  Internally the flow runs in the +theta direction; the wall-arc
+and by diffusion across one wall-normal cell only.  Internally the flow runs in
+the +theta direction; the wall-arc
 coordinate is s = delta * theta, so +theta is the wall-tangent direction e1 of
 the arc geometry.
 

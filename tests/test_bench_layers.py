@@ -1,0 +1,93 @@
+"""The layer benchmark's CSV comparison and the premise of its timing method.
+
+``bench/layers.py`` times both checkouts in one interpreter, each loaded under
+its own package name; these tests load the script by path (as
+``test_benchmark_hooks.py`` loads ``perfbench/``) and time nothing.
+"""
+
+import importlib.util
+import json
+import math
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _load_layers():
+    spec = importlib.util.spec_from_file_location("bench_layers", ROOT / "bench" / "layers.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+layers = _load_layers()
+HEADER = ["t", "u"]
+
+
+@pytest.mark.parametrize("x, y", [("0", "-0"), ("0.5", "0.5"), ("nan", "nan"), ("inf", "inf"),
+                                  ("1e-3", "0.001")])
+def test_equal_cells_differ_by_zero(x, y):
+    assert layers._largest_rel_diff([HEADER, ["1", x]], [HEADER, ["1", y]]) == 0.0
+
+
+def test_relative_difference_of_finite_cells():
+    diff = layers._largest_rel_diff([HEADER, ["1", "2"], ["2", "-4"]],
+                                    [HEADER, ["1", "2.5"], ["2", "-4"]])
+    assert diff == pytest.approx(0.2)
+
+
+@pytest.mark.parametrize("x, y", [("nan", "1"), ("1", "nan"), ("inf", "1"), ("-inf", "inf"),
+                                  ("abc", "1")])
+def test_a_non_finite_mismatch_is_infinite(x, y):
+    assert layers._largest_rel_diff([HEADER, ["1", x]], [HEADER, ["1", y]]) == math.inf
+
+
+@pytest.mark.parametrize("row_a, row_b", [(["1", "2"], ["1"]), (["1"], ["1", "2"]),
+                                          (["1", "2"], ["1", "2", "3"])])
+def test_rows_of_unequal_length_differ_infinitely(row_a, row_b):
+    assert layers._largest_rel_diff([HEADER, row_a], [HEADER, row_b]) == math.inf
+
+
+def test_unequal_headers_or_row_counts_differ_infinitely():
+    assert layers._largest_rel_diff([HEADER, ["1", "2"]], [["t", "v"], ["1", "2"]]) == math.inf
+    assert layers._largest_rel_diff([HEADER, ["1", "2"]], [HEADER]) == math.inf
+
+
+@pytest.fixture(scope="module")
+def sides():
+    names = ("lamsep_side_a", "lamsep_side_b")
+    loaded = tuple(layers._load_side(name, ROOT) for name in names)
+    yield loaded
+    for key in [k for k in sys.modules if k.split(".")[0] in names]:
+        del sys.modules[key]
+
+
+def test_sides_are_separate_packages_with_separate_mesh_caches(sides):
+    a, b = sides
+    assert a.nssim is not b.nssim and a.cli is not b.cli
+    assert a.nssim.__name__ == "lamsep_side_a.nssim"
+    assert a.nssim._mesh_grid is not b.nssim._mesh_grid
+    for side in sides:
+        side.nssim._mesh_grid.cache_clear()
+    cfg = a.nssim.SimConfig(arc=a.geometry.ArcBoundary(1.0, 0.0, (0.0, 0.0), (0.0, 0.5)),
+                            params=a.field.LaminarParams(2.0, 1.0, 1.0), n_s=16, n_r=16,
+                            sector_angle=0.5)
+    a.nssim.init_sim(cfg)
+    assert a.nssim._mesh_grid.cache_info().currsize == 1
+    assert b.nssim._mesh_grid.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("command, config", [("simulate", {"n_s": 16, "n_r": 16}),
+                                             ("classify", {})])
+def test_both_sides_write_the_same_data_csv(sides, tmp_path, command, config):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    written = []
+    for side in sides:
+        out = tmp_path / side.__name__
+        side.cli.run(side.cli.parse_config(path, {"out": str(out)}, command))
+        written.append((out / "data.csv").read_bytes())
+    assert written[0] and written[0] == written[1]
