@@ -20,7 +20,8 @@ the change won.
 In-process layers: both sides' ``src/lamsep`` are loaded into one fresh
 interpreter under their own package names (``lamsep_before``,
 ``lamsep_after``), so that no process-level difference between two
-interpreters enters a ratio.  A sample is the mean time per call of a batch.
+interpreters enters a ratio.  A sample is the mean time per call of a batch,
+or one call for a cold ``init_sim`` and a whole run.
 - config parse (``cli.parse_config``), one laminar field evaluation and one
   RK4 ``_rk_step``, the Richardson fit of the default theorem-2 grid, the exact
   rational ``oracle_limit``, report and CSV writing, the theorem-1
@@ -34,9 +35,9 @@ interpreters enters a ratio.  A sample is the mean time per call of a batch.
   advection does.  Each reports its step count and ``dt_bound`` per side, so
   that a change in the step count shows next to a change in the cost of a step.
 Each solver size runs under the BLAS setting ``lamsep simulate`` picks for it:
-one interpreter with ``OPENBLAS_NUM_THREADS=1`` for the sizes up to
-``cli._ONE_BLAS_THREAD_MAX`` (and the analysis layers), one with it unset
-(OpenBLAS's default thread count) for the larger ones.
+one interpreter with ``OPENBLAS_NUM_THREADS=1`` for the sizes whose n**3 is at
+most ``cli._ONE_BLAS_THREAD_MAX`` (n <= 64; the analysis layers run there too),
+one with it unset (OpenBLAS's default thread count) for the larger ones.
 
 Process layers, in a fresh interpreter per call with ``PYTHONPATH`` set to the
 side's ``src/``: the wall time of ``python -c "pass"`` (the interpreter alone),
