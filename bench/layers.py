@@ -13,9 +13,10 @@ what the method reads for unchanged code, compare a checkout with itself:
 Layers (north-star aim 1).  Every layer is timed the same way: after one
 untimed call on each side, the sides alternate over ``ROUNDS`` rounds, the side
 that goes first swapping each round.  Per layer the file gets each side's
-quartiles in seconds, the ratio of the medians, the median of the ratios of
-the rounds run back to back (it cancels drift in machine speed) and the rounds
-the change won.
+quartiles in seconds, the median of the ratios of the rounds run back to back
+and the rounds the change won.  The paired ratio cancels drift in machine speed
+between rounds.  The ratio of the two medians does not, and it is not reported:
+on identical code it read 0.73 to 1.16 in ``BENCH_layers_self.json``.
 
 In-process layers: both sides' ``src/lamsep`` are loaded into one fresh
 interpreter under their own package names (``lamsep_before``,
@@ -106,8 +107,8 @@ def _quartiles(values: list[float]) -> dict:
 
 def _compare(samplers: dict) -> dict:
     """Call each side's sampler once untimed, then alternate the sides over ROUNDS
-    rounds; each side's quartiles, the ratio of the medians, the median paired
-    ratio and the rounds the change won."""
+    rounds; each side's quartiles, the median paired ratio and the rounds the
+    change won."""
     for sample in samplers.values():
         sample()
     times = {side: [] for side in SIDES}
@@ -115,7 +116,6 @@ def _compare(samplers: dict) -> dict:
         for side in (SIDES if k % 2 == 0 else SIDES[::-1]):
             times[side].append(samplers[side]())
     entry = {side: _quartiles(times[side]) for side in SIDES}
-    entry["after_over_before"] = entry["after"]["median"] / entry["before"]["median"]
     # round k of each side ran back to back, so their ratio cancels the drift in
     # machine speed between rounds
     entry["paired_after_over_before"] = statistics.median(

@@ -399,11 +399,9 @@ def _cmd_trace(cfg: RunConfig):
     start = to_cartesian(arc, (_option(cfg, "start_s", 0.0), start_r))
     tracing = _load("tracing")
     with _invalid_input():
-        trace_cfg = tracing.TraceConfig(
-            step=_option(cfg, "step", 1e-3 * arc.delta),
-            max_length=_option(cfg, "length", arc.delta),
-            stagnation_tol=1e-10 * params.alpha1 * arc.delta,
-        )
+        trace_cfg = tracing.default_trace_config(arc, params)
+        trace_cfg = trace_cfg._replace(step=_option(cfg, "step", trace_cfg.step),
+                                       max_length=_option(cfg, "length", arc.delta))
     if kind == "streamline":
         line = tracing.trace_streamline(laminar_field(arc, params), start, trace_cfg)
     elif kind in ("pressure", "level"):
@@ -469,11 +467,7 @@ def _cmd_simulate(cfg: RunConfig):
     report = nssim.run_experiment(sim_cfg, _option_list(cfg, "probes", None))
     payload = {
         "probe_r": report.probe_r,
-        "t0": [
-            {"r": s.r, "u_t": s.u_t, "visc_t": s.visc_t, "gradp_t": s.gradp_t,
-             "wall_anchor_gradp_t": s.wall_anchor_gradp_t, "ratio": s.ratio}
-            for s in report.t0_samples
-        ],
+        "t0": [s._asdict() for s in report.t0_samples],
         "first_reversal": report.first_reversal,
         "dt": sim_cfg.effective_dt,
         "steps": sim_cfg.steps,

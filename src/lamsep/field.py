@@ -120,6 +120,12 @@ def laminar_field(arc: ArcBoundary, params: LaminarParams) -> FieldHandle:
     return FieldHandle(evaluator=evaluate, name="laminar")
 
 
+def wall_gradient(params: LaminarParams, delta: float) -> float:
+    """k = nu*(alpha1/delta - alpha2): the tangential pressure gradient that no-slip
+    fixes on a wall of radius delta."""
+    return params.nu * (params.alpha1 / delta - params.alpha2)
+
+
 def _laplacian_tangential(params: LaminarParams, delta: float, r):
     s = r + delta
     return -params.alpha2 + profile_h_prime(params, r) / s - profile_h(params, r) / (s * s)
@@ -161,20 +167,18 @@ def stationary_gradp_ansatz(params: LaminarParams, delta: float, r, variant: str
     return params.nu * _laplacian_tangential(params, delta, r), pperp
 
 
-def stationary_gradp_field(
-    arc: ArcBoundary, params: LaminarParams, variant: str = "paper"
-) -> FieldHandle:
-    """The ansatz gradient as a planar field: P(r) along circles, Pperp(r) outward."""
+def stationary_gradp_field(arc: ArcBoundary, params: LaminarParams) -> FieldHandle:
+    """The printed ansatz gradient as a planar field: P(r) along circles, Pperp(r) outward."""
     delta = arc.delta
 
     def evaluate(x: float, y: float) -> tuple[float, float]:
         rx, ry, d = center_offset(arc.center, x, y)
-        p_t, p_n = stationary_gradp_ansatz(params, delta, d - delta, variant)
+        p_t, p_n = stationary_gradp_ansatz(params, delta, d - delta)
         n0, n1 = rx / d, ry / d
         # p_t along the clockwise tangent (n1, -n0), p_n along the normal
         return p_t * n1 + p_n * n0, p_t * -n0 + p_n * n1
 
-    return FieldHandle(evaluator=evaluate, name=f"gradp-ansatz-{variant}")
+    return FieldHandle(evaluator=evaluate, name="gradp-ansatz-paper")
 
 
 def write_csv(path, header, rows) -> None:

@@ -48,7 +48,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, Diverged, ProbeOutsideGrid
-from .field import LaminarParams, profile_h, write_csv
+from .field import LaminarParams, profile_h, wall_gradient, write_csv
 from .geometry import ArcBoundary
 
 
@@ -83,11 +83,15 @@ class SimConfig(_SimFields):
         return 2.0 * self.params.bl if self.r_out is None else self.r_out
 
     @cached_property
+    def _dt_limit(self) -> float:
+        """The longest step allowed: dt, or by default stable_dt."""
+        return stable_dt(self) if self.dt is None else self.dt
+
+    @cached_property
     def steps(self) -> int:
-        """The fewest equal steps to t_end that stay within dt (default: stable_dt)."""
-        limit = stable_dt(self) if self.dt is None else self.dt
-        count = max(1, math.ceil(self.t_end / limit))
-        if self.t_end / count > limit:  # the quotient rounded down onto an integer
+        """The fewest equal steps to t_end that stay within ``_dt_limit``."""
+        count = max(1, math.ceil(self.t_end / self._dt_limit))
+        if self.t_end / count > self._dt_limit:  # the quotient rounded down onto an integer
             count += 1
         return count
 
@@ -100,8 +104,7 @@ class SimConfig(_SimFields):
     def dt_bound(self) -> str:
         """What sets the step: "t_end" (one step, shorter than the limit), "given"
         (the config's dt), or the binding limit of ``_dt_limits``."""
-        limit = stable_dt(self) if self.dt is None else self.dt
-        if self.t_end < limit:
+        if self.t_end < self._dt_limit:
             return "t_end"
         if self.dt is not None:
             return "given"
@@ -136,10 +139,9 @@ class SimConfig(_SimFields):
         if not (0 < self.t_end < math.inf):
             problems.append(f"t_end must be finite and positive, got {self.t_end}")
         if not problems:  # the grid is built only for a config that passed the checks above
-            limit = stable_dt(self) if self.dt is None else self.dt
-            if not self.t_end <= _MAX_STEPS * limit:  # before cfl(), which counts the steps
+            if not self.t_end <= _MAX_STEPS * self._dt_limit:  # before cfl() counts the steps
                 problems.append(f"t_end = {self.t_end:g} needs more than {_MAX_STEPS} "
-                                f"steps of at most {limit:.3g}")
+                                f"steps of at most {self._dt_limit:.3g}")
             elif (cfl := self.cfl()) > 0.5:
                 problems.append(f"CFL = {cfl:.3f} exceeds 0.5")
         if problems:
@@ -243,12 +245,10 @@ def wall_noslip_residual(cfg: SimConfig, state: SimState) -> float:
 # ----------------------------------------------------------------------------
 
 
-def _tangential_rhs(cfg: SimConfig, us: np.ndarray, ur: np.ndarray, theta_implicit=False):
-    """(-advection, viscous) tangential terms at interior theta-faces i=1..n_s-1.
-
-    With ``theta_implicit`` the viscous term leaves out the theta second
-    difference, which ``step`` takes at the new time level.
-    """
+def _tangential_rhs(cfg: SimConfig, us: np.ndarray, ur: np.ndarray):
+    """(-advection, explicit viscous) tangential terms at interior theta-faces
+    i=1..n_s-1.  The viscous term leaves out the theta second difference, which
+    ``step`` takes at the new time level."""
     g = _grid(cfg)
     usg = _us_with_radial_ghosts(cfg, us)           # (n_s+1, n_r+2)
     rc = g.rho_c[None, :]
@@ -265,19 +265,15 @@ def _tangential_rhs(cfg: SimConfig, us: np.ndarray, ur: np.ndarray, theta_implic
         g.rho_f[None, 1:] * (usg[1:-1, 2:] - usg[1:-1, 1:-1])
         - g.rho_f[None, :-1] * (usg[1:-1, 1:-1] - usg[1:-1, :-2])
     ) / (rc * g.drh**2)
-    if not theta_implicit:
-        lap = lap + (us[2:, :] - 2 * us_i + us[:-2, :]) / (rc**2 * g.dth**2)
     dur_dth = (ur_c[1:, :] - ur_c[:-1, :]) / g.dth
     visc = lap - us_i / rc**2 + 2.0 / rc**2 * dur_dth
     return -adv, visc
 
 
-def _radial_rhs(cfg: SimConfig, us: np.ndarray, ur: np.ndarray, theta_implicit=False):
-    """(-advection, viscous) radial terms at interior rho-faces j=1..n_r-1.
-
-    With ``theta_implicit`` the viscous term leaves out the theta second
-    difference, which ``step`` takes at the new time level.
-    """
+def _radial_rhs(cfg: SimConfig, us: np.ndarray, ur: np.ndarray):
+    """(-advection, explicit viscous) radial terms at interior rho-faces
+    j=1..n_r-1.  The viscous term leaves out the theta second difference, which
+    ``step`` takes at the new time level."""
     g = _grid(cfg)
     urg = _ur_with_theta_ghosts(ur)                  # (n_s+2, n_r+1)
     rf = g.rho_f[None, 1:-1]
@@ -294,8 +290,6 @@ def _radial_rhs(cfg: SimConfig, us: np.ndarray, ur: np.ndarray, theta_implicit=F
         g.rho_c[None, 1:] * (ur[:, 2:] - ur_i)
         - g.rho_c[None, :-1] * (ur_i - ur[:, :-2])
     ) / (rf * g.drh**2)
-    if not theta_implicit:
-        lap = lap + (urg[2:, 1:-1] - 2 * ur_i + urg[:-2, 1:-1]) / (rf**2 * g.dth**2)
     dus_dth = (us_f[1:, :] - us_f[:-1, :]) / g.dth
     visc = lap - ur_i / rf**2 - 2.0 / rf**2 * dus_dth
     return -adv, visc
@@ -519,7 +513,7 @@ def initial_pressure(cfg: SimConfig, us: np.ndarray) -> np.ndarray:
     """
     g = _grid(cfg)
     n_s, n_r = cfg.n_s, cfg.n_r
-    kwall = cfg.params.nu * (cfg.params.alpha1 / g.delta - cfg.params.alpha2)
+    kwall = wall_gradient(cfg.params, g.delta)
 
     # radial momentum data of the circular initial state (u_r = 0, theta-uniform,
     # so only the centripetal term survives on the radial faces)
@@ -570,8 +564,8 @@ def step(state: SimState, cfg: SimConfig) -> SimState:
     lines = cfg._theta_lines
     us, ur, pa = state.us, state.ur, state.p_anchor
 
-    neg_adv_t, visc_t = _tangential_rhs(cfg, us, ur, theta_implicit=True)
-    neg_adv_r, visc_r = _radial_rhs(cfg, us, ur, theta_implicit=True)
+    neg_adv_t, visc_t = _tangential_rhs(cfg, us, ur)
+    neg_adv_r, visc_r = _radial_rhs(cfg, us, ur)
 
     us_star = us.copy()
     # the inflow face (us[0]) is never updated: it keeps its initial profile;
@@ -643,15 +637,18 @@ def probe_diagnostics(state: SimState, cfg: SimConfig, r_probe_list) -> list[Pro
     g = _grid(cfg)
     nu = cfg.params.nu
     i_mid = cfg.n_s // 2
-    _, visc_t = _tangential_rhs(cfg, state.us, state.ur)
-    kwall = nu * (cfg.params.alpha1 / g.delta - cfg.params.alpha2)
+    us = state.us
+    _, visc_t = _tangential_rhs(cfg, us, state.ur)
+    # the theta second difference at face i_mid, which the explicit terms leave out
+    visc_theta = (us[i_mid + 1] - 2 * us[i_mid] + us[i_mid - 1]) / (g.rho_c**2 * g.dth**2)
+    kwall = wall_gradient(cfg.params, g.delta)
     out = []
     for r in r_probe_list:
         j = _probe_index(cfg, r)
         r_node = float(g.rho_c[j] - g.delta)
-        visc = nu * float(visc_t[i_mid - 1, j])
+        visc = nu * float(visc_t[i_mid - 1, j] + visc_theta[j])
         gradp = float(state.p[i_mid, j] - state.p[i_mid - 1, j]) / (g.rho_c[j] * g.dth)
-        u0 = float(state.us[i_mid, j])
+        u0 = float(us[i_mid, j])
         out.append(ProbeSample(
             r=r_node, u_t=u0, visc_t=visc, gradp_t=gradp,
             wall_anchor_gradp_t=kwall * g.delta / (g.delta + r_node),

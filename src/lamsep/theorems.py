@@ -21,7 +21,8 @@ from typing import NamedTuple
 
 from .errors import DomainError, NonMonotoneSequence
 from .fdops import ExtrapolationResult, richardson
-from .field import LaminarParams, profile_h, stationary_gradp_ansatz, stationary_gradp_field
+from .field import (LaminarParams, profile_h, stationary_gradp_ansatz, stationary_gradp_field,
+                    wall_gradient)
 from .geometry import ArcBoundary
 
 ADJUDICATION_RTOL = 1e-4
@@ -38,10 +39,10 @@ def _require_inside_layer(params: LaminarParams, r: float):
         raise DomainError(f"need 0 < r < bl = {params.bl}, got {r}")
 
 
-def default_r_grid(params: LaminarParams, delta: float, n: int = 12) -> list[float]:
-    """Geometric grid: n points from 0.1*min(bl, delta) down by factor 2."""
+def default_r_grid(params: LaminarParams, delta: float) -> list[float]:
+    """Geometric grid: 12 points from 0.1*min(bl, delta) down by factor 2."""
     top = 0.1 * min(params.bl, delta)
-    return [top * 0.5**k for k in range(n)]
+    return [top * 0.5**k for k in range(12)]
 
 
 def _float_grid(params: LaminarParams, delta: float, r_grid) -> list[float]:
@@ -129,7 +130,7 @@ def theorem1_verify(
         ratio = tracing.eta_ratio(gradp, arc, s_mid, r, eps_list, cfg)
         p_t, p_n = stationary_gradp_ansatz(params, delta, r)
         ansatz_mag = abs(complex(p_t, p_n))  # libm hypot
-        wall_mag = params.nu * abs(params.alpha1 / delta - params.alpha2)
+        wall_mag = abs(wall_gradient(params, delta))
         traced_mag = wall_mag * (delta / (delta + r)) / ratio.value
         crosscheck.append((r, traced_mag, ansatz_mag, traced_mag / ansatz_mag))
 
@@ -153,7 +154,7 @@ def theorem2_ratio(params: LaminarParams, delta: float, r: float) -> float:
     _require_theorem_params(params)
     _require_inside_layer(params, r)
     p_t, _ = stationary_gradp_ansatz(params, delta, r)
-    wall = params.nu * (params.alpha1 / delta - params.alpha2) * delta / (delta + r)
+    wall = wall_gradient(params, delta) * delta / (delta + r)
     return (p_t - wall) / profile_h(params, r)
 
 

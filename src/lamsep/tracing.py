@@ -31,7 +31,7 @@ from .errors import (
     WallGradientMismatch,
 )
 from .fdops import ExtrapolationResult, richardson
-from .field import FieldHandle, LaminarParams, ScalarFieldHandle
+from .field import FieldHandle, LaminarParams, ScalarFieldHandle, wall_gradient
 from .geometry import (
     ArcBoundary,
     arc_normal,
@@ -77,12 +77,19 @@ class _TraceFields(NamedTuple):
     stagnation_tol: float
 
 
+# a trace takes at most this many steps (as a simulate run, nssim._MAX_STEPS)
+_MAX_STEPS = 10**6
+
+
 class TraceConfig(_TraceFields):
     __slots__ = ()
 
     def __new__(cls, step, max_length, stagnation_tol=1e-12):
         if step <= 0 or max_length <= step:
             raise ValueError("need step > 0 and max_length > step")
+        if not max_length <= _MAX_STEPS * step:  # no division: NaN and inf fail too
+            raise ValueError(f"max_length = {max_length:g} needs more than {_MAX_STEPS} "
+                             f"steps of {step:g}")
         if stagnation_tol <= 0:
             raise ValueError("stagnation_tol must be positive")
         return super().__new__(cls, step, max_length, stagnation_tol)
@@ -571,8 +578,8 @@ def perturbed_angular_pressure(
     by k/delta, it tilts the level curves by an angle that depends on the
     dimensionless ``amp`` and on (dist - delta)/delta only, however small k is.
     """
-    k = params.nu * (params.alpha1 / arc.delta - params.alpha2)
     delta = arc.delta
+    k = wall_gradient(params, delta)
     scale = amp * k / delta
     s_mid = 0.5 * (arc.s_range[0] + arc.s_range[1])
     period = 2.0 * math.pi * delta
@@ -740,7 +747,7 @@ def zeta_check(
     and accumulates the ratio |zeta| * d / ((r+d) eps) for extrapolation to 1.
     """
     delta = arc.delta
-    k = params.nu * (params.alpha1 / delta - params.alpha2)
+    k = wall_gradient(params, delta)
     if k == 0:
         raise DomainError("zeta machinery needs a nonzero wall gradient nu*(a1/delta - a2)")
     cfg = default_trace_config(arc, params)

@@ -56,6 +56,26 @@ def test_unequal_headers_or_row_counts_differ_infinitely():
     assert layers._largest_rel_diff([HEADER, ["1", "2"]], [HEADER]) == math.inf
 
 
+def test_compare_reports_quartiles_the_paired_ratio_and_the_rounds_won():
+    calls = []
+
+    def fake(side, seconds):
+        def sample():
+            calls.append(side)
+            return seconds
+        return sample
+
+    entry = layers._compare({"before": fake("before", 2.0), "after": fake("after", 1.0)})
+    assert set(entry) == {"before", "after", "paired_after_over_before", "rounds_after_faster"}
+    assert entry["before"] == {"q1": 2.0, "median": 2.0, "q3": 2.0}
+    assert entry["after"] == {"q1": 1.0, "median": 1.0, "q3": 1.0}
+    assert entry["paired_after_over_before"] == 0.5
+    assert entry["rounds_after_faster"] == layers.ROUNDS
+    # one untimed call each, then the side that goes first swaps every round
+    assert calls[:6] == ["before", "after", "before", "after", "after", "before"]
+    assert len(calls) == 2 * (layers.ROUNDS + 1)
+
+
 @pytest.fixture(scope="module")
 def sides():
     names = ("lamsep_side_a", "lamsep_side_b")

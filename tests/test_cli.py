@@ -322,6 +322,8 @@ def test_simulate_accepts_integral_grid_sizes(tmp_path, ok):
     ("verify-theorem1", {"r_grid": "x"}), ("verify-theorem2", {"r_grid": [0.01, "a"]}),
     ("verify-theorem1", {"use_tracing": "x"}), ("classify", {"source": [0.0, "a"]}),
     ("classify", {"growth": "x"}),
+    # more than 10**6 tracer steps: each used to end in an OverflowError traceback
+    ("trace", {"length": 1e30, "step": 1e-6}), ("classify", {"step": 1e-300}),
 ])
 def test_command_options_rejected_with_one_line(tmp_path, capsys, command, bad):
     cfg = write_config(tmp_path, {"command": command, "alpha1": 2.0, **bad})

@@ -119,6 +119,43 @@ def test_viscous_operator_order2_on_nonpolynomial_profile():
     assert np.all(np.abs(orders - 2.0) < 0.3)
 
 
+def _reference_tangential_viscous(cfg, us, ur, i, j):
+    """nu times the tangential viscous operator at theta-face i and cell j, one
+    term at a time: radial flux form, theta second difference, -u/rho**2 and the
+    +2/rho**2 d(u_r)/dtheta coupling (interior j: no ghost cell is read); and nu
+    times its theta second difference alone."""
+    g = _grid(cfg)
+    rho, drh, dth = g.rho_c[j], g.drh, g.dth
+    radial = (g.rho_f[j + 1] * (us[i, j + 1] - us[i, j])
+              - g.rho_f[j] * (us[i, j] - us[i, j - 1])) / (rho * drh**2)
+    theta = (us[i + 1, j] - 2.0 * us[i, j] + us[i - 1, j]) / (rho * dth) ** 2
+    ur_c = [0.5 * (ur[k, j] + ur[k, j + 1]) for k in (i - 1, i)]
+    coupling = 2.0 / rho**2 * (ur_c[1] - ur_c[0]) / dth
+    nu = cfg.params.nu
+    return nu * (radial + theta - us[i, j] / rho**2 + coupling), nu * theta
+
+
+def test_probe_viscous_term_includes_the_theta_second_difference():
+    # a theta-varying state, u_s = h * (1 + 0.1 sin(4 theta)) and a u_r wave: the
+    # t = 0 budget's viscous term is the full operator, theta second difference
+    # included (on a theta-uniform field that difference is exactly 0)
+    cfg = make_cfg(n=24)._replace(params=LaminarParams(1.0, 1.0, 0.7))
+    g = _grid(cfg)
+    theta_f = g.dth * np.arange(cfg.n_s + 1)
+    h = profile_h(cfg.params, g.rho_c - cfg.arc.delta)
+    us = h[None, :] * (1.0 + 0.1 * np.sin(4.0 * theta_f))[:, None]
+    ur = 0.05 * np.outer(np.cos(3.0 * g.theta_c), np.sin(np.pi * (g.rho_f - g.delta) / cfg.R_out))
+    p = np.zeros((cfg.n_s, cfg.n_r))
+    state = nssim.SimState(us=us, ur=ur, p=p, t=0.0, p_anchor=p)
+    cells = (1, 5, 11, 22)
+    i = cfg.n_s // 2
+    for sample, j in zip(probe_diagnostics(state, cfg, [(j + 0.5) * g.drh for j in cells]), cells):
+        expected, theta = _reference_tangential_viscous(cfg, us, ur, i, j)
+        assert sample.visc_t == pytest.approx(expected, rel=1e-12)
+        # the theta term is 1-25 % of the whole here: leaving it out fails the check
+        assert abs(theta) > 1e-2 * abs(expected)
+
+
 def test_t0_ratio_matches_theorem_across_deltas():
     for delta in (0.5, 1.0, 2.0):
         cfg = make_cfg(delta=delta, n=32)

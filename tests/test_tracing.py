@@ -57,6 +57,13 @@ def test_trace_config_validation():
         TraceConfig(step=0.0, max_length=1.0)
     with pytest.raises(ValueError):
         TraceConfig(step=0.1, max_length=0.05)
+    # at most 10**6 steps; NaN and inf lengths or steps are refused with them
+    for step, max_length in ((1e-6, 1e30), (1e-3, np.inf), (np.nan, 1.0), (1e-3, np.nan)):
+        with pytest.raises(ValueError):
+            TraceConfig(step=step, max_length=max_length)
+    with pytest.raises(ValueError, match="steps"):
+        CFG._replace(step=1e-300)
+    TraceConfig(step=2.0**-20, max_length=10**6 * 2.0**-20)  # exactly 10**6 steps is allowed
 
 
 def test_rigid_rotation_half_circle():
