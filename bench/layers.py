@@ -4,10 +4,12 @@
         [--pairs 10 --first-seed 1 --seconds 40 --workloads cli-analysis sim-default]
 
 ``--before`` and ``--after`` are repository roots (each with ``src/`` and
-``perfbench/``; make the old one with ``git clone`` or ``git archive``).  To see
-what the method reads for unchanged code, compare a checkout with itself:
+``perfbench/``).  Make the old one with ``git clone``, so that the file records
+its commit: a root that is not the top of its own git work tree is recorded as
+``null``.  To see what the method reads for unchanged code, compare a checkout
+with itself:
 
-    mkdir DIR && git archive HEAD | tar -x -C DIR
+    git clone -q . DIR
     python3 bench/layers.py --before DIR --after . --out self.json --pairs 0
 
 Layers (north-star aim 1).  Every layer is timed the same way: after one
@@ -35,15 +37,15 @@ or one call for a cold ``init_sim`` and a whole run.
   nu = 1 diffusion across one wall-normal cell sets the step, at nu = 1e-3
   advection does.  Each reports its step count and ``dt_bound`` per side, so
   that a change in the step count shows next to a change in the cost of a step.
-Each solver size runs under the BLAS setting ``lamsep simulate`` picks for it:
-one interpreter with ``OPENBLAS_NUM_THREADS=1`` for the sizes whose n**3 is at
-most ``cli._ONE_BLAS_THREAD_MAX`` (n <= 64; the analysis layers run there too),
-one with it unset (OpenBLAS's default thread count) for the larger ones.
+That interpreter runs with ``OPENBLAS_NUM_THREADS=1``, so that both sides'
+solver layers compare code on the same BLAS setting.
 
 Process layers, in a fresh interpreter per call with ``PYTHONPATH`` set to the
 side's ``src/``: the wall time of ``python -c "pass"`` (the interpreter alone),
 ``"import lamsep.cli"`` and ``"import lamsep.nssim"``, and of a whole
-``python -m lamsep.cli simulate`` of one step at n = 32 and n = 128.
+``python -m lamsep.cli simulate`` of one step at n = 32 and n = 128.  Neither
+``OPENBLAS_NUM_THREADS`` nor ``OMP_NUM_THREADS`` is set there, so each side
+chooses its BLAS thread count by its own rule.
 
 Outputs: each side runs every invocation of seeds 1..N of each workload in
 ``OUTPUT_SEEDS`` once, in-process in one interpreter; per command the file gets
@@ -88,6 +90,7 @@ RUN_NUS = {"radial_viscous": 1.0, "advective": 1e-3}  # the limit that sets the 
 OUTPUT_SEEDS = {"cli-analysis": 120, "sim-default": 20}  # seeds 1..N compared per workload
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SIDES = ("before", "after")
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 def _per_call(fn, calls: int):
@@ -236,21 +239,15 @@ def _solver_layers(lamsep, n: int) -> tuple[dict, dict]:
 
 
 def _in_process_layers(before: str, after: str) -> dict:
-    """Both sides' in-process layers, interleaved in this interpreter.  With
-    OPENBLAS_NUM_THREADS=1: the analysis layers and the solver sizes ``lamsep
-    simulate`` runs with one BLAS thread; with it unset, the larger sizes."""
+    """Both sides' in-process layers, interleaved in this interpreter."""
     lamseps = {side: _load_side(f"lamsep_{side}", Path(root))
                for side, root in zip(SIDES, (before, after))}
-    one_thread = os.environ.get("OPENBLAS_NUM_THREADS") == "1"
-    sizes = [n for n in SIM_SIZES
-             if (n * n * n <= lamseps["after"].cli._ONE_BLAS_THREAD_MAX) == one_thread]
     samplers = {side: {} for side in SIDES}
     notes = {side: {} for side in SIDES}
     with tempfile.TemporaryDirectory() as tmp:
         for side, lamsep in lamseps.items():
-            if one_thread:
-                samplers[side].update(_analysis_layers(lamsep, Path(tmp) / side))
-            for n in sizes:
+            samplers[side].update(_analysis_layers(lamsep, Path(tmp) / side))
+            for n in SIM_SIZES:
                 side_samplers, side_notes = _solver_layers(lamsep, n)
                 samplers[side].update(side_samplers)
                 notes[side].update(side_notes)
@@ -291,10 +288,11 @@ def _run_outputs(workload: str, count: str, out_dir: str) -> list:
 
 
 def _env(root: Path, blas_threads: str | None = None) -> dict:
-    """This environment with ``root``'s source on PYTHONPATH and OPENBLAS_NUM_THREADS
-    set to ``blas_threads``, or unset when that is None."""
+    """This environment with ``root``'s source on PYTHONPATH, OMP_NUM_THREADS unset
+    and OPENBLAS_NUM_THREADS set to ``blas_threads``, or unset when that is None."""
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
-    env.pop("OPENBLAS_NUM_THREADS", None)
+    for var in BLAS_THREAD_VARS:
+        env.pop(var, None)
     if blas_threads is not None:
         env["OPENBLAS_NUM_THREADS"] = blas_threads
     return env
@@ -334,10 +332,8 @@ def _process_layers(sides: dict[str, Path], tmp: Path) -> dict:
 
 
 def layers(sides: dict[str, Path]) -> dict:
-    out = {}
-    for blas_threads in ("1", None):
-        out.update(_child(sides["after"], "_in_process_layers", str(sides["before"]),
-                          str(sides["after"]), blas_threads=blas_threads))
+    out = _child(sides["after"], "_in_process_layers", str(sides["before"]),
+                 str(sides["after"]), blas_threads="1")
     with tempfile.TemporaryDirectory() as tmp:
         out.update(_process_layers(sides, Path(tmp)))
     return out
@@ -457,9 +453,17 @@ def pairs(sides: dict[str, Path], workloads: list[str], seeds: list[int],
 
 
 def _git_sha(root: Path) -> str | None:
-    proc = subprocess.run(["git", "-C", str(root), "describe", "--always", "--dirty"],
-                          capture_output=True, text=True)
-    return proc.stdout.strip() or None
+    """``git describe --always --dirty`` of ``root``, or None unless ``root`` is the
+    top of its own work tree (a ``git archive`` copy, or a plain directory inside
+    another work tree, whose commit is not ``root``'s)."""
+    def git(*args: str) -> str:
+        proc = subprocess.run(["git", "-C", str(root), *args], capture_output=True, text=True)
+        return proc.stdout.strip() if proc.returncode == 0 else ""
+
+    top = git("rev-parse", "--show-toplevel")
+    if not top or Path(top).resolve() != root.resolve():
+        return None
+    return git("describe", "--always", "--dirty") or None
 
 
 def main() -> None:
@@ -483,10 +487,10 @@ def main() -> None:
         "method": {
             "layers": f"one untimed call per side, then {ROUNDS} rounds alternating the "
                       "sides; quartiles in seconds. In-process layers: both sides in one "
-                      "interpreter, the mean time per call of a batch, solver sizes up to "
-                      "cli._ONE_BLAS_THREAD_MAX with OPENBLAS_NUM_THREADS=1 and larger ones "
-                      "with it unset. import.* and process.*: the wall time of one fresh "
-                      "interpreter per call",
+                      "interpreter with OPENBLAS_NUM_THREADS=1, the mean time per call of "
+                      "a batch. import.* and process.*: the wall time of one fresh "
+                      "interpreter per call, with OPENBLAS_NUM_THREADS and OMP_NUM_THREADS "
+                      "unset",
             "outputs": "every invocation of the listed workload seeds, in-process, once per side",
             "pairs": f"perfbench/run.py --seconds {args.seconds} on seeds {seeds}, one run per "
                      "side and seed, the side that goes first alternating",

@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 from contextlib import contextmanager
@@ -33,11 +32,6 @@ from .geometry import ArcBoundary, center_offset, to_cartesian
 
 # 2: the envelope gained stage_s
 SCHEMA_VERSION = 2
-# OpenBLAS runs a matrix product of m*n*k <= 65536 * 4 multiply-adds on one
-# thread (its GEMM threading cut-off).  The solver's theta transforms are
-# (n_r x n_s) @ (n_s x n_s) products, so below this size the thread pool that
-# OpenBLAS starts when numpy loads would never be used.
-_ONE_BLAS_THREAD_MAX = 65536 * 4
 
 _SHARED_KEYS = {"command", "alpha1", "alpha2", "nu", "delta", "phase", "center",
                 "s_range", "out"}
@@ -450,17 +444,13 @@ def _cmd_zeta(cfg: RunConfig):
 
 
 def _cmd_simulate(cfg: RunConfig):
-    n_s, n_r = _option(cfg, "n_s", 32, int), _option(cfg, "n_r", 32, int)
-    if n_s * n_s * n_r <= _ONE_BLAS_THREAD_MAX and "numpy" not in sys.modules:
-        # OpenBLAS reads this once, when numpy loads; a value already set is kept
-        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     nssim = _load("nssim")
     sim_cfg = nssim.SimConfig(
         arc=cfg.arc, params=cfg.params,
         sector_angle=_option(cfg, "sector_angle", 0.5),
         r_out=_option(cfg, "r_out", None),
-        n_s=n_s,
-        n_r=n_r,
+        n_s=_option(cfg, "n_s", 32, int),
+        n_r=_option(cfg, "n_r", 32, int),
         dt=_option(cfg, "dt", None),
         t_end=_option(cfg, "t_end", 0.02),
     )

@@ -37,15 +37,32 @@ nu*dt and are kept per config.  The all-Neumann projection matrix is
 singular up to a constant, so its theta-mode 0 pins cell j = 0 to zero and the
 solution is shifted to zero mean afterwards.  The dropped equation holds
 automatically because the projection right-hand side is made mean-free first.
+
+This module loads numpy with one OpenBLAS thread unless numpy is already
+loaded or ``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS`` is set, and it
+leaves ``os.environ`` as it found it.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import sys
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
-import numpy as np
+# OpenBLAS reads its thread count once, when numpy loads it.  On two CPUs its
+# thread pool adds about 70 ms to numpy's import and saves at most about 10 %
+# of a step up to 512 x 512, so numpy loads with one thread unless the user
+# chose a count.
+if "numpy" in sys.modules or {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys():
+    import numpy as np
+else:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy as np
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
 
 from .errors import ConfigError, Diverged, ProbeOutsideGrid
 from .field import LaminarParams, profile_h, wall_gradient, write_csv
@@ -132,6 +149,10 @@ class SimConfig(_SimFields):
             problems.append(f"R_out must be finite and positive, got {self.R_out}")
         elif np.isfinite(self.params.bl) and self.R_out < 2.0 * self.params.bl:
             problems.append(f"R_out = {self.R_out} < 2*bl = {2 * self.params.bl}")
+        elif not math.isfinite(profile_h(self.params, self.R_out)):
+            # h is monotone in each term, so every cell's speed is then finite too
+            problems.append(f"r_out = {self.R_out:g} is too large: the initial profile "
+                            "speed there leaves the float range")
         if not (0 < self.sector_angle <= 2 * math.pi):
             problems.append(f"sector_angle must be in (0, 2*pi], got {self.sector_angle}")
         if self.dt is not None and not (0 < self.dt < math.inf):
@@ -160,7 +181,7 @@ def _dt_limits(cfg: SimConfig) -> dict[str, float]:
     umax = cfg.top_speed
     h_min = min(cfg.arc.delta * g.dth, g.drh)
     return {"advective": h_min / umax if umax > 0 else math.inf,
-            "radial_viscous": 0.25 * g.drh**2 / cfg.params.nu}
+            "radial_viscous": 0.25 * g.drh * g.drh / cfg.params.nu}
 
 
 def stable_dt(cfg: SimConfig) -> float:

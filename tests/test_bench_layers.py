@@ -8,6 +8,8 @@ its own package name; these tests load the script by path (as
 import importlib.util
 import json
 import math
+import shutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -74,6 +76,59 @@ def test_compare_reports_quartiles_the_paired_ratio_and_the_rounds_won():
     # one untimed call each, then the side that goes first swaps every round
     assert calls[:6] == ["before", "after", "before", "after", "after", "before"]
     assert len(calls) == 2 * (layers.ROUNDS + 1)
+
+
+def test_in_process_layers_run_once_with_one_blas_thread(monkeypatch, tmp_path):
+    children = []
+
+    def child(root, function, *args, blas_threads=None):
+        children.append((function, blas_threads))
+        return {"in_process": {}}
+
+    monkeypatch.setattr(layers, "_child", child)
+    monkeypatch.setattr(layers, "_process_layers", lambda sides, tmp: {"process": {}})
+    out = layers.layers({"before": tmp_path / "a", "after": tmp_path / "b"})
+    assert children == [("_in_process_layers", "1")]
+    assert set(out) == {"in_process", "process"}
+
+
+def test_children_choose_their_own_blas_threads_unless_told(monkeypatch, tmp_path):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
+    monkeypatch.setenv("OMP_NUM_THREADS", "4")
+    assert not set(layers.BLAS_THREAD_VARS) & layers._env(tmp_path).keys()
+    env = layers._env(tmp_path, "1")
+    assert env["OPENBLAS_NUM_THREADS"] == "1" and "OMP_NUM_THREADS" not in env
+    assert env["PYTHONPATH"] == str(tmp_path / "src")
+
+
+def _git(*args, cwd):
+    return subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+                          cwd=cwd, check=True, capture_output=True, text=True).stdout.strip()
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="no git")
+@pytest.mark.parametrize("case", ["plain", "nested", "clone"])
+def test_git_sha_is_recorded_only_for_the_top_of_a_work_tree(tmp_path, case):
+    if case == "plain":
+        root, expected = tmp_path, None
+    else:
+        repo = tmp_path / "repo"
+        (repo / "inner").mkdir(parents=True)
+        _git("init", "-q", cwd=repo)
+        (repo / "inner" / "f").write_text("x\n")
+        _git("add", "-A", cwd=repo)
+        _git("commit", "-q", "-m", "one", cwd=repo)
+        if case == "nested":  # a copy unpacked inside another work tree
+            root, expected = repo / "inner", None
+        else:
+            _git("clone", "-q", str(repo), str(tmp_path / "clone"), cwd=tmp_path)
+            root = tmp_path / "clone"
+            expected = _git("rev-parse", "HEAD", cwd=root)
+    sha = layers._git_sha(root)
+    if expected is None:
+        assert sha is None
+    else:
+        assert sha and expected.startswith(sha)
 
 
 @pytest.fixture(scope="module")

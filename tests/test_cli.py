@@ -324,6 +324,8 @@ def test_simulate_accepts_integral_grid_sizes(tmp_path, ok):
     ("classify", {"growth": "x"}),
     # more than 10**6 tracer steps: each used to end in an OverflowError traceback
     ("trace", {"length": 1e30, "step": 1e-6}), ("classify", {"step": 1e-300}),
+    # the profile speed at r_out leaves the float range: used to end in an OverflowError
+    ("simulate", {"r_out": 1e300}),
 ])
 def test_command_options_rejected_with_one_line(tmp_path, capsys, command, bad):
     cfg = write_config(tmp_path, {"command": command, "alpha1": 2.0, **bad})
@@ -469,25 +471,58 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path, command):
         assert not dataclasses_loaded
 
 
+# the native threads of this process, OpenBLAS's pool among them
+_THREADS = "int(re.search(r'Threads:\\s*(\\d+)', open('/proc/self/status').read())[1])"
+_needs_proc_status = pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                                        reason="no /proc/self/status to count threads")
 _SIMULATE_ONE_STEP = (
-    "import os, sys\n"
+    "import re, sys\n"
     "import lamsep.cli\n"
     "rc = lamsep.cli.main(['simulate', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
-    "print(rc, os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+    f"print(rc, {_THREADS})\n"
 )
+_NO_THREAD_CHOICE = {"OPENBLAS_NUM_THREADS": None, "OMP_NUM_THREADS": None}
 
 
+@_needs_proc_status
 @pytest.mark.parametrize("n, preset, expected", [
-    (32, None, "1"),     # the theta transforms fall under OpenBLAS's threading cut-off
-    (128, None, None),   # large grids keep their BLAS threads
-    (32, "2", "2"),      # a value the user set is kept
+    (32, None, 1),
+    (128, None, 1),                       # one rule for every grid size
+    (32, "OPENBLAS_NUM_THREADS", 2),      # a count the user chose is kept
+    (32, "OMP_NUM_THREADS", 2),
 ])
-def test_simulate_uses_one_blas_thread_for_small_grids(tmp_path, n, preset, expected):
+def test_simulate_uses_one_blas_thread_unless_a_count_is_chosen(tmp_path, n, preset,
+                                                                expected):
+    if expected > len(os.sched_getaffinity(0)):  # OpenBLAS starts no more threads than CPUs
+        pytest.skip(f"fewer than {expected} CPUs")
     path = write_config(tmp_path, {"n_s": n, "n_r": n, "t_end": 1e-9})  # one step
+    chosen = dict(_NO_THREAD_CHOICE)
+    if preset:
+        chosen[preset] = str(expected)
+    env = _fresh_env(**chosen)
     out = subprocess.run([sys.executable, "-c", _SIMULATE_ONE_STEP, path, str(tmp_path / "o")],
-                         env=_fresh_env(OPENBLAS_NUM_THREADS=preset), capture_output=True,
-                         text=True, timeout=120, check=True)
+                         env=env, capture_output=True, text=True, timeout=120, check=True)
     assert out.stdout.splitlines()[-1] == f"0 {expected}"
+
+
+@_needs_proc_status
+def test_importing_the_solver_uses_one_blas_thread():
+    assert _fresh_python(f"import re\nimport lamsep.nssim\nprint({_THREADS})",
+                         **_NO_THREAD_CHOICE) == "1"
+
+
+@_needs_proc_status
+def test_importing_the_solver_after_numpy_keeps_numpy_threads():
+    out = _fresh_python(
+        "import re\n"
+        "import numpy\n"
+        f"before = {_THREADS}\n"
+        "import lamsep.nssim\n"
+        f"print(before, {_THREADS})\n", **_NO_THREAD_CHOICE)
+    before, after = out.split()
+    if before == "1":
+        pytest.skip("numpy's BLAS started no thread pool here")
+    assert after == before
 
 
 def test_importing_the_solver_leaves_the_environment_alone():
