@@ -26,7 +26,8 @@ from typing import NamedTuple
 
 from . import _IMPORT_START, __version__
 from .errors import DomainError, LamsepError, ParseError, ValidationError
-from .field import LaminarParams, laminar_field, stationary_gradp_field, write_csv
+from .field import (LaminarParams, laminar_field, near_wall_scale, stationary_gradp_field,
+                    write_csv)
 from .fdops import StencilSpec, fd_advection
 from .geometry import ArcBoundary, center_offset, to_cartesian
 
@@ -260,7 +261,7 @@ def _fd_variant_note(cfg: RunConfig) -> str:
 
     arc, params = cfg.arc, cfg.params
     field = laminar_field(arc, params)
-    r = 0.1 * min(params.bl, arc.delta)
+    r = 0.1 * near_wall_scale(params, arc.delta)
     x = to_cartesian(arc, (0.0, r))
     spec = StencilSpec(h=1e-4 * arc.delta, order=4)
     rx, ry, dist = center_offset(arc.center, *x)
@@ -367,7 +368,7 @@ def _classification_field(cfg: RunConfig):
 
 def _cmd_classify(cfg: RunConfig):
     arc, params = cfg.arc, cfg.params
-    scale = min(params.bl, arc.delta)
+    scale = near_wall_scale(params, arc.delta)
     radii = _option_list(cfg, "radii", [0.2 * scale, 0.1 * scale, 0.05 * scale])
     s = _option(cfg, "s", arc.s_range[0] + 0.2 * (arc.s_range[1] - arc.s_range[0]))
     s1 = _option(cfg, "s1", arc.s_range[0] + 0.5 * (arc.s_range[1] - arc.s_range[0]))
@@ -420,7 +421,7 @@ def _cmd_zeta(cfg: RunConfig):
         p_field = tracing.perturbed_angular_pressure(arc, params, amp)
     else:
         raise ValidationError(f"unknown pressure field {which!r}")
-    scale = min(params.bl, arc.delta)
+    scale = near_wall_scale(params, arc.delta)
     r_list = _option_list(cfg, "r_list", [0.08 * scale, 0.04 * scale, 0.02 * scale])
     s = _option(cfg, "s", arc.s_range[0] + 0.2 * (arc.s_range[1] - arc.s_range[0]))
     eps_over_r = _option(cfg, "eps_over_r", 2.0)

@@ -126,6 +126,11 @@ def wall_gradient(params: LaminarParams, delta: float) -> float:
     return params.nu * (params.alpha1 / delta - params.alpha2)
 
 
+def near_wall_scale(params: LaminarParams, delta: float) -> float:
+    """min(bl, delta): the unit of wall distance near a wall of radius delta."""
+    return min(params.bl, delta)
+
+
 def _laplacian_tangential(params: LaminarParams, delta: float, r):
     s = r + delta
     return -params.alpha2 + profile_h_prime(params, r) / s - profile_h(params, r) / (s * s)
@@ -156,15 +161,14 @@ def advection(params: LaminarParams, delta: float, r, variant: str = "paper"):
     return -h * h / (r + delta)
 
 
-def stationary_gradp_ansatz(params: LaminarParams, delta: float, r, variant: str = "paper"):
-    """Pressure-gradient components (P, Pperp) a stationary flow would require.
+def stationary_gradp_ansatz(params: LaminarParams, delta: float, r):
+    """Pressure-gradient components (P, Pperp) a stationary flow would require, as printed.
 
     P(r) = nu * (alpha1/(r+d) - alpha2*r/(r+d) - h(r)/(r+d)**2 - alpha2) and
-    Pperp(r) = h(r)/(r+d) under the printed variant; the "corrected" variant
-    carries the extra factor h(r) (see ``advection``).
+    Pperp(r) = h(r)/(r+d), the negated printed advection (see ``advection``,
+    whose "corrected" variant carries the extra factor h(r)).
     """
-    pperp = -advection(params, delta, r, variant)
-    return params.nu * _laplacian_tangential(params, delta, r), pperp
+    return params.nu * _laplacian_tangential(params, delta, r), -advection(params, delta, r)
 
 
 def stationary_gradp_field(arc: ArcBoundary, params: LaminarParams) -> FieldHandle:

@@ -17,26 +17,26 @@ the arc geometry.
 
 Boundary conditions: no-slip at the inner wall, the initial profile pinned at
 the outer radius, the shear profile at the inflow plane, convective outflow.
-The t = 0 diagnostic pressure anchors the theta-boundary values to two exact
-properties of the initial field: the wall pressure gradient
-nu*(a1/delta - a2) along the wall, and the centripetal radial balance
-dp/drho = h(rho-delta)**2/rho.  The measured interior tangential gradient is
-reported next to the wall-anchored formula, never asserted equal to it.
+The t = 0 pressure is in closed form, p = H(rho) + k*delta*theta, with k =
+nu*(a1/delta - a2) the wall pressure gradient that no-slip fixes and H the
+discrete centripetal head (``initial_pressure``).  The initial state is then an
+exact discrete equilibrium, so at t = 0 the probes' tangential pressure
+gradient equals the wall-anchored formula to roundoff.
 
-Both pressure solves are direct.  The two flux-form Laplacians depend only on
-the mesh (wall arc, sector angle, outer radius, grid size), not on dt, t_end or
-the flow parameters, and they separate in theta: a cosine (Neumann planes) or
-sine (Dirichlet planes) transform in theta leaves one tridiagonal system in rho
-per theta-mode (Buzbee, Golub & Nielson, SIAM J. Numer. Anal. 7, 1970).  One
-cached object per mesh (``_grid``) holds the grid arrays and both solvers'
-transforms and Thomas factors, so configs that differ only in dt, t_end or the
-flow parameters share it; every step then costs two (n_s x n_s) matrix
-products and one batched pair of tridiagonal sweeps for the projection, and
-one batched theta-line sweep for the viscosity, whose Thomas factors depend on
-nu*dt and are kept per config.  The all-Neumann projection matrix is
-singular up to a constant, so its theta-mode 0 pins cell j = 0 to zero and the
-solution is shifted to zero mean afterwards.  The dropped equation holds
-automatically because the projection right-hand side is made mean-free first.
+The projection's pressure solve is direct.  Its flux-form Laplacian depends
+only on the mesh (wall arc, sector angle, outer radius, grid size), not on dt,
+t_end or the flow parameters, and it separates in theta: a cosine transform
+(Neumann planes) in theta leaves one tridiagonal system in rho per theta-mode
+(Buzbee, Golub & Nielson, SIAM J. Numer. Anal. 7, 1970).  One cached object
+per mesh (``_grid``) holds the grid arrays and the solver's transform and
+Thomas factors, so configs that differ only in dt, t_end or the flow
+parameters share it; every step then costs two (n_s x n_s) matrix products and
+one batched pair of tridiagonal sweeps for the projection, and one batched
+theta-line sweep for the viscosity, whose Thomas factors depend on nu*dt and
+are kept per config.  The all-Neumann projection matrix is singular up to a
+constant, so its theta-mode 0 pins cell j = 0 to zero and the solution is
+shifted to zero mean afterwards.  The dropped equation holds automatically
+because the projection right-hand side is made mean-free first.
 
 This module loads numpy with one OpenBLAS thread unless numpy is already
 loaded or ``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS`` is set, and it
@@ -65,7 +65,7 @@ else:
         del os.environ["OPENBLAS_NUM_THREADS"]
 
 from .errors import ConfigError, Diverged, ProbeOutsideGrid
-from .field import LaminarParams, profile_h, wall_gradient, write_csv
+from .field import LaminarParams, near_wall_scale, profile_h, wall_gradient, write_csv
 from .geometry import ArcBoundary
 
 
@@ -146,9 +146,9 @@ class SimConfig(_SimFields):
                             f"{_run_bytes(self.n_s, self.n_r) / 2**30:.3g} GiB of solver "
                             f"arrays, more than {_MEMORY_LIMIT_BYTES / 2**30:g} GiB")
         if not np.isfinite(self.R_out) or self.R_out <= 0:
-            problems.append(f"R_out must be finite and positive, got {self.R_out}")
+            problems.append(f"r_out must be finite and positive, got {self.R_out}")
         elif np.isfinite(self.params.bl) and self.R_out < 2.0 * self.params.bl:
-            problems.append(f"R_out = {self.R_out} < 2*bl = {2 * self.params.bl}")
+            problems.append(f"r_out = {self.R_out} < 2*bl = {2 * self.params.bl}")
         elif not math.isfinite(profile_h(self.params, self.R_out)):
             # h is monotone in each term, so every cell's speed is then finite too
             problems.append(f"r_out = {self.R_out:g} is too large: the initial profile "
@@ -190,10 +190,10 @@ def stable_dt(cfg: SimConfig) -> float:
 
 
 def _run_bytes(n_s: int, n_r: int) -> int:
-    """About the peak bytes of a simulate run's arrays: the two (n_s x n_s)
-    theta-bases and ``_RUN_ARRAYS`` arrays of n_s * n_r entries (the Thomas
+    """About the peak bytes of a simulate run's arrays: the (n_s x n_s)
+    theta-basis and ``_RUN_ARRAYS`` arrays of n_s * n_r entries (the Thomas
     factors, the state, each step's temporaries and the field.csv table)."""
-    return 8 * (2 * n_s * n_s + _RUN_ARRAYS * n_s * n_r)
+    return 8 * (n_s * n_s + _RUN_ARRAYS * n_s * n_r)
 
 
 class SimState(NamedTuple):
@@ -207,7 +207,7 @@ class SimState(NamedTuple):
 
 
 class _Grid:
-    """One mesh's arrays and both factored pressure solvers; see ``_grid``."""
+    """One mesh's arrays and the projection's factored pressure solver; see ``_grid``."""
 
     def __init__(self, arc: ArcBoundary, sector_angle: float, R_out: float, n_s: int, n_r: int):
         self.delta = arc.delta
@@ -216,15 +216,14 @@ class _Grid:
         self.rho_f = self.delta + self.drh * np.arange(n_r + 1)
         self.rho_c = self.delta + self.drh * (np.arange(n_r) + 0.5)
         self.theta_c = self.dth * (np.arange(n_s) + 0.5)
-        self.neumann = _separable(self, dirichlet_theta=False)
-        self.dirichlet_theta = _separable(self, dirichlet_theta=True)
+        self.neumann = _separable(self)
 
 
 def _grid(cfg: SimConfig) -> _Grid:
     """The grid of the config's mesh (arc, sector angle, R_out, n_s, n_r).
 
     Configs that differ only in dt, t_end or the flow parameters share one
-    cached grid, and so one pair of factored Laplacians.
+    cached grid, and so one factored Laplacian.
     """
     return _mesh_grid(cfg.arc, cfg.sector_angle, cfg.R_out, cfg.n_s, cfg.n_r)
 
@@ -326,7 +325,7 @@ def divergence(cfg: SimConfig, us: np.ndarray, ur: np.ndarray) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------------
-# pressure solves
+# the projection solve and the t = 0 pressure
 # ----------------------------------------------------------------------------
 
 
@@ -393,31 +392,29 @@ class _SeparablePoisson(NamedTuple):
         return self.basis @ self.radial.solve(f.T @ self.basis).T
 
 
-def _separable(g: _Grid, dirichlet_theta: bool) -> _SeparablePoisson:
-    """Factor the flux-form (negative) Laplacian A = I_theta (x) R + T_theta (x) diag(c_th).
+def _separable(g: _Grid) -> _SeparablePoisson:
+    """Factor the all-Neumann flux-form (negative) Laplacian
+    A = I_theta (x) R + T_theta (x) diag(c_th).
 
     Neither the theta-face coefficient c_th nor the rho-face one c_r depends on
     i, so A splits into the radial operator R (Neumann at both walls) and the
-    theta second difference T_theta, whose end entries are 1 for Neumann planes
-    and 3 for Dirichlet ones (the boundary value sits on the face, half a cell
-    from the center).  T_theta's eigenvectors are the DCT-II (Neumann) or
-    DST-II (Dirichlet) vectors with eigenvalues 4 sin^2(pi m / (2 n_s)); the
-    closed forms make the Neumann mode 0 exactly 0.
+    theta second difference T_theta (Neumann planes: end entries 1).  T_theta's
+    eigenvectors are the DCT-II vectors with eigenvalues 4 sin^2(pi m / (2 n_s));
+    the closed form makes mode 0 exactly 0.
 
-    The all-Neumann matrix is singular (constants span its null space), and so
-    is its theta-mode 0.  That mode's row and column j = 0 become the identity
-    with a zero right-hand side (a zero reciprocal pivot): the gauge
-    phi[mode 0, j = 0] = 0, which leaves a nonsingular system.  The dropped row
-    is implied by the others whenever the right-hand side has zero mean, which
-    ``_solve_neumann`` requires.
+    A is singular (constants span its null space), and so is its theta-mode 0.
+    That mode's row and column j = 0 become the identity with a zero right-hand
+    side (a zero reciprocal pivot): the gauge phi[mode 0, j = 0] = 0, which
+    leaves a nonsingular system.  The dropped row is implied by the others
+    whenever the right-hand side has zero mean, which ``_solve_neumann``
+    requires.
     """
     n_s = g.theta_c.size
     c_r = g.rho_f[1:-1] * g.dth / g.drh
     c_th = g.drh / (g.rho_c * g.dth)
 
-    modes = np.arange(1, n_s + 1) if dirichlet_theta else np.arange(n_s)
-    angle = np.pi / n_s * np.outer(np.arange(n_s) + 0.5, modes)
-    basis = np.sin(angle) if dirichlet_theta else np.cos(angle)
+    modes = np.arange(n_s)
+    basis = np.cos(np.pi / n_s * np.outer(np.arange(n_s) + 0.5, modes))
     basis /= np.linalg.norm(basis, axis=0)
     eig = 4.0 * np.sin(0.5 * np.pi * modes / n_s) ** 2
 
@@ -425,8 +422,7 @@ def _separable(g: _Grid, dirichlet_theta: bool) -> _SeparablePoisson:
     diag[:-1] += c_r
     diag[1:] += c_r
     diag = diag[:, None] + c_th[:, None] * eig[None, :]
-    if not dirichlet_theta:
-        diag[0, 0] = np.inf  # the gauge: mode 0, cell j = 0 decoupled and zero
+    diag[0, 0] = np.inf  # the gauge: mode 0, cell j = 0 decoupled and zero
     off = -c_r[:, None]
     zero = np.zeros((1, 1))
     radial = _thomas(np.concatenate([zero, off]), diag, np.concatenate([off, zero]))
@@ -483,89 +479,27 @@ def _solve_neumann(cfg: SimConfig, b: np.ndarray) -> np.ndarray:
     return phi
 
 
-def _log_moments(u: np.ndarray):
-    """I_n(u) = integral_0^u s^n / (1 + s) ds for n = 2, 3, 4, to roundoff relative to I_n.
-
-    From u = 1/2 up, the closed form I_0 = log1p(u), I_n = u^n/n - I_(n-1) loses
-    at most a few digits.  Below 1/2 that recurrence cancels (I_n ~ u^(n+1) is
-    left from terms ~ u), so I_4 is summed from its series
-    u^5 sum_k (-u)^k/(k + 5), whose 48 terms reach roundoff at u = 1/2, and the
-    recurrence runs downwards, where it adds a small I_n to a larger u^n/n.
-    """
-    i2, i3, i4 = (np.empty_like(u) for _ in range(3))
-    up = u >= 0.5
-    x = u[up]
-    i1 = x - np.log1p(x)
-    i2[up] = x**2 / 2 - i1
-    i3[up] = x**3 / 3 - i2[up]
-    i4[up] = x**4 / 4 - i3[up]
-    x = u[~up]
-    series = np.zeros_like(x)
-    for k in range(47, -1, -1):
-        series = 1.0 / (k + 5) - x * series
-    i4[~up] = x**5 * series
-    i3[~up] = x**4 / 4 - i4[~up]
-    i2[~up] = x**3 / 3 - i3[~up]
-    return i2, i3, i4
-
-
-def _centripetal_head(cfg: SimConfig, rho) -> np.ndarray:
-    """F(rho) = integral_delta^rho h(r'-delta)^2 / r' dr': the radial pressure head.
-
-    In closed form: with u = (rho - delta)/delta,
-    h(delta*u)^2 = delta^2 (a1^2 u^2 - a1 a2 delta u^3 + (a2 delta/2)^2 u^4), so
-    F = delta^2 (a1^2 I_2 - a1 a2 delta I_3 + (a2 delta/2)^2 I_4) with the
-    moments I_n of ``_log_moments``.
-    """
-    delta = cfg.arc.delta
-    a1, a2 = cfg.params.alpha1, cfg.params.alpha2
-    u = (np.atleast_1d(np.asarray(rho, dtype=float)) - delta) / delta
-    i2, i3, i4 = _log_moments(u)
-    return delta**2 * (a1 * a1 * i2 - a1 * a2 * delta * i3 + 0.25 * (a2 * delta) ** 2 * i4)
-
-
 def initial_pressure(cfg: SimConfig, us: np.ndarray) -> np.ndarray:
-    """Diagnostic t = 0 pressure on the sector.
+    """The t = 0 pressure H(rho) + k*delta*theta, an exact discrete equilibrium.
 
-    Radial walls carry the momentum-consistent Neumann data (centripetal at
-    t = 0); the theta-planes carry Dirichlet values built from the exact wall
-    gradient nu*(a1/delta - a2) and the exact radial balance of the circular
-    initial field.
+    k = nu*(a1/delta - a2) is the wall pressure gradient.  The head H is 0 in
+    the first cell and rises by drho*u**2/rho across each interior rho-face,
+    with u the face average of the theta-uniform initial profile ``us``: the
+    discrete centrifugal term of the radial momentum balance.  This p solves
+    the flux-form Laplacian with Dirichlet theta-planes H and
+    H + k*delta*sector_angle and the radial momentum flux as Neumann data, so
+    no solve is needed.
     """
     g = _grid(cfg)
-    n_s, n_r = cfg.n_s, cfg.n_r
-    kwall = wall_gradient(cfg.params, g.delta)
-
-    # radial momentum data of the circular initial state (u_r = 0, theta-uniform,
-    # so only the centripetal term survives on the radial faces)
-    us_at_rf = np.zeros(n_r + 1)
-    us_at_rf[1:-1] = 0.5 * (us[0, :-1] + us[0, 1:])
-    us_at_rf[0] = 0.0
-    us_at_rf[-1] = profile_h(cfg.params, cfg.R_out)
-    # R = nu*lap(u) - (u.grad)u: the radial part is the centrifugal u_theta^2/rho
-    r_rho = us_at_rf**2 / g.rho_f
-
-    # net R-flux through the interior radial faces; the prescribed wall/outer
-    # Neumann data equals the boundary R-flux, so those faces drop out, and the
-    # theta-face contributions of a theta-uniform column cancel.
-    flux_out = np.zeros(n_r)
-    flux_out[:-1] += g.rho_f[1:-1] * r_rho[1:-1] * g.dth
-    flux_out[1:] -= g.rho_f[1:-1] * r_rho[1:-1] * g.dth
-    b = np.tile(-flux_out, (n_s, 1))
-
-    # Dirichlet data on the theta-planes
-    head = _centripetal_head(cfg, g.rho_c)
-    p_in = head
-    p_out = head + kwall * g.delta * cfg.sector_angle
-    c_th = g.drh / (g.rho_c * g.dth)
-    b[0, :] += 2.0 * c_th * p_in
-    b[-1, :] += 2.0 * c_th * p_out
-
-    return g.dirichlet_theta.solve(b)
+    u_f = 0.5 * (us[0, :-1] + us[0, 1:])
+    head = np.zeros(cfg.n_r)
+    np.cumsum(g.drh * u_f**2 / g.rho_f[1:-1], out=head[1:])
+    k = wall_gradient(cfg.params, g.delta)
+    return head[None, :] + k * g.delta * g.theta_c[:, None]
 
 
 def init_sim(cfg: SimConfig) -> SimState:
-    """Sample the shear profile on the grid and run the t = 0 pressure solve."""
+    """Sample the shear profile on the grid and set the t = 0 pressure."""
     cfg.validate()
     g = _grid(cfg)
     us = np.tile(profile_h(cfg.params, g.rho_c - g.delta), (cfg.n_s + 1, 1))
@@ -707,7 +641,7 @@ def run_experiment(cfg: SimConfig, r_probe_list=None) -> ExperimentReport:
     """Step the sector flow to t_end in ``cfg.steps`` equal steps, recording
     near-wall tangential velocity."""
     if r_probe_list is None:
-        scale = min(cfg.params.bl, cfg.arc.delta)
+        scale = near_wall_scale(cfg.params, cfg.arc.delta)
         r_probe_list = [0.05 * scale, 0.1 * scale, 0.2 * scale]
     state = init_sim(cfg)
     # probes snap to grid nodes; drop duplicates a coarse grid may produce

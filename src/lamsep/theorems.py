@@ -21,8 +21,8 @@ from typing import NamedTuple
 
 from .errors import DomainError, NonMonotoneSequence
 from .fdops import ExtrapolationResult, richardson
-from .field import (LaminarParams, profile_h, stationary_gradp_ansatz, stationary_gradp_field,
-                    wall_gradient)
+from .field import (LaminarParams, near_wall_scale, profile_h, stationary_gradp_ansatz,
+                    stationary_gradp_field, wall_gradient)
 from .geometry import ArcBoundary
 
 ADJUDICATION_RTOL = 1e-4
@@ -41,7 +41,7 @@ def _require_inside_layer(params: LaminarParams, r: float):
 
 def default_r_grid(params: LaminarParams, delta: float) -> list[float]:
     """Geometric grid: 12 points from 0.1*min(bl, delta) down by factor 2."""
-    top = 0.1 * min(params.bl, delta)
+    top = 0.1 * near_wall_scale(params, delta)
     return [top * 0.5**k for k in range(12)]
 
 
@@ -193,7 +193,7 @@ def oracle_limit(params: LaminarParams, delta: float) -> float:
         p_t = nu * ((a1 - a2 * r) / s - h / (s * s) - a2)
         return (p_t - wall_num / s) / h
 
-    scale = Fraction(min(params.alpha1 / params.alpha2, delta))
+    scale = Fraction(near_wall_scale(params, delta))
     samples = [(r, ratio(r)) for r in (scale / 10000, scale / 20000, scale / 40000)]
     coarse = richardson(samples[:2], order=1).value
     fine = richardson(samples[1:], order=1).value

@@ -326,6 +326,8 @@ def test_simulate_accepts_integral_grid_sizes(tmp_path, ok):
     ("trace", {"length": 1e30, "step": 1e-6}), ("classify", {"step": 1e-300}),
     # the profile speed at r_out leaves the float range: used to end in an OverflowError
     ("simulate", {"r_out": 1e300}),
+    # the message names the key the user wrote, not the internal R_out
+    ("simulate", {"r_out": -1.0}), ("simulate", {"r_out": 0.1}),
 ])
 def test_command_options_rejected_with_one_line(tmp_path, capsys, command, bad):
     cfg = write_config(tmp_path, {"command": command, "alpha1": 2.0, **bad})

@@ -166,7 +166,7 @@ def test_gradp_ansatz_values():
     p_t, p_n = stationary_gradp_ansatz(PARAMS, 1.0, 0.1)
     assert p_t == pytest.approx(-0.2603305785123967, abs=1e-12)
     assert p_n == pytest.approx(0.095 / 1.1, rel=1e-14)
-    _, p_n_corr = stationary_gradp_ansatz(PARAMS, 1.0, 0.1, "corrected")
+    p_n_corr = -advection(PARAMS, 1.0, 0.1, "corrected")
     assert p_n_corr == pytest.approx(0.095**2 / 1.1, rel=1e-14)
 
 

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.integrate
 import scipy.sparse
 
 from lamsep import nssim
@@ -12,7 +13,6 @@ from lamsep.field import LaminarParams, profile_h, write_csv
 from lamsep.geometry import ArcBoundary, to_cartesian
 from lamsep.nssim import (
     SimConfig,
-    _centripetal_head,
     _grid,
     _radial_rhs,
     _solve_neumann,
@@ -67,6 +67,16 @@ def test_init_samples_profile():
     assert np.allclose(state.us, expected[None, :], atol=1e-14)
 
 
+def _quadrature_head(params, delta, rho):
+    """F(rho) = integral_delta^rho h(r'-delta)^2 / r' dr' at increasing ``rho``, by
+    quadrature between neighbouring points."""
+    edges = np.concatenate([[delta], rho])
+    steps = [scipy.integrate.quad(lambda t: profile_h(params, t - delta) ** 2 / t, a, b,
+                                  epsabs=0.0, epsrel=1e-13)[0]
+             for a, b in zip(edges[:-1], edges[1:])]
+    return np.cumsum(steps)
+
+
 def test_initial_pressure_matches_sector_solution():
     # continuum solution with the wall-anchored data: p = F(rho) + K*delta*theta
     errs = []
@@ -75,7 +85,7 @@ def test_initial_pressure_matches_sector_solution():
         state = init_sim(cfg)
         g = _grid(cfg)
         k = PARAMS.nu * (PARAMS.alpha1 / 0.5 - PARAMS.alpha2)
-        p_star = _centripetal_head(cfg, g.rho_c)[None, :] + k * 0.5 * g.theta_c[:, None]
+        p_star = _quadrature_head(PARAMS, 0.5, g.rho_c)[None, :] + k * 0.5 * g.theta_c[:, None]
         diff = state.p - p_star
         errs.append(np.max(np.abs(diff - diff.mean())))
     orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
@@ -242,50 +252,79 @@ def _reference_assemble(cfg, dirichlet_theta):
 
 @pytest.mark.parametrize("delta", [0.25, 0.5, 1.0, 2.0, 4.0])
 def test_centripetal_head_matches_quadrature(delta):
-    import scipy.integrate
-
-    # bl = a1/a2 from 0.25 to 10: the head spans u = (rho - delta)/delta from
-    # below 1e-3 to 80, on both sides of the closed form's series switch at 1/2
+    # bl = a1/a2 from 0.25 to 10: the t = 0 pressure's radial head, from wall
+    # distances below 1e-3 delta to 80 delta, converges at second order to the
+    # quadrature of h^2/rho
     for a1, a2 in ((1.0, 1.0), (2.5, 1.0), (5.0, 0.5), (0.5, 2.0)):
         params = LaminarParams(alpha1=a1, alpha2=a2, nu=1.0)
         arc = ArcBoundary(delta, 0.0, (0.0, 0.0), (0.0, 0.5 * delta))
-        cfg = SimConfig(arc=arc, params=params, n_s=16, n_r=256)
-        rho = _grid(cfg).rho_c
-        quad = np.array([
-            scipy.integrate.quad(lambda t: profile_h(params, t - delta) ** 2 / t, delta, r,
-                                 epsabs=0.0, epsrel=1e-13)[0]
-            for r in rho
-        ])
-        head = _centripetal_head(cfg, rho)
-        assert np.max(np.abs(head - quad)) <= 1e-12 * np.max(np.abs(quad))
+        errs = []
+        for n_r in (128, 256):
+            cfg = SimConfig(arc=arc, params=params, n_s=16, n_r=n_r)
+            head = init_sim(cfg).p[0]
+            quad = _quadrature_head(params, delta, _grid(cfg).rho_c)
+            errs.append(np.max(np.abs((head - head[0]) - (quad - quad[0]))) / np.max(quad))
+        assert errs[0] / errs[1] > 2**1.6
+        assert errs[1] <= 1e-4
 
 
-@pytest.mark.parametrize("dirichlet_theta", [False, True])
-def test_assemble_matches_cell_loop(dirichlet_theta):
-    # the operator each theta-mode solver inverts is the matrix built one cell
-    # at a time: solving against its columns gives back the identity (for the
-    # all-Neumann matrix, the identity on zero-mean fields)
+def test_assemble_matches_cell_loop():
+    # the operator the projection's theta-mode solver inverts is the matrix
+    # built one cell at a time: solving against its columns gives back the
+    # identity on zero-mean fields
     cfg = SimConfig(arc=make_cfg().arc, params=PARAMS, n_s=16, n_r=24, sector_angle=0.5)
     n = cfg.n_s * cfg.n_r
-    a_ref = _reference_assemble(cfg, dirichlet_theta).toarray()
+    a_ref = _reference_assemble(cfg, dirichlet_theta=False).toarray()
     assert a_ref.shape == (n, n)
     eye = np.eye(n)
     for k in range(n):
-        column = a_ref[:, k].reshape(cfg.n_s, cfg.n_r)
-        if dirichlet_theta:
-            x = _grid(cfg).dirichlet_theta.solve(column)
-            expected = eye[k]
-        else:
-            x = _solve_neumann(cfg, -column)
-            expected = eye[k] - 1.0 / n
-        assert np.max(np.abs(x.ravel() - expected)) <= 1e-12
+        x = _solve_neumann(cfg, -a_ref[:, k].reshape(cfg.n_s, cfg.n_r))
+        assert np.max(np.abs(x.ravel() - (eye[k] - 1.0 / n))) <= 1e-12
+
+
+# alpha1/delta != alpha2 at every delta below: the wall gradient k is never 0
+CURVED = LaminarParams(alpha1=2.0, alpha2=0.8, nu=1.0)
+
+
+def _discrete_head(cfg, us):
+    """H: 0 in the first cell, rising by drho * u_f**2 / rho_f across each interior
+    rho-face, with u_f the face average of the inflow profile."""
+    g = _grid(cfg)
+    head = [0.0]
+    for j in range(1, cfg.n_r):
+        u_f = 0.5 * (us[0, j - 1] + us[0, j])
+        head.append(head[-1] + g.drh * u_f**2 / g.rho_f[j])
+    return np.array(head)
+
+
+def _reference_initial_rhs(cfg, us, head):
+    """The right-hand side of the t = 0 pressure problem, one cell at a time: the
+    net centrifugal flux rho_f * (u_f**2 / rho_f) * dtheta out through each
+    interior rho-face (negated), plus the Dirichlet theta-plane values head and
+    head + k*delta*sector_angle, each half a cell from its centre."""
+    g = _grid(cfg)
+    k = cfg.params.nu * (cfg.params.alpha1 / g.delta - cfg.params.alpha2)
+    b = np.zeros((cfg.n_s, cfg.n_r))
+    for i in range(cfg.n_s):
+        for j in range(cfg.n_r):
+            for face, sign in ((j + 1, -1.0), (j, 1.0)):
+                if 0 < face < cfg.n_r:
+                    u_f = 0.5 * (us[i, face - 1] + us[i, face])
+                    b[i, j] += sign * u_f**2 * g.dth
+            c_th = g.drh / (g.rho_c[j] * g.dth)
+            if i == 0:
+                b[i, j] += 2.0 * c_th * head[j]
+            if i == cfg.n_s - 1:
+                b[i, j] += 2.0 * c_th * (head[j] + k * g.delta * cfg.sector_angle)
+    return b
 
 
 @pytest.mark.parametrize("sector_angle", [0.5, 2 * np.pi])
 @pytest.mark.parametrize("delta", [0.25, 1.0, 4.0])
 @pytest.mark.parametrize("n_s, n_r", [(16, 24), (24, 16), (17, 19)])
 def test_separable_solves_match_cell_loop(n_s, n_r, delta, sector_angle):
-    # both theta-mode solvers invert the matrix built one cell at a time
+    # the projection's theta-mode solver inverts the matrix built one cell at a
+    # time, and the t = 0 pressure solves the Dirichlet-plane problem exactly
     arc = ArcBoundary(delta, 0.0, (0.0, 0.0), (0.0, 0.5 * delta))
     cfg = SimConfig(arc=arc, params=PARAMS, n_s=n_s, n_r=n_r, sector_angle=sector_angle)
     rng = np.random.default_rng(n_s * n_r)
@@ -297,10 +336,31 @@ def test_separable_solves_match_cell_loop(n_s, n_r, delta, sector_angle):
     assert np.linalg.norm(a_neumann @ phi.ravel() + b.ravel()) <= 1e-12 * np.linalg.norm(b)
     assert abs(phi.mean()) <= 1e-14
 
-    b = rng.standard_normal((n_s, n_r))
-    x = _grid(cfg).dirichlet_theta.solve(b)
+    cfg = cfg._replace(params=CURVED)
+    state = init_sim(cfg)
+    b = _reference_initial_rhs(cfg, state.us, _discrete_head(cfg, state.us))
     a_dirichlet = _reference_assemble(cfg, dirichlet_theta=True)
-    assert np.linalg.norm(a_dirichlet @ x.ravel() - b.ravel()) <= 1e-12 * np.linalg.norm(b)
+    assert np.linalg.norm(a_dirichlet @ state.p.ravel() - b.ravel()) <= 1e-12 * np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("delta", [0.25, 1.0, 4.0])
+@pytest.mark.parametrize("n_s, n_r", [(16, 24), (32, 32), (17, 19)])
+def test_initial_state_is_a_discrete_equilibrium(n_s, n_r, delta):
+    # at t = 0 the pressure balances the discrete momentum terms on every face:
+    # radially the centrifugal term of the radial update, tangentially the wall
+    # gradient k*delta/rho_c
+    arc = ArcBoundary(delta, 0.0, (0.0, 0.0), (0.0, 0.5 * delta))
+    cfg = SimConfig(arc=arc, params=CURVED, n_s=n_s, n_r=n_r)
+    state = init_sim(cfg)
+    g = _grid(cfg)
+    neg_adv_r, visc_r = _radial_rhs(cfg, state.us, state.ur)
+    assert np.array_equal(visc_r, np.zeros_like(visc_r))
+    radial = (state.p[:, 1:] - state.p[:, :-1]) / g.drh
+    assert np.max(np.abs(radial - neg_adv_r)) <= 1e-12 * np.max(np.abs(neg_adv_r))
+    k = CURVED.nu * (CURVED.alpha1 / delta - CURVED.alpha2)
+    anchor = np.broadcast_to(k * delta / g.rho_c, (n_s - 1, n_r))
+    tangential = (state.p[1:, :] - state.p[:-1, :]) / (g.rho_c * g.dth)
+    assert np.max(np.abs(tangential - anchor)) <= 1e-12 * np.max(np.abs(anchor))
 
 
 def test_projection_solve_to_roundoff(monkeypatch):
@@ -374,7 +434,7 @@ def test_dt_halving_first_order():
 
 
 def test_dt_sweep_shares_one_grid_and_factorization():
-    # the grid and both factored solvers live in one object per mesh
+    # the grid and its factored solver live in one object per mesh
     before = nssim._mesh_grid.cache_info()
     grids = set()
     for dt in (2e-4, 1e-4, 5e-5):
@@ -670,7 +730,7 @@ def test_validate_refuses_a_huge_grid_before_allocating(monkeypatch):
         tracemalloc.stop()
     assert peak < 1 << 20
     # the bound counts each step's arrays, not only the cached ones: 16 x 500000
-    # caches about 0.7 GiB of factors but needs about 3 GiB at its peak
+    # caches about 0.5 GiB of factors but needs about 3 GiB at its peak
     with pytest.raises(ConfigError, match="GiB"):
         make_cfg()._replace(n_s=16, n_r=500000).validate()
     assert nssim._run_bytes(512, 512) <= nssim._MEMORY_LIMIT_BYTES
