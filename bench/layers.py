@@ -49,16 +49,19 @@ chooses its BLAS thread count by its own rule.
 
 Outputs: each side runs every invocation of seeds 1..N of each workload in
 ``OUTPUT_SEEDS`` once, in-process in one interpreter; per command the file gets
-the exit codes that differ, how many CSVs are byte-identical and the largest
-relative difference of a CSV cell between the sides.  For ``simulate``, whose
+the exit codes that differ and, per CSV file name, how many of those files are
+byte-identical, how many differ and, for each column, the largest
+|before - after| over the column's largest |before|.  For ``simulate``, whose
 series may change with the time step, it also counts the reports whose
 ``payload.t0`` (the t = 0 budget, which no time step touches) is identical.
 
 Pairs: with ``--pairs N`` each workload runs ``perfbench/run.py --seconds S``
 once per side on each of N seeds, the side that goes first alternating.  The
 file gets each side's quartiles per end-to-end metric, the pairs the change
-won, the parent's interquartile range and the failures.  Keep this out of the
-test suite: timings must not gate tests.
+won, the parent's interquartile range and the failures.  The pairs run
+first: run after minutes of layer and output load, they did not resolve a
+60 ms ``setup_s`` change that the pairs alone won 10 of 10 times.  Keep this
+out of the test suite: timings must not gate tests.
 """
 
 from __future__ import annotations
@@ -204,7 +207,7 @@ def _solver_layers(lamsep, n: int) -> tuple[dict, dict]:
     nssim, LaminarParams = lamsep.nssim, lamsep.field.LaminarParams
     arc = lamsep.geometry.ArcBoundary(1.0, 0.0, (0.0, 0.0), (0.0, 0.5))
     cfg = nssim.SimConfig(arc=arc, params=LaminarParams(2.0, 1.0, 1.0),
-                          n_s=n, n_r=n, sector_angle=0.5)
+                          n_s=n, n_r=n)
 
     def cold_init() -> float:
         fresh = cfg._replace()  # nothing cached on it
@@ -344,31 +347,38 @@ def _csv_cells(path: Path) -> list[list[str]]:
         return list(csv.reader(fh))
 
 
-def _largest_rel_diff(a: list[list[str]], b: list[list[str]]) -> float:
-    """Largest |x - y| / max(|x|, |y|) over the cells of two CSVs: 0 for cells equal
-    as text or as numbers (``0`` and ``-0``), inf where the headers, the row count
-    or a row's length differ, or a differing cell is not a finite number."""
-    if a == b:
-        return 0.0
-    if len(a) != len(b) or a[0] != b[0]:
-        return math.inf
-    worst = 0.0
+def _number(cell: str) -> float | None:
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
+def _column_rel_diffs(a: list[list[str]], b: list[list[str]]) -> dict[str, float]:
+    """Per column of two CSVs, ``a`` before and ``b`` after, each with its header
+    row first: the largest |x - y| over the largest finite |x| of the column.  Cells
+    equal as text or as numbers (``0`` and ``-0``) differ by 0; a differing cell
+    that is not a finite number gives inf in its column, and differing headers,
+    row counts or row lengths give inf in every column."""
+    if len(a) != len(b) or a[0] != b[0] or any(len(x) != len(y) for x, y in zip(a, b)):
+        return dict.fromkeys(a[0] + b[0], math.inf)
+    worst = [0.0] * len(a[0])
+    scale = [0.0] * len(a[0])
     for row_a, row_b in zip(a[1:], b[1:]):
-        if len(row_a) != len(row_b):
-            return math.inf
-        for x, y in zip(row_a, row_b):
+        for k, (x, y) in enumerate(zip(row_a, row_b)):
+            x_num = _number(x)
+            if x_num is not None and math.isfinite(x_num):
+                scale[k] = max(scale[k], abs(x_num))
             if x == y:
                 continue
-            try:
-                x, y = float(x), float(y)
-            except ValueError:
-                return math.inf
-            if x == y:
-                continue
-            if not (math.isfinite(x) and math.isfinite(y)):
-                return math.inf
-            worst = max(worst, abs(x - y) / max(abs(x), abs(y)))
-    return worst
+            y_num = _number(y)
+            if x_num is None or y_num is None:
+                worst[k] = math.inf
+            elif x_num != y_num:
+                finite = math.isfinite(x_num) and math.isfinite(y_num)
+                worst[k] = max(worst[k], abs(x_num - y_num) if finite else math.inf)
+    return {name: (diff / top if top else math.inf) if diff else 0.0
+            for name, diff, top in zip(a[0], worst, scale)}
 
 
 def outputs(sides: dict[str, Path]) -> dict:
@@ -382,8 +392,7 @@ def outputs(sides: dict[str, Path]) -> dict:
             for (seed, index, command, old_code), (_, _, _, code) in zip(runs["before"],
                                                                          runs["after"]):
                 entry = per_command.setdefault(command, {
-                    "invocations": 0, "exit_codes_differ": [], "csv_identical": 0,
-                    "csv_differ": 0, "largest_rel_csv_diff": 0.0})
+                    "invocations": 0, "exit_codes_differ": [], "csv": {}})
                 entry["invocations"] += 1
                 if old_code != code:
                     entry["exit_codes_differ"].append(f"seed {seed}: {index}-{command}")
@@ -399,13 +408,15 @@ def outputs(sides: dict[str, Path]) -> dict:
                     old = before_dir / path.name
                     if not old.exists():
                         continue
+                    stats = entry["csv"].setdefault(path.name, {
+                        "identical": 0, "differ": 0, "largest_rel_diff_by_column": {}})
                     if old.read_bytes() == path.read_bytes():
-                        entry["csv_identical"] += 1
-                    else:
-                        entry["csv_differ"] += 1
-                        entry["largest_rel_csv_diff"] = max(
-                            entry["largest_rel_csv_diff"],
-                            _largest_rel_diff(_csv_cells(old), _csv_cells(path)))
+                        stats["identical"] += 1
+                        continue
+                    stats["differ"] += 1
+                    by_column = stats["largest_rel_diff_by_column"]
+                    for name, diff in _column_rel_diffs(_csv_cells(old), _csv_cells(path)).items():
+                        by_column[name] = max(by_column.get(name, 0.0), diff)
         result[workload] = {"seeds": f"1-{count}", "commands": per_command}
     return result
 
@@ -495,11 +506,11 @@ def main() -> None:
             "pairs": f"perfbench/run.py --seconds {args.seconds} on seeds {seeds}, one run per "
                      "side and seed, the side that goes first alternating",
         },
-        "layers": layers(sides),
-        "outputs": outputs(sides),
     }
-    if seeds:
+    if seeds:  # first: see the module docstring
         result["end_to_end"] = pairs(sides, args.workloads, seeds, args.seconds)
+    result["layers"] = layers(sides)
+    result["outputs"] = outputs(sides)
     args.out.write_text(json.dumps(result, indent=2) + "\n")
 
 

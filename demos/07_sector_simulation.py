@@ -29,7 +29,7 @@ print("== t = 0 tangential budget at mid-sector probes ==")
 print(" delta   r        nu*lap_t      grad_t p     ratio       closed form")
 for delta in (0.5, 1.0, 2.0):
     arc = ArcBoundary(delta, 0.0, (0.0, 0.0), (0.0, 0.5 * delta))
-    cfg = SimConfig(arc=arc, params=params, n_s=48, n_r=48, sector_angle=0.5)
+    cfg = SimConfig(arc=arc, params=params, n_s=48, n_r=48)
     state = init_sim(cfg)
     for s in probe_diagnostics(state, cfg, [0.1 * delta]):
         closed = float(theorem2_ratio(params, delta, s.r))
@@ -40,7 +40,7 @@ print("-> negative everywhere near the wall, larger magnitude at smaller delta")
 print()
 print("== a short unsteady run (delta = 1) ==")
 arc = ArcBoundary(1.0, 0.0, (0.0, 0.0), (0.0, 0.5))
-cfg = SimConfig(arc=arc, params=params, n_s=24, n_r=24, sector_angle=0.5, t_end=0.05)
+cfg = SimConfig(arc=arc, params=params, n_s=24, n_r=24, t_end=0.05)
 rep = run_experiment(cfg)
 print("probe heights:", [f"{r:.4f}" for r in rep.probe_r])
 print(f"t = {rep.times[0]:.3f}: u_t = {np.round(rep.u_t[0], 6)}")

@@ -42,7 +42,7 @@ _COMMAND_KEYS = {
     "classify": {"field", "radii", "s", "s1", "C", "source", "growth", "step", "tol_par"},
     "trace": {"kind", "start_s", "start_r", "length", "step"},
     "zeta-check": {"pressure", "s", "r_list", "eps_over_r", "amp"},
-    "simulate": {"sector_angle", "r_out", "n_s", "n_r", "dt", "t_end", "probes"},
+    "simulate": {"n_s", "n_r", "dt", "t_end", "probes"},
     "sweep": {"delta_values", "alpha1_values", "alpha2_values", "nu_values"},
 }
 COMMANDS = tuple(_COMMAND_KEYS)
@@ -159,12 +159,12 @@ def _invalid_input():
 
 @contextmanager
 def _float_range():
-    """Report a closed form that leaves the float range at the given parameters (an
-    overflow, or a division by a square or quotient that underflowed to zero) as a
-    DomainError."""
+    """Report a value that leaves the float range at the given parameters (an
+    overflow, a division by a square or quotient that underflowed to zero, or
+    numpy's FloatingPointError in a simulate run) as a DomainError."""
     try:
         yield
-    except (OverflowError, ZeroDivisionError) as exc:
+    except ArithmeticError as exc:  # OverflowError, ZeroDivisionError, FloatingPointError
         raise DomainError(f"a value leaves the float range at these parameters ({exc})") from exc
 
 
@@ -448,14 +448,13 @@ def _cmd_simulate(cfg: RunConfig):
     nssim = _load("nssim")
     sim_cfg = nssim.SimConfig(
         arc=cfg.arc, params=cfg.params,
-        sector_angle=_option(cfg, "sector_angle", 0.5),
-        r_out=_option(cfg, "r_out", None),
         n_s=_option(cfg, "n_s", 32, int),
         n_r=_option(cfg, "n_r", 32, int),
         dt=_option(cfg, "dt", None),
         t_end=_option(cfg, "t_end", 0.02),
     )
-    report = nssim.run_experiment(sim_cfg, _option_list(cfg, "probes", None))
+    with _float_range():
+        report = nssim.run_experiment(sim_cfg, _option_list(cfg, "probes", None))
     payload = {
         "probe_r": report.probe_r,
         "t0": [s._asdict() for s in report.t0_samples],

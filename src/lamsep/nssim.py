@@ -15,8 +15,12 @@ the +theta direction; the wall-arc
 coordinate is s = delta * theta, so +theta is the wall-tangent direction e1 of
 the arc geometry.
 
-Boundary conditions: no-slip at the inner wall, the initial profile pinned at
-the outer radius, the shear profile at the inflow plane, convective outflow.
+The sector is the wall segment ``arc.s_range`` and the layer 0 < r < 2*bl
+above it, where the initial profile returns to zero: its angle is the
+segment's length over delta (``SimConfig.sector_angle``) and its outer radius
+is delta + 2*bl (``SimConfig.R_out`` is the depth 2*bl).  Boundary conditions:
+no-slip at the inner wall, the initial profile pinned at the outer radius, the
+shear profile at the inflow plane, convective outflow.
 The t = 0 pressure is in closed form, p = H(rho) + k*delta*theta, with k =
 nu*(a1/delta - a2) the wall pressure gradient that no-slip fixes and H the
 discrete centripetal head (``initial_pressure``).  The initial state is then an
@@ -24,13 +28,13 @@ exact discrete equilibrium, so at t = 0 the probes' tangential pressure
 gradient equals the wall-anchored formula to roundoff.
 
 The projection's pressure solve is direct.  Its flux-form Laplacian depends
-only on the mesh (wall arc, sector angle, outer radius, grid size), not on dt,
-t_end or the flow parameters, and it separates in theta: a cosine transform
+only on the mesh (wall segment, layer depth, grid size), not on dt, t_end or
+nu, and it separates in theta: a cosine transform
 (Neumann planes) in theta leaves one tridiagonal system in rho per theta-mode
 (Buzbee, Golub & Nielson, SIAM J. Numer. Anal. 7, 1970).  One cached object
 per mesh (``_grid``) holds the grid arrays and the solver's transform and
-Thomas factors, so configs that differ only in dt, t_end or the flow
-parameters share it; every step then costs two (n_s x n_s) matrix products and
+Thomas factors, so configs that differ only in dt, t_end, nu or in alpha1
+and alpha2 at the same bl share it; every step then costs two (n_s x n_s) matrix products and
 one batched pair of tridiagonal sweeps for the projection, and one batched
 theta-line sweep for the viscosity, whose Thomas factors depend on nu*dt and
 are kept per config.  The all-Neumann projection matrix is singular up to a
@@ -83,8 +87,6 @@ _RUN_ARRAYS = 48
 class _SimFields(NamedTuple):
     arc: ArcBoundary
     params: LaminarParams
-    sector_angle: float = 0.5
-    r_out: float | None = None       # default 2 * boundary-layer thickness
     n_s: int = 32
     n_r: int = 32
     dt: float | None = None          # largest step; default 0.4 of the stability limit
@@ -96,8 +98,15 @@ class SimConfig(_SimFields):
     # and _replace builds a new config with an empty cache
 
     @property
+    def sector_angle(self) -> float:
+        """The angle of the wall segment ``arc.s_range``: its length over delta."""
+        s0, s1 = self.arc.s_range
+        return (s1 - s0) / self.arc.delta
+
+    @property
     def R_out(self) -> float:
-        return 2.0 * self.params.bl if self.r_out is None else self.r_out
+        """The depth of the layer, 2*bl: where the initial profile returns to zero."""
+        return 2.0 * self.params.bl
 
     @cached_property
     def _dt_limit(self) -> float:
@@ -145,16 +154,15 @@ class SimConfig(_SimFields):
             problems.append(f"grid {self.n_s}x{self.n_r} needs about "
                             f"{_run_bytes(self.n_s, self.n_r) / 2**30:.3g} GiB of solver "
                             f"arrays, more than {_MEMORY_LIMIT_BYTES / 2**30:g} GiB")
-        if not np.isfinite(self.R_out) or self.R_out <= 0:
-            problems.append(f"r_out must be finite and positive, got {self.R_out}")
-        elif np.isfinite(self.params.bl) and self.R_out < 2.0 * self.params.bl:
-            problems.append(f"r_out = {self.R_out} < 2*bl = {2 * self.params.bl}")
-        elif not math.isfinite(profile_h(self.params, self.R_out)):
-            # h is monotone in each term, so every cell's speed is then finite too
-            problems.append(f"r_out = {self.R_out:g} is too large: the initial profile "
-                            "speed there leaves the float range")
-        if not (0 < self.sector_angle <= 2 * math.pi):
-            problems.append(f"sector_angle must be in (0, 2*pi], got {self.sector_angle}")
+        if not 0 < self.sector_angle <= 2 * math.pi:
+            problems.append(f"s_range {list(self.arc.s_range)} must span an angle in "
+                            f"(0, 2*pi] of the wall, got {self.sector_angle:g}")
+        if not math.isfinite(profile_h(self.params, self.R_out)):
+            # each term of h is largest at 2*bl, so every cell's speed is then finite
+            # too; an infinite bl (alpha2 = 0) gives NaN here
+            problems.append(f"alpha1 = {self.params.alpha1:g}, alpha2 = {self.params.alpha2:g}: "
+                            "the initial profile speed across the layer 2*bl = "
+                            f"{self.R_out:g} leaves the float range")
         if self.dt is not None and not (0 < self.dt < math.inf):
             problems.append(f"dt must be finite and positive, got {self.dt}")
         if not (0 < self.t_end < math.inf):
@@ -220,10 +228,10 @@ class _Grid:
 
 
 def _grid(cfg: SimConfig) -> _Grid:
-    """The grid of the config's mesh (arc, sector angle, R_out, n_s, n_r).
+    """The grid of the config's mesh (wall segment, layer depth R_out, n_s, n_r).
 
-    Configs that differ only in dt, t_end or the flow parameters share one
-    cached grid, and so one factored Laplacian.
+    Configs that differ only in dt, t_end, nu or in alpha1 and alpha2 at the
+    same bl share one cached grid, and so one factored Laplacian.
     """
     return _mesh_grid(cfg.arc, cfg.sector_angle, cfg.R_out, cfg.n_s, cfg.n_r)
 
@@ -560,7 +568,7 @@ def step(state: SimState, cfg: SimConfig) -> SimState:
     ur_new = ur_star.copy()
     ur_new[:, 1:-1] -= dt * (phi[:, 1:] - phi[:, :-1]) / g.drh
 
-    if float(np.max(np.abs(us_new))) > 10.0 * max(cfg.top_speed, 1e-30):
+    if not float(np.max(np.abs(us_new))) <= 10.0 * max(cfg.top_speed, 1e-30):  # or NaN
         raise Diverged(f"max tangential velocity exceeded 10x the initial maximum at t={state.t}")
     return SimState(us=us_new, ur=ur_new, p=pa + phi, t=state.t + dt, p_anchor=pa)
 
@@ -639,24 +647,29 @@ class ExperimentReport(NamedTuple):
 
 def run_experiment(cfg: SimConfig, r_probe_list=None) -> ExperimentReport:
     """Step the sector flow to t_end in ``cfg.steps`` equal steps, recording
-    near-wall tangential velocity."""
+    near-wall tangential velocity.
+
+    A value that leaves the float range (an overflow, or an inf or NaN made from
+    finite ones) raises FloatingPointError rather than reaching the report.
+    """
     if r_probe_list is None:
         scale = near_wall_scale(cfg.params, cfg.arc.delta)
         r_probe_list = [0.05 * scale, 0.1 * scale, 0.2 * scale]
-    state = init_sim(cfg)
-    # probes snap to grid nodes; drop duplicates a coarse grid may produce
-    probe_idx = list(dict.fromkeys(_probe_index(cfg, r) for r in r_probe_list))
-    g = _grid(cfg)
-    probe_r = [float(g.rho_c[j] - g.delta) for j in probe_idx]
-    t0_samples = probe_diagnostics(state, cfg, probe_r)
-    i_mid = cfg.n_s // 2
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        state = init_sim(cfg)
+        # probes snap to grid nodes; drop duplicates a coarse grid may produce
+        probe_idx = list(dict.fromkeys(_probe_index(cfg, r) for r in r_probe_list))
+        g = _grid(cfg)
+        probe_r = [float(g.rho_c[j] - g.delta) for j in probe_idx]
+        t0_samples = probe_diagnostics(state, cfg, probe_r)
+        i_mid = cfg.n_s // 2
 
-    times = [0.0]
-    series = [[float(state.us[i_mid, j]) for j in probe_idx]]
-    for _ in range(cfg.steps):
-        state = step(state, cfg)
-        times.append(state.t)
-        series.append([float(state.us[i_mid, j]) for j in probe_idx])
+        times = [0.0]
+        series = [[float(state.us[i_mid, j]) for j in probe_idx]]
+        for _ in range(cfg.steps):
+            state = step(state, cfg)
+            times.append(state.t)
+            series.append([float(state.us[i_mid, j]) for j in probe_idx])
 
     u_t = np.array(series)
     first_rev = []

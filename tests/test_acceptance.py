@@ -215,7 +215,7 @@ def test_criterion_9_simulation():
     # exact on the quadratic shear profile, so the error sits at solver
     # precision on every grid (stronger than the required order 2) ...
     for n in (16, 32, 64):
-        cfg = SimConfig(arc=ARC, params=UNIT, n_s=n, n_r=n, sector_angle=0.5)
+        cfg = SimConfig(arc=ARC, params=UNIT, n_s=n, n_r=n)
         state = init_sim(cfg)
         g = _grid(cfg)
         _, visc = _tangential_rhs(cfg, state.us, state.ur)
@@ -224,7 +224,7 @@ def test_criterion_9_simulation():
     # ... and shows genuine second order on a non-polynomial profile
     errs = []
     for n in (16, 32, 64):
-        cfg = SimConfig(arc=ARC, params=UNIT, n_s=n, n_r=n, sector_angle=0.5)
+        cfg = SimConfig(arc=ARC, params=UNIT, n_s=n, n_r=n)
         g = _grid(cfg)
         k = np.pi / cfg.R_out
         us = np.tile(np.sin(k * (g.rho_c - ARC.delta)), (cfg.n_s + 1, 1))
@@ -239,7 +239,7 @@ def test_criterion_9_simulation():
     assert np.all(np.abs(orders - 2.0) <= 0.2)
 
     # (b) negative material-derivative ratio at probes r <= bl/4 on 128x64
-    cfg = SimConfig(arc=ARC, params=UNIT, n_s=128, n_r=64, sector_angle=0.5)
+    cfg = SimConfig(arc=ARC, params=UNIT, n_s=128, n_r=64)
     state = init_sim(cfg)
     probes = np.linspace(0.03, UNIT.bl / 4, 6)
     assert all(s.ratio < 0 for s in probe_diagnostics(state, cfg, probes))
@@ -248,7 +248,7 @@ def test_criterion_9_simulation():
     mags = {}
     for delta in (0.5, 1.0):
         arc = ArcBoundary(delta, 0.0, (0.0, 0.0), (0.0, 0.5 * delta))
-        cfg_d = SimConfig(arc=arc, params=UNIT, n_s=64, n_r=64, sector_angle=0.5)
+        cfg_d = SimConfig(arc=arc, params=UNIT, n_s=64, n_r=64)
         st = init_sim(cfg_d)
         sample, = probe_diagnostics(st, cfg_d, [0.1 * delta])
         mags[delta] = abs(sample.ratio)

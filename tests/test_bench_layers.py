@@ -32,30 +32,82 @@ HEADER = ["t", "u"]
 @pytest.mark.parametrize("x, y", [("0", "-0"), ("0.5", "0.5"), ("nan", "nan"), ("inf", "inf"),
                                   ("1e-3", "0.001")])
 def test_equal_cells_differ_by_zero(x, y):
-    assert layers._largest_rel_diff([HEADER, ["1", x]], [HEADER, ["1", y]]) == 0.0
+    assert layers._column_rel_diffs([HEADER, ["1", x]], [HEADER, ["1", y]]) == {"t": 0.0,
+                                                                                "u": 0.0}
 
 
 def test_relative_difference_of_finite_cells():
-    diff = layers._largest_rel_diff([HEADER, ["1", "2"], ["2", "-4"]],
+    # each column's largest |before - after| over its largest |before|: 0.5 / 4
+    diff = layers._column_rel_diffs([HEADER, ["1", "2"], ["2", "-4"]],
                                     [HEADER, ["1", "2.5"], ["2", "-4"]])
-    assert diff == pytest.approx(0.2)
+    assert diff == {"t": 0.0, "u": 0.125}
+
+
+def test_a_difference_in_an_all_zero_column_is_infinite():
+    diff = layers._column_rel_diffs([HEADER, ["1", "0"]], [HEADER, ["1", "1e-300"]])
+    assert diff == {"t": 0.0, "u": math.inf}
 
 
 @pytest.mark.parametrize("x, y", [("nan", "1"), ("1", "nan"), ("inf", "1"), ("-inf", "inf"),
                                   ("abc", "1")])
 def test_a_non_finite_mismatch_is_infinite(x, y):
-    assert layers._largest_rel_diff([HEADER, ["1", x]], [HEADER, ["1", y]]) == math.inf
+    diff = layers._column_rel_diffs([HEADER, ["1", x]], [HEADER, ["1", y]])
+    assert diff == {"t": 0.0, "u": math.inf}
 
 
 @pytest.mark.parametrize("row_a, row_b", [(["1", "2"], ["1"]), (["1"], ["1", "2"]),
                                           (["1", "2"], ["1", "2", "3"])])
 def test_rows_of_unequal_length_differ_infinitely(row_a, row_b):
-    assert layers._largest_rel_diff([HEADER, row_a], [HEADER, row_b]) == math.inf
+    diff = layers._column_rel_diffs([HEADER, row_a], [HEADER, row_b])
+    assert diff == {"t": math.inf, "u": math.inf}
 
 
 def test_unequal_headers_or_row_counts_differ_infinitely():
-    assert layers._largest_rel_diff([HEADER, ["1", "2"]], [["t", "v"], ["1", "2"]]) == math.inf
-    assert layers._largest_rel_diff([HEADER, ["1", "2"]], [HEADER]) == math.inf
+    diff = layers._column_rel_diffs([HEADER, ["1", "2"]], [["t", "v"], ["1", "2"]])
+    assert diff == {"t": math.inf, "u": math.inf, "v": math.inf}
+    diff = layers._column_rel_diffs([HEADER, ["1", "2"]], [HEADER])
+    assert diff == {"t": math.inf, "u": math.inf}
+
+
+def test_outputs_report_each_csv_file_and_column(monkeypatch, tmp_path):
+    # data.csv moves by 1e-6 in one column, field.csv is identical: the report
+    # keeps the two files apart
+    files = {"before": {"data.csv": "t,u\n0,1\n1,2\n", "field.csv": "s,p\n0,5\n"},
+             "after": {"data.csv": "t,u\n0,1\n1,2.000002\n", "field.csv": "s,p\n0,5\n"}}
+
+    def child(root, function, workload, count, out_dir):
+        side = Path(out_dir).name
+        target = Path(out_dir) / "1-0"
+        target.mkdir(parents=True)
+        for name, text in files[side].items():
+            (target / name).write_text(text)
+        return [[1, 0, "classify", 0]]
+
+    monkeypatch.setattr(layers, "_child", child)
+    monkeypatch.setattr(layers, "OUTPUT_SEEDS", {"cli-analysis": 1})
+    out = layers.outputs({"before": tmp_path / "a", "after": tmp_path / "b"})
+    entry = out["cli-analysis"]["commands"]["classify"]
+    assert entry["invocations"] == 1 and entry["exit_codes_differ"] == []
+    assert entry["csv"]["field.csv"] == {"identical": 1, "differ": 0,
+                                         "largest_rel_diff_by_column": {}}
+    data = entry["csv"]["data.csv"]
+    assert (data["identical"], data["differ"]) == (0, 1)
+    assert data["largest_rel_diff_by_column"] == {"t": 0.0, "u": pytest.approx(1e-6)}
+
+
+def test_main_runs_the_pairs_before_the_layers_and_outputs(monkeypatch, tmp_path):
+    calls = []
+    for phase in ("pairs", "layers", "outputs"):
+        monkeypatch.setattr(layers, phase,
+                            lambda *args, phase=phase: calls.append(phase) or {phase: True})
+    monkeypatch.setattr(layers, "_git_sha", lambda root: None)
+    out = tmp_path / "bench.json"
+    monkeypatch.setattr(sys, "argv", ["layers.py", "--before", str(tmp_path), "--after",
+                                      str(tmp_path), "--out", str(out), "--pairs", "2"])
+    layers.main()
+    assert calls == ["pairs", "layers", "outputs"]
+    result = json.loads(out.read_text())
+    assert result["end_to_end"] == {"pairs": True} and result["layers"] == {"layers": True}
 
 
 def test_compare_reports_quartiles_the_paired_ratio_and_the_rounds_won():
@@ -148,8 +200,7 @@ def test_sides_are_separate_packages_with_separate_mesh_caches(sides):
     for side in sides:
         side.nssim._mesh_grid.cache_clear()
     cfg = a.nssim.SimConfig(arc=a.geometry.ArcBoundary(1.0, 0.0, (0.0, 0.0), (0.0, 0.5)),
-                            params=a.field.LaminarParams(2.0, 1.0, 1.0), n_s=16, n_r=16,
-                            sector_angle=0.5)
+                            params=a.field.LaminarParams(2.0, 1.0, 1.0), n_s=16, n_r=16)
     a.nssim.init_sim(cfg)
     assert a.nssim._mesh_grid.cache_info().currsize == 1
     assert b.nssim._mesh_grid.cache_info().currsize == 0

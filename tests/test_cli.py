@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -251,6 +252,47 @@ def test_simulate_refuses_a_run_of_too_many_steps_in_one_line(tmp_path, capsys, 
                                                "1000000 steps")
 
 
+@pytest.mark.parametrize("config", [{"sector_angle": 1}, {"r_out": 5}])
+def test_simulate_has_no_sector_angle_or_r_out_key(tmp_path, capsys, config):
+    # the sector is the wall segment s_range and the layer 2*bl above it
+    cfg = write_config(tmp_path, config)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"lamsep: error: unknown config key(s) for simulate: {next(iter(config))}"]
+
+
+def test_simulate_sector_spans_the_wall_segment(tmp_path):
+    # at delta = 1 the 16 cell centres along s cover all of s_range = [0, 2], and
+    # those along r the layer 0 < r < 2*bl = 4
+    cfg = write_config(tmp_path, {"s_range": [0, 2], "n_s": 16, "n_r": 16, "t_end": 0.002})
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    with open(tmp_path / "o" / "field.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    s = sorted({float(row["s"]) for row in rows})
+    r = sorted({float(row["r"]) for row in rows})
+    assert (len(s), s[0], s[-1]) == (16, 0.0625, 1.9375)
+    assert (len(r), r[0], r[-1]) == (16, 0.125, 3.875)
+
+
+@pytest.mark.parametrize("config, message", [
+    # nu*dt/(rho*dtheta)**2 and the t = 0 viscous term overflow: this run used to
+    # exit 0 with NaN in data.csv and field.csv, after numpy's warnings
+    ({"nu": 1e308, "dt": 1e-3, "t_end": 3e-3},
+     "lamsep: error: a value leaves the float range at these parameters ("),
+    # a given step far over the radial-viscous limit
+    ({"nu": 50, "dt": 2e-3, "t_end": 0.02},
+     "lamsep: error: max tangential velocity exceeded 10x the initial maximum at t=0.006"),
+])
+def test_simulate_that_blows_up_ends_in_one_line(tmp_path, config, message):
+    cfg = write_config(tmp_path, config)
+    proc = subprocess.run([sys.executable, "-m", "lamsep.cli", "simulate", "--config", cfg,
+                           "--out", str(tmp_path / "o")],
+                          env=_fresh_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    err = proc.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith(message), proc.stderr
+
+
 def test_sweep_monotone_and_nu_scaling(tmp_path):
     cfg = write_config(tmp_path, {"command": "sweep", "delta_values": [0.5, 1.0, 2.0],
                                   "nu_values": [1.0, 2.0]})
@@ -291,7 +333,7 @@ def test_determinism_simulate(tmp_path):
 
 @pytest.mark.parametrize("bad", [
     {"dt": 0}, {"dt": -1e-4}, {"t_end": float("nan")}, {"n_s": "abc"}, {"n_r": 16.5},
-    {"n_s": "16.5"}, {"sector_angle": float("nan")}, {"sector_angle": 1e300},
+    {"n_s": "16.5"}, {"s_range": [0.0, 7.0]}, {"alpha1": 1e300},
     {"probes": ["a"]}, {"probes": [0.1, None]}, {"probes": 0.1}, {"probes": []},
 ])
 def test_simulate_rejects_invalid_numbers(tmp_path, capsys, bad):
@@ -324,10 +366,10 @@ def test_simulate_accepts_integral_grid_sizes(tmp_path, ok):
     ("classify", {"growth": "x"}),
     # more than 10**6 tracer steps: each used to end in an OverflowError traceback
     ("trace", {"length": 1e30, "step": 1e-6}), ("classify", {"step": 1e-300}),
-    # the profile speed at r_out leaves the float range: used to end in an OverflowError
-    ("simulate", {"r_out": 1e300}),
-    # the message names the key the user wrote, not the internal R_out
-    ("simulate", {"r_out": -1.0}), ("simulate", {"r_out": 0.1}),
+    # more than 2*pi of wall, and a profile speed across the layer 2*bl beyond the
+    # float range: each message names the keys the user wrote
+    ("simulate", {"s_range": [0.0, 1e300]}), ("simulate", {"alpha1": 1e300}),
+    ("simulate", {"alpha2": 1e-308}),
 ])
 def test_command_options_rejected_with_one_line(tmp_path, capsys, command, bad):
     cfg = write_config(tmp_path, {"command": command, "alpha1": 2.0, **bad})

@@ -32,23 +32,31 @@ from lamsep.theorems import theorem2_ratio
 PARAMS = LaminarParams(alpha1=1.0, alpha2=1.0, nu=1.0)
 
 
-def make_cfg(delta=1.0, n=24, **kw):
-    arc = ArcBoundary(delta, 0.0, (0.0, 0.0), (0.0, 0.5 * delta))
-    return SimConfig(arc=arc, params=PARAMS, n_s=n, n_r=n, sector_angle=0.5, **kw)
+def make_cfg(delta=1.0, n=24, angle=0.5, **kw):
+    arc = ArcBoundary(delta, 0.0, (0.0, 0.0), (0.0, angle * delta))
+    return SimConfig(arc=arc, params=PARAMS, n_s=n, n_r=n, **kw)
 
 
 def test_config_validation():
     with pytest.raises(ConfigError):
         make_cfg(n=8).validate()
-    with pytest.raises(ConfigError):
-        make_cfg(r_out=0.5).validate()  # below 2*bl
+    with pytest.raises(ConfigError, match="s_range"):
+        make_cfg(angle=7.0).validate()  # more than 2*pi of wall
     with pytest.raises(ConfigError):
         make_cfg(dt=1.0).validate()  # CFL blown
     for bad in ({"dt": 0.0}, {"dt": -1e-4}, {"dt": np.inf}, {"t_end": np.nan},
-                {"t_end": 0.0}, {"sector_angle": np.nan}, {"sector_angle": 1e300}):
+                {"t_end": 0.0}):
         with pytest.raises(ConfigError):
             make_cfg()._replace(**bad).validate()
+    # an angle beyond the float range, the profile speed across 2*bl beyond it,
+    # and an infinite bl (alpha2 = 0): each names the keys that set it
+    for bad, key in (({"arc": ArcBoundary(1.0, 0.0, (0.0, 0.0), (-1e308, 1e308))}, "s_range"),
+                     ({"params": LaminarParams(1e300, 1.0, 1.0)}, "alpha1"),
+                     ({"params": LaminarParams(1.0, 0.0, 1.0)}, "alpha2")):
+        with pytest.raises(ConfigError, match=key):
+            make_cfg()._replace(**bad).validate()
     make_cfg().validate()
+    make_cfg(angle=2 * np.pi).validate()
 
 
 def test_init_divergence_and_noslip():
@@ -272,7 +280,7 @@ def test_assemble_matches_cell_loop():
     # the operator the projection's theta-mode solver inverts is the matrix
     # built one cell at a time: solving against its columns gives back the
     # identity on zero-mean fields
-    cfg = SimConfig(arc=make_cfg().arc, params=PARAMS, n_s=16, n_r=24, sector_angle=0.5)
+    cfg = SimConfig(arc=make_cfg().arc, params=PARAMS, n_s=16, n_r=24)
     n = cfg.n_s * cfg.n_r
     a_ref = _reference_assemble(cfg, dirichlet_theta=False).toarray()
     assert a_ref.shape == (n, n)
@@ -325,8 +333,9 @@ def _reference_initial_rhs(cfg, us, head):
 def test_separable_solves_match_cell_loop(n_s, n_r, delta, sector_angle):
     # the projection's theta-mode solver inverts the matrix built one cell at a
     # time, and the t = 0 pressure solves the Dirichlet-plane problem exactly
-    arc = ArcBoundary(delta, 0.0, (0.0, 0.0), (0.0, 0.5 * delta))
-    cfg = SimConfig(arc=arc, params=PARAMS, n_s=n_s, n_r=n_r, sector_angle=sector_angle)
+    arc = ArcBoundary(delta, 0.0, (0.0, 0.0), (0.0, sector_angle * delta))
+    cfg = SimConfig(arc=arc, params=PARAMS, n_s=n_s, n_r=n_r)
+    assert cfg.sector_angle == sector_angle
     rng = np.random.default_rng(n_s * n_r)
 
     b = rng.standard_normal((n_s, n_r))
@@ -438,7 +447,7 @@ def test_dt_sweep_shares_one_grid_and_factorization():
     before = nssim._mesh_grid.cache_info()
     grids = set()
     for dt in (2e-4, 1e-4, 5e-5):
-        cfg = make_cfg(n=20, dt=dt, t_end=0.02)._replace(sector_angle=0.55)
+        cfg = make_cfg(n=20, angle=0.55, dt=dt, t_end=0.02)
         step(init_sim(cfg), cfg)
         grids.add(id(_grid(cfg)))
     assert nssim._mesh_grid.cache_info().misses - before.misses == 1
@@ -448,7 +457,7 @@ def test_dt_sweep_shares_one_grid_and_factorization():
 def test_zero_viscosity_limit_sanity():
     params = LaminarParams(1.0, 1.0, 1e-4)
     arc = ArcBoundary(5.0, 0.0, (0.0, 0.0), (0.0, 2.5))
-    cfg = SimConfig(arc=arc, params=params, n_s=16, n_r=16, sector_angle=0.5, t_end=0.05)
+    cfg = SimConfig(arc=arc, params=params, n_s=16, n_r=16, t_end=0.05)
     rep = run_experiment(cfg)
     assert max(abs(s.ratio) for s in rep.t0_samples) < 1e-3
     assert np.max(np.abs(rep.u_t[-1] - rep.u_t[0])) < 1e-4
@@ -492,7 +501,7 @@ def test_field_csv_xy_is_the_chart_of_each_row(tmp_path):
     # dump_field_csv charts one theta row at a time over all radii; each (x, y)
     # must be the one-point chart of its row's (s, r), bit for bit
     arc = ArcBoundary(1.7, 0.3, (0.4, -1.1), (0.0, 0.85))
-    cfg = SimConfig(arc=arc, params=PARAMS, n_s=16, n_r=18, sector_angle=0.5)
+    cfg = SimConfig(arc=arc, params=PARAMS, n_s=16, n_r=18)
     path = tmp_path / "field.csv"
     dump_field_csv(init_sim(cfg), cfg, path)
     with open(path, newline="") as fh:
@@ -553,7 +562,7 @@ def test_theta_line_solves_match_cell_loop(n_s, n_r, delta):
     # the one theta-line solve inverts both components' matrices built one cell
     # at a time, at a stiff nu*dt (20x the old explicit limit)
     arc = ArcBoundary(delta, 0.0, (0.0, 0.0), (0.0, 0.5 * delta))
-    cfg = SimConfig(arc=arc, params=PARAMS, n_s=n_s, n_r=n_r, sector_angle=0.5)
+    cfg = SimConfig(arc=arc, params=PARAMS, n_s=n_s, n_r=n_r)
     cfg = cfg._replace(dt=20.0 * _explicit_wall_tangential_limit(cfg), t_end=1.0)
     lines = cfg._theta_lines
     rng = np.random.default_rng(n_s * n_r)
@@ -586,7 +595,7 @@ def test_steps_far_beyond_the_old_tangential_limit_stay_bounded():
     # explicit theta second difference multiplies its highest mode by about
     # 1 - 20*4 each step and diverges; the implicit one damps it
     arc = ArcBoundary(1.0, 0.0, (0.0, 0.0), (0.0, 0.5))
-    cfg = SimConfig(arc=arc, params=PARAMS, n_s=48, n_r=16, sector_angle=0.5)
+    cfg = SimConfig(arc=arc, params=PARAMS, n_s=48, n_r=16)
     dt = 20.0 * _explicit_wall_tangential_limit(cfg)
     cfg = cfg._replace(dt=dt, t_end=50 * dt)
     assert cfg.effective_dt == pytest.approx(dt, rel=1e-12)

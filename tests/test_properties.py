@@ -84,7 +84,7 @@ SCALARS = {
     "classify": ("s", "s1", "C", "growth", "step", "tol_par"),
     "trace": ("start_s", "start_r", "length", "step"),
     "zeta-check": ("s", "eps_over_r", "amp"),
-    "simulate": ("sector_angle", "r_out", "n_s", "n_r", "dt", "t_end"),
+    "simulate": ("n_s", "n_r", "dt", "t_end"),
 }
 LISTS = {
     "verify-theorem1": ("r_grid",), "verify-theorem2": ("r_grid",), "classify": ("radii",),
