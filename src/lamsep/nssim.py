@@ -29,18 +29,18 @@ gradient equals the wall-anchored formula to roundoff.
 
 The projection's pressure solve is direct.  Its flux-form Laplacian depends
 only on the mesh (wall segment, layer depth, grid size), not on dt, t_end or
-nu, and it separates in theta: a cosine transform
-(Neumann planes) in theta leaves one tridiagonal system in rho per theta-mode
-(Buzbee, Golub & Nielson, SIAM J. Numer. Anal. 7, 1970).  One cached object
-per mesh (``_grid``) holds the grid arrays and the solver's transform and
-Thomas factors, so configs that differ only in dt, t_end, nu or in alpha1
-and alpha2 at the same bl share it; every step then costs two (n_s x n_s) matrix products and
-one batched pair of tridiagonal sweeps for the projection, and one batched
-theta-line sweep for the viscosity, whose Thomas factors depend on nu*dt and
-are kept per config.  The all-Neumann projection matrix is singular up to a
-constant, so its theta-mode 0 pins cell j = 0 to zero and the solution is
-shifted to zero mean afterwards.  The dropped equation holds automatically
-because the projection right-hand side is made mean-free first.
+nu, and it separates in theta: a cosine transform (Neumann planes) in theta
+leaves one tridiagonal system in rho per theta-mode (Buzbee, Golub & Nielson,
+SIAM J. Numer. Anal. 7, 1970).  One cached object per mesh (``_grid``) holds
+the grid arrays and the solver's transform and Thomas factors, so configs that
+differ only in dt, t_end, nu or in alpha1 and alpha2 at the same bl share it;
+every step then costs two (n_s x n_s) matrix products and one batched pair of
+tridiagonal sweeps for the projection, and one batched theta-line sweep for
+the viscosity, whose Thomas factors depend on nu*dt and are kept per config.
+The all-Neumann projection matrix is singular up to a constant, so its
+theta-mode 0 pins cell j = 0 to zero and the solution is shifted to zero mean
+afterwards.  The dropped equation holds automatically because the projection
+right-hand side is made mean-free first.
 
 This module loads numpy with one OpenBLAS thread unless numpy is already
 loaded or ``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS`` is set, and it
