@@ -230,7 +230,7 @@ def _solver_layers(lamsep, n: int) -> tuple[dict, dict]:
             run_cfg = cfg._replace(params=LaminarParams(2.0, 1.0, nu), t_end=RUN_T_END)
 
             def run(run_cfg=run_cfg) -> float:
-                fresh = run_cfg._replace()  # its step count and theta-line factors uncached
+                fresh = run_cfg._replace()  # its step count and theta damping uncached
                 t0 = time.perf_counter()
                 nssim.run_experiment(fresh)
                 return time.perf_counter() - t0

@@ -7,9 +7,10 @@ extrapolates the negative near-wall material-derivative limit, and runs a
 desk-scale unsteady Navier-Stokes experiment on an annular sector.  What that
 experiment reproduces is the sign of the t = 0 tangential momentum budget: the
 material derivative opposes the flow near the wall, more strongly at smaller
-delta.  With its inflow pinned, the sector's velocity series relaxes toward a
-steady profile rather than decelerating.  The analysis is pure Python; only the
-sector solver (:mod:`lamsep.nssim`) needs numpy.
+delta.  The sector is periodic along the wall, so its first step follows that
+budget, and where alpha1/delta > alpha2 the near-wall flow reverses, sooner at
+smaller delta.  The analysis is pure Python; only the sector solver
+(:mod:`lamsep.nssim`) needs numpy.
 
 ``import lamsep`` loads nothing else: each public name below resolves on first
 use (PEP 562), so a program, and each ``lamsep`` command, loads only the

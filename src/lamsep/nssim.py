@@ -1,4 +1,4 @@
-"""Unsteady incompressible Navier-Stokes on an annular sector.
+"""Unsteady incompressible Navier-Stokes on an annular sector, periodic in theta.
 
 Staggered (MAC) grid in polar coordinates (theta, rho): tangential velocity on
 theta-faces, radial velocity on rho-faces, pressure at cell centers.  Each step
@@ -7,40 +7,39 @@ projection: first order in time, second order in space, quadratic ghost cells
 at the radial walls.  The theta second difference of both viscous terms, the
 stiff part on the narrow wall-tangential cells, is taken at the new time level;
 the radial Laplacian, the -u/rho**2 term, the +-2/rho**2 d/dtheta couplings,
-the advection and the anchored pressure stay explicit.  That leaves one
-tridiagonal system along theta on each radial line of each velocity component,
-all solved in one batched sweep, so the default step is bounded by advection
-and by diffusion across one wall-normal cell only.  Internally the flow runs in
-the +theta direction; the wall-arc
-coordinate is s = delta * theta, so +theta is the wall-tangent direction e1 of
-the arc geometry.
+the advection and the driving pressure stay explicit, so the default step is
+bounded by advection and by diffusion across one wall-normal cell only.
+Internally the flow runs in the +theta direction; the wall-arc coordinate is
+s = delta * theta, so +theta is the wall-tangent direction e1 of the arc
+geometry.
 
 The sector is the wall segment ``arc.s_range`` and the layer 0 < r < 2*bl
-above it, where the initial profile returns to zero: its angle is the
+above it, where the initial profile returns to zero: its angle Theta is the
 segment's length over delta (``SimConfig.sector_angle``) and its outer radius
-is delta + 2*bl (``SimConfig.R_out`` is the depth 2*bl).  Boundary conditions:
-no-slip at the inner wall, the initial profile pinned at the outer radius, the
-shear profile at the inflow plane, convective outflow.
-The t = 0 pressure is in closed form, p = H(rho) + k*delta*theta, with k =
-nu*(a1/delta - a2) the wall pressure gradient that no-slip fixes and H the
-discrete centripetal head (``initial_pressure``).  The initial state is then an
-exact discrete equilibrium, so at t = 0 the probes' tangential pressure
-gradient equals the wall-anchored formula to roundoff.
+is delta + 2*bl (``SimConfig.R_out`` is the depth 2*bl).  The flow is periodic
+in theta with period Theta.  Radially: no-slip at the inner wall, the initial
+profile (zero to roundoff) pinned at the outer radius.  The wall pressure
+gradient k = nu*(a1/delta - a2) that no-slip fixes is not periodic: its drop
+over one period drives the flow as the body force -k*delta/rho, as in a
+curved channel (Dean, Proc. R. Soc. A 121, 1928).  The periodic pressure at
+t = 0 is the discrete centripetal head H(rho) alone (``initial_pressure``), an
+exact discrete radial equilibrium, so at every node the first step's
+tangential change is the t = 0 material derivative nu*lap(u) - k*delta/rho, to
+O(dt).  ``field.csv`` reports the total pressure, the periodic one plus
+k*delta*theta.
 
-The projection's pressure solve is direct.  Its flux-form Laplacian depends
-only on the mesh (wall segment, layer depth, grid size), not on dt, t_end or
-nu, and it separates in theta: a cosine transform (Neumann planes) in theta
-leaves one tridiagonal system in rho per theta-mode (Buzbee, Golub & Nielson,
-SIAM J. Numer. Anal. 7, 1970).  One cached object per mesh (``_grid``) holds
-the grid arrays and the solver's transform and Thomas factors, so configs that
-differ only in dt, t_end, nu or in alpha1 and alpha2 at the same bl share it;
-every step then costs two (n_s x n_s) matrix products and one batched pair of
-tridiagonal sweeps for the projection, and one batched theta-line sweep for
-the viscosity, whose Thomas factors depend on nu*dt and are kept per config.
-The all-Neumann projection matrix is singular up to a constant, so its
-theta-mode 0 pins cell j = 0 to zero and the solution is shifted to zero mean
-afterwards.  The dropped equation holds automatically because the projection
-right-hand side is made mean-free first.
+Every theta operator is the periodic second difference, which one orthonormal
+real Fourier basis diagonalises (``_fourier``).  One cached object per mesh
+(``_grid``) holds the grid arrays, that basis and the projection's factors, so
+configs that differ only in dt, t_end, nu or in alpha1 and alpha2 at the same
+bl share it.  In that basis the projection's flux-form Laplacian leaves one
+tridiagonal system in rho per theta-mode (Buzbee, Golub & Nielson, SIAM J.
+Numer. Anal. 7, 1970), solved in one batched pair of Thomas sweeps, and the
+implicit theta-viscosity is a scaling of each mode, kept per config.  A step
+costs four (n_s x n_s) matrix products and those sweeps.  The projection
+matrix is singular up to a constant, so its theta-mode 0 pins cell j = 0 to
+zero and the solution is shifted to zero mean afterwards; the dropped
+equation holds because the right-hand side is made mean-free first.
 
 This module loads numpy with one OpenBLAS thread unless numpy is already
 loaded or ``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS`` is set, and it
@@ -143,24 +142,37 @@ class SimConfig(_SimFields):
         return float(np.max(np.abs(profile_h(self.params, _grid(self).rho_c - self.arc.delta))))
 
     @cached_property
-    def _theta_lines(self) -> _ThetaLines:
-        return _theta_line_factors(self)
+    def _theta_damping(self) -> np.ndarray:
+        """1/(1 + c*lambda_m), c = nu*dt/(rho*dtheta)**2: the implicit theta-viscosity
+        I + c*T_theta inverted in the Fourier basis, for theta-mode m (rows) of
+        each radial line (columns: the n_r u_s lines at the cell centres, then
+        the n_r - 1 u_r lines at the interior rho-faces)."""
+        g = _grid(self)
+        rho = np.concatenate([g.rho_c, g.rho_f[1:-1]])
+        c = self.params.nu * self.effective_dt / (rho * g.dth) ** 2
+        return 1.0 / (1.0 + g.eig[:, None] * c[None, :])
 
     def validate(self) -> None:
         problems = []
+        a1, a2 = self.params.alpha1, self.params.alpha2
         if self.n_s < 16 or self.n_r < 16:
             problems.append(f"grid must be at least 16x16, got {self.n_s}x{self.n_r}")
         elif _run_bytes(self.n_s, self.n_r) > _MEMORY_LIMIT_BYTES:
             problems.append(f"grid {self.n_s}x{self.n_r} needs about "
                             f"{_run_bytes(self.n_s, self.n_r) / 2**30:.3g} GiB of solver "
                             f"arrays, more than {_MEMORY_LIMIT_BYTES / 2**30:g} GiB")
+        elif not self.R_out / self.n_r > math.ulp(self.arc.delta):
+            # below the spacing, cell centres round onto the wall radius delta
+            problems.append(f"alpha1 = {a1:g}, alpha2 = {a2:g}, delta = {self.arc.delta:g}: "
+                            f"the cell height 2*bl/n_r = {self.R_out / self.n_r:g} is not "
+                            f"above the float spacing {math.ulp(self.arc.delta):g} at delta")
         if not 0 < self.sector_angle <= 2 * math.pi:
             problems.append(f"s_range {list(self.arc.s_range)} must span an angle in "
                             f"(0, 2*pi] of the wall, got {self.sector_angle:g}")
         if not math.isfinite(profile_h(self.params, self.R_out)):
             # each term of h is largest at 2*bl, so every cell's speed is then finite
             # too; an infinite bl (alpha2 = 0) gives NaN here
-            problems.append(f"alpha1 = {self.params.alpha1:g}, alpha2 = {self.params.alpha2:g}: "
+            problems.append(f"alpha1 = {a1:g}, alpha2 = {a2:g}: "
                             "the initial profile speed across the layer 2*bl = "
                             f"{self.R_out:g} leaves the float range")
         if self.dt is not None and not (0 < self.dt < math.inf):
@@ -168,7 +180,11 @@ class SimConfig(_SimFields):
         if not (0 < self.t_end < math.inf):
             problems.append(f"t_end must be finite and positive, got {self.t_end}")
         if not problems:  # the grid is built only for a config that passed the checks above
-            if not self.t_end <= _MAX_STEPS * self._dt_limit:  # before cfl() counts the steps
+            if not self._dt_limit > 0:
+                problems.append(f"alpha1 = {a1:g}, alpha2 = {a2:g}, nu = {self.params.nu:g}: "
+                                f"the step limit underflows to 0 on the layer 2*bl = "
+                                f"{self.R_out:g}")
+            elif not self.t_end <= _MAX_STEPS * self._dt_limit:  # before cfl() counts the steps
                 problems.append(f"t_end = {self.t_end:g} needs more than {_MAX_STEPS} "
                                 f"steps of at most {self._dt_limit:.3g}")
             elif (cfl := self.cfl()) > 0.5:
@@ -199,23 +215,24 @@ def stable_dt(cfg: SimConfig) -> float:
 
 def _run_bytes(n_s: int, n_r: int) -> int:
     """About the peak bytes of a simulate run's arrays: the (n_s x n_s)
-    theta-basis and ``_RUN_ARRAYS`` arrays of n_s * n_r entries (the Thomas
+    theta-basis and ``_RUN_ARRAYS`` arrays of n_s * n_r entries (the solver
     factors, the state, each step's temporaries and the field.csv table)."""
     return 8 * (n_s * n_s + _RUN_ARRAYS * n_s * n_r)
 
 
 class SimState(NamedTuple):
-    us: np.ndarray   # (n_s + 1, n_r) tangential velocity at theta-faces
+    us: np.ndarray   # (n_s, n_r) tangential velocity at theta-faces i = 0..n_s-1
     ur: np.ndarray   # (n_s, n_r + 1) radial velocity at rho-faces
-    p: np.ndarray    # (n_s, n_r) pressure at cell centers
+    p: np.ndarray    # (n_s, n_r) periodic pressure at cell centers
     t: float
-    # fixed wall-anchored background pressure driving the momentum update;
-    # the projection potential only corrects divergence on top of it
+    # fixed theta-uniform background pressure, the head H(rho), driving the
+    # momentum update; the projection potential only corrects divergence on top
     p_anchor: np.ndarray
 
 
 class _Grid:
-    """One mesh's arrays and the projection's factored pressure solver; see ``_grid``."""
+    """One mesh's arrays, its theta basis and the projection's factored
+    pressure solver; see ``_grid``."""
 
     def __init__(self, arc: ArcBoundary, sector_angle: float, R_out: float, n_s: int, n_r: int):
         self.delta = arc.delta
@@ -224,6 +241,10 @@ class _Grid:
         self.rho_f = self.delta + self.drh * np.arange(n_r + 1)
         self.rho_c = self.delta + self.drh * (np.arange(n_r) + 0.5)
         self.theta_c = self.dth * (np.arange(n_s) + 0.5)
+        # row k of a[wrap] is row k - 1 of a periodic (n_s, ...) array a, for
+        # k = 0 .. n_s + 1: each row between its two theta neighbours
+        self.wrap = np.arange(-1, n_s + 1) % n_s
+        self.basis, self.eig = _fourier(n_s)
         self.neumann = _separable(self)
 
 
@@ -241,29 +262,41 @@ def _mesh_grid(arc: ArcBoundary, sector_angle: float, R_out: float, n_s: int, n_
     return _Grid(arc, sector_angle, R_out, n_s, n_r)
 
 
+def _fourier(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The orthonormal real Fourier basis of n periodic points and its eigenvalues.
+
+    Column m is cos(2 pi m k / n) for m <= n / 2 and sin(2 pi m k / n) above,
+    normalised; each is an eigenvector of the periodic second difference
+    (2 on the diagonal, -1 on the two wrapped off-diagonals) with eigenvalue
+    4 sin^2(pi m / n), exactly 0 for the constant mode m = 0.
+    """
+    modes = np.arange(n)
+    phase = 2.0 * np.pi / n * np.outer(modes, modes)
+    basis = np.where(modes <= n // 2, np.cos(phase), np.sin(phase))
+    basis /= np.linalg.norm(basis, axis=0)
+    return basis, 4.0 * np.sin(np.pi * modes / n) ** 2
+
+
 # ----------------------------------------------------------------------------
 # ghost cells (quadratic through the boundary value: second-order walls)
 # ----------------------------------------------------------------------------
 
 
-def _us_with_radial_ghosts(cfg: SimConfig, us: np.ndarray) -> np.ndarray:
-    """Append ghost columns below the wall (value 0) and above the outer radius."""
+def _us_with_ghosts(cfg: SimConfig, us: np.ndarray) -> np.ndarray:
+    """u_s between its periodic theta neighbours (rows 0 and -1), with ghost
+    columns below the wall (value 0) and above the outer radius."""
+    g = _grid(cfg)
+    usg = np.empty((cfg.n_s + 2, cfg.n_r + 2))
+    usg[:, 1:-1] = us[g.wrap]
+    usg[:, 0] = -2.0 * usg[:, 1] + usg[:, 2] / 3.0
     outer = profile_h(cfg.params, cfg.R_out)
-    ghost_wall = -2.0 * us[:, 0] + us[:, 1] / 3.0
-    ghost_out = (8.0 / 3.0) * outer - 2.0 * us[:, -1] + us[:, -2] / 3.0
-    return np.concatenate([ghost_wall[:, None], us, ghost_out[:, None]], axis=1)
-
-
-def _ur_with_theta_ghosts(ur: np.ndarray) -> np.ndarray:
-    """Prepend the inflow ghost (u_r = 0 on the plane), append outflow zero-gradient."""
-    ghost_in = -2.0 * ur[0, :] + ur[1, :] / 3.0
-    ghost_out = ur[-1, :]
-    return np.concatenate([ghost_in[None, :], ur, ghost_out[None, :]], axis=0)
+    usg[:, -1] = (8.0 / 3.0) * outer - 2.0 * usg[:, -2] + usg[:, -3] / 3.0
+    return usg
 
 
 def wall_noslip_residual(cfg: SimConfig, state: SimState) -> float:
     """Tangential wall velocity implied by the ghost construction (0 to roundoff)."""
-    usg = _us_with_radial_ghosts(cfg, state.us)
+    usg = _us_with_ghosts(cfg, state.us)
     wall = (3.0 * usg[:, 0] + 6.0 * usg[:, 1] - usg[:, 2]) / 8.0
     return float(np.max(np.abs(wall)))
 
@@ -274,24 +307,26 @@ def wall_noslip_residual(cfg: SimConfig, state: SimState) -> float:
 
 
 def _tangential_rhs(cfg: SimConfig, us: np.ndarray, ur: np.ndarray):
-    """(-advection, explicit viscous) tangential terms at interior theta-faces
-    i=1..n_s-1.  The viscous term leaves out the theta second difference, which
-    ``step`` takes at the new time level."""
+    """(-advection, explicit viscous) tangential terms at the theta-faces
+    i = 0..n_s-1; face i lies between cells i - 1 and i.  The viscous term
+    leaves out the theta second difference, which ``step`` takes at the new
+    time level."""
     g = _grid(cfg)
-    usg = _us_with_radial_ghosts(cfg, us)           # (n_s+1, n_r+2)
+    usg = _us_with_ghosts(cfg, us)                   # (n_s+2, n_r+2)
     rc = g.rho_c[None, :]
-    us_i = us[1:-1, :]                               # interior faces
+    us_i = usg[1:-1, 1:-1]
 
     dus_dr = (usg[1:-1, 2:] - usg[1:-1, :-2]) / (2 * g.drh)
-    dus_dth = (us[2:, :] - us[:-2, :]) / (2 * g.dth)
-    # radial velocity averaged to the us nodes
-    ur_c = 0.5 * (ur[:, :-1] + ur[:, 1:])            # (n_s, n_r) at theta-centers
-    ur_at_us = 0.5 * (ur_c[:-1, :] + ur_c[1:, :])    # (n_s-1, n_r) at interior faces
+    dus_dth = (usg[2:, 1:-1] - usg[:-2, 1:-1]) / (2 * g.dth)
+    # radial velocity averaged to the theta-centres, cells i - 1 .. n_s - 1
+    urw = ur[g.wrap[:-1]]
+    ur_c = 0.5 * (urw[:, :-1] + urw[:, 1:])          # (n_s+1, n_r)
+    ur_at_us = 0.5 * (ur_c[:-1, :] + ur_c[1:, :])    # (n_s, n_r) at the faces
     adv = ur_at_us * dus_dr + us_i / rc * dus_dth + ur_at_us * us_i / rc
 
     lap = (  # radial part
-        g.rho_f[None, 1:] * (usg[1:-1, 2:] - usg[1:-1, 1:-1])
-        - g.rho_f[None, :-1] * (usg[1:-1, 1:-1] - usg[1:-1, :-2])
+        g.rho_f[None, 1:] * (usg[1:-1, 2:] - us_i)
+        - g.rho_f[None, :-1] * (us_i - usg[1:-1, :-2])
     ) / (rc * g.drh**2)
     dur_dth = (ur_c[1:, :] - ur_c[:-1, :]) / g.dth
     visc = lap - us_i / rc**2 + 2.0 / rc**2 * dur_dth
@@ -299,24 +334,25 @@ def _tangential_rhs(cfg: SimConfig, us: np.ndarray, ur: np.ndarray):
 
 
 def _radial_rhs(cfg: SimConfig, us: np.ndarray, ur: np.ndarray):
-    """(-advection, explicit viscous) radial terms at interior rho-faces
-    j=1..n_r-1.  The viscous term leaves out the theta second difference, which
-    ``step`` takes at the new time level."""
+    """(-advection, explicit viscous) radial terms at the interior rho-faces
+    j = 1..n_r-1 of every cell i.  The viscous term leaves out the theta second
+    difference, which ``step`` takes at the new time level."""
     g = _grid(cfg)
-    urg = _ur_with_theta_ghosts(ur)                  # (n_s+2, n_r+1)
+    urw = ur[g.wrap]                                 # (n_s+2, n_r+1)
     rf = g.rho_f[None, 1:-1]
-    ur_i = ur[:, 1:-1]
+    ur_i = urw[1:-1, 1:-1]
 
-    dur_dr = (ur[:, 2:] - ur[:, :-2]) / (2 * g.drh)
-    dur_dth = (urg[2:, 1:-1] - urg[:-2, 1:-1]) / (2 * g.dth)
-    # tangential velocity averaged to the ur nodes
-    us_f = 0.5 * (us[:, :-1] + us[:, 1:])            # (n_s+1, n_r-1) at rho-faces
+    dur_dr = (urw[1:-1, 2:] - urw[1:-1, :-2]) / (2 * g.drh)
+    dur_dth = (urw[2:, 1:-1] - urw[:-2, 1:-1]) / (2 * g.dth)
+    # tangential velocity averaged to the rho-faces, faces i = 0 .. n_s
+    usw = us[g.wrap[1:]]
+    us_f = 0.5 * (usw[:, :-1] + usw[:, 1:])          # (n_s+1, n_r-1)
     us_at_ur = 0.5 * (us_f[:-1, :] + us_f[1:, :])    # (n_s, n_r-1)
     adv = ur_i * dur_dr + us_at_ur / rf * dur_dth - us_at_ur**2 / rf
 
     lap = (  # radial part
-        g.rho_c[None, 1:] * (ur[:, 2:] - ur_i)
-        - g.rho_c[None, :-1] * (ur_i - ur[:, :-2])
+        g.rho_c[None, 1:] * (urw[1:-1, 2:] - ur_i)
+        - g.rho_c[None, :-1] * (ur_i - urw[1:-1, :-2])
     ) / (rf * g.drh**2)
     dus_dth = (us_f[1:, :] - us_f[:-1, :]) / g.dth
     visc = lap - ur_i / rf**2 - 2.0 / rf**2 * dus_dth
@@ -328,12 +364,12 @@ def divergence(cfg: SimConfig, us: np.ndarray, ur: np.ndarray) -> np.ndarray:
     rad = (g.rho_f[None, 1:] * ur[:, 1:] - g.rho_f[None, :-1] * ur[:, :-1]) / (
         g.rho_c[None, :] * g.drh
     )
-    tan = (us[1:, :] - us[:-1, :]) / (g.rho_c[None, :] * g.dth)
+    tan = np.diff(us, axis=0, append=us[:1]) / (g.rho_c[None, :] * g.dth)
     return rad + tan
 
 
 # ----------------------------------------------------------------------------
-# the projection solve and the t = 0 pressure
+# the projection solve, the implicit theta-viscosity and the t = 0 pressure
 # ----------------------------------------------------------------------------
 
 
@@ -401,14 +437,12 @@ class _SeparablePoisson(NamedTuple):
 
 
 def _separable(g: _Grid) -> _SeparablePoisson:
-    """Factor the all-Neumann flux-form (negative) Laplacian
-    A = I_theta (x) R + T_theta (x) diag(c_th).
+    """Factor the flux-form (negative) Laplacian A = I_theta (x) R + T_theta (x) diag(c_th),
+    periodic in theta and Neumann at both radial walls.
 
     Neither the theta-face coefficient c_th nor the rho-face one c_r depends on
-    i, so A splits into the radial operator R (Neumann at both walls) and the
-    theta second difference T_theta (Neumann planes: end entries 1).  T_theta's
-    eigenvectors are the DCT-II vectors with eigenvalues 4 sin^2(pi m / (2 n_s));
-    the closed form makes mode 0 exactly 0.
+    i, so A splits into the radial operator R and the periodic theta second
+    difference T_theta, which the grid's Fourier basis diagonalises.
 
     A is singular (constants span its null space), and so is its theta-mode 0.
     That mode's row and column j = 0 become the identity with a zero right-hand
@@ -417,145 +451,92 @@ def _separable(g: _Grid) -> _SeparablePoisson:
     whenever the right-hand side has zero mean, which ``_solve_neumann``
     requires.
     """
-    n_s = g.theta_c.size
     c_r = g.rho_f[1:-1] * g.dth / g.drh
     c_th = g.drh / (g.rho_c * g.dth)
-
-    modes = np.arange(n_s)
-    basis = np.cos(np.pi / n_s * np.outer(np.arange(n_s) + 0.5, modes))
-    basis /= np.linalg.norm(basis, axis=0)
-    eig = 4.0 * np.sin(0.5 * np.pi * modes / n_s) ** 2
 
     diag = np.zeros(g.rho_c.size)
     diag[:-1] += c_r
     diag[1:] += c_r
-    diag = diag[:, None] + c_th[:, None] * eig[None, :]
+    diag = diag[:, None] + c_th[:, None] * g.eig[None, :]
     diag[0, 0] = np.inf  # the gauge: mode 0, cell j = 0 decoupled and zero
     off = -c_r[:, None]
     zero = np.zeros((1, 1))
     radial = _thomas(np.concatenate([zero, off]), diag, np.concatenate([off, zero]))
-    return _SeparablePoisson(basis, radial)
+    return _SeparablePoisson(g.basis, radial)
 
 
-class _ThetaLines(NamedTuple):
-    """The implicit theta-viscosity of one config: I - nu*dt*T_theta/(rho*dtheta)**2
-    on each radial line, with T_theta the theta second difference of each component.
-
-    Both components' lines are the columns of one batch of n_s rows: columns
-    0..n_r-1 are the u_s lines over the interior faces i = 1..n_s-1, padded
-    with one identity row at the bottom, and the n_r - 1 columns after them are
-    the u_r lines at the interior rho-faces.
-    """
-
-    factors: _Thomas         # (n_s, 2 n_r - 1)
-    us_end: np.ndarray       # (n_r,) nu*dt/(rho_c*dtheta)**2, the weight of each Dirichlet end
-
-
-def _theta_line_factors(cfg: SimConfig) -> _ThetaLines:
-    """Factor both components' theta-lines at the config's nu * dt.
-
-    u_s: the inflow face (the fixed profile) and the outflow face (advected
-    before the solve) are Dirichlet ends, so each interior line is the plain
-    second difference with 1 + 2c on the diagonal and -c off it; its pad row
-    is decoupled (zero off-diagonals).  u_r: the inflow ghost -2 u_0 + u_1/3
-    makes the first row of T_theta (-4, 4/3), and zero-gradient outflow makes
-    the last row (1, -1).
-    """
-    g = _grid(cfg)
-    nu_dt = cfg.params.nu * cfg.effective_dt
-    c_s = nu_dt / (g.rho_c * g.dth) ** 2
-    c_r = nu_dt / (g.rho_f[1:-1] * g.dth) ** 2
-    c = np.concatenate([c_s, c_r])
-    us, ur = slice(0, cfg.n_r), slice(cfg.n_r, None)
-
-    diag = np.tile(1.0 + 2.0 * c, (cfg.n_s, 1))
-    sub = np.tile(-c, (cfg.n_s, 1))
-    sup = sub.copy()
-    diag[-1, us] = 1.0
-    sub[-1, us] = 0.0
-    sup[-2, us] = 0.0
-    diag[0, ur] = 1.0 + 4.0 * c_r
-    diag[-1, ur] = 1.0 + c_r
-    sup[0, ur] = -(4.0 / 3.0) * c_r
-    return _ThetaLines(_thomas(sub, diag, sup), c_s)
+def _solve_theta_lines(cfg: SimConfig, rhs: np.ndarray) -> np.ndarray:
+    """x with (I + c*T_theta) x = rhs on every radial line, laid out as in
+    ``SimConfig._theta_damping``: one transform, one scaling, one back."""
+    basis = _grid(cfg).basis
+    return basis @ (cfg._theta_damping * (basis.T @ rhs))
 
 
 def _solve_neumann(cfg: SimConfig, b: np.ndarray) -> np.ndarray:
-    """Zero-mean phi with A phi = -b for the all-Neumann A; b must have zero mean."""
+    """Zero-mean phi with A phi = -b for the projection's A; b must have zero mean."""
     phi = _grid(cfg).neumann.solve(-b)
     phi -= phi.mean()
     return phi
 
 
 def initial_pressure(cfg: SimConfig, us: np.ndarray) -> np.ndarray:
-    """The t = 0 pressure H(rho) + k*delta*theta, an exact discrete equilibrium.
+    """The t = 0 periodic pressure, the head H(rho): an exact discrete equilibrium.
 
-    k = nu*(a1/delta - a2) is the wall pressure gradient.  The head H is 0 in
-    the first cell and rises by drho*u**2/rho across each interior rho-face,
-    with u the face average of the theta-uniform initial profile ``us``: the
-    discrete centrifugal term of the radial momentum balance.  This p solves
-    the flux-form Laplacian with Dirichlet theta-planes H and
-    H + k*delta*sector_angle and the radial momentum flux as Neumann data, so
-    no solve is needed.
+    H is 0 in the first cell and rises by drho*u**2/rho across each interior
+    rho-face, with u the face average of the theta-uniform initial profile
+    ``us``: the discrete centrifugal term of the radial momentum balance.  A
+    theta-uniform H solves the flux-form Laplacian with the radial momentum
+    flux as its Neumann data, so no solve is needed.  The wall gradient's
+    k*delta*theta is not in it: ``step`` applies it as a body force.
     """
     g = _grid(cfg)
     u_f = 0.5 * (us[0, :-1] + us[0, 1:])
     head = np.zeros(cfg.n_r)
     np.cumsum(g.drh * u_f**2 / g.rho_f[1:-1], out=head[1:])
-    k = wall_gradient(cfg.params, g.delta)
-    return head[None, :] + k * g.delta * g.theta_c[:, None]
+    return np.tile(head, (cfg.n_s, 1))
 
 
 def init_sim(cfg: SimConfig) -> SimState:
     """Sample the shear profile on the grid and set the t = 0 pressure."""
     cfg.validate()
     g = _grid(cfg)
-    us = np.tile(profile_h(cfg.params, g.rho_c - g.delta), (cfg.n_s + 1, 1))
+    us = np.tile(profile_h(cfg.params, g.rho_c - g.delta), (cfg.n_s, 1))
     ur = np.zeros((cfg.n_s, cfg.n_r + 1))
     p = initial_pressure(cfg, us)
     return SimState(us=us, ur=ur, p=p, t=0.0, p_anchor=p)
 
 
+def _wall_drive(cfg: SimConfig) -> np.ndarray:
+    """k*delta/rho_c: the tangential gradient of the wall-anchored pressure k*delta*theta."""
+    g = _grid(cfg)
+    return wall_gradient(cfg.params, g.delta) * g.delta / g.rho_c
+
+
 def step(state: SimState, cfg: SimConfig) -> SimState:
-    """Advance one time step: Euler against the anchored background pressure,
-    with the theta second difference of the viscosity implicit (IMEX), then a
-    projection for incompressibility."""
+    """Advance one time step: Euler against the background head and the wall
+    drive, with the theta second difference of the viscosity implicit (IMEX),
+    then a projection for incompressibility."""
     g = _grid(cfg)
     dt = cfg.effective_dt
     nu = cfg.params.nu
     n_r = cfg.n_r
-    lines = cfg._theta_lines
     us, ur, pa = state.us, state.ur, state.p_anchor
 
     neg_adv_t, visc_t = _tangential_rhs(cfg, us, ur)
     neg_adv_r, visc_r = _radial_rhs(cfg, us, ur)
 
-    us_star = us.copy()
-    # the inflow face (us[0]) is never updated: it keeps its initial profile;
-    # the outflow face is advected out
-    c_out = np.maximum(us[-1, :], 0.0)
-    us_star[-1, :] = us[-1, :] - dt * c_out / (g.rho_c * g.dth) * (us[-1, :] - us[-2, :])
-
-    # one right-hand side for both components' theta-lines, laid out as
-    # ``_ThetaLines``; the u_s pad row stays zero
-    rhs = np.zeros((cfg.n_s, 2 * n_r - 1))
-    rhs_s, rhs_r = rhs[:-1, :n_r], rhs[:, n_r:]
-    np.add(us[1:-1, :], dt * (neg_adv_t + nu * visc_t), out=rhs_s)
-    rhs_s -= dt * (pa[1:, :] - pa[:-1, :]) / (g.rho_c[None, :] * g.dth)
-    # both end faces are Dirichlet values of the interior u_s lines
-    rhs_s[0] += lines.us_end * us_star[0]
-    rhs_s[-1] += lines.us_end * us_star[-1]
+    # both components' theta-lines side by side, as ``SimConfig._theta_damping``
+    # lays them out; the head is theta-uniform, so only its radial gradient acts
+    rhs = np.empty((cfg.n_s, 2 * n_r - 1))
+    rhs_s, rhs_r = rhs[:, :n_r], rhs[:, n_r:]
+    np.add(us, dt * (neg_adv_t + nu * visc_t), out=rhs_s)
+    rhs_s -= dt * _wall_drive(cfg)
     np.add(ur[:, 1:-1], dt * (neg_adv_r + nu * visc_r), out=rhs_r)
     rhs_r -= dt * (pa[:, 1:] - pa[:, :-1]) / g.drh
-    lines.factors.solve(rhs)
-    us_star[1:-1, :] = rhs_s
+    star = _solve_theta_lines(cfg, rhs)
+    us_star = star[:, :n_r]
     ur_star = np.zeros_like(ur)
-    ur_star[:, 1:-1] = rhs_r
-
-    # global mass balance before the all-Neumann projection
-    flux_in = float(np.sum(us_star[0, :])) * g.drh
-    flux_out = float(np.sum(us_star[-1, :])) * g.drh
-    us_star[-1, :] += (flux_in - flux_out) / (cfg.n_r * g.drh)
+    ur_star[:, 1:-1] = star[:, n_r:]
 
     div = divergence(cfg, us_star, ur_star)
     vol = (g.rho_c * g.dth * g.drh)[None, :]
@@ -563,9 +544,9 @@ def step(state: SimState, cfg: SimConfig) -> SimState:
     b -= b.mean()
     phi = _solve_neumann(cfg, b)
 
-    us_new = us_star.copy()
-    us_new[1:-1, :] -= dt * (phi[1:, :] - phi[:-1, :]) / (g.rho_c[None, :] * g.dth)
-    ur_new = ur_star.copy()
+    # face i lies between cells i - 1 and i
+    us_new = us_star - dt * np.diff(phi, axis=0, prepend=phi[-1:]) / (g.rho_c[None, :] * g.dth)
+    ur_new = ur_star
     ur_new[:, 1:-1] -= dt * (phi[:, 1:] - phi[:, :-1]) / g.drh
 
     if not float(np.max(np.abs(us_new))) <= 10.0 * max(cfg.top_speed, 1e-30):  # or NaN
@@ -595,8 +576,9 @@ def _probe_index(cfg: SimConfig, r: float) -> int:
 
 
 def probe_diagnostics(state: SimState, cfg: SimConfig, r_probe_list) -> list[ProbeSample]:
-    """Discrete tangential budget at mid-sector: viscous term, pressure gradient,
-    and their material-derivative ratio against the local speed."""
+    """Discrete tangential budget at mid-sector: viscous term, total pressure
+    gradient (the wall drive plus the periodic pressure's), and their
+    material-derivative ratio against the local speed."""
     g = _grid(cfg)
     nu = cfg.params.nu
     i_mid = cfg.n_s // 2
@@ -604,13 +586,14 @@ def probe_diagnostics(state: SimState, cfg: SimConfig, r_probe_list) -> list[Pro
     _, visc_t = _tangential_rhs(cfg, us, state.ur)
     # the theta second difference at face i_mid, which the explicit terms leave out
     visc_theta = (us[i_mid + 1] - 2 * us[i_mid] + us[i_mid - 1]) / (g.rho_c**2 * g.dth**2)
+    gradp_t = _wall_drive(cfg) + (state.p[i_mid] - state.p[i_mid - 1]) / (g.rho_c * g.dth)
     kwall = wall_gradient(cfg.params, g.delta)
     out = []
     for r in r_probe_list:
         j = _probe_index(cfg, r)
         r_node = float(g.rho_c[j] - g.delta)
-        visc = nu * float(visc_t[i_mid - 1, j] + visc_theta[j])
-        gradp = float(state.p[i_mid, j] - state.p[i_mid - 1, j]) / (g.rho_c[j] * g.dth)
+        visc = nu * float(visc_t[i_mid, j] + visc_theta[j])
+        gradp = float(gradp_t[j])
         u0 = float(us[i_mid, j])
         out.append(ProbeSample(
             r=r_node, u_t=u0, visc_t=visc, gradp_t=gradp,
@@ -620,9 +603,14 @@ def probe_diagnostics(state: SimState, cfg: SimConfig, r_probe_list) -> list[Pro
     return out
 
 
+def _cell_average(us: np.ndarray) -> np.ndarray:
+    """u_s at the cell centres: the mean of each cell's two periodic theta-faces."""
+    return 0.5 * (us + np.roll(us, -1, axis=0))
+
+
 def kinetic_energy(state: SimState, cfg: SimConfig) -> float:
     g = _grid(cfg)
-    us_c = 0.5 * (state.us[:-1, :] + state.us[1:, :])
+    us_c = _cell_average(state.us)
     ur_c = 0.5 * (state.ur[:, :-1] + state.ur[:, 1:])
     vol = (g.rho_c * g.dth * g.drh)[None, :]
     return float(0.5 * np.sum((us_c**2 + ur_c**2) * vol))
@@ -687,18 +675,20 @@ def run_experiment(cfg: SimConfig, r_probe_list=None) -> ExperimentReport:
 
 
 def dump_field_csv(state: SimState, cfg: SimConfig, path) -> None:
-    """Cell-centered field dump: s, r, x, y, u_t, u_r, p."""
+    """Cell-centered field dump: s, r, x, y, u_t, u_r, p; p is the total
+    pressure, the periodic one plus the wall-anchored k*delta*theta."""
     from .geometry import to_cartesian
 
     g = _grid(cfg)
-    us_c = 0.5 * (state.us[:-1, :] + state.us[1:, :])
+    us_c = _cell_average(state.us)
     ur_c = 0.5 * (state.ur[:, :-1] + state.ur[:, 1:])
+    p = state.p + wall_gradient(cfg.params, g.delta) * g.delta * g.theta_c[:, None]
     s = cfg.arc.s_range[0] + g.delta * g.theta_c
     r = g.rho_c - g.delta
     xy = np.array([to_cartesian(cfg.arc, (si, r)) for si in s.tolist()])  # (n_s, 2, n_r)
     shape = (cfg.n_s, cfg.n_r)
     columns = [np.broadcast_to(s[:, None], shape), np.broadcast_to(r[None, :], shape),
-               xy[:, 0], xy[:, 1], us_c, ur_c, state.p]
+               xy[:, 0], xy[:, 1], us_c, ur_c, p]
     # one theta row at a time: the file never exists as Python floats at once
     table = np.stack(columns, axis=-1)               # (n_s, n_r, 7)
     write_csv(path, ["s", "r", "x", "y", "u_t", "u_r", "p"],

@@ -281,7 +281,7 @@ def test_simulate_sector_spans_the_wall_segment(tmp_path):
      "lamsep: error: a value leaves the float range at these parameters ("),
     # a given step far over the radial-viscous limit
     ({"nu": 50, "dt": 2e-3, "t_end": 0.02},
-     "lamsep: error: max tangential velocity exceeded 10x the initial maximum at t=0.006"),
+     "lamsep: error: max tangential velocity exceeded 10x the initial maximum at t=0.004"),
 ])
 def test_simulate_that_blows_up_ends_in_one_line(tmp_path, config, message):
     cfg = write_config(tmp_path, config)
@@ -370,6 +370,12 @@ def test_simulate_accepts_integral_grid_sizes(tmp_path, ok):
     # float range: each message names the keys the user wrote
     ("simulate", {"s_range": [0.0, 1e300]}), ("simulate", {"alpha1": 1e300}),
     ("simulate", {"alpha2": 1e-308}),
+    # a layer 2*bl = 2e-300 thin, whose step limit underflows to 0, and one whose
+    # cell height is below the float spacing at delta, so that every cell centre
+    # rounds onto the wall: they used to end in "steps of at most 0" and in
+    # "divide by zero"
+    ("simulate", {"alpha1": 1e-300}),
+    ("simulate", {"alpha1": 9.7e-240, "alpha2": 1.9e-268, "delta": 2.0e233}),
 ])
 def test_command_options_rejected_with_one_line(tmp_path, capsys, command, bad):
     cfg = write_config(tmp_path, {"command": command, "alpha1": 2.0, **bad})

@@ -55,6 +55,15 @@ def test_config_validation():
                      ({"params": LaminarParams(1.0, 0.0, 1.0)}, "alpha2")):
         with pytest.raises(ConfigError, match=key):
             make_cfg()._replace(**bad).validate()
+    # a cell height below the float spacing at delta, and a step limit that
+    # underflows to 0 (0.25*drho**2/nu with drho about 1e-171): each names the
+    # keys that set it
+    for bad, key in (({"params": LaminarParams(1e-300, 1.0, 1.0)}, "alpha1"),
+                     ({"arc": ArcBoundary(2e233, 0.0, (0.0, 0.0), (0.0, 1e233))}, "delta"),
+                     ({"arc": ArcBoundary(1e-200, 0.0, (0.0, 0.0), (0.0, 5e-201)),
+                       "params": LaminarParams(1e-170, 1.0, 1.0)}, "alpha1")):
+        with pytest.raises(ConfigError, match=key):
+            make_cfg()._replace(**bad).validate()
     make_cfg().validate()
     make_cfg(angle=2 * np.pi).validate()
 
@@ -86,14 +95,13 @@ def _quadrature_head(params, delta, rho):
 
 
 def test_initial_pressure_matches_sector_solution():
-    # continuum solution with the wall-anchored data: p = F(rho) + K*delta*theta
+    # continuum solution of the periodic sector: p = F(rho), the centripetal head
     errs = []
     for n in (16, 32, 64):
         cfg = make_cfg(delta=0.5, n=n)
         state = init_sim(cfg)
         g = _grid(cfg)
-        k = PARAMS.nu * (PARAMS.alpha1 / 0.5 - PARAMS.alpha2)
-        p_star = _quadrature_head(PARAMS, 0.5, g.rho_c)[None, :] + k * 0.5 * g.theta_c[:, None]
+        p_star = _quadrature_head(PARAMS, 0.5, g.rho_c)[None, :]
         diff = state.p - p_star
         errs.append(np.max(np.abs(diff - diff.mean())))
     orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
@@ -123,7 +131,7 @@ def test_viscous_operator_order2_on_nonpolynomial_profile():
         cfg = make_cfg(n=n)
         g = _grid(cfg)
         k = np.pi / cfg.R_out
-        us = np.tile(np.sin(k * (g.rho_c - cfg.arc.delta)), (cfg.n_s + 1, 1))
+        us = np.tile(np.sin(k * (g.rho_c - cfg.arc.delta)), (cfg.n_s, 1))
         ur = np.zeros((cfg.n_s, cfg.n_r + 1))
         _, visc = _tangential_rhs(cfg, us, ur)
         rho = g.rho_c
@@ -159,7 +167,7 @@ def test_probe_viscous_term_includes_the_theta_second_difference():
     # included (on a theta-uniform field that difference is exactly 0)
     cfg = make_cfg(n=24)._replace(params=LaminarParams(1.0, 1.0, 0.7))
     g = _grid(cfg)
-    theta_f = g.dth * np.arange(cfg.n_s + 1)
+    theta_f = g.dth * np.arange(cfg.n_s)
     h = profile_h(cfg.params, g.rho_c - cfg.arc.delta)
     us = h[None, :] * (1.0 + 0.1 * np.sin(4.0 * theta_f))[:, None]
     ur = 0.05 * np.outer(np.cos(3.0 * g.theta_c), np.sin(np.pi * (g.rho_f - g.delta) / cfg.R_out))
@@ -213,18 +221,18 @@ def test_zero_field_is_fixed_point():
     # without viscosity and the anchor pressure, a step of the zero field is
     # its advection and its projection: both must be exactly zero
     cfg = make_cfg(n=16, dt=1e-4)
-    us = np.zeros((cfg.n_s + 1, cfg.n_r))
+    us = np.zeros((cfg.n_s, cfg.n_r))
     ur = np.zeros((cfg.n_s, cfg.n_r + 1))
     neg_adv_t, _ = _tangential_rhs(cfg, us, ur)
     neg_adv_r, _ = _radial_rhs(cfg, us, ur)
-    assert np.array_equal(neg_adv_t, np.zeros((cfg.n_s - 1, cfg.n_r)))
+    assert np.array_equal(neg_adv_t, np.zeros((cfg.n_s, cfg.n_r)))
     assert np.array_equal(neg_adv_r, np.zeros((cfg.n_s, cfg.n_r - 1)))
     zero = np.zeros((cfg.n_s, cfg.n_r))
     assert np.array_equal(_solve_neumann(cfg, zero), zero)
 
 
-def _reference_assemble(cfg, dirichlet_theta):
-    """The flux-form Laplacian built one cell at a time."""
+def _reference_assemble(cfg):
+    """The flux-form Laplacian built one cell at a time, periodic in theta."""
     g = _grid(cfg)
     n_s, n_r = cfg.n_s, cfg.n_r
     rows, cols, vals = [], [], []
@@ -244,14 +252,8 @@ def _reference_assemble(cfg, dirichlet_theta):
             if j > 0:
                 couple(me, me - 1, g.rho_f[j] * g.dth / g.drh)
             c_th = g.drh / (g.rho_c[j] * g.dth)
-            if i + 1 < n_s:
-                couple(me, me + n_r, c_th)
-            elif dirichlet_theta:
-                diag[me] += 2.0 * c_th
-            if i > 0:
-                couple(me, me - n_r, c_th)
-            elif dirichlet_theta:
-                diag[me] += 2.0 * c_th
+            for k in ((i + 1) % n_s, (i - 1) % n_s):
+                couple(me, k * n_r + j, c_th)
     rows.extend(range(n_s * n_r))
     cols.extend(range(n_s * n_r))
     vals.extend(diag)
@@ -282,7 +284,7 @@ def test_assemble_matches_cell_loop():
     # identity on zero-mean fields
     cfg = SimConfig(arc=make_cfg().arc, params=PARAMS, n_s=16, n_r=24)
     n = cfg.n_s * cfg.n_r
-    a_ref = _reference_assemble(cfg, dirichlet_theta=False).toarray()
+    a_ref = _reference_assemble(cfg).toarray()
     assert a_ref.shape == (n, n)
     eye = np.eye(n)
     for k in range(n):
@@ -296,7 +298,7 @@ CURVED = LaminarParams(alpha1=2.0, alpha2=0.8, nu=1.0)
 
 def _discrete_head(cfg, us):
     """H: 0 in the first cell, rising by drho * u_f**2 / rho_f across each interior
-    rho-face, with u_f the face average of the inflow profile."""
+    rho-face, with u_f the face average of the initial profile."""
     g = _grid(cfg)
     head = [0.0]
     for j in range(1, cfg.n_r):
@@ -305,13 +307,12 @@ def _discrete_head(cfg, us):
     return np.array(head)
 
 
-def _reference_initial_rhs(cfg, us, head):
+def _reference_initial_rhs(cfg, us):
     """The right-hand side of the t = 0 pressure problem, one cell at a time: the
     net centrifugal flux rho_f * (u_f**2 / rho_f) * dtheta out through each
-    interior rho-face (negated), plus the Dirichlet theta-plane values head and
-    head + k*delta*sector_angle, each half a cell from its centre."""
+    interior rho-face (negated).  Theta wraps around, so no theta-face adds
+    data: the wall gradient's k*delta*theta is a body force, not a pressure."""
     g = _grid(cfg)
-    k = cfg.params.nu * (cfg.params.alpha1 / g.delta - cfg.params.alpha2)
     b = np.zeros((cfg.n_s, cfg.n_r))
     for i in range(cfg.n_s):
         for j in range(cfg.n_r):
@@ -319,11 +320,6 @@ def _reference_initial_rhs(cfg, us, head):
                 if 0 < face < cfg.n_r:
                     u_f = 0.5 * (us[i, face - 1] + us[i, face])
                     b[i, j] += sign * u_f**2 * g.dth
-            c_th = g.drh / (g.rho_c[j] * g.dth)
-            if i == 0:
-                b[i, j] += 2.0 * c_th * head[j]
-            if i == cfg.n_s - 1:
-                b[i, j] += 2.0 * c_th * (head[j] + k * g.delta * cfg.sector_angle)
     return b
 
 
@@ -332,7 +328,7 @@ def _reference_initial_rhs(cfg, us, head):
 @pytest.mark.parametrize("n_s, n_r", [(16, 24), (24, 16), (17, 19)])
 def test_separable_solves_match_cell_loop(n_s, n_r, delta, sector_angle):
     # the projection's theta-mode solver inverts the matrix built one cell at a
-    # time, and the t = 0 pressure solves the Dirichlet-plane problem exactly
+    # time, and the t = 0 pressure solves the periodic problem exactly
     arc = ArcBoundary(delta, 0.0, (0.0, 0.0), (0.0, sector_angle * delta))
     cfg = SimConfig(arc=arc, params=PARAMS, n_s=n_s, n_r=n_r)
     assert cfg.sector_angle == sector_angle
@@ -341,23 +337,25 @@ def test_separable_solves_match_cell_loop(n_s, n_r, delta, sector_angle):
     b = rng.standard_normal((n_s, n_r))
     b -= b.mean()
     phi = _solve_neumann(cfg, b)
-    a_neumann = _reference_assemble(cfg, dirichlet_theta=False)
-    assert np.linalg.norm(a_neumann @ phi.ravel() + b.ravel()) <= 1e-12 * np.linalg.norm(b)
+    a_ref = _reference_assemble(cfg)
+    assert np.linalg.norm(a_ref @ phi.ravel() + b.ravel()) <= 1e-12 * np.linalg.norm(b)
     assert abs(phi.mean()) <= 1e-14
 
     cfg = cfg._replace(params=CURVED)
     state = init_sim(cfg)
-    b = _reference_initial_rhs(cfg, state.us, _discrete_head(cfg, state.us))
-    a_dirichlet = _reference_assemble(cfg, dirichlet_theta=True)
-    assert np.linalg.norm(a_dirichlet @ state.p.ravel() - b.ravel()) <= 1e-12 * np.linalg.norm(b)
+    assert np.array_equal(state.p, np.tile(_discrete_head(cfg, state.us), (n_s, 1)))
+    b = _reference_initial_rhs(cfg, state.us)
+    a_ref = _reference_assemble(cfg)
+    assert np.linalg.norm(a_ref @ state.p.ravel() - b.ravel()) <= 1e-12 * np.linalg.norm(b)
 
 
 @pytest.mark.parametrize("delta", [0.25, 1.0, 4.0])
 @pytest.mark.parametrize("n_s, n_r", [(16, 24), (32, 32), (17, 19)])
 def test_initial_state_is_a_discrete_equilibrium(n_s, n_r, delta):
     # at t = 0 the pressure balances the discrete momentum terms on every face:
-    # radially the centrifugal term of the radial update, tangentially the wall
-    # gradient k*delta/rho_c
+    # radially the centrifugal term of the radial update; tangentially there is
+    # no advection, and the total pressure gradient, the periodic pressure's
+    # plus the wall drive, is the wall gradient k*delta/rho_c
     arc = ArcBoundary(delta, 0.0, (0.0, 0.0), (0.0, 0.5 * delta))
     cfg = SimConfig(arc=arc, params=CURVED, n_s=n_s, n_r=n_r)
     state = init_sim(cfg)
@@ -366,9 +364,12 @@ def test_initial_state_is_a_discrete_equilibrium(n_s, n_r, delta):
     assert np.array_equal(visc_r, np.zeros_like(visc_r))
     radial = (state.p[:, 1:] - state.p[:, :-1]) / g.drh
     assert np.max(np.abs(radial - neg_adv_r)) <= 1e-12 * np.max(np.abs(neg_adv_r))
+    neg_adv_t, _ = _tangential_rhs(cfg, state.us, state.ur)
+    assert np.array_equal(neg_adv_t, np.zeros_like(neg_adv_t))
     k = CURVED.nu * (CURVED.alpha1 / delta - CURVED.alpha2)
-    anchor = np.broadcast_to(k * delta / g.rho_c, (n_s - 1, n_r))
-    tangential = (state.p[1:, :] - state.p[:-1, :]) / (g.rho_c * g.dth)
+    anchor = np.broadcast_to(k * delta / g.rho_c, (n_s, n_r))
+    periodic = np.diff(state.p, axis=0, prepend=state.p[-1:]) / (g.rho_c * g.dth)
+    tangential = nssim._wall_drive(cfg) + periodic
     assert np.max(np.abs(tangential - anchor)) <= 1e-12 * np.max(np.abs(anchor))
 
 
@@ -388,7 +389,7 @@ def test_projection_solve_to_roundoff(monkeypatch):
     for _ in range(3):
         state = step(state, cfg)
     assert len(solves) == 3
-    a_full = _reference_assemble(cfg, dirichlet_theta=False)
+    a_full = _reference_assemble(cfg)
     for b, phi in solves:
         assert np.linalg.norm(a_full @ phi + b) <= 1e-12 * np.linalg.norm(b)
         assert abs(phi.mean()) <= 1e-14
@@ -405,21 +406,81 @@ def test_step_preserves_noslip_and_divergence():
 
 
 def test_first_step_follows_material_derivative():
-    # du/dt + advection at the first step equals the measured t=0 ratio times
-    # the speed, up to the projection's flux correction
-    cfg = make_cfg(n=24, dt=1e-4)
+    # at every node of the mid-sector column, du/dt over the first step is the
+    # t = 0 material derivative nu*visc - k*delta/rho of the probes' budget
+    # (no advection at t = 0); its error is O(dt) plus roundoff over dt
+    for delta in (0.5, 1.0, 4.0):
+        arc = ArcBoundary(delta, 0.0, (0.0, 0.0), (0.0, 0.5 * delta))
+        cfg = SimConfig(arc=arc, params=LaminarParams(2.0, 1.0, 1.0), n_s=32, n_r=32,
+                        dt=1e-5, t_end=1e-5)
+        s0 = init_sim(cfg)
+        g = _grid(cfg)
+        samples = probe_diagnostics(s0, cfg, g.rho_c - delta)
+        assert len(samples) == cfg.n_r
+        material = np.array([s.visc_t - s.gradp_t for s in samples])
+        s1 = step(s0, cfg)
+        i_mid = cfg.n_s // 2
+        du_dt = (s1.us[i_mid] - s0.us[i_mid]) / cfg.effective_dt
+        assert np.max(np.abs(du_dt - material)) <= 1e-8 * np.max(np.abs(material))
+        assert material[0] < 0
+
+
+@pytest.mark.parametrize("n_s", [16, 17])
+def test_theta_uniform_start_stays_theta_uniform(n_s):
+    # the periodic sector has no ends: a theta-uniform flow stays theta-uniform
+    # (and u_r zero) to roundoff while the wall drive decelerates it
+    arc = ArcBoundary(0.5, 0.0, (0.0, 0.0), (0.0, 0.25))
+    cfg = SimConfig(arc=arc, params=LaminarParams(2.0, 1.0, 1.0), n_s=n_s, n_r=16, t_end=0.5)
     s0 = init_sim(cfg)
-    d0 = probe_diagnostics(s0, cfg, [0.12])[0]
-    s1 = step(s0, cfg)
-    g = _grid(cfg)
-    i_mid = cfg.n_s // 2
-    j = int(round(d0.r / g.drh - 0.5))
-    du_dt = (s1.us[i_mid, j] - s0.us[i_mid, j]) / cfg.dt
-    material = d0.ratio * d0.u_t
-    # the projection enforces the pinned inflow flux, shifting du/dt by a
-    # column-mean; the shift is bounded by the column-mean driving term
-    assert abs(du_dt - material) < 1.0
-    assert material < 0
+    state = s0
+    for _ in range(cfg.steps):
+        state = step(state, cfg)
+    scale = cfg.top_speed
+    assert np.max(np.abs(state.us - s0.us)) > 0.1 * scale
+    assert np.max(np.abs(state.us - state.us.mean(axis=0))) <= 1e-13 * scale
+    assert np.max(np.abs(state.ur)) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("n_s", [16, 17])
+def test_step_commutes_with_a_theta_shift(n_s):
+    # the sector has no ends: shifting a theta-varying state by k cells shifts
+    # its explicit right-hand sides bit for bit and its step to roundoff
+    arc = ArcBoundary(0.5, 0.0, (0.0, 0.0), (0.0, 0.25))
+    cfg = SimConfig(arc=arc, params=CURVED, n_s=n_s, n_r=16, dt=1e-3, t_end=1e-3)
+    s0 = init_sim(cfg)
+    rng = np.random.default_rng(n_s)
+    us = s0.us * (1.0 + 0.1 * rng.standard_normal(s0.us.shape))
+    ur = np.zeros_like(s0.ur)
+    ur[:, 1:-1] = 0.1 * cfg.top_speed * rng.standard_normal((n_s, cfg.n_r - 1))
+    state = s0._replace(us=us, ur=ur)
+    stepped = step(state, cfg)
+    for k in (1, 5):
+        shifted = state._replace(us=np.roll(us, k, axis=0), ur=np.roll(ur, k, axis=0))
+        for rhs in (_tangential_rhs, _radial_rhs):
+            for a, b in zip(rhs(cfg, shifted.us, shifted.ur), rhs(cfg, us, ur)):
+                assert np.array_equal(a, np.roll(b, k, axis=0))
+        moved = step(shifted, cfg)
+        for a, b in ((moved.us, stepped.us), (moved.ur, stepped.ur), (moved.p, stepped.p)):
+            assert np.max(np.abs(a - np.roll(b, k, axis=0))) <= 1e-12 * np.max(np.abs(b))
+
+
+def test_first_reversal_grows_with_delta_on_an_adverse_sweep():
+    # alpha1/delta > alpha2 at delta = 0.25 .. 1.5: the wall drive opposes the
+    # flow, and the near-wall probe reverses, later at a smaller curvature; each
+    # t_end is about twice that onset.  At delta = 4 (alpha1/delta < alpha2)
+    # the drive is favourable and nothing reverses
+    params = LaminarParams(2.0, 1.0, 1.0)
+
+    def first_reversal(delta, t_end):
+        arc = ArcBoundary(delta, 0.0, (0.0, 0.0), (0.0, 0.5 * delta))
+        return run_experiment(SimConfig(arc=arc, params=params, n_s=16, n_r=16,
+                                        t_end=t_end)).first_reversal
+
+    onsets = [first_reversal(delta, t_end)[0]
+              for delta, t_end in ((0.25, 0.5), (0.5, 1.0), (1.0, 2.0), (1.5, 3.0))]
+    assert None not in onsets
+    assert all(a < b for a, b in zip(onsets, onsets[1:])), onsets
+    assert all(t is None for t in first_reversal(4.0, 2.0))
 
 
 def test_energy_dissipates_over_100_steps():
@@ -523,71 +584,53 @@ def _explicit_wall_tangential_limit(cfg):
 
 
 def _theta_line_reference(cfg, component):
-    """I - nu*dt*T_theta/(rho*dtheta)**2 on every theta-line, built one cell at a time.
-
-    Returns the dense matrix over the unknowns (row-major [i, j]) and, for u_s,
-    the weights of the inflow and outflow faces, whose values are Dirichlet
-    data moved to the right-hand side.
-    """
+    """I - nu*dt*T_theta/(rho*dtheta)**2 on every theta-line, built one cell at a
+    time with theta wrapping around: the dense matrix over the unknowns
+    (row-major [i, j])."""
     g = _grid(cfg)
     nu_dt = cfg.params.nu * cfg.effective_dt
-    if component == "us":  # interior faces i = 1..n_s-1 at the cell-centre radii
-        n_i, rho = cfg.n_s - 1, g.rho_c
-    else:                  # all theta-centres at the interior rho-faces
-        n_i, rho = cfg.n_s, g.rho_f[1:-1]
-    n_j = rho.size
+    rho = g.rho_c if component == "us" else g.rho_f[1:-1]
+    n_i, n_j = cfg.n_s, rho.size
     a = np.zeros((n_i * n_j, n_i * n_j))
-    ends = np.zeros((2, n_i, n_j))
     for i in range(n_i):
         for j in range(n_j):
             me = i * n_j + j
             c = nu_dt / (rho[j] * g.dth) ** 2
             a[me, me] += 1.0 + 2.0 * c
-            for side, k in ((0, i - 1), (1, i + 1)):
-                if 0 <= k < n_i:
-                    a[me, k * n_j + j] -= c
-                elif component == "us":
-                    ends[side, i, j] += c       # the end face's value times c
-                elif side == 0:                 # inflow ghost -2 u_0 + u_1 / 3
-                    a[me, j] += 2.0 * c
-                    a[me, n_j + j] -= c / 3.0
-                else:                           # zero-gradient outflow ghost u_(n-1)
-                    a[me, me] -= c
-    return a, ends
+            for k in ((i - 1) % n_i, (i + 1) % n_i):
+                a[me, k * n_j + j] -= c
+    return a
+
+
+@pytest.mark.parametrize("n", [16, 17])
+def test_fourier_basis_is_orthonormal_and_diagonalises_the_periodic_second_difference(n):
+    basis, eig = nssim._fourier(n)
+    assert np.max(np.abs(basis.T @ basis - np.eye(n))) <= 1e-14
+    second = 2.0 * np.eye(n) - np.roll(np.eye(n), 1, axis=0) - np.roll(np.eye(n), -1, axis=0)
+    assert np.max(np.abs(basis.T @ second @ basis - np.diag(eig))) <= 1e-13
+    assert eig[0] == 0.0 and np.all(eig[1:] > 0)
+    assert np.allclose(np.sort(eig), np.sort(4.0 * np.sin(np.pi * np.arange(n) / n) ** 2),
+                       rtol=0.0, atol=1e-14)
 
 
 @pytest.mark.parametrize("delta", [0.25, 4.0])
 @pytest.mark.parametrize("n_s, n_r", [(16, 24), (24, 16), (17, 19)])
 def test_theta_line_solves_match_cell_loop(n_s, n_r, delta):
-    # the one theta-line solve inverts both components' matrices built one cell
-    # at a time, at a stiff nu*dt (20x the old explicit limit)
+    # the one theta-line solve inverts both components' periodic matrices built
+    # one cell at a time, at a stiff nu*dt (20x the old explicit limit)
     arc = ArcBoundary(delta, 0.0, (0.0, 0.0), (0.0, 0.5 * delta))
     cfg = SimConfig(arc=arc, params=PARAMS, n_s=n_s, n_r=n_r)
     cfg = cfg._replace(dt=20.0 * _explicit_wall_tangential_limit(cfg), t_end=1.0)
-    lines = cfg._theta_lines
     rng = np.random.default_rng(n_s * n_r)
 
-    # one stacked solve: the u_s lines in the first n_r columns (last row an
-    # identity pad, which must neither change nor be changed by the lines),
-    # the u_r lines in the n_r - 1 after them
-    f_s = rng.standard_normal((n_s - 1, n_r))
-    inflow, outflow, pad = rng.standard_normal((3, n_r))
+    # one stacked solve: the u_s lines in the first n_r columns, the u_r lines
+    # in the n_r - 1 after them
+    f_s = rng.standard_normal((n_s, n_r))
     f_r = rng.standard_normal((n_s, n_r - 1))
-    rhs = np.empty((n_s, 2 * n_r - 1))
-    rhs[:-1, :n_r] = f_s
-    rhs[-1, :n_r] = pad
-    rhs[0, :n_r] += lines.us_end * inflow
-    rhs[-2, :n_r] += lines.us_end * outflow
-    rhs[:, n_r:] = f_r
-    x = lines.factors.solve(rhs)
-
-    a, ends = _theta_line_reference(cfg, "us")
-    b = f_s + ends[0] * inflow + ends[1] * outflow
-    assert np.linalg.norm(a @ x[:-1, :n_r].ravel() - b.ravel()) <= 1e-12 * np.linalg.norm(b)
-    assert np.array_equal(x[-1, :n_r], pad)
-
-    a, _ = _theta_line_reference(cfg, "ur")
-    assert np.linalg.norm(a @ x[:, n_r:].ravel() - f_r.ravel()) <= 1e-12 * np.linalg.norm(f_r)
+    x = nssim._solve_theta_lines(cfg, np.concatenate([f_s, f_r], axis=1))
+    for component, f, x_c in (("us", f_s, x[:, :n_r]), ("ur", f_r, x[:, n_r:])):
+        a = _theta_line_reference(cfg, component)
+        assert np.linalg.norm(a @ x_c.ravel() - f.ravel()) <= 1e-12 * np.linalg.norm(f)
 
 
 def test_steps_far_beyond_the_old_tangential_limit_stay_bounded():
