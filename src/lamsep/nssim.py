@@ -272,7 +272,8 @@ def _fourier(n: int) -> tuple[np.ndarray, np.ndarray]:
     """
     modes = np.arange(n)
     phase = 2.0 * np.pi / n * np.outer(modes, modes)
-    basis = np.where(modes <= n // 2, np.cos(phase), np.sin(phase))
+    half = n // 2 + 1
+    basis = np.concatenate([np.cos(phase[:, :half]), np.sin(phase[:, half:])], axis=1)
     basis /= np.linalg.norm(basis, axis=0)
     return basis, 4.0 * np.sin(np.pi * modes / n) ** 2
 
