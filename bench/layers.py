@@ -15,10 +15,13 @@ with itself:
 Layers (north-star aim 1).  Every layer is timed the same way: after one
 untimed call on each side, the sides alternate over ``ROUNDS`` rounds, the side
 that goes first swapping each round.  Per layer the file gets each side's
-quartiles in seconds, the median of the ratios of the rounds run back to back
-and the rounds the change won.  The paired ratio cancels drift in machine speed
-between rounds.  The ratio of the two medians does not, and it is not reported:
-on identical code it read 0.73 to 1.16 in ``BENCH_layers_self.json``.
+quartiles in seconds, the median and quartiles of the ratios of the rounds run
+back to back, and the rounds the change won.  The paired ratio cancels drift in
+machine speed between rounds.  The ratio of the two medians does not, and it is
+not reported: on identical code it read 0.73 to 1.16 in
+``BENCH_layers_self.json``.  The quartiles of the paired ratios show how far
+one layer strays on its own: a median outside them is a change, one inside is
+not resolved.
 
 In-process layers: both sides' ``src/lamsep`` are loaded into one fresh
 interpreter under their own package names (``lamsep_before``,
@@ -30,13 +33,17 @@ or one call for a cold ``init_sim`` and a whole run.
   rational ``oracle_limit``, report and CSV writing, the theorem-1
   ``eta_ratio`` (the polyline crossing search) and the in-process ``cli.run``
   of each cli-analysis command of seed 1;
-- at n = 32/64/128/256: one projection pressure solve, a cold ``init_sim``
-  (after that side's ``_mesh_grid.cache_clear()``) and one ``nssim.step``;
-- at n = 32/128: whole ``run_experiment`` runs to t_end = ``RUN_T_END`` from a
-  fresh config on the warm grid, at the viscosities of ``RUN_NUS``: at
-  nu = 1 diffusion across one wall-normal cell sets the step, at nu = 1e-3
-  advection does.  Each reports its step count and ``dt_bound`` per side, so
-  that a change in the step count shows next to a change in the cost of a step.
+- at n = 32/64/128/256, on a config with t_end = ``SOLVER_T_END``: one
+  projection pressure solve, a cold ``init_sim`` and one ``nssim.step``;
+- at n = 32/128: whole ``run_experiment`` runs to t_end = ``RUN_T_END``, at
+  the viscosities of ``RUN_NUS``: at nu = 1 diffusion across one wall-normal
+  cell sets the step, at nu = 1e-3 advection does.  Each reports its step
+  count and ``dt_bound`` per side, so that a change in the step count shows
+  next to a change in the cost of a step.
+A cold ``init_sim`` and a whole run start from a fresh config, with no grid
+built on either side: a checkout that keeps its grids in a per-mesh cache
+(``nssim._mesh_grid``) has it emptied first, as a ``lamsep simulate`` process
+starts with it empty.
 That interpreter runs with ``OPENBLAS_NUM_THREADS=1``, so that both sides'
 solver layers compare code on the same BLAS setting.
 
@@ -58,7 +65,14 @@ series may change with the time step, it also counts the reports whose
 Pairs: with ``--pairs N`` each workload runs ``perfbench/run.py --seconds S``
 once per side on each of N seeds, the side that goes first alternating.  The
 file gets each side's quartiles per end-to-end metric, the pairs the change
-won, the parent's interquartile range and the failures.  The pairs run
+won, the parent's interquartile range, a verdict and the failures.  The
+verdict applies the bound of the metric in ``BENCHMARK.json``: ``gain`` when
+the change won at least 9 in 10 of at least ``GAIN_PAIRS`` pairs and its median
+beats the parent's by more than the parent's interquartile range;
+``unresolved`` when that range is wider than the bound times the parent's
+median and not every change run beats every parent run; ``worse`` when the
+change's median is worse than the parent's by more than the bound; else
+``no_worse``.  With fewer than ``GAIN_PAIRS`` pairs the file says so.  The pairs run
 first: run after minutes of layer and output load, they did not resolve a
 60 ms ``setup_s`` change that the pairs alone won 10 of 10 times.  Keep this
 out of the test suite: timings must not gate tests.
@@ -88,7 +102,9 @@ TIMED_CALLS = 2000
 SIM_SIZES = (32, 64, 128, 256)
 SIM_PROCESS_SIZES = (32, 128)
 RUN_SIZES = (32, 128)
+SOLVER_T_END = 0.05  # sets the step of the single-step layers, on both sides
 RUN_T_END = 0.01
+GAIN_PAIRS = 10
 RUN_NUS = {"radial_viscous": 1.0, "advective": 1e-3}  # the limit that sets the step at each nu
 OUTPUT_SEEDS = {"cli-analysis": 120, "sim-default": 20}  # seeds 1..N compared per workload
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -113,8 +129,8 @@ def _quartiles(values: list[float]) -> dict:
 
 def _compare(samplers: dict) -> dict:
     """Call each side's sampler once untimed, then alternate the sides over ROUNDS
-    rounds; each side's quartiles, the median paired ratio and the rounds the
-    change won."""
+    rounds; each side's quartiles, the median and quartiles of the paired
+    ratios and the rounds the change won."""
     for sample in samplers.values():
         sample()
     times = {side: [] for side in SIDES}
@@ -124,8 +140,9 @@ def _compare(samplers: dict) -> dict:
     entry = {side: _quartiles(times[side]) for side in SIDES}
     # round k of each side ran back to back, so their ratio cancels the drift in
     # machine speed between rounds
-    entry["paired_after_over_before"] = statistics.median(
-        a / b for a, b in zip(times["after"], times["before"]))
+    ratios = [a / b for a, b in zip(times["after"], times["before"])]
+    entry["paired_after_over_before"] = statistics.median(ratios)
+    entry["paired_quartiles"] = _quartiles(ratios)
     entry["rounds_after_faster"] = sum(a < b for a, b in zip(times["after"], times["before"]))
     return entry
 
@@ -207,11 +224,17 @@ def _solver_layers(lamsep, n: int) -> tuple[dict, dict]:
     nssim, LaminarParams = lamsep.nssim, lamsep.field.LaminarParams
     arc = lamsep.geometry.ArcBoundary(1.0, 0.0, (0.0, 0.0), (0.0, 0.5))
     cfg = nssim.SimConfig(arc=arc, params=LaminarParams(2.0, 1.0, 1.0),
-                          n_s=n, n_r=n)
+                          n_s=n, n_r=n, t_end=SOLVER_T_END)
+    mesh_cache = getattr(nssim, "_mesh_grid", None)  # see the module docstring
+
+    def fresh_config(cfg):
+        """A copy of ``cfg`` with nothing built, and no grid cached for its mesh."""
+        if mesh_cache is not None:
+            mesh_cache.cache_clear()
+        return cfg._replace()
 
     def cold_init() -> float:
-        fresh = cfg._replace()  # nothing cached on it
-        nssim._mesh_grid.cache_clear()
+        fresh = fresh_config(cfg)
         t0 = time.perf_counter()
         nssim.init_sim(fresh)
         return time.perf_counter() - t0
@@ -230,7 +253,7 @@ def _solver_layers(lamsep, n: int) -> tuple[dict, dict]:
             run_cfg = cfg._replace(params=LaminarParams(2.0, 1.0, nu), t_end=RUN_T_END)
 
             def run(run_cfg=run_cfg) -> float:
-                fresh = run_cfg._replace()  # its step count and theta damping uncached
+                fresh = fresh_config(run_cfg)
                 t0 = time.perf_counter()
                 nssim.run_experiment(fresh)
                 return time.perf_counter() - t0
@@ -429,6 +452,24 @@ def _bench_run(root: Path, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(proc.stdout.splitlines()[-1])
 
 
+def _verdict(before: list[float], after: list[float], bound: float, better: str) -> str:
+    """The verdict on one end-to-end metric over paired runs; see the module docstring."""
+    if better != "lower":  # negate, so that lower is better
+        before, after = [-x for x in before], [-x for x in after]
+    parent = _quartiles(before)
+    spread = parent["q3"] - parent["q1"]
+    scale = abs(parent["median"])
+    gain = parent["median"] - statistics.median(after)
+    wins = sum(a < b for a, b in zip(after, before))
+    if len(before) >= GAIN_PAIRS and wins >= 0.9 * len(before) and gain > spread:
+        return "gain"
+    if spread > bound * scale and not max(after) < min(before):
+        return "unresolved"
+    if -gain > bound * scale:
+        return "worse"
+    return "no_worse"
+
+
 def pairs(sides: dict[str, Path], workloads: list[str], seeds: list[int],
           seconds: float) -> dict:
     spec = json.loads((sides["after"] / "BENCHMARK.json").read_text())
@@ -439,7 +480,8 @@ def pairs(sides: dict[str, Path], workloads: list[str], seeds: list[int],
             for side in (["before", "after"] if k % 2 == 0 else ["after", "before"]):
                 runs[side].append(_bench_run(sides[side], workload, seed, seconds))
         metrics = {}
-        for name in (m["name"] for m in spec["end_to_end"]):
+        for metric in spec["end_to_end"]:
+            name = metric["name"]
             before = [r["metrics"][name]["value"] for r in runs["before"]]
             after = [r["metrics"][name]["value"] for r in runs["after"]]
             parent = _quartiles(before)
@@ -450,6 +492,7 @@ def pairs(sides: dict[str, Path], workloads: list[str], seeds: list[int],
                 "change_over_parent": statistics.median(after) / parent["median"],
                 "pairs_change_better": sum(a < b for a, b in zip(after, before)),
                 "parent_iqr": parent["q3"] - parent["q1"],
+                "verdict": _verdict(before, after, metric["bound"], metric["better"]),
                 "parent_runs": before,
                 "change_runs": after,
             }
@@ -460,6 +503,9 @@ def pairs(sides: dict[str, Path], workloads: list[str], seeds: list[int],
             "failed": {side: sum(r["failed"] for r in rs) for side, rs in runs.items()},
             "all_correct": all(r["correct"] for rs in runs.values() for r in rs),
         }
+        if len(seeds) < GAIN_PAIRS:
+            out[workload]["note"] = (f"{len(seeds)} pairs, fewer than {GAIN_PAIRS}: "
+                                     "no verdict can be a gain")
     return out
 
 
@@ -501,10 +547,13 @@ def main() -> None:
                       "interpreter with OPENBLAS_NUM_THREADS=1, the mean time per call of "
                       "a batch. import.* and process.*: the wall time of one fresh "
                       "interpreter per call, with OPENBLAS_NUM_THREADS and OMP_NUM_THREADS "
-                      "unset",
+                      "unset. A cold init_sim and a whole run start from a fresh config "
+                      "with no grid built on either side (a per-mesh grid cache, where a "
+                      "side has one, is emptied first)",
             "outputs": "every invocation of the listed workload seeds, in-process, once per side",
             "pairs": f"perfbench/run.py --seconds {args.seconds} on seeds {seeds}, one run per "
-                     "side and seed, the side that goes first alternating",
+                     "side and seed, the side that goes first alternating; verdicts by "
+                     "the bounds of BENCHMARK.json",
         },
     }
     if seeds:  # first: see the module docstring

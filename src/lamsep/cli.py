@@ -446,12 +446,13 @@ def _cmd_zeta(cfg: RunConfig):
 
 def _cmd_simulate(cfg: RunConfig):
     nssim = _load("nssim")
+    defaults = nssim.SimConfig._field_defaults
     sim_cfg = nssim.SimConfig(
         arc=cfg.arc, params=cfg.params,
-        n_s=_option(cfg, "n_s", 32, int),
-        n_r=_option(cfg, "n_r", 32, int),
-        dt=_option(cfg, "dt", None),
-        t_end=_option(cfg, "t_end", 0.02),
+        n_s=_option(cfg, "n_s", defaults["n_s"], int),
+        n_r=_option(cfg, "n_r", defaults["n_r"], int),
+        dt=_option(cfg, "dt", defaults["dt"]),
+        t_end=_option(cfg, "t_end", defaults["t_end"]),
     )
     with _float_range():
         report = nssim.run_experiment(sim_cfg, _option_list(cfg, "probes", None))

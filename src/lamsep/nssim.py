@@ -22,24 +22,24 @@ profile (zero to roundoff) pinned at the outer radius.  The wall pressure
 gradient k = nu*(a1/delta - a2) that no-slip fixes is not periodic: its drop
 over one period drives the flow as the body force -k*delta/rho, as in a
 curved channel (Dean, Proc. R. Soc. A 121, 1928).  The periodic pressure at
-t = 0 is the discrete centripetal head H(rho) alone (``initial_pressure``), an
-exact discrete radial equilibrium, so at every node the first step's
-tangential change is the t = 0 material derivative nu*lap(u) - k*delta/rho, to
-O(dt).  ``field.csv`` reports the total pressure, the periodic one plus
-k*delta*theta.
+t = 0 is the discrete centripetal head H(rho) alone, an exact discrete radial
+equilibrium, so at every node the first step's tangential change is the t = 0
+material derivative nu*lap(u) - k*delta/rho, to O(dt).  ``field.csv`` reports
+the total pressure, the periodic one plus k*delta*theta.
 
 Every theta operator is the periodic second difference, which one orthonormal
-real Fourier basis diagonalises (``_fourier``).  One cached object per mesh
-(``_grid``) holds the grid arrays, that basis and the projection's factors, so
-configs that differ only in dt, t_end, nu or in alpha1 and alpha2 at the same
-bl share it.  In that basis the projection's flux-form Laplacian leaves one
+real Fourier basis diagonalises (``_fourier``).  What a run keeps fixed lives
+in one object per config (``SimConfig.grid``, built on first use): the grid
+arrays, that basis, the projection's factors, the t = 0 profile, the head H
+with its rise across each rho-face, and the wall drive.  A state holds only
+what evolves.  In that basis the projection's flux-form Laplacian leaves one
 tridiagonal system in rho per theta-mode (Buzbee, Golub & Nielson, SIAM J.
 Numer. Anal. 7, 1970), solved in one batched pair of Thomas sweeps, and the
-implicit theta-viscosity is a scaling of each mode, kept per config.  A step
-costs four (n_s x n_s) matrix products and those sweeps.  The projection
-matrix is singular up to a constant, so its theta-mode 0 pins cell j = 0 to
-zero and the solution is shifted to zero mean afterwards; the dropped
-equation holds because the right-hand side is made mean-free first.
+implicit theta-viscosity is a scaling of each mode.  A step costs four
+(n_s x n_s) matrix products and those sweeps.  The projection matrix is
+singular up to a constant, so its theta-mode 0 pins cell j = 0 to zero and the
+solution is shifted to zero mean afterwards; the dropped equation holds
+because the right-hand side is made mean-free first.
 
 This module loads numpy with one OpenBLAS thread unless numpy is already
 loaded or ``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS`` is set, and it
@@ -51,7 +51,7 @@ from __future__ import annotations
 import math
 import os
 import sys
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import NamedTuple
 
 # OpenBLAS reads its thread count once, when numpy loads it.  On two CPUs its
@@ -89,12 +89,17 @@ class _SimFields(NamedTuple):
     n_s: int = 32
     n_r: int = 32
     dt: float | None = None          # largest step; default 0.4 of the stability limit
-    t_end: float = 0.05
+    t_end: float = 0.02
 
 
 class SimConfig(_SimFields):
     # no __slots__: cached_property keeps its values in the instance __dict__,
     # and _replace builds a new config with an empty cache
+
+    @cached_property
+    def grid(self) -> _Grid:
+        """What a run of this config keeps fixed; see ``_Grid``."""
+        return _Grid(self)
 
     @property
     def sector_angle(self) -> float:
@@ -139,7 +144,7 @@ class SimConfig(_SimFields):
     @cached_property
     def top_speed(self) -> float:
         """max |h(rho_c - delta)| over the cell centres: the initial profile's top speed."""
-        return float(np.max(np.abs(profile_h(self.params, _grid(self).rho_c - self.arc.delta))))
+        return float(np.max(np.abs(self.grid.u0)))
 
     @cached_property
     def _theta_damping(self) -> np.ndarray:
@@ -147,7 +152,7 @@ class SimConfig(_SimFields):
         I + c*T_theta inverted in the Fourier basis, for theta-mode m (rows) of
         each radial line (columns: the n_r u_s lines at the cell centres, then
         the n_r - 1 u_r lines at the interior rho-faces)."""
-        g = _grid(self)
+        g = self.grid
         rho = np.concatenate([g.rho_c, g.rho_f[1:-1]])
         c = self.params.nu * self.effective_dt / (rho * g.dth) ** 2
         return 1.0 / (1.0 + g.eig[:, None] * c[None, :])
@@ -193,7 +198,7 @@ class SimConfig(_SimFields):
             raise ConfigError("; ".join(problems))
 
     def cfl(self) -> float:
-        g = _grid(self)
+        g = self.grid
         return self.top_speed * self.effective_dt / min(self.arc.delta * g.dth, g.drh)
 
 
@@ -201,7 +206,7 @@ def _dt_limits(cfg: SimConfig) -> dict[str, float]:
     """The limits on the default step: advection across the smallest cell and
     diffusion across one wall-normal cell (the theta second difference is
     implicit)."""
-    g = _grid(cfg)
+    g = cfg.grid
     umax = cfg.top_speed
     h_min = min(cfg.arc.delta * g.dth, g.drh)
     return {"advective": h_min / umax if umax > 0 else math.inf,
@@ -225,19 +230,17 @@ class SimState(NamedTuple):
     ur: np.ndarray   # (n_s, n_r + 1) radial velocity at rho-faces
     p: np.ndarray    # (n_s, n_r) periodic pressure at cell centers
     t: float
-    # fixed theta-uniform background pressure, the head H(rho), driving the
-    # momentum update; the projection potential only corrects divergence on top
-    p_anchor: np.ndarray
 
 
 class _Grid:
-    """One mesh's arrays, its theta basis and the projection's factored
-    pressure solver; see ``_grid``."""
+    """What a run of one config keeps fixed: the grid arrays, the theta basis,
+    the projection's factors and the theta-uniform fields that drive the flow."""
 
-    def __init__(self, arc: ArcBoundary, sector_angle: float, R_out: float, n_s: int, n_r: int):
-        self.delta = arc.delta
-        self.dth = sector_angle / n_s
-        self.drh = R_out / n_r
+    def __init__(self, cfg: SimConfig):
+        n_s, n_r = cfg.n_s, cfg.n_r
+        self.delta = cfg.arc.delta
+        self.dth = cfg.sector_angle / n_s
+        self.drh = cfg.R_out / n_r
         self.rho_f = self.delta + self.drh * np.arange(n_r + 1)
         self.rho_c = self.delta + self.drh * (np.arange(n_r) + 0.5)
         self.theta_c = self.dth * (np.arange(n_s) + 0.5)
@@ -245,21 +248,24 @@ class _Grid:
         # k = 0 .. n_s + 1: each row between its two theta neighbours
         self.wrap = np.arange(-1, n_s + 1) % n_s
         self.basis, self.eig = _fourier(n_s)
-        self.neumann = _separable(self)
-
-
-def _grid(cfg: SimConfig) -> _Grid:
-    """The grid of the config's mesh (wall segment, layer depth R_out, n_s, n_r).
-
-    Configs that differ only in dt, t_end, nu or in alpha1 and alpha2 at the
-    same bl share one cached grid, and so one factored Laplacian.
-    """
-    return _mesh_grid(cfg.arc, cfg.sector_angle, cfg.R_out, cfg.n_s, cfg.n_r)
-
-
-@lru_cache(maxsize=16)
-def _mesh_grid(arc: ArcBoundary, sector_angle: float, R_out: float, n_s: int, n_r: int) -> _Grid:
-    return _Grid(arc, sector_angle, R_out, n_s, n_r)
+        self.neumann = _neumann_factors(self)
+        # the initial profile at the cell centres, and its value at the outer
+        # radius, where the ghost cells pin it
+        self.u0 = profile_h(cfg.params, self.rho_c - self.delta)
+        self.outer = profile_h(cfg.params, cfg.R_out)
+        # the t = 0 periodic pressure, the head H(rho): 0 in the first cell,
+        # rising by drho*u**2/rho across each interior rho-face, u the face
+        # average of u0 (the discrete centrifugal term of the radial momentum
+        # balance).  A theta-uniform H solves the flux-form Laplacian with the
+        # radial momentum flux as its Neumann data, so no solve is needed.
+        u_f = 0.5 * (self.u0[:-1] + self.u0[1:])
+        self.head = np.zeros(n_r)
+        np.cumsum(self.drh * u_f**2 / self.rho_f[1:-1], out=self.head[1:])
+        self.head_rise = self.head[1:] - self.head[:-1]
+        # the wall gradient k, and k*delta/rho_c: the tangential gradient of the
+        # wall-anchored pressure k*delta*theta, which ``step`` applies as a body force
+        self.k = wall_gradient(cfg.params, self.delta)
+        self.drive = self.k * self.delta / self.rho_c
 
 
 def _fourier(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -286,12 +292,11 @@ def _fourier(n: int) -> tuple[np.ndarray, np.ndarray]:
 def _us_with_ghosts(cfg: SimConfig, us: np.ndarray) -> np.ndarray:
     """u_s between its periodic theta neighbours (rows 0 and -1), with ghost
     columns below the wall (value 0) and above the outer radius."""
-    g = _grid(cfg)
+    g = cfg.grid
     usg = np.empty((cfg.n_s + 2, cfg.n_r + 2))
     usg[:, 1:-1] = us[g.wrap]
     usg[:, 0] = -2.0 * usg[:, 1] + usg[:, 2] / 3.0
-    outer = profile_h(cfg.params, cfg.R_out)
-    usg[:, -1] = (8.0 / 3.0) * outer - 2.0 * usg[:, -2] + usg[:, -3] / 3.0
+    usg[:, -1] = (8.0 / 3.0) * g.outer - 2.0 * usg[:, -2] + usg[:, -3] / 3.0
     return usg
 
 
@@ -312,7 +317,7 @@ def _tangential_rhs(cfg: SimConfig, us: np.ndarray, ur: np.ndarray):
     i = 0..n_s-1; face i lies between cells i - 1 and i.  The viscous term
     leaves out the theta second difference, which ``step`` takes at the new
     time level."""
-    g = _grid(cfg)
+    g = cfg.grid
     usg = _us_with_ghosts(cfg, us)                   # (n_s+2, n_r+2)
     rc = g.rho_c[None, :]
     us_i = usg[1:-1, 1:-1]
@@ -338,7 +343,7 @@ def _radial_rhs(cfg: SimConfig, us: np.ndarray, ur: np.ndarray):
     """(-advection, explicit viscous) radial terms at the interior rho-faces
     j = 1..n_r-1 of every cell i.  The viscous term leaves out the theta second
     difference, which ``step`` takes at the new time level."""
-    g = _grid(cfg)
+    g = cfg.grid
     urw = ur[g.wrap]                                 # (n_s+2, n_r+1)
     rf = g.rho_f[None, 1:-1]
     ur_i = urw[1:-1, 1:-1]
@@ -361,7 +366,7 @@ def _radial_rhs(cfg: SimConfig, us: np.ndarray, ur: np.ndarray):
 
 
 def divergence(cfg: SimConfig, us: np.ndarray, ur: np.ndarray) -> np.ndarray:
-    g = _grid(cfg)
+    g = cfg.grid
     rad = (g.rho_f[None, 1:] * ur[:, 1:] - g.rho_f[None, :-1] * ur[:, :-1]) / (
         g.rho_c[None, :] * g.drh
     )
@@ -370,7 +375,7 @@ def divergence(cfg: SimConfig, us: np.ndarray, ur: np.ndarray) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------------
-# the projection solve, the implicit theta-viscosity and the t = 0 pressure
+# the projection solve and the implicit theta-viscosity
 # ----------------------------------------------------------------------------
 
 
@@ -420,30 +425,16 @@ def _thomas(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray) -> _Thomas:
     return _Thomas(inv_pivot, list((sub * inv_pivot)[1:]), list((sup * inv_pivot)[-2::-1]))
 
 
-class _SeparablePoisson(NamedTuple):
-    """A flux-form Laplacian diagonalised in theta, tridiagonal in rho.
-
-    Column m of ``basis`` is theta-mode m; in that mode the operator is the
-    symmetric tridiagonal R + lambda_m * diag(c_th) in rho, with off-diagonal
-    -c_r[j] between rows j and j + 1.  ``radial`` holds the Thomas factors of
-    all modes, with rows j and columns m.
-    """
-
-    basis: np.ndarray        # (n_s, n_s), orthonormal columns
-    radial: _Thomas          # (n_r, n_s) factors
-
-    def solve(self, f: np.ndarray) -> np.ndarray:
-        """x with A x = f, both (n_s, n_r) arrays indexed [i, j]."""
-        return self.basis @ self.radial.solve(f.T @ self.basis).T
-
-
-def _separable(g: _Grid) -> _SeparablePoisson:
+def _neumann_factors(g: _Grid) -> _Thomas:
     """Factor the flux-form (negative) Laplacian A = I_theta (x) R + T_theta (x) diag(c_th),
-    periodic in theta and Neumann at both radial walls.
+    periodic in theta and Neumann at both radial walls, one system in rho per
+    theta-mode: rows j, columns m.
 
     Neither the theta-face coefficient c_th nor the rho-face one c_r depends on
     i, so A splits into the radial operator R and the periodic theta second
-    difference T_theta, which the grid's Fourier basis diagonalises.
+    difference T_theta, which the grid's Fourier basis diagonalises: in
+    theta-mode m, A is the symmetric tridiagonal R + lambda_m * diag(c_th) in
+    rho, with off-diagonal -c_r[j] between rows j and j + 1.
 
     A is singular (constants span its null space), and so is its theta-mode 0.
     That mode's row and column j = 0 become the identity with a zero right-hand
@@ -462,66 +453,42 @@ def _separable(g: _Grid) -> _SeparablePoisson:
     diag[0, 0] = np.inf  # the gauge: mode 0, cell j = 0 decoupled and zero
     off = -c_r[:, None]
     zero = np.zeros((1, 1))
-    radial = _thomas(np.concatenate([zero, off]), diag, np.concatenate([off, zero]))
-    return _SeparablePoisson(g.basis, radial)
+    return _thomas(np.concatenate([zero, off]), diag, np.concatenate([off, zero]))
 
 
 def _solve_theta_lines(cfg: SimConfig, rhs: np.ndarray) -> np.ndarray:
     """x with (I + c*T_theta) x = rhs on every radial line, laid out as in
     ``SimConfig._theta_damping``: one transform, one scaling, one back."""
-    basis = _grid(cfg).basis
+    basis = cfg.grid.basis
     return basis @ (cfg._theta_damping * (basis.T @ rhs))
 
 
 def _solve_neumann(cfg: SimConfig, b: np.ndarray) -> np.ndarray:
     """Zero-mean phi with A phi = -b for the projection's A; b must have zero mean."""
-    phi = _grid(cfg).neumann.solve(-b)
+    g = cfg.grid
+    phi = g.basis @ g.neumann.solve((-b).T @ g.basis).T
     phi -= phi.mean()
     return phi
 
 
-def initial_pressure(cfg: SimConfig, us: np.ndarray) -> np.ndarray:
-    """The t = 0 periodic pressure, the head H(rho): an exact discrete equilibrium.
-
-    H is 0 in the first cell and rises by drho*u**2/rho across each interior
-    rho-face, with u the face average of the theta-uniform initial profile
-    ``us``: the discrete centrifugal term of the radial momentum balance.  A
-    theta-uniform H solves the flux-form Laplacian with the radial momentum
-    flux as its Neumann data, so no solve is needed.  The wall gradient's
-    k*delta*theta is not in it: ``step`` applies it as a body force.
-    """
-    g = _grid(cfg)
-    u_f = 0.5 * (us[0, :-1] + us[0, 1:])
-    head = np.zeros(cfg.n_r)
-    np.cumsum(g.drh * u_f**2 / g.rho_f[1:-1], out=head[1:])
-    return np.tile(head, (cfg.n_s, 1))
-
-
 def init_sim(cfg: SimConfig) -> SimState:
-    """Sample the shear profile on the grid and set the t = 0 pressure."""
+    """Sample the shear profile on the grid; the t = 0 pressure is the head H."""
     cfg.validate()
-    g = _grid(cfg)
-    us = np.tile(profile_h(cfg.params, g.rho_c - g.delta), (cfg.n_s, 1))
+    g = cfg.grid
+    us = np.tile(g.u0, (cfg.n_s, 1))
     ur = np.zeros((cfg.n_s, cfg.n_r + 1))
-    p = initial_pressure(cfg, us)
-    return SimState(us=us, ur=ur, p=p, t=0.0, p_anchor=p)
-
-
-def _wall_drive(cfg: SimConfig) -> np.ndarray:
-    """k*delta/rho_c: the tangential gradient of the wall-anchored pressure k*delta*theta."""
-    g = _grid(cfg)
-    return wall_gradient(cfg.params, g.delta) * g.delta / g.rho_c
+    return SimState(us=us, ur=ur, p=np.tile(g.head, (cfg.n_s, 1)), t=0.0)
 
 
 def step(state: SimState, cfg: SimConfig) -> SimState:
-    """Advance one time step: Euler against the background head and the wall
-    drive, with the theta second difference of the viscosity implicit (IMEX),
-    then a projection for incompressibility."""
-    g = _grid(cfg)
+    """Advance one time step: Euler against the head H and the wall drive, with
+    the theta second difference of the viscosity implicit (IMEX), then a
+    projection for incompressibility."""
+    g = cfg.grid
     dt = cfg.effective_dt
     nu = cfg.params.nu
     n_r = cfg.n_r
-    us, ur, pa = state.us, state.ur, state.p_anchor
+    us, ur = state.us, state.ur
 
     neg_adv_t, visc_t = _tangential_rhs(cfg, us, ur)
     neg_adv_r, visc_r = _radial_rhs(cfg, us, ur)
@@ -531,9 +498,9 @@ def step(state: SimState, cfg: SimConfig) -> SimState:
     rhs = np.empty((cfg.n_s, 2 * n_r - 1))
     rhs_s, rhs_r = rhs[:, :n_r], rhs[:, n_r:]
     np.add(us, dt * (neg_adv_t + nu * visc_t), out=rhs_s)
-    rhs_s -= dt * _wall_drive(cfg)
+    rhs_s -= dt * g.drive
     np.add(ur[:, 1:-1], dt * (neg_adv_r + nu * visc_r), out=rhs_r)
-    rhs_r -= dt * (pa[:, 1:] - pa[:, :-1]) / g.drh
+    rhs_r -= dt * g.head_rise / g.drh
     star = _solve_theta_lines(cfg, rhs)
     us_star = star[:, :n_r]
     ur_star = np.zeros_like(ur)
@@ -552,7 +519,7 @@ def step(state: SimState, cfg: SimConfig) -> SimState:
 
     if not float(np.max(np.abs(us_new))) <= 10.0 * max(cfg.top_speed, 1e-30):  # or NaN
         raise Diverged(f"max tangential velocity exceeded 10x the initial maximum at t={state.t}")
-    return SimState(us=us_new, ur=ur_new, p=pa + phi, t=state.t + dt, p_anchor=pa)
+    return SimState(us=us_new, ur=ur_new, p=g.head + phi, t=state.t + dt)
 
 
 # ----------------------------------------------------------------------------
@@ -570,25 +537,23 @@ class ProbeSample(NamedTuple):
 
 
 def _probe_index(cfg: SimConfig, r: float) -> int:
-    g = _grid(cfg)
     if not 0.0 < r < cfg.R_out:
         raise ProbeOutsideGrid(f"probe r = {r} outside (0, {cfg.R_out})")
-    return int(np.clip(round(r / g.drh - 0.5), 0, cfg.n_r - 1))
+    return int(np.clip(round(r / cfg.grid.drh - 0.5), 0, cfg.n_r - 1))
 
 
 def probe_diagnostics(state: SimState, cfg: SimConfig, r_probe_list) -> list[ProbeSample]:
     """Discrete tangential budget at mid-sector: viscous term, total pressure
     gradient (the wall drive plus the periodic pressure's), and their
     material-derivative ratio against the local speed."""
-    g = _grid(cfg)
+    g = cfg.grid
     nu = cfg.params.nu
     i_mid = cfg.n_s // 2
     us = state.us
     _, visc_t = _tangential_rhs(cfg, us, state.ur)
     # the theta second difference at face i_mid, which the explicit terms leave out
     visc_theta = (us[i_mid + 1] - 2 * us[i_mid] + us[i_mid - 1]) / (g.rho_c**2 * g.dth**2)
-    gradp_t = _wall_drive(cfg) + (state.p[i_mid] - state.p[i_mid - 1]) / (g.rho_c * g.dth)
-    kwall = wall_gradient(cfg.params, g.delta)
+    gradp_t = g.drive + (state.p[i_mid] - state.p[i_mid - 1]) / (g.rho_c * g.dth)
     out = []
     for r in r_probe_list:
         j = _probe_index(cfg, r)
@@ -598,21 +563,22 @@ def probe_diagnostics(state: SimState, cfg: SimConfig, r_probe_list) -> list[Pro
         u0 = float(us[i_mid, j])
         out.append(ProbeSample(
             r=r_node, u_t=u0, visc_t=visc, gradp_t=gradp,
-            wall_anchor_gradp_t=kwall * g.delta / (g.delta + r_node),
+            wall_anchor_gradp_t=g.k * g.delta / (g.delta + r_node),
             ratio=(visc - gradp) / u0,
         ))
     return out
 
 
-def _cell_average(us: np.ndarray) -> np.ndarray:
-    """u_s at the cell centres: the mean of each cell's two periodic theta-faces."""
-    return 0.5 * (us + np.roll(us, -1, axis=0))
+def _cell_velocities(state: SimState) -> tuple[np.ndarray, np.ndarray]:
+    """u_s and u_r at the cell centres: the mean of each cell's two faces, the
+    theta-faces periodic."""
+    return (0.5 * (state.us + np.roll(state.us, -1, axis=0)),
+            0.5 * (state.ur[:, :-1] + state.ur[:, 1:]))
 
 
 def kinetic_energy(state: SimState, cfg: SimConfig) -> float:
-    g = _grid(cfg)
-    us_c = _cell_average(state.us)
-    ur_c = 0.5 * (state.ur[:, :-1] + state.ur[:, 1:])
+    g = cfg.grid
+    us_c, ur_c = _cell_velocities(state)
     vol = (g.rho_c * g.dth * g.drh)[None, :]
     return float(0.5 * np.sum((us_c**2 + ur_c**2) * vol))
 
@@ -648,7 +614,7 @@ def run_experiment(cfg: SimConfig, r_probe_list=None) -> ExperimentReport:
         state = init_sim(cfg)
         # probes snap to grid nodes; drop duplicates a coarse grid may produce
         probe_idx = list(dict.fromkeys(_probe_index(cfg, r) for r in r_probe_list))
-        g = _grid(cfg)
+        g = cfg.grid
         probe_r = [float(g.rho_c[j] - g.delta) for j in probe_idx]
         t0_samples = probe_diagnostics(state, cfg, probe_r)
         i_mid = cfg.n_s // 2
@@ -680,10 +646,9 @@ def dump_field_csv(state: SimState, cfg: SimConfig, path) -> None:
     pressure, the periodic one plus the wall-anchored k*delta*theta."""
     from .geometry import to_cartesian
 
-    g = _grid(cfg)
-    us_c = _cell_average(state.us)
-    ur_c = 0.5 * (state.ur[:, :-1] + state.ur[:, 1:])
-    p = state.p + wall_gradient(cfg.params, g.delta) * g.delta * g.theta_c[:, None]
+    g = cfg.grid
+    us_c, ur_c = _cell_velocities(state)
+    p = state.p + g.k * g.delta * g.theta_c[:, None]
     s = cfg.arc.s_range[0] + g.delta * g.theta_c
     r = g.rho_c - g.delta
     xy = np.array([to_cartesian(cfg.arc, (si, r)) for si in s.tolist()])  # (n_s, 2, n_r)

@@ -23,7 +23,7 @@ from lamsep.field import (
 )
 from lamsep.fdops import StencilSpec, fd_advection, fd_laplacian, richardson
 from lamsep.geometry import ArcBoundary, arc_normal, arc_tangent, to_cartesian
-from lamsep.nssim import SimConfig, _grid, _tangential_rhs, init_sim, probe_diagnostics
+from lamsep.nssim import SimConfig, _tangential_rhs, init_sim, probe_diagnostics
 from lamsep.theorems import (
     default_r_grid,
     oracle_limit,
@@ -217,7 +217,7 @@ def test_criterion_9_simulation():
     for n in (16, 32, 64):
         cfg = SimConfig(arc=ARC, params=UNIT, n_s=n, n_r=n)
         state = init_sim(cfg)
-        g = _grid(cfg)
+        g = cfg.grid
         _, visc = _tangential_rhs(cfg, state.us, state.ur)
         expected, _ = analytic_laplacian(UNIT, ARC.delta, g.rho_c - ARC.delta)
         assert np.max(np.abs(UNIT.nu * visc[0, :] - UNIT.nu * expected)) <= 1e-9
@@ -225,9 +225,9 @@ def test_criterion_9_simulation():
     errs = []
     for n in (16, 32, 64):
         cfg = SimConfig(arc=ARC, params=UNIT, n_s=n, n_r=n)
-        g = _grid(cfg)
+        g = cfg.grid
         k = np.pi / cfg.R_out
-        us = np.tile(np.sin(k * (g.rho_c - ARC.delta)), (cfg.n_s + 1, 1))
+        us = np.tile(np.sin(k * (g.rho_c - ARC.delta)), (cfg.n_s, 1))
         ur = np.zeros((cfg.n_s, cfg.n_r + 1))
         _, visc = _tangential_rhs(cfg, us, ur)
         rho = g.rho_c

@@ -120,14 +120,83 @@ def test_compare_reports_quartiles_the_paired_ratio_and_the_rounds_won():
         return sample
 
     entry = layers._compare({"before": fake("before", 2.0), "after": fake("after", 1.0)})
-    assert set(entry) == {"before", "after", "paired_after_over_before", "rounds_after_faster"}
+    assert set(entry) == {"before", "after", "paired_after_over_before", "paired_quartiles",
+                          "rounds_after_faster"}
     assert entry["before"] == {"q1": 2.0, "median": 2.0, "q3": 2.0}
     assert entry["after"] == {"q1": 1.0, "median": 1.0, "q3": 1.0}
     assert entry["paired_after_over_before"] == 0.5
+    assert entry["paired_quartiles"] == {"q1": 0.5, "median": 0.5, "q3": 0.5}
     assert entry["rounds_after_faster"] == layers.ROUNDS
     # one untimed call each, then the side that goes first swaps every round
     assert calls[:6] == ["before", "after", "before", "after", "after", "before"]
     assert len(calls) == 2 * (layers.ROUNDS + 1)
+
+
+def test_compare_reports_the_spread_of_the_paired_ratios(monkeypatch):
+    # the change side takes 0.9, 1.0, 1.1 and 1.2 s in turn against a steady
+    # 1 s: the paired ratios spread over [0.9, 1.2] about their median 1.05
+    monkeypatch.setattr(layers, "ROUNDS", 4)
+    after = iter([1.0, 0.9, 1.0, 1.1, 1.2])  # the first call is untimed
+    entry = layers._compare({"before": lambda: 1.0, "after": lambda: next(after)})
+    assert entry["paired_after_over_before"] == pytest.approx(1.05)
+    assert entry["paired_quartiles"] == {"q1": pytest.approx(0.975),
+                                         "median": pytest.approx(1.05),
+                                         "q3": pytest.approx(1.125)}
+    assert entry["rounds_after_faster"] == 1
+
+
+def _canned_pairs(monkeypatch, tmp_path, parent, change, bound=0.25):
+    """``pairs`` on one workload whose wall_s reads ``parent[k]`` and ``change[k]``
+    on pair k, against a BENCHMARK.json with that one metric and ``bound``."""
+    sides = {side: tmp_path / side for side in ("before", "after")}
+    for root in sides.values():
+        root.mkdir()
+    (sides["after"] / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+        {"name": "wall_s", "unit": "s", "better": "lower", "bound": bound}]}))
+    values = {sides["before"]: parent, sides["after"]: change}
+
+    def bench_run(root, workload, seed, seconds):
+        return {"metrics": {"wall_s": {"value": values[root][seed - 1], "unit": "s"}},
+                "attempted": 1, "failed": 0, "correct": True}
+
+    monkeypatch.setattr(layers, "_bench_run", bench_run)
+    seeds = list(range(1, len(parent) + 1))
+    return layers.pairs(sides, ["sim-default"], seeds, 1.0)["sim-default"]
+
+
+STEADY = [1.0, 1.01, 0.99, 1.0, 1.02, 0.98, 1.0, 1.01, 0.99, 1.0]
+
+
+@pytest.mark.parametrize("parent, change, verdict", [
+    # 10 of 10 pairs won, by more than the parent's interquartile range
+    (STEADY, [0.8] * 10, "gain"),
+    # 9 of 10 won is still a gain; 8 of 10 is not
+    (STEADY, [0.8] * 9 + [1.1], "gain"),
+    (STEADY, [0.8] * 8 + [1.1] * 2, "no_worse"),
+    # every pair won, but by less than the parent's spread
+    (STEADY, [x - 0.005 for x in STEADY], "no_worse"),
+    # the parent spreads over half its median, wider than the bound
+    ([0.5, 1.5] * 5, [1.0] * 10, "unresolved"),
+    # ... unless every change run beats every parent run: then no worse, but
+    # not a gain while the medians differ by less than the parent's spread
+    ([0.5, 1.5] * 5, [0.4] * 10, "no_worse"),
+    ([0.5, 1.5] * 5, [0.45] * 9 + [0.6], "unresolved"),
+    # the change's median 30 % over the parent's, more than the 0.25 bound
+    (STEADY, [1.3] * 10, "worse"),
+    (STEADY, [1.2] * 10, "no_worse"),
+])
+def test_pairs_give_each_end_to_end_metric_a_verdict(monkeypatch, tmp_path, parent, change,
+                                                     verdict):
+    out = _canned_pairs(monkeypatch, tmp_path, parent, change)
+    assert out["metrics"]["wall_s"]["verdict"] == verdict
+    assert out["pairs"] == 10 and "note" not in out
+
+
+def test_fewer_than_ten_pairs_claim_no_gain_and_say_so(monkeypatch, tmp_path):
+    out = _canned_pairs(monkeypatch, tmp_path, STEADY[:4], [0.8] * 4)
+    assert out["metrics"]["wall_s"]["pairs_change_better"] == 4
+    assert out["metrics"]["wall_s"]["verdict"] == "no_worse"
+    assert "fewer than 10" in out["note"]
 
 
 def test_in_process_layers_run_once_with_one_blas_thread(monkeypatch, tmp_path):
@@ -192,18 +261,20 @@ def sides():
         del sys.modules[key]
 
 
-def test_sides_are_separate_packages_with_separate_mesh_caches(sides):
+def test_sides_are_separate_packages_with_separate_grid_classes(sides):
+    # the two sides share no solver state: a config of one side builds that
+    # side's grid, and neither side keeps a grid cache of its own
     a, b = sides
     assert a.nssim is not b.nssim and a.cli is not b.cli
     assert a.nssim.__name__ == "lamsep_side_a.nssim"
-    assert a.nssim._mesh_grid is not b.nssim._mesh_grid
+    assert a.nssim._Grid is not b.nssim._Grid
     for side in sides:
-        side.nssim._mesh_grid.cache_clear()
-    cfg = a.nssim.SimConfig(arc=a.geometry.ArcBoundary(1.0, 0.0, (0.0, 0.0), (0.0, 0.5)),
-                            params=a.field.LaminarParams(2.0, 1.0, 1.0), n_s=16, n_r=16)
-    a.nssim.init_sim(cfg)
-    assert a.nssim._mesh_grid.cache_info().currsize == 1
-    assert b.nssim._mesh_grid.cache_info().currsize == 0
+        cfg = side.nssim.SimConfig(
+            arc=side.geometry.ArcBoundary(1.0, 0.0, (0.0, 0.0), (0.0, 0.5)),
+            params=side.field.LaminarParams(2.0, 1.0, 1.0), n_s=16, n_r=16)
+        side.nssim.init_sim(cfg)
+        assert type(cfg.grid) is side.nssim._Grid
+        assert not hasattr(side.nssim, "_mesh_grid")
 
 
 @pytest.mark.parametrize("command, config", [("simulate", {"n_s": 16, "n_r": 16}),

@@ -13,7 +13,6 @@ from lamsep.field import LaminarParams, profile_h, write_csv
 from lamsep.geometry import ArcBoundary, to_cartesian
 from lamsep.nssim import (
     SimConfig,
-    _grid,
     _radial_rhs,
     _solve_neumann,
     _tangential_rhs,
@@ -32,9 +31,9 @@ from lamsep.theorems import theorem2_ratio
 PARAMS = LaminarParams(alpha1=1.0, alpha2=1.0, nu=1.0)
 
 
-def make_cfg(delta=1.0, n=24, angle=0.5, **kw):
+def make_cfg(delta=1.0, n=24, angle=0.5, t_end=0.05, **kw):
     arc = ArcBoundary(delta, 0.0, (0.0, 0.0), (0.0, angle * delta))
-    return SimConfig(arc=arc, params=PARAMS, n_s=n, n_r=n, **kw)
+    return SimConfig(arc=arc, params=PARAMS, n_s=n, n_r=n, t_end=t_end, **kw)
 
 
 def test_config_validation():
@@ -79,7 +78,7 @@ def test_init_divergence_and_noslip():
 def test_init_samples_profile():
     cfg = make_cfg()
     state = init_sim(cfg)
-    g = _grid(cfg)
+    g = cfg.grid
     expected = profile_h(PARAMS, g.rho_c - cfg.arc.delta)
     assert np.allclose(state.us, expected[None, :], atol=1e-14)
 
@@ -100,7 +99,7 @@ def test_initial_pressure_matches_sector_solution():
     for n in (16, 32, 64):
         cfg = make_cfg(delta=0.5, n=n)
         state = init_sim(cfg)
-        g = _grid(cfg)
+        g = cfg.grid
         p_star = _quadrature_head(PARAMS, 0.5, g.rho_c)[None, :]
         diff = state.p - p_star
         errs.append(np.max(np.abs(diff - diff.mean())))
@@ -114,7 +113,7 @@ def test_discrete_viscous_term_exact_on_profile():
     for n in (16, 32):
         cfg = make_cfg(n=n)
         state = init_sim(cfg)
-        g = _grid(cfg)
+        g = cfg.grid
         _, visc = _tangential_rhs(cfg, state.us, state.ur)
         r_nodes = g.rho_c - cfg.arc.delta
         from lamsep.field import analytic_laplacian
@@ -129,7 +128,7 @@ def test_viscous_operator_order2_on_nonpolynomial_profile():
     errs = []
     for n in (16, 32, 64):
         cfg = make_cfg(n=n)
-        g = _grid(cfg)
+        g = cfg.grid
         k = np.pi / cfg.R_out
         us = np.tile(np.sin(k * (g.rho_c - cfg.arc.delta)), (cfg.n_s, 1))
         ur = np.zeros((cfg.n_s, cfg.n_r + 1))
@@ -150,7 +149,7 @@ def _reference_tangential_viscous(cfg, us, ur, i, j):
     term at a time: radial flux form, theta second difference, -u/rho**2 and the
     +2/rho**2 d(u_r)/dtheta coupling (interior j: no ghost cell is read); and nu
     times its theta second difference alone."""
-    g = _grid(cfg)
+    g = cfg.grid
     rho, drh, dth = g.rho_c[j], g.drh, g.dth
     radial = (g.rho_f[j + 1] * (us[i, j + 1] - us[i, j])
               - g.rho_f[j] * (us[i, j] - us[i, j - 1])) / (rho * drh**2)
@@ -166,13 +165,13 @@ def test_probe_viscous_term_includes_the_theta_second_difference():
     # t = 0 budget's viscous term is the full operator, theta second difference
     # included (on a theta-uniform field that difference is exactly 0)
     cfg = make_cfg(n=24)._replace(params=LaminarParams(1.0, 1.0, 0.7))
-    g = _grid(cfg)
+    g = cfg.grid
     theta_f = g.dth * np.arange(cfg.n_s)
     h = profile_h(cfg.params, g.rho_c - cfg.arc.delta)
     us = h[None, :] * (1.0 + 0.1 * np.sin(4.0 * theta_f))[:, None]
     ur = 0.05 * np.outer(np.cos(3.0 * g.theta_c), np.sin(np.pi * (g.rho_f - g.delta) / cfg.R_out))
     p = np.zeros((cfg.n_s, cfg.n_r))
-    state = nssim.SimState(us=us, ur=ur, p=p, t=0.0, p_anchor=p)
+    state = nssim.SimState(us=us, ur=ur, p=p, t=0.0)
     cells = (1, 5, 11, 22)
     i = cfg.n_s // 2
     for sample, j in zip(probe_diagnostics(state, cfg, [(j + 0.5) * g.drh for j in cells]), cells):
@@ -233,7 +232,7 @@ def test_zero_field_is_fixed_point():
 
 def _reference_assemble(cfg):
     """The flux-form Laplacian built one cell at a time, periodic in theta."""
-    g = _grid(cfg)
+    g = cfg.grid
     n_s, n_r = cfg.n_s, cfg.n_r
     rows, cols, vals = [], [], []
     diag = np.zeros(n_s * n_r)
@@ -272,7 +271,7 @@ def test_centripetal_head_matches_quadrature(delta):
         for n_r in (128, 256):
             cfg = SimConfig(arc=arc, params=params, n_s=16, n_r=n_r)
             head = init_sim(cfg).p[0]
-            quad = _quadrature_head(params, delta, _grid(cfg).rho_c)
+            quad = _quadrature_head(params, delta, cfg.grid.rho_c)
             errs.append(np.max(np.abs((head - head[0]) - (quad - quad[0]))) / np.max(quad))
         assert errs[0] / errs[1] > 2**1.6
         assert errs[1] <= 1e-4
@@ -299,7 +298,7 @@ CURVED = LaminarParams(alpha1=2.0, alpha2=0.8, nu=1.0)
 def _discrete_head(cfg, us):
     """H: 0 in the first cell, rising by drho * u_f**2 / rho_f across each interior
     rho-face, with u_f the face average of the initial profile."""
-    g = _grid(cfg)
+    g = cfg.grid
     head = [0.0]
     for j in range(1, cfg.n_r):
         u_f = 0.5 * (us[0, j - 1] + us[0, j])
@@ -312,7 +311,7 @@ def _reference_initial_rhs(cfg, us):
     net centrifugal flux rho_f * (u_f**2 / rho_f) * dtheta out through each
     interior rho-face (negated).  Theta wraps around, so no theta-face adds
     data: the wall gradient's k*delta*theta is a body force, not a pressure."""
-    g = _grid(cfg)
+    g = cfg.grid
     b = np.zeros((cfg.n_s, cfg.n_r))
     for i in range(cfg.n_s):
         for j in range(cfg.n_r):
@@ -359,7 +358,7 @@ def test_initial_state_is_a_discrete_equilibrium(n_s, n_r, delta):
     arc = ArcBoundary(delta, 0.0, (0.0, 0.0), (0.0, 0.5 * delta))
     cfg = SimConfig(arc=arc, params=CURVED, n_s=n_s, n_r=n_r)
     state = init_sim(cfg)
-    g = _grid(cfg)
+    g = cfg.grid
     neg_adv_r, visc_r = _radial_rhs(cfg, state.us, state.ur)
     assert np.array_equal(visc_r, np.zeros_like(visc_r))
     radial = (state.p[:, 1:] - state.p[:, :-1]) / g.drh
@@ -369,7 +368,7 @@ def test_initial_state_is_a_discrete_equilibrium(n_s, n_r, delta):
     k = CURVED.nu * (CURVED.alpha1 / delta - CURVED.alpha2)
     anchor = np.broadcast_to(k * delta / g.rho_c, (n_s, n_r))
     periodic = np.diff(state.p, axis=0, prepend=state.p[-1:]) / (g.rho_c * g.dth)
-    tangential = nssim._wall_drive(cfg) + periodic
+    tangential = g.drive + periodic
     assert np.max(np.abs(tangential - anchor)) <= 1e-12 * np.max(np.abs(anchor))
 
 
@@ -414,7 +413,7 @@ def test_first_step_follows_material_derivative():
         cfg = SimConfig(arc=arc, params=LaminarParams(2.0, 1.0, 1.0), n_s=32, n_r=32,
                         dt=1e-5, t_end=1e-5)
         s0 = init_sim(cfg)
-        g = _grid(cfg)
+        g = cfg.grid
         samples = probe_diagnostics(s0, cfg, g.rho_c - delta)
         assert len(samples) == cfg.n_r
         material = np.array([s.visc_t - s.gradp_t for s in samples])
@@ -503,18 +502,6 @@ def test_dt_halving_first_order():
     assert ratio == pytest.approx(2.0, abs=0.3)
 
 
-def test_dt_sweep_shares_one_grid_and_factorization():
-    # the grid and its factored solver live in one object per mesh
-    before = nssim._mesh_grid.cache_info()
-    grids = set()
-    for dt in (2e-4, 1e-4, 5e-5):
-        cfg = make_cfg(n=20, angle=0.55, dt=dt, t_end=0.02)
-        step(init_sim(cfg), cfg)
-        grids.add(id(_grid(cfg)))
-    assert nssim._mesh_grid.cache_info().misses - before.misses == 1
-    assert len(grids) == 1
-
-
 def test_zero_viscosity_limit_sanity():
     params = LaminarParams(1.0, 1.0, 1e-4)
     arc = ArcBoundary(5.0, 0.0, (0.0, 0.0), (0.0, 2.5))
@@ -544,6 +531,7 @@ def test_stable_dt_respects_cfl():
     assert cfg.cfl() <= 0.5
     # computed once per config; _replace starts a new config with an empty cache
     assert cfg.effective_dt is cfg.effective_dt and cfg.top_speed is cfg.top_speed
+    assert cfg.grid is cfg.grid and cfg._replace().grid is not cfg.grid
     finer = cfg._replace(n_s=48, n_r=48)
     assert finer.effective_dt == stable_dt(finer) < cfg.effective_dt
 
@@ -580,14 +568,14 @@ def test_field_csv_xy_is_the_chart_of_each_row(tmp_path):
 
 def _explicit_wall_tangential_limit(cfg):
     """The explicit viscous limit on the wall-tangential cell width, 0.25*(delta*dtheta)**2/nu."""
-    return 0.25 * (cfg.arc.delta * _grid(cfg).dth) ** 2 / cfg.params.nu
+    return 0.25 * (cfg.arc.delta * cfg.grid.dth) ** 2 / cfg.params.nu
 
 
 def _theta_line_reference(cfg, component):
     """I - nu*dt*T_theta/(rho*dtheta)**2 on every theta-line, built one cell at a
     time with theta wrapping around: the dense matrix over the unknowns
     (row-major [i, j])."""
-    g = _grid(cfg)
+    g = cfg.grid
     nu_dt = cfg.params.nu * cfg.effective_dt
     rho = g.rho_c if component == "us" else g.rho_f[1:-1]
     n_i, n_j = cfg.n_s, rho.size
@@ -684,7 +672,7 @@ def test_dt_bound_names_the_binding_limit():
     # at a thousandth of the viscosity, advection across the tangential cell binds
     slow = make_cfg(n=24)._replace(params=LaminarParams(1.0, 1.0, 1e-3))
     assert slow.dt_bound == "advective"
-    assert stable_dt(slow) == pytest.approx(0.4 * (1.0 * _grid(slow).dth) / slow.top_speed)
+    assert stable_dt(slow) == pytest.approx(0.4 * (1.0 * slow.grid.dth) / slow.top_speed)
     # one step, shorter than the limit: t_end sets it
     for short in (make_cfg(t_end=1e-5), make_cfg(dt=1e-4, t_end=1e-5)):
         assert short.steps == 1 and short.dt_bound == "t_end"
@@ -695,10 +683,10 @@ def _assert_default_step_is_advective_and_bounded(nu):
     step is 0.4 of the advective and radial limits alone, and 30 such steps stay
     bounded and divergence-free."""
     base = make_cfg(n=24)
-    dth = _grid(base).dth
+    dth = base.grid.dth
     advective = dth / base.top_speed  # delta = 1: the tangential cell is the smallest
     cfg = base._replace(params=LaminarParams(1.0, 1.0, nu))
-    radial = 0.25 * _grid(cfg).drh ** 2 / nu
+    radial = 0.25 * cfg.grid.drh ** 2 / nu
     assert stable_dt(cfg) == pytest.approx(0.4 * min(advective, radial), rel=1e-12)
     assert cfg.dt_bound == "advective"
     cfg = cfg._replace(t_end=30 * cfg.effective_dt)
@@ -713,7 +701,7 @@ def _nu_with_gain(gain):
     """The viscosity at which leaving the wall-tangential limit out of the default
     step of a 24 x 24 config cuts the explicit step count ``gain`` times."""
     base = make_cfg(n=24)
-    dth = _grid(base).dth
+    dth = base.grid.dth
     return gain * 0.25 * dth**2 * base.top_speed / dth
 
 
@@ -771,7 +759,7 @@ def test_validate_refuses_a_huge_grid_before_allocating(monkeypatch):
     def no_grid(*args):
         raise AssertionError("a grid was built for a refused config")
 
-    monkeypatch.setattr(nssim, "_mesh_grid", no_grid)
+    monkeypatch.setattr(nssim, "_Grid", no_grid)
     cfg = make_cfg()._replace(n_s=8388608, n_r=16)
     tracemalloc.start()
     try:
