@@ -110,7 +110,7 @@ def test_main_runs_the_pairs_before_the_layers_and_outputs(monkeypatch, tmp_path
     assert result["end_to_end"] == {"pairs": True} and result["layers"] == {"layers": True}
 
 
-def test_compare_reports_quartiles_the_paired_ratio_and_the_rounds_won():
+def test_compare_reports_quartiles_the_paired_ratio_and_the_rounds_won(monkeypatch):
     calls = []
 
     def fake(side, seconds):
@@ -131,8 +131,6 @@ def test_compare_reports_quartiles_the_paired_ratio_and_the_rounds_won():
     assert calls[:6] == ["before", "after", "before", "after", "after", "before"]
     assert len(calls) == 2 * (layers.ROUNDS + 1)
 
-
-def test_compare_reports_the_spread_of_the_paired_ratios(monkeypatch):
     # the change side takes 0.9, 1.0, 1.1 and 1.2 s in turn against a steady
     # 1 s: the paired ratios spread over [0.9, 1.2] about their median 1.05
     monkeypatch.setattr(layers, "ROUNDS", 4)
