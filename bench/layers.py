@@ -40,10 +40,8 @@ or one call for a cold ``init_sim`` and a whole run.
   cell sets the step, at nu = 1e-3 advection does.  Each reports its step
   count and ``dt_bound`` per side, so that a change in the step count shows
   next to a change in the cost of a step.
-A cold ``init_sim`` and a whole run start from a fresh config, with no grid
-built on either side: a checkout that keeps its grids in a per-mesh cache
-(``nssim._mesh_grid``) has it emptied first, as a ``lamsep simulate`` process
-starts with it empty.
+A cold ``init_sim`` and a whole run start from a fresh config (``_replace()``),
+with no grid built on either side, as in a ``lamsep simulate`` process.
 That interpreter runs with ``OPENBLAS_NUM_THREADS=1``, so that both sides'
 solver layers compare code on the same BLAS setting.
 
@@ -225,16 +223,9 @@ def _solver_layers(lamsep, n: int) -> tuple[dict, dict]:
     arc = lamsep.geometry.ArcBoundary(1.0, 0.0, (0.0, 0.0), (0.0, 0.5))
     cfg = nssim.SimConfig(arc=arc, params=LaminarParams(2.0, 1.0, 1.0),
                           n_s=n, n_r=n, t_end=SOLVER_T_END)
-    mesh_cache = getattr(nssim, "_mesh_grid", None)  # see the module docstring
-
-    def fresh_config(cfg):
-        """A copy of ``cfg`` with nothing built, and no grid cached for its mesh."""
-        if mesh_cache is not None:
-            mesh_cache.cache_clear()
-        return cfg._replace()
 
     def cold_init() -> float:
-        fresh = fresh_config(cfg)
+        fresh = cfg._replace()  # a copy with nothing built
         t0 = time.perf_counter()
         nssim.init_sim(fresh)
         return time.perf_counter() - t0
@@ -253,7 +244,7 @@ def _solver_layers(lamsep, n: int) -> tuple[dict, dict]:
             run_cfg = cfg._replace(params=LaminarParams(2.0, 1.0, nu), t_end=RUN_T_END)
 
             def run(run_cfg=run_cfg) -> float:
-                fresh = fresh_config(run_cfg)
+                fresh = run_cfg._replace()
                 t0 = time.perf_counter()
                 nssim.run_experiment(fresh)
                 return time.perf_counter() - t0
@@ -548,8 +539,7 @@ def main() -> None:
                       "a batch. import.* and process.*: the wall time of one fresh "
                       "interpreter per call, with OPENBLAS_NUM_THREADS and OMP_NUM_THREADS "
                       "unset. A cold init_sim and a whole run start from a fresh config "
-                      "with no grid built on either side (a per-mesh grid cache, where a "
-                      "side has one, is emptied first)",
+                      "with no grid built on either side",
             "outputs": "every invocation of the listed workload seeds, in-process, once per side",
             "pairs": f"perfbench/run.py --seconds {args.seconds} on seeds {seeds}, one run per "
                      "side and seed, the side that goes first alternating; verdicts by "

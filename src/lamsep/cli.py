@@ -34,18 +34,105 @@ from .geometry import ArcBoundary, center_offset, to_cartesian
 # 2: the envelope gained stage_s
 SCHEMA_VERSION = 2
 
-_SHARED_KEYS = {"command", "alpha1", "alpha2", "nu", "delta", "phase", "center",
-                "s_range", "out"}
-_COMMAND_KEYS = {
-    "verify-theorem1": {"r_grid", "use_tracing"},
-    "verify-theorem2": {"r_grid"},
-    "classify": {"field", "radii", "s", "s1", "C", "source", "growth", "step", "tol_par"},
-    "trace": {"kind", "start_s", "start_r", "length", "step"},
-    "zeta-check": {"pressure", "s", "r_list", "eps_over_r", "amp"},
-    "simulate": {"n_s", "n_r", "dt", "t_end", "probes"},
-    "sweep": {"delta_values", "alpha1_values", "alpha2_values", "nu_values"},
+
+def _finite(value, kind=float):
+    """``value`` as a finite ``kind`` (float, or int for an integral value)."""
+    if isinstance(value, bool):  # JSON true/false are not numbers
+        raise ValueError(f"must be a number, got {value!r}")
+    try:
+        out = kind(value)
+        integral = kind is not int or float(value) == out
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"must be a number, got {value!r}") from None
+    if not integral:
+        raise ValueError(f"must be an integer, got {value!r}")
+    if not math.isfinite(out):
+        raise ValueError(f"must be finite, got {value!r}")
+    return out
+
+
+def _integer(value) -> int:
+    return _finite(value, int)
+
+
+def _positive(value) -> float:
+    out = _finite(value)
+    if out <= 0:
+        raise ValueError(f"must be positive, got {out}")
+    return out
+
+
+def _height(value) -> float:
+    out = _finite(value)
+    if out < 0:
+        raise ValueError(f"must be >= 0 (on or above the wall), got {out}")
+    return out
+
+
+def _numbers(value, read=_finite) -> list:
+    """``value`` as a non-empty list, each entry read by ``read``."""
+    if not isinstance(value, list) or not value:
+        raise ValueError(f"must be a non-empty list of numbers, got {value!r}")
+    return [read(v) for v in value]
+
+
+def _positives(value) -> list[float]:
+    return _numbers(value, _positive)
+
+
+def _pair(value) -> tuple[float, float]:
+    if isinstance(value, (list, tuple)) and len(value) == 2:
+        return _finite(value[0]), _finite(value[1])
+    raise ValueError(f"must be two finite numbers, got {value!r}")
+
+
+def _flag(value) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"must be true or false, got {value!r}")
+    return value
+
+
+def _one_of(*names):
+    def read(value) -> str:
+        if value not in names:
+            raise ValueError(f"must be one of {', '.join(names)}, got {value!r}")
+        return value
+    return read
+
+
+def _path(value) -> Path:
+    if not isinstance(value, str) or not value:
+        raise ValueError(f"must be a non-empty path, got {value!r}")
+    return Path(value)
+
+
+# Every config key and its reader: a reader checks one value and returns it
+# converted, or raises ValueError saying what the value must be.  The shared
+# keys of every command; a null shared key is refused.
+_SHARED = {"alpha1": _positive, "alpha2": _positive, "nu": _positive, "delta": _positive,
+           "phase": _finite, "center": _pair, "s_range": _pair, "out": _path}
+# alpha1 = 2 keeps the defaults off the degenerate wall gradient alpha1/delta = alpha2;
+# s_range defaults to (0, delta/2)
+_SHARED_DEFAULTS = {"alpha1": 2.0, "alpha2": 1.0, "nu": 1.0, "delta": 1.0, "phase": 0.0,
+                    "center": (0.0, 0.0), "out": "lamsep-out"}
+# Each command's options; an option that is absent or null takes its default,
+# which the command sets.
+_OPTIONS = {
+    "verify-theorem1": {"r_grid": _numbers, "use_tracing": _flag},
+    "verify-theorem2": {"r_grid": _numbers},
+    "classify": {"field": _one_of("laminar", "fan", "weak"), "radii": _numbers, "s": _finite,
+                 "s1": _finite, "C": _finite, "source": _pair, "growth": _finite,
+                 "step": _finite, "tol_par": _finite},
+    "trace": {"kind": _one_of("streamline", "pressure", "level"), "start_s": _finite,
+              "start_r": _height, "length": _finite, "step": _finite},
+    "zeta-check": {"pressure": _one_of("angular", "perturbed"), "s": _finite,
+                   "r_list": _numbers, "eps_over_r": _finite, "amp": _finite},
+    "simulate": {"n_s": _integer, "n_r": _integer, "dt": _finite, "t_end": _finite,
+                 "probes": _numbers},
+    "sweep": {"delta_values": _positives, "alpha1_values": _positives,
+              "alpha2_values": _positives, "nu_values": _positives},
 }
-COMMANDS = tuple(_COMMAND_KEYS)
+COMMANDS = tuple(_OPTIONS)
 
 
 class RunConfig(NamedTuple):
@@ -110,44 +197,6 @@ def _nulled(value, path: str, non_finite: list[str]):
     return value
 
 
-def _number(key: str, value, kind=float):
-    """``value`` as ``kind`` (float, or int for an integral value), else a ValidationError."""
-    if isinstance(value, bool):  # JSON true/false are not numbers
-        raise ValidationError(f"{key} must be a number, got {value!r}")
-    try:
-        out = kind(value)
-        integral = kind is not int or float(value) == out
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"{key} must be a number, got {value!r}") from exc
-    if not integral:
-        raise ValidationError(f"{key} must be an integer, got {value!r}")
-    return out
-
-
-def _finite(key: str, value, kind=float):
-    """``value`` as a finite ``kind`` (float or int), else a ValidationError."""
-    out = _number(key, value, kind)
-    if not math.isfinite(out):
-        raise ValidationError(f"{key} must be finite, got {value!r}")
-    return out
-
-
-def _option(cfg: RunConfig, key: str, default, kind=float):
-    """Command option ``key`` as a finite ``kind``; absent or null gives ``default``."""
-    value = cfg.options.get(key)
-    return default if value is None else _finite(key, value, kind)
-
-
-def _option_list(cfg: RunConfig, key: str, default):
-    """Command option ``key`` as a non-empty list of finite numbers; absent or null gives ``default``."""
-    value = cfg.options.get(key)
-    if value is None:
-        return default
-    if not isinstance(value, list) or not value:
-        raise ValidationError(f"{key} must be a non-empty list of numbers, got {value!r}")
-    return [_finite(key, v) for v in value]
-
-
 @contextmanager
 def _invalid_input():
     """Report the library's argument checks (ValueError) as a ValidationError."""
@@ -175,13 +224,6 @@ def _require_finite(values) -> None:
         raise DomainError("a value leaves the float range at these parameters")
 
 
-def _finite_pair(key: str, value) -> tuple[float, float]:
-    """``value`` as two finite floats, else a ValidationError."""
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        return _finite(key, value[0]), _finite(key, value[1])
-    raise ValidationError(f"{key} must be two finite numbers, got {value!r}")
-
-
 def parse_config(path=None, overrides: dict | None = None, command: str | None = None) -> RunConfig:
     """Merge a JSON config file with flag overrides into a validated RunConfig."""
     t0 = time.perf_counter()
@@ -206,52 +248,29 @@ def parse_config(path=None, overrides: dict | None = None, command: str | None =
     cmd = raw.get("command")
     if cmd not in COMMANDS:
         raise ValidationError(f"command must be one of {COMMANDS}, got {cmd!r}")
-    allowed = _SHARED_KEYS | _COMMAND_KEYS[cmd]
-    unknown = sorted(set(raw) - allowed)
+    readers = _SHARED | _OPTIONS[cmd]
+    unknown = sorted(set(raw) - set(readers) - {"command"})
     if unknown:
         raise ParseError(f"unknown config key(s) for {cmd}: {', '.join(unknown)}")
 
-    problems = []
-    numbers = {}
-    # alpha1 = 2 keeps the defaults off the degenerate wall gradient alpha1/delta = alpha2
-    for key, default in (("alpha1", 2.0), ("alpha2", 1.0), ("nu", 1.0), ("delta", 1.0),
-                         ("phase", 0.0)):
+    values, problems = {}, []
+    for key, read in readers.items():
+        value = raw.get(key, _SHARED_DEFAULTS.get(key))
+        if value is None and (key not in raw or key not in _SHARED):
+            continue  # no value given: the default applies
         try:
-            value = numbers[key] = _finite(key, raw.get(key, default))
-        except ValidationError as exc:
-            problems.append(str(exc))
-            continue
-        if key != "phase" and value <= 0:
-            problems.append(f"{key} must be positive, got {value}")
-    pairs = {}
-    for key in ("center", "s_range"):
-        try:
-            if key in raw:
-                pairs[key] = _finite_pair(key, raw[key])
-        except ValidationError as exc:
-            problems.append(str(exc))
-    out = raw.get("out", "lamsep-out")
-    if not isinstance(out, str) or not out:
-        problems.append(f"out must be a non-empty path, got {out!r}")
-    if cmd == "sweep":
-        for key in _COMMAND_KEYS["sweep"]:
-            if key in raw and not raw[key]:
-                problems.append(f"sweep axis {key} must not be empty")
+            values[key] = read(value)
+        except ValueError as exc:
+            problems.append(f"{key} {exc}")
     if problems:
         raise ValidationError("; ".join(problems))
 
-    try:
-        arc = ArcBoundary(
-            delta=numbers["delta"],
-            phase=numbers["phase"],
-            center=pairs.get("center", (0.0, 0.0)),
-            s_range=pairs.get("s_range", (0.0, 0.5 * numbers["delta"])),
-        )
-    except ValueError as exc:  # a decreasing s_range
-        raise ValidationError(str(exc)) from exc
-    params = LaminarParams(alpha1=numbers["alpha1"], alpha2=numbers["alpha2"], nu=numbers["nu"])
-    options = {k: raw[k] for k in raw if k in _COMMAND_KEYS[cmd]}
-    return RunConfig(command=cmd, params=params, arc=arc, options=options, out=Path(out),
+    with _invalid_input():  # a decreasing s_range
+        arc = ArcBoundary(delta=values["delta"], phase=values["phase"], center=values["center"],
+                          s_range=values.get("s_range", (0.0, 0.5 * values["delta"])))
+    params = LaminarParams(alpha1=values["alpha1"], alpha2=values["alpha2"], nu=values["nu"])
+    options = {k: v for k, v in values.items() if k in _OPTIONS[cmd]}
+    return RunConfig(command=cmd, params=params, arc=arc, options=options, out=values["out"],
                      parse_s=time.perf_counter() - t0)
 
 
@@ -292,10 +311,10 @@ def run(cfg: RunConfig) -> RunReport:
     """Dispatch a validated config, write report.json and data.csv, return the report."""
     t0 = time.perf_counter()
     late_before = _late_import_s
-    cfg.out.mkdir(parents=True, exist_ok=True)
     handler = _HANDLERS[cfg.command]
     payload, rows, header, exit_code, notes = handler(cfg)
     t1 = time.perf_counter()
+    cfg.out.mkdir(parents=True, exist_ok=True)  # only for a run that succeeded
     write_csv(cfg.out / "data.csv", header, rows)
     late = _late_import_s - late_before
     report = RunReport(
@@ -315,14 +334,11 @@ def run(cfg: RunConfig) -> RunReport:
 
 
 def _cmd_theorem1(cfg: RunConfig):
-    use_tracing = cfg.options.get("use_tracing")
-    if use_tracing is not None and not isinstance(use_tracing, bool):
-        raise ValidationError(f"use_tracing must be true or false, got {use_tracing!r}")
-    r_grid = _option_list(cfg, "r_grid", None)
     theorems = _load("theorems")
     with _invalid_input(), _float_range():  # a trace config the parameters make invalid
         report = theorems.theorem1_verify(
-            cfg.params, cfg.arc.delta, r_grid=r_grid, arc=cfg.arc if use_tracing else None)
+            cfg.params, cfg.arc.delta, r_grid=cfg.options.get("r_grid"),
+            arc=cfg.arc if cfg.options.get("use_tracing") else None)
     _require_finite([*report.lhs, *report.rhs, *report.mismatch,
                      *(v for check in report.geometric_crosscheck for v in check)])
     rows = list(zip(report.r_grid, report.lhs, report.rhs, report.mismatch))
@@ -331,10 +347,9 @@ def _cmd_theorem1(cfg: RunConfig):
 
 
 def _cmd_theorem2(cfg: RunConfig):
-    r_grid = _option_list(cfg, "r_grid", None)
     theorems = _load("theorems")
     with _invalid_input(), _float_range():  # too few or non-decreasing r values
-        report = theorems.theorem2_limit(cfg.params, cfg.arc.delta, r_grid=r_grid)
+        report = theorems.theorem2_limit(cfg.params, cfg.arc.delta, cfg.options.get("r_grid"))
     rows = list(zip(report.r_grid, report.ratio))
     agree = abs(report.paper_value - report.oracle_value) <= theorems.ADJUDICATION_RTOL * abs(
         report.oracle_value
@@ -349,84 +364,65 @@ def _cmd_theorem2(cfg: RunConfig):
 
 
 def _classification_field(cfg: RunConfig):
-    kind = cfg.options.get("field", "laminar")
-    # every option is checked, also those the chosen field does not read
-    source = cfg.options.get("source")
-    if source is not None:
-        source = _finite_pair("source", source)
-    growth = _option(cfg, "growth", 1.0)
-    if kind == "laminar":
-        return laminar_field(cfg.arc, cfg.params)
+    arc, kind = cfg.arc, cfg.options.get("field", "laminar")
     if kind == "fan":
-        if source is None:
-            source = to_cartesian(cfg.arc, (cfg.arc.s_range[0] - 2.0 * cfg.arc.delta, 0.0))
-        return _load("tracing").fan_field(source)
+        default = to_cartesian(arc, (arc.s_range[0] - 2.0 * arc.delta, 0.0))
+        return _load("tracing").fan_field(cfg.options.get("source", default))
     if kind == "weak":
-        return _load("tracing").radial_growth_field(cfg.arc, growth)
-    raise ValidationError(f"unknown classify field {kind!r}")
+        return _load("tracing").radial_growth_field(arc, cfg.options.get("growth", 1.0))
+    return laminar_field(arc, cfg.params)
 
 
 def _cmd_classify(cfg: RunConfig):
-    arc, params = cfg.arc, cfg.params
+    arc, params, opts = cfg.arc, cfg.params, cfg.options
     scale = near_wall_scale(params, arc.delta)
-    radii = _option_list(cfg, "radii", [0.2 * scale, 0.1 * scale, 0.05 * scale])
-    s = _option(cfg, "s", arc.s_range[0] + 0.2 * (arc.s_range[1] - arc.s_range[0]))
-    s1 = _option(cfg, "s1", arc.s_range[0] + 0.5 * (arc.s_range[1] - arc.s_range[0]))
-    thresh = _option(cfg, "C", 1.2)
-    tol_par = _option(cfg, "tol_par", 1e-4)
+    radii = opts.get("radii", [0.2 * scale, 0.1 * scale, 0.05 * scale])
+    s = opts.get("s", arc.s_range[0] + 0.2 * (arc.s_range[1] - arc.s_range[0]))
+    s1 = opts.get("s1", arc.s_range[0] + 0.5 * (arc.s_range[1] - arc.s_range[0]))
     field = _classification_field(cfg)
     tracing = _load("tracing")
     with _invalid_input():
         trace_cfg = tracing.default_trace_config(arc, params)
-        trace_cfg = trace_cfg._replace(step=_option(cfg, "step", trace_cfg.step))
-        result = tracing.classify_flow(field, arc, radii, s, s1, thresh, trace_cfg, tol_par=tol_par)
+        trace_cfg = trace_cfg._replace(step=opts.get("step", trace_cfg.step))
+        result = tracing.classify_flow(field, arc, radii, s, s1, opts.get("C", 1.2), trace_cfg,
+                                       tol_par=opts.get("tol_par", 1e-4))
     payload = {"kind": result.kind, "C_threshold": result.C_threshold,
                "evidence": [{"r": r, "ratio": q} for r, q in result.evidence]}
     return payload, result.evidence, ["r", "L_over_r"], 0, {}
 
 
 def _cmd_trace(cfg: RunConfig):
-    arc, params = cfg.arc, cfg.params
-    kind = cfg.options.get("kind", "streamline")
-    start_r = _option(cfg, "start_r", 0.1 * arc.delta)
-    if start_r < 0:
-        raise ValidationError(f"start_r must be >= 0 (on or above the wall), got {start_r}")
-    start = to_cartesian(arc, (_option(cfg, "start_s", 0.0), start_r))
+    arc, params, opts = cfg.arc, cfg.params, cfg.options
+    kind = opts.get("kind", "streamline")
+    start = to_cartesian(arc, (opts.get("start_s", 0.0), opts.get("start_r", 0.1 * arc.delta)))
     tracing = _load("tracing")
     with _invalid_input():
         trace_cfg = tracing.default_trace_config(arc, params)
-        trace_cfg = trace_cfg._replace(step=_option(cfg, "step", trace_cfg.step),
-                                       max_length=_option(cfg, "length", arc.delta))
+        trace_cfg = trace_cfg._replace(step=opts.get("step", trace_cfg.step),
+                                       max_length=opts.get("length", arc.delta))
     if kind == "streamline":
         line = tracing.trace_streamline(laminar_field(arc, params), start, trace_cfg)
-    elif kind in ("pressure", "level"):
+    else:  # pressure or level
         gradp = stationary_gradp_field(arc, params)
         direction = "along" if kind == "pressure" else "perpendicular"
         line = tracing.trace_pressure_line(gradp, start, trace_cfg, direction)
-    else:
-        raise ValidationError(f"unknown trace kind {kind!r}")
     _require_finite([line.length])
     payload = {"kind": kind, "points": len(line.points), "length": line.length}
     return payload, line.rows(), line.CSV_HEADER, 0, {}
 
 
 def _cmd_zeta(cfg: RunConfig):
-    arc, params = cfg.arc, cfg.params
-    which = cfg.options.get("pressure", "angular")
-    amp = _option(cfg, "amp", 0.2)
+    arc, params, opts = cfg.arc, cfg.params, cfg.options
     tracing = _load("tracing")
-    if which == "angular":
-        p_field = tracing.angular_pressure(arc, params)
-    elif which == "perturbed":
-        p_field = tracing.perturbed_angular_pressure(arc, params, amp)
+    if opts.get("pressure") == "perturbed":
+        p_field = tracing.perturbed_angular_pressure(arc, params, opts.get("amp", 0.2))
     else:
-        raise ValidationError(f"unknown pressure field {which!r}")
+        p_field = tracing.angular_pressure(arc, params)
     scale = near_wall_scale(params, arc.delta)
-    r_list = _option_list(cfg, "r_list", [0.08 * scale, 0.04 * scale, 0.02 * scale])
-    s = _option(cfg, "s", arc.s_range[0] + 0.2 * (arc.s_range[1] - arc.s_range[0]))
-    eps_over_r = _option(cfg, "eps_over_r", 2.0)
+    r_list = opts.get("r_list", [0.08 * scale, 0.04 * scale, 0.02 * scale])
+    s = opts.get("s", arc.s_range[0] + 0.2 * (arc.s_range[1] - arc.s_range[0]))
     with _invalid_input(), _float_range():
-        report = tracing.zeta_check(p_field, arc, params, s, r_list, eps_over_r)
+        report = tracing.zeta_check(p_field, arc, params, s, r_list, opts.get("eps_over_r", 2.0))
     rows = [
         (sm.r, sm.eps, sm.s_hat, sm.r_hat2, sm.traced_length, sm.lower_bound, sm.upper_bound)
         for sm in report.samples
@@ -447,15 +443,11 @@ def _cmd_zeta(cfg: RunConfig):
 def _cmd_simulate(cfg: RunConfig):
     nssim = _load("nssim")
     defaults = nssim.SimConfig._field_defaults
-    sim_cfg = nssim.SimConfig(
-        arc=cfg.arc, params=cfg.params,
-        n_s=_option(cfg, "n_s", defaults["n_s"], int),
-        n_r=_option(cfg, "n_r", defaults["n_r"], int),
-        dt=_option(cfg, "dt", defaults["dt"]),
-        t_end=_option(cfg, "t_end", defaults["t_end"]),
-    )
+    sim_cfg = nssim.SimConfig(arc=cfg.arc, params=cfg.params,
+                              **{key: cfg.options.get(key, defaults[key])
+                                 for key in ("n_s", "n_r", "dt", "t_end")})
     with _float_range():
-        report = nssim.run_experiment(sim_cfg, _option_list(cfg, "probes", None))
+        report = nssim.run_experiment(sim_cfg, cfg.options.get("probes"))
     payload = {
         "probe_r": report.probe_r,
         "t0": [s._asdict() for s in report.t0_samples],
@@ -465,25 +457,24 @@ def _cmd_simulate(cfg: RunConfig):
         "cfl": sim_cfg.cfl(),
         "dt_bound": sim_cfg.dt_bound,
     }
+    cfg.out.mkdir(parents=True, exist_ok=True)  # only for a run that succeeded
     nssim.dump_field_csv(report.final_state, sim_cfg, cfg.out / "field.csv")
     return payload, report.rows(), report.CSV_HEADER, 0, {}
 
 
 def _cmd_sweep(cfg: RunConfig):
-    deltas = _option_list(cfg, "delta_values", [cfg.arc.delta])
-    if min(deltas) <= 0:
-        raise ValidationError(f"delta_values must be positive, got {deltas}")
-    alpha1s = _option_list(cfg, "alpha1_values", [cfg.params.alpha1])
-    alpha2s = _option_list(cfg, "alpha2_values", [cfg.params.alpha2])
-    nus = _option_list(cfg, "nu_values", [cfg.params.nu])
+    opts = cfg.options
+    deltas = opts.get("delta_values", [cfg.arc.delta])
+    alpha1s = opts.get("alpha1_values", [cfg.params.alpha1])
+    alpha2s = opts.get("alpha2_values", [cfg.params.alpha2])
+    nus = opts.get("nu_values", [cfg.params.nu])
     theorems = _load("theorems")
     rows, levels_used = [], []
     for d in deltas:
         for a1 in alpha1s:
             for a2 in alpha2s:
                 for nu in nus:
-                    with _invalid_input():
-                        params = LaminarParams(alpha1=a1, alpha2=a2, nu=nu)
+                    params = LaminarParams(alpha1=a1, alpha2=a2, nu=nu)
                     with _float_range():
                         rep2 = theorems.theorem2_limit(params, d)
                         rep1 = theorems.theorem1_verify(params, d)

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import lamsep
+from lamsep import cli
 from lamsep.cli import COMMANDS, main, parse_config
 from lamsep.errors import ParseError, ValidationError
 
@@ -69,6 +71,51 @@ def test_parse_reports_all_violations(tmp_path):
     with pytest.raises(ValidationError) as err:
         parse_config(path)
     assert "alpha1" in str(err.value) and "nu" in str(err.value)
+
+
+def test_one_line_names_every_refused_key_and_no_out_directory_is_made(tmp_path, capsys):
+    path = write_config(tmp_path, {"s": "x", "C": "y", "radii": []})
+    assert main(["classify", "--config", path, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("lamsep: error: ")
+    problems = err[0].removeprefix("lamsep: error: ").split("; ")
+    assert sorted(problem.split(" must ")[0] for problem in problems) == ["C", "radii", "s"]
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command, config", [
+    ("classify", {"s": "x"}),                               # an option
+    ("simulate", {"n_s": 8}),                               # SimConfig.validate
+    ("simulate", {"nu": 1e308, "dt": 1e-3, "t_end": 3e-3}),  # a step leaves the float range
+])
+def test_a_refused_run_makes_no_out_directory(tmp_path, capsys, command, config):
+    path = write_config(tmp_path, config)
+    assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("lamsep: error:")
+    assert not (tmp_path / "o").exists()
+
+
+def test_report_config_echoes_each_value_as_read(tmp_path):
+    path = write_config(tmp_path, {"alpha1": "2.5", "r_grid": ["0.02", 0.01, "5e-3"],
+                                   "use_tracing": None})
+    assert main(["verify-theorem1", "--config", path, "--out", str(tmp_path / "o")]) == 0
+    config = load_strict_json(tmp_path / "o" / "report.json")["config"]
+    assert config["alpha1"] == 2.5 and config["r_grid"] == [0.02, 0.01, 0.005]
+    assert "use_tracing" not in config  # null: the default applies
+
+
+def test_readme_table_lists_every_config_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("| command | key | accepted values | default |")[1].split("\n\n")[0]
+    listed = set()
+    for row in table.splitlines()[2:]:
+        commands, keys = row.split("|")[1:3]
+        listed |= {(command.strip(), key) for command in commands.split(",")
+                   for key in re.findall(r"`([^`]+)`", keys)}
+    in_code = {("all", key) for key in cli._SHARED} | {
+        (command, key) for command, options in cli._OPTIONS.items() for key in options}
+    assert listed == in_code
 
 
 def test_parse_malformed_json(tmp_path):
@@ -176,6 +223,24 @@ def test_classify_laminar_run(tmp_path):
     assert rc == 0
     report = json.loads((tmp_path / "o" / "report.json").read_text())
     assert report["payload"]["kind"] == "Parallel"
+
+
+def _classify(tmp_path, config) -> dict:
+    path, out = write_config(tmp_path, config), tmp_path / "o"
+    assert main(["classify", "--config", path, "--out", str(out)]) == 0
+    return load_strict_json(out / "report.json")["payload"]
+
+
+@pytest.mark.parametrize("field, kind, option", [
+    ("fan", "StrongDiverging", {"source": [-3.0, 0.0]}),
+    ("weak", "WeakDiverging", {"growth": 3.0}),
+])
+def test_classify_fan_and_weak_fields(tmp_path, field, kind, option):
+    default = _classify(tmp_path, {"field": field})
+    given = _classify(tmp_path, {"field": field, **option})
+    assert default["kind"] == given["kind"] == kind
+    # the option is read: it moves every ratio
+    assert all(a["ratio"] != b["ratio"] for a, b in zip(default["evidence"], given["evidence"]))
 
 
 def test_trace_run(tmp_path):

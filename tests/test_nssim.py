@@ -8,7 +8,7 @@ import scipy.integrate
 import scipy.sparse
 
 from lamsep import nssim
-from lamsep.errors import ConfigError, ProbeOutsideGrid
+from lamsep.errors import ConfigError, Diverged, ProbeOutsideGrid
 from lamsep.field import LaminarParams, profile_h, write_csv
 from lamsep.geometry import ArcBoundary, to_cartesian
 from lamsep.nssim import (
@@ -489,6 +489,20 @@ def test_energy_dissipates_over_100_steps():
     for _ in range(100):
         state = step(state, cfg)
     assert kinetic_energy(state, cfg) <= e0 * (1.0 + 1e-3)
+
+
+@pytest.mark.parametrize("bad", ["fast", "nan"])
+def test_step_raises_diverged_past_ten_times_the_top_speed(bad):
+    cfg = make_cfg(n=16)
+    state = init_sim(cfg)
+    if bad == "fast":
+        us = 20.0 * state.us
+        assert np.max(np.abs(us)) == pytest.approx(20.0 * cfg.top_speed)
+    else:  # a NaN fails every comparison, so the guard is written to fail on it
+        us = state.us.copy()
+        us[3, 5] = np.nan
+    with pytest.raises(Diverged, match="exceeded 10x"):
+        step(state._replace(us=us), cfg)
 
 
 def test_dt_halving_first_order():
