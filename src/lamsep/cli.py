@@ -7,9 +7,12 @@ unknown keys are rejected.  Every run writes ``report.json`` (the envelope may
 carry a wall-clock time and the seconds spent in each stage) and a
 deterministic ``data.csv``.  ``report.json`` is strict JSON: a non-finite
 number is written as ``null`` and its dotted path is listed under
-``non_finite``.  Exit codes:
-0 success, 1 error, 2 when the printed and independently derived material
-derivative limits disagree beyond tolerance (the tracked erratum).
+``non_finite``.  Exit codes: 0 success, 2 when the printed and independently
+derived material derivative limits disagree beyond tolerance (the tracked
+erratum), and 1 on any error, with one ``lamsep: error:`` line (a refused run
+writes nothing).  ``parse_config`` checks every key and ``--out`` before any
+work; ``run`` turns what the library refuses while computing into a
+LamsepError (``_refusals``).
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from contextlib import contextmanager
@@ -103,6 +107,12 @@ def _one_of(*names):
 def _path(value) -> Path:
     if not isinstance(value, str) or not value:
         raise ValueError(f"must be a non-empty path, got {value!r}")
+    # the nearest ancestor that exists must be a writable directory
+    ancestor = os.path.join(os.getcwd(), value)
+    while not os.path.exists(ancestor):
+        ancestor = os.path.dirname(ancestor)
+    if not (os.path.isdir(ancestor) and os.access(ancestor, os.W_OK | os.X_OK)):
+        raise ValueError(f"must be a writable directory or a path under one, got {value!r}")
     return Path(value)
 
 
@@ -198,21 +208,13 @@ def _nulled(value, path: str, non_finite: list[str]):
 
 
 @contextmanager
-def _invalid_input():
-    """Report the library's argument checks (ValueError) as a ValidationError."""
+def _refusals():
+    """Report a library refusal as a LamsepError: an argument check (ValueError) as a
+    ValidationError, a value that leaves the float range (ArithmeticError) as a DomainError."""
     try:
         yield
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
-
-
-@contextmanager
-def _float_range():
-    """Report a value that leaves the float range at the given parameters (an
-    overflow, a division by a square or quotient that underflowed to zero, or
-    numpy's FloatingPointError in a simulate run) as a DomainError."""
-    try:
-        yield
     except ArithmeticError as exc:  # OverflowError, ZeroDivisionError, FloatingPointError
         raise DomainError(f"a value leaves the float range at these parameters ({exc})") from exc
 
@@ -265,7 +267,7 @@ def parse_config(path=None, overrides: dict | None = None, command: str | None =
     if problems:
         raise ValidationError("; ".join(problems))
 
-    with _invalid_input():  # a decreasing s_range
+    with _refusals():  # a decreasing s_range
         arc = ArcBoundary(delta=values["delta"], phase=values["phase"], center=values["center"],
                           s_range=values.get("s_range", (0.0, 0.5 * values["delta"])))
     params = LaminarParams(alpha1=values["alpha1"], alpha2=values["alpha2"], nu=values["nu"])
@@ -312,7 +314,8 @@ def run(cfg: RunConfig) -> RunReport:
     t0 = time.perf_counter()
     late_before = _late_import_s
     handler = _HANDLERS[cfg.command]
-    payload, rows, header, exit_code, notes = handler(cfg)
+    with _refusals():
+        payload, rows, header, exit_code, notes = handler(cfg)
     t1 = time.perf_counter()
     cfg.out.mkdir(parents=True, exist_ok=True)  # only for a run that succeeded
     write_csv(cfg.out / "data.csv", header, rows)
@@ -335,10 +338,9 @@ def run(cfg: RunConfig) -> RunReport:
 
 def _cmd_theorem1(cfg: RunConfig):
     theorems = _load("theorems")
-    with _invalid_input(), _float_range():  # a trace config the parameters make invalid
-        report = theorems.theorem1_verify(
-            cfg.params, cfg.arc.delta, r_grid=cfg.options.get("r_grid"),
-            arc=cfg.arc if cfg.options.get("use_tracing") else None)
+    report = theorems.theorem1_verify(
+        cfg.params, cfg.arc.delta, r_grid=cfg.options.get("r_grid"),
+        arc=cfg.arc if cfg.options.get("use_tracing") else None)
     _require_finite([*report.lhs, *report.rhs, *report.mismatch,
                      *(v for check in report.geometric_crosscheck for v in check)])
     rows = list(zip(report.r_grid, report.lhs, report.rhs, report.mismatch))
@@ -348,8 +350,7 @@ def _cmd_theorem1(cfg: RunConfig):
 
 def _cmd_theorem2(cfg: RunConfig):
     theorems = _load("theorems")
-    with _invalid_input(), _float_range():  # too few or non-decreasing r values
-        report = theorems.theorem2_limit(cfg.params, cfg.arc.delta, cfg.options.get("r_grid"))
+    report = theorems.theorem2_limit(cfg.params, cfg.arc.delta, cfg.options.get("r_grid"))
     rows = list(zip(report.r_grid, report.ratio))
     agree = abs(report.paper_value - report.oracle_value) <= theorems.ADJUDICATION_RTOL * abs(
         report.oracle_value
@@ -381,11 +382,10 @@ def _cmd_classify(cfg: RunConfig):
     s1 = opts.get("s1", arc.s_range[0] + 0.5 * (arc.s_range[1] - arc.s_range[0]))
     field = _classification_field(cfg)
     tracing = _load("tracing")
-    with _invalid_input():
-        trace_cfg = tracing.default_trace_config(arc, params)
-        trace_cfg = trace_cfg._replace(step=opts.get("step", trace_cfg.step))
-        result = tracing.classify_flow(field, arc, radii, s, s1, opts.get("C", 1.2), trace_cfg,
-                                       tol_par=opts.get("tol_par", 1e-4))
+    trace_cfg = tracing.default_trace_config(arc, params)
+    trace_cfg = trace_cfg._replace(step=opts.get("step", trace_cfg.step))
+    result = tracing.classify_flow(field, arc, radii, s, s1, opts.get("C", 1.2), trace_cfg,
+                                   tol_par=opts.get("tol_par", 1e-4))
     payload = {"kind": result.kind, "C_threshold": result.C_threshold,
                "evidence": [{"r": r, "ratio": q} for r, q in result.evidence]}
     return payload, result.evidence, ["r", "L_over_r"], 0, {}
@@ -396,10 +396,9 @@ def _cmd_trace(cfg: RunConfig):
     kind = opts.get("kind", "streamline")
     start = to_cartesian(arc, (opts.get("start_s", 0.0), opts.get("start_r", 0.1 * arc.delta)))
     tracing = _load("tracing")
-    with _invalid_input():
-        trace_cfg = tracing.default_trace_config(arc, params)
-        trace_cfg = trace_cfg._replace(step=opts.get("step", trace_cfg.step),
-                                       max_length=opts.get("length", arc.delta))
+    trace_cfg = tracing.default_trace_config(arc, params)
+    trace_cfg = trace_cfg._replace(step=opts.get("step", trace_cfg.step),
+                                   max_length=opts.get("length", arc.delta))
     if kind == "streamline":
         line = tracing.trace_streamline(laminar_field(arc, params), start, trace_cfg)
     else:  # pressure or level
@@ -421,8 +420,7 @@ def _cmd_zeta(cfg: RunConfig):
     scale = near_wall_scale(params, arc.delta)
     r_list = opts.get("r_list", [0.08 * scale, 0.04 * scale, 0.02 * scale])
     s = opts.get("s", arc.s_range[0] + 0.2 * (arc.s_range[1] - arc.s_range[0]))
-    with _invalid_input(), _float_range():
-        report = tracing.zeta_check(p_field, arc, params, s, r_list, opts.get("eps_over_r", 2.0))
+    report = tracing.zeta_check(p_field, arc, params, s, r_list, opts.get("eps_over_r", 2.0))
     rows = [
         (sm.r, sm.eps, sm.s_hat, sm.r_hat2, sm.traced_length, sm.lower_bound, sm.upper_bound)
         for sm in report.samples
@@ -446,8 +444,7 @@ def _cmd_simulate(cfg: RunConfig):
     sim_cfg = nssim.SimConfig(arc=cfg.arc, params=cfg.params,
                               **{key: cfg.options.get(key, defaults[key])
                                  for key in ("n_s", "n_r", "dt", "t_end")})
-    with _float_range():
-        report = nssim.run_experiment(sim_cfg, cfg.options.get("probes"))
+    report = nssim.run_experiment(sim_cfg, cfg.options.get("probes"))
     payload = {
         "probe_r": report.probe_r,
         "t0": [s._asdict() for s in report.t0_samples],
@@ -475,9 +472,8 @@ def _cmd_sweep(cfg: RunConfig):
             for a2 in alpha2s:
                 for nu in nus:
                     params = LaminarParams(alpha1=a1, alpha2=a2, nu=nu)
-                    with _float_range():
-                        rep2 = theorems.theorem2_limit(params, d)
-                        rep1 = theorems.theorem1_verify(params, d)
+                    rep2 = theorems.theorem2_limit(params, d)
+                    rep1 = theorems.theorem1_verify(params, d)
                     rows.append((d, a1, a2, nu, rep2.limit.value, rep2.oracle_value,
                                  rep2.paper_value, rep1.min_mismatch))
                     levels_used.append(rep2.limit.levels_used)

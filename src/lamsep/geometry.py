@@ -138,15 +138,21 @@ def from_cartesian(arc: ArcBoundary, x) -> NormalPoint:
     if dist < arc.delta * (1.0 - 1e-12):
         raise PointBelowWall(f"|x - center| = {dist} < delta = {arc.delta}")
     r = max(dist - arc.delta, 0.0)
-    # angle convention matches arc_point: x offset = sin, y offset = cos
-    s_raw = math.atan2(rx, ry) * arc.delta - arc.phase
+    s = wall_station(arc, rx, ry)
     lo, hi = arc.padded_s_range
-    period = 2.0 * math.pi * arc.delta
-    mid = 0.5 * (arc.s_range[0] + arc.s_range[1])
-    s = s_raw - period * round((s_raw - mid) / period)
     if not lo <= s <= hi:
         raise OutOfChart(f"s = {s} outside padded sector [{lo}, {hi}]")
     return NormalPoint(s=s, r=r)
+
+
+def wall_station(arc: ArcBoundary, rx: float, ry: float) -> float:
+    """The station s of the center offset (rx, ry), in the period of the wall
+    circle nearest the middle of ``s_range``."""
+    # angle convention matches arc_point: x offset = sin, y offset = cos
+    s_raw = math.atan2(rx, ry) * arc.delta - arc.phase
+    period = 2.0 * math.pi * arc.delta
+    mid = 0.5 * (arc.s_range[0] + arc.s_range[1])
+    return s_raw - period * round((s_raw - mid) / period)
 
 
 def center_offset(center, x: float, y: float) -> tuple[float, float, float]:

@@ -251,8 +251,11 @@ def theorem2_limit(params: LaminarParams, delta: float, r_grid=None) -> Theorem2
     paper = paper_limit(params, delta)
     oracle = oracle_limit(params, delta)
     derived = derived_limit(params, delta)
-    if not all(math.isfinite(v) for v in [*ratios, limit.value, paper, oracle, derived]):
-        raise DomainError("the theorem-2 ratio or a limit overflows the float range "
+    # the limit -nu*(2*a2/(delta*a1) + 1/delta**2) is strictly negative, so an
+    # extrapolated or exact limit of 0 underflowed
+    if (not all(math.isfinite(v) for v in [*ratios, limit.value, paper, oracle, derived])
+            or limit.value == 0.0 or oracle == 0.0):
+        raise DomainError("the theorem-2 ratio or a limit leaves the float range "
                           "at these parameters")
     if abs(limit.value - oracle) <= ADJUDICATION_RTOL * abs(oracle):
         agrees = "oracle"

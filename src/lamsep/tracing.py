@@ -41,6 +41,7 @@ from .geometry import (
     center_offset,
     from_cartesian,
     to_cartesian,
+    wall_station,
 )
 
 
@@ -581,15 +582,10 @@ def perturbed_angular_pressure(
     delta = arc.delta
     k = wall_gradient(params, delta)
     scale = amp * k / delta
-    s_mid = 0.5 * (arc.s_range[0] + arc.s_range[1])
-    period = 2.0 * math.pi * delta
 
     def evaluate(x: float, y: float) -> float:
         rx, ry, d = center_offset(arc.center, x, y)
-        # the station s of (x, y), unwrapped next to the sector
-        s_raw = math.atan2(rx, ry) * delta - arc.phase
-        station = s_raw - period * round((s_raw - s_mid) / period)
-        return k * station + scale * (d - delta) ** 2
+        return k * wall_station(arc, rx, ry) + scale * (d - delta) ** 2
 
     def gradient(x: float, y: float) -> tuple[float, float]:
         rx, ry, d = center_offset(arc.center, x, y)

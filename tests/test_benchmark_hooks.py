@@ -2,15 +2,20 @@
 
 The benchmark loads ``perfbench/traced.py`` and ``perfbench/setup_probe.py``
 against the library; a renamed function there would only show when the
-benchmark runs, so these tests load both scripts by path.
+benchmark runs, so these tests load both scripts by path, and run
+``traced.py`` as the benchmark does, in a new interpreter.
 """
 
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 
+import lamsep
 from lamsep import nssim
 from lamsep.field import LaminarParams
 from lamsep.geometry import ArcBoundary
@@ -52,3 +57,38 @@ def test_final_state_feeds_the_simulation_health_record():
         nssim.divergence(cfg, report.final_state.us, report.final_state.ur))))
     assert health["div_max"] <= 1e-8
     assert health["noslip_residual"] <= 1e-12
+
+
+def _run_traced(tmp_path, command: str, config: dict) -> dict:
+    """Run ``perfbench/traced.py`` on one lamsep invocation in a new interpreter
+    that imports this checkout's lamsep; the record it writes."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    spans = tmp_path / "spans.json"
+    src = str(Path(lamsep.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, str(PERFBENCH / "traced.py"), str(spans), "0:0",
+                           command, "--config", str(path), "--out", str(tmp_path / "o")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads(spans.read_text())
+    assert record["exit_code"] == 0
+    return record
+
+
+def test_traced_counts_the_field_evaluations_of_a_tracing_run(tmp_path):
+    record = _run_traced(tmp_path, "verify-theorem1", {"use_tracing": True})
+    assert record["field_evals"] > 0 and record["field_eval_s"] > 0
+    assert record["simulation"] is None
+    names = {span[1] for span in record["spans"]}
+    assert {"cli.parse_config", "cli.run", "theorems.theorem1_verify", "tracing.trace",
+            "tracing.eta_ratio"} <= names
+
+
+def test_traced_records_the_health_of_a_simulate_run(tmp_path):
+    record = _run_traced(tmp_path, "simulate", {"n_s": 16, "n_r": 16, "t_end": 0.001})
+    health = record["simulation"]
+    assert health["init_cold_s"] > 0 and health["init_warm_s"] > 0
+    assert health["div_max"] <= 1e-8 and health["noslip_residual"] <= 1e-12
+    assert "nssim.step" in {span[1] for span in record["spans"]}

@@ -87,6 +87,9 @@ def test_one_line_names_every_refused_key_and_no_out_directory_is_made(tmp_path,
     ("classify", {"s": "x"}),                               # an option
     ("simulate", {"n_s": 8}),                               # SimConfig.validate
     ("simulate", {"nu": 1e308, "dt": 1e-3, "t_end": 3e-3}),  # a step leaves the float range
+    # theorem 2's limit underflows to 0 (this sweep used to exit 0 with limit 0)
+    ("sweep", {"alpha1": 1.8399755638364526, "alpha2": 1.643420123686913e200,
+               "nu": 8.994958406858893e29}),
 ])
 def test_a_refused_run_makes_no_out_directory(tmp_path, capsys, command, config):
     path = write_config(tmp_path, config)
@@ -94,6 +97,27 @@ def test_a_refused_run_makes_no_out_directory(tmp_path, capsys, command, config)
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("lamsep: error:")
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("out", ["afile", "afile/o"])
+def test_an_out_that_cannot_be_made_is_refused_before_any_handler_runs(
+        tmp_path, capsys, monkeypatch, out):
+    (tmp_path / "afile").write_text("")
+    ran = []
+    monkeypatch.setitem(cli._HANDLERS, "simulate", ran.append)
+    path = write_config(tmp_path, {})
+    assert main(["simulate", "--config", path, "--out", str(tmp_path / out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("lamsep: error: out must be a writable directory")
+    assert ran == []
+
+
+def test_the_boundary_keeps_the_library_error_as_the_cause(tmp_path):
+    path = write_config(tmp_path, {"delta": 9.103705350140571e-31, "kind": "pressure",
+                                   "start_s": 8.933948203276443e299})
+    with pytest.raises(ValidationError) as err:
+        cli.run(parse_config(path, {"out": str(tmp_path / "o")}, command="trace"))
+    assert isinstance(err.value.__cause__, ValueError)
 
 
 def test_report_config_echoes_each_value_as_read(tmp_path):

@@ -124,18 +124,42 @@ def test_malformed_config_is_one_line_error(tmp_path_factory, case):
 MAGNITUDE = st.floats(min_value=-300.0, max_value=300.0).map(lambda e: 10.0**e)
 
 
+# the options each command reads beside the shared keys, drawn at any magnitude;
+# a drawn None leaves the option out
+STATIONS = st.tuples(st.sampled_from((1.0, -1.0)), MAGNITUDE).map(lambda t: t[0] * t[1])
+HEIGHTS = st.lists(MAGNITUDE, min_size=1, max_size=3)
+EXTREME_OPTIONS = {
+    "verify-theorem1": {"r_grid": HEIGHTS, "use_tracing": st.booleans()},
+    "verify-theorem2": {"r_grid": HEIGHTS},
+    "classify": {"s": STATIONS, "radii": HEIGHTS},
+    "trace": {"kind": st.sampled_from(("streamline", "pressure", "level")),
+              "start_s": STATIONS, "start_r": MAGNITUDE},
+    "zeta-check": {"s": STATIONS},
+}
+
+
 @st.composite
 def extreme_configs(draw):
-    command = draw(st.sampled_from(("verify-theorem1", "verify-theorem2", "classify", "trace",
-                                    "zeta-check")))
+    command = draw(st.sampled_from(tuple(EXTREME_OPTIONS)))
     config = {key: draw(MAGNITUDE) for key in ("delta", "alpha1", "alpha2", "nu")}
-    if command == "verify-theorem1":
-        config["use_tracing"] = draw(st.booleans())
+    for key, values in EXTREME_OPTIONS[command].items():
+        value = draw(st.none() | values)
+        if value is not None:
+            config[key] = value
     return command, config
 
 
 @PROPERTY_SETTINGS
 @example(("verify-theorem2", {"delta": 1e-170}))  # delta**2 underflows to 0
+# the limit underflows to 0 (this run used to exit 2 with every ratio 0)
+@example(("verify-theorem2", {"alpha1": 1.8399755638364526, "alpha2": 1.643420123686913e+200,
+                              "nu": 8.994958406858893e+29}))
+# the fd variant note divides by a quotient that underflowed (ZeroDivisionError)
+@example(("verify-theorem1", {"alpha1": 0.9753736654563112, "delta": 1.831576422484547e-300,
+                              "r_grid": [0.4825952921473091, 0.24129764607365456]}))
+# start_s / delta overflows in the chart map (math domain error)
+@example(("trace", {"delta": 9.103705350140571e-31, "kind": "pressure",
+                    "start_s": 8.933948203276443e+299, "start_r": 1.7815983848928382e-08}))
 @given(extreme_configs())
 def test_extreme_magnitudes_end_in_a_report_or_one_line_error(tmp_path_factory, case):
     command, config = case
@@ -143,8 +167,12 @@ def test_extreme_magnitudes_end_in_a_report_or_one_line_error(tmp_path_factory, 
     code, lines = _run_cli(tmp, command, config)
     if code == 1:
         assert len(lines) == 1 and lines[0].startswith("lamsep: error:"), lines
+        assert not (tmp / "o").exists()
         return
     # verify-theorem2 exits 2 on the tracked erratum
     assert code == 0 or (code == 2 and command == "verify-theorem2"), (command, config, code)
     report = load_strict_json(tmp / "o" / "report.json")
     assert report["command"] == command
+    if code == 2:  # the erratum is a disagreement between nonzero limits
+        limit = report["payload"]["limit_extrapolated"]
+        assert limit is not None and limit != 0.0 and math.isfinite(limit), (config, limit)

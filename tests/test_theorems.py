@@ -118,6 +118,16 @@ def test_ratio_domain_error():
         theorem2_ratio(UNIT, 1.0, 2.5)
 
 
+def test_limit_that_underflowed_to_zero_is_a_domain_error():
+    # the derived limit -nu*(2*a2/(delta*a1) + 1/delta**2) is strictly negative,
+    # but here every ratio and the extrapolated limit underflow to 0
+    params = LaminarParams(alpha1=1.8399755638364526, alpha2=1.643420123686913e200,
+                           nu=8.994958406858893e29)
+    assert theorem2_ratio(params, 1.0, default_r_grid(params, 1.0)[0]) == 0.0
+    with pytest.raises(DomainError, match="leaves the float range"):
+        theorem2_limit(params, 1.0)
+
+
 def test_limit_unit_parameters():
     report = theorem2_limit(UNIT, 1.0)
     assert report.paper_value == pytest.approx(-2.0)
