@@ -136,7 +136,7 @@ _OPTIONS = {
     "trace": {"kind": _one_of("streamline", "pressure", "level"), "start_s": _finite,
               "start_r": _height, "length": _finite, "step": _finite},
     "zeta-check": {"pressure": _one_of("angular", "perturbed"), "s": _finite,
-                   "r_list": _numbers, "eps_over_r": _finite, "amp": _finite},
+                   "r_list": _positives, "eps_over_r": _positive, "amp": _finite},
     "simulate": {"n_s": _integer, "n_r": _integer, "dt": _finite, "t_end": _finite,
                  "probes": _numbers},
     "sweep": {"delta_values": _positives, "alpha1_values": _positives,

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .errors import OutOfChart, PointBelowWall
+from .errors import DomainError, OutOfChart, PointBelowWall
 
 # from_cartesian accepts this fraction of the s-range beyond each end, so
 # tracers that overshoot the sector slightly still get chart coordinates.
@@ -109,6 +109,9 @@ def arc_tangent(arc: ArcBoundary, s: float) -> tuple[float, float]:
 def arc_normal(arc: ArcBoundary, s: float) -> tuple[float, float]:
     """Unit normal e2(s) = (sin a, cos a), pointing away from the center (into the fluid)."""
     a = (s + arc.phase) / arc.delta
+    if not math.isfinite(a):
+        raise DomainError(f"wall station s = {s} leaves the float range: its angle "
+                          f"(s + phase)/delta = {a}")
     return math.sin(a), math.cos(a)
 
 

@@ -124,7 +124,8 @@ def theorem1_verify(
 
         cfg = tracing.default_trace_config(arc, params)
         gradp = stationary_gradp_field(arc, params)
-        s_mid = 0.3 * (arc.s_range[0] + arc.s_range[1])
+        s0, s1 = arc.s_range
+        s_mid = s0 + 0.3 * (s1 - s0)
         eps_list = [4e-3 * delta, 2e-3 * delta, 1e-3 * delta]
         r = r_grid[0]
         ratio = tracing.eta_ratio(gradp, arc, s_mid, r, eps_list, cfg)
@@ -246,6 +247,8 @@ def theorem2_limit(params: LaminarParams, delta: float, r_grid=None) -> Theorem2
     """Extrapolate theorem2_ratio to r -> 0 and adjudicate against both candidates."""
     _require_theorem_params(params)
     r_grid = _float_grid(params, delta, r_grid)
+    if len(r_grid) < 2 or any(b >= a for a, b in zip(r_grid, r_grid[1:])):
+        raise ValueError("r_grid must hold at least two strictly decreasing radii")
     ratios = [theorem2_ratio(params, delta, r) for r in r_grid]
     limit = _fine_tail_limit(list(zip(r_grid, ratios)))
     paper = paper_limit(params, delta)

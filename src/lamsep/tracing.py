@@ -1,13 +1,18 @@
 """Streamline and pressure-line tracing next to the curved wall.
 
 Everything here works on normalized direction fields with one fixed-step
-classical RK4 march, so every traced curve is arc-length parametrized.  A
-crossing event (a normal ray, a target wall distance, a pressure level) is the
-first sign change of a scalar along the march, made by :func:`_crossing`: a
-march point exactly on the target is the hit, and a sign change within a step
-is located by bisection along the step followed by one secant polish, which
-stays robust for nearly tangential crossings.  The pressure line of the eta
-ratio stops instead where it first meets the traced level curve.
+classical RK4 march, :func:`_march`, so every traced curve is arc-length
+parametrized.  The march yields its steps, and each caller is a loop over
+them: a trace collects the points, and a crossing event (a normal ray, a
+target wall distance, a pressure level) is the first sign change of a scalar
+along the march, found by :func:`_first_crossing`, which evaluates the scalar
+once per march point.  A march point exactly on the target is the hit, and a
+sign change within a step is located by bisection along the step followed by
+one secant polish, which stays robust for nearly tangential crossings.  The
+pressure line of the eta ratio stops instead where it first meets the traced
+level curve.  A pressure march stops with :class:`CriticalPoint` where the
+gradient vanishes, a streamline with :class:`StagnationEncountered` where the
+velocity does.
 
 The march runs on float pairs: a point is a tuple ``(x, y)``, and each field
 is called in point form, ``field((x, y)) -> (u, v)`` (see
@@ -155,16 +160,20 @@ def _rk_step(fn, x, h):
             x1 + h6 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]))
 
 
-def _unit_direction(field: FieldHandle, tol: float, sign: float = 1.0, perpendicular=False):
-    """The field normalized to unit length (optionally turned +90 degrees), in point form."""
+def _unit_direction(field: FieldHandle, tol: float, sign: float = 1.0, perpendicular=False,
+                    error=StagnationEncountered):
+    """The field normalized to unit length (optionally turned +90 degrees), in point form.
+
+    A field below ``tol`` in length, or singular, raises ``error``.
+    """
     def fn(x):
         try:
             u, v = field(x)
         except ZeroDivisionError as exc:
-            raise StagnationEncountered(f"field is singular at {x}") from exc
+            raise error(f"field is singular at {x}") from exc
         speed = abs(complex(u, v))  # libm hypot
         if speed < tol:
-            raise StagnationEncountered(f"|field| = {speed} < {tol} at {x}")
+            raise error(f"|field| = {speed} < {tol} at {x}")
         u, v = u / speed, v / speed
         if perpendicular:
             u, v = -v, u
@@ -173,16 +182,13 @@ def _unit_direction(field: FieldHandle, tol: float, sign: float = 1.0, perpendic
     return fn
 
 
-def _march(dirfn, start, cfg: TraceConfig, on_point=None):
-    """Fixed-step march of a unit direction field; optional per-point callback.
+def _march(dirfn, start, cfg: TraceConfig):
+    """Fixed-step march of a unit direction field from ``start`` for cfg.max_length.
 
-    Points are float pairs, ``start`` included once converted.
-    ``on_point(x_prev, x_new, cum_prev, h)`` may return a (hit_point,
-    hit_length) pair to stop the trace at an event.  Returns (points, hit)
-    where hit is the callback result or None when max_length was exhausted.
+    Yields each step as (x, x_new, cum, h): the float pair x at arc length
+    cum, and the point x_new one step of length h on.
     """
     x = (float(start[0]), float(start[1]))
-    pts = [x]
     cum = 0.0
     n_full = int(math.floor(cfg.max_length / cfg.step + 1e-12))
     steps = [cfg.step] * n_full
@@ -191,45 +197,30 @@ def _march(dirfn, start, cfg: TraceConfig, on_point=None):
         steps.append(remainder)
     for h in steps:
         x_new = _rk_step(dirfn, x, h)
-        if on_point is not None:
-            hit = on_point(x, x_new, cum, h)
-            if hit is not None:
-                pts.append(hit[0])
-                return pts, hit
-        pts.append(x_new)
+        yield x, x_new, cum, h
         cum += h
         x = x_new
-    return pts, None
 
 
-def _march_pressure(dirfn, start, cfg: TraceConfig, on_point=None):
-    """:func:`_march` along the pressure gradient or a level curve.
-
-    There the direction field stagnates only where the gradient vanishes, so a
-    stagnation is a :class:`CriticalPoint`.
-    """
-    try:
-        return _march(dirfn, start, cfg, on_point)
-    except StagnationEncountered as exc:
-        raise CriticalPoint(str(exc)) from exc
-
-
-def _crossing(dirfn, psi, tol):
-    """March callback that stops at the first sign change of ``psi``.
+def _first_crossing(dirfn, start, cfg: TraceConfig, psi, tol):
+    """The first sign change of ``psi`` along the march from ``start``, as the pair
+    (point, arc length), or None when cfg.max_length runs out first.
 
     A march point with psi exactly 0 is the hit.  Otherwise a sign change
     within a step is refined to |psi| <= tol along that step.
     """
-    def on_point(x_prev, x_new, cum, h):
-        p_prev, p_new = psi(x_prev), psi(x_new)
+    p_prev = None
+    for x, x_new, cum, h in _march(dirfn, start, cfg):
+        if p_prev is None:  # psi of the start, once the first step is made
+            p_prev = psi(x)
+        p_new = psi(x_new)
         if p_new == 0.0:  # the march landed on the target itself
             return x_new, cum + h
-        if p_prev == 0.0 or (p_prev > 0) == (p_new > 0):
-            return None
-        hit, extra = _refine_on_step(dirfn, x_prev, h, psi, p_prev, p_new, tol)
-        return hit, cum + extra
-
-    return on_point
+        if p_prev != 0.0 and (p_prev > 0) != (p_new > 0):
+            hit, extra = _refine_on_step(dirfn, x, h, psi, p_prev, p_new, tol)
+            return hit, cum + extra
+        p_prev = p_new
+    return None
 
 
 def _refine_on_step(dirfn, x_prev, step, psi, psi_prev, psi_new, tol):
@@ -270,8 +261,7 @@ def _refine_on_step(dirfn, x_prev, step, psi, psi_prev, psi_new, tol):
 def trace_streamline(field: FieldHandle, start, cfg: TraceConfig) -> Polyline:
     """Integrate the normalized velocity from ``start`` for cfg.max_length."""
     dirfn = _unit_direction(field, cfg.stagnation_tol)
-    pts, _ = _march(dirfn, start, cfg)
-    return Polyline.from_points(pts)
+    return Polyline.from_points([start] + [x_new for _, x_new, _, _ in _march(dirfn, start, cfg)])
 
 
 def trace_pressure_line(
@@ -284,11 +274,9 @@ def trace_pressure_line(
     """Integrate the normalized pressure gradient ("along") or its perpendicular."""
     if direction not in ("along", "perpendicular"):
         raise ValueError(f"direction must be 'along' or 'perpendicular', got {direction!r}")
-    dirfn = _unit_direction(
-        gradp, cfg.stagnation_tol, sign=orientation, perpendicular=direction == "perpendicular"
-    )
-    pts, _ = _march_pressure(dirfn, start, cfg)
-    return Polyline.from_points(pts)
+    dirfn = _unit_direction(gradp, cfg.stagnation_tol, sign=orientation,
+                            perpendicular=direction == "perpendicular", error=CriticalPoint)
+    return Polyline.from_points([start] + [x_new for _, x_new, _, _ in _march(dirfn, start, cfg)])
 
 
 def poincare_L(
@@ -307,7 +295,7 @@ def poincare_L(
         return from_cartesian(arc, x).s - s1
 
     try:
-        _, hit = _march(dirfn, start, cfg, _crossing(dirfn, station, 1e-13 * arc.delta))
+        hit = _first_crossing(dirfn, start, cfg, station, 1e-13 * arc.delta)
     except OutOfChart as exc:
         raise NoCrossing(f"streamline left the chart before reaching s1={s1}") from exc
     if hit is None:
@@ -444,8 +432,8 @@ def _first_polyline_crossing(a0, a1, segs, blocks):
 
     The polyline is given by :func:`_segment_blocks`.  A block whose box misses
     the step's box, both padded well beyond the parameter slack, holds no
-    crossing; the others are tested segment by segment.  Returns (t, point,
-    segment index) or None.
+    crossing; the others are tested segment by segment.  Returns (t, segment
+    index) or None.
     """
     d1x, d1y = a1[0] - a0[0], a1[1] - a0[1]
     pad = _BOX_PAD * (abs(d1x) + abs(d1y))
@@ -468,8 +456,7 @@ def _first_polyline_crossing(a0, a1, segs, blocks):
                 best_t, best_idx = t, idx
     if best_idx is None:
         return None
-    t_hit = min(max(best_t, 0.0), 1.0)
-    return t_hit, (a0[0] + t_hit * d1x, a0[1] + t_hit * d1y), best_idx
+    return min(max(best_t, 0.0), 1.0), best_idx
 
 
 class EtaSample(NamedTuple):
@@ -502,29 +489,20 @@ def eta_trace(
         # gradient purely normal: the level curve already passes through the start
         return EtaSample(eps=eps, eta_length=0.0, phi_length=phi_len, ratio=0.0,
                          corner_angle=0.5 * math.pi)
-    dirfn = _unit_direction(gradp, cfg.stagnation_tol, sign=sign)
+    dirfn = _unit_direction(gradp, cfg.stagnation_tol, sign=sign, error=CriticalPoint)
     press_cfg = cfg._replace(step=phi_len / 80.0, max_length=4.0 * phi_len)
     segs, blocks = _segment_blocks(level_pts)
-
-    crossing = {}
-
-    def on_point(x_prev, x_new, cum, h):
-        hit = _first_polyline_crossing(x_prev, x_new, segs, blocks)
-        if hit is None:
-            return None
-        t_hit, point, seg_idx = hit
-        crossing["segment"] = seg_idx
-        crossing["chord"] = (x_new[0] - x_prev[0], x_new[1] - x_prev[1])
-        return point, cum + t_hit * h
-
-    _, hit = _march_pressure(dirfn, start, press_cfg, on_point)
-    if hit is None:
-        raise NoIntersection(
-            f"pressure line from (s={s}, r={r}) missed the level curve for eps={eps}"
-        )
-    eta_len = hit[1]
-    _, _, lx, ly = segs[crossing["segment"]]
-    cx, cy = crossing["chord"]
+    for x, x_new, cum, h in _march(dirfn, start, press_cfg):
+        hit = _first_polyline_crossing(x, x_new, segs, blocks)
+        if hit is not None:
+            break
+    else:
+        raise NoIntersection(f"pressure line from (s={s}, r={r}) missed the level curve "
+                             f"for eps={eps}")
+    t_hit, seg_idx = hit
+    eta_len = cum + t_hit * h
+    _, _, lx, ly = segs[seg_idx]
+    cx, cy = x_new[0] - x[0], x_new[1] - x[1]
     cosang = abs(cx * lx + cy * ly) / (abs(complex(cx, cy)) * abs(complex(lx, ly)))
     corner = math.acos(min(1.0, cosang))
     return EtaSample(eps=eps, eta_length=eta_len, phi_length=phi_len,
@@ -658,29 +636,29 @@ def _zeta_sample(
     g0 = gradp(wall_pt)
     n0, n1 = arc_normal(arc, s)
     orient = 1.0 if -g0[1] * n0 + g0[0] * n1 >= 0 else -1.0
-    dirfn_level = _unit_direction(gradp, cfg.stagnation_tol, sign=orient, perpendicular=True)
+    dirfn_level = _unit_direction(gradp, cfg.stagnation_tol, sign=orient, perpendicular=True,
+                                  error=CriticalPoint)
     level_cfg = cfg._replace(step=r / 100.0, max_length=4.0 * r)
 
     def height(x):
         return center_offset(arc.center, *x)[2] - delta - r
 
-    _, foot_hit = _march_pressure(dirfn_level, wall_pt, level_cfg,
-                                  _crossing(dirfn_level, height, 1e-13 * delta))
+    foot_hit = _first_crossing(dirfn_level, wall_pt, level_cfg, height, 1e-13 * delta)
     if foot_hit is None:
         raise NoIntersection(f"level curve from phi({s}) never reached wall distance {r}")
     foot, r_hat = foot_hit
 
     # zeta trace: pressure line from the foot to the level of phi(s + eps)
     p_target = p_field(arc_point(arc, s + eps))
-    dirfn_press = _unit_direction(gradp, cfg.stagnation_tol, sign=sign_k)
+    dirfn_press = _unit_direction(gradp, cfg.stagnation_tol, sign=sign_k, error=CriticalPoint)
     arc_span = arc_segment_length(arc, s, s + eps, r)
     press_cfg = cfg._replace(step=arc_span / 100.0, max_length=5.0 * arc_span)
 
     def level_gap(x):
         return p_field(x) - p_target
 
-    _, zeta_hit = _march_pressure(dirfn_press, foot, press_cfg,
-                                  _crossing(dirfn_press, level_gap, 1e-14 * (abs(p_target) + 1.0)))
+    zeta_hit = _first_crossing(dirfn_press, foot, press_cfg, level_gap,
+                               1e-14 * (abs(p_target) + 1.0))
     if zeta_hit is None:
         raise NoIntersection(f"pressure line from the foot missed the level of phi({s + eps})")
     zeta_pt, traced = zeta_hit
@@ -763,8 +741,10 @@ def zeta_check(
         )
 
     r_list = list(r_list)
-    if any(b >= a for a, b in zip(r_list, r_list[1:])):
-        raise ValueError("r_list must be strictly decreasing")
+    if any(r <= 0 for r in r_list) or any(b >= a for a, b in zip(r_list, r_list[1:])):
+        raise ValueError("r_list must be positive and strictly decreasing")
+    if not eps_over_r > 0:
+        raise ValueError(f"eps_over_r must be positive, got {eps_over_r}")
     sign_k = 1.0 if k > 0 else -1.0
     raw = [_zeta_sample(p_field, gradp, arc, sign_k, s, r, eps_over_r * r, cfg) for r in r_list]
 

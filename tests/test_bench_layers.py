@@ -286,3 +286,19 @@ def test_both_sides_write_the_same_data_csv(sides, tmp_path, command, config):
         side.cli.run(side.cli.parse_config(path, {"out": str(out)}, command))
         written.append((out / "data.csv").read_bytes())
     assert written[0] and written[0] == written[1]
+
+
+def test_every_layer_sampler_runs_on_this_checkout(sides, tmp_path, monkeypatch):
+    # the samplers call private hooks (tracing._unit_direction, tracing._rk_step,
+    # nssim._solve_neumann) that no other test reaches through this script;
+    # each sampler runs its function once here, and is timed by nothing
+    per_call = layers._per_call
+    monkeypatch.setattr(layers, "_per_call", lambda fn, calls: per_call(fn, 1))
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the layers put perfbench/ first
+    side = sides[0]
+    samplers = layers._analysis_layers(side, tmp_path / "analysis")
+    solver, notes = layers._solver_layers(side, 32)
+    assert {"tracing.rk_step_s", "tracing.eta_ratio_s", "cli.run.zeta-check_s"} <= set(samplers)
+    assert "nssim.pressure_solve_32_s" in solver and set(notes) <= set(solver)
+    for name, sample in {**samplers, **solver}.items():
+        assert sample() >= 0.0, name

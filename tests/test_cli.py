@@ -113,10 +113,10 @@ def test_an_out_that_cannot_be_made_is_refused_before_any_handler_runs(
 
 
 def test_the_boundary_keeps_the_library_error_as_the_cause(tmp_path):
-    path = write_config(tmp_path, {"delta": 9.103705350140571e-31, "kind": "pressure",
-                                   "start_s": 8.933948203276443e299})
+    # classify_flow, not the config reader, refuses increasing radii
+    path = write_config(tmp_path, {"radii": [0.01, 0.02, 0.04]})
     with pytest.raises(ValidationError) as err:
-        cli.run(parse_config(path, {"out": str(tmp_path / "o")}, command="trace"))
+        cli.run(parse_config(path, {"out": str(tmp_path / "o")}, command="classify"))
     assert isinstance(err.value.__cause__, ValueError)
 
 
@@ -465,6 +465,10 @@ def test_simulate_accepts_integral_grid_sizes(tmp_path, ok):
     # "divide by zero"
     ("simulate", {"alpha1": 1e-300}),
     ("simulate", {"alpha1": 9.7e-240, "alpha2": 1.9e-268, "delta": 2.0e233}),
+    # a zeta step derived from these keys, and a theorem-2 grid that Richardson
+    # cannot fit: each used to end in a message that named no key
+    ("zeta-check", {"eps_over_r": 0}), ("zeta-check", {"r_list": [-0.01]}),
+    ("verify-theorem2", {"r_grid": [0.1]}), ("verify-theorem2", {"r_grid": [0.01, 0.02]}),
 ])
 def test_command_options_rejected_with_one_line(tmp_path, capsys, command, bad):
     cfg = write_config(tmp_path, {"command": command, "alpha1": 2.0, **bad})
@@ -472,6 +476,17 @@ def test_command_options_rejected_with_one_line(tmp_path, capsys, command, bad):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("lamsep: error:")
     assert list(bad)[-1].removesuffix("_values") in err[0]
+    assert not (tmp_path / "o").exists()
+
+
+def test_a_station_past_the_float_range_is_named(tmp_path, capsys):
+    # (start_s + phase)/delta overflows to inf: this used to end in "math domain error"
+    cfg = write_config(tmp_path, {"delta": 9.1e-31, "kind": "pressure", "start_s": 8.9e299})
+    assert main(["trace", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("lamsep: error: wall station s = 8.9e+299")
+    assert "float range" in err[0]
+    assert not (tmp_path / "o").exists()
 
 
 def test_unknown_command_errors():

@@ -1,7 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
-from lamsep.errors import OutOfChart, PointBelowWall
+from lamsep.errors import DomainError, OutOfChart, PointBelowWall
 from lamsep.geometry import (
     ArcBoundary,
     NormalPoint,
@@ -208,3 +210,11 @@ def test_center_offset_matches_array_norm_bit_for_bit():
         if norms[k] >= arc.delta and arc.padded_s_range[0] <= s[k] <= arc.padded_s_range[1]:
             pair = tuple(float(v) for v in points[k])
             assert from_cartesian(arc, pair) == from_cartesian(arc, points[k])
+
+
+@pytest.mark.parametrize("s", [8.9e299, -8.9e299, 1.7e308])
+def test_a_station_whose_angle_overflows_is_a_domain_error(s):
+    arc = ArcBoundary(delta=9.1e-31, phase=1e308, center=(0.0, 0.0), s_range=(0.0, 1.0))
+    message = f"wall station s = {s} leaves the float range"
+    with pytest.raises(DomainError, match=re.escape(message)):
+        arc_normal(arc, s)

@@ -88,6 +88,24 @@ def test_verify_tracing_crosscheck():
     assert abs(factor - 1.0) > 0.1
 
 
+def test_verify_traces_its_crosscheck_on_the_wall_segment(monkeypatch):
+    # the station lies 0.3 of the way along s_range = (1, 2), not at 0.3 * (1 + 2)
+    from lamsep import tracing
+
+    stations = []
+
+    def eta_ratio(gradp, arc, s, r, eps_list, cfg):
+        stations.append(s)
+        return real_eta_ratio(gradp, arc, s, r, eps_list, cfg)
+
+    real_eta_ratio = tracing.eta_ratio
+    monkeypatch.setattr(tracing, "eta_ratio", eta_ratio)
+    params = LaminarParams(alpha1=2.0, alpha2=1.0, nu=1.0)
+    arc = ArcBoundary(delta=1.0, phase=0.0, center=(0.0, 0.0), s_range=(1.0, 2.0))
+    theorem1_verify(params, 1.0, arc=arc)
+    assert stations == [pytest.approx(1.3, abs=1e-15)]
+
+
 def test_ratio_frozen_values():
     # exact rationals: -(63/242)/0.095 and -(603/20402)/0.00995
     assert theorem2_ratio(UNIT, 1.0, 0.1) == pytest.approx(-(63.0 / 242.0) / 0.095, abs=1e-12)
@@ -111,6 +129,14 @@ def test_ratio_negative_random_sweep():
         grid = np.asarray(default_r_grid(params, d))
         grid = grid[grid < 0.5 * min(params.bl, d)]
         assert np.all(np.asarray([theorem2_ratio(params, d, r) for r in grid]) < 0)
+
+
+@pytest.mark.parametrize("r_grid", [[0.1], [0.01, 0.02], [0.02, 0.01, 0.01]])
+def test_limit_refuses_a_grid_it_cannot_extrapolate(r_grid):
+    # verify-theorem1 takes any grid; theorem 2's limit needs two decreasing radii
+    with pytest.raises(ValueError, match="r_grid"):
+        theorem2_limit(UNIT, 1.0, r_grid=r_grid)
+    theorem1_verify(UNIT, 1.0, r_grid=r_grid)
 
 
 def test_ratio_domain_error():

@@ -8,9 +8,11 @@ from lamsep.errors import (
     NoCrossing,
     StagnationEncountered,
 )
+from lamsep import tracing
 from lamsep.field import (
     FieldHandle,
     LaminarParams,
+    ScalarFieldHandle,
     laminar_field,
     stationary_gradp_ansatz,
     stationary_gradp_field,
@@ -19,6 +21,7 @@ from lamsep.field import (
 from lamsep.geometry import ArcBoundary, from_cartesian, to_cartesian
 from lamsep.tracing import (
     Polyline,
+    angular_pressure,
     TraceConfig,
     classify_flow,
     default_trace_config,
@@ -266,6 +269,109 @@ def test_eta_right_angle_at_intersection():
     gradp = stationary_gradp_field(ARC, PARAMS)
     sample = eta_trace(gradp, ARC, 0.15, 0.1, 1e-3, CFG)
     assert abs(sample.corner_angle - np.pi / 2) < 1e-2
+
+
+# ----------------------------------------------------------------------------
+# a vanishing field ends every march with the same error
+# ----------------------------------------------------------------------------
+
+ZETA_PARAMS = LaminarParams(alpha1=2.0, alpha2=1.0, nu=1.0)  # wall gradient k = 1
+ZETA_S, ZETA_R, ZETA_EPS = 0.1, 0.05, 0.1
+
+
+def _tangential(x, y):
+    d = math.hypot(x, y)  # ARC is centred at the origin
+    return y / d, -x / d
+
+
+def _vanishing(evaluate, station=(-math.inf, math.inf), height=(-math.inf, math.inf)):
+    """``evaluate`` as a field, zero wherever both the wall station and the wall
+    distance lie inside the given open intervals."""
+    def field(x, y):
+        s, r = math.atan2(x, y) * ARC.delta, math.hypot(x, y) - ARC.delta
+        if station[0] < s < station[1] and height[0] < r < height[1]:
+            return 0.0, 0.0
+        return evaluate(x, y)
+
+    return FieldHandle(evaluator=field)
+
+
+def _zeta_sample(gradp, p_field=None):
+    p_field = p_field or angular_pressure(ARC, ZETA_PARAMS)
+    return tracing._zeta_sample(p_field, gradp, ARC, 1.0, ZETA_S, ZETA_R, ZETA_EPS,
+                                default_trace_config(ARC, ZETA_PARAMS))
+
+
+def _angular_gradp(**where):
+    """The angular pressure's gradient, zero where ``where`` says (nowhere when empty)."""
+    gradient = angular_pressure(ARC, ZETA_PARAMS).gradient
+    return _vanishing(gradient, **where) if where else FieldHandle(evaluator=gradient)
+
+
+def test_every_march_runs_where_nothing_vanishes():
+    # the controls of the cases below: the same marches on the unbroken fields
+    line_cfg = TraceConfig(step=1e-3, max_length=0.5, stagnation_tol=1e-12)
+    trace_pressure_line(FieldHandle(evaluator=_tangential), [0.0, 1.1], line_cfg)
+    eta_trace(FieldHandle(evaluator=_tangential), ARC, 0.15, 0.1, 0.01, CFG)
+    _zeta_sample(_angular_gradp())
+    field = laminar_field(ARC, PARAMS)
+    trace_streamline(field, to_cartesian(ARC, (0.1, 0.1)), CFG)
+    poincare_L(field, ARC, 0.1, 0.25, 0.1, CFG)
+
+
+@pytest.mark.parametrize("march, error", [
+    # the pressure line and the level curve through a zero gradient
+    (lambda: trace_pressure_line(FieldHandle(evaluator=lambda x, y: (0.0, 0.0)), [0.0, 0.0],
+                                 CFG, "along"), CriticalPoint),
+    (lambda: trace_pressure_line(FieldHandle(evaluator=lambda x, y: (0.0, 0.0)), [0.0, 0.0],
+                                 CFG, "perpendicular"), CriticalPoint),
+    # eta's pressure line from s = 0.15 to the level curve at s = 0.16 (a normal
+    # ray, which the zero band leaves alone)
+    (lambda: eta_trace(_vanishing(_tangential, station=(0.152, 0.154)), ARC, 0.15, 0.1, 0.01,
+                       CFG), CriticalPoint),
+    # zeta's foot trace up the normal at s, and its pressure line at height r
+    (lambda: _zeta_sample(_angular_gradp(height=(0.3 * ZETA_R, 0.4 * ZETA_R))), CriticalPoint),
+    (lambda: _zeta_sample(_angular_gradp(station=(ZETA_S + 0.4 * ZETA_EPS,
+                                                  ZETA_S + 0.6 * ZETA_EPS),
+                                         height=(0.5 * ZETA_R, math.inf))), CriticalPoint),
+    # a streamline and the return map's streamline through a zero velocity
+    (lambda: trace_streamline(_vanishing(laminar_field(ARC, PARAMS).evaluator,
+                                         station=(0.15, 0.16)),
+                              to_cartesian(ARC, (0.1, 0.1)), CFG), StagnationEncountered),
+    (lambda: poincare_L(_vanishing(laminar_field(ARC, PARAMS).evaluator, station=(0.15, 0.16)),
+                        ARC, 0.1, 0.25, 0.1, CFG), StagnationEncountered),
+], ids=["pressure-along", "pressure-perpendicular", "eta", "zeta-foot", "zeta-line",
+        "streamline", "poincare"])
+def test_a_vanishing_field_ends_each_march_with_its_error(march, error):
+    with pytest.raises(error):
+        march()
+
+
+def test_a_vanishing_gradient_met_inside_a_crossing_refinement_is_a_critical_point():
+    # zeta's pressure line at height r advances eps/100 in wall station per
+    # step.  A radial term c*(d - delta) in the pressure, which the gradient
+    # leaves out, moves the level of phi(s + eps) to 99.55 steps on, so the
+    # march refines its step 99 -> 100.  The first bisection evaluates RK4
+    # stages 99.25 steps on, where no full step looks: the gradient vanishes
+    # only there.
+    unit = ZETA_EPS / 100
+    angular = angular_pressure(ARC, ZETA_PARAMS)
+    c = 0.45 * unit / ZETA_R
+
+    def evaluate(x, y):
+        return angular.evaluator(x, y) + c * (math.hypot(x, y) - ARC.delta)
+
+    p_field = ScalarFieldHandle(evaluator=evaluate, gradient=angular.gradient)
+    sample = _zeta_sample(_angular_gradp(), p_field)
+    assert sample.s_hat2 == pytest.approx(ZETA_S + 99.55 * unit, abs=1e-3 * unit)
+    window = (ZETA_S + 99.2 * unit, ZETA_S + 99.3 * unit)
+    with pytest.raises(CriticalPoint):
+        _zeta_sample(_angular_gradp(station=window), p_field)
+    # the window lies off every full step: moved to 99.45, where the bisection
+    # never looks either, it is never met
+    window = (ZETA_S + 99.4 * unit, ZETA_S + 99.45 * unit)
+    moved = _zeta_sample(_angular_gradp(station=window), p_field)
+    assert moved.traced_length == sample.traced_length and moved.s_hat2 == sample.s_hat2
 
 
 # ----------------------------------------------------------------------------

@@ -53,6 +53,16 @@ def test_zeta_angular_field_exact():
         assert sm.traced_length == pytest.approx(expected, rel=1e-9)
 
 
+@pytest.mark.parametrize("r_list, eps_over_r, key", [
+    ([-0.01], 2.0, "r_list"), ([0.02, 0.04], 2.0, "r_list"), (R_LIST, 0.0, "eps_over_r"),
+    (R_LIST, -1.0, "eps_over_r"), (R_LIST, float("nan"), "eps_over_r"),
+])
+def test_zeta_check_refuses_a_radius_or_eps_that_is_not_positive(r_list, eps_over_r, key):
+    with pytest.raises(ValueError, match=key):
+        zeta_check(angular_pressure(ARC, PARAMS), ARC, PARAMS, s=0.1, r_list=r_list,
+                   eps_over_r=eps_over_r)
+
+
 def test_zeta_angular_pw_sums_match_traced():
     p = angular_pressure(ARC, PARAMS)
     report = zeta_check(p, ARC, PARAMS, s=0.1, r_list=[0.04], eps_over_r=2.0)
