@@ -190,6 +190,7 @@ def _analysis_layers(lamsep, tmp: Path) -> dict:
     report = cli.run(cli.parse_config(config, {"out": str(tmp / "t1")}, "verify-theorem1"))
     gradp = lamsep.field.stationary_gradp_field(arc, params)
     eps_list = [4e-3 * delta, 2e-3 * delta, 1e-3 * delta]
+    s0, s1 = arc.s_range  # theorem 1's cross-check station, 0.3 of the way along
 
     out = {
         "cli.parse_config_s": _per_call(lambda: cli.parse_config(config, None, "trace"), 200),
@@ -203,7 +204,7 @@ def _analysis_layers(lamsep, tmp: Path) -> dict:
             lambda: lamsep.field.write_csv(tmp / "trace.csv", line.CSV_HEADER, rows), 20),
         "cli.report_to_json_s": _per_call(report.to_json, 200),
         "tracing.eta_ratio_s": _per_call(
-            lambda: tracing.eta_ratio(gradp, arc, 0.3 * sum(arc.s_range), grid[0], eps_list,
+            lambda: tracing.eta_ratio(gradp, arc, s0 + 0.3 * (s1 - s0), grid[0], eps_list,
                                       cfg), 3),
     }
     for i, inv in enumerate(workloads.generate("cli-analysis", 1)):

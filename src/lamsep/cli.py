@@ -132,9 +132,9 @@ _OPTIONS = {
     "verify-theorem2": {"r_grid": _numbers},
     "classify": {"field": _one_of("laminar", "fan", "weak"), "radii": _numbers, "s": _finite,
                  "s1": _finite, "C": _finite, "source": _pair, "growth": _finite,
-                 "step": _finite, "tol_par": _finite},
+                 "step": _positive, "tol_par": _finite},
     "trace": {"kind": _one_of("streamline", "pressure", "level"), "start_s": _finite,
-              "start_r": _height, "length": _finite, "step": _finite},
+              "start_r": _height, "length": _positive, "step": _positive},
     "zeta-check": {"pressure": _one_of("angular", "perturbed"), "s": _finite,
                    "r_list": _positives, "eps_over_r": _positive, "amp": _finite},
     "simulate": {"n_s": _integer, "n_r": _integer, "dt": _finite, "t_end": _finite,
@@ -383,7 +383,11 @@ def _cmd_classify(cfg: RunConfig):
     field = _classification_field(cfg)
     tracing = _load("tracing")
     trace_cfg = tracing.default_trace_config(arc, params)
-    trace_cfg = trace_cfg._replace(step=opts.get("step", trace_cfg.step))
+    step = opts.get("step", trace_cfg.step)
+    if not step < trace_cfg.max_length:
+        raise ValidationError(f"step {step:g} must be below the trace length "
+                              f"{trace_cfg.max_length:g} (10*delta)")
+    trace_cfg = trace_cfg._replace(step=step)
     result = tracing.classify_flow(field, arc, radii, s, s1, opts.get("C", 1.2), trace_cfg,
                                    tol_par=opts.get("tol_par", 1e-4))
     payload = {"kind": result.kind, "C_threshold": result.C_threshold,
@@ -397,8 +401,10 @@ def _cmd_trace(cfg: RunConfig):
     start = to_cartesian(arc, (opts.get("start_s", 0.0), opts.get("start_r", 0.1 * arc.delta)))
     tracing = _load("tracing")
     trace_cfg = tracing.default_trace_config(arc, params)
-    trace_cfg = trace_cfg._replace(step=opts.get("step", trace_cfg.step),
-                                   max_length=opts.get("length", arc.delta))
+    step, length = opts.get("step", trace_cfg.step), opts.get("length", arc.delta)
+    if not step < length:
+        raise ValidationError(f"step {step:g} must be below length {length:g}")
+    trace_cfg = trace_cfg._replace(step=step, max_length=length)
     if kind == "streamline":
         line = tracing.trace_streamline(laminar_field(arc, params), start, trace_cfg)
     else:  # pressure or level

@@ -27,16 +27,18 @@ equilibrium, so at every node the first step's tangential change is the t = 0
 material derivative nu*lap(u) - k*delta/rho, to O(dt).  ``field.csv`` reports
 the total pressure, the periodic one plus k*delta*theta.
 
-Every theta operator is the periodic second difference, which one orthonormal
-real Fourier basis diagonalises (``_fourier``).  What a run keeps fixed lives
-in one object per config (``SimConfig.grid``, built on first use): the grid
-arrays, that basis, the projection's factors, the t = 0 profile, the head H
-with its rise across each rho-face, and the wall drive.  A state holds only
-what evolves.  In that basis the projection's flux-form Laplacian leaves one
-tridiagonal system in rho per theta-mode (Buzbee, Golub & Nielson, SIAM J.
-Numer. Anal. 7, 1970), solved in one batched pair of Thomas sweeps, and the
-implicit theta-viscosity is a scaling of each mode.  A step costs four
-(n_s x n_s) matrix products and those sweeps.  The projection matrix is
+Every theta operator is the periodic second difference, which the discrete
+Fourier transform diagonalises: numpy's real FFT takes each theta-line to its
+n_s//2 + 1 modes, mode m with eigenvalue 4 sin^2(pi m / n_s).  What a run
+keeps fixed lives in one object per config (``SimConfig.grid``, built on first
+use): the grid arrays, those eigenvalues, the projection's factors, the t = 0
+profile, the head H with its rise across each rho-face, and the wall drive.  A
+state holds only what evolves.  In theta-modes the projection's flux-form
+Laplacian leaves one tridiagonal system in rho per mode (Buzbee, Golub &
+Nielson, SIAM J. Numer. Anal. 7, 1970), solved for the real and imaginary parts
+in one batched pair of Thomas sweeps, and the implicit theta-viscosity is a
+scaling of each mode.  A step costs two real FFT pairs along theta, each
+O(n_s log n_s) per radial line, and those sweeps.  The projection matrix is
 singular up to a constant, so its theta-mode 0 pins cell j = 0 to zero and the
 solution is shifted to zero mean afterwards; the dropped equation holds
 because the right-hand side is made mean-free first.
@@ -149,9 +151,11 @@ class SimConfig(_SimFields):
     @cached_property
     def _theta_damping(self) -> np.ndarray:
         """1/(1 + c*lambda_m), c = nu*dt/(rho*dtheta)**2: the implicit theta-viscosity
-        I + c*T_theta inverted in the Fourier basis, for theta-mode m (rows) of
-        each radial line (columns: the n_r u_s lines at the cell centres, then
-        the n_r - 1 u_r lines at the interior rho-faces)."""
+        I + c*T_theta inverted on the real FFT's theta-mode m = 0 .. n_s//2
+        (rows) of each radial line (columns: the n_r u_s lines at the cell
+        centres, then the n_r - 1 u_r lines at the interior rho-faces); a
+        (n_s//2 + 1, 2*n_r - 1) real array, applied to each mode's real and
+        imaginary part alike."""
         g = self.grid
         rho = np.concatenate([g.rho_c, g.rho_f[1:-1]])
         c = self.params.nu * self.effective_dt / (rho * g.dth) ** 2
@@ -219,10 +223,10 @@ def stable_dt(cfg: SimConfig) -> float:
 
 
 def _run_bytes(n_s: int, n_r: int) -> int:
-    """About the peak bytes of a simulate run's arrays: the (n_s x n_s)
-    theta-basis and ``_RUN_ARRAYS`` arrays of n_s * n_r entries (the solver
-    factors, the state, each step's temporaries and the field.csv table)."""
-    return 8 * (n_s * n_s + _RUN_ARRAYS * n_s * n_r)
+    """About the peak bytes of a simulate run's arrays: ``_RUN_ARRAYS`` arrays
+    of n_s * n_r entries (the solver factors, the state, each step's
+    temporaries and theta-modes, and the field.csv table)."""
+    return 8 * _RUN_ARRAYS * n_s * n_r
 
 
 class SimState(NamedTuple):
@@ -233,8 +237,9 @@ class SimState(NamedTuple):
 
 
 class _Grid:
-    """What a run of one config keeps fixed: the grid arrays, the theta basis,
-    the projection's factors and the theta-uniform fields that drive the flow."""
+    """What a run of one config keeps fixed: the grid arrays, the theta-mode
+    eigenvalues, the projection's factors and the theta-uniform fields that
+    drive the flow."""
 
     def __init__(self, cfg: SimConfig):
         n_s, n_r = cfg.n_s, cfg.n_r
@@ -247,7 +252,8 @@ class _Grid:
         # row k of a[wrap] is row k - 1 of a periodic (n_s, ...) array a, for
         # k = 0 .. n_s + 1: each row between its two theta neighbours
         self.wrap = np.arange(-1, n_s + 1) % n_s
-        self.basis, self.eig = _fourier(n_s)
+        # the periodic second difference's eigenvalue on each real FFT mode
+        self.eig = 4.0 * np.sin(np.pi * np.arange(n_s // 2 + 1) / n_s) ** 2
         self.neumann = _neumann_factors(self)
         # the initial profile at the cell centres, and its value at the outer
         # radius, where the ghost cells pin it
@@ -266,22 +272,6 @@ class _Grid:
         # wall-anchored pressure k*delta*theta, which ``step`` applies as a body force
         self.k = wall_gradient(cfg.params, self.delta)
         self.drive = self.k * self.delta / self.rho_c
-
-
-def _fourier(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The orthonormal real Fourier basis of n periodic points and its eigenvalues.
-
-    Column m is cos(2 pi m k / n) for m <= n / 2 and sin(2 pi m k / n) above,
-    normalised; each is an eigenvector of the periodic second difference
-    (2 on the diagonal, -1 on the two wrapped off-diagonals) with eigenvalue
-    4 sin^2(pi m / n), exactly 0 for the constant mode m = 0.
-    """
-    modes = np.arange(n)
-    phase = 2.0 * np.pi / n * np.outer(modes, modes)
-    half = n // 2 + 1
-    basis = np.concatenate([np.cos(phase[:, :half]), np.sin(phase[:, half:])], axis=1)
-    basis /= np.linalg.norm(basis, axis=0)
-    return basis, 4.0 * np.sin(np.pi * modes / n) ** 2
 
 
 # ----------------------------------------------------------------------------
@@ -428,20 +418,22 @@ def _thomas(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray) -> _Thomas:
 def _neumann_factors(g: _Grid) -> _Thomas:
     """Factor the flux-form (negative) Laplacian A = I_theta (x) R + T_theta (x) diag(c_th),
     periodic in theta and Neumann at both radial walls, one system in rho per
-    theta-mode: rows j, columns m.
+    real and per imaginary part of each real FFT theta-mode: rows j, columns
+    (Re m = 0, Im m = 0, Re m = 1, ...), as a complex (rows, modes) array lays
+    them out viewed as floats.
 
     Neither the theta-face coefficient c_th nor the rho-face one c_r depends on
     i, so A splits into the radial operator R and the periodic theta second
-    difference T_theta, which the grid's Fourier basis diagonalises: in
-    theta-mode m, A is the symmetric tridiagonal R + lambda_m * diag(c_th) in
-    rho, with off-diagonal -c_r[j] between rows j and j + 1.
+    difference T_theta, which the transform diagonalises: in theta-mode m, A is
+    the symmetric tridiagonal R + lambda_m * diag(c_th) in rho, with
+    off-diagonal -c_r[j] between rows j and j + 1, the same for both parts.
 
     A is singular (constants span its null space), and so is its theta-mode 0.
-    That mode's row and column j = 0 become the identity with a zero right-hand
-    side (a zero reciprocal pivot): the gauge phi[mode 0, j = 0] = 0, which
-    leaves a nonsingular system.  The dropped row is implied by the others
-    whenever the right-hand side has zero mean, which ``_solve_neumann``
-    requires.
+    Both of that mode's columns have row and column j = 0 made the identity
+    with a zero right-hand side (a zero reciprocal pivot): the gauge
+    phi[mode 0, j = 0] = 0, which leaves a nonsingular system.  The dropped row
+    is implied by the others whenever the right-hand side has zero mean, which
+    ``_solve_neumann`` requires.
     """
     c_r = g.rho_f[1:-1] * g.dth / g.drh
     c_th = g.drh / (g.rho_c * g.dth)
@@ -449,8 +441,8 @@ def _neumann_factors(g: _Grid) -> _Thomas:
     diag = np.zeros(g.rho_c.size)
     diag[:-1] += c_r
     diag[1:] += c_r
-    diag = diag[:, None] + c_th[:, None] * g.eig[None, :]
-    diag[0, 0] = np.inf  # the gauge: mode 0, cell j = 0 decoupled and zero
+    diag = diag[:, None] + c_th[:, None] * np.repeat(g.eig, 2)[None, :]
+    diag[0, :2] = np.inf  # the gauge: mode 0, cell j = 0 decoupled and zero
     off = -c_r[:, None]
     zero = np.zeros((1, 1))
     return _thomas(np.concatenate([zero, off]), diag, np.concatenate([off, zero]))
@@ -458,15 +450,17 @@ def _neumann_factors(g: _Grid) -> _Thomas:
 
 def _solve_theta_lines(cfg: SimConfig, rhs: np.ndarray) -> np.ndarray:
     """x with (I + c*T_theta) x = rhs on every radial line, laid out as in
-    ``SimConfig._theta_damping``: one transform, one scaling, one back."""
-    basis = cfg.grid.basis
-    return basis @ (cfg._theta_damping * (basis.T @ rhs))
+    ``SimConfig._theta_damping``: one real FFT, one scaling, one inverse."""
+    modes = np.fft.rfft(rhs, axis=0)
+    modes *= cfg._theta_damping
+    return np.fft.irfft(modes, cfg.n_s, axis=0)
 
 
 def _solve_neumann(cfg: SimConfig, b: np.ndarray) -> np.ndarray:
     """Zero-mean phi with A phi = -b for the projection's A; b must have zero mean."""
-    g = cfg.grid
-    phi = g.basis @ g.neumann.solve((-b).T @ g.basis).T
+    modes = np.fft.rfft(-b.T.copy())  # rows j, one column per theta-mode
+    cfg.grid.neumann.solve(modes.view(float))
+    phi = np.fft.irfft(modes, cfg.n_s).T
     phi -= phi.mean()
     return phi
 

@@ -128,7 +128,10 @@ def theorem1_verify(
         s_mid = s0 + 0.3 * (s1 - s0)
         eps_list = [4e-3 * delta, 2e-3 * delta, 1e-3 * delta]
         r = r_grid[0]
-        ratio = tracing.eta_ratio(gradp, arc, s_mid, r, eps_list, cfg)
+        try:
+            ratio = tracing.eta_ratio(gradp, arc, s_mid, r, eps_list, cfg)
+        except DomainError as exc:  # the segment sets the station s_mid
+            raise DomainError(f"s_range {list(arc.s_range)}: {exc}") from exc
         p_t, p_n = stationary_gradp_ansatz(params, delta, r)
         ansatz_mag = abs(complex(p_t, p_n))  # libm hypot
         wall_mag = abs(wall_gradient(params, delta))

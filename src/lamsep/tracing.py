@@ -459,6 +459,23 @@ def _first_polyline_crossing(a0, a1, segs, blocks):
     return min(max(best_t, 0.0), 1.0), best_idx
 
 
+def _offset_arc_length(arc: ArcBoundary, s: float, eps: float, r: float) -> float:
+    """The length of the offset arc from wall station s to s + eps at wall
+    distance r, which a trace over it takes as its scale; a DomainError when
+    either station leaves the padded wall segment or the length is not
+    positive and finite (s + eps rounding onto s, say)."""
+    lo, hi = arc.padded_s_range
+    for station in (s, s + eps):
+        if not lo <= station <= hi:
+            raise DomainError(f"wall station {station:g} (s = {s:g}, eps = {eps:g}) leaves "
+                              f"the padded wall segment [{lo:g}, {hi:g}]")
+    length = arc_segment_length(arc, s, s + eps, r)
+    if not 0 < length < math.inf:
+        raise DomainError(f"the offset arc from wall station s = {s:g} over eps = {eps:g} "
+                          f"has length {length:g}, not a positive finite length")
+    return length
+
+
 class EtaSample(NamedTuple):
     eps: float
     eta_length: float
@@ -472,7 +489,7 @@ def eta_trace(
 ) -> EtaSample:
     """Trace the pressure line from Phi(s, r) to the level curve through
     Phi(s+eps, r) and measure its length against the offset arc."""
-    phi_len = arc_segment_length(arc, s, s + eps, r)
+    phi_len = _offset_arc_length(arc, s, eps, r)
     start = to_cartesian(arc, (s, r))
     anchor = to_cartesian(arc, (s + eps, r))
     level_cfg = cfg._replace(step=phi_len / 80.0, max_length=3.0 * phi_len)
@@ -623,13 +640,16 @@ def _zeta_sample(
     p_field: ScalarFieldHandle,
     gradp: FieldHandle,
     arc: ArcBoundary,
-    sign_k: float,
+    k: float,
     s: float,
     r: float,
     eps: float,
     cfg: TraceConfig,
 ) -> ZetaSample:
+    """The foot of the level curve of phi(s) at wall distance r, and the
+    pressure line from it to the level of phi(s + eps); k is the wall gradient."""
     delta = arc.delta
+    arc_span = _offset_arc_length(arc, s, eps, r)
     wall_pt = arc_point(arc, s)
 
     # foot trace: level curve from phi(s) up to wall distance r
@@ -650,15 +670,17 @@ def _zeta_sample(
 
     # zeta trace: pressure line from the foot to the level of phi(s + eps)
     p_target = p_field(arc_point(arc, s + eps))
-    dirfn_press = _unit_direction(gradp, cfg.stagnation_tol, sign=sign_k, error=CriticalPoint)
-    arc_span = arc_segment_length(arc, s, s + eps, r)
+    dirfn_press = _unit_direction(gradp, cfg.stagnation_tol, sign=math.copysign(1.0, k),
+                                  error=CriticalPoint)
     press_cfg = cfg._replace(step=arc_span / 100.0, max_length=5.0 * arc_span)
 
     def level_gap(x):
         return p_field(x) - p_target
 
+    # the pressure scales with k, so the tolerance does too: |k|*delta is the
+    # pressure's change along one wall radius
     zeta_hit = _first_crossing(dirfn_press, foot, press_cfg, level_gap,
-                               1e-14 * (abs(p_target) + 1.0))
+                               1e-14 * (abs(p_target) + abs(k) * delta))
     if zeta_hit is None:
         raise NoIntersection(f"pressure line from the foot missed the level of phi({s + eps})")
     zeta_pt, traced = zeta_hit
@@ -724,7 +746,9 @@ def zeta_check(
     k = wall_gradient(params, delta)
     if k == 0:
         raise DomainError("zeta machinery needs a nonzero wall gradient nu*(a1/delta - a2)")
-    cfg = default_trace_config(arc, params)
+    # the marches stop where |grad p| falls below 1e-10 of the wall gradient:
+    # default_trace_config's tolerance is a velocity, and the pressure scales with nu
+    cfg = default_trace_config(arc, params)._replace(stagnation_tol=1e-10 * abs(k))
     gradp = _gradient_handle(p_field)
 
     # wall-compatibility gate
@@ -745,8 +769,13 @@ def zeta_check(
         raise ValueError("r_list must be positive and strictly decreasing")
     if not eps_over_r > 0:
         raise ValueError(f"eps_over_r must be positive, got {eps_over_r}")
-    sign_k = 1.0 if k > 0 else -1.0
-    raw = [_zeta_sample(p_field, gradp, arc, sign_k, s, r, eps_over_r * r, cfg) for r in r_list]
+    lo_pad, hi_pad = arc.padded_s_range
+    if not lo_pad <= s <= hi_pad:
+        raise DomainError(f"s = {s:g} leaves the padded wall segment [{lo_pad:g}, {hi_pad:g}]")
+    try:
+        raw = [_zeta_sample(p_field, gradp, arc, k, s, r, eps_over_r * r, cfg) for r in r_list]
+    except DomainError as exc:  # s is inside: its offset s + eps is not
+        raise DomainError(f"eps_over_r = {eps_over_r:g}: {exc}") from exc
 
     # fit the constants
     tiny = 1e-12

@@ -441,8 +441,17 @@ def test_simulate_accepts_integral_grid_sizes(tmp_path, ok):
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
 
 
+# a step or trace length that is not positive, or a step not below its trace
+# length: each line starts with the key (all but the first used to end in
+# TraceConfig's "need step > 0 and max_length > step", which names no key)
+_STEP_OR_LENGTH = [
+    ("classify", {"step": -1.0}), ("classify", {"step": 0}), ("classify", {"step": 20}),
+    ("trace", {"length": 1e-5}), ("trace", {"step": 2}),
+]
+
+
 @pytest.mark.parametrize("command, bad", [
-    ("classify", {"s": "x"}), ("classify", {"C": float("inf")}), ("classify", {"step": -1.0}),
+    ("classify", {"s": "x"}), ("classify", {"C": float("inf")}), _STEP_OR_LENGTH[0],
     ("classify", {"tol_par": -1.0}),
     ("classify", {"radii": [0.01, 0.02, 0.04]}), ("classify", {"radii": []}),
     ("classify", {"field": "fan", "source": [0.0, "a"]}),
@@ -469,6 +478,7 @@ def test_simulate_accepts_integral_grid_sizes(tmp_path, ok):
     # cannot fit: each used to end in a message that named no key
     ("zeta-check", {"eps_over_r": 0}), ("zeta-check", {"r_list": [-0.01]}),
     ("verify-theorem2", {"r_grid": [0.1]}), ("verify-theorem2", {"r_grid": [0.01, 0.02]}),
+    *_STEP_OR_LENGTH[1:],
 ])
 def test_command_options_rejected_with_one_line(tmp_path, capsys, command, bad):
     cfg = write_config(tmp_path, {"command": command, "alpha1": 2.0, **bad})
@@ -476,6 +486,26 @@ def test_command_options_rejected_with_one_line(tmp_path, capsys, command, bad):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("lamsep: error:")
     assert list(bad)[-1].removesuffix("_values") in err[0]
+    if (command, bad) in _STEP_OR_LENGTH:
+        assert err[0].startswith(("lamsep: error: step", "lamsep: error: length"))
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command, bad, key", [
+    ("zeta-check", {"s": 1e300}, "s"),
+    ("zeta-check", {"eps_over_r": 1e-300}, "eps_over_r"),
+    ("zeta-check", {"eps_over_r": 1e300}, "eps_over_r"),
+    ("verify-theorem1", {"use_tracing": True, "s_range": [1e300, 2e300]}, "s_range"),
+])
+def test_a_degenerate_offset_arc_is_named_by_its_key(tmp_path, capsys, command, bad, key):
+    # s + eps rounds onto s, or leaves the padded wall segment: these used to end
+    # in TraceConfig's keyless "need step > 0 and max_length > step", and the
+    # offset past the float range in "cannot convert float NaN to integer"
+    cfg = write_config(tmp_path, {"command": command, **bad})
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("lamsep: error:")
+    assert re.search(rf"\b{key}\b", err[0]), err[0]
     assert not (tmp_path / "o").exists()
 
 

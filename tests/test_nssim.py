@@ -280,15 +280,17 @@ def test_centripetal_head_matches_quadrature(delta):
 def test_assemble_matches_cell_loop():
     # the operator the projection's theta-mode solver inverts is the matrix
     # built one cell at a time: solving against its columns gives back the
-    # identity on zero-mean fields
-    cfg = SimConfig(arc=make_cfg().arc, params=PARAMS, n_s=16, n_r=24)
-    n = cfg.n_s * cfg.n_r
-    a_ref = _reference_assemble(cfg).toarray()
-    assert a_ref.shape == (n, n)
-    eye = np.eye(n)
-    for k in range(n):
-        x = _solve_neumann(cfg, -a_ref[:, k].reshape(cfg.n_s, cfg.n_r))
-        assert np.max(np.abs(x.ravel() - (eye[k] - 1.0 / n))) <= 1e-12
+    # identity on zero-mean fields, with and without the Nyquist mode of an
+    # even n_s
+    for n_s, n_r in ((16, 24), (17, 19)):
+        cfg = SimConfig(arc=make_cfg().arc, params=PARAMS, n_s=n_s, n_r=n_r)
+        n = n_s * n_r
+        a_ref = _reference_assemble(cfg).toarray()
+        assert a_ref.shape == (n, n)
+        eye = np.eye(n)
+        for k in range(n):
+            x = _solve_neumann(cfg, -a_ref[:, k].reshape(n_s, n_r))
+            assert np.max(np.abs(x.ravel() - (eye[k] - 1.0 / n))) <= 1e-12
 
 
 # alpha1/delta != alpha2 at every delta below: the wall gradient k is never 0
@@ -605,14 +607,18 @@ def _theta_line_reference(cfg, component):
 
 
 @pytest.mark.parametrize("n", [16, 17])
-def test_fourier_basis_is_orthonormal_and_diagonalises_the_periodic_second_difference(n):
-    basis, eig = nssim._fourier(n)
-    assert np.max(np.abs(basis.T @ basis - np.eye(n))) <= 1e-14
-    second = 2.0 * np.eye(n) - np.roll(np.eye(n), 1, axis=0) - np.roll(np.eye(n), -1, axis=0)
-    assert np.max(np.abs(basis.T @ second @ basis - np.diag(eig))) <= 1e-13
+def test_real_fft_modes_diagonalise_the_periodic_second_difference(n):
+    # the grid's eigenvalues, one per real FFT mode, scale each mode of a random
+    # theta-line into its periodic second difference (2 on the diagonal, -1 on
+    # the two wrapped off-diagonals); with and without a Nyquist mode
+    arc = ArcBoundary(1.0, 0.0, (0.0, 0.0), (0.0, 0.5))
+    eig = SimConfig(arc=arc, params=PARAMS, n_s=n, n_r=16).grid.eig
+    assert eig.shape == (n // 2 + 1,)
     assert eig[0] == 0.0 and np.all(eig[1:] > 0)
-    assert np.allclose(np.sort(eig), np.sort(4.0 * np.sin(np.pi * np.arange(n) / n) ** 2),
-                       rtol=0.0, atol=1e-14)
+    x = np.random.default_rng(n).standard_normal((n, 5))
+    second = 2.0 * x - np.roll(x, 1, axis=0) - np.roll(x, -1, axis=0)
+    got = np.fft.irfft(eig[:, None] * np.fft.rfft(x, axis=0), n, axis=0)
+    assert np.max(np.abs(got - second)) <= 1e-14 * np.max(np.abs(second))
 
 
 @pytest.mark.parametrize("delta", [0.25, 4.0])

@@ -213,3 +213,24 @@ def test_zeta_check_still_refuses_non_monotone_ratios(monkeypatch):
     with pytest.raises(NonMonotoneSequence):
         zeta_check(angular_pressure(ARC, PARAMS), ARC, PARAMS,
                    s=0.1, r_list=R_LIST, eps_over_r=2.0)
+
+
+def _zeta_numbers(report) -> list[float]:
+    return [v for sm in report.samples for v in sm] + [*report.fitted, report.ratio.value]
+
+
+@pytest.mark.parametrize("amp", [0.0, 0.2], ids=["angular", "perturbed"])
+def test_zeta_check_does_not_depend_on_nu(amp):
+    # the pressure is proportional to nu, and its level sets are not: every
+    # sample, fitted constant and ratio agrees to roundoff from nu = 1e-12 to 1e6.
+    # A crossing tolerance of 1e-14*(|p| + 1) and a stagnation tolerance of
+    # 1e-10*alpha1*delta (a velocity) used to fit c 2200 times larger at
+    # nu = 1e-3 and to refuse nu <= 1e-6
+    def numbers(nu):
+        params = PARAMS._replace(nu=nu)
+        p = perturbed_angular_pressure(ARC, params, amp)
+        return _zeta_numbers(zeta_check(p, ARC, params, 0.1, R_LIST, 2.0))
+
+    reference = numbers(1.0)
+    for nu in (1e-12, 1e-6, 1e6):
+        assert numbers(nu) == pytest.approx(reference, rel=1e-14, abs=0.0)
