@@ -383,11 +383,7 @@ def _cmd_classify(cfg: RunConfig):
     field = _classification_field(cfg)
     tracing = _load("tracing")
     trace_cfg = tracing.default_trace_config(arc, params)
-    step = opts.get("step", trace_cfg.step)
-    if not step < trace_cfg.max_length:
-        raise ValidationError(f"step {step:g} must be below the trace length "
-                              f"{trace_cfg.max_length:g} (10*delta)")
-    trace_cfg = trace_cfg._replace(step=step)
+    trace_cfg = trace_cfg._replace(step=opts.get("step", trace_cfg.step))
     result = tracing.classify_flow(field, arc, radii, s, s1, opts.get("C", 1.2), trace_cfg,
                                    tol_par=opts.get("tol_par", 1e-4))
     payload = {"kind": result.kind, "C_threshold": result.C_threshold,
@@ -401,10 +397,8 @@ def _cmd_trace(cfg: RunConfig):
     start = to_cartesian(arc, (opts.get("start_s", 0.0), opts.get("start_r", 0.1 * arc.delta)))
     tracing = _load("tracing")
     trace_cfg = tracing.default_trace_config(arc, params)
-    step, length = opts.get("step", trace_cfg.step), opts.get("length", arc.delta)
-    if not step < length:
-        raise ValidationError(f"step {step:g} must be below length {length:g}")
-    trace_cfg = trace_cfg._replace(step=step, max_length=length)
+    trace_cfg = trace_cfg._replace(step=opts.get("step", trace_cfg.step),
+                                   max_length=opts.get("length", arc.delta))
     if kind == "streamline":
         line = tracing.trace_streamline(laminar_field(arc, params), start, trace_cfg)
     else:  # pressure or level

@@ -92,10 +92,11 @@ class TraceConfig(_TraceFields):
 
     def __new__(cls, step, max_length, stagnation_tol=1e-12):
         if step <= 0 or max_length <= step:
-            raise ValueError("need step > 0 and max_length > step")
+            raise ValueError(f"step {step:g} must be positive and below the trace length "
+                             f"{max_length:g}")
         if not max_length <= _MAX_STEPS * step:  # no division: NaN and inf fail too
-            raise ValueError(f"max_length = {max_length:g} needs more than {_MAX_STEPS} "
-                             f"steps of {step:g}")
+            raise ValueError(f"step {step:g} over the trace length {max_length:g} makes "
+                             f"more than {_MAX_STEPS} steps")
         if stagnation_tol <= 0:
             raise ValueError("stagnation_tol must be positive")
         return super().__new__(cls, step, max_length, stagnation_tol)
@@ -735,8 +736,8 @@ def zeta_check(
 
     For each r (with eps = eps_over_r * r) this traces the foot point, the zeta
     arc and its wall-coordinate endpoints, fits the smallest constants c and
-    epsilon_hat satisfying |s_hat - s| <= c r^2, (1 -+ eps_hat) r bracketing
-    r_hat2, and the sandwich
+    epsilon_hat satisfying |s_hat - s| <= c r^2 and (1 -+ eps_hat) r bracketing
+    r_hat2, checks with them the sandwich (``bounds_hold``)
 
         (1-e)(r+d)/d (eps - 2c(1+e)^2 r^2) <= |zeta| <= (1+e)/(1-cr^2) (r+d)/d (eps + 2c(1+e)^2 r^2),
 
@@ -790,17 +791,8 @@ def zeta_check(
         hi_b = (1.0 + e) / (1.0 - c * sm.r**2) * scale * (sm.eps + 2.0 * c * (1.0 + e) ** 2 * sm.r**2)
         return lo_b, hi_b
 
-    def needed_c(sm: ZetaSample, e: float) -> float:
-        scale = (sm.r + delta) / delta
-        c_lo = (sm.eps - sm.traced_length / ((1.0 - e) * scale)) / (2.0 * (1.0 + e) ** 2 * sm.r**2)
-        gap = sm.traced_length * delta / ((1.0 + e) * (sm.r + delta)) - sm.eps
-        c_hi = gap / (2.0 * (1.0 + e) ** 2 * sm.r**2 + sm.traced_length * sm.r**2 * delta
-                      / ((1.0 + e) * (sm.r + delta)))
-        return max(c_lo, c_hi, 0.0)
-
-    c_final = max(c_fit, max(needed_c(sm, e_fit) for sm in raw)) * (1.0 + 1e-9) + tiny
-    fitted = BoundTolerances(c=c_final, c1=max(c1_fit, tiny), c2=max(c2_fit, tiny),
-                             epsilon_hat=min(e_fit, 0.49))
+    fitted = BoundTolerances(c=c_fit * (1.0 + 1e-9) + tiny, c1=max(c1_fit, tiny),
+                             c2=max(c2_fit, tiny), epsilon_hat=min(e_fit, 0.49))
 
     samples = []
     holds = True

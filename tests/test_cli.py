@@ -441,12 +441,16 @@ def test_simulate_accepts_integral_grid_sizes(tmp_path, ok):
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
 
 
-# a step or trace length that is not positive, or a step not below its trace
-# length: each line starts with the key (all but the first used to end in
-# TraceConfig's "need step > 0 and max_length > step", which names no key)
+# a step or trace length that is not positive, a step not below its trace length,
+# or one that makes more than 10**6 steps of it: each line starts with the key
+# (the second to fifth used to end in TraceConfig's "need step > 0 and
+# max_length > step", which names no key, and the last two in its "max_length =
+# ... needs more than 1000000 steps")
 _STEP_OR_LENGTH = [
     ("classify", {"step": -1.0}), ("classify", {"step": 0}), ("classify", {"step": 20}),
     ("trace", {"length": 1e-5}), ("trace", {"step": 2}),
+    # more than 10**6 tracer steps: each used to end in an OverflowError traceback
+    ("trace", {"length": 1e30, "step": 1e-6}), ("classify", {"step": 1e-300}),
 ]
 
 
@@ -462,8 +466,7 @@ _STEP_OR_LENGTH = [
     ("verify-theorem1", {"r_grid": "x"}), ("verify-theorem2", {"r_grid": [0.01, "a"]}),
     ("verify-theorem1", {"use_tracing": "x"}), ("classify", {"source": [0.0, "a"]}),
     ("classify", {"growth": "x"}),
-    # more than 10**6 tracer steps: each used to end in an OverflowError traceback
-    ("trace", {"length": 1e30, "step": 1e-6}), ("classify", {"step": 1e-300}),
+    *_STEP_OR_LENGTH[5:],
     # more than 2*pi of wall, and a profile speed across the layer 2*bl beyond the
     # float range: each message names the keys the user wrote
     ("simulate", {"s_range": [0.0, 1e300]}), ("simulate", {"alpha1": 1e300}),
@@ -478,7 +481,7 @@ _STEP_OR_LENGTH = [
     # cannot fit: each used to end in a message that named no key
     ("zeta-check", {"eps_over_r": 0}), ("zeta-check", {"r_list": [-0.01]}),
     ("verify-theorem2", {"r_grid": [0.1]}), ("verify-theorem2", {"r_grid": [0.01, 0.02]}),
-    *_STEP_OR_LENGTH[1:],
+    *_STEP_OR_LENGTH[1:5],
 ])
 def test_command_options_rejected_with_one_line(tmp_path, capsys, command, bad):
     cfg = write_config(tmp_path, {"command": command, "alpha1": 2.0, **bad})

@@ -442,6 +442,38 @@ def test_theta_uniform_start_stays_theta_uniform(n_s):
     assert np.max(np.abs(state.ur)) <= 1e-13 * scale
 
 
+def _theta_uniform_run(cfg, steps):
+    """The t = 0 probes of a theta-uniform start on every cell, its state after
+    ``steps`` steps, and the probes then; the grid is built without ``validate``."""
+    g = cfg.grid
+    state = nssim.SimState(us=np.tile(g.u0, (cfg.n_s, 1)), ur=np.zeros((cfg.n_s, cfg.n_r + 1)),
+                           p=np.tile(g.head, (cfg.n_s, 1)), t=0.0)
+    t0 = probe_diagnostics(state, cfg, g.rho_c - g.delta)
+    for _ in range(steps):
+        state = step(state, cfg)
+    return t0, state, probe_diagnostics(state, cfg, g.rho_c - g.delta)
+
+
+@pytest.mark.parametrize("n_s", [1, 2])
+def test_one_or_two_theta_cells_give_the_wide_sector_column(n_s):
+    # a theta-uniform flow has no theta derivative, so a sector one or two cells
+    # wide (below validate's 16-cell floor) probes and steps as the mid column of
+    # a 32-cell one; its theta neighbours are the wrapped cell itself
+    arc = ArcBoundary(0.5, 0.0, (0.0, 0.0), (0.0, 0.25))
+    wide = SimConfig(arc=arc, params=CURVED, n_s=32, n_r=16, dt=1.5e-3, t_end=1.5e-3)
+    ref_t0, ref, ref_probes = _theta_uniform_run(wide, 100)
+    t0, state, probes = _theta_uniform_run(wide._replace(n_s=n_s), 100)
+    scale = wide.top_speed
+    assert np.max(np.abs(ref.us - wide.grid.u0)) > 0.1 * scale
+    for got, want in ((t0, ref_t0), (probes, ref_probes)):
+        for a, b in zip(got, want):
+            for x, y in zip(a, b):
+                assert abs(x - y) <= 1e-13 * max(abs(y), scale)
+    i, i_ref = n_s // 2, wide.n_s // 2
+    for a, b in ((state.us, ref.us), (state.ur, ref.ur), (state.p, ref.p)):
+        assert np.max(np.abs(a[i] - b[i_ref])) <= 1e-13 * max(np.max(np.abs(b)), scale)
+
+
 @pytest.mark.parametrize("n_s", [16, 17])
 def test_step_commutes_with_a_theta_shift(n_s):
     # the sector has no ends: shifting a theta-varying state by k cells shifts

@@ -84,6 +84,25 @@ def test_zeta_perturbed_bounds_hold_with_finite_constants():
         assert sm.r_hat2 <= (1 + report.fitted.epsilon_hat) * sm.r
 
 
+@pytest.mark.parametrize("factor", [0.1, 3.0])
+def test_zeta_bounds_fail_for_a_traced_length_outside_the_sandwich(monkeypatch, factor):
+    # the constants are fitted from the foot and the crossing alone, so a traced
+    # length far below or above the sandwich they give is reported, not fitted away
+    p = perturbed_angular_pressure(ARC, PARAMS, amp=0.3)
+    exact = zeta_check(p, ARC, PARAMS, s=0.1, r_list=R_LIST, eps_over_r=2.0)
+    sample = tracing._zeta_sample
+
+    def scaled(*args):
+        sm = sample(*args)
+        return sm._replace(traced_length=factor * sm.traced_length)
+
+    monkeypatch.setattr(tracing, "_zeta_sample", scaled)
+    report = zeta_check(p, ARC, PARAMS, s=0.1, r_list=R_LIST, eps_over_r=2.0)
+    assert exact.bounds_hold is True
+    assert report.bounds_hold is False
+    assert report.fitted == exact.fitted
+
+
 def _assert_pw_convergence_order(arc, params):
     p = perturbed_angular_pressure(arc, params, amp=0.3)
     report = zeta_check(p, arc, params, s=0.1, r_list=[0.08], eps_over_r=2.0)
