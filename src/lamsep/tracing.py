@@ -88,6 +88,9 @@ _MAX_STEPS = 10**6
 
 
 class TraceConfig(_TraceFields):
+    """A march's step, its trace length (at most ``_MAX_STEPS`` steps of it), and
+    the field size below which it stops; a refusal names the step and the length."""
+
     __slots__ = ()
 
     def __new__(cls, step, max_length, stagnation_tol=1e-12):
