@@ -383,7 +383,10 @@ def _cmd_classify(cfg: RunConfig):
     field = _classification_field(cfg)
     tracing = _load("tracing")
     trace_cfg = tracing.default_trace_config(arc, params)
-    trace_cfg = trace_cfg._replace(step=opts.get("step", trace_cfg.step))
+    try:
+        trace_cfg = trace_cfg._replace(step=opts.get("step", trace_cfg.step))
+    except ValueError as exc:  # the trace length is not a key here: say where it comes from
+        raise ValidationError(f"{exc} (10*delta)") from exc
     result = tracing.classify_flow(field, arc, radii, s, s1, opts.get("C", 1.2), trace_cfg,
                                    tol_par=opts.get("tol_par", 1e-4))
     payload = {"kind": result.kind, "C_threshold": result.C_threshold,

@@ -4,16 +4,11 @@ Staggered (MAC) grid in polar coordinates (theta, rho): tangential velocity on
 theta-faces, radial velocity on rho-faces, pressure at cell centers.  Each step
 is IMEX Euler (Kim & Moin, J. Comput. Phys. 59, 1985) followed by a pressure
 projection: first order in time, second order in space, quadratic ghost cells
-at the radial walls.  The step is written in increment form: the whole
-tendency F of each velocity component (advection, the whole viscous operator
-and the driving pressure) gives the Euler increment dt*F, and the theta second
-difference of both viscous terms, the stiff part on the narrow wall-tangential
-cells, is taken at the new time level by filtering that increment with
-(I + c*T_theta)^-1, c = nu*dt/(rho*dtheta)**2.  The radial Laplacian, the
--u/rho**2 term, the +-2/rho**2 d/dtheta couplings, the advection and the
-driving pressure stay explicit, so the default step is bounded by advection
-and by diffusion across one wall-normal cell only.  The probes' t = 0 budget
-reads the same whole operator.
+at the radial walls.  The theta second difference of both viscous terms, the
+stiff part on the narrow wall-tangential cells, is taken at the new time level;
+the radial Laplacian, the -u/rho**2 term, the +-2/rho**2 d/dtheta couplings,
+the advection and the driving pressure stay explicit, so the default step is
+bounded by advection and by diffusion across one wall-normal cell only.
 Internally the flow runs in the +theta direction; the wall-arc coordinate is
 s = delta * theta, so +theta is the wall-tangent direction e1 of the arc
 geometry.
@@ -308,17 +303,17 @@ def wall_noslip_residual(cfg: SimConfig, state: SimState) -> float:
 
 
 def _tangential_rhs(cfg: SimConfig, us: np.ndarray, ur: np.ndarray):
-    """(-advection, viscous) tangential terms at the theta-faces i = 0..n_s-1;
-    face i lies between cells i - 1 and i.  The viscous term is the whole
-    operator, its theta second difference included."""
+    """(-advection, explicit viscous) tangential terms at the theta-faces
+    i = 0..n_s-1; face i lies between cells i - 1 and i.  The viscous term
+    leaves out the theta second difference, which ``step`` takes at the new
+    time level."""
     g = cfg.grid
     usg = _us_with_ghosts(cfg, us)                   # (n_s+2, n_r+2)
     rc = g.rho_c[None, :]
     us_i = usg[1:-1, 1:-1]
-    us_next, us_prev = usg[2:, 1:-1], usg[:-2, 1:-1]
 
     dus_dr = (usg[1:-1, 2:] - usg[1:-1, :-2]) / (2 * g.drh)
-    dus_dth = (us_next - us_prev) / (2 * g.dth)
+    dus_dth = (usg[2:, 1:-1] - usg[:-2, 1:-1]) / (2 * g.dth)
     # radial velocity averaged to the theta-centres, cells i - 1 .. n_s - 1
     urw = ur[g.wrap[:-1]]
     ur_c = 0.5 * (urw[:, :-1] + urw[:, 1:])          # (n_s+1, n_r)
@@ -329,24 +324,22 @@ def _tangential_rhs(cfg: SimConfig, us: np.ndarray, ur: np.ndarray):
         g.rho_f[None, 1:] * (usg[1:-1, 2:] - us_i)
         - g.rho_f[None, :-1] * (us_i - usg[1:-1, :-2])
     ) / (rc * g.drh**2)
-    lap += (us_next - 2.0 * us_i + us_prev) / (rc * g.dth) ** 2
     dur_dth = (ur_c[1:, :] - ur_c[:-1, :]) / g.dth
     visc = lap - us_i / rc**2 + 2.0 / rc**2 * dur_dth
     return -adv, visc
 
 
 def _radial_rhs(cfg: SimConfig, us: np.ndarray, ur: np.ndarray):
-    """(-advection, viscous) radial terms at the interior rho-faces j = 1..n_r-1
-    of every cell i.  The viscous term is the whole operator, its theta second
-    difference included."""
+    """(-advection, explicit viscous) radial terms at the interior rho-faces
+    j = 1..n_r-1 of every cell i.  The viscous term leaves out the theta second
+    difference, which ``step`` takes at the new time level."""
     g = cfg.grid
     urw = ur[g.wrap]                                 # (n_s+2, n_r+1)
     rf = g.rho_f[None, 1:-1]
     ur_i = urw[1:-1, 1:-1]
-    ur_next, ur_prev = urw[2:, 1:-1], urw[:-2, 1:-1]
 
     dur_dr = (urw[1:-1, 2:] - urw[1:-1, :-2]) / (2 * g.drh)
-    dur_dth = (ur_next - ur_prev) / (2 * g.dth)
+    dur_dth = (urw[2:, 1:-1] - urw[:-2, 1:-1]) / (2 * g.dth)
     # tangential velocity averaged to the rho-faces, faces i = 0 .. n_s
     usw = us[g.wrap[1:]]
     us_f = 0.5 * (usw[:, :-1] + usw[:, 1:])          # (n_s+1, n_r-1)
@@ -357,7 +350,6 @@ def _radial_rhs(cfg: SimConfig, us: np.ndarray, ur: np.ndarray):
         g.rho_c[None, 1:] * (urw[1:-1, 2:] - ur_i)
         - g.rho_c[None, :-1] * (ur_i - urw[1:-1, :-2])
     ) / (rf * g.drh**2)
-    lap += (ur_next - 2.0 * ur_i + ur_prev) / (rf * g.dth) ** 2
     dus_dth = (us_f[1:, :] - us_f[:-1, :]) / g.dth
     visc = lap - ur_i / rf**2 - 2.0 / rf**2 * dus_dth
     return -adv, visc
@@ -483,10 +475,9 @@ def init_sim(cfg: SimConfig) -> SimState:
 
 
 def step(state: SimState, cfg: SimConfig) -> SimState:
-    """Advance one time step: the Euler increment dt*F of the whole tendency F
-    (advection, viscosity, the head H and the wall drive), filtered by the
-    implicit theta-viscosity (I + c*T_theta)^-1 (IMEX), then a projection for
-    incompressibility."""
+    """Advance one time step: Euler against the head H and the wall drive, with
+    the theta second difference of the viscosity implicit (IMEX), then a
+    projection for incompressibility."""
     g = cfg.grid
     dt = cfg.effective_dt
     nu = cfg.params.nu
@@ -498,14 +489,16 @@ def step(state: SimState, cfg: SimConfig) -> SimState:
 
     # both components' theta-lines side by side, as ``SimConfig._theta_damping``
     # lays them out; the head is theta-uniform, so only its radial gradient acts
-    tendency = np.empty((cfg.n_s, 2 * n_r - 1))
-    np.subtract(neg_adv_t + nu * visc_t, g.drive, out=tendency[:, :n_r])
-    np.subtract(neg_adv_r + nu * visc_r, g.head_rise / g.drh, out=tendency[:, n_r:])
-    tendency *= dt
-    increment = _solve_theta_lines(cfg, tendency)
-    us_star = us + increment[:, :n_r]
+    rhs = np.empty((cfg.n_s, 2 * n_r - 1))
+    rhs_s, rhs_r = rhs[:, :n_r], rhs[:, n_r:]
+    np.add(us, dt * (neg_adv_t + nu * visc_t), out=rhs_s)
+    rhs_s -= dt * g.drive
+    np.add(ur[:, 1:-1], dt * (neg_adv_r + nu * visc_r), out=rhs_r)
+    rhs_r -= dt * g.head_rise / g.drh
+    star = _solve_theta_lines(cfg, rhs)
+    us_star = star[:, :n_r]
     ur_star = np.zeros_like(ur)
-    np.add(ur[:, 1:-1], increment[:, n_r:], out=ur_star[:, 1:-1])
+    ur_star[:, 1:-1] = star[:, n_r:]
 
     div = divergence(cfg, us_star, ur_star)
     vol = (g.rho_c * g.dth * g.drh)[None, :]
@@ -544,21 +537,24 @@ def _probe_index(cfg: SimConfig, r: float) -> int:
 
 
 def probe_diagnostics(state: SimState, cfg: SimConfig, r_probe_list) -> list[ProbeSample]:
-    """Discrete tangential budget at mid-sector: the whole viscous term of the
-    step's tendency (``_tangential_rhs``), the total pressure gradient (the wall
-    drive plus the periodic pressure's), and their material-derivative ratio
-    against the local speed."""
+    """Discrete tangential budget at mid-sector: viscous term, total pressure
+    gradient (the wall drive plus the periodic pressure's), and their
+    material-derivative ratio against the local speed."""
     g = cfg.grid
     nu = cfg.params.nu
     i_mid = cfg.n_s // 2
     us = state.us
     _, visc_t = _tangential_rhs(cfg, us, state.ur)
+    # the theta second difference at face i_mid, which the explicit terms leave
+    # out, between its periodic neighbours (one face may be its own neighbour)
+    prev, mid, nxt = us[g.wrap[i_mid:i_mid + 3]]
+    visc_theta = (nxt - 2 * mid + prev) / (g.rho_c**2 * g.dth**2)
     gradp_t = g.drive + (state.p[i_mid] - state.p[i_mid - 1]) / (g.rho_c * g.dth)
     out = []
     for r in r_probe_list:
         j = _probe_index(cfg, r)
         r_node = float(g.rho_c[j] - g.delta)
-        visc = nu * float(visc_t[i_mid, j])
+        visc = nu * float(visc_t[i_mid, j] + visc_theta[j])
         gradp = float(gradp_t[j])
         u0 = float(us[i_mid, j])
         out.append(ProbeSample(

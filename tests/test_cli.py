@@ -491,6 +491,8 @@ def test_command_options_rejected_with_one_line(tmp_path, capsys, command, bad):
     assert list(bad)[-1].removesuffix("_values") in err[0]
     if (command, bad) in _STEP_OR_LENGTH:
         assert err[0].startswith(("lamsep: error: step", "lamsep: error: length"))
+        if command == "classify" and bad["step"] > 0:  # its trace length is no key
+            assert err[0].endswith("(10*delta)")
     assert not (tmp_path / "o").exists()
 
 
