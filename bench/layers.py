@@ -56,7 +56,8 @@ Outputs: each side runs every invocation of seeds 1..N of each workload in
 ``OUTPUT_SEEDS`` once, in-process in one interpreter; per command the file gets
 the exit codes that differ and, per CSV file name, how many of those files are
 byte-identical, how many differ and, for each column, the largest
-|before - after| over the column's largest |before|.  For ``simulate``, whose
+|before - after| over the column's largest |before| (over the largest |before|
+of ``u_t`` and ``u_r`` together for those velocity columns).  For ``simulate``, whose
 series may change with the time step, it also counts the reports whose
 ``payload.t0`` (the t = 0 budget, which no time step touches) is identical.
 
@@ -369,12 +370,18 @@ def _number(cell: str) -> float | None:
         return None
 
 
+# velocity components, each scaled by the file's top speed: a component that is
+# roundoff on both sides (``u_r`` of a theta-uniform run) would read O(1) on its own
+_VELOCITY_COLUMNS = ("u_t", "u_r")
+
+
 def _column_rel_diffs(a: list[list[str]], b: list[list[str]]) -> dict[str, float]:
     """Per column of two CSVs, ``a`` before and ``b`` after, each with its header
-    row first: the largest |x - y| over the largest finite |x| of the column.  Cells
-    equal as text or as numbers (``0`` and ``-0``) differ by 0; a differing cell
-    that is not a finite number gives inf in its column, and differing headers,
-    row counts or row lengths give inf in every column."""
+    row first: the largest |x - y| over the largest finite |x| of the column, or
+    for a velocity column over the largest finite |x| of all the velocity
+    columns.  Cells equal as text or as numbers (``0`` and ``-0``) differ by 0; a
+    differing cell that is not a finite number gives inf in its column, and
+    differing headers, row counts or row lengths give inf in every column."""
     if len(a) != len(b) or a[0] != b[0] or any(len(x) != len(y) for x, y in zip(a, b)):
         return dict.fromkeys(a[0] + b[0], math.inf)
     worst = [0.0] * len(a[0])
@@ -392,6 +399,9 @@ def _column_rel_diffs(a: list[list[str]], b: list[list[str]]) -> dict[str, float
             elif x_num != y_num:
                 finite = math.isfinite(x_num) and math.isfinite(y_num)
                 worst[k] = max(worst[k], abs(x_num - y_num) if finite else math.inf)
+    speed = max((top for name, top in zip(a[0], scale) if name in _VELOCITY_COLUMNS),
+                default=0.0)
+    scale = [speed if name in _VELOCITY_COLUMNS else top for name, top in zip(a[0], scale)]
     return {name: (diff / top if top else math.inf) if diff else 0.0
             for name, diff, top in zip(a[0], worst, scale)}
 

@@ -30,8 +30,8 @@ from typing import NamedTuple
 
 from . import _IMPORT_START, __version__
 from .errors import DomainError, LamsepError, ParseError, ValidationError
-from .field import (LaminarParams, laminar_field, near_wall_scale, stationary_gradp_field,
-                    write_csv)
+from .field import (LaminarParams, advection, laminar_field, near_wall_scale,
+                    stationary_gradp_field, write_csv)
 from .fdops import StencilSpec, fd_advection
 from .geometry import ArcBoundary, center_offset, to_cartesian
 
@@ -278,8 +278,6 @@ def parse_config(path=None, overrides: dict | None = None, command: str | None =
 
 def _fd_variant_note(cfg: RunConfig) -> str:
     """Adjudicate the advection variant by finite differences, live."""
-    from .field import advection
-
     arc, params = cfg.arc, cfg.params
     field = laminar_field(arc, params)
     r = 0.1 * near_wall_scale(params, arc.delta)

@@ -28,19 +28,16 @@ class _ParamFields(NamedTuple):
 
 
 class LaminarParams(_ParamFields):
-    """Wall shear rate alpha1, profile curvature alpha2, kinematic viscosity nu.
-
-    alpha2 == 0 is permitted as an internal pure-shear test mode; the theorem
-    operations reject it.
-    """
+    """Wall shear rate alpha1, profile curvature alpha2, kinematic viscosity nu,
+    all positive: both theorems hold on the layer 0 < r < bl = alpha1/alpha2."""
 
     __slots__ = ()
 
     def __new__(cls, alpha1, alpha2, nu):
         if alpha1 <= 0:
             raise ValueError(f"alpha1 must be positive, got {alpha1}")
-        if alpha2 < 0:
-            raise ValueError(f"alpha2 must be >= 0, got {alpha2}")
+        if alpha2 <= 0:
+            raise ValueError(f"alpha2 must be positive, got {alpha2}")
         if nu <= 0:
             raise ValueError(f"nu must be positive, got {nu}")
         return super().__new__(cls, alpha1, alpha2, nu)
@@ -51,8 +48,8 @@ class LaminarParams(_ParamFields):
 
     @property
     def bl(self) -> float:
-        """Boundary-layer thickness alpha1/alpha2 (inf in pure-shear test mode)."""
-        return self.alpha1 / self.alpha2 if self.alpha2 > 0 else float("inf")
+        """Boundary-layer thickness alpha1/alpha2."""
+        return self.alpha1 / self.alpha2
 
 
 class FieldHandle(NamedTuple):
@@ -70,7 +67,6 @@ class FieldHandle(NamedTuple):
     """
 
     evaluator: Callable[[float, float], tuple[float, float]]
-    name: str = ""
 
     def __call__(self, x):
         return self.evaluator(*x)
@@ -86,7 +82,6 @@ class ScalarFieldHandle(NamedTuple):
 
     evaluator: Callable[[float, float], float]
     gradient: Callable[[float, float], tuple[float, float]]
-    name: str = ""
 
     def __call__(self, x):
         return self.evaluator(*x)
@@ -117,7 +112,7 @@ def laminar_field(arc: ArcBoundary, params: LaminarParams) -> FieldHandle:
         g = profile_h(params, d - delta) / d
         return g * ry, g * -rx
 
-    return FieldHandle(evaluator=evaluate, name="laminar")
+    return FieldHandle(evaluate)
 
 
 def wall_gradient(params: LaminarParams, delta: float) -> float:
@@ -182,7 +177,7 @@ def stationary_gradp_field(arc: ArcBoundary, params: LaminarParams) -> FieldHand
         # p_t along the clockwise tangent (n1, -n0), p_n along the normal
         return p_t * n1 + p_n * n0, p_t * -n0 + p_n * n1
 
-    return FieldHandle(evaluator=evaluate, name="gradp-ansatz-paper")
+    return FieldHandle(evaluate)
 
 
 def write_csv(path, header, rows) -> None:

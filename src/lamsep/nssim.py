@@ -71,7 +71,7 @@ else:
 
 from .errors import ConfigError, Diverged, ProbeOutsideGrid
 from .field import LaminarParams, near_wall_scale, profile_h, wall_gradient, write_csv
-from .geometry import ArcBoundary
+from .geometry import ArcBoundary, to_cartesian
 
 
 # a run takes at most this many steps (the test and benchmark runs take at most
@@ -164,8 +164,8 @@ class SimConfig(_SimFields):
     def validate(self) -> None:
         problems = []
         a1, a2 = self.params.alpha1, self.params.alpha2
-        if self.n_s < 16 or self.n_r < 16:
-            problems.append(f"grid must be at least 16x16, got {self.n_s}x{self.n_r}")
+        if self.n_s < 1 or self.n_r < 16:
+            problems.append(f"grid needs n_s >= 1 and n_r >= 16, got {self.n_s}x{self.n_r}")
         elif _run_bytes(self.n_s, self.n_r) > _MEMORY_LIMIT_BYTES:
             problems.append(f"grid {self.n_s}x{self.n_r} needs about "
                             f"{_run_bytes(self.n_s, self.n_r) / 2**30:.3g} GiB of solver "
@@ -180,7 +180,7 @@ class SimConfig(_SimFields):
                             f"(0, 2*pi] of the wall, got {self.sector_angle:g}")
         if not math.isfinite(profile_h(self.params, self.R_out)):
             # each term of h is largest at 2*bl, so every cell's speed is then finite
-            # too; an infinite bl (alpha2 = 0) gives NaN here
+            # too; a bl that overflows to inf gives NaN here
             problems.append(f"alpha1 = {a1:g}, alpha2 = {a2:g}: "
                             "the initial profile speed across the layer 2*bl = "
                             f"{self.R_out:g} leaves the float range")
@@ -640,8 +640,6 @@ def run_experiment(cfg: SimConfig, r_probe_list=None) -> ExperimentReport:
 def dump_field_csv(state: SimState, cfg: SimConfig, path) -> None:
     """Cell-centered field dump: s, r, x, y, u_t, u_r, p; p is the total
     pressure, the periodic one plus the wall-anchored k*delta*theta."""
-    from .geometry import to_cartesian
-
     g = cfg.grid
     us_c, ur_c = _cell_velocities(state)
     p = state.p + g.k * g.delta * g.theta_c[:, None]

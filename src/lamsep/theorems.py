@@ -29,11 +29,6 @@ ADJUDICATION_RTOL = 1e-4
 MIN_LEVELS = 4  # fewest r-grid levels a theorem-2 limit is fitted on
 
 
-def _require_theorem_params(params: LaminarParams):
-    if params.alpha2 <= 0:
-        raise DomainError("theorem operations require alpha2 > 0 (no pure-shear test mode)")
-
-
 def _require_inside_layer(params: LaminarParams, r: float):
     if not 0 < r < params.bl:
         raise DomainError(f"need 0 < r < bl = {params.bl}, got {r}")
@@ -61,7 +56,6 @@ def theorem1_mismatch(params: LaminarParams, delta: float, r: float):
 
     whose two sides differ by M(r) = h(r)/(d + r)**2 + 2*a2*r/(d + r) > 0.
     """
-    _require_theorem_params(params)
     _require_inside_layer(params, r)
     a1, a2 = params.alpha1, params.alpha2
     h = profile_h(params, r)
@@ -113,7 +107,6 @@ def theorem1_verify(
     sqrt(P^2 + Pperp^2); the two disagree by the factor lhs/rhs, which is the
     contradiction seen geometrically.
     """
-    _require_theorem_params(params)
     r_grid = _float_grid(params, delta, r_grid)
     lhs, rhs, mism = (list(side) for side in
                       zip(*(theorem1_mismatch(params, delta, r) for r in r_grid)))
@@ -155,7 +148,6 @@ def theorem2_ratio(params: LaminarParams, delta: float, r: float) -> float:
     the field's Laplacian term P(r) with the tangential pressure gradient the
     level-set length limit implies.
     """
-    _require_theorem_params(params)
     _require_inside_layer(params, r)
     p_t, _ = stationary_gradp_ansatz(params, delta, r)
     wall = wall_gradient(params, delta) * delta / (delta + r)
@@ -190,7 +182,6 @@ def oracle_limit(params: LaminarParams, delta: float) -> float:
     """
     from fractions import Fraction  # only the theorem-2 commands pay for the import
 
-    _require_theorem_params(params)
     a1, a2, nu, d = (Fraction(v) for v in (params.alpha1, params.alpha2, params.nu, delta))
     half_a2 = a2 / 2
     wall_num = nu * (a1 / d - a2) * d
@@ -248,7 +239,6 @@ def _fine_tail_limit(samples) -> ExtrapolationResult:
 
 def theorem2_limit(params: LaminarParams, delta: float, r_grid=None) -> Theorem2Report:
     """Extrapolate theorem2_ratio to r -> 0 and adjudicate against both candidates."""
-    _require_theorem_params(params)
     r_grid = _float_grid(params, delta, r_grid)
     if len(r_grid) < 2 or any(b >= a for a, b in zip(r_grid, r_grid[1:])):
         raise ValueError("r_grid must hold at least two strictly decreasing radii")

@@ -7,12 +7,11 @@ them: a trace collects the points, and a crossing event (a normal ray, a
 target wall distance, a pressure level) is the first sign change of a scalar
 along the march, found by :func:`_first_crossing`, which evaluates the scalar
 once per march point.  A march point exactly on the target is the hit, and a
-sign change within a step is located by bisection along the step followed by
-one secant polish, which stays robust for nearly tangential crossings.  The
-pressure line of the eta ratio stops instead where it first meets the traced
-level curve.  A pressure march stops with :class:`CriticalPoint` where the
-gradient vanishes, a streamline with :class:`StagnationEncountered` where the
-velocity does.
+sign change within a step is located by bisection along the step, which stays
+robust for nearly tangential crossings.  The pressure line of the eta ratio
+stops instead where it first meets the traced level curve.  A pressure march
+stops with :class:`CriticalPoint` where the gradient vanishes, a streamline
+with :class:`StagnationEncountered` where the velocity does.
 
 The march runs on float pairs: a point is a tuple ``(x, y)``, and each field
 is called in point form, ``field((x, y)) -> (u, v)`` (see
@@ -221,40 +220,28 @@ def _first_crossing(dirfn, start, cfg: TraceConfig, psi, tol):
         if p_new == 0.0:  # the march landed on the target itself
             return x_new, cum + h
         if p_prev != 0.0 and (p_prev > 0) != (p_new > 0):
-            hit, extra = _refine_on_step(dirfn, x, h, psi, p_prev, p_new, tol)
+            hit, extra = _refine_on_step(dirfn, x, h, psi, p_new, tol)
             return hit, cum + extra
         p_prev = p_new
     return None
 
 
-def _refine_on_step(dirfn, x_prev, step, psi, psi_prev, psi_new, tol):
-    """Locate psi == 0 between x_prev and its full step by bisection + secant."""
-    lo, hi = 0.0, 1.0
-    f_lo, f_hi = psi_prev, psi_new
-
-    def value(lam):
-        if lam == 0.0:
-            return x_prev, f_lo
-        x = _rk_step(dirfn, x_prev, lam * step)
-        return x, psi(x)
-
-    x_mid = x_prev
+def _refine_on_step(dirfn, x_prev, step, psi, psi_new, tol):
+    """Locate psi == 0 between x_prev and its full step (where psi is psi_new)
+    by bisection: the first midpoint with |psi| <= tol, or else the last of 70
+    halvings."""
+    lo, hi, f_hi = 0.0, 1.0, psi_new
     for _ in range(70):
         mid = 0.5 * (lo + hi)
-        x_mid, f_mid = value(mid)
+        x_mid = _rk_step(dirfn, x_prev, mid * step)
+        f_mid = psi(x_mid)
         if abs(f_mid) <= tol:
-            return x_mid, mid * step
+            break
         if (f_mid > 0) == (f_hi > 0):
             hi, f_hi = mid, f_mid
         else:
-            lo, f_lo = mid, f_mid
-    # one secant polish on the bracket
-    if f_hi != f_lo:
-        lam = hi - f_hi * (hi - lo) / (f_hi - f_lo)
-        lam = min(max(lam, 0.0), 1.0)
-        x_mid, _ = value(lam)
-        return x_mid, lam * step
-    return x_mid, 0.5 * (lo + hi) * step
+            lo = mid
+    return x_mid, mid * step
 
 
 # ----------------------------------------------------------------------------
@@ -364,7 +351,7 @@ def fan_field(source) -> FieldHandle:
         rx, ry, d = center_offset(src, x, y)
         return rx / d, ry / d
 
-    return FieldHandle(evaluator=evaluate, name="fan")
+    return FieldHandle(evaluate)
 
 
 def fan_expected_crossing(arc: ArcBoundary, source, s: float, s1: float, r: float) -> float:
@@ -401,7 +388,7 @@ def radial_growth_field(arc: ArcBoundary, growth: float) -> FieldHandle:
         # the clockwise tangent (n1, -n0) tilted outward by w
         return n1 + w * n0, -n0 + w * n1
 
-    return FieldHandle(evaluator=evaluate, name="radial-growth")
+    return FieldHandle(evaluate)
 
 
 # ----------------------------------------------------------------------------
@@ -593,31 +580,7 @@ def perturbed_angular_pressure(
         # g_t along the clockwise tangent (n1, -n0), g_n along the normal
         return g_t * n1 + g_n * n0, g_t * -n0 + g_n * n1
 
-    name = "angular-pressure" if amp == 0.0 else f"angular-pressure+{amp}r2"
-    return ScalarFieldHandle(evaluator=evaluate, gradient=gradient, name=name)
-
-
-def wall_incompatible_pressure(
-    arc: ArcBoundary, params: LaminarParams, slope: float
-) -> ScalarFieldHandle:
-    """Angular pressure plus slope*(dist - delta): breaks the wall gradient."""
-    base = angular_pressure(arc, params)
-    delta = arc.delta
-
-    def evaluate(x: float, y: float) -> float:
-        d = center_offset(arc.center, x, y)[2]
-        return base.evaluator(x, y) + slope * (d - delta)
-
-    def gradient(x: float, y: float) -> tuple[float, float]:
-        rx, ry, d = center_offset(arc.center, x, y)
-        gx, gy = base.gradient(x, y)
-        return gx + slope * rx / d, gy + slope * ry / d
-
-    return ScalarFieldHandle(evaluator=evaluate, gradient=gradient, name="wall-incompatible")
-
-
-def _gradient_handle(p_field: ScalarFieldHandle) -> FieldHandle:
-    return FieldHandle(evaluator=p_field.gradient, name=p_field.name + "-grad")
+    return ScalarFieldHandle(evaluate, gradient)
 
 
 class ZetaSample(NamedTuple):
@@ -706,7 +669,7 @@ def piecewise_linear_length(
     tilt by the angle between the gradient and the wall tangent, summing
     segment lengths ((delta + r)/delta) * ds / cos(theta).  First-order in 1/n.
     """
-    gradp = _gradient_handle(p_field)
+    gradp = FieldHandle(p_field.gradient)
     delta = arc.delta
     ds = (sample.s_hat2 - sample.s_hat) / n
     s_k, r_k = sample.s_hat, sample.r
@@ -753,7 +716,7 @@ def zeta_check(
     # the marches stop where |grad p| falls below 1e-10 of the wall gradient:
     # default_trace_config's tolerance is a velocity, and the pressure scales with nu
     cfg = default_trace_config(arc, params)._replace(stagnation_tol=1e-10 * abs(k))
-    gradp = _gradient_handle(p_field)
+    gradp = FieldHandle(p_field.gradient)
 
     # wall-compatibility gate
     lo, hi = arc.s_range

@@ -43,6 +43,13 @@ def test_relative_difference_of_finite_cells():
     assert diff == {"t": 0.0, "u": 0.125}
 
 
+def test_velocity_columns_are_scaled_by_the_top_speed():
+    # u_r is roundoff on both sides: against u_t = 1 it differs by 1e-19, not by 1
+    header = ["u_t", "u_r"]
+    diff = layers._column_rel_diffs([header, ["1", "1e-19"]], [header, ["1", "2e-19"]])
+    assert diff["u_t"] == 0.0 and diff["u_r"] == pytest.approx(1e-19)
+
+
 def test_a_difference_in_an_all_zero_column_is_infinite():
     diff = layers._column_rel_diffs([HEADER, ["1", "0"]], [HEADER, ["1", "1e-300"]])
     assert diff == {"t": 0.0, "u": math.inf}

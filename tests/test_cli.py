@@ -39,6 +39,11 @@ def test_parse_rejects_negative_alpha2(tmp_path):
         parse_config(path)
 
 
+def test_parse_rejects_an_unknown_command(tmp_path):
+    with pytest.raises(ValidationError, match="command must be one of"):
+        parse_config(write_config(tmp_path, {}), None, "bogus")
+
+
 def test_parse_rejects_unknown_key(tmp_path):
     path = write_config(tmp_path, {"command": "verify-theorem2", "alpha3": 2.0})
     with pytest.raises(ParseError, match="alpha3"):
@@ -85,11 +90,12 @@ def test_one_line_names_every_refused_key_and_no_out_directory_is_made(tmp_path,
 
 @pytest.mark.parametrize("command, config", [
     ("classify", {"s": "x"}),                               # an option
-    ("simulate", {"n_s": 8}),                               # SimConfig.validate
+    ("simulate", {"n_r": 8}),                               # SimConfig.validate
     ("simulate", {"nu": 1e308, "dt": 1e-3, "t_end": 3e-3}),  # a step leaves the float range
     # theorem 2's limit underflows to 0 (this sweep used to exit 0 with limit 0)
     ("sweep", {"alpha1": 1.8399755638364526, "alpha2": 1.643420123686913e200,
                "nu": 8.994958406858893e29}),
+    ("verify-theorem2", [1, 2]),                            # the config's top level
 ])
 def test_a_refused_run_makes_no_out_directory(tmp_path, capsys, command, config):
     path = write_config(tmp_path, config)
@@ -267,6 +273,13 @@ def test_classify_fan_and_weak_fields(tmp_path, field, kind, option):
     assert all(a["ratio"] != b["ratio"] for a, b in zip(default["evidence"], given["evidence"]))
 
 
+def test_classify_a_field_that_bends_toward_the_wall_is_unclassified(tmp_path):
+    # growth < 0: every ratio is below 1, and none is within tol_par of it
+    payload = _classify(tmp_path, {"field": "weak", "growth": -3})
+    assert payload["kind"] == "Unclassified"
+    assert [round(e["ratio"], 3) for e in payload["evidence"]] == [0.917, 0.957, 0.978]
+
+
 def test_trace_run(tmp_path):
     rc = main(["trace", "--out", str(tmp_path / "o")])
     assert rc == 0
@@ -312,6 +325,18 @@ def test_simulate_reports_its_time_step(tmp_path, config, bound):
     times = {row.split(",")[0] for row in
              (tmp_path / "o" / "data.csv").read_text().splitlines()[1:]}
     assert len(times) == payload["steps"] + 1
+
+
+def test_one_or_two_theta_cells_write_the_wide_sector_data(tmp_path):
+    # an unseeded run is theta-uniform, so with the step given (the default
+    # step depends on n_s) its data.csv does not depend on n_s
+    data = {}
+    for n_s in (1, 2, 32):
+        cfg = write_config(tmp_path, {"delta": 0.5, "n_s": n_s, "n_r": 32, "dt": 1e-3,
+                                      "t_end": 0.5})
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / str(n_s))]) == 0
+        data[n_s] = (tmp_path / str(n_s) / "data.csv").read_bytes()
+    assert data[1] == data[2] == data[32]
 
 
 def test_simulate_refuses_a_huge_grid_in_one_line(tmp_path, capsys):

@@ -46,10 +46,11 @@ def test_params_validation_and_bl():
         LaminarParams(-1.0, 1.0, 1.0)
     with pytest.raises(ValueError):
         LaminarParams(1.0, -1.0, 1.0)
+    with pytest.raises(ValueError, match="alpha2 must be positive"):
+        LaminarParams(1, 0, 1)
     with pytest.raises(ValueError):
         LaminarParams(1.0, 1.0, 0.0)
     assert LaminarParams(2.0, 4.0, 1.0).bl == pytest.approx(0.5)
-    assert LaminarParams(1.0, 0.0, 1.0).bl == np.inf  # pure-shear test mode
     params = LaminarParams(2.0, 4.0, 1.0)
     assert params == LaminarParams(2.0, 4.0, 1.0) and hash(params) == hash((2.0, 4.0, 1.0))
     with pytest.raises(AttributeError):
@@ -68,12 +69,13 @@ def test_laminar_local_components_at_s0():
 
 
 def test_laminar_pure_shear_spec_point():
-    # delta=1, alpha1=1, alpha2=0, local (s=1, r=0): v = (1 - 1/sqrt(2)) * (1, -1)
-    params = LaminarParams(1.0, 0.0, 1.0)
-    field = laminar_field(ARC, params)
+    # delta=1, alpha1=alpha2=1, local (s=1, r=0): the wall distance is sqrt(2) - 1,
+    # so v = h(sqrt(2) - 1)/sqrt(2) * (1, -1)
+    field = laminar_field(ARC, PARAMS)
     frame = local_frame(ARC, 0.0)
     v1, v2 = frame.components(field(frame.to_world(1.0, 0.0)))
-    expected = (np.sqrt(2.0) - 1.0) / np.sqrt(2.0)
+    r = np.sqrt(2.0) - 1.0
+    expected = (r - 0.5 * r * r) / np.sqrt(2.0)
     assert v1 == pytest.approx(expected, rel=1e-12)
     assert v2 == pytest.approx(-expected, rel=1e-12)
 

@@ -48,10 +48,10 @@ def test_config_validation():
         with pytest.raises(ConfigError):
             make_cfg()._replace(**bad).validate()
     # an angle beyond the float range, the profile speed across 2*bl beyond it,
-    # and an infinite bl (alpha2 = 0): each names the keys that set it
+    # and a bl that overflows to inf: each names the keys that set it
     for bad, key in (({"arc": ArcBoundary(1.0, 0.0, (0.0, 0.0), (-1e308, 1e308))}, "s_range"),
                      ({"params": LaminarParams(1e300, 1.0, 1.0)}, "alpha1"),
-                     ({"params": LaminarParams(1.0, 0.0, 1.0)}, "alpha2")):
+                     ({"params": LaminarParams(1.0, 5e-324, 1.0)}, "alpha2")):
         with pytest.raises(ConfigError, match=key):
             make_cfg()._replace(**bad).validate()
     # a cell height below the float spacing at delta, and a step limit that
@@ -142,6 +142,56 @@ def test_viscous_operator_order2_on_nonpolynomial_profile():
         errs.append(np.max(np.abs(visc[0, j] - exact[j])))
     orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
     assert np.all(np.abs(orders - 2.0) < 0.3)
+
+
+def _manufactured_terms(cfg, theta, rho):
+    """A smooth theta-periodic field that is zero at both radial walls,
+    u_theta = A + B cos(k theta) and u_rho = C sin(k theta) with k = 2 pi/Theta,
+    at (theta, rho): its two components, and the exact (advection, viscous)
+    terms of each momentum equation.  The viscous terms leave out
+    (1/rho**2) d2/dtheta2, which ``step`` takes implicitly."""
+    q = np.pi / cfg.R_out
+    x = q * (rho - cfg.arc.delta)
+    k = 2.0 * np.pi / cfg.sector_angle
+    a, a_r, a_rr = np.sin(x), q * np.cos(x), -q * q * np.sin(x)
+    b, b_r, b_rr = 0.3 * np.sin(2 * x), 0.6 * q * np.cos(2 * x), -1.2 * q * q * np.sin(2 * x)
+    c, c_r, c_rr = 0.2 * np.sin(x) ** 2, 0.2 * q * np.sin(2 * x), 0.4 * q * q * np.cos(2 * x)
+    cos, sin = np.cos(k * theta), np.sin(k * theta)
+    ut, ut_r, ut_rr, ut_th = a + b * cos, a_r + b_r * cos, a_rr + b_rr * cos, -k * b * sin
+    ur, ur_r, ur_rr, ur_th = c * sin, c_r * sin, c_rr * sin, k * c * cos
+    return ut, ur, {
+        "tangential": (ur * ut_r + ut / rho * ut_th + ur * ut / rho,
+                       ut_rr + ut_r / rho - ut / rho**2 + 2.0 / rho**2 * ur_th),
+        "radial": (ur * ur_r + ut / rho * ur_th - ut**2 / rho,
+                   ur_rr + ur_r / rho - ur / rho**2 - 2.0 / rho**2 * ut_th),
+    }
+
+
+@pytest.mark.parametrize("component, term", [("tangential", "advection"),
+                                             ("radial", "advection"), ("radial", "viscous")])
+def test_theta_dependent_terms_converge_on_a_manufactured_field(component, term):
+    # each sign of the theta-coupled terms (the radial -(2/rho**2) d(u_theta)/dtheta,
+    # the (u_theta/rho) d/dtheta advection) is read against its exact value
+    errs = []
+    for n in (16, 32, 64):
+        cfg = make_cfg(n=n)
+        g = cfg.grid
+        # u_theta on the theta-faces i*dth at the cell centres, u_rho at the
+        # cell centres' theta on every rho-face
+        us, _, at_us = _manufactured_terms(cfg, g.dth * np.arange(n)[:, None],
+                                           g.rho_c[None, :])
+        _, ur, at_ur = _manufactured_terms(cfg, g.theta_c[:, None], g.rho_f[None, :])
+        if component == "tangential":
+            neg_adv, visc = _tangential_rhs(cfg, us, ur)
+            exact = at_us["tangential"]
+        else:
+            neg_adv, visc = _radial_rhs(cfg, us, ur)
+            exact = tuple(e[:, 1:-1] for e in at_ur["radial"])  # the interior rho-faces
+        got, want = (-neg_adv, exact[0]) if term == "advection" else (visc, exact[1])
+        # skip the nodes next to each wall, whose stencils read the ghost cells
+        errs.append(np.max(np.abs(got - want)[:, 1:-1]))
+    orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
+    assert np.all(np.abs(orders - 2.0) <= 0.3), (errs, orders)
 
 
 def _reference_tangential_viscous(cfg, us, ur, i, j):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from lamsep import theorems
 from lamsep.errors import DomainError, NonMonotoneSequence
 from lamsep.fdops import richardson
 from lamsep.field import LaminarParams, stationary_gradp_ansatz
@@ -51,8 +52,6 @@ def test_mismatch_domain_errors():
         theorem1_mismatch(UNIT, 1.0, 1.0)  # r >= bl
     with pytest.raises(DomainError):
         theorem1_mismatch(UNIT, 1.0, 0.0)
-    with pytest.raises(DomainError):
-        theorem1_mismatch(LaminarParams(1.0, 0.0, 1.0), 1.0, 0.1)  # test mode rejected
 
 
 def test_mismatch_positive_random_sweep():
@@ -186,6 +185,13 @@ def test_limit_fits_the_shrinking_fine_tail():
     assert report.to_dict()["limit_levels_used"] == 4
     assert report.agrees_with == "oracle"
     assert report.limit.value == pytest.approx(report.oracle_value, rel=1e-8)
+
+
+def test_limit_that_lands_on_the_printed_value_agrees_with_the_paper(monkeypatch):
+    # a ratio linear in r extrapolates exactly to its value at r = 0
+    monkeypatch.setattr(theorems, "theorem2_ratio",
+                        lambda params, delta, r: paper_limit(params, delta) + r)
+    assert theorem2_limit(UNIT, 1.0).agrees_with == "paper"
 
 
 def test_limit_without_shrinking_tail_raises():

@@ -432,7 +432,7 @@ def _array_poincare_L(field, arc, s, s1, r, cfg):
         x, cum = x_new, cum + h
     else:
         raise AssertionError("reference trace found no crossing")
-    # bisection on the step fraction, then one secant polish
+    # bisection on the step fraction
     lo, hi = 0.0, 1.0
     for _ in range(70):
         mid = 0.5 * (lo + hi)
@@ -443,10 +443,7 @@ def _array_poincare_L(field, arc, s, s1, r, cfg):
         if (f_mid > 0) == (f_hi > 0):
             hi, f_hi = mid, f_mid
         else:
-            lo, f_lo = mid, f_mid
-    else:
-        lam = min(max(hi - f_hi * (hi - lo) / (f_hi - f_lo), 0.0), 1.0)
-        x_mid = _array_rk4(fn, x, lam * h)
+            lo = mid
     return float(np.linalg.norm(x_mid - arc.center)) - arc.delta
 
 

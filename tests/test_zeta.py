@@ -6,14 +6,13 @@ import pytest
 from lamsep import tracing
 from lamsep.cli import main
 from lamsep.errors import DomainError, NonMonotoneSequence, WallGradientMismatch
-from lamsep.field import LaminarParams
-from lamsep.geometry import ArcBoundary, arc_point, arc_tangent, to_cartesian
+from lamsep.field import LaminarParams, ScalarFieldHandle
+from lamsep.geometry import ArcBoundary, arc_point, arc_tangent, center_offset, to_cartesian
 from lamsep.tracing import (
     BoundTolerances,
     angular_pressure,
     perturbed_angular_pressure,
     piecewise_linear_length,
-    wall_incompatible_pressure,
     zeta_check,
 )
 
@@ -23,6 +22,23 @@ R_LIST = [0.08, 0.04, 0.02]
 # delta != 1 and a wall gradient k = nu*(a1/delta - a2) = 0.390... != 1
 SKEW_ARC = ArcBoundary(delta=1.7, phase=0.2, center=(0.5, -0.7), s_range=(0.0, 0.6))
 SKEW_PARAMS = LaminarParams(alpha1=2.7, alpha2=1.1, nu=0.8)
+
+
+def wall_incompatible_pressure(arc, params, slope):
+    """Angular pressure plus slope*(dist - delta): breaks the wall gradient."""
+    base = angular_pressure(arc, params)
+    delta = arc.delta
+
+    def evaluate(x, y):
+        d = center_offset(arc.center, x, y)[2]
+        return base.evaluator(x, y) + slope * (d - delta)
+
+    def gradient(x, y):
+        rx, ry, d = center_offset(arc.center, x, y)
+        gx, gy = base.gradient(x, y)
+        return gx + slope * rx / d, gy + slope * ry / d
+
+    return ScalarFieldHandle(evaluate, gradient)
 
 
 def test_bound_tolerances_validation():
@@ -164,7 +180,8 @@ def test_zeta_foot_data_independent_of_s():
     perturbed_angular_pressure(SKEW_ARC, SKEW_PARAMS, amp=0.3),
     perturbed_angular_pressure(SKEW_ARC, SKEW_PARAMS, amp=-0.3),
     wall_incompatible_pressure(SKEW_ARC, SKEW_PARAMS, slope=0.2),
-], ids=lambda p: p.name)
+], ids=["angular-pressure", "angular-pressure+0.3r2", "angular-pressure+-0.3r2",
+        "wall-incompatible"])
 def test_pressure_gradient_matches_central_differences(p_field):
     # zeta_check traces on the analytic gradient alone, so it must be the
     # gradient of the evaluator; here delta = 1.7 and k = 0.39, so a missing
