@@ -17,7 +17,8 @@ use (PEP 562), so a program, and each ``lamsep`` command, loads only the
 modules it runs.  The records (``ArcBoundary``, ``LaminarParams``,
 ``SimConfig``, the reports, ...) are ``typing.NamedTuple``s: immutable,
 compared by value, and copied with changes by ``record._replace(field=value)``;
-the ones with invariants check them on construction and in ``_replace``.
+an input record checks its invariants, in ``_replace`` too, and an output record
+(``NormalPoint``, ``BoundTolerances``, ...) carries what was computed.
 """
 
 import time as _time

@@ -308,15 +308,20 @@ def _load(module: str):
 
 
 def run(cfg: RunConfig) -> RunReport:
-    """Dispatch a validated config, write report.json and data.csv, return the report."""
+    """Dispatch a validated config, write its files and report.json, return the report.
+
+    A handler returns ``(payload, files, exit_code, notes)``: ``files`` maps a
+    file name to its writer, called here with the path after the compute clock.
+    """
     t0 = time.perf_counter()
     late_before = _late_import_s
     handler = _HANDLERS[cfg.command]
     with _refusals():
-        payload, rows, header, exit_code, notes = handler(cfg)
+        payload, files, exit_code, notes = handler(cfg)
     t1 = time.perf_counter()
     cfg.out.mkdir(parents=True, exist_ok=True)  # only for a run that succeeded
-    write_csv(cfg.out / "data.csv", header, rows)
+    for name, write in files.items():
+        write(cfg.out / name)
     late = _late_import_s - late_before
     report = RunReport(
         command=cfg.command,
@@ -334,6 +339,11 @@ def run(cfg: RunConfig) -> RunReport:
     return report
 
 
+def _data_csv(header, rows) -> dict:
+    """A handler's files: ``data.csv``, the table ``rows`` under ``header``."""
+    return {"data.csv": lambda path: write_csv(path, header, rows)}
+
+
 def _cmd_theorem1(cfg: RunConfig):
     theorems = _load("theorems")
     report = theorems.theorem1_verify(
@@ -343,7 +353,7 @@ def _cmd_theorem1(cfg: RunConfig):
                      *(v for check in report.geometric_crosscheck for v in check)])
     rows = list(zip(report.r_grid, report.lhs, report.rhs, report.mismatch))
     notes = {"pperp_variant_supported_by_fd": _fd_variant_note(cfg)}
-    return report.to_dict(), rows, ["r", "lhs", "rhs", "mismatch"], 0, notes
+    return report.to_dict(), _data_csv(["r", "lhs", "rhs", "mismatch"], rows), 0, notes
 
 
 def _cmd_theorem2(cfg: RunConfig):
@@ -359,7 +369,7 @@ def _cmd_theorem2(cfg: RunConfig):
         "oracle_value": report.oracle_value,
         "pperp_variant_supported_by_fd": _fd_variant_note(cfg),
     }
-    return report.to_dict(), rows, ["r", "ratio"], (0 if agree else 2), notes
+    return report.to_dict(), _data_csv(["r", "ratio"], rows), (0 if agree else 2), notes
 
 
 def _classification_field(cfg: RunConfig):
@@ -389,7 +399,7 @@ def _cmd_classify(cfg: RunConfig):
                                    tol_par=opts.get("tol_par", 1e-4))
     payload = {"kind": result.kind, "C_threshold": result.C_threshold,
                "evidence": [{"r": r, "ratio": q} for r, q in result.evidence]}
-    return payload, result.evidence, ["r", "L_over_r"], 0, {}
+    return payload, _data_csv(["r", "L_over_r"], result.evidence), 0, {}
 
 
 def _cmd_trace(cfg: RunConfig):
@@ -408,7 +418,7 @@ def _cmd_trace(cfg: RunConfig):
         line = tracing.trace_pressure_line(gradp, start, trace_cfg, direction)
     _require_finite([line.length])
     payload = {"kind": kind, "points": len(line.points), "length": line.length}
-    return payload, line.rows(), line.CSV_HEADER, 0, {}
+    return payload, _data_csv(line.CSV_HEADER, line.rows()), 0, {}
 
 
 def _cmd_zeta(cfg: RunConfig):
@@ -436,7 +446,7 @@ def _cmd_zeta(cfg: RunConfig):
         "wall_gradient_rel_dev": report.wall_gradient_rel_dev,
     }
     header = ["r", "eps", "s_hat", "r_hat2", "zeta_length", "lower", "upper"]
-    return payload, rows, header, 0, {}
+    return payload, _data_csv(header, rows), 0, {}
 
 
 def _cmd_simulate(cfg: RunConfig):
@@ -455,9 +465,9 @@ def _cmd_simulate(cfg: RunConfig):
         "cfl": sim_cfg.cfl(),
         "dt_bound": sim_cfg.dt_bound,
     }
-    cfg.out.mkdir(parents=True, exist_ok=True)  # only for a run that succeeded
-    nssim.dump_field_csv(report.final_state, sim_cfg, cfg.out / "field.csv")
-    return payload, report.rows(), report.CSV_HEADER, 0, {}
+    files = _data_csv(report.CSV_HEADER, report.rows())
+    files["field.csv"] = lambda path: nssim.dump_field_csv(report.final_state, sim_cfg, path)
+    return payload, files, 0, {}
 
 
 def _cmd_sweep(cfg: RunConfig):
@@ -480,7 +490,7 @@ def _cmd_sweep(cfg: RunConfig):
                     levels_used.append(rep2.limit.levels_used)
     header = ["delta", "alpha1", "alpha2", "nu", "limit", "oracle", "paper", "min_mismatch"]
     payload = {"rows": len(rows), "levels_used": levels_used}
-    return payload, rows, header, 0, {}
+    return payload, _data_csv(header, rows), 0, {}
 
 
 _HANDLERS = {

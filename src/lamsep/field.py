@@ -13,7 +13,6 @@ pressure-gradient ansatz) are all verified against finite differences in
 
 from __future__ import annotations
 
-import csv
 from typing import Callable, NamedTuple
 
 from .geometry import ArcBoundary, center_offset
@@ -181,9 +180,8 @@ def stationary_gradp_field(arc: ArcBoundary, params: LaminarParams) -> FieldHand
 
 
 def write_csv(path, header, rows) -> None:
-    """The one CSV writer: a header row, then ``rows``.  String cells pass
-    through; every other cell gets 17 significant digits, so floats round-trip."""
+    """The one CSV writer: a header row, then ``rows`` of numbers, each cell
+    with 17 significant digits so that floats round-trip; lines end in CRLF."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows([v if isinstance(v, str) else f"{v:.17g}" for v in row] for row in rows)
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(",".join([f"{v:.17g}" for v in row]) + "\r\n" for row in rows)

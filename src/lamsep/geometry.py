@@ -57,24 +57,11 @@ class ArcBoundary(_ArcFields):
         return s1 - pad, s2 + pad
 
 
-class _NormalFields(NamedTuple):
-    s: float
-    r: float
-
-
-class NormalPoint(_NormalFields):
+class NormalPoint(NamedTuple):
     """Wall-fitted coordinates: arc length ``s`` along the wall, distance ``r`` above it."""
 
-    __slots__ = ()
-
-    def __new__(cls, s, r):
-        if r < 0:
-            raise ValueError(f"wall distance r must be >= 0, got {r}")
-        return super().__new__(cls, s, r)
-
-    @classmethod
-    def _make(cls, fields):
-        return cls(*fields)
+    s: float
+    r: float
 
 
 class LocalFrame(NamedTuple):

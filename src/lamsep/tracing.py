@@ -122,28 +122,13 @@ class FlowClass(NamedTuple):
     evidence: list
 
 
-class _BoundFields(NamedTuple):
+class BoundTolerances(NamedTuple):
+    """Fitted constants of the level-set length bounds."""
+
     c: float
     c1: float
     c2: float
     epsilon_hat: float
-
-
-class BoundTolerances(_BoundFields):
-    """Fitted constants of the level-set length bounds."""
-
-    __slots__ = ()
-
-    def __new__(cls, c, c1, c2, epsilon_hat):
-        if min(c, c1, c2, epsilon_hat) <= 0:
-            raise ValueError("all bound constants must be positive")
-        if epsilon_hat >= 0.5:
-            raise ValueError("epsilon_hat must be < 0.5")
-        return super().__new__(cls, c, c1, c2, epsilon_hat)
-
-    @classmethod
-    def _make(cls, fields):  # so that _replace checks its fields too
-        return cls(*fields)
 
 
 # ----------------------------------------------------------------------------
@@ -703,7 +688,7 @@ def zeta_check(
     For each r (with eps = eps_over_r * r) this traces the foot point, the zeta
     arc and its wall-coordinate endpoints, fits the smallest constants c and
     epsilon_hat satisfying |s_hat - s| <= c r^2 and (1 -+ eps_hat) r bracketing
-    r_hat2, checks with them the sandwich (``bounds_hold``)
+    r_hat2 (reported as fitted, unclamped), checks with them ``bounds_hold``: e < 1/2 and
 
         (1-e)(r+d)/d (eps - 2c(1+e)^2 r^2) <= |zeta| <= (1+e)/(1-cr^2) (r+d)/d (eps + 2c(1+e)^2 r^2),
 
@@ -746,29 +731,23 @@ def zeta_check(
 
     # fit the constants
     tiny = 1e-12
-    c_fit = max(max(abs(sm.s_hat - s) / sm.r**2 for sm in raw), tiny)
-    c1_fit = max(max((s + sm.eps - sm.s_hat2) / sm.r_hat2**2 for sm in raw), tiny)
-    c2_fit = max(max((sm.s_hat2 - (s + sm.eps)) / sm.r_hat2 for sm in raw), tiny)
-    e_fit = max(max(abs(sm.r_hat2 / sm.r - 1.0) for sm in raw), tiny)
-
-    def bounds(sm: ZetaSample, c: float, e: float) -> tuple[float, float]:
-        scale = (sm.r + delta) / delta
-        lo_b = (1.0 - e) * scale * (sm.eps - 2.0 * c * (1.0 + e) ** 2 * sm.r**2)
-        hi_b = (1.0 + e) / (1.0 - c * sm.r**2) * scale * (sm.eps + 2.0 * c * (1.0 + e) ** 2 * sm.r**2)
-        return lo_b, hi_b
-
-    fitted = BoundTolerances(c=c_fit * (1.0 + 1e-9) + tiny, c1=max(c1_fit, tiny),
-                             c2=max(c2_fit, tiny), epsilon_hat=min(e_fit, 0.49))
+    c = max(max(abs(sm.s_hat - s) / sm.r**2 for sm in raw), tiny) * (1.0 + 1e-9) + tiny
+    c1 = max(max((s + sm.eps - sm.s_hat2) / sm.r_hat2**2 for sm in raw), tiny)
+    c2 = max(max((sm.s_hat2 - (s + sm.eps)) / sm.r_hat2 for sm in raw), tiny)
+    e = max(max(abs(sm.r_hat2 / sm.r - 1.0) for sm in raw), tiny)
 
     samples = []
-    holds = True
+    holds = e < 0.5  # the premise of the sandwich
     for sm in raw:
-        lo_b, hi_b = bounds(sm, fitted.c, fitted.epsilon_hat)
+        scale = (sm.r + delta) / delta
+        slack = 2.0 * c * (1.0 + e) ** 2 * sm.r**2
+        lo_b = (1.0 - e) * scale * (sm.eps - slack)
+        hi_b = (1.0 + e) / (1.0 - c * sm.r**2) * scale * (sm.eps + slack)
         holds = holds and lo_b <= sm.traced_length <= hi_b
         samples.append(sm._replace(lower_bound=lo_b, upper_bound=hi_b))
 
     ratio = _traced_limit([
         (sm.r, sm.traced_length * delta / ((sm.r + delta) * sm.eps)) for sm in samples
     ])
-    return ZetaReport(samples=samples, fitted=fitted, bounds_hold=holds,
+    return ZetaReport(samples=samples, fitted=BoundTolerances(c, c1, c2, e), bounds_hold=holds,
                       ratio=ratio, wall_gradient_rel_dev=rel_dev)

@@ -91,4 +91,4 @@ def test_traced_records_the_health_of_a_simulate_run(tmp_path):
     health = record["simulation"]
     assert health["init_cold_s"] > 0 and health["init_warm_s"] > 0
     assert health["div_max"] <= 1e-8 and health["noslip_residual"] <= 1e-12
-    assert "nssim.step" in {span[1] for span in record["spans"]}
+    assert {"nssim.step", "nssim.dump_field_csv"} <= {span[1] for span in record["spans"]}

@@ -765,3 +765,19 @@ def test_report_splits_the_process_time_by_stage(tmp_path, command, config):
     assert sorted(stages) == ["compute", "import", "parse", "write"]
     assert all(value >= 0 for value in stages.values())
     assert sum(stages.values()) <= wall
+
+
+def test_simulate_writes_field_csv_in_the_write_stage(tmp_path, monkeypatch):
+    from lamsep import nssim
+    real_dump = nssim.dump_field_csv
+
+    def slow_dump(*args):
+        time.sleep(0.3)
+        real_dump(*args)
+
+    monkeypatch.setattr(nssim, "dump_field_csv", slow_dump)
+    path, out = write_config(tmp_path, {"n_s": 16, "n_r": 16, "t_end": 0.002}), tmp_path / "o"
+    assert main(["simulate", "--config", path, "--out", str(out)]) == 0
+    stages = load_strict_json(out / "report.json")["stage_s"]
+    assert stages["write"] >= 0.3 and stages["compute"] < 0.3
+    assert (out / "field.csv").is_file()

@@ -6,7 +6,6 @@ import pytest
 from lamsep.errors import DomainError, OutOfChart, PointBelowWall
 from lamsep.geometry import (
     ArcBoundary,
-    NormalPoint,
     arc_normal,
     arc_point,
     arc_segment_length,
@@ -166,11 +165,6 @@ def test_frame_orthonormal_and_center_offset():
                        atol=1e-14)
 
 
-def test_normal_point_validation():
-    with pytest.raises(ValueError):
-        NormalPoint(s=0.0, r=-0.1)
-
-
 def test_arc_validation():
     with pytest.raises(ValueError):
         ArcBoundary(delta=-1.0, phase=0.0, center=(0.0, 0.0), s_range=(0.0, 1.0))
@@ -187,8 +181,6 @@ def test_arc_is_an_immutable_value_checked_on_replace():
     assert ARC._replace(s_range=(0, 2)).s_range == (0.0, 2.0)
     with pytest.raises(ValueError):
         ARC._replace(delta=-1.0)
-    with pytest.raises(ValueError):
-        NormalPoint(s=0.0, r=1.0)._replace(r=-0.1)
 
 
 def test_center_offset_matches_array_norm_bit_for_bit():

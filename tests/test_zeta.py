@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -9,7 +10,6 @@ from lamsep.errors import DomainError, NonMonotoneSequence, WallGradientMismatch
 from lamsep.field import LaminarParams, ScalarFieldHandle
 from lamsep.geometry import ArcBoundary, arc_point, arc_tangent, center_offset, to_cartesian
 from lamsep.tracing import (
-    BoundTolerances,
     angular_pressure,
     perturbed_angular_pressure,
     piecewise_linear_length,
@@ -39,13 +39,6 @@ def wall_incompatible_pressure(arc, params, slope):
         return gx + slope * rx / d, gy + slope * ry / d
 
     return ScalarFieldHandle(evaluate, gradient)
-
-
-def test_bound_tolerances_validation():
-    with pytest.raises(ValueError):
-        BoundTolerances(c=1.0, c1=1.0, c2=1.0, epsilon_hat=0.6)
-    with pytest.raises(ValueError):
-        BoundTolerances(c=-1.0, c1=1.0, c2=1.0, epsilon_hat=0.1)
 
 
 def test_angular_pressure_wall_gradient():
@@ -234,6 +227,22 @@ def test_zeta_check_perturbed_amp_is_relative_to_wall_gradient(tmp_path, seed, a
     assert main(["zeta-check", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
     payload = json.loads((tmp_path / "out" / "report.json").read_text())["payload"]
     assert payload["bounds_hold"] is True
+
+
+@pytest.mark.parametrize("amp, epsilon_hat, holds", [(1.1, 0.49415, True), (1.2, 0.54310, False)])
+def test_zeta_check_reports_the_epsilon_hat_it_fitted(tmp_path, amp, epsilon_hat, holds):
+    # the default config's perturbed pressure: at amp 1.2 the samples' largest
+    # |r_hat2/r - 1| passes 1/2, the sandwich's premise, so the bounds cannot hold
+    path = tmp_path / "zeta.json"
+    path.write_text(json.dumps({"pressure": "perturbed", "amp": amp}))
+    assert main(["zeta-check", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    payload = json.loads((tmp_path / "out" / "report.json").read_text())["payload"]
+    with open(tmp_path / "out" / "data.csv", newline="") as fh:
+        samples = list(csv.DictReader(fh))
+    largest = max(abs(float(sm["r_hat2"]) / float(sm["r"]) - 1.0) for sm in samples)
+    assert payload["fitted_epsilon_hat"] == largest
+    assert payload["fitted_epsilon_hat"] == pytest.approx(epsilon_hat, abs=1e-5)
+    assert payload["bounds_hold"] is holds
 
 
 def test_zeta_check_still_refuses_non_monotone_ratios(monkeypatch):
