@@ -33,15 +33,13 @@ n_s//2 + 1 modes, mode m with eigenvalue 4 sin^2(pi m / n_s).  What a run
 keeps fixed lives in one object per config (``SimConfig.grid``, built on first
 use): the grid arrays, those eigenvalues, the projection's factors, the t = 0
 profile, the head H with its rise across each rho-face, and the wall drive.  A
-state holds only what evolves.  In theta-modes the projection's flux-form
-Laplacian leaves one tridiagonal system in rho per mode (Buzbee, Golub &
-Nielson, SIAM J. Numer. Anal. 7, 1970), solved for the real and imaginary parts
-in one batched pair of Thomas sweeps, and the implicit theta-viscosity is a
-scaling of each mode.  A step costs two real FFT pairs along theta, each
-O(n_s log n_s) per radial line, and those sweeps.  The projection matrix is
-singular up to a constant, so its theta-mode 0 pins cell j = 0 to zero and the
-solution is shifted to zero mean afterwards; the dropped equation holds
-because the right-hand side is made mean-free first.
+state holds only what evolves.  The projection's flux-form Laplacian separates
+(Buzbee, Golub & Nielson, SIAM J. Numer. Anal. 7, 1970): one symmetric
+eigendecomposition per grid diagonalises it in rho, so its solve, like the
+implicit theta-viscosity's, is a real FFT pair along theta around a scaling,
+here between products with the n_r x n_r radial basis.  Its singular entry,
+the constants, is dropped; the right-hand side is made mean-free first and the
+solution shifted to zero mean.
 
 This module loads numpy with one OpenBLAS thread unless numpy is already
 loaded or ``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS`` is set, and it
@@ -78,11 +76,13 @@ from .geometry import ArcBoundary, to_cartesian
 # a few hundred): a config that needs more is refused before it starts
 _MAX_STEPS = 10**6
 
-# a simulate run's arrays must fit this many bytes; a run's peak memory grows by
-# about 40 arrays of n_s * n_r entries (peak RSS of 16 x 4096..32768 runs,
-# field.csv included), and _RUN_ARRAYS keeps a margin over that
+# a simulate run's arrays must fit this many bytes.  Its peak RSS grows by about
+# 24 arrays of n_s * n_r entries (one-step 4096..32768 x 16 runs, field.csv
+# included) and 5 of n_r * n_r (1 x 1024 and 2048: the radial basis and its
+# eigh's input copy, workspace and eigenvectors); the counts keep a margin
 _MEMORY_LIMIT_BYTES = 2**30
 _RUN_ARRAYS = 48
+_BASIS_ARRAYS = 6
 
 
 class _SimFields(NamedTuple):
@@ -224,9 +224,10 @@ def stable_dt(cfg: SimConfig) -> float:
 
 def _run_bytes(n_s: int, n_r: int) -> int:
     """About the peak bytes of a simulate run's arrays: ``_RUN_ARRAYS`` arrays
-    of n_s * n_r entries (the solver factors, the state, each step's
-    temporaries and theta-modes, and the field.csv table)."""
-    return 8 * _RUN_ARRAYS * n_s * n_r
+    of n_s * n_r entries (the state, each step's temporaries and theta-modes,
+    and the field.csv table) and ``_BASIS_ARRAYS`` of n_r * n_r (the
+    projection's radial basis and its build)."""
+    return 8 * (_RUN_ARRAYS * n_s * n_r + _BASIS_ARRAYS * n_r * n_r)
 
 
 class SimState(NamedTuple):
@@ -238,8 +239,8 @@ class SimState(NamedTuple):
 
 class _Grid:
     """What a run of one config keeps fixed: the grid arrays, the theta-mode
-    eigenvalues, the projection's factors and the theta-uniform fields that
-    drive the flow."""
+    eigenvalues, the projection's radial basis and reciprocal eigenvalues
+    (``_neumann_factors``) and the theta-uniform fields that drive the flow."""
 
     def __init__(self, cfg: SimConfig):
         n_s, n_r = cfg.n_s, cfg.n_r
@@ -369,83 +370,33 @@ def divergence(cfg: SimConfig, us: np.ndarray, ur: np.ndarray) -> np.ndarray:
 # ----------------------------------------------------------------------------
 
 
-class _Thomas(NamedTuple):
-    """Thomas factors of a batch of tridiagonal systems, one per column.
+def _neumann_factors(g: _Grid) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonalise the projection's flux-form (negative) Laplacian
+    A = I_theta (x) R + T_theta (x) C, periodic in theta and Neumann in rho.
 
-    Row k of each system couples its unknowns k - 1, k and k + 1; the arrays are
-    kept with rows k and columns the systems, so each sweep step is one row
-    operation over all systems.  With reciprocal pivots d_k, the solve scales
-    the right-hand side by d first; the forward sweep then subtracts
-    ``sub[k] d_k`` times the row before (k = 1, 2, ...) and the back sweep
-    ``sup[k] d_k`` times the row after (k = rows - 2, ..., 0).  Those rows are
-    kept in the order the sweeps read them, so a solve makes no row views of
-    the factors.
-    """
-
-    inv_pivot: np.ndarray    # (rows, systems)
-    lower: list              # sub[k] d_k for k = 1 .. rows - 1, each (systems,)
-    upper: list              # sup[k] d_k for k = rows - 2 .. 0, each (systems,)
-
-    def solve(self, y: np.ndarray) -> np.ndarray:
-        """Overwrite the (rows, systems) right-hand sides ``y`` with the solutions."""
-        y *= self.inv_pivot
-        rows, term = list(y), np.empty(y.shape[1])
-        for prev, row, low in zip(rows, rows[1:], self.lower):
-            np.multiply(low, prev, term)
-            np.subtract(row, term, row)
-        for after, row, up in zip(rows[:0:-1], rows[-2::-1], self.upper):
-            np.multiply(up, after, term)
-            np.subtract(row, term, row)
-        return y
-
-
-def _thomas(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray) -> _Thomas:
-    """Factor the systems with sub-, main and super-diagonals ``sub``, ``diag``, ``sup``.
-
-    Each is a (rows, systems) array, or a (rows, 1) one shared by all systems;
-    ``sub[0]`` and ``sup[-1]`` are never read.  No pivoting: every system here
-    is diagonally dominant, the singular Neumann mode 0 of the projection
-    after its gauge.  An infinite diagonal entry gives a zero reciprocal pivot,
-    which decouples that row with the value 0.
-    """
-    inv_pivot = np.empty(diag.shape)
-    inv_pivot[0] = 1.0 / diag[0]
-    for k in range(1, diag.shape[0]):
-        inv_pivot[k] = 1.0 / (diag[k] - sub[k] * (sup[k - 1] * inv_pivot[k - 1]))
-    return _Thomas(inv_pivot, list((sub * inv_pivot)[1:]), list((sup * inv_pivot)[-2::-1]))
-
-
-def _neumann_factors(g: _Grid) -> _Thomas:
-    """Factor the flux-form (negative) Laplacian A = I_theta (x) R + T_theta (x) diag(c_th),
-    periodic in theta and Neumann at both radial walls, one system in rho per
-    real and per imaginary part of each real FFT theta-mode: rows j, columns
-    (Re m = 0, Im m = 0, Re m = 1, ...), as a complex (rows, modes) array lays
-    them out viewed as floats.
-
-    Neither the theta-face coefficient c_th nor the rho-face one c_r depends on
-    i, so A splits into the radial operator R and the periodic theta second
-    difference T_theta, which the transform diagonalises: in theta-mode m, A is
-    the symmetric tridiagonal R + lambda_m * diag(c_th) in rho, with
-    off-diagonal -c_r[j] between rows j and j + 1, the same for both parts.
-
-    A is singular (constants span its null space), and so is its theta-mode 0.
-    Both of that mode's columns have row and column j = 0 made the identity
-    with a zero right-hand side (a zero reciprocal pivot): the gauge
-    phi[mode 0, j = 0] = 0, which leaves a nonsingular system.  The dropped row
-    is implied by the others whenever the right-hand side has zero mean, which
-    ``_solve_neumann`` requires.
+    R is the symmetric tridiagonal radial operator (off-diagonal -c_r, diagonal
+    the row sums) and C = diag(c_th); T_theta has eigenvalue lambda_m on theta-mode
+    m.  With W = C**-1/2 and W R W = Q diag(mu) Q^T, V = W Q has V^T C V = I and
+    V^T R V = diag(mu), so mode m of A inverts to V diag(1/(lambda_m + mu)) V^T.
+    Returns V and inv = 1/(lambda_m + mu), shape (n_s//2 + 1, n_r), with the null
+    space, the constants (m = 0, mu_0 = 0), dropped by inv[0, 0] = 0: solvable
+    for the zero-mean right-hand side that ``_solve_neumann`` requires.
     """
     c_r = g.rho_f[1:-1] * g.dth / g.drh
-    c_th = g.drh / (g.rho_c * g.dth)
-
+    w = np.sqrt(g.rho_c * g.dth / g.drh)  # c_th = drh/(rho_c*dth)
     diag = np.zeros(g.rho_c.size)
     diag[:-1] += c_r
     diag[1:] += c_r
-    diag = diag[:, None] + c_th[:, None] * np.repeat(g.eig, 2)[None, :]
-    diag[0, :2] = np.inf  # the gauge: mode 0, cell j = 0 decoupled and zero
-    off = -c_r[:, None]
-    zero = np.zeros((1, 1))
-    return _thomas(np.concatenate([zero, off]), diag, np.concatenate([off, zero]))
+    wrw = np.diag(diag * w * w)
+    j = np.arange(c_r.size)
+    wrw[j, j + 1] = wrw[j + 1, j] = -c_r * w[:-1] * w[1:]
+    mu, v = np.linalg.eigh(wrw)
+    v *= w[:, None]
+    denom = g.eig[:, None] + mu[None, :]
+    denom[0, 0] = 1.0  # the constants, zeroed below
+    inv = 1.0 / denom
+    inv[0, 0] = 0.0
+    return v, inv
 
 
 def _solve_theta_lines(cfg: SimConfig, rhs: np.ndarray) -> np.ndarray:
@@ -458,9 +409,10 @@ def _solve_theta_lines(cfg: SimConfig, rhs: np.ndarray) -> np.ndarray:
 
 def _solve_neumann(cfg: SimConfig, b: np.ndarray) -> np.ndarray:
     """Zero-mean phi with A phi = -b for the projection's A; b must have zero mean."""
-    modes = np.fft.rfft(-b.T.copy())  # rows j, one column per theta-mode
-    cfg.grid.neumann.solve(modes.view(float))
-    phi = np.fft.irfft(modes, cfg.n_s).T
+    v, inv = cfg.grid.neumann
+    modes = np.fft.rfft(-b @ v, axis=0)
+    modes *= inv
+    phi = np.fft.irfft(modes, cfg.n_s, axis=0) @ v.T
     phi -= phi.mean()
     return phi
 

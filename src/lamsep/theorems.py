@@ -169,34 +169,46 @@ def derived_limit(params: LaminarParams, delta: float) -> float:
     return -2.0 * params.nu * params.alpha2 / (delta * params.alpha1) - params.nu / delta**2
 
 
-def oracle_limit(params: LaminarParams, delta: float) -> float:
-    """The r -> 0 limit of theorem2_ratio by Richardson extrapolation in exact
-    arithmetic, independent of any closed form.
+class _Dual(NamedTuple):
+    """x + dx*eps with eps**2 = 0: a value and its first-order term."""
+    x: Fraction
+    dx: Fraction
 
-    Float inputs are exact rationals, so the ratio is evaluated in Fractions at r
-    in {1e-4, 5e-5, 2.5e-5} times min(bl, delta).  Richardson removes the O(r)
-    term from each pair and the O(r^2) term from the two extrapolants; the O(r^3)
-    remainder stays, so this is not the exact limit: over 300 random draws in the
-    benchmark's cli-analysis parameter ranges it sits up to 4.6e-13 relative
-    from ``derived_limit``.
+    def __add__(self, o):
+        return _Dual(self.x + o.x, self.dx + o.dx)
+
+    def __sub__(self, o):
+        return _Dual(self.x - o.x, self.dx - o.dx)
+
+    def __mul__(self, o):
+        return _Dual(self.x * o.x, self.x * o.dx + self.dx * o.x)
+
+    def __truediv__(self, o):
+        return _Dual(self.x / o.x, (self.dx * o.x - self.x * o.dx) / (o.x * o.x))
+
+
+def oracle_limit(params: LaminarParams, delta: float) -> float:
+    """The r -> 0 limit of theorem2_ratio in exact arithmetic, independent of
+    any closed form.
+
+    Float inputs are exact rationals, so the ratio's formula is evaluated in
+    Fractions on the series r = 0 + 1*eps, eps**2 = 0.  Its numerator and h
+    both vanish at r = 0, so the limit is the ratio of their eps-terms.
     """
     from fractions import Fraction  # only the theorem-2 commands pay for the import
 
-    a1, a2, nu, d = (Fraction(v) for v in (params.alpha1, params.alpha2, params.nu, delta))
-    half_a2 = a2 / 2
-    wall_num = nu * (a1 / d - a2) * d
-
-    def ratio(r):
-        s = r + d
-        h = a1 * r - half_a2 * r * r
-        p_t = nu * ((a1 - a2 * r) / s - h / (s * s) - a2)
-        return (p_t - wall_num / s) / h
-
-    scale = Fraction(near_wall_scale(params, delta))
-    samples = [(r, ratio(r)) for r in (scale / 10000, scale / 20000, scale / 40000)]
-    coarse = richardson(samples[:2], order=1).value
-    fine = richardson(samples[1:], order=1).value
-    return float(richardson([(samples[0][0], coarse), (samples[1][0], fine)], order=2).value)
+    zero = Fraction(0)
+    a1, a2, nu, d = (_Dual(Fraction(v), zero)
+                     for v in (params.alpha1, params.alpha2, params.nu, delta))
+    half_a2 = _Dual(a2.x / 2, zero)
+    r = _Dual(zero, Fraction(1))
+    s = r + d
+    h = a1 * r - half_a2 * r * r
+    p_t = nu * ((a1 - a2 * r) / s - h / (s * s) - a2)
+    numerator = p_t - nu * (a1 / d - a2) * d / s
+    if numerator.x != 0 or h.x != 0:
+        raise ArithmeticError("the theorem-2 ratio is not 0/0 at r = 0")
+    return float(numerator.dx / h.dx)
 
 
 class Theorem2Report(NamedTuple):

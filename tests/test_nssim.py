@@ -376,7 +376,7 @@ def _reference_initial_rhs(cfg, us):
 
 @pytest.mark.parametrize("sector_angle", [0.5, 2 * np.pi])
 @pytest.mark.parametrize("delta", [0.25, 1.0, 4.0])
-@pytest.mark.parametrize("n_s, n_r", [(16, 24), (24, 16), (17, 19)])
+@pytest.mark.parametrize("n_s, n_r", [(16, 24), (24, 16), (17, 19), (1, 16), (2, 16)])
 def test_separable_solves_match_cell_loop(n_s, n_r, delta, sector_angle):
     # the projection's theta-mode solver inverts the matrix built one cell at a
     # time, and the t = 0 pressure solves the periodic problem exactly
@@ -871,8 +871,12 @@ def test_validate_refuses_a_huge_grid_before_allocating(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
-    # the bound counts each step's arrays, not only the cached ones: 16 x 500000
-    # caches about 0.5 GiB of factors but needs about 3 GiB at its peak
+    # the bound counts each step's arrays: those of 16 x 500000 alone need
+    # about 3 GiB
     with pytest.raises(ConfigError, match="GiB"):
         make_cfg()._replace(n_s=16, n_r=500000).validate()
+    # and the radial basis: 1 x 20000 has 7.7 MB of n_s x n_r arrays, but its
+    # n_r x n_r basis and eigh need about 18 GiB
+    with pytest.raises(ConfigError, match="GiB"):
+        make_cfg()._replace(n_s=1, n_r=20000).validate()
     assert nssim._run_bytes(512, 512) <= nssim._MEMORY_LIMIT_BYTES

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -170,6 +172,17 @@ def test_limit_matches_derived_closed_form_random():
         a1, a2, d, nu = rng.uniform(0.2, 5.0, 4)
         params = LaminarParams(alpha1=a1, alpha2=a2, nu=nu)
         assert oracle_limit(params, d) == pytest.approx(derived_limit(params, d), rel=1e-7)
+
+
+def test_oracle_is_the_exact_limit():
+    # the correctly rounded closed form -2*nu*a2/(delta*a1) - nu/delta**2 of the
+    # float inputs, computed in Fractions
+    rng = np.random.default_rng(45)
+    for _ in range(50):
+        a1, a2, d, nu = (float(v) for v in rng.uniform(0.2, 5.0, 4))
+        params = LaminarParams(alpha1=a1, alpha2=a2, nu=nu)
+        a1_, a2_, d_, nu_ = (Fraction(v) for v in (a1, a2, d, nu))
+        assert oracle_limit(params, d) == float(-2 * nu_ * a2_ / (d_ * a1_) - nu_ / d_**2)
 
 
 def test_limit_fits_the_shrinking_fine_tail():
