@@ -397,6 +397,7 @@ def _cmd_classify(cfg: RunConfig):
         raise ValidationError(f"{exc} (10*delta)") from exc
     result = tracing.classify_flow(field, arc, radii, s, s1, opts.get("C", 1.2), trace_cfg,
                                    tol_par=opts.get("tol_par", 1e-4))
+    _require_finite([q for _, q in result.evidence])
     payload = {"kind": result.kind, "C_threshold": result.C_threshold,
                "evidence": [{"r": r, "ratio": q} for r, q in result.evidence]}
     return payload, _data_csv(["r", "L_over_r"], result.evidence), 0, {}

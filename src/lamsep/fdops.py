@@ -14,6 +14,8 @@ from typing import NamedTuple, Sequence
 from .errors import NonMonotoneSequence
 from .field import FieldHandle
 
+MIN_LEVELS = 4  # fewest fine-end samples a limit is fitted on, when more are given
+
 
 class _StencilFields(NamedTuple):
     h: float
@@ -99,26 +101,40 @@ def fd_advection(field: FieldHandle, x, spec: StencilSpec) -> tuple[float, float
 def richardson(samples: Sequence[tuple[float, float]], order: float) -> ExtrapolationResult:
     """Eliminate the leading O(h^order) term from (h, value) samples.
 
-    Samples must have positive, strictly decreasing h.  Successive extrapolants are
-    produced from consecutive pairs; the last one is reported, with the error
-    estimate taken from the spread of extrapolants (or the last correction when
-    only two samples are given).  Observed order comes from sample triplets.
-    Raises NonMonotoneSequence when successive value differences fail to shrink.
-    The arithmetic is generic: ``fractions.Fraction`` samples give exact results.
+    Samples must have positive, strictly decreasing h.  Samples that already
+    agree (a spread below 1e-9 of the last value) are converged: the last value
+    is the limit and the spread its error.  Otherwise the fit uses the longest
+    fine-end tail of at least MIN_LEVELS samples (all, if fewer) whose
+    differences shrink above a roundoff floor of 1e-12 of the tail's values
+    (where the slope changes sign they grow once first), and raises
+    NonMonotoneSequence when no tail does.  Successive extrapolants come from
+    consecutive pairs; the last one is reported, with the error estimate taken
+    from the spread of extrapolants (or the last correction when only two
+    samples are fitted).  Observed order comes from sample triplets.  The
+    arithmetic is generic: ``fractions.Fraction`` samples give exact results.
     """
-    if len(samples) < 2:
-        raise ValueError("richardson needs at least two samples")
     hs = [h for h, _ in samples]
     vs = [v for _, v in samples]
-    if hs[-1] <= 0 or any(b >= a for a, b in zip(hs, hs[1:])):
+    if not samples or hs[-1] <= 0 or any(b >= a for a, b in zip(hs, hs[1:])):
         raise ValueError("step sizes must be positive and strictly decreasing")
+    spread = max(vs) - min(vs)
+    if spread < 1e-9 * max(abs(vs[-1]), 1e-300):
+        return ExtrapolationResult(vs[-1], spread, float("nan"), len(vs))
+    if len(vs) < 2:  # a lone non-finite sample
+        raise ValueError("richardson needs at least two samples")
 
-    diffs = [abs(b - a) for a, b in zip(vs, vs[1:])]
-    for k in range(len(diffs) - 1):
-        if diffs[k + 1] >= diffs[k] and diffs[k + 1] > 1e-12 * max(max(map(abs, vs)), 1e-300):
-            raise NonMonotoneSequence(
-                f"|v[{k + 1}]-v[{k + 2}]| = {diffs[k + 1]} did not shrink from {diffs[k]}"
-            )
+    for start in range(max(len(vs) - MIN_LEVELS, 0) + 1):
+        tail = vs[start:]
+        diffs = [abs(b - a) for a, b in zip(tail, tail[1:])]
+        floor = 1e-12 * max(max(map(abs, tail)), 1e-300)
+        grows = [k for k in range(len(diffs) - 1) if diffs[k] <= diffs[k + 1] > floor]
+        if not grows:
+            break
+    else:
+        k = grows[0]
+        raise NonMonotoneSequence(
+            f"|v[{k + 1}]-v[{k + 2}]| = {diffs[k + 1]} did not shrink from {diffs[k]}")
+    hs, vs = hs[start:], vs[start:]
 
     extrapolants = []
     for k in range(len(vs) - 1):
@@ -139,7 +155,7 @@ def richardson(samples: Sequence[tuple[float, float]], order: float) -> Extrapol
             orders.append(math.log(shrink) / math.log(float(hs[k] / hs[k + 1])))
     observed = _median(orders) if orders else float("nan")
     return ExtrapolationResult(
-        value=value, error_estimate=error, observed_order=observed, levels_used=len(samples)
+        value=value, error_estimate=error, observed_order=observed, levels_used=len(vs)
     )
 
 

@@ -17,6 +17,7 @@ records which one the numerics support.
 from __future__ import annotations
 
 import math
+import sys
 from typing import NamedTuple
 
 from .errors import DomainError, NonMonotoneSequence
@@ -26,7 +27,6 @@ from .field import (LaminarParams, near_wall_scale, profile_h, stationary_gradp_
 from .geometry import ArcBoundary
 
 ADJUDICATION_RTOL = 1e-4
-MIN_LEVELS = 4  # fewest r-grid levels a theorem-2 limit is fitted on
 
 
 def _require_inside_layer(params: LaminarParams, r: float):
@@ -105,7 +105,8 @@ def theorem1_verify(
     r_grid[0] by the level-set route (the traced eta ratio times the
     wall-anchored magnitude) and compare it with the ansatz magnitude
     sqrt(P^2 + Pperp^2); the two disagree by the factor lhs/rhs, which is the
-    contradiction seen geometrically.
+    contradiction seen geometrically.  An eta ratio whose fit is not resolved to
+    1e-2 of its value (it scales with nu) is refused with a DomainError.
     """
     r_grid = _float_grid(params, delta, r_grid)
     lhs, rhs, mism = (list(side) for side in
@@ -125,6 +126,14 @@ def theorem1_verify(
             ratio = tracing.eta_ratio(gradp, arc, s_mid, r, eps_list, cfg)
         except DomainError as exc:  # the segment sets the station s_mid
             raise DomainError(f"s_range {list(arc.s_range)}: {exc}") from exc
+        except NonMonotoneSequence as exc:
+            raise DomainError(f"nu = {params.nu:g}: the traced eta ratio is too small to "
+                              f"extrapolate ({exc})") from exc
+        # the ratio scales with nu, and a traced one carries ~1e-13 absolute error;
+        # its eps-truncation estimate reaches 1.3e-3 of the value at ordinary nu
+        if ratio.value == 0 or not ratio.error_estimate <= 1e-2 * abs(ratio.value):
+            raise DomainError(f"nu = {params.nu:g}: the traced eta ratio {ratio.value:g} is too "
+                              f"small to resolve (error estimate {ratio.error_estimate:g})")
         p_t, p_n = stationary_gradp_ansatz(params, delta, r)
         ansatz_mag = abs(complex(p_t, p_n))  # libm hypot
         wall_mag = abs(wall_gradient(params, delta))
@@ -235,18 +244,7 @@ class Theorem2Report(NamedTuple):
         }
 
 
-def _fine_tail_limit(samples) -> ExtrapolationResult:
-    """First-order Richardson on the longest fine-end tail (at least MIN_LEVELS
-    samples) whose differences shrink: where the ratio's slope changes sign in
-    the grid, its differences grow once before they shrink.
-    """
-    last_start = max(len(samples) - MIN_LEVELS, 0)
-    for start in range(last_start + 1):
-        try:
-            return richardson(samples[start:], order=1)
-        except NonMonotoneSequence:
-            if start == last_start:
-                raise
+_FLOAT_RANGE = "the theorem-2 ratio or a limit leaves the float range at these parameters"
 
 
 def theorem2_limit(params: LaminarParams, delta: float, r_grid=None) -> Theorem2Report:
@@ -255,16 +253,18 @@ def theorem2_limit(params: LaminarParams, delta: float, r_grid=None) -> Theorem2
     if len(r_grid) < 2 or any(b >= a for a, b in zip(r_grid, r_grid[1:])):
         raise ValueError("r_grid must hold at least two strictly decreasing radii")
     ratios = [theorem2_ratio(params, delta, r) for r in r_grid]
-    limit = _fine_tail_limit(list(zip(r_grid, ratios)))
     paper = paper_limit(params, delta)
     oracle = oracle_limit(params, delta)
     derived = derived_limit(params, delta)
-    # the limit -nu*(2*a2/(delta*a1) + 1/delta**2) is strictly negative, so an
-    # extrapolated or exact limit of 0 underflowed
-    if (not all(math.isfinite(v) for v in [*ratios, limit.value, paper, oracle, derived])
-            or limit.value == 0.0 or oracle == 0.0):
-        raise DomainError("the theorem-2 ratio or a limit leaves the float range "
-                          "at these parameters")
+    # every ratio and the limit -nu*(2*a2/(delta*a1) + 1/delta**2) are strictly
+    # negative: one of 0 underflowed, and one below the smallest normal float
+    # keeps too few bits to fit or adjudicate
+    if not (all(math.isfinite(v) and abs(v) >= sys.float_info.min for v in [*ratios, oracle])
+            and math.isfinite(paper) and math.isfinite(derived)):
+        raise DomainError(_FLOAT_RANGE)
+    limit = richardson(list(zip(r_grid, ratios)), order=1)
+    if not math.isfinite(limit.value) or limit.value == 0.0:
+        raise DomainError(_FLOAT_RANGE)
     if abs(limit.value - oracle) <= ADJUDICATION_RTOL * abs(oracle):
         agrees = "oracle"
     elif abs(limit.value - paper) <= ADJUDICATION_RTOL * abs(paper):

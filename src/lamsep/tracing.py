@@ -512,21 +512,7 @@ def eta_ratio(
     eps_list = list(eps_list)
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("eps_list must be strictly decreasing")
-    return _traced_limit([(eps, eta_trace(gradp, arc, s, r, eps, cfg).ratio) for eps in eps_list])
-
-
-def _traced_limit(samples) -> ExtrapolationResult:
-    """First-order Richardson limit of traced (h, value) samples.
-
-    Samples that already agree to tracer accuracy (a spread below 1e-9 of the
-    last value) leave nothing to extrapolate: the last value is the limit.
-    Their differences are roundoff, so Richardson's monotonicity check would
-    refuse them for no reason.
-    """
-    values = [v for _, v in samples]
-    spread = max(values) - min(values)
-    if spread < 1e-9 * max(abs(values[-1]), 1e-300):
-        return ExtrapolationResult(values[-1], spread, float("nan"), len(samples))
+    samples = [(eps, eta_trace(gradp, arc, s, r, eps, cfg).ratio) for eps in eps_list]
     return richardson(samples, order=1)
 
 
@@ -696,11 +682,12 @@ def zeta_check(
     """
     delta = arc.delta
     k = wall_gradient(params, delta)
-    if k == 0:
-        raise DomainError("zeta machinery needs a nonzero wall gradient nu*(a1/delta - a2)")
     # the marches stop where |grad p| falls below 1e-10 of the wall gradient:
     # default_trace_config's tolerance is a velocity, and the pressure scales with nu
-    cfg = default_trace_config(arc, params)._replace(stagnation_tol=1e-10 * abs(k))
+    stagnation_tol = 1e-10 * abs(k)
+    if stagnation_tol == 0:  # k is 0, or so small that this underflows
+        raise DomainError("zeta machinery needs a nonzero wall gradient nu*(a1/delta - a2)")
+    cfg = default_trace_config(arc, params)._replace(stagnation_tol=stagnation_tol)
     gradp = FieldHandle(p_field.gradient)
 
     # wall-compatibility gate
@@ -746,8 +733,8 @@ def zeta_check(
         holds = holds and lo_b <= sm.traced_length <= hi_b
         samples.append(sm._replace(lower_bound=lo_b, upper_bound=hi_b))
 
-    ratio = _traced_limit([
+    ratio = richardson([
         (sm.r, sm.traced_length * delta / ((sm.r + delta) * sm.eps)) for sm in samples
-    ])
+    ], order=1)
     return ZetaReport(samples=samples, fitted=BoundTolerances(c, c1, c2, e), bounds_hold=holds,
                       ratio=ratio, wall_gradient_rel_dev=rel_dev)

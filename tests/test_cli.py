@@ -658,6 +658,26 @@ def test_results_beyond_the_float_range_end_in_one_line(tmp_path, capsys, comman
     assert err == ["lamsep: error: a value leaves the float range at these parameters"]
 
 
+@pytest.mark.parametrize("command, config, names", [
+    ("classify", {"field": "fan", "radii": [1.8250218295016003, 5e-324]}, "float range"),
+    ("verify-theorem2", {"nu": 1e-318}, "float range"),  # subnormal ratios
+    ("verify-theorem2", {"nu": 1e-320}, "float range"),
+    ("sweep", {"nu_values": [1e-320]}, "float range"),
+    ("zeta-check", {"nu": 1e-320}, "wall gradient"),  # 1e-10 of it underflows to 0
+    ("verify-theorem1", {"use_tracing": True, "nu": 1e-12}, "nu"),  # the eta ratio is ~3*nu
+    ("verify-theorem1", {"use_tracing": True, "nu": 1e-14}, "nu"),
+])
+def test_results_too_small_to_resolve_end_in_one_line(tmp_path, capsys, command, config, names):
+    # these exited 0 with L/r = inf, exited 2 on a subnormal limit, named the
+    # internal stagnation_tol, or read a wrong discrepancy factor (nu = 1e-12)
+    path = write_config(tmp_path, config)
+    assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("lamsep: error:"), err
+    assert re.search(rf"\b{names}\b", err[0]) and "stagnation_tol" not in err[0], err[0]
+    assert not (tmp_path / "o").exists()
+
+
 # the modules lamsep.cli itself imports, and those each command adds
 _CLI_MODULES = ["lamsep", "lamsep.cli", "lamsep.errors", "lamsep.fdops", "lamsep.field",
                 "lamsep.geometry"]

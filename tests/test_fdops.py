@@ -131,10 +131,41 @@ def test_richardson_nonmonotone_raises(num):
 
 
 def test_richardson_needs_two_samples():
+    # a single sample is its own converged limit; two are needed to extrapolate
+    res = richardson([(0.1, 1.0)], order=2)
+    assert (res.value, res.error_estimate, res.levels_used) == (1.0, 0.0, 1)
+    assert math.isnan(res.observed_order)
     with pytest.raises(ValueError):
-        richardson([(0.1, 1.0)], order=2)
+        richardson([], order=2)
+    with pytest.raises(ValueError):
+        richardson([(0.1, math.inf)], order=2)
     with pytest.raises(ValueError):
         richardson([(0.1, 1.0), (0.2, 1.1)], order=2)
+
+
+def test_richardson_takes_samples_that_agree_as_converged():
+    # differences that grow, but inside a spread of 1e-9 of the last value: the
+    # last value is the limit and the spread its error
+    samples = [(0.1, 2.0), (0.05, 2.0 + 1e-10), (0.025, 2.0 - 1e-9)]
+    res = richardson(samples, order=1)
+    assert (res.value, res.levels_used) == (2.0 - 1e-9, 3)
+    assert res.error_estimate == pytest.approx(1.1e-9, rel=1e-6)
+    assert math.isnan(res.observed_order)
+    # the same growth over a spread of 1e-6 is refused
+    with pytest.raises(NonMonotoneSequence):
+        richardson([(h, 2.0 + 1e3 * (v - 2.0)) for h, v in samples], order=1)
+
+
+def test_richardson_fits_the_longest_shrinking_fine_tail():
+    # the first difference is smaller than the second: the fit drops the first
+    # sample, and the last four are exactly linear in h
+    samples = [(0.32, 1.3201), (0.16, 1.32), (0.08, 1.16), (0.04, 1.08), (0.02, 1.04), (0.01, 1.02)]
+    res = richardson(samples, order=1)
+    assert res.levels_used == 5
+    assert res.value == pytest.approx(1.0, abs=1e-12)
+    # with fewer than MIN_LEVELS samples the whole sequence must shrink
+    with pytest.raises(NonMonotoneSequence, match=r"\|v\[1\]-v\[2\]\|"):
+        richardson(samples[:3], order=1)
 
 
 def test_richardson_error_estimate_shrinks():

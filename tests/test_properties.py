@@ -6,6 +6,7 @@ Hypothesis runs derandomized, so the examples are the same on every run.
 """
 
 import contextlib
+import csv
 import io
 import json
 import math
@@ -131,7 +132,8 @@ HEIGHTS = st.lists(MAGNITUDE, min_size=1, max_size=3)
 EXTREME_OPTIONS = {
     "verify-theorem1": {"r_grid": HEIGHTS, "use_tracing": st.booleans()},
     "verify-theorem2": {"r_grid": HEIGHTS},
-    "classify": {"s": STATIONS, "radii": HEIGHTS},
+    "classify": {"field": st.sampled_from(("laminar", "fan", "weak")), "s": STATIONS,
+                 "radii": HEIGHTS},
     "trace": {"kind": st.sampled_from(("streamline", "pressure", "level")),
               "start_s": STATIONS, "start_r": MAGNITUDE},
     "zeta-check": {"s": STATIONS},
@@ -160,6 +162,10 @@ def extreme_configs(draw):
 # start_s / delta overflows in the chart map (math domain error)
 @example(("trace", {"delta": 9.103705350140571e-31, "kind": "pressure",
                     "start_s": 8.933948203276443e+299, "start_r": 1.7815983848928382e-08}))
+# the ratios are subnormal, and their fit read a positive limit
+@example(("verify-theorem2", {"nu": 1e-320}))
+# the ratio L/r at a subnormal radius is inf
+@example(("classify", {"field": "fan", "radii": [1.8250218295016003, 5e-324]}))
 @given(extreme_configs())
 def test_extreme_magnitudes_end_in_a_report_or_one_line_error(tmp_path_factory, case):
     command, config = case
@@ -173,6 +179,9 @@ def test_extreme_magnitudes_end_in_a_report_or_one_line_error(tmp_path_factory, 
     assert code == 0 or (code == 2 and command == "verify-theorem2"), (command, config, code)
     report = load_strict_json(tmp / "o" / "report.json")
     assert report["command"] == command
-    if code == 2:  # the erratum is a disagreement between nonzero limits
+    with open(tmp / "o" / "data.csv", newline="") as fh:
+        cells = [cell for row in list(csv.reader(fh))[1:] for cell in row]
+    assert all(math.isfinite(float(cell)) for cell in cells), (command, config)
+    if code == 2:  # the erratum is a disagreement between negative limits
         limit = report["payload"]["limit_extrapolated"]
-        assert limit is not None and limit != 0.0 and math.isfinite(limit), (config, limit)
+        assert limit is not None and math.isfinite(limit) and limit < 0.0, (config, limit)

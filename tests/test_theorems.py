@@ -78,15 +78,29 @@ def test_verify_report_positive_and_equal_case():
 
 
 def test_verify_tracing_crosscheck():
-    params = LaminarParams(alpha1=2.0, alpha2=1.0, nu=1.0)
     arc = ArcBoundary(delta=1.0, phase=0.0, center=(0.0, 0.0), s_range=(0.0, 0.5))
-    report = theorem1_verify(params, 1.0, arc=arc)
-    (r, traced, ansatz, factor), = report.geometric_crosscheck
-    assert r == report.r_grid[0] == 0.1
-    lhs, rhs, _ = theorem1_mismatch(params, 1.0, r)
-    # the level-set route and the ansatz magnitude disagree by exactly lhs/rhs
+    # the eta ratio scales with nu (about 3.2*nu here); lhs/rhs does not depend on it
+    for nu in (1.0, 1e-3, 1e-5):
+        params = LaminarParams(alpha1=2.0, alpha2=1.0, nu=nu)
+        report = theorem1_verify(params, 1.0, arc=arc)
+        (r, traced, ansatz, factor), = report.geometric_crosscheck
+        assert r == report.r_grid[0] == 0.1
+        lhs, rhs, _ = theorem1_mismatch(params, 1.0, r)
+        # the level-set route and the ansatz magnitude disagree by exactly lhs/rhs
+        assert factor == pytest.approx(lhs / rhs, rel=1e-5), nu
+        assert abs(factor - 1.0) > 0.1
+
+
+def test_verify_tracing_crosscheck_keeps_a_fit_resolved_to_a_percent():
+    # a cli-analysis draw: the eta fit's error estimate reads 1.28e-3 of its
+    # value, and the factor still lands within 4.4e-4 of lhs/rhs
+    params = LaminarParams(alpha1=2.854558791913073, alpha2=1.7887222817890667,
+                           nu=1.7275606315925456)
+    d = 1.2004314267338507
+    arc = ArcBoundary(delta=d, phase=0.0, center=(0.0, 0.0), s_range=(0.0, 0.5 * d))
+    (r, _, _, factor), = theorem1_verify(params, d, arc=arc).geometric_crosscheck
+    lhs, rhs, _ = theorem1_mismatch(params, d, r)
     assert factor == pytest.approx(lhs / rhs, rel=1e-3)
-    assert abs(factor - 1.0) > 0.1
 
 
 def test_verify_traces_its_crosscheck_on_the_wall_segment(monkeypatch):
@@ -191,8 +205,7 @@ def test_limit_fits_the_shrinking_fine_tail():
                            nu=0.7538635012091175)
     d = 2.958967730362642
     grid = default_r_grid(params, d)
-    with pytest.raises(NonMonotoneSequence):
-        richardson([(r, theorem2_ratio(params, d, r)) for r in grid], order=1)
+    assert richardson([(r, theorem2_ratio(params, d, r)) for r in grid], order=1).levels_used == 4
     report = theorem2_limit(params, d)
     assert report.limit.levels_used == 4
     assert report.to_dict()["limit_levels_used"] == 4
@@ -211,6 +224,16 @@ def test_limit_without_shrinking_tail_raises():
     # steps that grow toward the wall: no tail of four or more levels shrinks
     with pytest.raises(NonMonotoneSequence):
         theorem2_limit(UNIT, 1.0, r_grid=[0.2, 0.19, 0.17, 0.14, 0.1, 0.05])
+
+
+@pytest.mark.parametrize("nu", [1e-318, 1e-320])
+def test_limit_refuses_subnormal_ratios(nu):
+    # below the smallest normal float (about 2.2e-308) the ratios keep too few
+    # bits to fit: a fit of them read -1.9478e-318 against the oracle's -2e-318
+    with pytest.raises(DomainError, match="float range"):
+        theorem2_limit(LaminarParams(2.0, 1.0, nu), 1.0)
+    # the smallest normal viscosities still extrapolate to the oracle
+    assert theorem2_limit(LaminarParams(2.0, 1.0, 1e-300), 1.0).agrees_with == "oracle"
 
 
 def test_limit_monotone_in_delta():
