@@ -57,9 +57,11 @@ Outputs: each side runs every invocation of seeds 1..N of each workload in
 the exit codes that differ and, per CSV file name, how many of those files are
 byte-identical, how many differ and, for each column, the largest
 |before - after| over the column's largest |before| (over the largest |before|
-of ``u_t`` and ``u_r`` together for those velocity columns).  For ``simulate``, whose
-series may change with the time step, it also counts the reports whose
-``payload.t0`` (the t = 0 budget, which no time step touches) is identical.
+of ``u_t`` and ``u_r`` together for those velocity columns); the pressure ``p``,
+fixed up to a constant, also gets its largest shift less the mean shift under
+``p_less_mean_shift``.  For ``simulate``, whose series may change with the time
+step, it also counts the reports whose ``payload.t0`` (the t = 0 budget, which
+no time step touches) is identical.
 
 Pairs: with ``--pairs N`` each workload runs ``perfbench/run.py --seconds S``
 once per side on each of N seeds, the side that goes first alternating.  The
@@ -373,6 +375,9 @@ def _number(cell: str) -> float | None:
 # velocity components, each scaled by the file's top speed: a component that is
 # roundoff on both sides (``u_r`` of a theta-uniform run) would read O(1) on its own
 _VELOCITY_COLUMNS = ("u_t", "u_r")
+# a pressure is fixed up to a constant: under its key here its column also
+# reports the largest |shift - mean shift|, which a change of constant leaves 0
+_GAUGE_KEYS = {"p": "p_less_mean_shift"}
 
 
 def _column_rel_diffs(a: list[list[str]], b: list[list[str]]) -> dict[str, float]:
@@ -381,7 +386,9 @@ def _column_rel_diffs(a: list[list[str]], b: list[list[str]]) -> dict[str, float
     for a velocity column over the largest finite |x| of all the velocity
     columns.  Cells equal as text or as numbers (``0`` and ``-0``) differ by 0; a
     differing cell that is not a finite number gives inf in its column, and
-    differing headers, row counts or row lengths give inf in every column."""
+    differing headers, row counts or row lengths give inf in every column.
+    A pressure column ``p`` also gives, under ``_GAUGE_KEYS["p"]``, the largest
+    |(y - x) - mean(y - x)| over the same scale."""
     if len(a) != len(b) or a[0] != b[0] or any(len(x) != len(y) for x, y in zip(a, b)):
         return dict.fromkeys(a[0] + b[0], math.inf)
     worst = [0.0] * len(a[0])
@@ -402,8 +409,19 @@ def _column_rel_diffs(a: list[list[str]], b: list[list[str]]) -> dict[str, float
     speed = max((top for name, top in zip(a[0], scale) if name in _VELOCITY_COLUMNS),
                 default=0.0)
     scale = [speed if name in _VELOCITY_COLUMNS else top for name, top in zip(a[0], scale)]
-    return {name: (diff / top if top else math.inf) if diff else 0.0
-            for name, diff, top in zip(a[0], worst, scale)}
+    out = {name: (diff / top if top else math.inf) if diff else 0.0
+           for name, diff, top in zip(a[0], worst, scale)}
+    for k, name in enumerate(a[0]):
+        if name not in _GAUGE_KEYS:
+            continue
+        if not 0.0 < worst[k] < math.inf:  # identical, or a cell that is no finite number
+            out[_GAUGE_KEYS[name]] = out[name]
+            continue
+        shifts = [0.0 if x[k] == y[k] else float(y[k]) - float(x[k]) for x, y in zip(a[1:], b[1:])]
+        mean = math.fsum(shifts) / len(shifts)
+        spread = max(abs(d - mean) for d in shifts)
+        out[_GAUGE_KEYS[name]] = (spread / scale[k] if scale[k] else math.inf) if spread else 0.0
+    return out
 
 
 def outputs(sides: dict[str, Path]) -> dict:

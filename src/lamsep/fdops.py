@@ -130,10 +130,12 @@ def richardson(samples: Sequence[tuple[float, float]], order: float) -> Extrapol
         grows = [k for k in range(len(diffs) - 1) if diffs[k] <= diffs[k + 1] > floor]
         if not grows:
             break
-    else:
+    else:  # v[i] counts the caller's samples, from the start of the last tail tried
         k = grows[0]
+        i = start + k
         raise NonMonotoneSequence(
-            f"|v[{k + 1}]-v[{k + 2}]| = {diffs[k + 1]} did not shrink from {diffs[k]}")
+            f"|v[{i + 1}]-v[{i + 2}]| = {diffs[k + 1]} (h = {hs[i + 1]} to {hs[i + 2]}) "
+            f"did not shrink from {diffs[k]} (h = {hs[i]} to {hs[i + 1]})")
     hs, vs = hs[start:], vs[start:]
 
     extrapolants = []

@@ -21,25 +21,25 @@ in theta with period Theta.  Radially: no-slip at the inner wall, the initial
 profile (zero to roundoff) pinned at the outer radius.  The wall pressure
 gradient k = nu*(a1/delta - a2) that no-slip fixes is not periodic: its drop
 over one period drives the flow as the body force -k*delta/rho, as in a
-curved channel (Dean, Proc. R. Soc. A 121, 1928).  The periodic pressure at
-t = 0 is the discrete centripetal head H(rho) alone, an exact discrete radial
-equilibrium, so at every node the first step's tangential change is the t = 0
-material derivative nu*lap(u) - k*delta/rho, to O(dt).  ``field.csv`` reports
-the total pressure, the periodic one plus k*delta*theta.
+curved channel (Dean, Proc. R. Soc. A 121, 1928).  A state's pressure is the
+periodic one its step's projection set, with mean 0 (0 at t = 0): the first
+step's is the discrete centripetal head H(rho) less its mean, so at every node
+that step's tangential change is the t = 0 material derivative
+nu*lap(u) - k*delta/rho, to O(dt).  ``field.csv`` reports the total pressure,
+the periodic one plus k*delta*theta.
 
 Every theta operator is the periodic second difference, which the discrete
 Fourier transform diagonalises: numpy's real FFT takes each theta-line to its
 n_s//2 + 1 modes, mode m with eigenvalue 4 sin^2(pi m / n_s).  What a run
 keeps fixed lives in one object per config (``SimConfig.grid``, built on first
 use): the grid arrays, those eigenvalues, the projection's factors, the t = 0
-profile, the head H with its rise across each rho-face, and the wall drive.  A
-state holds only what evolves.  The projection's flux-form Laplacian separates
-(Buzbee, Golub & Nielson, SIAM J. Numer. Anal. 7, 1970): one symmetric
-eigendecomposition per grid diagonalises it in rho, so its solve, like the
-implicit theta-viscosity's, is a real FFT pair along theta around a scaling,
-here between products with the n_r x n_r radial basis.  Its singular entry,
-the constants, is dropped; the right-hand side is made mean-free first and the
-solution shifted to zero mean.
+profile and the wall drive.  A state holds only what evolves.  The
+projection's flux-form Laplacian separates (Buzbee, Golub & Nielson, SIAM J.
+Numer. Anal. 7, 1970): one symmetric eigendecomposition per grid diagonalises
+it in rho, so its solve, like the implicit theta-viscosity's, is a real FFT
+pair along theta around a scaling, here between products with the n_r x n_r
+radial basis.  Its singular entry, the constants, is dropped; the right-hand
+side is made mean-free first and the solution shifted to zero mean.
 
 This module loads numpy with one OpenBLAS thread unless numpy is already
 loaded or ``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS`` is set, and it
@@ -233,7 +233,8 @@ def _run_bytes(n_s: int, n_r: int) -> int:
 class SimState(NamedTuple):
     us: np.ndarray   # (n_s, n_r) tangential velocity at theta-faces i = 0..n_s-1
     ur: np.ndarray   # (n_s, n_r + 1) radial velocity at rho-faces
-    p: np.ndarray    # (n_s, n_r) periodic pressure at cell centers
+    p: np.ndarray    # (n_s, n_r) periodic pressure at cell centers: the zero-mean
+                     # one the step's projection set, 0 at t = 0
     t: float
 
 
@@ -260,15 +261,6 @@ class _Grid:
         # radius, where the ghost cells pin it
         self.u0 = profile_h(cfg.params, self.rho_c - self.delta)
         self.outer = profile_h(cfg.params, cfg.R_out)
-        # the t = 0 periodic pressure, the head H(rho): 0 in the first cell,
-        # rising by drho*u**2/rho across each interior rho-face, u the face
-        # average of u0 (the discrete centrifugal term of the radial momentum
-        # balance).  A theta-uniform H solves the flux-form Laplacian with the
-        # radial momentum flux as its Neumann data, so no solve is needed.
-        u_f = 0.5 * (self.u0[:-1] + self.u0[1:])
-        self.head = np.zeros(n_r)
-        np.cumsum(self.drh * u_f**2 / self.rho_f[1:-1], out=self.head[1:])
-        self.head_rise = self.head[1:] - self.head[:-1]
         # the wall gradient k, and k*delta/rho_c: the tangential gradient of the
         # wall-anchored pressure k*delta*theta, which ``step`` applies as a body force
         self.k = wall_gradient(cfg.params, self.delta)
@@ -418,18 +410,17 @@ def _solve_neumann(cfg: SimConfig, b: np.ndarray) -> np.ndarray:
 
 
 def init_sim(cfg: SimConfig) -> SimState:
-    """Sample the shear profile on the grid; the t = 0 pressure is the head H."""
+    """Sample the shear profile on the grid, with pressure 0."""
     cfg.validate()
-    g = cfg.grid
-    us = np.tile(g.u0, (cfg.n_s, 1))
-    ur = np.zeros((cfg.n_s, cfg.n_r + 1))
-    return SimState(us=us, ur=ur, p=np.tile(g.head, (cfg.n_s, 1)), t=0.0)
+    n_s, n_r = cfg.n_s, cfg.n_r
+    return SimState(us=np.tile(cfg.grid.u0, (n_s, 1)), ur=np.zeros((n_s, n_r + 1)),
+                    p=np.zeros((n_s, n_r)), t=0.0)
 
 
 def step(state: SimState, cfg: SimConfig) -> SimState:
-    """Advance one time step: Euler against the head H and the wall drive, with
-    the theta second difference of the viscosity implicit (IMEX), then a
-    projection for incompressibility."""
+    """Advance one time step: Euler against the wall drive, with the theta
+    second difference of the viscosity implicit (IMEX), then a projection for
+    incompressibility, whose zero-mean phi is the new state's pressure."""
     g = cfg.grid
     dt = cfg.effective_dt
     nu = cfg.params.nu
@@ -440,13 +431,12 @@ def step(state: SimState, cfg: SimConfig) -> SimState:
     neg_adv_r, visc_r = _radial_rhs(cfg, us, ur)
 
     # both components' theta-lines side by side, as ``SimConfig._theta_damping``
-    # lays them out; the head is theta-uniform, so only its radial gradient acts
+    # lays them out; the projection supplies the whole periodic pressure
     rhs = np.empty((cfg.n_s, 2 * n_r - 1))
     rhs_s, rhs_r = rhs[:, :n_r], rhs[:, n_r:]
     np.add(us, dt * (neg_adv_t + nu * visc_t), out=rhs_s)
     rhs_s -= dt * g.drive
     np.add(ur[:, 1:-1], dt * (neg_adv_r + nu * visc_r), out=rhs_r)
-    rhs_r -= dt * g.head_rise / g.drh
     star = _solve_theta_lines(cfg, rhs)
     us_star = star[:, :n_r]
     ur_star = np.zeros_like(ur)
@@ -465,7 +455,7 @@ def step(state: SimState, cfg: SimConfig) -> SimState:
 
     if not float(np.max(np.abs(us_new))) <= 10.0 * max(cfg.top_speed, 1e-30):  # or NaN
         raise Diverged(f"max tangential velocity exceeded 10x the initial maximum at t={state.t}")
-    return SimState(us=us_new, ur=ur_new, p=g.head + phi, t=state.t + dt)
+    return SimState(us=us_new, ur=ur_new, p=phi, t=state.t + dt)
 
 
 # ----------------------------------------------------------------------------
@@ -567,11 +557,11 @@ def run_experiment(cfg: SimConfig, r_probe_list=None) -> ExperimentReport:
         t0_samples = probe_diagnostics(state, cfg, probe_r)
         i_mid = cfg.n_s // 2
 
-        times = [0.0]
+        # the time grid ends at t_end exactly; summing the steps can miss it
+        times = np.linspace(0.0, cfg.t_end, cfg.steps + 1)
         series = [[float(state.us[i_mid, j]) for j in probe_idx]]
-        for _ in range(cfg.steps):
-            state = step(state, cfg)
-            times.append(state.t)
+        for t in times[1:].tolist():
+            state = step(state, cfg)._replace(t=t)
             series.append([float(state.us[i_mid, j]) for j in probe_idx])
 
     u_t = np.array(series)
@@ -582,7 +572,7 @@ def run_experiment(cfg: SimConfig, r_probe_list=None) -> ExperimentReport:
     return ExperimentReport(
         probe_r=probe_r,
         t0_samples=t0_samples,
-        times=np.array(times),
+        times=times,
         u_t=u_t,
         first_reversal=first_rev,
         final_state=state,

@@ -50,6 +50,18 @@ def test_velocity_columns_are_scaled_by_the_top_speed():
     assert diff["u_t"] == 0.0 and diff["u_r"] == pytest.approx(1e-19)
 
 
+def test_a_pressure_shifted_by_a_constant_differs_by_zero_less_its_mean_shift():
+    # p is fixed up to a constant: cell by cell it moves by 5 / 7, less the mean
+    # shift by 0; shifts of 5 and 4 read 0.5 / 7 there
+    header = ["s", "p"]
+    before = [header, ["0", "2"], ["1", "-7"]]
+    diff = layers._column_rel_diffs(before, [header, ["0", "7"], ["1", "-2"]])
+    assert diff == {"s": 0.0, "p": pytest.approx(5 / 7), "p_less_mean_shift": 0.0}
+    diff = layers._column_rel_diffs(before, [header, ["0", "7"], ["1", "-3"]])
+    assert diff["p_less_mean_shift"] == pytest.approx(0.5 / 7)
+    assert layers._column_rel_diffs(before, before)["p_less_mean_shift"] == 0.0
+
+
 def test_a_difference_in_an_all_zero_column_is_infinite():
     diff = layers._column_rel_diffs([HEADER, ["1", "0"]], [HEADER, ["1", "1e-300"]])
     assert diff == {"t": 0.0, "u": math.inf}

@@ -73,6 +73,7 @@ def test_init_divergence_and_noslip():
     assert np.max(np.abs(divergence(cfg, state.us, state.ur))) <= 1e-8
     assert wall_noslip_residual(cfg, state) <= 1e-12
     assert np.all(state.ur == 0.0)
+    assert np.all(state.p == 0.0)
 
 
 def test_init_samples_profile():
@@ -94,11 +95,12 @@ def _quadrature_head(params, delta, rho):
 
 
 def test_initial_pressure_matches_sector_solution():
-    # continuum solution of the periodic sector: p = F(rho), the centripetal head
+    # continuum solution of the periodic sector: p = F(rho), the centripetal
+    # head, which the first step's projection sets
     errs = []
     for n in (16, 32, 64):
         cfg = make_cfg(delta=0.5, n=n)
-        state = init_sim(cfg)
+        state = step(init_sim(cfg), cfg)
         g = cfg.grid
         p_star = _quadrature_head(PARAMS, 0.5, g.rho_c)[None, :]
         diff = state.p - p_star
@@ -311,16 +313,16 @@ def _reference_assemble(cfg):
 
 @pytest.mark.parametrize("delta", [0.25, 0.5, 1.0, 2.0, 4.0])
 def test_centripetal_head_matches_quadrature(delta):
-    # bl = a1/a2 from 0.25 to 10: the t = 0 pressure's radial head, from wall
-    # distances below 1e-3 delta to 80 delta, converges at second order to the
-    # quadrature of h^2/rho
+    # bl = a1/a2 from 0.25 to 10: the first step's pressure, the radial head,
+    # from wall distances below 1e-3 delta to 80 delta, converges at second
+    # order to the quadrature of h^2/rho
     for a1, a2 in ((1.0, 1.0), (2.5, 1.0), (5.0, 0.5), (0.5, 2.0)):
         params = LaminarParams(alpha1=a1, alpha2=a2, nu=1.0)
         arc = ArcBoundary(delta, 0.0, (0.0, 0.0), (0.0, 0.5 * delta))
         errs = []
         for n_r in (128, 256):
             cfg = SimConfig(arc=arc, params=params, n_s=16, n_r=n_r)
-            head = init_sim(cfg).p[0]
+            head = step(init_sim(cfg), cfg).p[0]
             quad = _quadrature_head(params, delta, cfg.grid.rho_c)
             errs.append(np.max(np.abs((head - head[0]) - (quad - quad[0]))) / np.max(quad))
         assert errs[0] / errs[1] > 2**1.6
@@ -379,7 +381,8 @@ def _reference_initial_rhs(cfg, us):
 @pytest.mark.parametrize("n_s, n_r", [(16, 24), (24, 16), (17, 19), (1, 16), (2, 16)])
 def test_separable_solves_match_cell_loop(n_s, n_r, delta, sector_angle):
     # the projection's theta-mode solver inverts the matrix built one cell at a
-    # time, and the t = 0 pressure solves the periodic problem exactly
+    # time, and the first step's pressure is the head H less its mean, which
+    # solves the periodic problem of the t = 0 state exactly
     arc = ArcBoundary(delta, 0.0, (0.0, 0.0), (0.0, sector_angle * delta))
     cfg = SimConfig(arc=arc, params=PARAMS, n_s=n_s, n_r=n_r)
     assert cfg.sector_angle == sector_angle
@@ -394,32 +397,35 @@ def test_separable_solves_match_cell_loop(n_s, n_r, delta, sector_angle):
 
     cfg = cfg._replace(params=CURVED)
     state = init_sim(cfg)
-    assert np.array_equal(state.p, np.tile(_discrete_head(cfg, state.us), (n_s, 1)))
+    head = np.tile(_discrete_head(cfg, state.us), (n_s, 1))
+    p1 = step(state, cfg).p
+    assert np.max(np.abs(p1 - (head - head.mean()))) <= 1e-12 * np.max(np.abs(head))
     b = _reference_initial_rhs(cfg, state.us)
     a_ref = _reference_assemble(cfg)
-    assert np.linalg.norm(a_ref @ state.p.ravel() - b.ravel()) <= 1e-12 * np.linalg.norm(b)
+    assert np.linalg.norm(a_ref @ head.ravel() - b.ravel()) <= 1e-12 * np.linalg.norm(b)
 
 
 @pytest.mark.parametrize("delta", [0.25, 1.0, 4.0])
 @pytest.mark.parametrize("n_s, n_r", [(16, 24), (32, 32), (17, 19)])
 def test_initial_state_is_a_discrete_equilibrium(n_s, n_r, delta):
-    # at t = 0 the pressure balances the discrete momentum terms on every face:
-    # radially the centrifugal term of the radial update; tangentially there is
-    # no advection, and the total pressure gradient, the periodic pressure's
-    # plus the wall drive, is the wall gradient k*delta/rho_c
+    # the first step's pressure balances the t = 0 discrete momentum terms on
+    # every face: radially the centrifugal term of the radial update;
+    # tangentially there is no advection, and the total pressure gradient, the
+    # periodic pressure's plus the wall drive, is the wall gradient k*delta/rho_c
     arc = ArcBoundary(delta, 0.0, (0.0, 0.0), (0.0, 0.5 * delta))
     cfg = SimConfig(arc=arc, params=CURVED, n_s=n_s, n_r=n_r)
     state = init_sim(cfg)
+    p = step(state, cfg).p
     g = cfg.grid
     neg_adv_r, visc_r = _radial_rhs(cfg, state.us, state.ur)
     assert np.array_equal(visc_r, np.zeros_like(visc_r))
-    radial = (state.p[:, 1:] - state.p[:, :-1]) / g.drh
+    radial = (p[:, 1:] - p[:, :-1]) / g.drh
     assert np.max(np.abs(radial - neg_adv_r)) <= 1e-12 * np.max(np.abs(neg_adv_r))
     neg_adv_t, _ = _tangential_rhs(cfg, state.us, state.ur)
     assert np.array_equal(neg_adv_t, np.zeros_like(neg_adv_t))
     k = CURVED.nu * (CURVED.alpha1 / delta - CURVED.alpha2)
     anchor = np.broadcast_to(k * delta / g.rho_c, (n_s, n_r))
-    periodic = np.diff(state.p, axis=0, prepend=state.p[-1:]) / (g.rho_c * g.dth)
+    periodic = np.diff(p, axis=0, prepend=p[-1:]) / (g.rho_c * g.dth)
     tangential = g.drive + periodic
     assert np.max(np.abs(tangential - anchor)) <= 1e-12 * np.max(np.abs(anchor))
 
@@ -444,6 +450,7 @@ def test_projection_solve_to_roundoff(monkeypatch):
     for b, phi in solves:
         assert np.linalg.norm(a_full @ phi + b) <= 1e-12 * np.linalg.norm(b)
         assert abs(phi.mean()) <= 1e-14
+    assert np.array_equal(state.p.ravel(), solves[-1][1])  # the state's pressure is phi
     assert np.max(np.abs(divergence(cfg, state.us, state.ur))) <= 1e-12
 
 
@@ -497,7 +504,7 @@ def _theta_uniform_run(cfg, steps):
     ``steps`` steps, and the probes then; the grid is built without ``validate``."""
     g = cfg.grid
     state = nssim.SimState(us=np.tile(g.u0, (cfg.n_s, 1)), ur=np.zeros((cfg.n_s, cfg.n_r + 1)),
-                           p=np.tile(g.head, (cfg.n_s, 1)), t=0.0)
+                           p=np.zeros((cfg.n_s, cfg.n_r)), t=0.0)
     t0 = probe_diagnostics(state, cfg, g.rho_c - g.delta)
     for _ in range(steps):
         state = step(state, cfg)
@@ -564,6 +571,31 @@ def test_first_reversal_grows_with_delta_on_an_adverse_sweep():
     assert None not in onsets
     assert all(a < b for a, b in zip(onsets, onsets[1:])), onsets
     assert all(t is None for t in first_reversal(4.0, 2.0))
+
+
+def _channel_run(delta, t_end):
+    """The README's reversal run: alpha1 = 2, alpha2 = nu = 1 on 32 radial
+    cells; one theta cell, since a theta-uniform flow steps as any column of
+    the 32 x 32 sector."""
+    arc = ArcBoundary(delta, 0.0, (0.0, 0.0), (0.0, 0.5 * delta))
+    return run_experiment(SimConfig(arc=arc, params=LaminarParams(2.0, 1.0, 1.0),
+                                    n_s=1, n_r=32, t_end=t_end))
+
+
+def test_readme_reversal_times():
+    # the nearest probe first reads u_t < 0 at the times the README states,
+    # rounded half up to 3 decimals
+    stated = {0.25: 313, 0.5: 677, 1.0: 1461, 1.5: 2609}
+    for delta, t_ms in stated.items():
+        t = _channel_run(delta, 2.0 * delta).first_reversal[0]
+        assert math.floor(1000.0 * t + 0.5) == t_ms, (delta, t)
+
+
+def test_last_recorded_time_is_t_end():
+    # 640 steps of 1/640: their running sum ends at 1.00000000000001
+    rep = _channel_run(0.5, 1.0)
+    assert rep.times.size == 641
+    assert rep.times[-1] == rep.final_state.t == 1.0
 
 
 def test_energy_dissipates_over_100_steps():

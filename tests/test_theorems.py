@@ -221,8 +221,10 @@ def test_limit_that_lands_on_the_printed_value_agrees_with_the_paper(monkeypatch
 
 
 def test_limit_without_shrinking_tail_raises():
-    # steps that grow toward the wall: no tail of four or more levels shrinks
-    with pytest.raises(NonMonotoneSequence):
+    # steps that grow toward the wall: no tail of four or more levels shrinks,
+    # and the refusal names the caller's samples and radii where it grew
+    with pytest.raises(NonMonotoneSequence, match=r"\|v\[3\]-v\[4\]\| = .* \(h = 0\.14 to 0\.1\) "
+                                                  r"did not shrink from .* \(h = 0\.17 to 0\.14\)"):
         theorem2_limit(UNIT, 1.0, r_grid=[0.2, 0.19, 0.17, 0.14, 0.1, 0.05])
 
 
