@@ -13,33 +13,33 @@ Internally the flow runs in the +theta direction; the wall-arc coordinate is
 s = delta * theta, so +theta is the wall-tangent direction e1 of the arc
 geometry.
 
-The sector is the wall segment ``arc.s_range`` and the layer 0 < r < 2*bl
-above it, where the initial profile returns to zero: its angle Theta is the
-segment's length over delta (``SimConfig.sector_angle``) and its outer radius
-is delta + 2*bl (``SimConfig.R_out`` is the depth 2*bl).  The flow is periodic
-in theta with period Theta.  Radially: no-slip at the inner wall, the initial
-profile (zero to roundoff) pinned at the outer radius.  The wall pressure
-gradient k = nu*(a1/delta - a2) that no-slip fixes is not periodic: its drop
-over one period drives the flow as the body force -k*delta/rho, as in a
-curved channel (Dean, Proc. R. Soc. A 121, 1928).  A state's pressure is the
-periodic one its step's projection set, with mean 0 (0 at t = 0): the first
-step's is the discrete centripetal head H(rho) less its mean, so at every node
-that step's tangential change is the t = 0 material derivative
-nu*lap(u) - k*delta/rho, to O(dt).  ``field.csv`` reports the total pressure,
-the periodic one plus k*delta*theta.
+The sector is the wall segment ``arc.s_range`` and the layer 0 < r < 2*bl above
+it, where the initial profile returns to zero: its angle Theta is the segment's
+length over delta (``SimConfig.sector_angle``) and its outer radius is delta +
+2*bl (``SimConfig.R_out`` is the depth 2*bl).  The flow is periodic in theta
+with period Theta.  Radially: no-slip at both walls, a periodic curved channel.
+The wall pressure gradient k = nu*(a1/delta - a2) that no-slip fixes is not
+periodic: its drop over one period drives the flow as the body force
+-k*delta/rho, as in a curved channel (Dean, Proc. R. Soc. A 121, 1928).  A
+state's pressure is the periodic one its step's projection set, with mean 0 (0
+at t = 0): the first step's is the discrete centripetal head H(rho) less its
+mean, so at every node that step's tangential change is the t = 0 material
+derivative nu*lap(u) - k*delta/rho, to O(dt).  ``field.csv`` reports the total
+pressure, the periodic one plus k*delta*theta.
 
 Every theta operator is the periodic second difference, which the discrete
 Fourier transform diagonalises: numpy's real FFT takes each theta-line to its
-n_s//2 + 1 modes, mode m with eigenvalue 4 sin^2(pi m / n_s).  What a run
-keeps fixed lives in one object per config (``SimConfig.grid``, built on first
-use): the grid arrays, those eigenvalues, the projection's factors, the t = 0
-profile and the wall drive.  A state holds only what evolves.  The
-projection's flux-form Laplacian separates (Buzbee, Golub & Nielson, SIAM J.
-Numer. Anal. 7, 1970): one symmetric eigendecomposition per grid diagonalises
-it in rho, so its solve, like the implicit theta-viscosity's, is a real FFT
-pair along theta around a scaling, here between products with the n_r x n_r
-radial basis.  Its singular entry, the constants, is dropped; the right-hand
-side is made mean-free first and the solution shifted to zero mean.
+n_s//2 + 1 modes, mode m with eigenvalue 4 sin^2(pi m / n_s).  What a run keeps
+fixed is cached on its config, built on first use: ``SimConfig.grid`` (the grid
+arrays, those eigenvalues, the projection's factors, the t = 0 profile and the
+wall drive), the step count and step, the top speed and the implicit
+theta-viscosity's diagonal.  A state holds only what evolves and the number of
+steps taken.  The projection's flux-form Laplacian separates (Buzbee, Golub &
+Nielson, SIAM J. Numer. Anal. 7, 1970): one symmetric eigendecomposition per
+grid diagonalises it in rho, so its solve, like the implicit theta-viscosity's,
+is a real FFT pair along theta around a scaling, here between products with the
+n_r x n_r radial basis.  Its singular entry, the constants, is dropped; the
+right-hand side is made mean-free first and the solution shifted to zero mean.
 
 This module loads numpy with one OpenBLAS thread unless numpy is already
 loaded or ``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS`` is set, and it
@@ -72,8 +72,8 @@ from .field import LaminarParams, near_wall_scale, profile_h, wall_gradient, wri
 from .geometry import ArcBoundary, to_cartesian
 
 
-# a run takes at most this many steps (the test and benchmark runs take at most
-# a few hundred): a config that needs more is refused before it starts
+# a run takes at most this many steps (the longest test run, the README's reversal
+# at delta = 1.5, takes 1920): a config that needs more is refused before it starts
 _MAX_STEPS = 10**6
 
 # a simulate run's arrays must fit this many bytes.  Its peak RSS grows by about
@@ -235,7 +235,7 @@ class SimState(NamedTuple):
     ur: np.ndarray   # (n_s, n_r + 1) radial velocity at rho-faces
     p: np.ndarray    # (n_s, n_r) periodic pressure at cell centers: the zero-mean
                      # one the step's projection set, 0 at t = 0
-    t: float
+    k: int           # steps taken: the time is entry k of linspace(0, t_end, steps + 1)
 
 
 class _Grid:
@@ -257,10 +257,7 @@ class _Grid:
         # the periodic second difference's eigenvalue on each real FFT mode
         self.eig = 4.0 * np.sin(np.pi * np.arange(n_s // 2 + 1) / n_s) ** 2
         self.neumann = _neumann_factors(self)
-        # the initial profile at the cell centres, and its value at the outer
-        # radius, where the ghost cells pin it
         self.u0 = profile_h(cfg.params, self.rho_c - self.delta)
-        self.outer = profile_h(cfg.params, cfg.R_out)
         # the wall gradient k, and k*delta/rho_c: the tangential gradient of the
         # wall-anchored pressure k*delta*theta, which ``step`` applies as a body force
         self.k = wall_gradient(cfg.params, self.delta)
@@ -274,20 +271,21 @@ class _Grid:
 
 def _us_with_ghosts(cfg: SimConfig, us: np.ndarray) -> np.ndarray:
     """u_s between its periodic theta neighbours (rows 0 and -1), with ghost
-    columns below the wall (value 0) and above the outer radius."""
+    columns below the inner wall and above the outer one (value 0 at each)."""
     g = cfg.grid
     usg = np.empty((cfg.n_s + 2, cfg.n_r + 2))
     usg[:, 1:-1] = us[g.wrap]
     usg[:, 0] = -2.0 * usg[:, 1] + usg[:, 2] / 3.0
-    usg[:, -1] = (8.0 / 3.0) * g.outer - 2.0 * usg[:, -2] + usg[:, -3] / 3.0
+    usg[:, -1] = -2.0 * usg[:, -2] + usg[:, -3] / 3.0
     return usg
 
 
 def wall_noslip_residual(cfg: SimConfig, state: SimState) -> float:
-    """Tangential wall velocity implied by the ghost construction (0 to roundoff)."""
+    """The largest tangential velocity at either wall, read off the ghost
+    construction's quadratic (0 to roundoff)."""
     usg = _us_with_ghosts(cfg, state.us)
-    wall = (3.0 * usg[:, 0] + 6.0 * usg[:, 1] - usg[:, 2]) / 8.0
-    return float(np.max(np.abs(wall)))
+    walls = (3.0 * usg[:, [0, -1]] + 6.0 * usg[:, [1, -2]] - usg[:, [2, -3]]) / 8.0
+    return float(np.max(np.abs(walls)))
 
 
 # ----------------------------------------------------------------------------
@@ -410,17 +408,18 @@ def _solve_neumann(cfg: SimConfig, b: np.ndarray) -> np.ndarray:
 
 
 def init_sim(cfg: SimConfig) -> SimState:
-    """Sample the shear profile on the grid, with pressure 0."""
+    """Sample the shear profile on the grid, with pressure 0 and no steps taken."""
     cfg.validate()
     n_s, n_r = cfg.n_s, cfg.n_r
     return SimState(us=np.tile(cfg.grid.u0, (n_s, 1)), ur=np.zeros((n_s, n_r + 1)),
-                    p=np.zeros((n_s, n_r)), t=0.0)
+                    p=np.zeros((n_s, n_r)), k=0)
 
 
 def step(state: SimState, cfg: SimConfig) -> SimState:
     """Advance one time step: Euler against the wall drive, with the theta
     second difference of the viscosity implicit (IMEX), then a projection for
-    incompressibility, whose zero-mean phi is the new state's pressure."""
+    incompressibility, whose zero-mean phi is the new state's pressure.  The new
+    state has taken one step more; ``Diverged`` names the step and its time."""
     g = cfg.grid
     dt = cfg.effective_dt
     nu = cfg.params.nu
@@ -454,8 +453,9 @@ def step(state: SimState, cfg: SimConfig) -> SimState:
     ur_new[:, 1:-1] -= dt * (phi[:, 1:] - phi[:, :-1]) / g.drh
 
     if not float(np.max(np.abs(us_new))) <= 10.0 * max(cfg.top_speed, 1e-30):  # or NaN
-        raise Diverged(f"max tangential velocity exceeded 10x the initial maximum at t={state.t}")
-    return SimState(us=us_new, ur=ur_new, p=phi, t=state.t + dt)
+        raise Diverged(f"max tangential velocity exceeded 10x the initial maximum "
+                       f"at t={state.k * dt} (step {state.k + 1} of {cfg.steps})")
+    return SimState(us=us_new, ur=ur_new, p=phi, k=state.k + 1)
 
 
 # ----------------------------------------------------------------------------
@@ -540,7 +540,7 @@ class ExperimentReport(NamedTuple):
 
 def run_experiment(cfg: SimConfig, r_probe_list=None) -> ExperimentReport:
     """Step the sector flow to t_end in ``cfg.steps`` equal steps, recording
-    near-wall tangential velocity.
+    near-wall tangential velocity at each time of linspace(0, t_end, steps + 1).
 
     A value that leaves the float range (an overflow, or an inf or NaN made from
     finite ones) raises FloatingPointError rather than reaching the report.
@@ -557,11 +557,10 @@ def run_experiment(cfg: SimConfig, r_probe_list=None) -> ExperimentReport:
         t0_samples = probe_diagnostics(state, cfg, probe_r)
         i_mid = cfg.n_s // 2
 
-        # the time grid ends at t_end exactly; summing the steps can miss it
         times = np.linspace(0.0, cfg.t_end, cfg.steps + 1)
         series = [[float(state.us[i_mid, j]) for j in probe_idx]]
-        for t in times[1:].tolist():
-            state = step(state, cfg)._replace(t=t)
+        for _ in range(cfg.steps):
+            state = step(state, cfg)
             series.append([float(state.us[i_mid, j]) for j in probe_idx])
 
     u_t = np.array(series)

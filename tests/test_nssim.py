@@ -223,7 +223,7 @@ def test_probe_viscous_term_includes_the_theta_second_difference():
     us = h[None, :] * (1.0 + 0.1 * np.sin(4.0 * theta_f))[:, None]
     ur = 0.05 * np.outer(np.cos(3.0 * g.theta_c), np.sin(np.pi * (g.rho_f - g.delta) / cfg.R_out))
     p = np.zeros((cfg.n_s, cfg.n_r))
-    state = nssim.SimState(us=us, ur=ur, p=p, t=0.0)
+    state = nssim.SimState(us=us, ur=ur, p=p, k=0)
     cells = (1, 5, 11, 22)
     i = cfg.n_s // 2
     for sample, j in zip(probe_diagnostics(state, cfg, [(j + 0.5) * g.drh for j in cells]), cells):
@@ -463,6 +463,28 @@ def test_step_preserves_noslip_and_divergence():
     assert np.max(np.abs(divergence(cfg, state.us, state.ur))) <= 1e-8
 
 
+def test_noslip_holds_at_both_walls_and_the_residual_reads_both(monkeypatch):
+    # each wall's face value is the ghost quadratic's (3g + 6u_1 - u_2)/8; for any
+    # u_s it is 0 to roundoff, at the outer wall as at the inner one
+    cfg = make_cfg(n=16)
+    us = np.random.default_rng(7).standard_normal((cfg.n_s, cfg.n_r))
+    usg = nssim._us_with_ghosts(cfg, us)
+    for g, u1, u2 in ((0, 1, 2), (-1, -2, -3)):
+        face = (3.0 * usg[:, g] + 6.0 * usg[:, u1] - usg[:, u2]) / 8.0
+        assert np.max(np.abs(face)) <= 1e-15 * np.max(np.abs(us)), g
+    # a ghost column off by 1 at either wall alone moves that face by 3/8, and
+    # the residual reports it
+    ghosts = nssim._us_with_ghosts
+    state = init_sim(cfg)._replace(us=us)
+    for col in (0, -1):
+        def off(cfg, us, col=col):
+            usg = ghosts(cfg, us)
+            usg[:, col] += 1.0
+            return usg
+        monkeypatch.setattr(nssim, "_us_with_ghosts", off)
+        assert wall_noslip_residual(cfg, state) == pytest.approx(0.375), col
+
+
 def test_first_step_follows_material_derivative():
     # at every node of the mid-sector column, du/dt over the first step is the
     # t = 0 material derivative nu*visc - k*delta/rho of the probes' budget
@@ -504,7 +526,7 @@ def _theta_uniform_run(cfg, steps):
     ``steps`` steps, and the probes then; the grid is built without ``validate``."""
     g = cfg.grid
     state = nssim.SimState(us=np.tile(g.u0, (cfg.n_s, 1)), ur=np.zeros((cfg.n_s, cfg.n_r + 1)),
-                           p=np.zeros((cfg.n_s, cfg.n_r)), t=0.0)
+                           p=np.zeros((cfg.n_s, cfg.n_r)), k=0)
     t0 = probe_diagnostics(state, cfg, g.rho_c - g.delta)
     for _ in range(steps):
         state = step(state, cfg)
@@ -573,13 +595,16 @@ def test_first_reversal_grows_with_delta_on_an_adverse_sweep():
     assert all(t is None for t in first_reversal(4.0, 2.0))
 
 
-def _channel_run(delta, t_end):
+def _channel_cfg(delta, t_end):
     """The README's reversal run: alpha1 = 2, alpha2 = nu = 1 on 32 radial
     cells; one theta cell, since a theta-uniform flow steps as any column of
     the 32 x 32 sector."""
     arc = ArcBoundary(delta, 0.0, (0.0, 0.0), (0.0, 0.5 * delta))
-    return run_experiment(SimConfig(arc=arc, params=LaminarParams(2.0, 1.0, 1.0),
-                                    n_s=1, n_r=32, t_end=t_end))
+    return SimConfig(arc=arc, params=LaminarParams(2.0, 1.0, 1.0), n_s=1, n_r=32, t_end=t_end)
+
+
+def _channel_run(delta, t_end):
+    return run_experiment(_channel_cfg(delta, t_end))
 
 
 def test_readme_reversal_times():
@@ -595,7 +620,21 @@ def test_last_recorded_time_is_t_end():
     # 640 steps of 1/640: their running sum ends at 1.00000000000001
     rep = _channel_run(0.5, 1.0)
     assert rep.times.size == 641
-    assert rep.times[-1] == rep.final_state.t == 1.0
+    assert rep.times[-1] == 1.0 and rep.final_state.k == 640
+
+
+def test_stepping_by_hand_ends_where_run_experiment_does():
+    # the state counts its steps, so a caller's own loop ends on the step
+    # count, and in the state run_experiment reports
+    cfg = _channel_cfg(0.5, 1.0)
+    state = init_sim(cfg)
+    while state.k < cfg.steps:
+        state = step(state, cfg)
+    assert state.k == cfg.steps == 640
+    final = run_experiment(cfg).final_state
+    assert final.k == state.k
+    for name in ("us", "ur", "p"):
+        assert np.array_equal(getattr(final, name), getattr(state, name)), name
 
 
 def test_energy_dissipates_over_100_steps():
@@ -617,7 +656,7 @@ def test_step_raises_diverged_past_ten_times_the_top_speed(bad):
     else:  # a NaN fails every comparison, so the guard is written to fail on it
         us = state.us.copy()
         us[3, 5] = np.nan
-    with pytest.raises(Diverged, match="exceeded 10x"):
+    with pytest.raises(Diverged, match=r"exceeded 10x .* at t=0\.0 \(step 1 of "):
         step(state._replace(us=us), cfg)
 
 
