@@ -31,8 +31,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     **dict.fromkeys((
         "ConfigError", "CriticalPoint", "Diverged", "DomainError", "LamsepError", "NoCrossing",
-        "NoIntersection", "NonMonotoneSequence", "OutOfChart", "ParseError", "PointBelowWall",
-        "ProbeOutsideGrid", "StagnationEncountered", "ValidationError", "WallGradientMismatch",
+        "NonMonotoneSequence", "OutOfChart", "ParseError", "PointBelowWall", "ValidationError",
     ), "errors"),
     **dict.fromkeys((
         "ArcBoundary", "LocalFrame", "NormalPoint", "arc_point", "arc_segment_length",

@@ -1,4 +1,4 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library: one class per way a call fails."""
 
 
 class LamsepError(Exception):
@@ -14,43 +14,29 @@ class OutOfChart(LamsepError):
 
 
 class DomainError(LamsepError):
-    """An argument violates a documented domain restriction (e.g. r >= alpha1/alpha2)."""
+    """An argument violates a documented domain restriction (e.g. r >= alpha1/alpha2,
+    or a pressure whose wall gradient is not the no-slip value nu*(a1/delta - a2))."""
 
 
 class NonMonotoneSequence(LamsepError):
     """Successive differences of an extrapolation sequence do not shrink."""
 
 
-class StagnationEncountered(LamsepError):
-    """The speed dropped below the stagnation tolerance while tracing."""
-
-
 class NoCrossing(LamsepError):
-    """A streamline never crossed the target normal ray within the length budget."""
+    """A traced curve met no target (a normal ray, a wall distance, a level curve or
+    level) within its length."""
 
 
 class CriticalPoint(LamsepError):
-    """The pressure gradient vanished while tracing a pressure line."""
-
-
-class NoIntersection(LamsepError):
-    """A pressure line never met the target level curve within the length budget."""
-
-
-class WallGradientMismatch(LamsepError):
-    """The wall pressure gradient deviates from the no-slip value nu*(a1/delta - a2)."""
+    """The traced field, a velocity or a pressure gradient, vanished or is singular."""
 
 
 class ConfigError(LamsepError):
-    """A simulation configuration violates its invariants."""
+    """A simulation input (a configuration or a probe radius) violates its invariants."""
 
 
 class Diverged(LamsepError):
     """The simulated tangential velocity grew beyond ten times its initial maximum."""
-
-
-class ProbeOutsideGrid(LamsepError):
-    """A probe radius falls outside the simulated annulus."""
 
 
 class ParseError(LamsepError):

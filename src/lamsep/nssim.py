@@ -31,14 +31,14 @@ Every theta operator is the periodic second difference, which the discrete
 Fourier transform diagonalises: numpy's real FFT takes each theta-line to its
 n_s//2 + 1 modes, mode m with eigenvalue 4 sin^2(pi m / n_s).  What a run keeps
 fixed is cached on its config, built on first use: ``SimConfig.grid`` (the grid
-arrays, those eigenvalues, the projection's factors, the t = 0 profile and the
-wall drive), the step count and step, the top speed and the implicit
-theta-viscosity's diagonal.  A state holds only what evolves and the number of
-steps taken.  The projection's flux-form Laplacian separates (Buzbee, Golub &
-Nielson, SIAM J. Numer. Anal. 7, 1970): one symmetric eigendecomposition per
-grid diagonalises it in rho, so its solve, like the implicit theta-viscosity's,
-is a real FFT pair along theta around a scaling, here between products with the
-n_r x n_r radial basis.  Its singular entry, the constants, is dropped; the
+arrays, those eigenvalues, the t = 0 profile, the wall drive and, at the first
+solve, the projection's factors), the step count and step, the top speed and
+the implicit theta-viscosity's diagonal.  A state holds only what evolves and
+the number of steps taken.  The projection's flux-form Laplacian separates
+(Buzbee, Golub & Nielson, SIAM J. Numer. Anal. 7, 1970): one symmetric
+eigendecomposition per grid diagonalises it in rho, so its solve, like the
+implicit theta-viscosity's, is a real FFT pair along theta around a scaling,
+here between products with the n_r x n_r radial basis.  Its singular entry, the constants, is dropped; the
 right-hand side is made mean-free first and the solution shifted to zero mean.
 
 This module loads numpy with one OpenBLAS thread unless numpy is already
@@ -67,7 +67,7 @@ else:
     finally:
         del os.environ["OPENBLAS_NUM_THREADS"]
 
-from .errors import ConfigError, Diverged, ProbeOutsideGrid
+from .errors import ConfigError, Diverged
 from .field import LaminarParams, near_wall_scale, profile_h, wall_gradient, write_csv
 from .geometry import ArcBoundary, to_cartesian
 
@@ -240,8 +240,9 @@ class SimState(NamedTuple):
 
 class _Grid:
     """What a run of one config keeps fixed: the grid arrays, the theta-mode
-    eigenvalues, the projection's radial basis and reciprocal eigenvalues
-    (``_neumann_factors``) and the theta-uniform fields that drive the flow."""
+    eigenvalues, the theta-uniform fields that drive the flow and, built at the
+    first solve, the projection's radial basis and reciprocal eigenvalues
+    (``neumann``), so that a refused config builds no O(n_r**3) basis."""
 
     def __init__(self, cfg: SimConfig):
         n_s, n_r = cfg.n_s, cfg.n_r
@@ -256,12 +257,16 @@ class _Grid:
         self.wrap = np.arange(-1, n_s + 1) % n_s
         # the periodic second difference's eigenvalue on each real FFT mode
         self.eig = 4.0 * np.sin(np.pi * np.arange(n_s // 2 + 1) / n_s) ** 2
-        self.neumann = _neumann_factors(self)
         self.u0 = profile_h(cfg.params, self.rho_c - self.delta)
         # the wall gradient k, and k*delta/rho_c: the tangential gradient of the
         # wall-anchored pressure k*delta*theta, which ``step`` applies as a body force
         self.k = wall_gradient(cfg.params, self.delta)
         self.drive = self.k * self.delta / self.rho_c
+
+    @cached_property
+    def neumann(self) -> tuple[np.ndarray, np.ndarray]:
+        """``_neumann_factors`` of this grid."""
+        return _neumann_factors(self)
 
 
 # ----------------------------------------------------------------------------
@@ -474,7 +479,7 @@ class ProbeSample(NamedTuple):
 
 def _probe_index(cfg: SimConfig, r: float) -> int:
     if not 0.0 < r < cfg.R_out:
-        raise ProbeOutsideGrid(f"probe r = {r} outside (0, {cfg.R_out})")
+        raise ConfigError(f"probe r = {r} outside (0, {cfg.R_out})")
     return int(np.clip(round(r / cfg.grid.drh - 0.5), 0, cfg.n_r - 1))
 
 

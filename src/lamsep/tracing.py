@@ -9,9 +9,10 @@ along the march, found by :func:`_first_crossing`, which evaluates the scalar
 once per march point.  A march point exactly on the target is the hit, and a
 sign change within a step is located by bisection along the step, which stays
 robust for nearly tangential crossings.  The pressure line of the eta ratio
-stops instead where it first meets the traced level curve.  A pressure march
-stops with :class:`CriticalPoint` where the gradient vanishes, a streamline
-with :class:`StagnationEncountered` where the velocity does.
+stops instead where it first meets the traced level curve.  A march stops with
+:class:`CriticalPoint` where its field, the velocity or the pressure gradient,
+vanishes or is singular, and a curve that meets no target within its length
+raises :class:`NoCrossing`.
 
 The march runs on float pairs: a point is a tuple ``(x, y)``, and each field
 is called in point form, ``field((x, y)) -> (u, v)`` (see
@@ -25,15 +26,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .errors import (
-    CriticalPoint,
-    DomainError,
-    NoCrossing,
-    NoIntersection,
-    OutOfChart,
-    StagnationEncountered,
-    WallGradientMismatch,
-)
+from .errors import CriticalPoint, DomainError, NoCrossing, OutOfChart
 from .fdops import ExtrapolationResult, richardson
 from .field import FieldHandle, LaminarParams, ScalarFieldHandle, wall_gradient
 from .geometry import (
@@ -148,20 +141,19 @@ def _rk_step(fn, x, h):
             x1 + h6 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]))
 
 
-def _unit_direction(field: FieldHandle, tol: float, sign: float = 1.0, perpendicular=False,
-                    error=StagnationEncountered):
+def _unit_direction(field: FieldHandle, tol: float, sign: float = 1.0, perpendicular=False):
     """The field normalized to unit length (optionally turned +90 degrees), in point form.
 
-    A field below ``tol`` in length, or singular, raises ``error``.
+    A field below ``tol`` in length, or singular, raises :class:`CriticalPoint`.
     """
     def fn(x):
         try:
             u, v = field(x)
         except ZeroDivisionError as exc:
-            raise error(f"field is singular at {x}") from exc
+            raise CriticalPoint(f"field is singular at {x}") from exc
         speed = abs(complex(u, v))  # libm hypot
         if speed < tol:
-            raise error(f"|field| = {speed} < {tol} at {x}")
+            raise CriticalPoint(f"|field| = {speed} < {tol} at {x}")
         u, v = u / speed, v / speed
         if perpendicular:
             u, v = -v, u
@@ -251,7 +243,7 @@ def trace_pressure_line(
     if direction not in ("along", "perpendicular"):
         raise ValueError(f"direction must be 'along' or 'perpendicular', got {direction!r}")
     dirfn = _unit_direction(gradp, cfg.stagnation_tol, sign=orientation,
-                            perpendicular=direction == "perpendicular", error=CriticalPoint)
+                            perpendicular=direction == "perpendicular")
     return Polyline.from_points([start] + [x_new for _, x_new, _, _ in _march(dirfn, start, cfg)])
 
 
@@ -453,9 +445,6 @@ def _offset_arc_length(arc: ArcBoundary, s: float, eps: float, r: float) -> floa
 
 
 class EtaSample(NamedTuple):
-    eps: float
-    eta_length: float
-    phi_length: float
     ratio: float
     corner_angle: float
 
@@ -480,9 +469,8 @@ def eta_trace(
     sign = 1.0 if along >= 0 else -1.0
     if abs(along) <= 1e-13 * abs(complex(*g0)):
         # gradient purely normal: the level curve already passes through the start
-        return EtaSample(eps=eps, eta_length=0.0, phi_length=phi_len, ratio=0.0,
-                         corner_angle=0.5 * math.pi)
-    dirfn = _unit_direction(gradp, cfg.stagnation_tol, sign=sign, error=CriticalPoint)
+        return EtaSample(ratio=0.0, corner_angle=0.5 * math.pi)
+    dirfn = _unit_direction(gradp, cfg.stagnation_tol, sign=sign)
     press_cfg = cfg._replace(step=phi_len / 80.0, max_length=4.0 * phi_len)
     segs, blocks = _segment_blocks(level_pts)
     for x, x_new, cum, h in _march(dirfn, start, press_cfg):
@@ -490,16 +478,15 @@ def eta_trace(
         if hit is not None:
             break
     else:
-        raise NoIntersection(f"pressure line from (s={s}, r={r}) missed the level curve "
-                             f"for eps={eps}")
+        raise NoCrossing(f"pressure line from (s={s}, r={r}) missed the level curve "
+                         f"for eps={eps}")
     t_hit, seg_idx = hit
     eta_len = cum + t_hit * h
     _, _, lx, ly = segs[seg_idx]
     cx, cy = x_new[0] - x[0], x_new[1] - x[1]
     cosang = abs(cx * lx + cy * ly) / (abs(complex(cx, cy)) * abs(complex(lx, ly)))
     corner = math.acos(min(1.0, cosang))
-    return EtaSample(eps=eps, eta_length=eta_len, phi_length=phi_len,
-                     ratio=eta_len / phi_len, corner_angle=corner)
+    return EtaSample(ratio=eta_len / phi_len, corner_angle=corner)
 
 
 def eta_ratio(
@@ -594,8 +581,7 @@ def _zeta_sample(
     g0 = gradp(wall_pt)
     n0, n1 = arc_normal(arc, s)
     orient = 1.0 if -g0[1] * n0 + g0[0] * n1 >= 0 else -1.0
-    dirfn_level = _unit_direction(gradp, cfg.stagnation_tol, sign=orient, perpendicular=True,
-                                  error=CriticalPoint)
+    dirfn_level = _unit_direction(gradp, cfg.stagnation_tol, sign=orient, perpendicular=True)
     level_cfg = cfg._replace(step=r / 100.0, max_length=4.0 * r)
 
     def height(x):
@@ -603,13 +589,12 @@ def _zeta_sample(
 
     foot_hit = _first_crossing(dirfn_level, wall_pt, level_cfg, height, 1e-13 * delta)
     if foot_hit is None:
-        raise NoIntersection(f"level curve from phi({s}) never reached wall distance {r}")
+        raise NoCrossing(f"level curve from phi({s}) never reached wall distance {r}")
     foot, r_hat = foot_hit
 
     # zeta trace: pressure line from the foot to the level of phi(s + eps)
     p_target = p_field(arc_point(arc, s + eps))
-    dirfn_press = _unit_direction(gradp, cfg.stagnation_tol, sign=math.copysign(1.0, k),
-                                  error=CriticalPoint)
+    dirfn_press = _unit_direction(gradp, cfg.stagnation_tol, sign=math.copysign(1.0, k))
     press_cfg = cfg._replace(step=arc_span / 100.0, max_length=5.0 * arc_span)
 
     def level_gap(x):
@@ -620,7 +605,7 @@ def _zeta_sample(
     zeta_hit = _first_crossing(dirfn_press, foot, press_cfg, level_gap,
                                1e-14 * (abs(p_target) + abs(k) * delta))
     if zeta_hit is None:
-        raise NoIntersection(f"pressure line from the foot missed the level of phi({s + eps})")
+        raise NoCrossing(f"pressure line from the foot missed the level of phi({s + eps})")
     zeta_pt, traced = zeta_hit
     np_zeta = from_cartesian(arc, zeta_pt)
     return ZetaSample(
@@ -699,7 +684,7 @@ def zeta_check(
         t0, t1 = arc_tangent(arc, si)
         rel_dev = max(rel_dev, abs(complex(gx - k * t0, gy - k * t1)) / abs(k))
     if rel_dev > 1e-6:
-        raise WallGradientMismatch(
+        raise DomainError(
             f"wall gradient deviates from nu*(a1/delta - a2)*e1 by {rel_dev:.3e} relative"
         )
 

@@ -8,7 +8,7 @@ import scipy.integrate
 import scipy.sparse
 
 from lamsep import nssim
-from lamsep.errors import ConfigError, Diverged, ProbeOutsideGrid
+from lamsep.errors import ConfigError, Diverged
 from lamsep.field import LaminarParams, profile_h, write_csv
 from lamsep.geometry import ArcBoundary, to_cartesian
 from lamsep.nssim import (
@@ -65,6 +65,15 @@ def test_config_validation():
             make_cfg()._replace(**bad).validate()
     make_cfg().validate()
     make_cfg(angle=2 * np.pi).validate()
+
+
+def test_a_refused_config_builds_no_projection_basis():
+    # the step count is refused from the grid spacing alone: the O(n_r**3)
+    # radial basis of the projection waits for the first solve
+    cfg = make_cfg(n=1, t_end=1e6)._replace(n_r=4096)
+    with pytest.raises(ConfigError, match="t_end = 1e[+]06 needs more than 1000000 steps"):
+        cfg.validate()
+    assert "neumann" not in cfg.grid.__dict__
 
 
 def test_init_divergence_and_noslip():
@@ -264,7 +273,7 @@ def test_curvature_monotonicity_at_matched_relative_height():
 def test_probe_outside_grid():
     cfg = make_cfg()
     state = init_sim(cfg)
-    with pytest.raises(ProbeOutsideGrid):
+    with pytest.raises(ConfigError, match=r"probe r = 5.0 outside \(0, "):
         probe_diagnostics(state, cfg, [5.0])
 
 

@@ -121,6 +121,20 @@ def test_verify_traces_its_crosscheck_on_the_wall_segment(monkeypatch):
     assert stations == [pytest.approx(1.3, abs=1e-15)]
 
 
+def test_verify_refuses_an_eta_ratio_too_small_to_extrapolate_naming_nu(monkeypatch):
+    from lamsep import tracing
+
+    def eta_ratio(gradp, arc, s, r, eps_list, cfg):
+        raise NonMonotoneSequence("differences do not shrink")
+
+    monkeypatch.setattr(tracing, "eta_ratio", eta_ratio)
+    params = LaminarParams(alpha1=2.0, alpha2=1.0, nu=1e-7)
+    arc = ArcBoundary(delta=1.0, phase=0.0, center=(0.0, 0.0), s_range=(0.0, 0.5))
+    with pytest.raises(DomainError, match=r"^nu = 1e-07: the traced eta ratio is too small to "
+                                          r"extrapolate \(differences do not shrink\)$"):
+        theorem1_verify(params, 1.0, arc=arc)
+
+
 def test_ratio_frozen_values():
     # exact rationals: -(63/242)/0.095 and -(603/20402)/0.00995
     assert theorem2_ratio(UNIT, 1.0, 0.1) == pytest.approx(-(63.0 / 242.0) / 0.095, abs=1e-12)

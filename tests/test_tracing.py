@@ -3,11 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from lamsep.errors import (
-    CriticalPoint,
-    NoCrossing,
-    StagnationEncountered,
-)
+from lamsep.errors import CriticalPoint, NoCrossing
 from lamsep import tracing
 from lamsep.field import (
     FieldHandle,
@@ -100,13 +96,13 @@ def test_streamline_endpoint_convergence_order():
 
 def test_stagnation_at_wall():
     field = laminar_field(ARC, PARAMS)
-    with pytest.raises(StagnationEncountered):
+    with pytest.raises(CriticalPoint):
         trace_streamline(field, to_cartesian(ARC, (0.1, 0.0)), CFG)
 
 
 def test_trace_from_a_singular_point_is_a_stagnation():
     # the fan field is undefined at its source: a one-line error, not a traceback
-    with pytest.raises(StagnationEncountered):
+    with pytest.raises(CriticalPoint):
         trace_streamline(fan_field([0.3, 0.4]), [0.3, 0.4], CFG)
 
 
@@ -319,31 +315,30 @@ def test_every_march_runs_where_nothing_vanishes():
     poincare_L(field, ARC, 0.1, 0.25, 0.1, CFG)
 
 
-@pytest.mark.parametrize("march, error", [
+@pytest.mark.parametrize("march", [
     # the pressure line and the level curve through a zero gradient
-    (lambda: trace_pressure_line(FieldHandle(evaluator=lambda x, y: (0.0, 0.0)), [0.0, 0.0],
-                                 CFG, "along"), CriticalPoint),
-    (lambda: trace_pressure_line(FieldHandle(evaluator=lambda x, y: (0.0, 0.0)), [0.0, 0.0],
-                                 CFG, "perpendicular"), CriticalPoint),
+    lambda: trace_pressure_line(FieldHandle(evaluator=lambda x, y: (0.0, 0.0)), [0.0, 0.0],
+                                CFG, "along"),
+    lambda: trace_pressure_line(FieldHandle(evaluator=lambda x, y: (0.0, 0.0)), [0.0, 0.0],
+                                CFG, "perpendicular"),
     # eta's pressure line from s = 0.15 to the level curve at s = 0.16 (a normal
     # ray, which the zero band leaves alone)
-    (lambda: eta_trace(_vanishing(_tangential, station=(0.152, 0.154)), ARC, 0.15, 0.1, 0.01,
-                       CFG), CriticalPoint),
+    lambda: eta_trace(_vanishing(_tangential, station=(0.152, 0.154)), ARC, 0.15, 0.1, 0.01,
+                      CFG),
     # zeta's foot trace up the normal at s, and its pressure line at height r
-    (lambda: _zeta_sample(_angular_gradp(height=(0.3 * ZETA_R, 0.4 * ZETA_R))), CriticalPoint),
-    (lambda: _zeta_sample(_angular_gradp(station=(ZETA_S + 0.4 * ZETA_EPS,
-                                                  ZETA_S + 0.6 * ZETA_EPS),
-                                         height=(0.5 * ZETA_R, math.inf))), CriticalPoint),
+    lambda: _zeta_sample(_angular_gradp(height=(0.3 * ZETA_R, 0.4 * ZETA_R))),
+    lambda: _zeta_sample(_angular_gradp(station=(ZETA_S + 0.4 * ZETA_EPS, ZETA_S + 0.6 * ZETA_EPS),
+                                        height=(0.5 * ZETA_R, math.inf))),
     # a streamline and the return map's streamline through a zero velocity
-    (lambda: trace_streamline(_vanishing(laminar_field(ARC, PARAMS).evaluator,
-                                         station=(0.15, 0.16)),
-                              to_cartesian(ARC, (0.1, 0.1)), CFG), StagnationEncountered),
-    (lambda: poincare_L(_vanishing(laminar_field(ARC, PARAMS).evaluator, station=(0.15, 0.16)),
-                        ARC, 0.1, 0.25, 0.1, CFG), StagnationEncountered),
+    lambda: trace_streamline(_vanishing(laminar_field(ARC, PARAMS).evaluator,
+                                        station=(0.15, 0.16)),
+                             to_cartesian(ARC, (0.1, 0.1)), CFG),
+    lambda: poincare_L(_vanishing(laminar_field(ARC, PARAMS).evaluator, station=(0.15, 0.16)),
+                       ARC, 0.1, 0.25, 0.1, CFG),
 ], ids=["pressure-along", "pressure-perpendicular", "eta", "zeta-foot", "zeta-line",
         "streamline", "poincare"])
-def test_a_vanishing_field_ends_each_march_with_its_error(march, error):
-    with pytest.raises(error):
+def test_a_vanishing_field_ends_each_march_with_its_error(march):
+    with pytest.raises(CriticalPoint):
         march()
 
 
@@ -375,6 +370,69 @@ def test_a_vanishing_gradient_met_inside_a_crossing_refinement_is_a_critical_poi
 
 
 # ----------------------------------------------------------------------------
+# a curve that meets no target ends with NoCrossing
+# ----------------------------------------------------------------------------
+
+
+def _normal(x, y):
+    d = math.hypot(x, y)  # ARC is centred at the origin
+    return x / d, y / d
+
+
+def _tilted(x, y):
+    """The outward normal tilted by a tenth toward increasing s."""
+    (n0, n1), (t0, t1) = _normal(x, y), _tangential(x, y)
+    return n0 + 0.1 * t0, n1 + 0.1 * t1
+
+
+def _switched(first, second, station=math.inf, height=math.inf):
+    """``first`` as a field below both the wall station and the wall distance
+    given, ``second`` elsewhere."""
+    def field(x, y):
+        s, r = math.atan2(x, y) * ARC.delta, math.hypot(x, y) - ARC.delta
+        return first(x, y) if s < station and r < height else second(x, y)
+
+    return FieldHandle(evaluator=field)
+
+
+@pytest.mark.parametrize("march, message", [
+    # eta's level curve through s = 0.16 is the normal ray there, but the
+    # pressure line from s = 0.15 climbs away from it, 0.1 across per unit up
+    (lambda: eta_trace(_switched(_tilted, _tangential, station=0.155), ARC, 0.15, 0.1, 0.01,
+                       CFG),
+     r"pressure line from \(s=0.15, r=0.1\) missed the level curve for eps=0.01"),
+    # zeta's foot trace turns along the wall at half of r
+    (lambda: _zeta_sample(_switched(_tangential, _normal, height=0.5 * ZETA_R)),
+     r"level curve from phi\(0.1\) never reached wall distance 0.05"),
+    # zeta's pressure line turns away from the wall halfway to s + eps
+    (lambda: _zeta_sample(_switched(_tangential, _normal, station=ZETA_S + 0.5 * ZETA_EPS)),
+     r"pressure line from the foot missed the level of phi\(0.2\)"),
+    # the laminar streamline runs away from the normal ray at s1 < s, out of the chart
+    (lambda: poincare_L(laminar_field(ARC, PARAMS), ARC, 0.25, 0.1, 0.1, CFG),
+     r"streamline left the chart before reaching s1=0.1"),
+], ids=["eta", "zeta-foot", "zeta-line", "poincare-chart"])
+def test_a_curve_that_misses_its_target_ends_with_no_crossing(march, message):
+    with pytest.raises(NoCrossing, match=message):
+        march()
+
+
+def test_a_return_map_crossing_below_the_wall_is_no_crossing():
+    # the streamline settles onto the circle 5e-13 of delta inside the wall: the
+    # chart still takes its points (it allows 1e-12 of roundoff), and it meets
+    # the normal ray at s1 there
+    inside = ARC.delta * (1.0 - 5e-13)
+
+    def sinking(x, y):
+        (n0, n1), (t0, t1) = _normal(x, y), _tangential(x, y)
+        k = 100.0 * (inside - math.hypot(x, y))
+        return t0 + k * n0, t1 + k * n1
+
+    cfg = TraceConfig(step=1e-4, max_length=0.5)
+    with pytest.raises(NoCrossing, match=r"crossing found below the wall \(tau=-"):
+        poincare_L(FieldHandle(evaluator=sinking), ARC, 0.05, 0.45, 0.01, cfg)
+
+
+# ----------------------------------------------------------------------------
 # the float march against the array arithmetic it replaced
 # ----------------------------------------------------------------------------
 
@@ -384,7 +442,7 @@ def _array_direction(field, tol, sign=1.0, perpendicular=False):
         v = np.array(field((float(x[0]), float(x[1]))))
         speed = float(np.hypot(v[0], v[1]))
         if speed < tol:
-            raise StagnationEncountered(f"|field| = {speed} at {x}")
+            raise CriticalPoint(f"|field| = {speed} at {x}")
         v = v / speed
         if perpendicular:
             v = np.array([-v[1], v[0]])

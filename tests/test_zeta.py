@@ -6,7 +6,7 @@ import pytest
 
 from lamsep import tracing
 from lamsep.cli import main
-from lamsep.errors import DomainError, NonMonotoneSequence, WallGradientMismatch
+from lamsep.errors import DomainError, NonMonotoneSequence
 from lamsep.field import LaminarParams, ScalarFieldHandle
 from lamsep.geometry import ArcBoundary, arc_point, arc_tangent, center_offset, to_cartesian
 from lamsep.tracing import (
@@ -145,7 +145,7 @@ def test_zeta_ratio_limit_extrapolates_to_one_perturbed():
 
 def test_zeta_wall_violation_raises():
     bad = wall_incompatible_pressure(ARC, PARAMS, slope=0.1)
-    with pytest.raises(WallGradientMismatch):
+    with pytest.raises(DomainError):
         zeta_check(bad, ARC, PARAMS, s=0.1, r_list=[0.04], eps_over_r=2.0)
 
 
