@@ -153,50 +153,33 @@ class RunConfig(NamedTuple):
     out: Path
     parse_s: float  # the time parse_config took
 
-    def resolved(self) -> dict:
-        return {
-            "command": self.command,
-            "alpha1": self.params.alpha1,
-            "alpha2": self.params.alpha2,
-            "nu": self.params.nu,
-            "delta": self.arc.delta,
-            "phase": self.arc.phase,
-            "center": list(self.arc.center),
-            "s_range": list(self.arc.s_range),
-            "out": str(self.out),
-            **self.options,
-        }
-
 
 class RunReport(NamedTuple):
+    """A finished run; its fields but ``exit_code`` are the keys of ``report.json``."""
     command: str
     config: dict
     payload: dict
-    wall_clock: float
+    wall_clock_s: float
     stage_s: dict
-    version: str
+    library_version: str
     erratum_notes: dict
     exit_code: int
 
     def to_json(self) -> str:
-        envelope = {
-            "schema_version": SCHEMA_VERSION,
-            "command": self.command,
-            "config": self.config,
-            "payload": self.payload,
-            "erratum_notes": self.erratum_notes,
-            "wall_clock_s": self.wall_clock,
-            "stage_s": self.stage_s,
-            "library_version": self.version,
-        }
+        envelope = self._asdict()
+        del envelope["exit_code"]
         non_finite: list[str] = []
         envelope = {key: _nulled(value, key, non_finite) for key, value in envelope.items()}
-        envelope["non_finite"] = non_finite
+        envelope.update(schema_version=SCHEMA_VERSION, non_finite=non_finite)
         return json.dumps(envelope, indent=2, sort_keys=True, allow_nan=False)
 
 
 def _nulled(value, path: str, non_finite: list[str]):
-    """``value`` with each non-finite float as None; their dotted paths go to ``non_finite``."""
+    """``value`` as JSON data: a record (a NamedTuple) as an object of its fields,
+    other tuples as lists, and each non-finite float as None, its dotted path
+    appended to ``non_finite``."""
+    if hasattr(value, "_asdict"):  # before the tuple branch, which would write an array
+        value = value._asdict()
     if isinstance(value, float) and not math.isfinite(value):
         non_finite.append(path)
         return None
@@ -325,13 +308,14 @@ def run(cfg: RunConfig) -> RunReport:
     late = _late_import_s - late_before
     report = RunReport(
         command=cfg.command,
-        config=cfg.resolved(),
+        config={"command": cfg.command, **cfg.params._asdict(), **cfg.arc._asdict(),
+                "out": str(cfg.out), **cfg.options},
         payload=payload,
-        wall_clock=t1 - t0,
+        wall_clock_s=t1 - t0,
         # report.json itself is written after the clocks stop
         stage_s={"import": _IMPORT_S + late, "parse": cfg.parse_s, "compute": t1 - t0 - late,
                  "write": time.perf_counter() - t1},
-        version=__version__,
+        library_version=__version__,
         erratum_notes=notes,
         exit_code=exit_code,
     )
@@ -353,13 +337,18 @@ def _cmd_theorem1(cfg: RunConfig):
                      *(v for check in report.geometric_crosscheck for v in check)])
     rows = list(zip(report.r_grid, report.lhs, report.rhs, report.mismatch))
     notes = {"pperp_variant_supported_by_fd": _fd_variant_note(cfg)}
-    return report.to_dict(), _data_csv(["r", "lhs", "rhs", "mismatch"], rows), 0, notes
+    return report._asdict(), _data_csv(["r", "lhs", "rhs", "mismatch"], rows), 0, notes
 
 
 def _cmd_theorem2(cfg: RunConfig):
     theorems = _load("theorems")
     report = theorems.theorem2_limit(cfg.params, cfg.arc.delta, cfg.options.get("r_grid"))
     rows = list(zip(report.r_grid, report.ratio))
+    payload = report._asdict()
+    limit = payload.pop("limit")
+    payload.update(limit_extrapolated=limit.value, limit_error_estimate=limit.error_estimate,
+                   limit_observed_order=limit.observed_order,
+                   limit_levels_used=limit.levels_used)
     agree = abs(report.paper_value - report.oracle_value) <= theorems.ADJUDICATION_RTOL * abs(
         report.oracle_value
     )
@@ -369,7 +358,7 @@ def _cmd_theorem2(cfg: RunConfig):
         "oracle_value": report.oracle_value,
         "pperp_variant_supported_by_fd": _fd_variant_note(cfg),
     }
-    return report.to_dict(), _data_csv(["r", "ratio"], rows), (0 if agree else 2), notes
+    return payload, _data_csv(["r", "ratio"], rows), (0 if agree else 2), notes
 
 
 def _classification_field(cfg: RunConfig):
@@ -459,7 +448,7 @@ def _cmd_simulate(cfg: RunConfig):
     report = nssim.run_experiment(sim_cfg, cfg.options.get("probes"))
     payload = {
         "probe_r": report.probe_r,
-        "t0": [s._asdict() for s in report.t0_samples],
+        "t0": report.t0_samples,
         "first_reversal": report.first_reversal,
         "dt": sim_cfg.effective_dt,
         "steps": sim_cfg.steps,

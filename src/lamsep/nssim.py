@@ -115,9 +115,20 @@ class SimConfig(_SimFields):
         return 2.0 * self.params.bl
 
     @cached_property
+    def _dt_limits(self) -> dict[str, float]:
+        """The limits on the default step: advection across the smallest cell and
+        diffusion across one wall-normal cell (the theta second difference is
+        implicit)."""
+        g = self.grid
+        umax = self.top_speed
+        h_min = min(self.arc.delta * g.dth, g.drh)
+        return {"advective": h_min / umax if umax > 0 else math.inf,
+                "radial_viscous": 0.25 * g.drh * g.drh / self.params.nu}
+
+    @cached_property
     def _dt_limit(self) -> float:
-        """The longest step allowed: dt, or by default stable_dt."""
-        return stable_dt(self) if self.dt is None else self.dt
+        """The longest step allowed: dt, or by default 0.4 of the smallest of ``_dt_limits``."""
+        return 0.4 * min(self._dt_limits.values()) if self.dt is None else self.dt
 
     @cached_property
     def steps(self) -> int:
@@ -140,8 +151,7 @@ class SimConfig(_SimFields):
             return "t_end"
         if self.dt is not None:
             return "given"
-        limits = _dt_limits(self)
-        return min(limits, key=limits.get)
+        return min(self._dt_limits, key=self._dt_limits.get)
 
     @cached_property
     def top_speed(self) -> float:
@@ -204,22 +214,6 @@ class SimConfig(_SimFields):
     def cfl(self) -> float:
         g = self.grid
         return self.top_speed * self.effective_dt / min(self.arc.delta * g.dth, g.drh)
-
-
-def _dt_limits(cfg: SimConfig) -> dict[str, float]:
-    """The limits on the default step: advection across the smallest cell and
-    diffusion across one wall-normal cell (the theta second difference is
-    implicit)."""
-    g = cfg.grid
-    umax = cfg.top_speed
-    h_min = min(cfg.arc.delta * g.dth, g.drh)
-    return {"advective": h_min / umax if umax > 0 else math.inf,
-            "radial_viscous": 0.25 * g.drh * g.drh / cfg.params.nu}
-
-
-def stable_dt(cfg: SimConfig) -> float:
-    """0.4 of the smallest limit of ``_dt_limits``."""
-    return 0.4 * min(_dt_limits(cfg).values())
 
 
 def _run_bytes(n_s: int, n_r: int) -> int:

@@ -565,6 +565,49 @@ def test_run_reports_wall_clock_only_in_envelope(tmp_path):
     assert "wall" not in data
 
 
+_ENVELOPE_KEYS = {"schema_version", "command", "config", "payload", "erratum_notes",
+                  "wall_clock_s", "stage_s", "library_version", "non_finite"}
+_SHARED_CONFIG_KEYS = {"command", "alpha1", "alpha2", "nu", "delta", "phase", "center",
+                       "s_range", "out"}
+# each command on a small config: the options it sets, its payload keys, and the
+# keys of each entry of its list-valued payload keys
+_REPORT_KEYS = {
+    "verify-theorem1": ({"use_tracing": True},
+                        {"r_grid", "lhs", "rhs", "mismatch", "min_mismatch",
+                         "geometric_crosscheck"},
+                        {"geometric_crosscheck": {"r", "traced_gradp", "ansatz_gradp",
+                                                  "discrepancy_factor"}}),
+    "verify-theorem2": ({},
+                        {"r_grid", "ratio", "limit_extrapolated", "limit_error_estimate",
+                         "limit_observed_order", "limit_levels_used", "paper_value",
+                         "oracle_value", "derived_value", "agrees_with"}, {}),
+    "classify": ({}, {"kind", "C_threshold", "evidence"}, {"evidence": {"r", "ratio"}}),
+    "trace": ({}, {"kind", "points", "length"}, {}),
+    "zeta-check": ({}, {"fitted_c", "fitted_c1", "fitted_c2", "fitted_epsilon_hat",
+                        "bounds_hold", "ratio_limit", "wall_gradient_rel_dev"}, {}),
+    "simulate": ({"n_s": 16, "n_r": 16, "t_end": 0.002},
+                 {"probe_r", "t0", "first_reversal", "dt", "steps", "cfl", "dt_bound"},
+                 {"t0": {"r", "u_t", "visc_t", "gradp_t", "wall_anchor_gradp_t", "ratio"}}),
+    "sweep": ({}, {"rows", "levels_used"}, {}),
+}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_report_json_keys_are_the_contract(tmp_path, command):
+    options, payload_keys, entry_keys = _REPORT_KEYS[command]
+    expected = 2 if command == "verify-theorem2" else 0  # the tracked erratum
+    assert main([command, "--config", write_config(tmp_path, options),
+                 "--out", str(tmp_path / "o")]) == expected
+    report = load_strict_json(tmp_path / "o" / "report.json")
+    assert set(report) == _ENVELOPE_KEYS
+    assert set(report["config"]) == _SHARED_CONFIG_KEYS | set(options)
+    assert set(report["payload"]) == payload_keys
+    for key, keys in entry_keys.items():
+        entries = report["payload"][key]
+        assert entries and all(isinstance(entry, dict) and set(entry) == keys
+                               for entry in entries)
+
+
 def test_trace_pressure_and_level_kinds(tmp_path):
     for kind in ("pressure", "level"):
         cfg = write_config(tmp_path, {"command": "trace", "kind": kind,

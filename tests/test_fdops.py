@@ -30,6 +30,11 @@ def test_stencil_validation():
         StencilSpec(h=0.1, order=3)
 
 
+def test_stencil_replace_checks_its_fields():
+    with pytest.raises(ValueError, match="order must be 2 or 4"):
+        StencilSpec(h=1e-3)._replace(order=3)
+
+
 def test_gradient_constant_field():
     assert np.allclose(fd_gradient(CONST, [0.3, 0.7], StencilSpec(h=1e-3)), 0.0, atol=1e-12)
 

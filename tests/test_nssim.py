@@ -22,7 +22,6 @@ from lamsep.nssim import (
     kinetic_energy,
     probe_diagnostics,
     run_experiment,
-    stable_dt,
     step,
     wall_noslip_residual,
 )
@@ -702,16 +701,16 @@ def test_experiment_report_and_csv(tmp_path):
 def test_stable_dt_respects_cfl():
     cfg = make_cfg(n=24)
     assert cfg.dt is None
-    # t_end / stable_dt is exactly 72 here (and 288 on the finer grid), so the
-    # equal steps to t_end are stable_dt itself
-    assert cfg.steps == math.ceil(cfg.t_end / stable_dt(cfg)) == 72
-    assert cfg.effective_dt == stable_dt(cfg)
+    # t_end over the default step limit is exactly 72 here (and 288 on the finer
+    # grid), so the equal steps to t_end are that limit itself
+    assert cfg.steps == math.ceil(cfg.t_end / cfg._dt_limit) == 72
+    assert cfg.effective_dt == cfg._dt_limit
     assert cfg.cfl() <= 0.5
     # computed once per config; _replace starts a new config with an empty cache
     assert cfg.effective_dt is cfg.effective_dt and cfg.top_speed is cfg.top_speed
     assert cfg.grid is cfg.grid and cfg._replace().grid is not cfg.grid
     finer = cfg._replace(n_s=48, n_r=48)
-    assert finer.effective_dt == stable_dt(finer) < cfg.effective_dt
+    assert finer.effective_dt == finer._dt_limit < cfg.effective_dt
 
 
 def test_experiment_csv_long_format(tmp_path):
@@ -825,7 +824,7 @@ def test_steps_far_beyond_the_old_tangential_limit_stay_bounded():
                                 {"dt": 1e-4, "t_end": 0.05}, {"delta": 4.0, "t_end": 0.0123}])
 def test_run_ends_at_t_end_in_equal_steps_within_the_limit(kw):
     cfg = make_cfg(**kw)
-    limit = stable_dt(cfg) if cfg.dt is None else cfg.dt
+    limit = cfg._dt_limit
     assert cfg.effective_dt <= limit
     assert cfg.steps == max(1, math.ceil(cfg.t_end / limit))
     rep = run_experiment(cfg)
@@ -854,7 +853,7 @@ def test_dt_bound_names_the_binding_limit():
     # at a thousandth of the viscosity, advection across the tangential cell binds
     slow = make_cfg(n=24)._replace(params=LaminarParams(1.0, 1.0, 1e-3))
     assert slow.dt_bound == "advective"
-    assert stable_dt(slow) == pytest.approx(0.4 * (1.0 * slow.grid.dth) / slow.top_speed)
+    assert slow._dt_limit == pytest.approx(0.4 * (1.0 * slow.grid.dth) / slow.top_speed)
     # one step, shorter than the limit: t_end sets it
     for short in (make_cfg(t_end=1e-5), make_cfg(dt=1e-4, t_end=1e-5)):
         assert short.steps == 1 and short.dt_bound == "t_end"
@@ -869,7 +868,7 @@ def _assert_default_step_is_advective_and_bounded(nu):
     advective = dth / base.top_speed  # delta = 1: the tangential cell is the smallest
     cfg = base._replace(params=LaminarParams(1.0, 1.0, nu))
     radial = 0.25 * cfg.grid.drh ** 2 / nu
-    assert stable_dt(cfg) == pytest.approx(0.4 * min(advective, radial), rel=1e-12)
+    assert cfg._dt_limit == pytest.approx(0.4 * min(advective, radial), rel=1e-12)
     assert cfg.dt_bound == "advective"
     cfg = cfg._replace(t_end=30 * cfg.effective_dt)
     state = init_sim(cfg)
@@ -900,7 +899,7 @@ def test_theta_viscosity_is_implicit_where_it_cuts_the_step_count_enough(side):
     # out, so it is side * 3 times 0.4 of that limit
     gain = side * 3.0
     cfg = make_cfg(n=24)._replace(params=LaminarParams(1.0, 1.0, _nu_with_gain(gain)))
-    assert stable_dt(cfg) == pytest.approx(0.4 * gain * _explicit_wall_tangential_limit(cfg),
+    assert cfg._dt_limit == pytest.approx(0.4 * gain * _explicit_wall_tangential_limit(cfg),
                                            rel=1e-12)
     _assert_default_step_is_advective_and_bounded(cfg.params.nu)
 

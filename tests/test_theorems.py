@@ -5,7 +5,7 @@ import pytest
 
 from lamsep import theorems
 from lamsep.errors import DomainError, NonMonotoneSequence
-from lamsep.fdops import richardson
+from lamsep.fdops import ExtrapolationResult, richardson
 from lamsep.field import LaminarParams, stationary_gradp_ansatz
 from lamsep.geometry import ArcBoundary
 from lamsep.theorems import (
@@ -222,7 +222,6 @@ def test_limit_fits_the_shrinking_fine_tail():
     assert richardson([(r, theorem2_ratio(params, d, r)) for r in grid], order=1).levels_used == 4
     report = theorem2_limit(params, d)
     assert report.limit.levels_used == 4
-    assert report.to_dict()["limit_levels_used"] == 4
     assert report.agrees_with == "oracle"
     assert report.limit.value == pytest.approx(report.oracle_value, rel=1e-8)
 
@@ -232,6 +231,21 @@ def test_limit_that_lands_on_the_printed_value_agrees_with_the_paper(monkeypatch
     monkeypatch.setattr(theorems, "theorem2_ratio",
                         lambda params, delta, r: paper_limit(params, delta) + r)
     assert theorem2_limit(UNIT, 1.0).agrees_with == "paper"
+
+
+def test_limit_off_both_candidates_agrees_with_neither(monkeypatch):
+    # twice the printed value: -4 against the printed -2 and the oracle's -3
+    monkeypatch.setattr(theorems, "theorem2_ratio",
+                        lambda params, delta, r: 2.0 * paper_limit(params, delta) + r)
+    assert theorem2_limit(UNIT, 1.0).agrees_with == "neither"
+
+
+def test_limit_of_zero_is_refused(monkeypatch):
+    # every ratio and the true limit are strictly negative: a fit that reads 0 lost them
+    monkeypatch.setattr(theorems, "richardson",
+                        lambda samples, order: ExtrapolationResult(0.0, 0.0, 1.0, 4))
+    with pytest.raises(DomainError, match="float range"):
+        theorem2_limit(UNIT, 1.0)
 
 
 def test_limit_without_shrinking_tail_raises():
@@ -266,8 +280,8 @@ def test_limit_linear_in_nu():
 
 
 def test_report_serializes():
-    d = theorem2_limit(UNIT, 1.0).to_dict()
+    d = theorem2_limit(UNIT, 1.0)._asdict()
     assert d["agrees_with"] == "oracle"
     assert isinstance(d["r_grid"], list)
-    d1 = theorem1_verify(UNIT, 1.0).to_dict()
+    d1 = theorem1_verify(UNIT, 1.0)._asdict()
     assert d1["min_mismatch"] > 0

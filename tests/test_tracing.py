@@ -144,6 +144,24 @@ def test_poincare_fan_matches_similar_triangles():
         assert L / r > 1.0
 
 
+def test_fan_expected_crossing_refuses_a_ray_that_misses():
+    # with phase 0 the normal ray at s1 = 0 is exactly (0, 1): a source straight
+    # below Phi(s, r) sends a ray parallel to it
+    a = to_cartesian(ARC, (0.1, 0.05))
+    with pytest.raises(NoCrossing, match="parallel"):
+        fan_expected_crossing(ARC, (a[0], a[1] - 1.0), 0.1, 0.0, 0.05)
+    # from the centre the ray meets the normal ray at s1 only at the centre, below the wall
+    with pytest.raises(NoCrossing, match="above the wall"):
+        fan_expected_crossing(ARC, ARC.center, 0.1, 0.25, 0.05)
+
+
+def test_polyline_crossing_skips_a_segment_parallel_to_the_step():
+    # the first segment runs along the step, the second crosses it at x = 0.6
+    segs, blocks = tracing._segment_blocks([(0.2, 0.1), (0.6, 0.1), (0.6, -0.1)])
+    t, idx = tracing._first_polyline_crossing((0.0, 0.0), (1.0, 0.0), segs, blocks)
+    assert (t, idx) == (pytest.approx(0.6, rel=1e-15), 1)
+
+
 def test_poincare_target_behind_flow_raises():
     field = laminar_field(ARC, PARAMS)
     cfg = TraceConfig(step=1e-3, max_length=0.2, stagnation_tol=CFG.stagnation_tol)
@@ -221,6 +239,17 @@ def test_ansatz_pressure_lines_stay_smooth():
         # no CriticalPoint: the full parameter length was traced (chords fall
         # short of the arc by O(step^2) only)
         assert line.length >= 0.1 * (1.0 - 1e-6)
+
+
+def test_trace_pressure_line_refuses_an_unknown_direction():
+    with pytest.raises(ValueError, match="direction must be"):
+        trace_pressure_line(stationary_gradp_field(ARC, PARAMS), to_cartesian(ARC, (0.2, 0.1)),
+                            CFG, "sideways")
+
+
+def test_eta_ratio_refuses_an_increasing_eps_list():
+    with pytest.raises(ValueError, match="strictly decreasing"):
+        eta_ratio(stationary_gradp_field(ARC, PARAMS), ARC, 0.15, 0.1, [1e-3, 2e-3], CFG)
 
 
 def test_eta_ratio_purely_tangential_is_one():

@@ -6,7 +6,7 @@ import pytest
 
 from lamsep import tracing
 from lamsep.cli import main
-from lamsep.errors import DomainError, NonMonotoneSequence
+from lamsep.errors import CriticalPoint, DomainError, NonMonotoneSequence
 from lamsep.field import LaminarParams, ScalarFieldHandle
 from lamsep.geometry import ArcBoundary, arc_point, arc_tangent, center_offset, to_cartesian
 from lamsep.tracing import (
@@ -78,6 +78,14 @@ def test_zeta_angular_pw_sums_match_traced():
     sm = report.samples[0]
     for n in (32, 64, 128, 256):
         assert piecewise_linear_length(p, ARC, sm, n) == pytest.approx(sm.traced_length, rel=1e-9)
+
+
+def test_piecewise_length_refuses_a_vanishing_gradient():
+    sm = zeta_check(angular_pressure(ARC, PARAMS), ARC, PARAMS, s=0.1, r_list=[0.04],
+                    eps_over_r=2.0).samples[0]
+    flat = ScalarFieldHandle(lambda x, y: 0.0, lambda x, y: (0.0, 0.0))
+    with pytest.raises(CriticalPoint, match="gradient vanished"):
+        piecewise_linear_length(flat, ARC, sm, 8)
 
 
 def test_zeta_perturbed_bounds_hold_with_finite_constants():
