@@ -59,9 +59,14 @@ byte-identical, how many differ and, for each column, the largest
 |before - after| over the column's largest |before| (over the largest |before|
 of ``u_t`` and ``u_r`` together for those velocity columns); the pressure ``p``,
 fixed up to a constant, also gets its largest shift less the mean shift under
-``p_less_mean_shift``.  For ``simulate``, whose series may change with the time
-step, it also counts the reports whose ``payload.t0`` (the t = 0 budget, which
-no time step touches) is identical.
+``p_less_mean_shift``.  Per command it also counts the ``report.json`` files
+that are identical (``report_identical``) and those that differ
+(``report_differ``), compared as JSON without the timings ``stage_s`` and
+``wall_clock_s`` and without ``config.out``, which names each side's own
+directory; two runs that wrote no report count as identical.  For
+``simulate``, whose series may change with the time step, it also counts the
+reports whose ``payload.t0`` (the t = 0 budget, which no time step touches) is
+identical.
 
 Pairs: with ``--pairs N`` each workload runs ``perfbench/run.py --seconds S``
 once per side on each of N seeds, the side that goes first alternating.  The
@@ -424,6 +429,20 @@ def _column_rel_diffs(a: list[list[str]], b: list[list[str]]) -> dict[str, float
     return out
 
 
+def _untimed_report(out_dir: Path) -> str | None:
+    """The ``report.json`` in ``out_dir`` as canonical JSON text without its
+    timings (``stage_s``, ``wall_clock_s``) and ``config.out``, which names each
+    side's own directory; None when the run wrote no report."""
+    path = out_dir / "report.json"
+    if not path.exists():
+        return None
+    report = json.loads(path.read_text())
+    for key in ("stage_s", "wall_clock_s"):
+        report.pop(key, None)
+    report.get("config", {}).pop("out", None)
+    return json.dumps(report, sort_keys=True)
+
+
 def outputs(sides: dict[str, Path]) -> dict:
     result = {}
     for workload, count in OUTPUT_SEEDS.items():
@@ -440,10 +459,12 @@ def outputs(sides: dict[str, Path]) -> dict:
                 if old_code != code:
                     entry["exit_codes_differ"].append(f"seed {seed}: {index}-{command}")
                 before_dir, after_dir = (Path(tmp) / side / f"{seed}-{index}" for side in sides)
+                reports = [_untimed_report(d) for d in (before_dir, after_dir)]
+                key = "report_identical" if reports[0] == reports[1] else "report_differ"
+                entry[key] = entry.get(key, 0) + 1
                 if command == "simulate":
-                    t0 = [json.loads((d / "report.json").read_text())["payload"].get("t0")
-                          if (d / "report.json").exists() else None
-                          for d in (before_dir, after_dir)]
+                    t0 = [json.loads(report)["payload"].get("t0") if report else None
+                          for report in reports]
                     same = t0[0] is not None and json.dumps(t0[0]) == json.dumps(t0[1])
                     key = "payload_t0_identical" if same else "payload_t0_differ"
                     entry[key] = entry.get(key, 0) + 1

@@ -14,16 +14,20 @@ smaller delta.  The analysis is pure Python; only the sector solver
 
 ``import lamsep`` loads nothing else: each public name below resolves on first
 use (PEP 562), so a program, and each ``lamsep`` command, loads only the
-modules it runs.  The records (``ArcBoundary``, ``LaminarParams``,
-``SimConfig``, the reports, ...) are ``typing.NamedTuple``s: immutable,
-compared by value, and copied with changes by ``record._replace(field=value)``;
-an input record checks its invariants, in ``_replace`` too, and an output record
-(``NormalPoint``, ``BoundTolerances``, ...) carries what was computed.
+modules it runs.  Every module the package imports after its own import goes
+through ``_load``, which times it.  The records (``ArcBoundary``,
+``LaminarParams``, ``SimConfig``, the reports, ...) are ``typing.NamedTuple``s:
+immutable, compared by value, and copied with changes by
+``record._replace(field=value)``; an input record checks its invariants, in
+``_replace`` too, and an output record (``NormalPoint``, ``BoundTolerances``,
+...) carries what was computed.
 """
 
 import time as _time
+from importlib import import_module as _import_module
 
 _IMPORT_START = _time.perf_counter()  # the import stage of each report.json starts here
+_late_import_s = 0.0  # the seconds of every _load so far
 
 __version__ = "0.1.0"
 
@@ -65,11 +69,21 @@ _EXPORTS = {
 __all__ = list(_EXPORTS)
 
 
+def _load(name: str):
+    """The module ``name``, imported on first use: ``".tracing"`` is a submodule,
+    ``"fractions"`` a standard-library module.  Its seconds add to
+    ``_late_import_s``, which the CLI counts in the import stage of each report.
+    """
+    global _late_import_s
+    t0 = _time.perf_counter()
+    module = _import_module(name, __name__)
+    _late_import_s += _time.perf_counter() - t0
+    return module
+
+
 def __getattr__(name):
     module = _EXPORTS.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from importlib import import_module
-
-    value = globals()[name] = getattr(import_module(f".{module}", __name__), name)
+    value = globals()[name] = getattr(_load(f".{module}"), name)
     return value

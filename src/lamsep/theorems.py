@@ -20,6 +20,7 @@ import math
 import sys
 from typing import NamedTuple
 
+from . import _load
 from .errors import DomainError, NonMonotoneSequence
 from .fdops import ExtrapolationResult, richardson
 from .field import (LaminarParams, near_wall_scale, profile_h, stationary_gradp_ansatz,
@@ -104,8 +105,7 @@ def theorem1_verify(
 
     crosscheck = []
     if arc is not None:
-        from . import tracing  # local import: tracing pulls in the integrator stack
-
+        tracing = _load(".tracing")  # on first use: the integrator stack
         cfg = tracing.default_trace_config(arc, params)
         gradp = stationary_gradp_field(arc, params)
         s0, s1 = arc.s_range
@@ -194,7 +194,7 @@ def oracle_limit(params: LaminarParams, delta: float) -> float:
     Fractions on the series r = 0 + 1*eps, eps**2 = 0.  Its numerator and h
     both vanish at r = 0, so the limit is the ratio of their eps-terms.
     """
-    from fractions import Fraction  # only the theorem-2 commands pay for the import
+    Fraction = _load("fractions").Fraction  # only the theorem-2 commands pay for it
 
     zero = Fraction(0)
     a1, a2, nu, d = (_Dual(Fraction(v), zero)

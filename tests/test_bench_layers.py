@@ -88,29 +88,39 @@ def test_unequal_headers_or_row_counts_differ_infinitely():
     assert diff == {"t": math.inf, "u": math.inf}
 
 
+def _report(payload, out, seconds):
+    return json.dumps({"config": {"alpha1": 2.0, "out": out}, "payload": payload,
+                       "stage_s": {"compute": seconds}, "wall_clock_s": seconds})
+
+
 def test_outputs_report_each_csv_file_and_column(monkeypatch, tmp_path):
     # data.csv moves by 1e-6 in one column, field.csv is identical: the report
-    # keeps the two files apart
+    # keeps the two files apart.  The first run's report.json differs only in its
+    # timings and its out directory, the second's also in its payload
     files = {"before": {"data.csv": "t,u\n0,1\n1,2\n", "field.csv": "s,p\n0,5\n"},
              "after": {"data.csv": "t,u\n0,1\n1,2.000002\n", "field.csv": "s,p\n0,5\n"}}
+    payloads = {"before": [{"L": 1.0}, {"L": 1.0}], "after": [{"L": 1.0}, {"L": 1.5}]}
 
     def child(root, function, workload, count, out_dir):
         side = Path(out_dir).name
-        target = Path(out_dir) / "1-0"
-        target.mkdir(parents=True)
-        for name, text in files[side].items():
-            (target / name).write_text(text)
-        return [[1, 0, "classify", 0]]
+        for index, payload in enumerate(payloads[side]):
+            target = Path(out_dir) / f"1-{index}"
+            target.mkdir(parents=True)
+            for name, text in files[side].items():
+                (target / name).write_text(text)
+            (target / "report.json").write_text(_report(payload, str(target), 0.1 * len(side)))
+        return [[1, 0, "classify", 0], [1, 1, "classify", 0]]
 
     monkeypatch.setattr(layers, "_child", child)
     monkeypatch.setattr(layers, "OUTPUT_SEEDS", {"cli-analysis": 1})
     out = layers.outputs({"before": tmp_path / "a", "after": tmp_path / "b"})
     entry = out["cli-analysis"]["commands"]["classify"]
-    assert entry["invocations"] == 1 and entry["exit_codes_differ"] == []
-    assert entry["csv"]["field.csv"] == {"identical": 1, "differ": 0,
+    assert entry["invocations"] == 2 and entry["exit_codes_differ"] == []
+    assert (entry["report_identical"], entry["report_differ"]) == (1, 1)
+    assert entry["csv"]["field.csv"] == {"identical": 2, "differ": 0,
                                          "largest_rel_diff_by_column": {}}
     data = entry["csv"]["data.csv"]
-    assert (data["identical"], data["differ"]) == (0, 1)
+    assert (data["identical"], data["differ"]) == (0, 2)
     assert data["largest_rel_diff_by_column"] == {"t": 0.0, "u": pytest.approx(1e-6)}
 
 

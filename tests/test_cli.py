@@ -1,3 +1,4 @@
+import ast
 import csv
 import json
 import os
@@ -507,6 +508,9 @@ _STEP_OR_LENGTH = [
     ("zeta-check", {"eps_over_r": 0}), ("zeta-check", {"r_list": [-0.01]}),
     ("verify-theorem2", {"r_grid": [0.1]}), ("verify-theorem2", {"r_grid": [0.01, 0.02]}),
     *_STEP_OR_LENGTH[1:5],
+    # a grid that fits -1.946 against the derived -2 and the printed -1.5: it
+    # exited 2 with the erratum line, as if it had adjudicated the erratum
+    ("verify-theorem2", {"r_grid": [0.4, 0.2, 0.1]}),
 ])
 def test_command_options_rejected_with_one_line(tmp_path, capsys, command, bad):
     cfg = write_config(tmp_path, {"command": command, "alpha1": 2.0, **bad})
@@ -828,6 +832,52 @@ def test_report_splits_the_process_time_by_stage(tmp_path, command, config):
     assert sorted(stages) == ["compute", "import", "parse", "write"]
     assert all(value >= 0 for value in stages.values())
     assert sum(stages.values()) <= wall
+
+
+# a finder asked first for every import: it sleeps before the modules a command
+# loads on first use are found, then leaves the finding to the next finder
+_SLOW_FINDER = (
+    "import json, sys, time\n"
+    "asked = []\n"
+    "class SlowFinder:\n"
+    "    def find_spec(self, name, path, target=None):\n"
+    "        if name in ('lamsep.tracing', 'fractions'):\n"
+    "            asked.append(name)\n"
+    "            time.sleep(0.3)\n"
+    "sys.meta_path.insert(0, SlowFinder())\n"
+)
+
+
+def test_an_import_on_first_use_counts_in_the_import_stage(tmp_path):
+    # the tracer that verify-theorem1 loads for use_tracing, and the oracle's fractions
+    theorem1 = write_config(tmp_path, {"use_tracing": True}, "theorem1.json")
+    runs = [("verify-theorem1", ["--config", theorem1]), ("verify-theorem2", [])]
+    lines = _fresh_python(
+        _SLOW_FINDER + "import lamsep.cli\n"
+        + "".join(f"rc = lamsep.cli.main([{command!r}, *{args!r}, '--out', "
+                  f"{str(tmp_path / command)!r}])\n"
+                  f"stages = json.load(open({str(tmp_path / command / 'report.json')!r}))"
+                  f"['stage_s']\n"
+                  "print(json.dumps([rc, asked, stages]))\n"
+                  for command, args in runs)
+    ).splitlines()
+    results = [json.loads(line) for line in lines if not line.startswith("lamsep")]
+    assert len(results) == 2
+    for (rc, asked, stages), expected_rc, expected_asked in zip(
+            results, (0, 2), (["lamsep.tracing"], ["lamsep.tracing", "fractions"])):
+        assert rc == expected_rc and asked == expected_asked
+        assert stages["import"] >= 0.3 and stages["compute"] < 0.3, stages
+
+
+def test_the_package_imports_inside_no_function():
+    # every import after a module's own goes through lamsep._load, which times it
+    # for the import stage of each report
+    for path in sorted(Path(lamsep.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                lines = [inner.lineno for inner in ast.walk(node)
+                         if isinstance(inner, (ast.Import, ast.ImportFrom))]
+                assert not lines, f"{path.name} imports inside a function, at lines {lines}"
 
 
 def test_simulate_writes_field_csv_in_the_write_stage(tmp_path, monkeypatch):
