@@ -2,17 +2,18 @@
 
 ``lamsep <command> --config file.json [--out DIR] [--alpha1 V ...]``
 
-Configs are flat JSON objects; command-line flags override file values and
-unknown keys are rejected.  Every run writes ``report.json`` (the envelope may
-carry a wall-clock time and the seconds spent in each stage) and a
-deterministic ``data.csv``.  ``report.json`` is strict JSON: a non-finite
-number is written as ``null`` and its dotted path is listed under
-``non_finite``.  Exit codes: 0 success, 2 when the printed and independently
-derived material derivative limits disagree beyond tolerance (the tracked
-erratum), and 1 on any error, with one ``lamsep: error:`` line (a refused run
-writes nothing).  ``parse_config`` checks every key and ``--out`` before any
-work; ``run`` turns what the library refuses while computing into a
-LamsepError (``_refusals``).
+Configs are flat JSON objects and unknown keys are rejected; a flag overrides
+its key in the file and is read as that string in the file would be.  Every
+run writes ``report.json`` (the envelope may carry a wall-clock time and the
+seconds spent in each stage) and a deterministic ``data.csv``.
+``report.json`` is strict JSON: a non-finite number is written as ``null`` and
+its dotted path is listed under ``non_finite``.  Exit codes: 0 success, 2 when
+the printed and independently derived material derivative limits disagree
+beyond tolerance (the tracked erratum), and 1 on any error, a malformed
+command line included, with one ``lamsep: error:`` line (a refused run writes
+nothing).  ``parse_config`` checks every key and ``--out`` before any work;
+``run`` turns what the library refuses while computing into a LamsepError
+(``_refusals``).
 """
 
 from __future__ import annotations
@@ -39,19 +40,20 @@ SCHEMA_VERSION = 2
 
 
 def _finite(value, kind=float):
-    """``value`` as a finite ``kind`` (float, or int for an integral value)."""
+    """``value`` as a finite ``kind`` (float, or int for an integral value; an int stays exact)."""
     if isinstance(value, bool):  # JSON true/false are not numbers
         raise ValueError(f"must be a number, got {value!r}")
     try:
-        out = kind(value)
-        integral = kind is not int or float(value) == out
-    except (TypeError, ValueError, OverflowError):
+        out = float(value)
+    except (TypeError, ValueError):
         raise ValueError(f"must be a number, got {value!r}") from None
-    if not integral:
-        raise ValueError(f"must be an integer, got {value!r}")
+    except OverflowError:  # an int past the float range
+        out = math.inf
     if not math.isfinite(out):
         raise ValueError(f"must be finite, got {value!r}")
-    return out
+    if kind is int and not out.is_integer():
+        raise ValueError(f"must be an integer, got {value!r}")
+    return value if kind is int and isinstance(value, int) else kind(out)
 
 
 def _integer(value) -> int:
@@ -124,26 +126,6 @@ _SHARED = {"alpha1": _positive, "alpha2": _positive, "nu": _positive, "delta": _
 # s_range defaults to (0, delta/2)
 _SHARED_DEFAULTS = {"alpha1": 2.0, "alpha2": 1.0, "nu": 1.0, "delta": 1.0, "phase": 0.0,
                     "center": (0.0, 0.0), "out": "lamsep-out"}
-# Each command's options; an option that is absent or null takes its default,
-# which the command sets.
-_OPTIONS = {
-    "verify-theorem1": {"r_grid": _numbers, "use_tracing": _flag},
-    "verify-theorem2": {"r_grid": _numbers},
-    "classify": {"field": _one_of("laminar", "fan", "weak"), "radii": _numbers, "s": _finite,
-                 "s1": _finite, "C": _finite, "source": _pair, "growth": _finite,
-                 "step": _positive, "tol_par": _finite},
-    "trace": {"kind": _one_of("streamline", "pressure", "level"), "start_s": _finite,
-              "start_r": _height, "length": _positive, "step": _positive},
-    "zeta-check": {"pressure": _one_of("angular", "perturbed"), "s": _finite,
-                   "r_list": _positives, "eps_over_r": _positive, "amp": _finite},
-    "simulate": {"n_s": _integer, "n_r": _integer, "dt": _finite, "t_end": _finite,
-                 "probes": _numbers},
-    "sweep": {"delta_values": _positives, "alpha1_values": _positives,
-              "alpha2_values": _positives, "nu_values": _positives},
-}
-COMMANDS = tuple(_OPTIONS)
-
-
 class RunConfig(NamedTuple):
     command: str
     params: LaminarParams
@@ -232,7 +214,8 @@ def parse_config(path=None, overrides: dict | None = None, command: str | None =
     cmd = raw.get("command")
     if cmd not in COMMANDS:
         raise ValidationError(f"command must be one of {COMMANDS}, got {cmd!r}")
-    readers = _SHARED | _OPTIONS[cmd]
+    own = _COMMANDS[cmd][1]
+    readers = _SHARED | own
     unknown = sorted(set(raw) - set(readers) - {"command"})
     if unknown:
         raise ParseError(f"unknown config key(s) for {cmd}: {', '.join(unknown)}")
@@ -253,7 +236,7 @@ def parse_config(path=None, overrides: dict | None = None, command: str | None =
         arc = ArcBoundary(delta=values["delta"], phase=values["phase"], center=values["center"],
                           s_range=values.get("s_range", (0.0, 0.5 * values["delta"])))
     params = LaminarParams(alpha1=values["alpha1"], alpha2=values["alpha2"], nu=values["nu"])
-    options = {k: v for k, v in values.items() if k in _OPTIONS[cmd]}
+    options = {k: v for k, v in values.items() if k in own}
     return RunConfig(command=cmd, params=params, arc=arc, options=options, out=values["out"],
                      parse_s=time.perf_counter() - t0)
 
@@ -285,7 +268,7 @@ def run(cfg: RunConfig) -> RunReport:
     """
     t0 = time.perf_counter()
     late_before = sys.modules[__package__]._late_import_s
-    handler = _HANDLERS[cfg.command]
+    handler = _COMMANDS[cfg.command][0]
     with _refusals():
         payload, files, exit_code, notes = handler(cfg)
     t1 = time.perf_counter()
@@ -358,7 +341,7 @@ def _classification_field(cfg: RunConfig):
         default = to_cartesian(arc, (arc.s_range[0] - 2.0 * arc.delta, 0.0))
         return _load(".tracing").fan_field(cfg.options.get("source", default))
     if kind == "weak":
-        return _load(".tracing").radial_growth_field(arc, cfg.options.get("growth", 1.0))
+        return _load(".tracing").radial_growth_field(arc, cfg.options.get("growth", arc.delta**-2))
     return laminar_field(arc, cfg.params)
 
 
@@ -432,10 +415,8 @@ def _cmd_zeta(cfg: RunConfig):
 
 def _cmd_simulate(cfg: RunConfig):
     nssim = _load(".nssim")
-    defaults = nssim.SimConfig._field_defaults
     sim_cfg = nssim.SimConfig(arc=cfg.arc, params=cfg.params,
-                              **{key: cfg.options.get(key, defaults[key])
-                                 for key in ("n_s", "n_r", "dt", "t_end")})
+                              **{k: v for k, v in cfg.options.items() if k != "probes"})
     report = nssim.run_experiment(sim_cfg, cfg.options.get("probes"))
     payload = {
         "probe_r": report.probe_r,
@@ -474,32 +455,43 @@ def _cmd_sweep(cfg: RunConfig):
     return payload, _data_csv(header, rows), 0, {}
 
 
-_HANDLERS = {
-    "verify-theorem1": _cmd_theorem1,
-    "verify-theorem2": _cmd_theorem2,
-    "classify": _cmd_classify,
-    "trace": _cmd_trace,
-    "zeta-check": _cmd_zeta,
-    "simulate": _cmd_simulate,
-    "sweep": _cmd_sweep,
+# Each command's handler and options; an option that is absent or null takes
+# its default, which the handler sets.
+_COMMANDS = {
+    "verify-theorem1": (_cmd_theorem1, {"r_grid": _numbers, "use_tracing": _flag}),
+    "verify-theorem2": (_cmd_theorem2, {"r_grid": _numbers}),
+    "classify": (_cmd_classify, {"field": _one_of("laminar", "fan", "weak"), "radii": _numbers,
+                                 "s": _finite, "s1": _finite, "C": _finite, "source": _pair,
+                                 "growth": _finite, "step": _positive, "tol_par": _finite}),
+    "trace": (_cmd_trace, {"kind": _one_of("streamline", "pressure", "level"),
+                           "start_s": _finite, "start_r": _height, "length": _positive,
+                           "step": _positive}),
+    "zeta-check": (_cmd_zeta, {"pressure": _one_of("angular", "perturbed"), "s": _finite,
+                               "r_list": _positives, "eps_over_r": _positive, "amp": _finite}),
+    "simulate": (_cmd_simulate, {"n_s": _integer, "n_r": _integer, "dt": _finite,
+                                 "t_end": _finite, "probes": _numbers}),
+    "sweep": (_cmd_sweep, {"delta_values": _positives, "alpha1_values": _positives,
+                           "alpha2_values": _positives, "nu_values": _positives}),
 }
+COMMANDS = tuple(_COMMANDS)
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="lamsep", description=__doc__)
-    parser.add_argument("command", choices=COMMANDS)
-    parser.add_argument("--config", default=None)
-    parser.add_argument("--out", default=None)
-    for key in ("alpha1", "alpha2", "nu", "delta"):
-        parser.add_argument(f"--{key}", type=float, default=None)
-    return parser
+class _Parser(argparse.ArgumentParser):
+    """Refuses a malformed command line with a ParseError, like any other invalid input."""
+
+    def error(self, message):
+        raise ParseError(message)
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    overrides = {k: getattr(args, k) for k in ("alpha1", "alpha2", "nu", "delta", "out")}
+    parser = _Parser(prog="lamsep", description=__doc__)
+    parser.add_argument("command", choices=COMMANDS)
+    for key in ("config", "out", "alpha1", "alpha2", "nu", "delta"):
+        parser.add_argument(f"--{key}")  # a string, read by the key's config reader
     try:
-        cfg = parse_config(args.config, overrides, command=args.command)
+        overrides = vars(parser.parse_args(argv))
+        path, command = overrides.pop("config"), overrides.pop("command")
+        cfg = parse_config(path, overrides, command)
         report = run(cfg)
     except (LamsepError, OSError) as exc:  # OSError: an unreadable config or unwritable --out
         print(f"lamsep: error: {exc}", file=sys.stderr)

@@ -111,7 +111,7 @@ def test_an_out_that_cannot_be_made_is_refused_before_any_handler_runs(
         tmp_path, capsys, monkeypatch, out):
     (tmp_path / "afile").write_text("")
     ran = []
-    monkeypatch.setitem(cli._HANDLERS, "simulate", ran.append)
+    monkeypatch.setitem(cli._COMMANDS, "simulate", (ran.append, cli._COMMANDS["simulate"][1]))
     path = write_config(tmp_path, {})
     assert main(["simulate", "--config", path, "--out", str(tmp_path / out)]) == 1
     err = capsys.readouterr().err.splitlines()
@@ -145,7 +145,7 @@ def test_readme_table_lists_every_config_key():
         listed |= {(command.strip(), key) for command in commands.split(",")
                    for key in re.findall(r"`([^`]+)`", keys)}
     in_code = {("all", key) for key in cli._SHARED} | {
-        (command, key) for command, options in cli._OPTIONS.items() for key in options}
+        (command, key) for command, (_, options) in cli._COMMANDS.items() for key in options}
     assert listed == in_code
 
 
@@ -279,6 +279,16 @@ def test_classify_a_field_that_bends_toward_the_wall_is_unclassified(tmp_path):
     payload = _classify(tmp_path, {"field": "weak", "growth": -3})
     assert payload["kind"] == "Unclassified"
     assert [round(e["ratio"], 3) for e in payload["evidence"]] == [0.917, 0.957, 0.978]
+
+
+def test_the_weak_field_default_scales_with_the_length_unit(tmp_path):
+    # dr/ds = growth*r**2 makes growth a 1/length**2: its default 1/delta**2 gives the
+    # same ratios when the length unit doubles or halves (delta, s_range, alpha2, nu to
+    # 2*delta, 2*s_range, alpha2/2, 4*nu); the number 1 moved them by up to 0.105
+    ratios = [[e["ratio"] for e in _classify(tmp_path, {"field": "weak", **twin})["evidence"]]
+              for twin in ({}, {"delta": 2, "alpha2": 0.5, "nu": 4},
+                           {"delta": 0.5, "alpha2": 2, "nu": 0.25})]
+    assert ratios[0] == ratios[1] == ratios[2]
 
 
 def test_trace_run(tmp_path):
@@ -460,11 +470,31 @@ def test_simulate_rejects_invalid_numbers(tmp_path, capsys, bad):
     assert len(err) == 1 and err[0].startswith("lamsep: error:")
 
 
-@pytest.mark.parametrize("ok", [{"n_s": "16"}, {"n_r": 16.0}])
+@pytest.mark.parametrize("ok", [{"n_s": "16"}, {"n_r": 16.0}, {"n_s": "16.0"}, {"n_r": "1.6e1"}])
 def test_simulate_accepts_integral_grid_sizes(tmp_path, ok):
     cfg = write_config(tmp_path, {"command": "simulate", "n_s": 16, "n_r": 16,
                                   "t_end": 0.002, **ok})
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+
+
+@pytest.mark.parametrize("text, says", [
+    ('{"n_s": "16.5"}', "n_s must be an integer, got '16.5'"),
+    ('{"n_s": "1e400"}', "n_s must be finite, got '1e400'"),
+    ('{"n_s": 1e400}', "n_s must be finite, got inf"),   # json reads 1e400 as inf
+    ('{"n_r": 1%s}' % ("0" * 400), "n_r must be finite"),  # an int past the float range
+    ('{"alpha1": 1%s}' % ("0" * 400), "alpha1 must be finite"),
+], ids=["16.5", "1e400-string", "1e400", "10**400-int", "10**400-float"])
+def test_a_number_is_refused_for_what_is_wrong_with_it(tmp_path, text, says):
+    # each used to read "must be a number"
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    with pytest.raises(ValidationError, match=re.escape(says)):
+        parse_config(path, None, "simulate")
+
+
+def test_an_integer_option_keeps_an_int_exact(tmp_path):
+    path = write_config(tmp_path, {"n_s": 2**60 + 1})  # not a float: 2**60 + 1 would round
+    assert parse_config(path, None, "simulate").options["n_s"] == 2**60 + 1
 
 
 # a step or trace length that is not positive, a step not below its trace length,
@@ -553,9 +583,40 @@ def test_a_station_past_the_float_range_is_named(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
-def test_unknown_command_errors():
-    with pytest.raises(SystemExit):
-        main(["frobnicate"])
+@pytest.mark.parametrize("argv, named", [
+    (["frobnicate"], "argument command: invalid choice: 'frobnicate'"),
+    ([], "the following arguments are required: command"),
+    (["trace", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
+    (["trace", "--delta"], "argument --delta: expected one argument"),
+    (["verify-theorem1", "--alpha1", "abc"], "alpha1 must be a number, got 'abc'"),
+], ids=["unknown-command", "no-command", "unknown-flag", "flag-without-value", "flag-not-a-number"])
+def test_a_malformed_command_line_is_refused_with_one_line(tmp_path, capsys, argv, named):
+    # each used to print argparse's usage block and an error line, and exit 2
+    assert main(["--out", str(tmp_path / "o"), *argv]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"lamsep: error: {named}"), err
+    assert not (tmp_path / "o").exists()
+
+
+def test_a_flag_is_read_as_its_key_in_a_config_is(tmp_path):
+    assert main(["trace", "--alpha1", "2.5", "--delta", "0.5", "--out", str(tmp_path / "f")]) == 0
+    cfg = write_config(tmp_path, {"alpha1": "2.5", "delta": "0.5"})
+    assert main(["trace", "--config", cfg, "--out", str(tmp_path / "c")]) == 0
+    reports = []
+    for out in ("f", "c"):
+        report = load_strict_json(tmp_path / out / "report.json")
+        del report["stage_s"], report["wall_clock_s"], report["config"]["out"]
+        reports.append(report)
+    assert reports[0] == reports[1]
+    assert (tmp_path / "f" / "data.csv").read_bytes() == (tmp_path / "c" / "data.csv").read_bytes()
+
+
+def test_help_lists_the_commands_and_exits_0(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["--help"])
+    assert exit_.value.code == 0
+    out = capsys.readouterr().out
+    assert all(command in out for command in COMMANDS)
 
 
 def test_run_reports_wall_clock_only_in_envelope(tmp_path):
