@@ -34,8 +34,8 @@ __version__ = "0.1.0"
 # public name -> the submodule that defines it
 _EXPORTS = {
     **dict.fromkeys((
-        "ConfigError", "CriticalPoint", "Diverged", "DomainError", "LamsepError", "NoCrossing",
-        "NonMonotoneSequence", "OutOfChart", "ParseError", "PointBelowWall", "ValidationError",
+        "CriticalPoint", "Diverged", "DomainError", "LamsepError", "NoCrossing",
+        "NonMonotoneSequence", "OutOfChart", "PointBelowWall", "ValidationError",
     ), "errors"),
     **dict.fromkeys((
         "ArcBoundary", "LocalFrame", "NormalPoint", "arc_point", "arc_segment_length",

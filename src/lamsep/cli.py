@@ -29,7 +29,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from . import _IMPORT_START, __version__, _load
-from .errors import DomainError, LamsepError, ParseError, ValidationError
+from .errors import DomainError, LamsepError, ValidationError
 from .field import (LaminarParams, advection, laminar_field, near_wall_scale,
                     stationary_gradp_field, write_csv)
 from .fdops import StencilSpec, fd_advection
@@ -41,18 +41,19 @@ SCHEMA_VERSION = 2
 
 def _finite(value, kind=float):
     """``value`` as a finite ``kind`` (float, or int for an integral value; an int stays exact)."""
-    if isinstance(value, bool):  # JSON true/false are not numbers
-        raise ValueError(f"must be a number, got {value!r}")
+    if isinstance(value, bool) or (  # JSON true/false are not numbers, nor "1_0" or " 2.5 "
+            isinstance(value, str) and ("_" in value or value.strip() != value)):
+        raise ValidationError(f"must be a number, got {value!r}")
     try:
         out = float(value)
     except (TypeError, ValueError):
-        raise ValueError(f"must be a number, got {value!r}") from None
+        raise ValidationError(f"must be a number, got {value!r}") from None
     except OverflowError:  # an int past the float range
         out = math.inf
     if not math.isfinite(out):
-        raise ValueError(f"must be finite, got {value!r}")
+        raise ValidationError(f"must be finite, got {value!r}")
     if kind is int and not out.is_integer():
-        raise ValueError(f"must be an integer, got {value!r}")
+        raise ValidationError(f"must be an integer, got {value!r}")
     return value if kind is int and isinstance(value, int) else kind(out)
 
 
@@ -63,21 +64,21 @@ def _integer(value) -> int:
 def _positive(value) -> float:
     out = _finite(value)
     if out <= 0:
-        raise ValueError(f"must be positive, got {out}")
+        raise ValidationError(f"must be positive, got {out}")
     return out
 
 
 def _height(value) -> float:
     out = _finite(value)
     if out < 0:
-        raise ValueError(f"must be >= 0 (on or above the wall), got {out}")
+        raise ValidationError(f"must be >= 0 (on or above the wall), got {out}")
     return out
 
 
 def _numbers(value, read=_finite) -> list:
     """``value`` as a non-empty list, each entry read by ``read``."""
     if not isinstance(value, list) or not value:
-        raise ValueError(f"must be a non-empty list of numbers, got {value!r}")
+        raise ValidationError(f"must be a non-empty list of numbers, got {value!r}")
     return [read(v) for v in value]
 
 
@@ -88,37 +89,37 @@ def _positives(value) -> list[float]:
 def _pair(value) -> tuple[float, float]:
     if isinstance(value, (list, tuple)) and len(value) == 2:
         return _finite(value[0]), _finite(value[1])
-    raise ValueError(f"must be two finite numbers, got {value!r}")
+    raise ValidationError(f"must be two finite numbers, got {value!r}")
 
 
 def _flag(value) -> bool:
     if not isinstance(value, bool):
-        raise ValueError(f"must be true or false, got {value!r}")
+        raise ValidationError(f"must be true or false, got {value!r}")
     return value
 
 
 def _one_of(*names):
     def read(value) -> str:
         if value not in names:
-            raise ValueError(f"must be one of {', '.join(names)}, got {value!r}")
+            raise ValidationError(f"must be one of {', '.join(names)}, got {value!r}")
         return value
     return read
 
 
 def _path(value) -> Path:
     if not isinstance(value, str) or not value:
-        raise ValueError(f"must be a non-empty path, got {value!r}")
+        raise ValidationError(f"must be a non-empty path, got {value!r}")
     # the nearest ancestor that exists must be a writable directory
     ancestor = os.path.join(os.getcwd(), value)
     while not os.path.exists(ancestor):
         ancestor = os.path.dirname(ancestor)
     if not (os.path.isdir(ancestor) and os.access(ancestor, os.W_OK | os.X_OK)):
-        raise ValueError(f"must be a writable directory or a path under one, got {value!r}")
+        raise ValidationError(f"must be a writable directory or a path under one, got {value!r}")
     return Path(value)
 
 
 # Every config key and its reader: a reader checks one value and returns it
-# converted, or raises ValueError saying what the value must be.  The shared
+# converted, or raises ValidationError saying what the value must be.  The shared
 # keys of every command; a null shared key is refused.
 _SHARED = {"alpha1": _positive, "alpha2": _positive, "nu": _positive, "delta": _positive,
            "phase": _finite, "center": _pair, "s_range": _pair, "out": _path}
@@ -173,8 +174,8 @@ def _nulled(value, path: str, non_finite: list[str]):
 
 @contextmanager
 def _refusals():
-    """Report a library refusal as a LamsepError: an argument check (ValueError) as a
-    ValidationError, a value that leaves the float range (ArithmeticError) as a DomainError."""
+    """Report a refusal as a LamsepError: a ValueError, the library's or a stray one from numpy
+    or the standard library, as a ValidationError; a value past the float range as a DomainError."""
     try:
         yield
     except ValueError as exc:
@@ -194,15 +195,17 @@ def parse_config(path=None, overrides: dict | None = None, command: str | None =
     """Merge a JSON config file with flag overrides into a validated RunConfig."""
     t0 = time.perf_counter()
     raw: dict = {}
+    if path == "":  # Path("") is the working directory
+        raise ValidationError(f"config must be a non-empty path, got {path!r}")
     if path is not None:
         try:
             raw = json.loads(Path(path).read_text())
         except json.JSONDecodeError as exc:
-            raise ParseError(f"config {path}: line {exc.lineno}: {exc.msg}") from exc
+            raise ValidationError(f"config {path}: line {exc.lineno}: {exc.msg}") from exc
         except UnicodeDecodeError as exc:
-            raise ParseError(f"config {path}: not UTF-8 text (byte {exc.start})") from exc
+            raise ValidationError(f"config {path}: not UTF-8 text (byte {exc.start})") from exc
         if not isinstance(raw, dict):
-            raise ParseError(f"config {path}: top level must be a JSON object")
+            raise ValidationError(f"config {path}: top level must be a JSON object")
     if overrides:
         raw.update({k: v for k, v in overrides.items() if v is not None})
     if command is not None:
@@ -218,7 +221,7 @@ def parse_config(path=None, overrides: dict | None = None, command: str | None =
     readers = _SHARED | own
     unknown = sorted(set(raw) - set(readers) - {"command"})
     if unknown:
-        raise ParseError(f"unknown config key(s) for {cmd}: {', '.join(unknown)}")
+        raise ValidationError(f"unknown config key(s) for {cmd}: {', '.join(unknown)}")
 
     values, problems = {}, []
     for key, read in readers.items():
@@ -477,10 +480,10 @@ COMMANDS = tuple(_COMMANDS)
 
 
 class _Parser(argparse.ArgumentParser):
-    """Refuses a malformed command line with a ParseError, like any other invalid input."""
+    """Refuses a malformed command line with a ValidationError, like any other invalid input."""
 
     def error(self, message):
-        raise ParseError(message)
+        raise ValidationError(message)
 
 
 def main(argv=None) -> int:

@@ -1,4 +1,4 @@
-"""Exception types shared across the library: one class per way a call fails."""
+"""Exception types: one class per way a call fails, and every refused input a ValidationError."""
 
 
 class LamsepError(Exception):
@@ -31,17 +31,12 @@ class CriticalPoint(LamsepError):
     """The traced field, a velocity or a pressure gradient, vanished or is singular."""
 
 
-class ConfigError(LamsepError):
-    """A simulation input (a configuration or a probe radius) violates its invariants."""
-
-
 class Diverged(LamsepError):
     """The simulated tangential velocity grew beyond ten times its initial maximum."""
 
 
-class ParseError(LamsepError):
-    """A run configuration could not be parsed (unknown or malformed keys)."""
-
-
-class ValidationError(LamsepError):
-    """A run configuration parsed but failed validation; message lists all violations."""
+class ValidationError(LamsepError, ValueError):
+    """A refused input: malformed JSON, an unknown key or flag, a bad value, a record
+    or argument check, a simulation config or probe.  The message says what the
+    value must be; a config's lists every violation.  A ValueError too, so that a
+    caller catches it as either."""

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Sequence
 
-from .errors import NonMonotoneSequence
+from .errors import NonMonotoneSequence, ValidationError
 from .field import FieldHandle
 
 MIN_LEVELS = 4  # fewest fine-end samples a limit is fitted on, when more are given
@@ -29,9 +29,9 @@ class StencilSpec(_StencilFields):
 
     def __new__(cls, h, order=2):
         if h <= 0:
-            raise ValueError(f"step h must be positive, got {h}")
+            raise ValidationError(f"step h must be positive, got {h}")
         if order not in (2, 4):
-            raise ValueError(f"order must be 2 or 4, got {order}")
+            raise ValidationError(f"order must be 2 or 4, got {order}")
         return super().__new__(cls, h, order)
 
     @classmethod
@@ -116,12 +116,12 @@ def richardson(samples: Sequence[tuple[float, float]], order: float) -> Extrapol
     hs = [h for h, _ in samples]
     vs = [v for _, v in samples]
     if not samples or hs[-1] <= 0 or any(b >= a for a, b in zip(hs, hs[1:])):
-        raise ValueError("step sizes must be positive and strictly decreasing")
+        raise ValidationError("step sizes must be positive and strictly decreasing")
     spread = max(vs) - min(vs)
     if spread < 1e-9 * max(abs(vs[-1]), 1e-300):
         return ExtrapolationResult(vs[-1], spread, float("nan"), len(vs))
     if len(vs) < 2:  # a lone non-finite sample
-        raise ValueError("richardson needs at least two samples")
+        raise ValidationError("richardson needs at least two samples")
 
     for start in range(max(len(vs) - MIN_LEVELS, 0) + 1):
         tail = vs[start:]

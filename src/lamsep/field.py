@@ -13,8 +13,10 @@ pressure-gradient ansatz) are all verified against finite differences in
 
 from __future__ import annotations
 
+import sys
 from typing import Callable, NamedTuple
 
+from .errors import DomainError, ValidationError
 from .geometry import ArcBoundary, center_offset
 
 VARIANTS = ("paper", "corrected")
@@ -34,11 +36,11 @@ class LaminarParams(_ParamFields):
 
     def __new__(cls, alpha1, alpha2, nu):
         if alpha1 <= 0:
-            raise ValueError(f"alpha1 must be positive, got {alpha1}")
+            raise ValidationError(f"alpha1 must be positive, got {alpha1}")
         if alpha2 <= 0:
-            raise ValueError(f"alpha2 must be positive, got {alpha2}")
+            raise ValidationError(f"alpha2 must be positive, got {alpha2}")
         if nu <= 0:
-            raise ValueError(f"nu must be positive, got {nu}")
+            raise ValidationError(f"nu must be positive, got {nu}")
         return super().__new__(cls, alpha1, alpha2, nu)
 
     @classmethod
@@ -122,7 +124,12 @@ def wall_gradient(params: LaminarParams, delta: float) -> float:
 
 def near_wall_scale(params: LaminarParams, delta: float) -> float:
     """min(bl, delta): the unit of wall distance near a wall of radius delta."""
-    return min(params.bl, delta)
+    scale = min(params.bl, delta)
+    if scale < sys.float_info.min:  # every default radius is a multiple of it
+        raise DomainError(f"alpha1 = {params.alpha1:g}, alpha2 = {params.alpha2:g}, delta = "
+                          f"{delta:g}: the near-wall scale min(alpha1/alpha2, delta) = "
+                          f"{scale:g} is below the smallest normal float")
+    return scale
 
 
 def _laplacian_tangential(params: LaminarParams, delta: float, r):
@@ -148,7 +155,7 @@ def advection(params: LaminarParams, delta: float, r, variant: str = "paper"):
     finite-difference oracle can adjudicate which one the flow obeys.
     """
     if variant not in VARIANTS:
-        raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
+        raise ValidationError(f"variant must be one of {VARIANTS}, got {variant!r}")
     h = profile_h(params, r)
     if variant == "paper":
         return -h / (r + delta)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .errors import DomainError, OutOfChart, PointBelowWall
+from .errors import DomainError, OutOfChart, PointBelowWall, ValidationError
 
 # from_cartesian accepts this fraction of the s-range beyond each end, so
 # tracers that overshoot the sector slightly still get chart coordinates.
@@ -40,9 +40,9 @@ class ArcBoundary(_ArcFields):
 
     def __new__(cls, delta, phase, center, s_range):
         if delta <= 0:
-            raise ValueError(f"delta must be positive, got {delta}")
+            raise ValidationError(f"delta must be positive, got {delta}")
         if s_range[0] >= s_range[1]:
-            raise ValueError(f"s_range must be increasing, got {s_range}")
+            raise ValidationError(f"s_range must be increasing, got {s_range}")
         return super().__new__(cls, delta, phase, (float(center[0]), float(center[1])),
                                (float(s_range[0]), float(s_range[1])))
 

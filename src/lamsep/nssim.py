@@ -67,7 +67,7 @@ else:
     finally:
         del os.environ["OPENBLAS_NUM_THREADS"]
 
-from .errors import ConfigError, Diverged
+from .errors import Diverged, ValidationError
 from .field import LaminarParams, near_wall_scale, profile_h, wall_gradient, write_csv
 from .geometry import ArcBoundary, to_cartesian
 
@@ -209,7 +209,7 @@ class SimConfig(_SimFields):
             elif (cfl := self.cfl()) > 0.5:
                 problems.append(f"CFL = {cfl:.3f} exceeds 0.5")
         if problems:
-            raise ConfigError("; ".join(problems))
+            raise ValidationError("; ".join(problems))
 
     def cfl(self) -> float:
         g = self.grid
@@ -473,7 +473,7 @@ class ProbeSample(NamedTuple):
 
 def _probe_index(cfg: SimConfig, r: float) -> int:
     if not 0.0 < r < cfg.R_out:
-        raise ConfigError(f"probe r = {r} outside (0, {cfg.R_out})")
+        raise ValidationError(f"probe r = {r} outside (0, {cfg.R_out})")
     return int(np.clip(round(r / cfg.grid.drh - 0.5), 0, cfg.n_r - 1))
 
 

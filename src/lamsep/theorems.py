@@ -21,7 +21,7 @@ import sys
 from typing import NamedTuple
 
 from . import _load
-from .errors import DomainError, NonMonotoneSequence
+from .errors import DomainError, NonMonotoneSequence, ValidationError
 from .fdops import ExtrapolationResult, richardson
 from .field import (LaminarParams, near_wall_scale, profile_h, stationary_gradp_ansatz,
                     stationary_gradp_field, wall_gradient)
@@ -225,7 +225,7 @@ def theorem2_limit(params: LaminarParams, delta: float, r_grid=None) -> Theorem2
     """Extrapolate theorem2_ratio to r -> 0 and adjudicate against both candidates."""
     r_grid = _float_grid(params, delta, r_grid)
     if len(r_grid) < 2 or any(b >= a for a, b in zip(r_grid, r_grid[1:])):
-        raise ValueError("r_grid must hold at least two strictly decreasing radii")
+        raise ValidationError("r_grid must hold at least two strictly decreasing radii")
     ratios = [theorem2_ratio(params, delta, r) for r in r_grid]
     paper = paper_limit(params, delta)
     oracle = oracle_limit(params, delta)

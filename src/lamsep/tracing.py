@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .errors import CriticalPoint, DomainError, NoCrossing, OutOfChart
+from .errors import CriticalPoint, DomainError, NoCrossing, OutOfChart, ValidationError
 from .fdops import ExtrapolationResult, richardson
 from .field import FieldHandle, LaminarParams, ScalarFieldHandle, wall_gradient
 from .geometry import (
@@ -87,13 +87,13 @@ class TraceConfig(_TraceFields):
 
     def __new__(cls, step, max_length, stagnation_tol=1e-12):
         if step <= 0 or max_length <= step:
-            raise ValueError(f"step {step:g} must be positive and below the trace length "
-                             f"{max_length:g}")
+            raise ValidationError(f"step {step:g} must be positive and below the trace "
+                                  f"length {max_length:g}")
         if not max_length <= _MAX_STEPS * step:  # no division: NaN and inf fail too
-            raise ValueError(f"step {step:g} over the trace length {max_length:g} makes "
-                             f"more than {_MAX_STEPS} steps")
+            raise ValidationError(f"step {step:g} over the trace length {max_length:g} "
+                                  f"makes more than {_MAX_STEPS} steps")
         if stagnation_tol <= 0:
-            raise ValueError("stagnation_tol must be positive")
+            raise ValidationError("stagnation_tol must be positive")
         return super().__new__(cls, step, max_length, stagnation_tol)
 
     @classmethod
@@ -241,7 +241,7 @@ def trace_pressure_line(
 ) -> Polyline:
     """Integrate the normalized pressure gradient ("along") or its perpendicular."""
     if direction not in ("along", "perpendicular"):
-        raise ValueError(f"direction must be 'along' or 'perpendicular', got {direction!r}")
+        raise ValidationError(f"direction must be 'along' or 'perpendicular', got {direction!r}")
     dirfn = _unit_direction(gradp, cfg.stagnation_tol, sign=orientation,
                             perpendicular=direction == "perpendicular")
     return Polyline.from_points([start] + [x_new for _, x_new, _, _ in _march(dirfn, start, cfg)])
@@ -253,9 +253,9 @@ def poincare_L(
     """Wall distance at which the streamline from Phi(s, r) first crosses the
     normal ray at s1."""
     if s == s1:
-        raise ValueError("launch station s and target station s1 must differ")
+        raise ValidationError("launch station s and target station s1 must differ")
     if r <= 0:
-        raise ValueError("launch wall distance r must be positive")
+        raise ValidationError("launch wall distance r must be positive")
     start = to_cartesian(arc, (s, r))
     dirfn = _unit_direction(field, cfg.stagnation_tol)
 
@@ -291,12 +291,12 @@ def classify_flow(
     with |ratio - 1| shrinking toward 0.  Anything else: Unclassified.
     """
     if C <= 1:
-        raise ValueError(f"threshold C must exceed 1, got {C}")
+        raise ValidationError(f"threshold C must exceed 1, got {C}")
     if tol_par <= 0:
-        raise ValueError(f"tol_par must be positive, got {tol_par}")
+        raise ValidationError(f"tol_par must be positive, got {tol_par}")
     radii = list(radii)
     if any(r <= 0 for r in radii) or any(b >= a for a, b in zip(radii, radii[1:])):
-        raise ValueError("radii must be positive and strictly decreasing")
+        raise ValidationError("radii must be positive and strictly decreasing")
     evidence = [(r, poincare_L(field, arc, s, s1, r, cfg) / r) for r in radii]
     ratios = [ratio for _, ratio in evidence]
     dev = [abs(q - 1.0) for q in ratios]
@@ -498,7 +498,7 @@ def eta_ratio(
     """
     eps_list = list(eps_list)
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
-        raise ValueError("eps_list must be strictly decreasing")
+        raise ValidationError("eps_list must be strictly decreasing")
     samples = [(eps, eta_trace(gradp, arc, s, r, eps, cfg).ratio) for eps in eps_list]
     return richardson(samples, order=1)
 
@@ -690,9 +690,9 @@ def zeta_check(
 
     r_list = list(r_list)
     if any(r <= 0 for r in r_list) or any(b >= a for a, b in zip(r_list, r_list[1:])):
-        raise ValueError("r_list must be positive and strictly decreasing")
+        raise ValidationError("r_list must be positive and strictly decreasing")
     if not eps_over_r > 0:
-        raise ValueError(f"eps_over_r must be positive, got {eps_over_r}")
+        raise ValidationError(f"eps_over_r must be positive, got {eps_over_r}")
     lo_pad, hi_pad = arc.padded_s_range
     if not lo_pad <= s <= hi_pad:
         raise DomainError(f"s = {s:g} leaves the padded wall segment [{lo_pad:g}, {hi_pad:g}]")
@@ -703,8 +703,9 @@ def zeta_check(
 
     # fit the constants
     tiny = 1e-12
-    c = max(max(abs(sm.s_hat - s) / sm.r**2 for sm in raw), tiny) * (1.0 + 1e-9) + tiny
-    c1 = max(max((s + sm.eps - sm.s_hat2) / sm.r_hat2**2 for sm in raw), tiny)
+    floor = tiny / delta  # c and c1 have the unit 1/length; c2 and e have none
+    c = max(max(abs(sm.s_hat - s) / sm.r**2 for sm in raw), floor) * (1.0 + 1e-9) + floor
+    c1 = max(max((s + sm.eps - sm.s_hat2) / sm.r_hat2**2 for sm in raw), floor)
     c2 = max(max((sm.s_hat2 - (s + sm.eps)) / sm.r_hat2 for sm in raw), tiny)
     e = max(max(abs(sm.r_hat2 / sm.r - 1.0) for sm in raw), tiny)
 

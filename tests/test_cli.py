@@ -13,7 +13,7 @@ import pytest
 import lamsep
 from lamsep import cli
 from lamsep.cli import COMMANDS, main, parse_config
-from lamsep.errors import ParseError, ValidationError
+from lamsep.errors import ValidationError
 
 from conftest import load_strict_json
 
@@ -47,7 +47,7 @@ def test_parse_rejects_an_unknown_command(tmp_path):
 
 def test_parse_rejects_unknown_key(tmp_path):
     path = write_config(tmp_path, {"command": "verify-theorem2", "alpha3": 2.0})
-    with pytest.raises(ParseError, match="alpha3"):
+    with pytest.raises(ValidationError, match="alpha3"):
         parse_config(path)
 
 
@@ -152,7 +152,7 @@ def test_readme_table_lists_every_config_key():
 def test_parse_malformed_json(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
-    with pytest.raises(ParseError, match="line"):
+    with pytest.raises(ValidationError, match="line"):
         parse_config(str(path))
 
 
@@ -167,10 +167,12 @@ def test_config_out_must_be_a_non_empty_path(tmp_path, monkeypatch, capsys, bad)
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
-@pytest.mark.parametrize("case", ["missing", "directory", "not-utf8", "out-is-a-file"])
+@pytest.mark.parametrize("case", ["missing", "directory", "not-utf8", "out-is-a-file", "empty"])
 def test_file_system_errors_end_in_one_line(tmp_path, capsys, case):
     config, out = tmp_path / "cfg.json", tmp_path / "o"
-    if case == "directory":
+    if case == "empty":  # not Path(""), the working directory
+        config = ""
+    elif case == "directory":
         config.mkdir()
     elif case == "not-utf8":
         config.write_bytes(b'{"alpha1": "\xff"}')
@@ -180,6 +182,9 @@ def test_file_system_errors_end_in_one_line(tmp_path, capsys, case):
     assert main(["verify-theorem2", "--config", str(config), "--out", str(out)]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("lamsep: error:")
+    if case == "empty":
+        assert err == ["lamsep: error: config must be a non-empty path, got ''"]
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("command, config", [
@@ -289,6 +294,26 @@ def test_the_weak_field_default_scales_with_the_length_unit(tmp_path):
               for twin in ({}, {"delta": 2, "alpha2": 0.5, "nu": 4},
                            {"delta": 0.5, "alpha2": 2, "nu": 0.25})]
     assert ratios[0] == ratios[1] == ratios[2]
+
+
+def test_zeta_fits_scale_with_the_length_unit(tmp_path):
+    # c and c1 have the unit 1/length and every lower bound that of a length: the
+    # length-doubled twin halves and doubles them exactly, floors included (the
+    # number 1e-12 as their floor gave fitted_c 3.26e-12, then 2.13e-12); upper does not
+    # scale exactly, since its factor 1/(1 - c*r**2) adds a length to 1
+    for pressure in ("angular", "perturbed"):
+        runs = []
+        for twin in ({}, {"delta": 2, "alpha2": 0.5, "nu": 4, "s_range": [0, 1]}):
+            out = tmp_path / f"{pressure}{len(runs)}"
+            path = write_config(tmp_path, {"pressure": pressure, **twin})
+            assert main(["zeta-check", "--config", path, "--out", str(out)]) == 0
+            payload = load_strict_json(out / "report.json")["payload"]
+            with open(out / "data.csv", newline="") as fh:
+                lower = [float(row["lower"]) for row in csv.DictReader(fh)]
+            runs.append((payload["fitted_c"], payload["fitted_c1"], lower))
+        (c, c1, lower), (c_twin, c1_twin, lower_twin) = runs
+        assert (c_twin, c1_twin) == (c / 2, c1 / 2)
+        assert lower_twin == [2 * v for v in lower]
 
 
 def test_trace_run(tmp_path):
@@ -477,19 +502,32 @@ def test_simulate_accepts_integral_grid_sizes(tmp_path, ok):
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
 
 
-@pytest.mark.parametrize("text, says", [
-    ('{"n_s": "16.5"}', "n_s must be an integer, got '16.5'"),
-    ('{"n_s": "1e400"}', "n_s must be finite, got '1e400'"),
-    ('{"n_s": 1e400}', "n_s must be finite, got inf"),   # json reads 1e400 as inf
-    ('{"n_r": 1%s}' % ("0" * 400), "n_r must be finite"),  # an int past the float range
-    ('{"alpha1": 1%s}' % ("0" * 400), "alpha1 must be finite"),
-], ids=["16.5", "1e400-string", "1e400", "10**400-int", "10**400-float"])
-def test_a_number_is_refused_for_what_is_wrong_with_it(tmp_path, text, says):
-    # each used to read "must be a number"
+@pytest.mark.parametrize("text, flags, says", [
+    ('{"n_s": "16.5"}', None, "n_s must be an integer, got '16.5'"),
+    ('{"n_s": "1e400"}', None, "n_s must be finite, got '1e400'"),
+    ('{"n_s": 1e400}', None, "n_s must be finite, got inf"),   # json reads 1e400 as inf
+    ('{"n_r": 1%s}' % ("0" * 400), None, "n_r must be finite"),  # an int past the float range
+    ('{"alpha1": 1%s}' % ("0" * 400), None, "alpha1 must be finite"),
+    ('{"alpha1": "infinity"}', None, "alpha1 must be finite, got 'infinity'"),
+    # Python's float reads these as 10 and 2.5; a config's number is not Python source
+    ('{"n_s": "1_0"}', None, "n_s must be a number, got '1_0'"),
+    ('{"alpha1": " 2.5 "}', None, "alpha1 must be a number, got ' 2.5 '"),
+    ("{}", {"alpha1": "1_0"}, "alpha1 must be a number, got '1_0'"),  # --alpha1 1_0
+], ids=["16.5", "1e400-string", "1e400", "10**400-int", "10**400-float", "infinity",
+        "underscore", "whitespace", "underscore-flag"])
+def test_a_number_is_refused_for_what_is_wrong_with_it(tmp_path, text, flags, says):
+    # the first five used to read "must be a number"
     path = tmp_path / "cfg.json"
     path.write_text(text)
     with pytest.raises(ValidationError, match=re.escape(says)):
-        parse_config(path, None, "simulate")
+        parse_config(path, flags, "simulate")
+
+
+@pytest.mark.parametrize("text, value", [("16.0", 16.0), ("1.6e1", 16.0), (".5", 0.5),
+                                         ("+1", 1.0)])
+def test_a_numeric_string_is_read_as_its_number(tmp_path, text, value):
+    assert parse_config(write_config(tmp_path, {"alpha1": text}), None,
+                        "trace").params.alpha1 == value
 
 
 def test_an_integer_option_keeps_an_int_exact(tmp_path):
@@ -793,6 +831,18 @@ _COMMAND_MODULES = {
     "verify-theorem1": "theorems", "verify-theorem2": "theorems", "sweep": "theorems",
     "classify": "tracing", "trace": "tracing", "zeta-check": "tracing", "simulate": "nssim",
 }
+
+
+@pytest.mark.parametrize("command", ["verify-theorem1", "verify-theorem2", "sweep", "classify",
+                                     "zeta-check"])
+def test_an_underflowing_near_wall_scale_is_refused_naming_its_keys(tmp_path, capsys, command):
+    # bl = alpha1/alpha2 underflows to 0, so every default radius is 0: each line
+    # used to blame a radius list the user never set, or read "bl = 0.0"
+    path = write_config(tmp_path, {"alpha1": 1e-300, "alpha2": 1e300})
+    assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("lamsep: error: alpha1 = 1e-300, alpha2 = 1e+300")
+    assert not re.search(r"\b(r_grid|radii|r_list)\b", err[0]), err[0]
 
 
 @pytest.mark.parametrize("command", COMMANDS)

@@ -8,7 +8,7 @@ import scipy.integrate
 import scipy.sparse
 
 from lamsep import nssim
-from lamsep.errors import ConfigError, Diverged
+from lamsep.errors import Diverged, ValidationError
 from lamsep.field import LaminarParams, profile_h, write_csv
 from lamsep.geometry import ArcBoundary, to_cartesian
 from lamsep.nssim import (
@@ -36,22 +36,22 @@ def make_cfg(delta=1.0, n=24, angle=0.5, t_end=0.05, **kw):
 
 
 def test_config_validation():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValidationError):
         make_cfg(n=8).validate()
-    with pytest.raises(ConfigError, match="s_range"):
+    with pytest.raises(ValidationError, match="s_range"):
         make_cfg(angle=7.0).validate()  # more than 2*pi of wall
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValidationError):
         make_cfg(dt=1.0).validate()  # CFL blown
     for bad in ({"dt": 0.0}, {"dt": -1e-4}, {"dt": np.inf}, {"t_end": np.nan},
                 {"t_end": 0.0}):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValidationError):
             make_cfg()._replace(**bad).validate()
     # an angle beyond the float range, the profile speed across 2*bl beyond it,
     # and a bl that overflows to inf: each names the keys that set it
     for bad, key in (({"arc": ArcBoundary(1.0, 0.0, (0.0, 0.0), (-1e308, 1e308))}, "s_range"),
                      ({"params": LaminarParams(1e300, 1.0, 1.0)}, "alpha1"),
                      ({"params": LaminarParams(1.0, 5e-324, 1.0)}, "alpha2")):
-        with pytest.raises(ConfigError, match=key):
+        with pytest.raises(ValidationError, match=key):
             make_cfg()._replace(**bad).validate()
     # a cell height below the float spacing at delta, and a step limit that
     # underflows to 0 (0.25*drho**2/nu with drho about 1e-171): each names the
@@ -60,7 +60,7 @@ def test_config_validation():
                      ({"arc": ArcBoundary(2e233, 0.0, (0.0, 0.0), (0.0, 1e233))}, "delta"),
                      ({"arc": ArcBoundary(1e-200, 0.0, (0.0, 0.0), (0.0, 5e-201)),
                        "params": LaminarParams(1e-170, 1.0, 1.0)}, "alpha1")):
-        with pytest.raises(ConfigError, match=key):
+        with pytest.raises(ValidationError, match=key):
             make_cfg()._replace(**bad).validate()
     make_cfg().validate()
     make_cfg(angle=2 * np.pi).validate()
@@ -70,7 +70,7 @@ def test_a_refused_config_builds_no_projection_basis():
     # the step count is refused from the grid spacing alone: the O(n_r**3)
     # radial basis of the projection waits for the first solve
     cfg = make_cfg(n=1, t_end=1e6)._replace(n_r=4096)
-    with pytest.raises(ConfigError, match="t_end = 1e[+]06 needs more than 1000000 steps"):
+    with pytest.raises(ValidationError, match="t_end = 1e[+]06 needs more than 1000000 steps"):
         cfg.validate()
     assert "neumann" not in cfg.grid.__dict__
 
@@ -272,7 +272,7 @@ def test_curvature_monotonicity_at_matched_relative_height():
 def test_probe_outside_grid():
     cfg = make_cfg()
     state = init_sim(cfg)
-    with pytest.raises(ConfigError, match=r"probe r = 5.0 outside \(0, "):
+    with pytest.raises(ValidationError, match=r"probe r = 5.0 outside \(0, "):
         probe_diagnostics(state, cfg, [5.0])
 
 
@@ -944,7 +944,7 @@ def test_validate_refuses_a_huge_grid_before_allocating(monkeypatch):
     cfg = make_cfg()._replace(n_s=8388608, n_r=16)
     tracemalloc.start()
     try:
-        with pytest.raises(ConfigError, match="GiB"):
+        with pytest.raises(ValidationError, match="GiB"):
             init_sim(cfg)
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -952,10 +952,10 @@ def test_validate_refuses_a_huge_grid_before_allocating(monkeypatch):
     assert peak < 1 << 20
     # the bound counts each step's arrays: those of 16 x 500000 alone need
     # about 3 GiB
-    with pytest.raises(ConfigError, match="GiB"):
+    with pytest.raises(ValidationError, match="GiB"):
         make_cfg()._replace(n_s=16, n_r=500000).validate()
     # and the radial basis: 1 x 20000 has 7.7 MB of n_s x n_r arrays, but its
     # n_r x n_r basis and eigh need about 18 GiB
-    with pytest.raises(ConfigError, match="GiB"):
+    with pytest.raises(ValidationError, match="GiB"):
         make_cfg()._replace(n_s=1, n_r=20000).validate()
     assert nssim._run_bytes(512, 512) <= nssim._MEMORY_LIMIT_BYTES
