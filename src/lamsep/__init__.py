@@ -35,7 +35,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     **dict.fromkeys((
         "CriticalPoint", "Diverged", "DomainError", "LamsepError", "NoCrossing",
-        "NonMonotoneSequence", "OutOfChart", "PointBelowWall", "ValidationError",
+        "NonMonotoneSequence", "OutOfChart", "ValidationError",
     ), "errors"),
     **dict.fromkeys((
         "ArcBoundary", "LocalFrame", "NormalPoint", "arc_point", "arc_segment_length",

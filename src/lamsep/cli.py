@@ -11,9 +11,9 @@ its dotted path is listed under ``non_finite``.  Exit codes: 0 success, 2 when
 the printed and independently derived material derivative limits disagree
 beyond tolerance (the tracked erratum), and 1 on any error, a malformed
 command line included, with one ``lamsep: error:`` line (a refused run writes
-nothing).  ``parse_config`` checks every key and ``--out`` before any work;
-``run`` turns what the library refuses while computing into a LamsepError
-(``_refusals``).
+nothing).  ``parse_config`` checks every key and ``--out`` before any work,
+and ``run`` lets what the library refuses while computing propagate as raised:
+``main`` is the one place where an exception becomes the ``lamsep: error:`` line.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ import math
 import os
 import sys
 import time
-from contextlib import contextmanager
 from pathlib import Path
 from typing import NamedTuple
 
@@ -172,18 +171,6 @@ def _nulled(value, path: str, non_finite: list[str]):
     return value
 
 
-@contextmanager
-def _refusals():
-    """Report a refusal as a LamsepError: a ValueError, the library's or a stray one from numpy
-    or the standard library, as a ValidationError; a value past the float range as a DomainError."""
-    try:
-        yield
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
-    except ArithmeticError as exc:  # OverflowError, ZeroDivisionError, FloatingPointError
-        raise DomainError(f"a value leaves the float range at these parameters ({exc})") from exc
-
-
 def _require_finite(values) -> None:
     """Refuse results that overflowed the float range: huge valid parameters can
     take a closed form or a traced length past it without raising."""
@@ -235,9 +222,8 @@ def parse_config(path=None, overrides: dict | None = None, command: str | None =
     if problems:
         raise ValidationError("; ".join(problems))
 
-    with _refusals():  # a decreasing s_range
-        arc = ArcBoundary(delta=values["delta"], phase=values["phase"], center=values["center"],
-                          s_range=values.get("s_range", (0.0, 0.5 * values["delta"])))
+    arc = ArcBoundary(delta=values["delta"], phase=values["phase"], center=values["center"],
+                      s_range=values.get("s_range", (0.0, 0.5 * values["delta"])))
     params = LaminarParams(alpha1=values["alpha1"], alpha2=values["alpha2"], nu=values["nu"])
     options = {k: v for k, v in values.items() if k in own}
     return RunConfig(command=cmd, params=params, arc=arc, options=options, out=values["out"],
@@ -272,8 +258,7 @@ def run(cfg: RunConfig) -> RunReport:
     t0 = time.perf_counter()
     late_before = sys.modules[__package__]._late_import_s
     handler = _COMMANDS[cfg.command][0]
-    with _refusals():
-        payload, files, exit_code, notes = handler(cfg)
+    payload, files, exit_code, notes = handler(cfg)
     t1 = time.perf_counter()
     cfg.out.mkdir(parents=True, exist_ok=True)  # only for a run that succeeded
     for name, write in files.items():
@@ -359,7 +344,7 @@ def _cmd_classify(cfg: RunConfig):
     trace_cfg = tracing.default_trace_config(arc, params)
     try:
         trace_cfg = trace_cfg._replace(step=opts.get("step", trace_cfg.step))
-    except ValueError as exc:  # the trace length is not a key here: say where it comes from
+    except ValidationError as exc:  # the trace length is not a key here: say where it comes from
         raise ValidationError(f"{exc} (10*delta)") from exc
     result = tracing.classify_flow(field, arc, radii, s, s1, opts.get("C", 1.2), trace_cfg,
                                    tol_par=opts.get("tol_par", 1e-4))
@@ -496,8 +481,14 @@ def main(argv=None) -> int:
         path, command = overrides.pop("config"), overrides.pop("command")
         cfg = parse_config(path, overrides, command)
         report = run(cfg)
-    except (LamsepError, OSError) as exc:  # OSError: an unreadable config or unwritable --out
+    except (LamsepError, ValueError, OSError) as exc:
+        # a ValueError may come from numpy or the standard library, an OSError from an
+        # unreadable config or an unwritable --out
         print(f"lamsep: error: {exc}", file=sys.stderr)
+        return 1
+    except ArithmeticError as exc:  # OverflowError, ZeroDivisionError, FloatingPointError
+        print(f"lamsep: error: a value leaves the float range at these parameters ({exc})",
+              file=sys.stderr)
         return 1
     print(f"lamsep {report.command}: wrote {cfg.out / 'report.json'} and {cfg.out / 'data.csv'}")
     if report.exit_code == 2:

@@ -1,21 +1,21 @@
-"""Exception types: one class per way a call fails, and every refused input a ValidationError."""
+"""Exception types: one class per way a call fails.  A malformed value or a failed
+record or argument check is a ValidationError; a value outside a formula's or a
+construction's domain, or a result past the float range, is a DomainError."""
 
 
 class LamsepError(Exception):
     """Base class for all library errors."""
 
 
-class PointBelowWall(LamsepError):
-    """A point lies strictly inside the wall circle."""
-
-
 class OutOfChart(LamsepError):
-    """A point falls outside the angular sector covered by the boundary chart."""
+    """A point is off the boundary chart: strictly inside the wall circle, or outside
+    the padded angular sector."""
 
 
 class DomainError(LamsepError):
-    """An argument violates a documented domain restriction (e.g. r >= alpha1/alpha2,
-    or a pressure whose wall gradient is not the no-slip value nu*(a1/delta - a2))."""
+    """A value outside a formula's or a construction's domain (e.g. r >= alpha1/alpha2,
+    a zeta station outside the padded segment, or a pressure whose wall gradient is
+    not the no-slip value nu*(a1/delta - a2)), or a result past the float range."""
 
 
 class NonMonotoneSequence(LamsepError):
@@ -36,7 +36,7 @@ class Diverged(LamsepError):
 
 
 class ValidationError(LamsepError, ValueError):
-    """A refused input: malformed JSON, an unknown key or flag, a bad value, a record
-    or argument check, a simulation config or probe.  The message says what the
-    value must be; a config's lists every violation.  A ValueError too, so that a
-    caller catches it as either."""
+    """A malformed value, or a failed record or argument check: malformed JSON, an
+    unknown key or flag, a bad value, a simulation config or probe.  The message says
+    what the value must be; a config's lists every violation.  A ValueError too, so
+    that a caller catches it as either."""

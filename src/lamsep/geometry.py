@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .errors import DomainError, OutOfChart, PointBelowWall, ValidationError
+from .errors import DomainError, OutOfChart, ValidationError
 
 # from_cartesian accepts this fraction of the s-range beyond each end, so
 # tracers that overshoot the sector slightly still get chart coordinates.
@@ -120,13 +120,13 @@ def to_cartesian(arc: ArcBoundary, p: tuple[float, float]):
 def from_cartesian(arc: ArcBoundary, x) -> NormalPoint:
     """Invert the chart: plane point (a float pair or a 2-vector) -> NormalPoint.
 
-    Raises PointBelowWall for points inside the wall circle and OutOfChart for
-    angular positions outside the padded sector.
+    Raises OutOfChart for a point inside the wall circle or at an angular position
+    outside the padded sector.
     """
     rx, ry = float(x[0]) - arc.center[0], float(x[1]) - arc.center[1]
     dist = abs(complex(rx, ry))  # libm hypot
     if dist < arc.delta * (1.0 - 1e-12):
-        raise PointBelowWall(f"|x - center| = {dist} < delta = {arc.delta}")
+        raise OutOfChart(f"|x - center| = {dist} < delta = {arc.delta}")
     r = max(dist - arc.delta, 0.0)
     s = wall_station(arc, rx, ry)
     lo, hi = arc.padded_s_range

@@ -119,12 +119,14 @@ def test_an_out_that_cannot_be_made_is_refused_before_any_handler_runs(
     assert ran == []
 
 
-def test_the_boundary_keeps_the_library_error_as_the_cause(tmp_path):
-    # classify_flow, not the config reader, refuses increasing radii
+def test_a_library_refusal_reaches_the_caller_of_run_as_raised(tmp_path):
+    # classify_flow, not the config reader, refuses increasing radii: run passes its
+    # error on, not a copy of it, and main alone turns it into the lamsep: error: line
     path = write_config(tmp_path, {"radii": [0.01, 0.02, 0.04]})
     with pytest.raises(ValidationError) as err:
         cli.run(parse_config(path, {"out": str(tmp_path / "o")}, command="classify"))
-    assert isinstance(err.value.__cause__, ValueError)
+    assert err.value.__cause__ is None and err.value.__context__ is None
+    assert Path(err.traceback[-1].path).name == "tracing.py"
 
 
 def test_report_config_echoes_each_value_as_read(tmp_path):
@@ -284,6 +286,16 @@ def test_classify_a_field_that_bends_toward_the_wall_is_unclassified(tmp_path):
     payload = _classify(tmp_path, {"field": "weak", "growth": -3})
     assert payload["kind"] == "Unclassified"
     assert [round(e["ratio"], 3) for e in payload["evidence"]] == [0.917, 0.957, 0.978]
+
+
+def test_classify_a_streamline_that_dips_below_the_wall_left_the_chart(tmp_path, capsys):
+    # a fan source just above the wall: the streamline from (s, r) heads into the wall
+    # circle, which the tracer reports as leaving the chart, as it does one leaving sideways
+    path = write_config(tmp_path, {"field": "fan", "source": [0, 1.3]})
+    assert main(["classify", "--config", path, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "lamsep: error: streamline left the chart before reaching s1=0.25"]
+    assert not (tmp_path / "o").exists()
 
 
 def test_the_weak_field_default_scales_with_the_length_unit(tmp_path):

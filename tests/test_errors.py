@@ -51,7 +51,7 @@ def test_every_raise_in_the_package_names_a_class_of_lamsep_errors():
     # the one exception: __getattr__'s AttributeError, which PEP 562 requires
     classes = {name for name, value in vars(errors).items()
                if isinstance(value, type) and issubclass(value, LamsepError)}
-    assert len(classes) == 9
+    assert len(classes) == 8
     stray = []
     for path in sorted(Path(lamsep.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from lamsep.errors import DomainError, OutOfChart, PointBelowWall
+from lamsep.errors import DomainError, OutOfChart
 from lamsep.geometry import (
     ArcBoundary,
     arc_normal,
@@ -98,7 +98,7 @@ def test_round_trip_random():
 
 
 def test_from_cartesian_center_is_below_wall():
-    with pytest.raises(PointBelowWall):
+    with pytest.raises(OutOfChart, match="< delta"):
         from_cartesian(ARC, ARC.center)
 
 
