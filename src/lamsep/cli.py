@@ -14,11 +14,19 @@ command line included, with one ``lamsep: error:`` line (a refused run writes
 nothing).  ``parse_config`` checks every key and ``--out`` before any work,
 and ``run`` lets what the library refuses while computing propagate as raised:
 ``main`` is the one place where an exception becomes the ``lamsep: error:`` line.
+
+A ``lamsep`` process (the console script, or ``python -m lamsep.cli``) runs
+``entry``: it calls ``main``, then freezes the heap with ``gc.freeze()``, so
+that the interpreter's exit runs no full collection over the objects the run
+left.  Every file is closed and ``report.json`` written before ``main``
+returns, so its ``stage_s`` never counted the exit.  ``main`` itself changes
+no GC state: calling it in process leaves a heap that can be collected.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -31,7 +39,6 @@ from . import _IMPORT_START, __version__, _load
 from .errors import DomainError, LamsepError, ValidationError
 from .field import (LaminarParams, advection, laminar_field, near_wall_scale,
                     stationary_gradp_field, write_csv)
-from .fdops import StencilSpec, fd_advection
 from .geometry import ArcBoundary, center_offset, to_cartesian
 
 # 2: the envelope gained stage_s
@@ -230,13 +237,21 @@ def parse_config(path=None, overrides: dict | None = None, command: str | None =
                      parse_s=time.perf_counter() - t0)
 
 
+def fd_advection(field, x, spec):
+    """``fdops.fd_advection``, with fdops loaded on first use (``simulate`` never
+    needs it).  The theorem handlers call it by this module's name, so that a
+    tracer can wrap it here, as ``perfbench/traced.py`` does."""
+    return _load(".fdops").fd_advection(field, x, spec)
+
+
 def _fd_variant_note(cfg: RunConfig) -> str:
     """Adjudicate the advection variant by finite differences, live."""
+    fdops = _load(".fdops")
     arc, params = cfg.arc, cfg.params
     field = laminar_field(arc, params)
     r = 0.1 * near_wall_scale(params, arc.delta)
     x = to_cartesian(arc, (0.0, r))
-    spec = StencilSpec(h=1e-4 * arc.delta, order=4)
+    spec = fdops.StencilSpec(h=1e-4 * arc.delta, order=4)
     rx, ry, dist = center_offset(arc.center, *x)
     adv_x, adv_y = fd_advection(field, x, spec)
     normal = (adv_x * rx + adv_y * ry) / dist
@@ -497,9 +512,24 @@ def main(argv=None) -> int:
     return report.exit_code
 
 
+def entry() -> None:
+    """Run ``main`` on ``sys.argv`` and exit the process with its code.
+
+    The heap is frozen first: the objects the run left (numpy's and lamsep's
+    alike) move to the permanent generation, where the exit's collections do
+    not traverse them.  Every file is closed by then, and a normal exit still
+    flushes stdout and stderr and runs atexit handlers.  Only cyclic garbage
+    still alive at exit goes unfinalized, and lamsep keeps no open file in a
+    cycle.
+    """
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 # the import of the package and of this module: with the seconds of every
 # lamsep._load of a run, the import stage of its report
 _IMPORT_S = time.perf_counter() - _IMPORT_START
 
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

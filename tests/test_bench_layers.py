@@ -249,6 +249,14 @@ def test_children_choose_their_own_blas_threads_unless_told(monkeypatch, tmp_pat
     assert env["PYTHONPATH"] == str(tmp_path / "src")
 
 
+def test_a_process_layer_times_the_tracked_erratum_and_refuses_an_error(tmp_path):
+    # process.verify_theorem2_s runs the default verify-theorem2, which exits 2
+    out = str(tmp_path / "o")
+    assert layers._process_s(ROOT, "-m", "lamsep.cli", "verify-theorem2", "--out", out) > 0
+    with pytest.raises(subprocess.CalledProcessError):
+        layers._process_s(ROOT, "-m", "lamsep.cli", "no-such-command", "--out", out)
+
+
 def _git(*args, cwd):
     return subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
                           cwd=cwd, check=True, capture_output=True, text=True).stdout.strip()

@@ -1,5 +1,6 @@
 import ast
 import csv
+import gc
 import json
 import os
 import re
@@ -837,11 +838,12 @@ def test_results_too_small_to_resolve_end_in_one_line(tmp_path, capsys, command,
 
 
 # the modules lamsep.cli itself imports, and those each command adds
-_CLI_MODULES = ["lamsep", "lamsep.cli", "lamsep.errors", "lamsep.fdops", "lamsep.field",
-                "lamsep.geometry"]
+_CLI_MODULES = ["lamsep", "lamsep.cli", "lamsep.errors", "lamsep.field", "lamsep.geometry"]
+# simulate compiles no fdops: only theorems and tracing use it
 _COMMAND_MODULES = {
-    "verify-theorem1": "theorems", "verify-theorem2": "theorems", "sweep": "theorems",
-    "classify": "tracing", "trace": "tracing", "zeta-check": "tracing", "simulate": "nssim",
+    "verify-theorem1": ["theorems", "fdops"], "verify-theorem2": ["theorems", "fdops"],
+    "sweep": ["theorems", "fdops"], "classify": ["tracing", "fdops"],
+    "trace": ["tracing", "fdops"], "zeta-check": ["tracing", "fdops"], "simulate": ["nssim"],
 }
 
 
@@ -870,7 +872,7 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path, command):
     ).splitlines()[-1])
     rc, modules, dataclasses_loaded = loaded
     assert rc == (2 if command == "verify-theorem2" else 0)
-    assert modules == sorted(_CLI_MODULES + [f"lamsep.{_COMMAND_MODULES[command]}"])
+    assert modules == sorted(_CLI_MODULES + [f"lamsep.{m}" for m in _COMMAND_MODULES[command]])
     if command != "simulate":  # numpy may load dataclasses itself
         assert not dataclasses_loaded
 
@@ -955,6 +957,48 @@ def test_report_splits_the_process_time_by_stage(tmp_path, command, config):
     assert sorted(stages) == ["compute", "import", "parse", "write"]
     assert all(value >= 0 for value in stages.values())
     assert sum(stages.values()) <= wall
+
+
+@pytest.mark.parametrize("argv, code", [(["classify"], 0), (["no-such-command"], 1),
+                                         (["verify-theorem2"], 2)])
+def test_entry_exits_with_mains_code_after_freezing_once(tmp_path, monkeypatch, capsys, argv,
+                                                        code):
+    # gc.freeze is a stub here: this test must leave pytest's heap collectable
+    events, real_main = [], cli.main
+
+    def recorded_main():
+        rc = real_main()
+        events.append("main returned")
+        return rc
+
+    monkeypatch.setattr(cli, "main", recorded_main)
+    monkeypatch.setattr(gc, "freeze", lambda: events.append("freeze"))
+    monkeypatch.setattr(sys, "argv", ["lamsep", *argv, "--out", str(tmp_path / "o")])
+    with pytest.raises(SystemExit) as exit_:
+        cli.entry()
+    assert exit_.value.code == code
+    assert events == ["main returned", "freeze"]
+
+
+def test_main_in_process_changes_no_gc_state(tmp_path, capsys):
+    before = gc.get_freeze_count(), gc.isenabled()
+    assert main(["verify-theorem2", "--out", str(tmp_path / "o")]) == 2
+    assert (gc.get_freeze_count(), gc.isenabled()) == before
+
+
+def test_a_lamsep_process_writes_prints_and_exits_as_main_in_process(tmp_path, capsys):
+    assert main(["verify-theorem2", "--out", str(tmp_path / "in")]) == 2
+    in_process = capsys.readouterr()
+    proc = subprocess.run([sys.executable, "-m", "lamsep.cli", "verify-theorem2", "--out",
+                           str(tmp_path / "p")],
+                          env=_fresh_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    written = [(tmp_path / out / "data.csv").read_bytes() for out in ("in", "p")]
+    assert written[0] and written[0] == written[1]
+    # the wrote line on stdout and the erratum line on stderr, flushed at exit
+    assert proc.stdout.startswith("lamsep verify-theorem2: wrote ")
+    assert proc.stdout == in_process.out.replace(str(tmp_path / "in"), str(tmp_path / "p"))
+    assert "(tracked erratum); exit 2" in proc.stderr and proc.stderr == in_process.err
 
 
 # a finder asked first for every import: it sleeps before the modules a command
