@@ -41,7 +41,9 @@ or one call for a cold ``init_sim`` and a whole run.
   count and ``dt_bound`` per side, so that a change in the step count shows
   next to a change in the cost of a step.
 A cold ``init_sim`` and a whole run start from a fresh config (``_replace()``),
-with no grid built on either side, as in a ``lamsep simulate`` process.
+with no grid built on either side, as in a ``lamsep simulate`` process; the
+sample times the ``_replace()`` with the call, since a config that checks
+itself when made builds its grid there.
 That interpreter runs with ``OPENBLAS_NUM_THREADS=1``, so that both sides'
 solver layers compare code on the same BLAS setting.
 
@@ -237,9 +239,8 @@ def _solver_layers(lamsep, n: int) -> tuple[dict, dict]:
                           n_s=n, n_r=n, t_end=SOLVER_T_END)
 
     def cold_init() -> float:
-        fresh = cfg._replace()  # a copy with nothing built
         t0 = time.perf_counter()
-        nssim.init_sim(fresh)
+        nssim.init_sim(cfg._replace())  # a copy with nothing built
         return time.perf_counter() - t0
 
     b = np.random.default_rng(n).standard_normal((n, n))
@@ -256,9 +257,8 @@ def _solver_layers(lamsep, n: int) -> tuple[dict, dict]:
             run_cfg = cfg._replace(params=LaminarParams(2.0, 1.0, nu), t_end=RUN_T_END)
 
             def run(run_cfg=run_cfg) -> float:
-                fresh = run_cfg._replace()
                 t0 = time.perf_counter()
-                nssim.run_experiment(fresh)
+                nssim.run_experiment(run_cfg._replace())
                 return time.perf_counter() - t0
 
             key = f"nssim.run_{n}_{regime}_s"
@@ -597,7 +597,7 @@ def main() -> None:
                       "a batch. import.* and process.*: the wall time of one fresh "
                       "interpreter per call, with OPENBLAS_NUM_THREADS and OMP_NUM_THREADS "
                       "unset. A cold init_sim and a whole run start from a fresh config "
-                      "with no grid built on either side",
+                      "with no grid built on either side, made inside the timed call",
             "outputs": "every invocation of the listed workload seeds, in-process, once per side",
             "pairs": f"perfbench/run.py --seconds {args.seconds} on seeds {seeds}, one run per "
                      "side and seed, the side that goes first alternating; verdicts by "

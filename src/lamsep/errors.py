@@ -40,3 +40,18 @@ class ValidationError(LamsepError, ValueError):
     unknown key or flag, a bad value, a simulation config or probe.  The message says
     what the value must be; a config's lists every violation.  A ValueError too, so
     that a caller catches it as either."""
+
+
+class CheckedRecord:
+    """First base of an input record, before its NamedTuple: runs ``_check`` when made."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self._check()
+        return self
+
+    @classmethod
+    def _make(cls, fields):  # so that _replace checks its fields too
+        return cls(*fields)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Sequence
 
-from .errors import NonMonotoneSequence, ValidationError
+from .errors import CheckedRecord, NonMonotoneSequence, ValidationError
 from .field import FieldHandle
 
 MIN_LEVELS = 4  # fewest fine-end samples a limit is fitted on, when more are given
@@ -19,24 +19,19 @@ MIN_LEVELS = 4  # fewest fine-end samples a limit is fitted on, when more are gi
 
 class _StencilFields(NamedTuple):
     h: float
-    order: int
+    order: int = 2
 
 
-class StencilSpec(_StencilFields):
+class StencilSpec(CheckedRecord, _StencilFields):
     """Central-difference stencil: step h and truncation order (2 or 4)."""
 
     __slots__ = ()
 
-    def __new__(cls, h, order=2):
-        if h <= 0:
-            raise ValidationError(f"step h must be positive, got {h}")
-        if order not in (2, 4):
-            raise ValidationError(f"order must be 2 or 4, got {order}")
-        return super().__new__(cls, h, order)
-
-    @classmethod
-    def _make(cls, fields):  # so that _replace checks its fields too
-        return cls(*fields)
+    def _check(self):
+        if self.h <= 0:
+            raise ValidationError(f"step h must be positive, got {self.h}")
+        if self.order not in (2, 4):
+            raise ValidationError(f"order must be 2 or 4, got {self.order}")
 
 
 class ExtrapolationResult(NamedTuple):

@@ -16,7 +16,7 @@ from __future__ import annotations
 import sys
 from typing import Callable, NamedTuple
 
-from .errors import DomainError, ValidationError
+from .errors import CheckedRecord, DomainError, ValidationError
 from .geometry import ArcBoundary, center_offset
 
 VARIANTS = ("paper", "corrected")
@@ -28,24 +28,16 @@ class _ParamFields(NamedTuple):
     nu: float
 
 
-class LaminarParams(_ParamFields):
+class LaminarParams(CheckedRecord, _ParamFields):
     """Wall shear rate alpha1, profile curvature alpha2, kinematic viscosity nu,
     all positive: both theorems hold on the layer 0 < r < bl = alpha1/alpha2."""
 
     __slots__ = ()
 
-    def __new__(cls, alpha1, alpha2, nu):
-        if alpha1 <= 0:
-            raise ValidationError(f"alpha1 must be positive, got {alpha1}")
-        if alpha2 <= 0:
-            raise ValidationError(f"alpha2 must be positive, got {alpha2}")
-        if nu <= 0:
-            raise ValidationError(f"nu must be positive, got {nu}")
-        return super().__new__(cls, alpha1, alpha2, nu)
-
-    @classmethod
-    def _make(cls, fields):  # so that _replace checks its fields too
-        return cls(*fields)
+    def _check(self):
+        for name, value in self._asdict().items():
+            if value <= 0:
+                raise ValidationError(f"{name} must be positive, got {value}")
 
     @property
     def bl(self) -> float:

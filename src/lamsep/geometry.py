@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .errors import DomainError, OutOfChart, ValidationError
+from .errors import CheckedRecord, DomainError, OutOfChart, ValidationError
 
 # from_cartesian accepts this fraction of the s-range beyond each end, so
 # tracers that overshoot the sector slightly still get chart coordinates.
@@ -33,22 +33,20 @@ class _ArcFields(NamedTuple):
     s_range: tuple[float, float]
 
 
-class ArcBoundary(_ArcFields):
+class ArcBoundary(CheckedRecord, _ArcFields):
     """Circular wall segment: radius ``delta``, phase shift, center, s-interval."""
 
     __slots__ = ()
 
-    def __new__(cls, delta, phase, center, s_range):
-        if delta <= 0:
-            raise ValidationError(f"delta must be positive, got {delta}")
-        if s_range[0] >= s_range[1]:
-            raise ValidationError(f"s_range must be increasing, got {s_range}")
+    def __new__(cls, delta, phase, center, s_range):  # the center and s-interval as float pairs
         return super().__new__(cls, delta, phase, (float(center[0]), float(center[1])),
                                (float(s_range[0]), float(s_range[1])))
 
-    @classmethod
-    def _make(cls, fields):  # so that _replace checks its fields too
-        return cls(*fields)
+    def _check(self):
+        if self.delta <= 0:
+            raise ValidationError(f"delta must be positive, got {self.delta}")
+        if self.s_range[0] >= self.s_range[1]:
+            raise ValidationError(f"s_range must be increasing, got {self.s_range}")
 
     @property
     def padded_s_range(self) -> tuple[float, float]:

@@ -30,11 +30,11 @@ pressure, the periodic one plus k*delta*theta.
 Every theta operator is the periodic second difference, which the discrete
 Fourier transform diagonalises: numpy's real FFT takes each theta-line to its
 n_s//2 + 1 modes, mode m with eigenvalue 4 sin^2(pi m / n_s).  What a run keeps
-fixed is cached on its config, built on first use: ``SimConfig.grid`` (the grid
-arrays, those eigenvalues, the t = 0 profile, the wall drive and, at the first
-solve, the projection's factors), the step count and step, the top speed and
-the implicit theta-viscosity's diagonal.  A state holds only what evolves and
-the number of steps taken.  The projection's flux-form Laplacian separates
+fixed is cached on its config, built when it is made: ``SimConfig.grid`` (the
+grid arrays, those eigenvalues, the t = 0 profile, the wall drive and, at the
+first solve, the projection's factors), the step count and step, the top speed
+and, at the first step, the implicit theta-viscosity's diagonal.  A state holds
+only what evolves and its step count.  The projection's flux-form Laplacian separates
 (Buzbee, Golub & Nielson, SIAM J. Numer. Anal. 7, 1970): one symmetric
 eigendecomposition per grid diagonalises it in rho, so its solve, like the
 implicit theta-viscosity's, is a real FFT pair along theta around a scaling,
@@ -67,7 +67,7 @@ else:
     finally:
         del os.environ["OPENBLAS_NUM_THREADS"]
 
-from .errors import Diverged, ValidationError
+from .errors import CheckedRecord, Diverged, ValidationError
 from .field import LaminarParams, near_wall_scale, profile_h, wall_gradient, write_csv
 from .geometry import ArcBoundary, to_cartesian
 
@@ -94,7 +94,9 @@ class _SimFields(NamedTuple):
     t_end: float = 0.02
 
 
-class SimConfig(_SimFields):
+class SimConfig(CheckedRecord, _SimFields):
+    """A run's wall, flow, grid, step and end time; checked when made, by ``_replace`` too."""
+
     # no __slots__: cached_property keeps its values in the instance __dict__,
     # and _replace builds a new config with an empty cache
 
@@ -171,7 +173,7 @@ class SimConfig(_SimFields):
         c = self.params.nu * self.effective_dt / (rho * g.dth) ** 2
         return 1.0 / (1.0 + g.eig[:, None] * c[None, :])
 
-    def validate(self) -> None:
+    def _check(self) -> None:
         problems = []
         a1, a2 = self.params.alpha1, self.params.alpha2
         if self.n_s < 1 or self.n_r < 16:
@@ -203,11 +205,14 @@ class SimConfig(_SimFields):
                 problems.append(f"alpha1 = {a1:g}, alpha2 = {a2:g}, nu = {self.params.nu:g}: "
                                 f"the step limit underflows to 0 on the layer 2*bl = "
                                 f"{self.R_out:g}")
-            elif not self.t_end <= _MAX_STEPS * self._dt_limit:  # before cfl() counts the steps
+            elif not self.t_end <= _MAX_STEPS * self._dt_limit:  # before steps counts them
                 problems.append(f"t_end = {self.t_end:g} needs more than {_MAX_STEPS} "
                                 f"steps of at most {self._dt_limit:.3g}")
-            elif (cfl := self.cfl()) > 0.5:
-                problems.append(f"CFL = {cfl:.3f} exceeds 0.5")
+            # a given step over half of any limit; the default, 0.4 of the smallest, passes
+            elif self.effective_dt > 0.5 * min(self._dt_limits.values()):
+                name = min(self._dt_limits, key=self._dt_limits.get)
+                problems.append(f"dt = {self.dt:g} exceeds half the {name} step "
+                                f"limit {self._dt_limits[name]:.3g}")
         if problems:
             raise ValidationError("; ".join(problems))
 
@@ -236,7 +241,8 @@ class _Grid:
     """What a run of one config keeps fixed: the grid arrays, the theta-mode
     eigenvalues, the theta-uniform fields that drive the flow and, built at the
     first solve, the projection's radial basis and reciprocal eigenvalues
-    (``neumann``), so that a refused config builds no O(n_r**3) basis."""
+    (``neumann``).  The config's check builds it once the size, memory and
+    spacing checks pass, and builds no O(n_r**3) basis."""
 
     def __init__(self, cfg: SimConfig):
         n_s, n_r = cfg.n_s, cfg.n_r
@@ -408,7 +414,6 @@ def _solve_neumann(cfg: SimConfig, b: np.ndarray) -> np.ndarray:
 
 def init_sim(cfg: SimConfig) -> SimState:
     """Sample the shear profile on the grid, with pressure 0 and no steps taken."""
-    cfg.validate()
     n_s, n_r = cfg.n_s, cfg.n_r
     return SimState(us=np.tile(cfg.grid.u0, (n_s, 1)), ur=np.zeros((n_s, n_r + 1)),
                     p=np.zeros((n_s, n_r)), k=0)

@@ -100,6 +100,8 @@ def theorem1_verify(
     1e-2 of its value (it scales with nu) is refused with a DomainError.
     """
     r_grid = _float_grid(params, delta, r_grid)
+    if not r_grid:
+        raise ValidationError("r_grid must hold at least one radius")
     lhs, rhs, mism = (list(side) for side in
                       zip(*(theorem1_mismatch(params, delta, r) for r in r_grid)))
 

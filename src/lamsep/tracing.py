@@ -26,7 +26,8 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .errors import CriticalPoint, DomainError, NoCrossing, OutOfChart, ValidationError
+from .errors import (CheckedRecord, CriticalPoint, DomainError, NoCrossing, OutOfChart,
+                     ValidationError)
 from .fdops import ExtrapolationResult, richardson
 from .field import FieldHandle, LaminarParams, ScalarFieldHandle, wall_gradient
 from .geometry import (
@@ -72,33 +73,29 @@ class Polyline(NamedTuple):
 class _TraceFields(NamedTuple):
     step: float
     max_length: float
-    stagnation_tol: float
+    stagnation_tol: float = 1e-12
 
 
 # a trace takes at most this many steps (as a simulate run, nssim._MAX_STEPS)
 _MAX_STEPS = 10**6
 
 
-class TraceConfig(_TraceFields):
+class TraceConfig(CheckedRecord, _TraceFields):
     """A march's step, its trace length (at most ``_MAX_STEPS`` steps of it), and
     the field size below which it stops; a refusal names the step and the length."""
 
     __slots__ = ()
 
-    def __new__(cls, step, max_length, stagnation_tol=1e-12):
+    def _check(self):
+        step, max_length = self.step, self.max_length
         if step <= 0 or max_length <= step:
             raise ValidationError(f"step {step:g} must be positive and below the trace "
                                   f"length {max_length:g}")
         if not max_length <= _MAX_STEPS * step:  # no division: NaN and inf fail too
             raise ValidationError(f"step {step:g} over the trace length {max_length:g} "
                                   f"makes more than {_MAX_STEPS} steps")
-        if stagnation_tol <= 0:
+        if self.stagnation_tol <= 0:
             raise ValidationError("stagnation_tol must be positive")
-        return super().__new__(cls, step, max_length, stagnation_tol)
-
-    @classmethod
-    def _make(cls, fields):  # so that _replace checks its fields too
-        return cls(*fields)
 
 
 def default_trace_config(arc: ArcBoundary, params: LaminarParams) -> TraceConfig:
@@ -247,15 +244,24 @@ def trace_pressure_line(
     return Polyline.from_points([start] + [x_new for _, x_new, _, _ in _march(dirfn, start, cfg)])
 
 
+def _require_on_segment(arc: ArcBoundary, name: str, station: float) -> None:
+    """Refuse the wall station ``name`` outside the padded wall segment."""
+    lo, hi = arc.padded_s_range
+    if not lo <= station <= hi:
+        raise DomainError(f"{name} = {station:g} leaves the padded wall segment [{lo:g}, {hi:g}]")
+
+
 def poincare_L(
     field: FieldHandle, arc: ArcBoundary, s: float, s1: float, r: float, cfg: TraceConfig
 ) -> float:
     """Wall distance at which the streamline from Phi(s, r) first crosses the
-    normal ray at s1."""
+    normal ray at s1; a station off the padded wall segment is refused untraced."""
     if s == s1:
         raise ValidationError("launch station s and target station s1 must differ")
     if r <= 0:
         raise ValidationError("launch wall distance r must be positive")
+    _require_on_segment(arc, "s", s)
+    _require_on_segment(arc, "s1", s1)
     start = to_cartesian(arc, (s, r))
     dirfn = _unit_direction(field, cfg.stagnation_tol)
 
@@ -295,8 +301,8 @@ def classify_flow(
     if tol_par <= 0:
         raise ValidationError(f"tol_par must be positive, got {tol_par}")
     radii = list(radii)
-    if any(r <= 0 for r in radii) or any(b >= a for a, b in zip(radii, radii[1:])):
-        raise ValidationError("radii must be positive and strictly decreasing")
+    if not radii or any(r <= 0 for r in radii) or any(b >= a for a, b in zip(radii, radii[1:])):
+        raise ValidationError("radii must be non-empty, positive and strictly decreasing")
     evidence = [(r, poincare_L(field, arc, s, s1, r, cfg) / r) for r in radii]
     ratios = [ratio for _, ratio in evidence]
     dev = [abs(q - 1.0) for q in ratios]
@@ -689,13 +695,11 @@ def zeta_check(
         )
 
     r_list = list(r_list)
-    if any(r <= 0 for r in r_list) or any(b >= a for a, b in zip(r_list, r_list[1:])):
-        raise ValidationError("r_list must be positive and strictly decreasing")
+    if not r_list or any(r <= 0 for r in r_list) or any(b >= a for a, b in zip(r_list, r_list[1:])):
+        raise ValidationError("r_list must be non-empty, positive and strictly decreasing")
     if not eps_over_r > 0:
         raise ValidationError(f"eps_over_r must be positive, got {eps_over_r}")
-    lo_pad, hi_pad = arc.padded_s_range
-    if not lo_pad <= s <= hi_pad:
-        raise DomainError(f"s = {s:g} leaves the padded wall segment [{lo_pad:g}, {hi_pad:g}]")
+    _require_on_segment(arc, "s", s)
     try:
         raw = [_zeta_sample(p_field, gradp, arc, k, s, r, eps_over_r * r, cfg) for r in r_list]
     except DomainError as exc:  # s is inside: its offset s + eps is not

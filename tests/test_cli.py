@@ -92,8 +92,9 @@ def test_one_line_names_every_refused_key_and_no_out_directory_is_made(tmp_path,
 
 @pytest.mark.parametrize("command, config", [
     ("classify", {"s": "x"}),                               # an option
-    ("simulate", {"n_r": 8}),                               # SimConfig.validate
-    ("simulate", {"nu": 1e308, "dt": 1e-3, "t_end": 3e-3}),  # a step leaves the float range
+    ("simulate", {"n_r": 8}),                               # SimConfig's check
+    # a valid config whose run leaves the float range (its dt used to be one)
+    ("simulate", {"alpha1": 1e154, "alpha2": 1e153, "t_end": 1e-160}),
     # theorem 2's limit underflows to 0 (this sweep used to exit 0 with limit 0)
     ("sweep", {"alpha1": 1.8399755638364526, "alpha2": 1.643420123686913e200,
                "nu": 8.994958406858893e29}),
@@ -299,6 +300,16 @@ def test_classify_a_streamline_that_dips_below_the_wall_left_the_chart(tmp_path,
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("key", ["s", "s1"])
+def test_classify_names_a_station_off_the_wall_segment(tmp_path, capsys, key):
+    # the launch station used to end in "streamline left the chart before reaching
+    # s1=0.25", and the target station in a trace until the streamline left the chart
+    path = write_config(tmp_path, {key: 5})
+    assert main(["classify", "--config", path, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"lamsep: error: {key} = 5 leaves the padded wall segment [-0.05, 0.55]"]
+
+
 def test_the_weak_field_default_scales_with_the_length_unit(tmp_path):
     # dr/ds = growth*r**2 makes growth a 1/length**2: its default 1/delta**2 gives the
     # same ratios when the length unit doubles or halves (delta, s_range, alpha2, nu to
@@ -439,13 +450,18 @@ def test_simulate_sector_spans_the_wall_segment(tmp_path):
 
 @pytest.mark.parametrize("config, message", [
     # nu*dt/(rho*dtheta)**2 and the t = 0 viscous term overflow: this run used to
-    # exit 0 with NaN in data.csv and field.csv, after numpy's warnings
+    # exit 0 with NaN in data.csv and field.csv, after numpy's warnings, and then
+    # to end in the float-range line; its dt is refused before any step
     ({"nu": 1e308, "dt": 1e-3, "t_end": 3e-3},
-     "lamsep: error: a value leaves the float range at these parameters ("),
-    # a given step far over the radial-viscous limit
+     "lamsep: error: dt = 0.001 exceeds half the radial_viscous step limit 3.91e-311"),
+    # a given step far over the radial-viscous limit: this run used to diverge at t = 0.004
     ({"nu": 50, "dt": 2e-3, "t_end": 0.02},
-     "lamsep: error: max tangential velocity exceeded 10x the initial maximum at t=0.004"),
-])
+     "lamsep: error: dt = 0.002 exceeds half the radial_viscous step limit 7.81e-05"),
+    # a valid config whose t = 0 speeds, up to 5e154, overflow when squared
+    ({"alpha1": 1e154, "alpha2": 1e153, "t_end": 1e-160},
+     "lamsep: error: a value leaves the float range at these parameters "
+     "(overflow encountered in square)"),
+], ids=["nu-1e308", "nu-50", "alpha1-1e154"])
 def test_simulate_that_blows_up_ends_in_one_line(tmp_path, config, message):
     cfg = write_config(tmp_path, config)
     proc = subprocess.run([sys.executable, "-m", "lamsep.cli", "simulate", "--config", cfg,
@@ -453,7 +469,7 @@ def test_simulate_that_blows_up_ends_in_one_line(tmp_path, config, message):
                           env=_fresh_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 1
     err = proc.stderr.splitlines()
-    assert len(err) == 1 and err[0].startswith(message), proc.stderr
+    assert len(err) == 1 and err[0] == message, proc.stderr
 
 
 def test_sweep_monotone_and_nu_scaling(tmp_path):

@@ -37,22 +37,23 @@ def make_cfg(delta=1.0, n=24, angle=0.5, t_end=0.05, **kw):
 
 def test_config_validation():
     with pytest.raises(ValidationError):
-        make_cfg(n=8).validate()
+        make_cfg(n=8)
     with pytest.raises(ValidationError, match="s_range"):
-        make_cfg(angle=7.0).validate()  # more than 2*pi of wall
-    with pytest.raises(ValidationError):
-        make_cfg(dt=1.0).validate()  # CFL blown
+        make_cfg(angle=7.0)  # more than 2*pi of wall
+    with pytest.raises(ValidationError, match="dt = 1 exceeds half the radial_viscous step "
+                                              "limit 0.00174"):
+        make_cfg(dt=1.0)  # one step of t_end = 0.05, CFL 0.79
     for bad in ({"dt": 0.0}, {"dt": -1e-4}, {"dt": np.inf}, {"t_end": np.nan},
                 {"t_end": 0.0}):
         with pytest.raises(ValidationError):
-            make_cfg()._replace(**bad).validate()
+            make_cfg()._replace(**bad)
     # an angle beyond the float range, the profile speed across 2*bl beyond it,
     # and a bl that overflows to inf: each names the keys that set it
     for bad, key in (({"arc": ArcBoundary(1.0, 0.0, (0.0, 0.0), (-1e308, 1e308))}, "s_range"),
                      ({"params": LaminarParams(1e300, 1.0, 1.0)}, "alpha1"),
                      ({"params": LaminarParams(1.0, 5e-324, 1.0)}, "alpha2")):
         with pytest.raises(ValidationError, match=key):
-            make_cfg()._replace(**bad).validate()
+            make_cfg()._replace(**bad)
     # a cell height below the float spacing at delta, and a step limit that
     # underflows to 0 (0.25*drho**2/nu with drho about 1e-171): each names the
     # keys that set it
@@ -61,18 +62,20 @@ def test_config_validation():
                      ({"arc": ArcBoundary(1e-200, 0.0, (0.0, 0.0), (0.0, 5e-201)),
                        "params": LaminarParams(1e-170, 1.0, 1.0)}, "alpha1")):
         with pytest.raises(ValidationError, match=key):
-            make_cfg()._replace(**bad).validate()
-    make_cfg().validate()
-    make_cfg(angle=2 * np.pi).validate()
+            make_cfg()._replace(**bad)
+    make_cfg()
+    make_cfg(angle=2 * np.pi)
 
 
-def test_a_refused_config_builds_no_projection_basis():
+def test_a_refused_config_builds_no_projection_basis(monkeypatch):
     # the step count is refused from the grid spacing alone: the O(n_r**3)
     # radial basis of the projection waits for the first solve
-    cfg = make_cfg(n=1, t_end=1e6)._replace(n_r=4096)
+    def no_basis(*args):
+        raise AssertionError("a projection basis was built for a refused config")
+
+    monkeypatch.setattr(nssim, "_neumann_factors", no_basis)
     with pytest.raises(ValidationError, match="t_end = 1e[+]06 needs more than 1000000 steps"):
-        cfg.validate()
-    assert "neumann" not in cfg.grid.__dict__
+        make_cfg(n=16)._replace(n_s=1, n_r=4096, t_end=1e6)
 
 
 def test_init_divergence_and_noslip():
@@ -530,11 +533,10 @@ def test_theta_uniform_start_stays_theta_uniform(n_s):
 
 
 def _theta_uniform_run(cfg, steps):
-    """The t = 0 probes of a theta-uniform start on every cell, its state after
-    ``steps`` steps, and the probes then; the grid is built without ``validate``."""
+    """The t = 0 probes of the theta-uniform start on every cell, its state after
+    ``steps`` steps, and the probes then."""
     g = cfg.grid
-    state = nssim.SimState(us=np.tile(g.u0, (cfg.n_s, 1)), ur=np.zeros((cfg.n_s, cfg.n_r + 1)),
-                           p=np.zeros((cfg.n_s, cfg.n_r)), k=0)
+    state = init_sim(cfg)
     t0 = probe_diagnostics(state, cfg, g.rho_c - g.delta)
     for _ in range(steps):
         state = step(state, cfg)
@@ -544,8 +546,8 @@ def _theta_uniform_run(cfg, steps):
 @pytest.mark.parametrize("n_s", [1, 2])
 def test_one_or_two_theta_cells_give_the_wide_sector_column(n_s):
     # a theta-uniform flow has no theta derivative, so a sector one or two cells
-    # wide (below validate's 16-cell floor) probes and steps as the mid column of
-    # a 32-cell one; its theta neighbours are the wrapped cell itself
+    # wide probes and steps as the mid column of a 32-cell one; its theta
+    # neighbours are the wrapped cell itself
     arc = ArcBoundary(0.5, 0.0, (0.0, 0.0), (0.0, 0.25))
     wide = SimConfig(arc=arc, params=CURVED, n_s=32, n_r=16, dt=1.5e-3, t_end=1.5e-3)
     ref_t0, ref, ref_probes = _theta_uniform_run(wide, 100)
@@ -659,8 +661,8 @@ def test_step_raises_diverged_past_ten_times_the_top_speed(bad):
     cfg = make_cfg(n=16)
     state = init_sim(cfg)
     if bad == "fast":
-        us = 20.0 * state.us
-        assert np.max(np.abs(us)) == pytest.approx(20.0 * cfg.top_speed)
+        us = 11.0 * state.us
+        assert np.max(np.abs(us)) == pytest.approx(11.0 * cfg.top_speed)
     else:  # a NaN fails every comparison, so the guard is written to fail on it
         us = state.us.copy()
         us[3, 5] = np.nan
@@ -786,10 +788,13 @@ def test_real_fft_modes_diagonalise_the_periodic_second_difference(n):
 @pytest.mark.parametrize("n_s, n_r", [(16, 24), (24, 16), (17, 19)])
 def test_theta_line_solves_match_cell_loop(n_s, n_r, delta):
     # the one theta-line solve inverts both components' periodic matrices built
-    # one cell at a time, at a stiff nu*dt (20x the old explicit limit)
+    # one cell at a time, at a stiff nu*dt: 20x the old explicit limit, or the
+    # largest valid step, half the radial-viscous limit, where that is smaller
+    # (at delta = 4 the tangential cells are wider than the radial ones)
     arc = ArcBoundary(delta, 0.0, (0.0, 0.0), (0.0, 0.5 * delta))
     cfg = SimConfig(arc=arc, params=PARAMS, n_s=n_s, n_r=n_r)
-    cfg = cfg._replace(dt=20.0 * _explicit_wall_tangential_limit(cfg), t_end=1.0)
+    dt = min(20.0 * _explicit_wall_tangential_limit(cfg), 0.5 * cfg._dt_limits["radial_viscous"])
+    cfg = cfg._replace(dt=dt, t_end=1.0)
     rng = np.random.default_rng(n_s * n_r)
 
     # one stacked solve: the u_s lines in the first n_r columns, the u_r lines
@@ -836,7 +841,8 @@ def test_run_ends_at_t_end_in_equal_steps_within_the_limit(kw):
 def test_step_count_rounds_up_where_the_quotient_rounds_down():
     # a dt just below t_end / k needs k + 1 steps; for some k the quotient
     # t_end / dt rounds down onto k itself, and the count must still be k + 1
-    cfg, t_end = make_cfg(), 0.05
+    # (t_end / 1 is below half the radial-viscous limit, so every dt is valid)
+    cfg, t_end = make_cfg(), 5e-4
     rounded_onto_k = 0
     for k in range(1, 400):
         dt = math.nextafter(t_end / k, 0.0)
@@ -940,12 +946,12 @@ def test_validate_refuses_a_huge_grid_before_allocating(monkeypatch):
     def no_grid(*args):
         raise AssertionError("a grid was built for a refused config")
 
+    base = make_cfg()
     monkeypatch.setattr(nssim, "_Grid", no_grid)
-    cfg = make_cfg()._replace(n_s=8388608, n_r=16)
     tracemalloc.start()
     try:
         with pytest.raises(ValidationError, match="GiB"):
-            init_sim(cfg)
+            base._replace(n_s=8388608, n_r=16)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -953,9 +959,9 @@ def test_validate_refuses_a_huge_grid_before_allocating(monkeypatch):
     # the bound counts each step's arrays: those of 16 x 500000 alone need
     # about 3 GiB
     with pytest.raises(ValidationError, match="GiB"):
-        make_cfg()._replace(n_s=16, n_r=500000).validate()
+        base._replace(n_s=16, n_r=500000)
     # and the radial basis: 1 x 20000 has 7.7 MB of n_s x n_r arrays, but its
     # n_r x n_r basis and eigh need about 18 GiB
     with pytest.raises(ValidationError, match="GiB"):
-        make_cfg()._replace(n_s=1, n_r=20000).validate()
+        base._replace(n_s=1, n_r=20000)
     assert nssim._run_bytes(512, 512) <= nssim._MEMORY_LIMIT_BYTES

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from lamsep.errors import CriticalPoint, NoCrossing
+from lamsep.errors import CriticalPoint, DomainError, NoCrossing
 from lamsep import tracing
 from lamsep.field import (
     FieldHandle,
@@ -443,6 +443,18 @@ def _switched(first, second, station=math.inf, height=math.inf):
 def test_a_curve_that_misses_its_target_ends_with_no_crossing(march, message):
     with pytest.raises(NoCrossing, match=message):
         march()
+
+
+@pytest.mark.parametrize("s, s1, name", [(5.0, 0.25, "s"), (0.1, -0.06, "s1")])
+def test_poincare_L_refuses_a_station_off_the_padded_segment_untraced(monkeypatch, s, s1, name):
+    def no_trace(*args):
+        raise AssertionError("a streamline was traced")
+
+    monkeypatch.setattr(tracing, "_first_crossing", no_trace)
+    bad = s if name == "s" else s1
+    with pytest.raises(DomainError, match=rf"^{name} = {bad:g} leaves the padded wall "
+                                          r"segment \[-0\.05, 0\.55\]$"):
+        poincare_L(laminar_field(ARC, PARAMS), ARC, s, s1, 0.1, CFG)
 
 
 def test_a_return_map_crossing_below_the_wall_is_no_crossing():
