@@ -381,8 +381,7 @@ def _cmd_trace(cfg: RunConfig):
         line = tracing.trace_streamline(laminar_field(arc, params), start, trace_cfg)
     else:  # pressure or level
         gradp = stationary_gradp_field(arc, params)
-        direction = "along" if kind == "pressure" else "perpendicular"
-        line = tracing.trace_pressure_line(gradp, start, trace_cfg, direction)
+        line = tracing.trace_pressure_line(gradp, start, trace_cfg, perpendicular=kind == "level")
     _require_finite([line.length])
     payload = {"kind": kind, "points": len(line.points), "length": line.length}
     return payload, _data_csv(line.CSV_HEADER, line.rows()), 0, {}

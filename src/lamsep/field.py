@@ -124,11 +124,6 @@ def near_wall_scale(params: LaminarParams, delta: float) -> float:
     return scale
 
 
-def _laplacian_tangential(params: LaminarParams, delta: float, r):
-    s = r + delta
-    return -params.alpha2 + profile_h_prime(params, r) / s - profile_h(params, r) / (s * s)
-
-
 def analytic_laplacian(params: LaminarParams, delta: float, r):
     """Vector Laplacian of the laminar field at wall distance r, in (tangent, normal) parts.
 
@@ -136,7 +131,8 @@ def analytic_laplacian(params: LaminarParams, delta: float, r):
     normal = 0.  nu * tangential equals the ansatz component P(r).  Here and in
     the helpers below r is a float or an array.
     """
-    return _laplacian_tangential(params, delta, r), 0.0
+    s = r + delta
+    return -params.alpha2 + profile_h_prime(params, r) / s - profile_h(params, r) / (s * s), 0.0
 
 
 def advection(params: LaminarParams, delta: float, r, variant: str = "paper"):
@@ -161,7 +157,7 @@ def stationary_gradp_ansatz(params: LaminarParams, delta: float, r):
     Pperp(r) = h(r)/(r+d), the negated printed advection (see ``advection``,
     whose "corrected" variant carries the extra factor h(r)).
     """
-    return params.nu * _laplacian_tangential(params, delta, r), -advection(params, delta, r)
+    return params.nu * analytic_laplacian(params, delta, r)[0], -advection(params, delta, r)
 
 
 def stationary_gradp_field(arc: ArcBoundary, params: LaminarParams) -> FieldHandle:

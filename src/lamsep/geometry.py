@@ -50,9 +50,18 @@ class ArcBoundary(CheckedRecord, _ArcFields):
 
     @property
     def padded_s_range(self) -> tuple[float, float]:
+        """The chart's stations: s_range widened by CHART_PADDING of its length at
+        each end, refused when as long as the wall circle, on which
+        ``wall_station`` would wrap a station onto another."""
         s1, s2 = self.s_range
         pad = CHART_PADDING * (s2 - s1)
-        return s1 - pad, s2 + pad
+        lo, hi = s1 - pad, s2 + pad
+        period = 2.0 * math.pi * self.delta
+        if not hi - lo < period:  # inf and NaN fail too
+            raise DomainError(f"s_range {list(self.s_range)} widened to the chart's "
+                              f"[{lo:g}, {hi:g}] must be shorter than the wall circle "
+                              f"2*pi*delta = {period:g} (delta = {self.delta:g})")
+        return lo, hi
 
 
 class NormalPoint(NamedTuple):
@@ -119,7 +128,7 @@ def from_cartesian(arc: ArcBoundary, x) -> NormalPoint:
     """Invert the chart: plane point (a float pair or a 2-vector) -> NormalPoint.
 
     Raises OutOfChart for a point inside the wall circle or at an angular position
-    outside the padded sector.
+    outside the padded sector (and DomainError for a sector the chart would wrap).
     """
     rx, ry = float(x[0]) - arc.center[0], float(x[1]) - arc.center[1]
     dist = abs(complex(rx, ry))  # libm hypot

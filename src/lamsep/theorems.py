@@ -111,6 +111,7 @@ def theorem1_verify(
         cfg = tracing.default_trace_config(arc, params)
         gradp = stationary_gradp_field(arc, params)
         s0, s1 = arc.s_range
+        arc.padded_s_range  # a segment the chart would wrap is refused here, named once
         s_mid = s0 + 0.3 * (s1 - s0)
         eps_list = [4e-3 * delta, 2e-3 * delta, 1e-3 * delta]
         r = r_grid[0]

@@ -230,17 +230,11 @@ def trace_streamline(field: FieldHandle, start, cfg: TraceConfig) -> Polyline:
 
 
 def trace_pressure_line(
-    gradp: FieldHandle,
-    start,
-    cfg: TraceConfig,
-    direction: str = "along",
-    orientation: float = 1.0,
+    gradp: FieldHandle, start, cfg: TraceConfig, *, perpendicular=False, orientation=1.0
 ) -> Polyline:
-    """Integrate the normalized pressure gradient ("along") or its perpendicular."""
-    if direction not in ("along", "perpendicular"):
-        raise ValidationError(f"direction must be 'along' or 'perpendicular', got {direction!r}")
+    """Integrate the normalized pressure gradient, or its perpendicular (a level curve)."""
     dirfn = _unit_direction(gradp, cfg.stagnation_tol, sign=orientation,
-                            perpendicular=direction == "perpendicular")
+                            perpendicular=perpendicular)
     return Polyline.from_points([start] + [x_new for _, x_new, _, _ in _march(dirfn, start, cfg)])
 
 
@@ -406,15 +400,15 @@ def _first_polyline_crossing(a0, a1, segs, blocks):
 
     The polyline is given by :func:`_segment_blocks`.  A block whose box misses
     the step's box, both padded well beyond the parameter slack, holds no
-    crossing; the others are tested segment by segment.  Returns (t, segment
-    index) or None.
+    crossing; the others are tested segment by segment.  Returns the step's
+    parameter t at the crossing, or None.
     """
     d1x, d1y = a1[0] - a0[0], a1[1] - a0[1]
     pad = _BOX_PAD * (abs(d1x) + abs(d1y))
     x_lo, x_hi = min(a0[0], a1[0]) - pad, max(a0[0], a1[0]) + pad
     y_lo, y_hi = min(a0[1], a1[1]) - pad, max(a0[1], a1[1]) + pad
     lo, hi = -_CROSS_EPS, 1.0 + _CROSS_EPS
-    best_t, best_idx = math.inf, None
+    best_t = math.inf
     for bx_lo, bx_hi, by_lo, by_hi, first, stop in blocks:
         if bx_hi < x_lo or bx_lo > x_hi or by_hi < y_lo or by_lo > y_hi:
             continue
@@ -427,10 +421,10 @@ def _first_polyline_crossing(a0, a1, segs, blocks):
             t = (wx * d2y - wy * d2x) / denom
             u = (wx * d1y - wy * d1x) / denom
             if lo <= t <= hi and lo <= u <= hi and t < best_t:
-                best_t, best_idx = t, idx
-    if best_idx is None:
+                best_t = t
+    if best_t == math.inf:
         return None
-    return min(max(best_t, 0.0), 1.0), best_idx
+    return min(max(best_t, 0.0), 1.0)
 
 
 def _offset_arc_length(arc: ArcBoundary, s: float, eps: float, r: float) -> float:
@@ -438,11 +432,8 @@ def _offset_arc_length(arc: ArcBoundary, s: float, eps: float, r: float) -> floa
     distance r, which a trace over it takes as its scale; a DomainError when
     either station leaves the padded wall segment or the length is not
     positive and finite (s + eps rounding onto s, say)."""
-    lo, hi = arc.padded_s_range
-    for station in (s, s + eps):
-        if not lo <= station <= hi:
-            raise DomainError(f"wall station {station:g} (s = {s:g}, eps = {eps:g}) leaves "
-                              f"the padded wall segment [{lo:g}, {hi:g}]")
+    _require_on_segment(arc, "s", s)
+    _require_on_segment(arc, "s + eps", s + eps)
     length = arc_segment_length(arc, s, s + eps, r)
     if not 0 < length < math.inf:
         raise DomainError(f"the offset arc from wall station s = {s:g} over eps = {eps:g} "
@@ -450,22 +441,17 @@ def _offset_arc_length(arc: ArcBoundary, s: float, eps: float, r: float) -> floa
     return length
 
 
-class EtaSample(NamedTuple):
-    ratio: float
-    corner_angle: float
-
-
 def eta_trace(
     gradp: FieldHandle, arc: ArcBoundary, s: float, r: float, eps: float, cfg: TraceConfig
-) -> EtaSample:
+) -> float:
     """Trace the pressure line from Phi(s, r) to the level curve through
-    Phi(s+eps, r) and measure its length against the offset arc."""
+    Phi(s+eps, r): the ratio of its length to the offset arc's."""
     phi_len = _offset_arc_length(arc, s, eps, r)
     start = to_cartesian(arc, (s, r))
     anchor = to_cartesian(arc, (s + eps, r))
     level_cfg = cfg._replace(step=phi_len / 80.0, max_length=3.0 * phi_len)
-    fwd = trace_pressure_line(gradp, anchor, level_cfg, "perpendicular", +1.0)
-    back = trace_pressure_line(gradp, anchor, level_cfg, "perpendicular", -1.0)
+    fwd = trace_pressure_line(gradp, anchor, level_cfg, perpendicular=True, orientation=+1.0)
+    back = trace_pressure_line(gradp, anchor, level_cfg, perpendicular=True, orientation=-1.0)
     level_pts = back.points[::-1] + fwd.points[1:]
 
     # orient the pressure line toward increasing s so it meets the level curve
@@ -475,7 +461,7 @@ def eta_trace(
     sign = 1.0 if along >= 0 else -1.0
     if abs(along) <= 1e-13 * abs(complex(*g0)):
         # gradient purely normal: the level curve already passes through the start
-        return EtaSample(ratio=0.0, corner_angle=0.5 * math.pi)
+        return 0.0
     dirfn = _unit_direction(gradp, cfg.stagnation_tol, sign=sign)
     press_cfg = cfg._replace(step=phi_len / 80.0, max_length=4.0 * phi_len)
     segs, blocks = _segment_blocks(level_pts)
@@ -486,13 +472,7 @@ def eta_trace(
     else:
         raise NoCrossing(f"pressure line from (s={s}, r={r}) missed the level curve "
                          f"for eps={eps}")
-    t_hit, seg_idx = hit
-    eta_len = cum + t_hit * h
-    _, _, lx, ly = segs[seg_idx]
-    cx, cy = x_new[0] - x[0], x_new[1] - x[1]
-    cosang = abs(cx * lx + cy * ly) / (abs(complex(cx, cy)) * abs(complex(lx, ly)))
-    corner = math.acos(min(1.0, cosang))
-    return EtaSample(ratio=eta_len / phi_len, corner_angle=corner)
+    return (cum + hit * h) / phi_len
 
 
 def eta_ratio(
@@ -505,7 +485,7 @@ def eta_ratio(
     eps_list = list(eps_list)
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ValidationError("eps_list must be strictly decreasing")
-    samples = [(eps, eta_trace(gradp, arc, s, r, eps, cfg).ratio) for eps in eps_list]
+    samples = [(eps, eta_trace(gradp, arc, s, r, eps, cfg)) for eps in eps_list]
     return richardson(samples, order=1)
 
 

@@ -2,6 +2,7 @@ import ast
 import csv
 import gc
 import json
+import math
 import os
 import re
 import subprocess
@@ -627,6 +628,7 @@ def test_command_options_rejected_with_one_line(tmp_path, capsys, command, bad):
     ("zeta-check", {"eps_over_r": 1e-300}, "eps_over_r"),
     ("zeta-check", {"eps_over_r": 1e300}, "eps_over_r"),
     ("verify-theorem1", {"use_tracing": True, "s_range": [1e300, 2e300]}, "s_range"),
+    ("verify-theorem1", {"use_tracing": True, "s_range": [0, 1e-3]}, "s_range"),
 ])
 def test_a_degenerate_offset_arc_is_named_by_its_key(tmp_path, capsys, command, bad, key):
     # s + eps rounds onto s, or leaves the padded wall segment: these used to end
@@ -638,6 +640,41 @@ def test_a_degenerate_offset_arc_is_named_by_its_key(tmp_path, capsys, command, 
     assert len(err) == 1 and err[0].startswith("lamsep: error:")
     assert re.search(rf"\b{key}\b", err[0]), err[0]
     assert not (tmp_path / "o").exists()
+
+
+def test_an_offset_station_is_refused_as_any_station_is(tmp_path, capsys):
+    # s = 0.1 is on the segment, s + eps = 0.1 + 2*0.5 is not: the message is
+    # poincare_L's for its stations, under the key that set eps
+    cfg = write_config(tmp_path, {"r_list": [0.5, 0.4]})
+    assert main(["zeta-check", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "lamsep: error: eps_over_r = 2: s + eps = 1.1 leaves the padded wall segment "
+        "[-0.05, 0.55]"]
+
+
+@pytest.mark.parametrize("command, s_range", [
+    ("zeta-check", [0, 12]), ("classify", [0, 6]),
+    ("verify-theorem1", [0, 12]),
+])
+def test_a_segment_the_chart_would_wrap_is_refused(tmp_path, capsys, command, s_range):
+    # widened by a tenth at each end, the segment is as long as the wall circle
+    # 2*pi*delta or longer, so wall_station put a traced point on another turn:
+    # zeta-check [0, 12] used to exit 0 with bounds_hold false and fitted_c 1.57e4
+    cfg = write_config(tmp_path, {"s_range": s_range, "use_tracing": True}
+                       if command == "verify-theorem1" else {"s_range": s_range})
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("lamsep: error:")
+    assert len(re.findall(r"\bs_range\b", err[0])) == 1, err[0]
+    assert "delta = 1" in err[0]
+    assert not (tmp_path / "o").exists()
+
+
+def test_simulate_takes_a_full_circle_sector(tmp_path):
+    # the sector reads no chart: its whole wall circle is a valid segment
+    cfg = write_config(tmp_path, {"s_range": [0, 2 * math.pi], "n_s": 8, "n_r": 16,
+                                  "t_end": 0.002})
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
 
 
 def test_a_station_past_the_float_range_is_named(tmp_path, capsys):
