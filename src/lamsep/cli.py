@@ -211,7 +211,7 @@ def parse_config(path=None, overrides: dict | None = None, command: str | None =
     cmd = raw.get("command")
     if cmd not in COMMANDS:
         raise ValidationError(f"command must be one of {COMMANDS}, got {cmd!r}")
-    own = _COMMANDS[cmd][1]
+    own = _COMMANDS[cmd][2]
     readers = _SHARED | own
     unknown = sorted(set(raw) - set(readers) - {"command"})
     if unknown:
@@ -266,14 +266,16 @@ def _fd_variant_note(cfg: RunConfig) -> str:
 def run(cfg: RunConfig) -> RunReport:
     """Dispatch a validated config, write its files and report.json, return the report.
 
-    A handler returns ``(payload, files, exit_code, notes)``: ``files`` maps a
-    file name to its writer, called here with the path after the compute clock.
-    Every ``lamsep._load`` the handler makes counts in the import stage, not in compute.
+    A handler is called with the config and its command's module, loaded here,
+    and returns ``(payload, files, exit_code, notes)``: ``files`` maps a file
+    name to its writer, called here with the path after the compute clock.
+    Every ``lamsep._load`` of a run, the command's module included, counts in
+    the import stage, not in compute.
     """
     t0 = time.perf_counter()
     late_before = sys.modules[__package__]._late_import_s
-    handler = _COMMANDS[cfg.command][0]
-    payload, files, exit_code, notes = handler(cfg)
+    module, handler, _ = _COMMANDS[cfg.command]
+    payload, files, exit_code, notes = handler(cfg, _load(module))
     t1 = time.perf_counter()
     cfg.out.mkdir(parents=True, exist_ok=True)  # only for a run that succeeded
     for name, write in files.items():
@@ -301,8 +303,7 @@ def _data_csv(header, rows) -> dict:
     return {"data.csv": lambda path: write_csv(path, header, rows)}
 
 
-def _cmd_theorem1(cfg: RunConfig):
-    theorems = _load(".theorems")
+def _cmd_theorem1(cfg: RunConfig, theorems):
     report = theorems.theorem1_verify(
         cfg.params, cfg.arc.delta, r_grid=cfg.options.get("r_grid"),
         arc=cfg.arc if cfg.options.get("use_tracing") else None)
@@ -313,8 +314,7 @@ def _cmd_theorem1(cfg: RunConfig):
     return report._asdict(), _data_csv(["r", "lhs", "rhs", "mismatch"], rows), 0, notes
 
 
-def _cmd_theorem2(cfg: RunConfig):
-    theorems = _load(".theorems")
+def _cmd_theorem2(cfg: RunConfig, theorems):
     report = theorems.theorem2_limit(cfg.params, cfg.arc.delta, cfg.options.get("r_grid"))
     if report.agrees_with == "neither":  # a fit too coarse to adjudicate the erratum
         raise DomainError(f"r_grid {report.r_grid}: the extrapolated limit {report.limit.value:g} "
@@ -326,36 +326,33 @@ def _cmd_theorem2(cfg: RunConfig):
     payload.update(limit_extrapolated=limit.value, limit_error_estimate=limit.error_estimate,
                    limit_observed_order=limit.observed_order,
                    limit_levels_used=limit.levels_used)
-    agree = abs(report.paper_value - report.oracle_value) <= theorems.ADJUDICATION_RTOL * abs(
-        report.oracle_value
-    )
     notes = {
         "theorem2_limit_agrees_with": report.agrees_with,
         "paper_value": report.paper_value,
         "oracle_value": report.oracle_value,
         "pperp_variant_supported_by_fd": _fd_variant_note(cfg),
     }
-    return payload, _data_csv(["r", "ratio"], rows), (0 if agree else 2), notes
+    exit_code = 0 if theorems.agrees(report.paper_value, report.oracle_value) else 2
+    return payload, _data_csv(["r", "ratio"], rows), exit_code, notes
 
 
-def _classification_field(cfg: RunConfig):
+def _classification_field(cfg: RunConfig, tracing):
     arc, kind = cfg.arc, cfg.options.get("field", "laminar")
     if kind == "fan":
         default = to_cartesian(arc, (arc.s_range[0] - 2.0 * arc.delta, 0.0))
-        return _load(".tracing").fan_field(cfg.options.get("source", default))
+        return tracing.fan_field(cfg.options.get("source", default))
     if kind == "weak":
-        return _load(".tracing").radial_growth_field(arc, cfg.options.get("growth", arc.delta**-2))
+        return tracing.radial_growth_field(arc, cfg.options.get("growth", arc.delta**-2))
     return laminar_field(arc, cfg.params)
 
 
-def _cmd_classify(cfg: RunConfig):
+def _cmd_classify(cfg: RunConfig, tracing):
     arc, params, opts = cfg.arc, cfg.params, cfg.options
     scale = near_wall_scale(params, arc.delta)
     radii = opts.get("radii", [0.2 * scale, 0.1 * scale, 0.05 * scale])
     s = opts.get("s", arc.s_range[0] + 0.2 * (arc.s_range[1] - arc.s_range[0]))
     s1 = opts.get("s1", arc.s_range[0] + 0.5 * (arc.s_range[1] - arc.s_range[0]))
-    field = _classification_field(cfg)
-    tracing = _load(".tracing")
+    field = _classification_field(cfg, tracing)
     trace_cfg = tracing.default_trace_config(arc, params)
     try:
         trace_cfg = trace_cfg._replace(step=opts.get("step", trace_cfg.step))
@@ -369,11 +366,10 @@ def _cmd_classify(cfg: RunConfig):
     return payload, _data_csv(["r", "L_over_r"], result.evidence), 0, {}
 
 
-def _cmd_trace(cfg: RunConfig):
+def _cmd_trace(cfg: RunConfig, tracing):
     arc, params, opts = cfg.arc, cfg.params, cfg.options
     kind = opts.get("kind", "streamline")
     start = to_cartesian(arc, (opts.get("start_s", 0.0), opts.get("start_r", 0.1 * arc.delta)))
-    tracing = _load(".tracing")
     trace_cfg = tracing.default_trace_config(arc, params)
     trace_cfg = trace_cfg._replace(step=opts.get("step", trace_cfg.step),
                                    max_length=opts.get("length", arc.delta))
@@ -387,9 +383,8 @@ def _cmd_trace(cfg: RunConfig):
     return payload, _data_csv(line.CSV_HEADER, line.rows()), 0, {}
 
 
-def _cmd_zeta(cfg: RunConfig):
+def _cmd_zeta(cfg: RunConfig, tracing):
     arc, params, opts = cfg.arc, cfg.params, cfg.options
-    tracing = _load(".tracing")
     if opts.get("pressure") == "perturbed":
         p_field = tracing.perturbed_angular_pressure(arc, params, opts.get("amp", 0.2))
     else:
@@ -415,8 +410,7 @@ def _cmd_zeta(cfg: RunConfig):
     return payload, _data_csv(header, rows), 0, {}
 
 
-def _cmd_simulate(cfg: RunConfig):
-    nssim = _load(".nssim")
+def _cmd_simulate(cfg: RunConfig, nssim):
     sim_cfg = nssim.SimConfig(arc=cfg.arc, params=cfg.params,
                               **{k: v for k, v in cfg.options.items() if k != "probes"})
     report = nssim.run_experiment(sim_cfg, cfg.options.get("probes"))
@@ -434,13 +428,12 @@ def _cmd_simulate(cfg: RunConfig):
     return payload, files, 0, {}
 
 
-def _cmd_sweep(cfg: RunConfig):
+def _cmd_sweep(cfg: RunConfig, theorems):
     opts = cfg.options
     deltas = opts.get("delta_values", [cfg.arc.delta])
     alpha1s = opts.get("alpha1_values", [cfg.params.alpha1])
     alpha2s = opts.get("alpha2_values", [cfg.params.alpha2])
     nus = opts.get("nu_values", [cfg.params.nu])
-    theorems = _load(".theorems")
     rows, levels_used = [], []
     for d in deltas:
         for a1 in alpha1s:
@@ -457,23 +450,27 @@ def _cmd_sweep(cfg: RunConfig):
     return payload, _data_csv(header, rows), 0, {}
 
 
-# Each command's handler and options; an option that is absent or null takes
-# its default, which the handler sets.
+# Each command's module, the one ``run`` loads and hands its handler, then its
+# handler and options; an option that is absent or null takes its default,
+# which the handler sets.
 _COMMANDS = {
-    "verify-theorem1": (_cmd_theorem1, {"r_grid": _numbers, "use_tracing": _flag}),
-    "verify-theorem2": (_cmd_theorem2, {"r_grid": _numbers}),
-    "classify": (_cmd_classify, {"field": _one_of("laminar", "fan", "weak"), "radii": _numbers,
-                                 "s": _finite, "s1": _finite, "C": _finite, "source": _pair,
-                                 "growth": _finite, "step": _positive, "tol_par": _finite}),
-    "trace": (_cmd_trace, {"kind": _one_of("streamline", "pressure", "level"),
-                           "start_s": _finite, "start_r": _height, "length": _positive,
-                           "step": _positive}),
-    "zeta-check": (_cmd_zeta, {"pressure": _one_of("angular", "perturbed"), "s": _finite,
-                               "r_list": _positives, "eps_over_r": _positive, "amp": _finite}),
-    "simulate": (_cmd_simulate, {"n_s": _integer, "n_r": _integer, "dt": _finite,
-                                 "t_end": _finite, "probes": _numbers}),
-    "sweep": (_cmd_sweep, {"delta_values": _positives, "alpha1_values": _positives,
-                           "alpha2_values": _positives, "nu_values": _positives}),
+    "verify-theorem1": (".theorems", _cmd_theorem1, {"r_grid": _numbers, "use_tracing": _flag}),
+    "verify-theorem2": (".theorems", _cmd_theorem2, {"r_grid": _numbers}),
+    "classify": (".tracing", _cmd_classify, {
+        "field": _one_of("laminar", "fan", "weak"), "radii": _numbers, "s": _finite,
+        "s1": _finite, "C": _finite, "source": _pair, "growth": _finite, "step": _positive,
+        "tol_par": _finite}),
+    "trace": (".tracing", _cmd_trace, {
+        "kind": _one_of("streamline", "pressure", "level"), "start_s": _finite,
+        "start_r": _height, "length": _positive, "step": _positive}),
+    "zeta-check": (".tracing", _cmd_zeta, {
+        "pressure": _one_of("angular", "perturbed"), "s": _finite, "r_list": _positives,
+        "eps_over_r": _positive, "amp": _finite}),
+    "simulate": (".nssim", _cmd_simulate, {
+        "n_s": _integer, "n_r": _integer, "dt": _finite, "t_end": _finite, "probes": _numbers}),
+    "sweep": (".theorems", _cmd_sweep, {
+        "delta_values": _positives, "alpha1_values": _positives,
+        "alpha2_values": _positives, "nu_values": _positives}),
 }
 COMMANDS = tuple(_COMMANDS)
 
@@ -495,14 +492,13 @@ def main(argv=None) -> int:
         path, command = overrides.pop("config"), overrides.pop("command")
         cfg = parse_config(path, overrides, command)
         report = run(cfg)
-    except (LamsepError, ValueError, OSError) as exc:
+    except (LamsepError, ValueError, OSError, ArithmeticError) as exc:
         # a ValueError may come from numpy or the standard library, an OSError from an
-        # unreadable config or an unwritable --out
+        # unreadable config or an unwritable --out; an ArithmeticError is an
+        # OverflowError, ZeroDivisionError or FloatingPointError
+        if isinstance(exc, ArithmeticError):
+            exc = f"a value leaves the float range at these parameters ({exc})"
         print(f"lamsep: error: {exc}", file=sys.stderr)
-        return 1
-    except ArithmeticError as exc:  # OverflowError, ZeroDivisionError, FloatingPointError
-        print(f"lamsep: error: a value leaves the float range at these parameters ({exc})",
-              file=sys.stderr)
         return 1
     print(f"lamsep {report.command}: wrote {cfg.out / 'report.json'} and {cfg.out / 'data.csv'}")
     if report.exit_code == 2:

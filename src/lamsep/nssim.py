@@ -123,8 +123,7 @@ class SimConfig(CheckedRecord, _SimFields):
         implicit)."""
         g = self.grid
         umax = self.top_speed
-        h_min = min(self.arc.delta * g.dth, g.drh)
-        return {"advective": h_min / umax if umax > 0 else math.inf,
+        return {"advective": g.h_min / umax if umax > 0 else math.inf,
                 "radial_viscous": 0.25 * g.drh * g.drh / self.params.nu}
 
     @cached_property
@@ -217,8 +216,7 @@ class SimConfig(CheckedRecord, _SimFields):
             raise ValidationError("; ".join(problems))
 
     def cfl(self) -> float:
-        g = self.grid
-        return self.top_speed * self.effective_dt / min(self.arc.delta * g.dth, g.drh)
+        return self.top_speed * self.effective_dt / self.grid.h_min
 
 
 def _run_bytes(n_s: int, n_r: int) -> int:
@@ -252,6 +250,8 @@ class _Grid:
         self.rho_f = self.delta + self.drh * np.arange(n_r + 1)
         self.rho_c = self.delta + self.drh * (np.arange(n_r) + 0.5)
         self.theta_c = self.dth * (np.arange(n_s) + 0.5)
+        self.area = self.rho_c * self.dth * self.drh  # of each cell
+        self.h_min = min(self.delta * self.dth, self.drh)  # the smallest cell side
         # row k of a[wrap] is row k - 1 of a periodic (n_s, ...) array a, for
         # k = 0 .. n_s + 1: each row between its two theta neighbours
         self.wrap = np.arange(-1, n_s + 1) % n_s
@@ -394,20 +394,20 @@ def _neumann_factors(g: _Grid) -> tuple[np.ndarray, np.ndarray]:
     return v, inv
 
 
-def _solve_theta_lines(cfg: SimConfig, rhs: np.ndarray) -> np.ndarray:
-    """x with (I + c*T_theta) x = rhs on every radial line, laid out as in
-    ``SimConfig._theta_damping``: one real FFT, one scaling, one inverse."""
-    modes = np.fft.rfft(rhs, axis=0)
-    modes *= cfg._theta_damping
-    return np.fft.irfft(modes, cfg.n_s, axis=0)
+def _scale_theta_modes(x: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """x with each real FFT theta-mode m (row m of its transform along axis 0)
+    times row m of ``scale``: one real FFT, one scaling, one inverse.  With
+    ``SimConfig._theta_damping`` it solves (I + c*T_theta) y = x on every
+    radial line."""
+    modes = np.fft.rfft(x, axis=0)
+    modes *= scale
+    return np.fft.irfft(modes, x.shape[0], axis=0)
 
 
 def _solve_neumann(cfg: SimConfig, b: np.ndarray) -> np.ndarray:
     """Zero-mean phi with A phi = -b for the projection's A; b must have zero mean."""
     v, inv = cfg.grid.neumann
-    modes = np.fft.rfft(-b @ v, axis=0)
-    modes *= inv
-    phi = np.fft.irfft(modes, cfg.n_s, axis=0) @ v.T
+    phi = _scale_theta_modes(-b @ v, inv) @ v.T
     phi -= phi.mean()
     return phi
 
@@ -440,14 +440,12 @@ def step(state: SimState, cfg: SimConfig) -> SimState:
     np.add(us, dt * (neg_adv_t + nu * visc_t), out=rhs_s)
     rhs_s -= dt * g.drive
     np.add(ur[:, 1:-1], dt * (neg_adv_r + nu * visc_r), out=rhs_r)
-    star = _solve_theta_lines(cfg, rhs)
+    star = _scale_theta_modes(rhs, cfg._theta_damping)
     us_star = star[:, :n_r]
     ur_star = np.zeros_like(ur)
     ur_star[:, 1:-1] = star[:, n_r:]
 
-    div = divergence(cfg, us_star, ur_star)
-    vol = (g.rho_c * g.dth * g.drh)[None, :]
-    b = div * vol / dt
+    b = divergence(cfg, us_star, ur_star) * g.area / dt
     b -= b.mean()
     phi = _solve_neumann(cfg, b)
 
@@ -519,10 +517,8 @@ def _cell_velocities(state: SimState) -> tuple[np.ndarray, np.ndarray]:
 
 
 def kinetic_energy(state: SimState, cfg: SimConfig) -> float:
-    g = cfg.grid
     us_c, ur_c = _cell_velocities(state)
-    vol = (g.rho_c * g.dth * g.drh)[None, :]
-    return float(0.5 * np.sum((us_c**2 + ur_c**2) * vol))
+    return float(0.5 * np.sum((us_c**2 + ur_c**2) * cfg.grid.area))
 
 
 class ExperimentReport(NamedTuple):

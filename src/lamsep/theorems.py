@@ -30,6 +30,11 @@ from .geometry import ArcBoundary
 ADJUDICATION_RTOL = 1e-4
 
 
+def agrees(value: float, reference: float) -> bool:
+    """Whether ``value`` matches ``reference`` to ``ADJUDICATION_RTOL`` of ``reference``."""
+    return abs(value - reference) <= ADJUDICATION_RTOL * abs(reference)
+
+
 def _require_inside_layer(params: LaminarParams, r: float):
     if not 0 < r < params.bl:
         raise DomainError(f"need 0 < r < bl = {params.bl}, got {r}")
@@ -242,12 +247,8 @@ def theorem2_limit(params: LaminarParams, delta: float, r_grid=None) -> Theorem2
     limit = richardson(list(zip(r_grid, ratios)), order=1)
     if not math.isfinite(limit.value) or limit.value == 0.0:
         raise DomainError(_FLOAT_RANGE)
-    if abs(limit.value - oracle) <= ADJUDICATION_RTOL * abs(oracle):
-        agrees = "oracle"
-    elif abs(limit.value - paper) <= ADJUDICATION_RTOL * abs(paper):
-        agrees = "paper"
-    else:
-        agrees = "neither"
+    agrees_with = ("oracle" if agrees(limit.value, oracle)
+                   else "paper" if agrees(limit.value, paper) else "neither")
     return Theorem2Report(
         r_grid=r_grid,
         ratio=ratios,
@@ -255,5 +256,5 @@ def theorem2_limit(params: LaminarParams, delta: float, r_grid=None) -> Theorem2
         paper_value=paper,
         oracle_value=oracle,
         derived_value=derived,
-        agrees_with=agrees,
+        agrees_with=agrees_with,
     )

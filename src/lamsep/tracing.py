@@ -430,10 +430,15 @@ def _first_polyline_crossing(a0, a1, segs, blocks):
 def _offset_arc_length(arc: ArcBoundary, s: float, eps: float, r: float) -> float:
     """The length of the offset arc from wall station s to s + eps at wall
     distance r, which a trace over it takes as its scale; a DomainError when
-    either station leaves the padded wall segment or the length is not
-    positive and finite (s + eps rounding onto s, say)."""
+    either station leaves the padded wall segment, when |eps| < 1e-8*delta, or
+    when the length is not positive and finite.  A traced point carries about
+    1e-16*delta of roundoff per step, so a shorter offset's ratio is noise
+    (zeta-check's ratios at eps_over_r = 1e-12 were up to 17 % off)."""
     _require_on_segment(arc, "s", s)
     _require_on_segment(arc, "s + eps", s + eps)
+    if abs(eps) < 1e-8 * arc.delta:
+        raise DomainError(f"the offset eps = {eps:g} is shorter than 1e-8*delta = "
+                          f"{1e-8 * arc.delta:g}, too short to trace above roundoff")
     length = arc_segment_length(arc, s, s + eps, r)
     if not 0 < length < math.inf:
         raise DomainError(f"the offset arc from wall station s = {s:g} over eps = {eps:g} "

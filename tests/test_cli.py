@@ -114,7 +114,8 @@ def test_an_out_that_cannot_be_made_is_refused_before_any_handler_runs(
         tmp_path, capsys, monkeypatch, out):
     (tmp_path / "afile").write_text("")
     ran = []
-    monkeypatch.setitem(cli._COMMANDS, "simulate", (ran.append, cli._COMMANDS["simulate"][1]))
+    module, _, options = cli._COMMANDS["simulate"]
+    monkeypatch.setitem(cli._COMMANDS, "simulate", (module, lambda *a: ran.append(a), options))
     path = write_config(tmp_path, {})
     assert main(["simulate", "--config", path, "--out", str(tmp_path / out)]) == 1
     err = capsys.readouterr().err.splitlines()
@@ -150,7 +151,7 @@ def test_readme_table_lists_every_config_key():
         listed |= {(command.strip(), key) for command in commands.split(",")
                    for key in re.findall(r"`([^`]+)`", keys)}
     in_code = {("all", key) for key in cli._SHARED} | {
-        (command, key) for command, (_, options) in cli._COMMANDS.items() for key in options}
+        (command, key) for command, (_, _, options) in cli._COMMANDS.items() for key in options}
     assert listed == in_code
 
 
@@ -629,6 +630,7 @@ def test_command_options_rejected_with_one_line(tmp_path, capsys, command, bad):
     ("zeta-check", {"eps_over_r": 1e300}, "eps_over_r"),
     ("verify-theorem1", {"use_tracing": True, "s_range": [1e300, 2e300]}, "s_range"),
     ("verify-theorem1", {"use_tracing": True, "s_range": [0, 1e-3]}, "s_range"),
+    ("zeta-check", {"eps_over_r": 1e-12}, "eps_over_r"),
 ])
 def test_a_degenerate_offset_arc_is_named_by_its_key(tmp_path, capsys, command, bad, key):
     # s + eps rounds onto s, or leaves the padded wall segment: these used to end

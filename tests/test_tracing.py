@@ -452,6 +452,22 @@ def test_poincare_L_refuses_a_station_off_the_padded_segment_untraced(monkeypatc
         poincare_L(laminar_field(ARC, PARAMS), ARC, s, s1, 0.1, CFG)
 
 
+FAR_ARC = ArcBoundary(delta=1.0, phase=0.0, center=(0.0, 0.0), s_range=(1e10, 1e10 + 0.5))
+
+
+@pytest.mark.parametrize("arc, s, eps, message", [
+    # below the floor a traced ratio is roundoff
+    (ARC, 0.1, 1e-9, r"^the offset eps = 1e-09 is shorter than 1e-8\*delta = 1e-08, "),
+    # a backward offset, and one that rounds onto s far along the wall
+    (ARC, 0.1, -0.05, r"over eps = -0\.05 has length -0\.0[0-9]+, not a positive finite"),
+    (FAR_ARC, 1e10 + 0.1, 1e-7, r"over eps = 1e-07 has length 0, not a positive finite"),
+], ids=["floor", "backward", "rounded"])
+def test_an_offset_too_short_to_trace_is_refused_untraced(arc, s, eps, message):
+    gradp = stationary_gradp_field(arc, PARAMS)
+    with pytest.raises(DomainError, match=message):
+        eta_trace(gradp, arc, s, 0.05, eps, default_trace_config(arc, PARAMS))
+
+
 def test_a_return_map_crossing_below_the_wall_is_no_crossing():
     # the streamline settles onto the circle 5e-13 of delta inside the wall: the
     # chart still takes its points (it allows 1e-12 of roundoff), and it meets
