@@ -184,7 +184,7 @@ def _analysis_layers(lamsep, tmp: Path) -> dict:
 
     cli, fdops, theorems, tracing = lamsep.cli, lamsep.fdops, lamsep.theorems, lamsep.tracing
     delta, params = 1.5, lamsep.field.LaminarParams(2.5, 1.0, 1.0)
-    arc = lamsep.geometry.ArcBoundary(delta, 0.0, (0.0, 0.0), (0.0, 0.5 * delta))
+    arc = lamsep.geometry.ArcBoundary(delta, (0.0, 0.5 * delta))
     cfg = tracing.default_trace_config(arc, params)
     scale = min(params.bl, delta)
     field = lamsep.field.laminar_field(arc, params)
@@ -234,7 +234,7 @@ def _solver_layers(lamsep, n: int) -> tuple[dict, dict]:
     import numpy as np
 
     nssim, LaminarParams = lamsep.nssim, lamsep.field.LaminarParams
-    arc = lamsep.geometry.ArcBoundary(1.0, 0.0, (0.0, 0.0), (0.0, 0.5))
+    arc = lamsep.geometry.ArcBoundary(1.0, (0.0, 0.5))
     cfg = nssim.SimConfig(arc=arc, params=LaminarParams(2.0, 1.0, 1.0),
                           n_s=n, n_r=n, t_end=SOLVER_T_END)
 

@@ -18,7 +18,7 @@ from lamsep import (
     to_cartesian,
 )
 
-arc = ArcBoundary(delta=2.0, phase=0.0, center=(0.0, 0.0), s_range=(0.0, 1.0))
+arc = ArcBoundary(delta=2.0, s_range=(0.0, 1.0))
 
 print("== boundary parametrization ==")
 print("phi(0)      =", arc_point(arc, 0.0), " (crown of the circle)")
@@ -37,11 +37,11 @@ print("chart inverse  -> s =", back.s, " r =", back.r)
 print()
 print("== the right-triangle distance to the center ==")
 # a point placed with the local frame at Q = phi(0.35) sits at distance
-# sqrt((delta + r)^2 + s^2) from the center, however it is constructed
+# sqrt((delta + r)^2 + s^2) from the center, the origin, however it is constructed
 frame = local_frame(arc, 0.35)
 for s_loc, r_loc in ((0.4, 0.1), (-0.2, 0.7)):
     y = frame.to_world(s_loc, r_loc)
-    direct = np.linalg.norm(np.subtract(y, arc.center))
+    direct = np.linalg.norm(y)
     closed = local_center_distance(arc.delta, s_loc, r_loc)
     print(f"frame point (s={s_loc:+.1f}, r={r_loc:.1f}): |Cy| = {direct:.12f}"
           f"  closed form = {closed:.12f}")

@@ -24,7 +24,7 @@ from lamsep import (
 )
 from lamsep.geometry import arc_normal, arc_tangent
 
-arc = ArcBoundary(delta=1.0, phase=0.0, center=(0.0, 0.0), s_range=(0.0, 0.5))
+arc = ArcBoundary(delta=1.0, s_range=(0.0, 0.5))
 params = LaminarParams(alpha1=1.0, alpha2=1.0, nu=1.0)
 field = laminar_field(arc, params)
 

@@ -28,7 +28,7 @@ from lamsep.tracing import (
     piecewise_linear_length,
 )
 
-arc = ArcBoundary(delta=1.0, phase=0.0, center=(0.0, 0.0), s_range=(0.0, 0.5))
+arc = ArcBoundary(delta=1.0, s_range=(0.0, 0.5))
 
 print("== eta ratio on the stationary-gradient ansatz ==")
 params = LaminarParams(alpha1=1.0, alpha2=1.0, nu=1.0)

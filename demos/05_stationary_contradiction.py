@@ -44,7 +44,7 @@ print(f"min over 300 draws of min_r M(r)/r = {worst:.6f}  (> 0)")
 print()
 print("== the same gap seen by tracing ==")
 p2 = LaminarParams(alpha1=2.0, alpha2=1.0, nu=1.0)
-arc = ArcBoundary(delta=1.0, phase=0.0, center=(0.0, 0.0), s_range=(0.0, 0.5))
+arc = ArcBoundary(delta=1.0, s_range=(0.0, 0.5))
 report = theorem1_verify(p2, 1.0, arc=arc)  # traced at r_grid[0] = 0.1
 r, traced, ansatz, factor = report.geometric_crosscheck[0]
 lhs, rhs, _ = theorem1_mismatch(p2, 1.0, r)

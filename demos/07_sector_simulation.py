@@ -29,7 +29,7 @@ params = LaminarParams(alpha1=1.0, alpha2=1.0, nu=1.0)
 print("== t = 0 tangential budget at mid-sector probes ==")
 print(" delta   r        nu*lap_t      grad_t p     ratio       closed form")
 for delta in (0.5, 1.0, 2.0):
-    arc = ArcBoundary(delta, 0.0, (0.0, 0.0), (0.0, 0.5 * delta))
+    arc = ArcBoundary(delta, (0.0, 0.5 * delta))
     cfg = SimConfig(arc=arc, params=params, n_s=48, n_r=48)
     state = init_sim(cfg)
     for s in probe_diagnostics(state, cfg, [0.1 * delta]):
@@ -40,7 +40,7 @@ print("-> negative everywhere near the wall, larger magnitude at smaller delta")
 
 print()
 print("== an unsteady run to t = 1 (delta = 0.5, alpha1 = 2: alpha1/delta > alpha2) ==")
-arc = ArcBoundary(0.5, 0.0, (0.0, 0.0), (0.0, 0.25))
+arc = ArcBoundary(0.5, (0.0, 0.25))
 cfg = SimConfig(arc=arc, params=LaminarParams(alpha1=2.0, alpha2=1.0, nu=1.0),
                 n_s=16, n_r=24, t_end=1.0)
 rep = run_experiment(cfg)

@@ -39,10 +39,10 @@ from . import _IMPORT_START, __version__, _load
 from .errors import DomainError, LamsepError, ValidationError
 from .field import (LaminarParams, advection, laminar_field, near_wall_scale,
                     stationary_gradp_field, write_csv)
-from .geometry import ArcBoundary, center_offset, to_cartesian
+from .geometry import ArcBoundary, norm, to_cartesian
 
-# 2: the envelope gained stage_s
-SCHEMA_VERSION = 2
+# 2: the envelope gained stage_s; 3: the config lost center and phase
+SCHEMA_VERSION = 3
 
 
 def _finite(value, kind=float):
@@ -128,11 +128,10 @@ def _path(value) -> Path:
 # converted, or raises ValidationError saying what the value must be.  The shared
 # keys of every command; a null shared key is refused.
 _SHARED = {"alpha1": _positive, "alpha2": _positive, "nu": _positive, "delta": _positive,
-           "phase": _finite, "center": _pair, "s_range": _pair, "out": _path}
+           "s_range": _pair, "out": _path}
 # alpha1 = 2 keeps the defaults off the degenerate wall gradient alpha1/delta = alpha2;
 # s_range defaults to (0, delta/2)
-_SHARED_DEFAULTS = {"alpha1": 2.0, "alpha2": 1.0, "nu": 1.0, "delta": 1.0, "phase": 0.0,
-                    "center": (0.0, 0.0), "out": "lamsep-out"}
+_SHARED_DEFAULTS = {"alpha1": 2.0, "alpha2": 1.0, "nu": 1.0, "delta": 1.0, "out": "lamsep-out"}
 class RunConfig(NamedTuple):
     command: str
     params: LaminarParams
@@ -229,8 +228,7 @@ def parse_config(path=None, overrides: dict | None = None, command: str | None =
     if problems:
         raise ValidationError("; ".join(problems))
 
-    arc = ArcBoundary(delta=values["delta"], phase=values["phase"], center=values["center"],
-                      s_range=values.get("s_range", (0.0, 0.5 * values["delta"])))
+    arc = ArcBoundary(values["delta"], values.get("s_range", (0.0, 0.5 * values["delta"])))
     params = LaminarParams(alpha1=values["alpha1"], alpha2=values["alpha2"], nu=values["nu"])
     options = {k: v for k, v in values.items() if k in own}
     return RunConfig(command=cmd, params=params, arc=arc, options=options, out=values["out"],
@@ -252,9 +250,8 @@ def _fd_variant_note(cfg: RunConfig) -> str:
     r = 0.1 * near_wall_scale(params, arc.delta)
     x = to_cartesian(arc, (0.0, r))
     spec = fdops.StencilSpec(h=1e-4 * arc.delta, order=4)
-    rx, ry, dist = center_offset(arc.center, *x)
     adv_x, adv_y = fd_advection(field, x, spec)
-    normal = (adv_x * rx + adv_y * ry) / dist
+    normal = (adv_x * x[0] + adv_y * x[1]) / norm(*x)
     best, best_err = "neither", math.inf
     for variant in ("paper", "corrected"):
         err = abs(normal - advection(params, arc.delta, r, variant))

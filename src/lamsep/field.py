@@ -5,8 +5,8 @@ The velocity profile over wall distance r is the shear-with-curvature law
     h(r) = alpha1 * r - (alpha2 / 2) * r**2,
 
 transported along circles concentric with the wall: at distance d from the
-center the speed is h(d - delta) and the direction is the clockwise tangent.
-The closed forms below (Laplacian, advection, the stationary
+origin, the wall's center, the speed is h(d - delta) and the direction is the
+clockwise tangent.  The closed forms below (Laplacian, advection, the stationary
 pressure-gradient ansatz) are all verified against finite differences in
 :mod:`lamsep.fdops`.
 """
@@ -17,7 +17,7 @@ import sys
 from typing import Callable, NamedTuple
 
 from .errors import CheckedRecord, DomainError, ValidationError
-from .geometry import ArcBoundary, center_offset
+from .geometry import ArcBoundary, norm
 
 VARIANTS = ("paper", "corrected")
 
@@ -101,9 +101,9 @@ def laminar_field(arc: ArcBoundary, params: LaminarParams) -> FieldHandle:
     delta = arc.delta
 
     def evaluate(x: float, y: float) -> tuple[float, float]:
-        rx, ry, d = center_offset(arc.center, x, y)
+        d = norm(x, y)
         g = profile_h(params, d - delta) / d
-        return g * ry, g * -rx
+        return g * y, g * -x
 
     return FieldHandle(evaluate)
 
@@ -165,9 +165,9 @@ def stationary_gradp_field(arc: ArcBoundary, params: LaminarParams) -> FieldHand
     delta = arc.delta
 
     def evaluate(x: float, y: float) -> tuple[float, float]:
-        rx, ry, d = center_offset(arc.center, x, y)
+        d = norm(x, y)
         p_t, p_n = stationary_gradp_ansatz(params, delta, d - delta)
-        n0, n1 = rx / d, ry / d
+        n0, n1 = x / d, y / d
         # p_t along the clockwise tangent (n1, -n0), p_n along the normal
         return p_t * n1 + p_n * n0, p_t * -n0 + p_n * n1
 

@@ -2,13 +2,14 @@
 
 The wall is an arc of radius ``delta`` traversed clockwise, so the tangent
 angle decreases with arc length and the fluid sits on the outward-normal side.
-With ``a(s) = (s + phase) / delta`` the parametrization is
+The wall's circle is centred on the origin; with ``a(s) = s / delta`` the
+parametrization is
 
-    boundary point   phi(s)  = center + delta * (sin a, cos a)
+    boundary point   phi(s)  = delta * (sin a, cos a)
     unit tangent     e1(s)   = (cos a, -sin a)
     outward normal   e2(s)   = (sin a, cos a)
 
-and the normal-coordinate chart places (s, r) at ``center + (delta+r)*e2(s)``.
+and the normal-coordinate chart places (s, r) at ``(delta+r)*e2(s)``.
 The maps take one station ``s`` as a float and return float pairs, so the
 tracer calls them point by point; ``to_cartesian`` also takes an array of
 wall distances ``r`` at one station and then returns arrays of x and y.
@@ -28,19 +29,16 @@ CHART_PADDING = 0.10
 
 class _ArcFields(NamedTuple):
     delta: float
-    phase: float
-    center: tuple[float, float]
     s_range: tuple[float, float]
 
 
 class ArcBoundary(CheckedRecord, _ArcFields):
-    """Circular wall segment: radius ``delta``, phase shift, center, s-interval."""
+    """Circular wall segment about the origin: radius ``delta``, s-interval."""
 
     __slots__ = ()
 
-    def __new__(cls, delta, phase, center, s_range):  # the center and s-interval as float pairs
-        return super().__new__(cls, delta, phase, (float(center[0]), float(center[1])),
-                               (float(s_range[0]), float(s_range[1])))
+    def __new__(cls, delta, s_range):  # the s-interval as a float pair
+        return super().__new__(cls, delta, (float(s_range[0]), float(s_range[1])))
 
     def _check(self):
         if self.delta <= 0:
@@ -101,11 +99,10 @@ def arc_tangent(arc: ArcBoundary, s: float) -> tuple[float, float]:
 
 
 def arc_normal(arc: ArcBoundary, s: float) -> tuple[float, float]:
-    """Unit normal e2(s) = (sin a, cos a), pointing away from the center (into the fluid)."""
-    a = (s + arc.phase) / arc.delta
+    """Unit normal e2(s) = (sin a, cos a), pointing away from the origin (into the fluid)."""
+    a = s / arc.delta
     if not math.isfinite(a):
-        raise DomainError(f"wall station s = {s} leaves the float range: its angle "
-                          f"(s + phase)/delta = {a}")
+        raise DomainError(f"wall station s = {s} leaves the float range: its angle s/delta = {a}")
     return math.sin(a), math.cos(a)
 
 
@@ -114,14 +111,14 @@ def local_frame(arc: ArcBoundary, s: float) -> LocalFrame:
 
 
 def to_cartesian(arc: ArcBoundary, p: tuple[float, float]):
-    """Chart map: (s, r) -> center + (delta + r) * e2(s), as the pair (x, y).
+    """Chart map: (s, r) -> (delta + r) * e2(s), as the pair (x, y).
 
     ``s`` is one float; ``r`` may be an array, which gives arrays x and y.
     """
     s, r = p
     n0, n1 = arc_normal(arc, s)
     scale = arc.delta + r
-    return arc.center[0] + scale * n0, arc.center[1] + scale * n1
+    return scale * n0, scale * n1
 
 
 def from_cartesian(arc: ArcBoundary, x) -> NormalPoint:
@@ -130,36 +127,35 @@ def from_cartesian(arc: ArcBoundary, x) -> NormalPoint:
     Raises OutOfChart for a point inside the wall circle or at an angular position
     outside the padded sector (and DomainError for a sector the chart would wrap).
     """
-    rx, ry = float(x[0]) - arc.center[0], float(x[1]) - arc.center[1]
-    dist = abs(complex(rx, ry))  # libm hypot
+    x0, x1 = float(x[0]), float(x[1])
+    dist = abs(complex(x0, x1))  # libm hypot
     if dist < arc.delta * (1.0 - 1e-12):
-        raise OutOfChart(f"|x - center| = {dist} < delta = {arc.delta}")
+        raise OutOfChart(f"|x| = {dist} < delta = {arc.delta}")
     r = max(dist - arc.delta, 0.0)
-    s = wall_station(arc, rx, ry)
+    s = wall_station(arc, x0, x1)
     lo, hi = arc.padded_s_range
     if not lo <= s <= hi:
         raise OutOfChart(f"s = {s} outside padded sector [{lo}, {hi}]")
     return NormalPoint(s=s, r=r)
 
 
-def wall_station(arc: ArcBoundary, rx: float, ry: float) -> float:
-    """The station s of the center offset (rx, ry), in the period of the wall
-    circle nearest the middle of ``s_range``."""
-    # angle convention matches arc_point: x offset = sin, y offset = cos
-    s_raw = math.atan2(rx, ry) * arc.delta - arc.phase
+def wall_station(arc: ArcBoundary, x: float, y: float) -> float:
+    """The station s of the point (x, y), in the period of the wall circle
+    nearest the middle of ``s_range``."""
+    # angle convention matches arc_point: x = sin, y = cos
+    s_raw = math.atan2(x, y) * arc.delta
     period = 2.0 * math.pi * arc.delta
     mid = 0.5 * (arc.s_range[0] + arc.s_range[1])
     return s_raw - period * round((s_raw - mid) / period)
 
 
-def center_offset(center, x: float, y: float) -> tuple[float, float, float]:
-    """Offset (rx, ry) of the point (x, y) from ``center`` and its length.
+def norm(x: float, y: float) -> float:
+    """The length sqrt(x*x + y*y) of (x, y): its distance from the wall circle's center.
 
-    The length is sqrt(rx*rx + ry*ry), which the field evaluators rely on for
-    their values; math.hypot would round differently in the last bit.
+    The field evaluators rely on this rounding for their values; math.hypot
+    would round differently in the last bit.
     """
-    rx, ry = x - center[0], y - center[1]
-    return rx, ry, math.sqrt(rx * rx + ry * ry)
+    return math.sqrt(x * x + y * y)
 
 
 def local_center_distance(delta: float, s: float, r: float) -> float:

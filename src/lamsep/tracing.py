@@ -11,8 +11,8 @@ sign change within a step is located by bisection along the step, which stays
 robust for nearly tangential crossings.  The pressure line of the eta ratio
 stops instead where it first meets the traced level curve.  A march stops with
 :class:`CriticalPoint` where its field, the velocity or the pressure gradient,
-vanishes or is singular, and a curve that meets no target within its length
-raises :class:`NoCrossing`.
+vanishes, is singular or is not finite, and a curve that meets no target
+within its length raises :class:`NoCrossing`.
 
 The march runs on float pairs: a point is a tuple ``(x, y)``, and each field
 is called in point form, ``field((x, y)) -> (u, v)`` (see
@@ -36,8 +36,8 @@ from .geometry import (
     arc_point,
     arc_segment_length,
     arc_tangent,
-    center_offset,
     from_cartesian,
+    norm,
     to_cartesian,
     wall_station,
 )
@@ -141,7 +141,8 @@ def _rk_step(fn, x, h):
 def _unit_direction(field: FieldHandle, tol: float, sign: float = 1.0, perpendicular=False):
     """The field normalized to unit length (optionally turned +90 degrees), in point form.
 
-    A field below ``tol`` in length, or singular, raises :class:`CriticalPoint`.
+    A field below ``tol`` in length, singular or not finite (infinite or NaN)
+    raises :class:`CriticalPoint`.
     """
     def fn(x):
         try:
@@ -149,8 +150,10 @@ def _unit_direction(field: FieldHandle, tol: float, sign: float = 1.0, perpendic
         except ZeroDivisionError as exc:
             raise CriticalPoint(f"field is singular at {x}") from exc
         speed = abs(complex(u, v))  # libm hypot
-        if speed < tol:
-            raise CriticalPoint(f"|field| = {speed} < {tol} at {x}")
+        if not tol <= speed < math.inf:  # NaN fails too
+            if speed < tol:
+                raise CriticalPoint(f"|field| = {speed} < {tol} at {x}")
+            raise CriticalPoint(f"field is not finite at {x}: ({u}, {v})")
         u, v = u / speed, v / speed
         if perpendicular:
             u, v = -v, u
@@ -268,7 +271,7 @@ def poincare_L(
         raise NoCrossing(f"streamline left the chart before reaching s1={s1}") from exc
     if hit is None:
         raise NoCrossing(f"no crossing of the normal ray at s1={s1} within {cfg.max_length}")
-    tau = center_offset(arc.center, *hit[0])[2] - arc.delta
+    tau = norm(*hit[0]) - arc.delta
     if tau <= 0:
         raise NoCrossing(f"crossing found below the wall (tau={tau})")
     return tau
@@ -325,7 +328,8 @@ def fan_field(source) -> FieldHandle:
     src = (float(source[0]), float(source[1]))
 
     def evaluate(x: float, y: float) -> tuple[float, float]:
-        rx, ry, d = center_offset(src, x, y)
+        rx, ry = x - src[0], y - src[1]
+        d = norm(rx, ry)
         return rx / d, ry / d
 
     return FieldHandle(evaluate)
@@ -336,9 +340,9 @@ def fan_expected_crossing(arc: ArcBoundary, source, s: float, s1: float, r: floa
     through Phi(s, r) with the normal ray at s1."""
     a = to_cartesian(arc, (s, r))
     n0, n1 = arc_normal(arc, s1)
-    # solve source + w*(a - source) = center + t*e2 by Cramer's rule
+    # solve source + w*(a - source) = t*e2 by Cramer's rule
     a0, a1 = a[0] - source[0], a[1] - source[1]
-    b0, b1 = arc.center[0] - source[0], arc.center[1] - source[1]
+    b0, b1 = -source[0], -source[1]
     det = -a0 * n1 + n0 * a1
     if det == 0:
         raise NoCrossing("fan ray is parallel to the target normal ray")
@@ -358,9 +362,9 @@ def radial_growth_field(arc: ArcBoundary, growth: float) -> FieldHandle:
     delta = arc.delta
 
     def evaluate(x: float, y: float) -> tuple[float, float]:
-        rx, ry, d = center_offset(arc.center, x, y)
+        d = norm(x, y)
         r = d - delta
-        n0, n1 = rx / d, ry / d
+        n0, n1 = x / d, y / d
         w = growth * r * r * delta / d
         # the clockwise tangent (n1, -n0) tilted outward by w
         return n1 + w * n0, -n0 + w * n1
@@ -519,12 +523,11 @@ def perturbed_angular_pressure(
     scale = amp * k / delta
 
     def evaluate(x: float, y: float) -> float:
-        rx, ry, d = center_offset(arc.center, x, y)
-        return k * wall_station(arc, rx, ry) + scale * (d - delta) ** 2
+        return k * wall_station(arc, x, y) + scale * (norm(x, y) - delta) ** 2
 
     def gradient(x: float, y: float) -> tuple[float, float]:
-        rx, ry, d = center_offset(arc.center, x, y)
-        n0, n1 = rx / d, ry / d
+        d = norm(x, y)
+        n0, n1 = x / d, y / d
         g_t, g_n = k * delta / d, 2.0 * scale * (d - delta)
         # g_t along the clockwise tangent (n1, -n0), g_n along the normal
         return g_t * n1 + g_n * n0, g_t * -n0 + g_n * n1
@@ -576,7 +579,7 @@ def _zeta_sample(
     level_cfg = cfg._replace(step=r / 100.0, max_length=4.0 * r)
 
     def height(x):
-        return center_offset(arc.center, *x)[2] - delta - r
+        return norm(*x) - delta - r
 
     foot_hit = _first_crossing(dirfn_level, wall_pt, level_cfg, height, 1e-13 * delta)
     if foot_hit is None:

@@ -2,6 +2,11 @@ import json
 
 import pytest
 
+# (alpha1, alpha2, nu, delta) of the checks that theorem 1's gap M(r) is theorem
+# 2's numerator (test_theorems) and the solver's first step (test_nssim)
+GAP_CONFIGS = [(2.0, 1.0, 1.0, 1.0), (2.0, 1.0, 1.0, 0.5), (5.0, 2.0, 0.3, 2.0),
+               (1.0, 0.4, 0.05, 4.0)]
+
 
 def _reject_constant(name):
     raise ValueError(f"report.json holds the non-JSON constant {name}")

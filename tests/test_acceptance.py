@@ -47,7 +47,7 @@ from lamsep.tracing import (
 )
 
 UNIT = LaminarParams(alpha1=1.0, alpha2=1.0, nu=1.0)
-ARC = ArcBoundary(delta=1.0, phase=0.0, center=(0.0, 0.0), s_range=(0.0, 0.5))
+ARC = ArcBoundary(delta=1.0, s_range=(0.0, 0.5))
 
 
 def report(num, text):
@@ -247,7 +247,7 @@ def test_criterion_9_simulation():
     # (c) curvature monotonicity at matched r/delta
     mags = {}
     for delta in (0.5, 1.0):
-        arc = ArcBoundary(delta, 0.0, (0.0, 0.0), (0.0, 0.5 * delta))
+        arc = ArcBoundary(delta, (0.0, 0.5 * delta))
         cfg_d = SimConfig(arc=arc, params=UNIT, n_s=64, n_r=64)
         st = init_sim(cfg_d)
         sample, = probe_diagnostics(st, cfg_d, [0.1 * delta])

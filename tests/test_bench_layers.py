@@ -305,7 +305,7 @@ def test_sides_are_separate_packages_with_separate_grid_classes(sides):
     assert a.nssim._Grid is not b.nssim._Grid
     for side in sides:
         cfg = side.nssim.SimConfig(
-            arc=side.geometry.ArcBoundary(1.0, 0.0, (0.0, 0.0), (0.0, 0.5)),
+            arc=side.geometry.ArcBoundary(1.0, (0.0, 0.5)),
             params=side.field.LaminarParams(2.0, 1.0, 1.0), n_s=16, n_r=16)
         side.nssim.init_sim(cfg)
         assert type(cfg.grid) is side.nssim._Grid

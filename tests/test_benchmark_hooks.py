@@ -45,7 +45,7 @@ def test_setup_probe_runs_simulate_set_up(tmp_path):
 
 def test_final_state_feeds_the_simulation_health_record():
     traced = _load("traced")
-    arc = ArcBoundary(1.0, 0.0, (0.0, 0.0), (0.0, 0.5))
+    arc = ArcBoundary(1.0, (0.0, 0.5))
     cfg = nssim.SimConfig(arc=arc, params=LaminarParams(2.0, 1.0, 1.0), n_s=16, n_r=16,
                           t_end=0.001)
     report = nssim.run_experiment(cfg)

@@ -239,7 +239,7 @@ def _solver_onset_error(delta, n_r):
     the default step: τ = (9u₁ − u₂)/(3Δρ), its first negative value located
     by linear interpolation between steps."""
     exact = EXACT[delta][0]
-    arc = ArcBoundary(delta, 0.0, (0.0, 0.0), (0.0, 0.5 * delta))
+    arc = ArcBoundary(delta, (0.0, 0.5 * delta))
     cfg = SimConfig(arc=arc, params=PARAMS, n_s=1, n_r=n_r, t_end=1.1 * exact)
     dt = cfg.effective_dt
 

@@ -31,7 +31,6 @@ def test_parse_minimal_theorem2_fills_defaults(tmp_path):
                                    "alpha2": 1, "nu": 1, "delta": 1})
     cfg = parse_config(path)
     assert cfg.command == "verify-theorem2"
-    assert cfg.arc.phase == 0.0
     assert cfg.arc.s_range == (0.0, 0.5)
     assert cfg.params.nu == 1.0
 
@@ -55,9 +54,8 @@ def test_parse_rejects_unknown_key(tmp_path):
 
 @pytest.mark.parametrize("bad", [
     {"alpha1": "x"}, {"alpha1": float("nan")}, {"alpha2": float("inf")}, {"nu": [1.0]},
-    {"delta": None}, {"alpha1": True}, {"phase": "x"}, {"phase": float("nan")}, {"s_range": [1]},
-    {"s_range": [0.0, float("nan")]}, {"s_range": [0.5, 0.0]}, {"center": 3},
-    {"center": ["a", 0.0]}, {"center": [0.0, 0.0, 0.0]},
+    {"delta": None}, {"alpha1": True}, {"s_range": [1]}, {"s_range": [0.0, float("nan")]},
+    {"s_range": [0.5, 0.0]},
 ])
 def test_parse_rejects_malformed_numbers(tmp_path, capsys, bad):
     path = write_config(tmp_path, {"command": "verify-theorem2", **bad})
@@ -302,6 +300,16 @@ def test_classify_a_streamline_that_dips_below_the_wall_left_the_chart(tmp_path,
     assert not (tmp_path / "o").exists()
 
 
+def test_classify_a_field_that_is_not_finite_is_one_line(tmp_path, capsys):
+    # growth * r * r overflows: this ended in "cannot convert float NaN to
+    # integer" from the chart of a NaN march point
+    path = write_config(tmp_path, {"field": "weak", "growth": 1e308})
+    assert main(["classify", "--config", path, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("lamsep: error: field is not finite at ")
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("key", ["s", "s1"])
 def test_classify_names_a_station_off_the_wall_segment(tmp_path, capsys, key):
     # the launch station used to end in "streamline left the chart before reaching
@@ -435,6 +443,18 @@ def test_simulate_has_no_sector_angle_or_r_out_key(tmp_path, capsys, config):
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err.splitlines()
     assert err == [f"lamsep: error: unknown config key(s) for simulate: {next(iter(config))}"]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("config", [{"center": [0, 0]}, {"phase": 0}], ids=["center", "phase"])
+def test_the_wall_has_no_center_or_phase_key(tmp_path, capsys, command, config):
+    # the wall is the circle of radius delta about the origin: both theorems are
+    # stated in the wall's own coordinates, so a rigid motion of it changes nothing
+    cfg = write_config(tmp_path, config)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"lamsep: error: unknown config key(s) for {command}: {next(iter(config))}"]
+    assert not (tmp_path / "o").exists()
 
 
 def test_simulate_sector_spans_the_wall_segment(tmp_path):
@@ -680,7 +700,7 @@ def test_simulate_takes_a_full_circle_sector(tmp_path):
 
 
 def test_a_station_past_the_float_range_is_named(tmp_path, capsys):
-    # (start_s + phase)/delta overflows to inf: this used to end in "math domain error"
+    # start_s/delta overflows to inf: this used to end in "math domain error"
     cfg = write_config(tmp_path, {"delta": 9.1e-31, "kind": "pressure", "start_s": 8.9e299})
     assert main(["trace", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err.splitlines()
@@ -738,8 +758,7 @@ def test_run_reports_wall_clock_only_in_envelope(tmp_path):
 
 _ENVELOPE_KEYS = {"schema_version", "command", "config", "payload", "erratum_notes",
                   "wall_clock_s", "stage_s", "library_version", "non_finite"}
-_SHARED_CONFIG_KEYS = {"command", "alpha1", "alpha2", "nu", "delta", "phase", "center",
-                       "s_range", "out"}
+_SHARED_CONFIG_KEYS = {"command", "alpha1", "alpha2", "nu", "delta", "s_range", "out"}
 # each command on a small config: the options it sets, its payload keys, and the
 # keys of each entry of its list-valued payload keys
 _REPORT_KEYS = {
@@ -862,14 +881,18 @@ def test_simulate_imports_no_scipy(tmp_path):
 
 
 @pytest.mark.parametrize("command, config", [
-    ("trace", {"delta": 6.1e285}),  # the chord lengths overflow
+    ("trace", {"delta": 6.1e285}),  # |x|**2 overflows: the field is NaN at the start
     ("verify-theorem1", {"delta": 5.2e140, "alpha2": 8.8e200}),  # every lhs overflows
 ])
 def test_results_beyond_the_float_range_end_in_one_line(tmp_path, capsys, command, config):
     path = write_config(tmp_path, config)
     assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err.splitlines()
-    assert err == ["lamsep: error: a value leaves the float range at these parameters"]
+    # the tracer refuses a field that is not finite at its first evaluation,
+    # before a NaN trace could reach the length check
+    expected = ("field is not finite at (0.0, 6.71e+285): (nan, nan)" if command == "trace"
+                else "a value leaves the float range at these parameters")
+    assert err == [f"lamsep: error: {expected}"]
 
 
 @pytest.mark.parametrize("command, config, names", [
@@ -1007,7 +1030,7 @@ def test_report_splits_the_process_time_by_stage(tmp_path, command, config):
                    check=True)
     wall = time.perf_counter() - t0
     report = load_strict_json(out / "report.json")
-    assert report["schema_version"] == 2
+    assert report["schema_version"] == 3
     stages = report["stage_s"]
     assert sorted(stages) == ["compute", "import", "parse", "write"]
     assert all(value >= 0 for value in stages.values())

@@ -14,7 +14,7 @@ from lamsep.theorems import theorem1_verify
 from lamsep.tracing import (TraceConfig, angular_pressure, classify_flow,
                             default_trace_config, zeta_check)
 
-ARC = ArcBoundary(1.0, 0.0, (0.0, 0.0), (0.0, 0.5))
+ARC = ArcBoundary(1.0, (0.0, 0.5))
 PARAMS = LaminarParams(2.0, 1.0, 1.0)
 
 

@@ -52,7 +52,7 @@ def test_gradient_order4_exact_on_quartics():
 
 
 def test_gradient_matches_wall_shear():
-    arc = ArcBoundary(1.0, 0.0, (0.0, 0.0), (0.0, 0.5))
+    arc = ArcBoundary(1.0, (0.0, 0.5))
     params = LaminarParams(1.0, 1.0, 1.0)
     field = laminar_field(arc, params)
     frame = local_frame(arc, 0.0)

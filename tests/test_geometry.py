@@ -10,14 +10,14 @@ from lamsep.geometry import (
     arc_point,
     arc_segment_length,
     arc_tangent,
-    center_offset,
     from_cartesian,
     local_center_distance,
     local_frame,
+    norm,
     to_cartesian,
 )
 
-ARC = ArcBoundary(delta=2.0, phase=0.0, center=(0.0, 0.0), s_range=(0.0, 1.0))
+ARC = ArcBoundary(delta=2.0, s_range=(0.0, 1.0))
 
 
 def tangent_angle(vec):
@@ -31,10 +31,10 @@ def test_crown_point_and_frame():
 
 
 def test_radius_invariant():
-    arc = ArcBoundary(delta=1.0, phase=0.0, center=(0.0, 0.0), s_range=(0.0, 1.0))
-    assert np.linalg.norm(np.subtract(arc_point(arc, 0.0), arc.center)) == pytest.approx(1.0)
+    arc = ArcBoundary(delta=1.0, s_range=(0.0, 1.0))
+    assert np.linalg.norm(arc_point(arc, 0.0)) == pytest.approx(1.0)
     for s in np.linspace(*arc.s_range, 17):
-        assert np.linalg.norm(np.subtract(arc_point(arc, s), arc.center)) == pytest.approx(1.0, abs=1e-14)
+        assert np.linalg.norm(arc_point(arc, s)) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_tangent_angle_decreasing():
@@ -84,7 +84,7 @@ def test_distance_invariant_random():
         s = rng.uniform(*ARC.s_range)
         r = rng.uniform(0.0, 1.5)
         x = to_cartesian(ARC, (s, r))
-        assert np.linalg.norm(np.subtract(x, ARC.center)) == pytest.approx(ARC.delta + r, rel=1e-14)
+        assert np.linalg.norm(x) == pytest.approx(ARC.delta + r, rel=1e-14)
 
 
 def test_round_trip_random():
@@ -99,7 +99,7 @@ def test_round_trip_random():
 
 def test_from_cartesian_center_is_below_wall():
     with pytest.raises(OutOfChart, match="< delta"):
-        from_cartesian(ARC, ARC.center)
+        from_cartesian(ARC, (0.0, 0.0))
 
 
 def test_from_cartesian_on_arc_r0():
@@ -131,18 +131,18 @@ def test_local_center_distance_matches_global_frame():
         s_loc = rng.uniform(-0.5, 0.5)
         r_loc = rng.uniform(0.0, 1.0)
         y = np.asarray(frame.to_world(s_loc, r_loc))
-        dist = np.linalg.norm(y - ARC.center)
+        dist = np.linalg.norm(y)
         assert dist == pytest.approx(local_center_distance(ARC.delta, s_loc, r_loc), rel=1e-12)
 
 
 def test_arc_segment_length_values():
-    arc = ArcBoundary(delta=1.0, phase=0.0, center=(0.0, 0.0), s_range=(0.0, 1.0))
+    arc = ArcBoundary(delta=1.0, s_range=(0.0, 1.0))
     assert arc_segment_length(arc, 0.1, 0.4, 1.0) == pytest.approx(0.6)
     assert arc_segment_length(arc, 0.1, 0.4, 0.0) == pytest.approx(0.3)
 
 
 def test_arc_segment_ratio_identity():
-    arc = ArcBoundary(delta=1.0, phase=0.0, center=(0.0, 0.0), s_range=(0.0, 1.0))
+    arc = ArcBoundary(delta=1.0, s_range=(0.0, 1.0))
     l1 = arc_segment_length(arc, 0.2, 0.5, 0.2)
     l2 = arc_segment_length(arc, 0.2, 0.5, 0.4)
     assert l1 / l2 == pytest.approx(1.2 / 1.4, rel=1e-14)
@@ -161,21 +161,21 @@ def test_frame_orthonormal_and_center_offset():
     assert np.dot(frame.e1, frame.e2) == pytest.approx(0.0, abs=1e-15)
     assert np.linalg.norm(frame.e1) == pytest.approx(1.0)
     assert np.linalg.norm(frame.e2) == pytest.approx(1.0)
-    assert np.allclose(np.subtract(frame.origin, ARC.center), ARC.delta * np.asarray(frame.e2),
-                       atol=1e-14)
+    assert np.allclose(frame.origin, ARC.delta * np.asarray(frame.e2), atol=1e-14)
 
 
 def test_arc_validation():
     with pytest.raises(ValueError):
-        ArcBoundary(delta=-1.0, phase=0.0, center=(0.0, 0.0), s_range=(0.0, 1.0))
+        ArcBoundary(delta=-1.0, s_range=(0.0, 1.0))
     with pytest.raises(ValueError):
-        ArcBoundary(delta=1.0, phase=0.0, center=(0.0, 0.0), s_range=(1.0, 0.0))
+        ArcBoundary(delta=1.0, s_range=(1.0, 0.0))
 
 
 def test_arc_is_an_immutable_value_checked_on_replace():
-    same = ArcBoundary(delta=2.0, phase=0.0, center=(0, 0), s_range=(0, 1))
+    same = ArcBoundary(delta=2.0, s_range=(0, 1))
     assert same == ARC and hash(same) == hash(ARC)  # the solver's grid cache key
-    assert same.center == (0.0, 0.0) and all(type(v) is float for v in same.s_range)
+    assert ArcBoundary._fields == ("delta", "s_range")
+    assert all(type(v) is float for v in same.s_range)
     with pytest.raises(AttributeError):
         ARC.delta = 3.0
     assert ARC._replace(s_range=(0, 2)).s_range == (0.0, 2.0)
@@ -184,19 +184,16 @@ def test_arc_is_an_immutable_value_checked_on_replace():
 
 
 def test_center_offset_matches_array_norm_bit_for_bit():
-    # the field evaluators take |x - center| from center_offset; traces keep
-    # their bits only if it agrees with np.linalg.norm in every bit
+    # the field evaluators take |x|, the distance from the wall's center, from
+    # norm; traces keep their bits only if it agrees with np.linalg.norm in every bit
     rng = np.random.default_rng(7)
-    arc = ArcBoundary(delta=1.7, phase=0.3, center=(0.4, -1.1), s_range=(-0.5, 2.0))
+    arc = ArcBoundary(delta=1.7, s_range=(-0.5, 2.0))
     s = rng.uniform(-3.0, 5.0, 2000)
     r = rng.uniform(0.0, 3.0, 2000) * 10.0 ** rng.uniform(-6, 0, 2000)
     points = np.array([to_cartesian(arc, (float(sk), float(rk))) for sk, rk in zip(s, r)])
-    offsets = points - arc.center
-    norms = np.linalg.norm(offsets, axis=-1)
+    norms = np.linalg.norm(points, axis=-1)
     for k, (x, y) in enumerate(points.tolist()):
-        rx, ry, d = center_offset(arc.center, x, y)
-        assert (rx, ry) == tuple(offsets[k])
-        assert d == norms[k]
+        assert norm(x, y) == norms[k]
     # from_cartesian reads a float pair as it reads a 2-vector
     for k in range(0, len(s), 50):
         if norms[k] >= arc.delta and arc.padded_s_range[0] <= s[k] <= arc.padded_s_range[1]:
@@ -206,7 +203,7 @@ def test_center_offset_matches_array_norm_bit_for_bit():
 
 @pytest.mark.parametrize("s", [8.9e299, -8.9e299, 1.7e308])
 def test_a_station_whose_angle_overflows_is_a_domain_error(s):
-    arc = ArcBoundary(delta=9.1e-31, phase=1e308, center=(0.0, 0.0), s_range=(0.0, 1.0))
+    arc = ArcBoundary(delta=9.1e-31, s_range=(0.0, 1.0))
     message = f"wall station s = {s} leaves the float range"
     with pytest.raises(DomainError, match=re.escape(message)):
         arc_normal(arc, s)

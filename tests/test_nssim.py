@@ -25,13 +25,15 @@ from lamsep.nssim import (
     step,
     wall_noslip_residual,
 )
-from lamsep.theorems import derived_limit, paper_limit, theorem2_ratio
+from lamsep.theorems import derived_limit, paper_limit, theorem1_mismatch, theorem2_ratio
+
+from conftest import GAP_CONFIGS
 
 PARAMS = LaminarParams(alpha1=1.0, alpha2=1.0, nu=1.0)
 
 
 def make_cfg(delta=1.0, n=24, angle=0.5, t_end=0.05, **kw):
-    arc = ArcBoundary(delta, 0.0, (0.0, 0.0), (0.0, angle * delta))
+    arc = ArcBoundary(delta, (0.0, angle * delta))
     return SimConfig(arc=arc, params=PARAMS, n_s=n, n_r=n, t_end=t_end, **kw)
 
 
@@ -49,7 +51,7 @@ def test_config_validation():
             make_cfg()._replace(**bad)
     # an angle beyond the float range, the profile speed across 2*bl beyond it,
     # and a bl that overflows to inf: each names the keys that set it
-    for bad, key in (({"arc": ArcBoundary(1.0, 0.0, (0.0, 0.0), (-1e308, 1e308))}, "s_range"),
+    for bad, key in (({"arc": ArcBoundary(1.0, (-1e308, 1e308))}, "s_range"),
                      ({"params": LaminarParams(1e300, 1.0, 1.0)}, "alpha1"),
                      ({"params": LaminarParams(1.0, 5e-324, 1.0)}, "alpha2")):
         with pytest.raises(ValidationError, match=key):
@@ -58,8 +60,8 @@ def test_config_validation():
     # underflows to 0 (0.25*drho**2/nu with drho about 1e-171): each names the
     # keys that set it
     for bad, key in (({"params": LaminarParams(1e-300, 1.0, 1.0)}, "alpha1"),
-                     ({"arc": ArcBoundary(2e233, 0.0, (0.0, 0.0), (0.0, 1e233))}, "delta"),
-                     ({"arc": ArcBoundary(1e-200, 0.0, (0.0, 0.0), (0.0, 5e-201)),
+                     ({"arc": ArcBoundary(2e233, (0.0, 1e233))}, "delta"),
+                     ({"arc": ArcBoundary(1e-200, (0.0, 5e-201)),
                        "params": LaminarParams(1e-170, 1.0, 1.0)}, "alpha1")):
         with pytest.raises(ValidationError, match=key):
             make_cfg()._replace(**bad)
@@ -329,7 +331,7 @@ def test_centripetal_head_matches_quadrature(delta):
     # order to the quadrature of h^2/rho
     for a1, a2 in ((1.0, 1.0), (2.5, 1.0), (5.0, 0.5), (0.5, 2.0)):
         params = LaminarParams(alpha1=a1, alpha2=a2, nu=1.0)
-        arc = ArcBoundary(delta, 0.0, (0.0, 0.0), (0.0, 0.5 * delta))
+        arc = ArcBoundary(delta, (0.0, 0.5 * delta))
         errs = []
         for n_r in (128, 256):
             cfg = SimConfig(arc=arc, params=params, n_s=16, n_r=n_r)
@@ -394,7 +396,7 @@ def test_separable_solves_match_cell_loop(n_s, n_r, delta, sector_angle):
     # the projection's theta-mode solver inverts the matrix built one cell at a
     # time, and the first step's pressure is the head H less its mean, which
     # solves the periodic problem of the t = 0 state exactly
-    arc = ArcBoundary(delta, 0.0, (0.0, 0.0), (0.0, sector_angle * delta))
+    arc = ArcBoundary(delta, (0.0, sector_angle * delta))
     cfg = SimConfig(arc=arc, params=PARAMS, n_s=n_s, n_r=n_r)
     assert cfg.sector_angle == sector_angle
     rng = np.random.default_rng(n_s * n_r)
@@ -423,7 +425,7 @@ def test_initial_state_is_a_discrete_equilibrium(n_s, n_r, delta):
     # every face: radially the centrifugal term of the radial update;
     # tangentially there is no advection, and the total pressure gradient, the
     # periodic pressure's plus the wall drive, is the wall gradient k*delta/rho_c
-    arc = ArcBoundary(delta, 0.0, (0.0, 0.0), (0.0, 0.5 * delta))
+    arc = ArcBoundary(delta, (0.0, 0.5 * delta))
     cfg = SimConfig(arc=arc, params=CURVED, n_s=n_s, n_r=n_r)
     state = init_sim(cfg)
     p = step(state, cfg).p
@@ -501,7 +503,7 @@ def test_first_step_follows_material_derivative():
     # t = 0 material derivative nu*visc - k*delta/rho of the probes' budget
     # (no advection at t = 0); its error is O(dt) plus roundoff over dt
     for delta in (0.5, 1.0, 4.0):
-        arc = ArcBoundary(delta, 0.0, (0.0, 0.0), (0.0, 0.5 * delta))
+        arc = ArcBoundary(delta, (0.0, 0.5 * delta))
         cfg = SimConfig(arc=arc, params=LaminarParams(2.0, 1.0, 1.0), n_s=32, n_r=32,
                         dt=1e-5, t_end=1e-5)
         s0 = init_sim(cfg)
@@ -520,7 +522,7 @@ def test_first_step_follows_material_derivative():
 def test_theta_uniform_start_stays_theta_uniform(n_s):
     # the periodic sector has no ends: a theta-uniform flow stays theta-uniform
     # (and u_r zero) to roundoff while the wall drive decelerates it
-    arc = ArcBoundary(0.5, 0.0, (0.0, 0.0), (0.0, 0.25))
+    arc = ArcBoundary(0.5, (0.0, 0.25))
     cfg = SimConfig(arc=arc, params=LaminarParams(2.0, 1.0, 1.0), n_s=n_s, n_r=16, t_end=0.5)
     s0 = init_sim(cfg)
     state = s0
@@ -548,7 +550,7 @@ def test_one_or_two_theta_cells_give_the_wide_sector_column(n_s):
     # a theta-uniform flow has no theta derivative, so a sector one or two cells
     # wide probes and steps as the mid column of a 32-cell one; its theta
     # neighbours are the wrapped cell itself
-    arc = ArcBoundary(0.5, 0.0, (0.0, 0.0), (0.0, 0.25))
+    arc = ArcBoundary(0.5, (0.0, 0.25))
     wide = SimConfig(arc=arc, params=CURVED, n_s=32, n_r=16, dt=1.5e-3, t_end=1.5e-3)
     ref_t0, ref, ref_probes = _theta_uniform_run(wide, 100)
     t0, state, probes = _theta_uniform_run(wide._replace(n_s=n_s), 100)
@@ -567,7 +569,7 @@ def test_one_or_two_theta_cells_give_the_wide_sector_column(n_s):
 def test_step_commutes_with_a_theta_shift(n_s):
     # the sector has no ends: shifting a theta-varying state by k cells shifts
     # its explicit right-hand sides bit for bit and its step to roundoff
-    arc = ArcBoundary(0.5, 0.0, (0.0, 0.0), (0.0, 0.25))
+    arc = ArcBoundary(0.5, (0.0, 0.25))
     cfg = SimConfig(arc=arc, params=CURVED, n_s=n_s, n_r=16, dt=1e-3, t_end=1e-3)
     s0 = init_sim(cfg)
     rng = np.random.default_rng(n_s)
@@ -594,7 +596,7 @@ def test_first_reversal_grows_with_delta_on_an_adverse_sweep():
     params = LaminarParams(2.0, 1.0, 1.0)
 
     def first_reversal(delta, t_end):
-        arc = ArcBoundary(delta, 0.0, (0.0, 0.0), (0.0, 0.5 * delta))
+        arc = ArcBoundary(delta, (0.0, 0.5 * delta))
         return run_experiment(SimConfig(arc=arc, params=params, n_s=16, n_r=16,
                                         t_end=t_end)).first_reversal
 
@@ -609,7 +611,7 @@ def _channel_cfg(delta, t_end):
     """The README's reversal run: alpha1 = 2, alpha2 = nu = 1 on 32 radial
     cells; one theta cell, since a theta-uniform flow steps as any column of
     the 32 x 32 sector."""
-    arc = ArcBoundary(delta, 0.0, (0.0, 0.0), (0.0, 0.5 * delta))
+    arc = ArcBoundary(delta, (0.0, 0.5 * delta))
     return SimConfig(arc=arc, params=LaminarParams(2.0, 1.0, 1.0), n_s=1, n_r=32, t_end=t_end)
 
 
@@ -683,7 +685,7 @@ def test_dt_halving_first_order():
 
 def test_zero_viscosity_limit_sanity():
     params = LaminarParams(1.0, 1.0, 1e-4)
-    arc = ArcBoundary(5.0, 0.0, (0.0, 0.0), (0.0, 2.5))
+    arc = ArcBoundary(5.0, (0.0, 2.5))
     cfg = SimConfig(arc=arc, params=params, n_s=16, n_r=16, t_end=0.05)
     rep = run_experiment(cfg)
     assert max(abs(s.ratio) for s in rep.t0_samples) < 1e-3
@@ -728,7 +730,7 @@ def test_experiment_csv_long_format(tmp_path):
 def test_field_csv_xy_is_the_chart_of_each_row(tmp_path):
     # dump_field_csv charts one theta row at a time over all radii; each (x, y)
     # must be the one-point chart of its row's (s, r), bit for bit
-    arc = ArcBoundary(1.7, 0.3, (0.4, -1.1), (0.0, 0.85))
+    arc = ArcBoundary(1.7, (0.3, 1.15))
     cfg = SimConfig(arc=arc, params=PARAMS, n_s=16, n_r=18)
     path = tmp_path / "field.csv"
     dump_field_csv(init_sim(cfg), cfg, path)
@@ -774,7 +776,7 @@ def test_real_fft_modes_diagonalise_the_periodic_second_difference(n):
     # the grid's eigenvalues, one per real FFT mode, scale each mode of a random
     # theta-line into its periodic second difference (2 on the diagonal, -1 on
     # the two wrapped off-diagonals); with and without a Nyquist mode
-    arc = ArcBoundary(1.0, 0.0, (0.0, 0.0), (0.0, 0.5))
+    arc = ArcBoundary(1.0, (0.0, 0.5))
     eig = SimConfig(arc=arc, params=PARAMS, n_s=n, n_r=16).grid.eig
     assert eig.shape == (n // 2 + 1,)
     assert eig[0] == 0.0 and np.all(eig[1:] > 0)
@@ -791,7 +793,7 @@ def test_theta_line_solves_match_cell_loop(n_s, n_r, delta):
     # one cell at a time, at a stiff nu*dt: 20x the old explicit limit, or the
     # largest valid step, half the radial-viscous limit, where that is smaller
     # (at delta = 4 the tangential cells are wider than the radial ones)
-    arc = ArcBoundary(delta, 0.0, (0.0, 0.0), (0.0, 0.5 * delta))
+    arc = ArcBoundary(delta, (0.0, 0.5 * delta))
     cfg = SimConfig(arc=arc, params=PARAMS, n_s=n_s, n_r=n_r)
     dt = min(20.0 * _explicit_wall_tangential_limit(cfg), 0.5 * cfg._dt_limits["radial_viscous"])
     cfg = cfg._replace(dt=dt, t_end=1.0)
@@ -811,7 +813,7 @@ def test_steps_far_beyond_the_old_tangential_limit_stay_bounded():
     # 50 steps at 20x the explicit limit on the wall-tangential cell width: an
     # explicit theta second difference multiplies its highest mode by about
     # 1 - 20*4 each step and diverges; the implicit one damps it
-    arc = ArcBoundary(1.0, 0.0, (0.0, 0.0), (0.0, 0.5))
+    arc = ArcBoundary(1.0, (0.0, 0.5))
     cfg = SimConfig(arc=arc, params=PARAMS, n_s=48, n_r=16)
     dt = 20.0 * _explicit_wall_tangential_limit(cfg)
     cfg = cfg._replace(dt=dt, t_end=50 * dt)
@@ -918,7 +920,7 @@ SIM_DEFAULT_SEED_1 = LaminarParams(4.098607258776841, 4.098607258776841 / 2.5,
 
 def _sim_default_configs():
     nu = SIM_DEFAULT_SEED_1.nu
-    return [SimConfig(arc=ArcBoundary(delta, 0.0, (0.0, 0.0), (0.0, 0.5 * delta)),
+    return [SimConfig(arc=ArcBoundary(delta, (0.0, 0.5 * delta)),
                       params=SIM_DEFAULT_SEED_1, n_s=32, n_r=32,
                       t_end=150 / (10.0 * 64**2) * delta * delta / nu)
             for delta in (1.0, 2.0, 4.0)]
@@ -975,7 +977,7 @@ SHEAR_PARAMS = LaminarParams(alpha1=2.0, alpha2=1.0, nu=1.0)
 
 
 def _shear_cfg(delta, n_s, n_r, **kw):
-    arc = ArcBoundary(delta, 0.0, (0.0, 0.0), (0.0, 0.5 * delta))
+    arc = ArcBoundary(delta, (0.0, 0.5 * delta))
     return SimConfig(arc=arc, params=SHEAR_PARAMS, n_s=n_s, n_r=n_r, **kw)
 
 
@@ -1030,6 +1032,24 @@ def test_first_step_rate_converges_to_the_derived_limit_at_second_order(delta):
     err = [abs(_first_step_rate(_shear_cfg(delta, 1, n_r)) - derived) for n_r in (32, 64, 128)]
     for coarse, fine in zip(err, err[1:]):
         assert 1.5 <= math.log2(coarse / fine) <= 2.2
+
+
+@pytest.mark.parametrize("n_s", [1, 32])
+@pytest.mark.parametrize("a1, a2, nu, delta", GAP_CONFIGS)
+def test_first_step_is_minus_nu_times_theorem1_gap(a1, a2, nu, delta, n_s):
+    # the closed-form t = 0 tendency nu*(h'' + h'/rho - h/rho**2) - k*delta/rho
+    # reduces to -nu*M(rho - delta), theorem 1's gap: the first step slows each
+    # cell at the rate nu*M.  theorem1_mismatch refuses r >= bl, so only the
+    # cells inside the layer are compared.  Measured: at most 9.6e-13.
+    params = LaminarParams(a1, a2, nu)
+    cfg = SimConfig(arc=ArcBoundary(delta, (0.0, 0.5 * delta)), params=params, n_s=n_s, n_r=64)
+    s0 = init_sim(cfg)
+    i_mid = cfg.n_s // 2
+    du_dt = (step(s0, cfg).us[i_mid] - s0.us[i_mid]) / cfg.effective_dt
+    r = cfg.grid.rho_c - delta
+    inside = r < params.bl
+    rate = np.array([nu * theorem1_mismatch(params, delta, float(ri))[2] for ri in r[inside]])
+    assert np.max(np.abs(du_dt[inside] + rate)) <= 1e-11 * np.max(rate)
 
 
 @pytest.mark.parametrize("n_r", [32, 64])

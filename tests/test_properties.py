@@ -58,7 +58,7 @@ def test_theorems_hold_for_valid_parameters(draw):
 def test_laminar_return_map_is_the_identity(draw):
     alpha1, alpha2, nu, delta = draw
     params = LaminarParams(alpha1=alpha1, alpha2=alpha2, nu=nu)
-    arc = ArcBoundary(delta=delta, phase=0.0, center=(0.0, 0.0), s_range=(0.0, 0.5 * delta))
+    arc = ArcBoundary(delta=delta, s_range=(0.0, 0.5 * delta))
     r = 0.1 * min(params.bl, delta)
     height = poincare_L(laminar_field(arc, params), arc, 0.1 * delta, 0.25 * delta, r,
                         default_trace_config(arc, params))
@@ -81,7 +81,7 @@ NOT_A_LIST = st.sampled_from(["x", 1.0, [], ["x"], [math.nan], [True], {}])
 NOT_A_PAIR = st.sampled_from(["x", 3.0, [1.0], [0.0, "a"], [0.0, math.inf], [0.0, 1.0, 2.0]])
 NOT_A_NAME = st.sampled_from(["nope", 5, []])
 SCALARS = {
-    "": ("alpha1", "alpha2", "nu", "delta", "phase"),
+    "": ("alpha1", "alpha2", "nu", "delta"),
     "classify": ("s", "s1", "C", "growth", "step", "tol_par"),
     "trace": ("start_s", "start_r", "length", "step"),
     "zeta-check": ("s", "eps_over_r", "amp"),
@@ -92,7 +92,7 @@ LISTS = {
     "zeta-check": ("r_list",), "simulate": ("probes",),
     "sweep": ("delta_values", "alpha1_values", "alpha2_values", "nu_values"),
 }
-PAIRS = {"": ("center", "s_range"), "classify": ("source",)}
+PAIRS = {"": ("s_range",), "classify": ("source",)}
 NAMES = {"classify": ("field",), "trace": ("kind",), "zeta-check": ("pressure",)}
 COMMANDS = ("verify-theorem1", "verify-theorem2", "classify", "trace", "zeta-check",
             "simulate", "sweep")

@@ -6,7 +6,7 @@ import pytest
 from lamsep import theorems
 from lamsep.errors import DomainError, NonMonotoneSequence
 from lamsep.fdops import ExtrapolationResult, richardson
-from lamsep.field import LaminarParams, stationary_gradp_ansatz
+from lamsep.field import LaminarParams, profile_h, stationary_gradp_ansatz
 from lamsep.geometry import ArcBoundary
 from lamsep.theorems import (
     default_r_grid,
@@ -18,6 +18,8 @@ from lamsep.theorems import (
     theorem2_limit,
     theorem2_ratio,
 )
+
+from conftest import GAP_CONFIGS
 
 UNIT = LaminarParams(alpha1=1.0, alpha2=1.0, nu=1.0)
 
@@ -78,7 +80,7 @@ def test_verify_report_positive_and_equal_case():
 
 
 def test_verify_tracing_crosscheck():
-    arc = ArcBoundary(delta=1.0, phase=0.0, center=(0.0, 0.0), s_range=(0.0, 0.5))
+    arc = ArcBoundary(delta=1.0, s_range=(0.0, 0.5))
     # the eta ratio scales with nu (about 3.2*nu here); lhs/rhs does not depend on it
     for nu in (1.0, 1e-3, 1e-5):
         params = LaminarParams(alpha1=2.0, alpha2=1.0, nu=nu)
@@ -97,7 +99,7 @@ def test_verify_tracing_crosscheck_keeps_a_fit_resolved_to_a_percent():
     params = LaminarParams(alpha1=2.854558791913073, alpha2=1.7887222817890667,
                            nu=1.7275606315925456)
     d = 1.2004314267338507
-    arc = ArcBoundary(delta=d, phase=0.0, center=(0.0, 0.0), s_range=(0.0, 0.5 * d))
+    arc = ArcBoundary(delta=d, s_range=(0.0, 0.5 * d))
     (r, _, _, factor), = theorem1_verify(params, d, arc=arc).geometric_crosscheck
     lhs, rhs, _ = theorem1_mismatch(params, d, r)
     assert factor == pytest.approx(lhs / rhs, rel=1e-3)
@@ -116,7 +118,7 @@ def test_verify_traces_its_crosscheck_on_the_wall_segment(monkeypatch):
     real_eta_ratio = tracing.eta_ratio
     monkeypatch.setattr(tracing, "eta_ratio", eta_ratio)
     params = LaminarParams(alpha1=2.0, alpha2=1.0, nu=1.0)
-    arc = ArcBoundary(delta=1.0, phase=0.0, center=(0.0, 0.0), s_range=(1.0, 2.0))
+    arc = ArcBoundary(delta=1.0, s_range=(1.0, 2.0))
     theorem1_verify(params, 1.0, arc=arc)
     assert stations == [pytest.approx(1.3, abs=1e-15)]
 
@@ -129,7 +131,7 @@ def test_verify_refuses_an_eta_ratio_too_small_to_extrapolate_naming_nu(monkeypa
 
     monkeypatch.setattr(tracing, "eta_ratio", eta_ratio)
     params = LaminarParams(alpha1=2.0, alpha2=1.0, nu=1e-7)
-    arc = ArcBoundary(delta=1.0, phase=0.0, center=(0.0, 0.0), s_range=(0.0, 0.5))
+    arc = ArcBoundary(delta=1.0, s_range=(0.0, 0.5))
     with pytest.raises(DomainError, match=r"^nu = 1e-07: the traced eta ratio is too small to "
                                           r"extrapolate \(differences do not shrink\)$"):
         theorem1_verify(params, 1.0, arc=arc)
@@ -211,6 +213,37 @@ def test_oracle_is_the_exact_limit():
         params = LaminarParams(alpha1=a1, alpha2=a2, nu=nu)
         a1_, a2_, d_, nu_ = (Fraction(v) for v in (a1, a2, d, nu))
         assert oracle_limit(params, d) == float(-2 * nu_ * a2_ / (d_ * a1_) - nu_ / d_**2)
+
+
+# ----------------------------------------------------------------------------
+# theorem 1's gap M(r) = h/(d + r)**2 + 2*a2*r/(d + r) is theorem 2's numerator:
+# the two routes are kept apart in code, and their agreement is the check
+# ----------------------------------------------------------------------------
+
+def test_ratio_is_minus_nu_times_theorem1_gap_over_speed():
+    # theorem2_ratio is (P - wall anchor)/h and theorem1_mismatch is M: the
+    # ratio is -nu*M/h, so with h > 0 in the layer theorem 2's sign is theorem
+    # 1's.  It fails if the Laplacian's a2 term or the wall anchor changes.
+    # Measured: at most 5.0e-13 relative over these draws.
+    rng = np.random.default_rng(24)
+    worst = 0.0
+    for _ in range(2000):
+        a1, a2, d = np.exp(rng.uniform(np.log(0.1), np.log(10.0), 3))
+        nu = float(np.exp(rng.uniform(np.log(0.01), np.log(10.0))))
+        params = LaminarParams(alpha1=float(a1), alpha2=float(a2), nu=nu)
+        r = float(rng.uniform(1e-3, 0.999) * params.bl)
+        gap = -params.nu * theorem1_mismatch(params, float(d), r)[2] / profile_h(params, r)
+        worst = max(worst, abs(theorem2_ratio(params, float(d), r) / gap - 1.0))
+    assert worst <= 1e-10
+
+
+@pytest.mark.parametrize("a1, a2, nu, delta", GAP_CONFIGS)
+def test_oracle_limit_is_minus_nu_times_the_gap_slope_over_alpha1(a1, a2, nu, delta):
+    # the limit is -nu*M'(0)/h'(0) with M'(0) = a1/d**2 + 2*a2/d: the printed
+    # limit keeps one of the two a2/d terms of M'(0)
+    a1_, a2_, nu_, d_ = (Fraction(v) for v in (a1, a2, nu, delta))
+    slope = a1_ / d_**2 + 2 * a2_ / d_
+    assert oracle_limit(LaminarParams(a1, a2, nu), delta) == float(-nu_ * slope / a1_)
 
 
 def test_limit_fits_the_shrinking_fine_tail():

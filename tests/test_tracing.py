@@ -31,7 +31,7 @@ from lamsep.tracing import (
     trace_streamline,
 )
 
-ARC = ArcBoundary(delta=1.0, phase=0.0, center=(0.0, 0.0), s_range=(0.0, 0.5))
+ARC = ArcBoundary(delta=1.0, s_range=(0.0, 0.5))
 PARAMS = LaminarParams(alpha1=1.0, alpha2=1.0, nu=1.0)
 CFG = default_trace_config(ARC, PARAMS)
 
@@ -76,7 +76,7 @@ def test_streamline_stays_on_circle():
     start = to_cartesian(ARC, (0.05, 0.2))
     cfg = TraceConfig(step=1e-3, max_length=0.4, stagnation_tol=CFG.stagnation_tol)
     line = trace_streamline(field, start, cfg)
-    dists = np.linalg.norm(np.asarray(line.points) - ARC.center, axis=1)
+    dists = np.linalg.norm(line.points, axis=1)
     assert np.max(np.abs(dists - 1.2)) <= 1e-6
 
 
@@ -106,6 +106,13 @@ def test_trace_from_a_singular_point_is_a_stagnation():
         trace_streamline(fan_field([0.3, 0.4]), [0.3, 0.4], CFG)
 
 
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_a_field_that_is_not_finite_is_a_critical_point(value):
+    # a NaN direction used to march on and end in an unrelated error downstream
+    with pytest.raises(CriticalPoint, match="not finite"):
+        trace_streamline(FieldHandle(lambda x, y: (value, 0.0)), [0.3, 0.4], CFG)
+
+
 def test_poincare_identity_on_laminar():
     field = laminar_field(ARC, PARAMS)
     for r in (0.05, 0.1, 0.2):
@@ -115,8 +122,7 @@ def test_poincare_identity_on_laminar():
 
 def test_poincare_counts_a_march_point_exactly_on_the_station():
     # a laminar draw whose r = 0.547 streamline has march point 180 exactly at s1
-    arc = ArcBoundary(delta=2.7344054603316077, phase=0.0, center=(0.0, 0.0),
-                      s_range=(0.0, 1.3672027301658038))
+    arc = ArcBoundary(delta=2.7344054603316077, s_range=(0.0, 1.3672027301658038))
     params = LaminarParams(alpha1=3.0459975177293237, alpha2=0.6501557024114218,
                            nu=1.9669277506667733)
     cfg = default_trace_config(arc, params)
@@ -145,14 +151,14 @@ def test_poincare_fan_matches_similar_triangles():
 
 
 def test_fan_expected_crossing_refuses_a_ray_that_misses():
-    # with phase 0 the normal ray at s1 = 0 is exactly (0, 1): a source straight
+    # the normal ray at s1 = 0 is exactly (0, 1): a source straight
     # below Phi(s, r) sends a ray parallel to it
     a = to_cartesian(ARC, (0.1, 0.05))
     with pytest.raises(NoCrossing, match="parallel"):
         fan_expected_crossing(ARC, (a[0], a[1] - 1.0), 0.1, 0.0, 0.05)
     # from the centre the ray meets the normal ray at s1 only at the centre, below the wall
     with pytest.raises(NoCrossing, match="above the wall"):
-        fan_expected_crossing(ARC, ARC.center, 0.1, 0.25, 0.05)
+        fan_expected_crossing(ARC, (0.0, 0.0), 0.1, 0.25, 0.05)
 
 
 def test_polyline_crossing_skips_a_segment_parallel_to_the_step():
@@ -452,7 +458,7 @@ def test_poincare_L_refuses_a_station_off_the_padded_segment_untraced(monkeypatc
         poincare_L(laminar_field(ARC, PARAMS), ARC, s, s1, 0.1, CFG)
 
 
-FAR_ARC = ArcBoundary(delta=1.0, phase=0.0, center=(0.0, 0.0), s_range=(1e10, 1e10 + 0.5))
+FAR_ARC = ArcBoundary(delta=1.0, s_range=(1e10, 1e10 + 0.5))
 
 
 @pytest.mark.parametrize("arc, s, eps, message", [
@@ -554,14 +560,14 @@ def _array_poincare_L(field, arc, s, s1, r, cfg):
             hi, f_hi = mid, f_mid
         else:
             lo = mid
-    return float(np.linalg.norm(x_mid - arc.center)) - arc.delta
+    return float(np.linalg.norm(x_mid)) - arc.delta
 
 
 # Largest relative deviations of the float march from the array reference,
 # measured on the case below and on 40 random arcs and parameters: 0 for the
 # traced points (abs(complex(u, v)) is libm's hypot, as np.hypot is) and
-# 4.8e-15 for poincare_L, whose |x - center| the reference takes from a BLAS
-# dot and the tracer as sqrt(rx*rx + ry*ry).
+# 4.8e-15 for poincare_L, whose |x| the reference takes from a BLAS dot and
+# the tracer as sqrt(x*x + y*y).
 POINTS_RTOL = 0.0
 HEIGHT_RTOL = 1e-13
 
@@ -572,7 +578,7 @@ def _rel_dev(got, ref) -> float:
 
 
 def test_float_march_matches_array_reference():
-    arc = ArcBoundary(delta=1.3, phase=0.2, center=(0.5, -0.7), s_range=(0.0, 0.6))
+    arc = ArcBoundary(delta=1.3, s_range=(0.0, 0.6))
     params = LaminarParams(alpha1=2.7, alpha2=1.1, nu=0.8)
     cfg = TraceConfig(step=1e-3, max_length=0.5, stagnation_tol=1e-10)
     start = to_cartesian(arc, (0.1, 0.15))

@@ -8,7 +8,7 @@ from lamsep import tracing
 from lamsep.cli import main
 from lamsep.errors import CriticalPoint, DomainError, NonMonotoneSequence
 from lamsep.field import LaminarParams, ScalarFieldHandle
-from lamsep.geometry import ArcBoundary, arc_point, arc_tangent, center_offset, to_cartesian
+from lamsep.geometry import ArcBoundary, arc_point, arc_tangent, norm, to_cartesian
 from lamsep.tracing import (
     angular_pressure,
     perturbed_angular_pressure,
@@ -16,11 +16,11 @@ from lamsep.tracing import (
     zeta_check,
 )
 
-ARC = ArcBoundary(delta=1.0, phase=0.0, center=(0.0, 0.0), s_range=(0.0, 0.5))
+ARC = ArcBoundary(delta=1.0, s_range=(0.0, 0.5))
 PARAMS = LaminarParams(alpha1=2.0, alpha2=1.0, nu=1.0)  # wall gradient K = 1
 R_LIST = [0.08, 0.04, 0.02]
 # delta != 1 and a wall gradient k = nu*(a1/delta - a2) = 0.390... != 1
-SKEW_ARC = ArcBoundary(delta=1.7, phase=0.2, center=(0.5, -0.7), s_range=(0.0, 0.6))
+SKEW_ARC = ArcBoundary(delta=1.7, s_range=(0.0, 0.6))
 SKEW_PARAMS = LaminarParams(alpha1=2.7, alpha2=1.1, nu=0.8)
 
 
@@ -30,13 +30,12 @@ def wall_incompatible_pressure(arc, params, slope):
     delta = arc.delta
 
     def evaluate(x, y):
-        d = center_offset(arc.center, x, y)[2]
-        return base.evaluator(x, y) + slope * (d - delta)
+        return base.evaluator(x, y) + slope * (norm(x, y) - delta)
 
     def gradient(x, y):
-        rx, ry, d = center_offset(arc.center, x, y)
+        d = norm(x, y)
         gx, gy = base.gradient(x, y)
-        return gx + slope * rx / d, gy + slope * ry / d
+        return gx + slope * x / d, gy + slope * y / d
 
     return ScalarFieldHandle(evaluate, gradient)
 
@@ -139,8 +138,8 @@ def test_zeta_perturbed_pw_convergence_order():
 
 
 def test_zeta_perturbed_pw_convergence_order_off_origin():
-    # phase 0.2, centre (0.5, -0.7), delta 1.7: the reconstruction's chart
-    # steps and tilt angles must not assume the unit arc at the origin
+    # delta 1.7 and k = 0.39: the reconstruction's chart steps and tilt angles
+    # must not assume the unit arc
     _assert_pw_convergence_order(SKEW_ARC, SKEW_PARAMS)
 
 
