@@ -39,7 +39,7 @@ from . import _IMPORT_START, __version__, _load
 from .errors import DomainError, LamsepError, ValidationError
 from .field import (LaminarParams, advection, laminar_field, near_wall_scale,
                     stationary_gradp_field, write_csv)
-from .geometry import ArcBoundary, norm, to_cartesian
+from .geometry import ArcBoundary, local_frame, to_cartesian
 
 # 2: the envelope gained stage_s; 3: the config lost center and phase
 SCHEMA_VERSION = 3
@@ -250,8 +250,7 @@ def _fd_variant_note(cfg: RunConfig) -> str:
     r = 0.1 * near_wall_scale(params, arc.delta)
     x = to_cartesian(arc, (0.0, r))
     spec = fdops.StencilSpec(h=1e-4 * arc.delta, order=4)
-    adv_x, adv_y = fd_advection(field, x, spec)
-    normal = (adv_x * x[0] + adv_y * x[1]) / norm(*x)
+    _, normal = local_frame(arc, 0.0).components(fd_advection(field, x, spec))
     best, best_err = "neither", math.inf
     for variant in ("paper", "corrected"):
         err = abs(normal - advection(params, arc.delta, r, variant))
@@ -367,7 +366,8 @@ def _cmd_trace(cfg: RunConfig, tracing):
     arc, params, opts = cfg.arc, cfg.params, cfg.options
     kind = opts.get("kind", "streamline")
     start = to_cartesian(arc, (opts.get("start_s", 0.0), opts.get("start_r", 0.1 * arc.delta)))
-    trace_cfg = tracing.default_trace_config(arc, params)
+    trace_cfg = (tracing.default_trace_config if kind == "streamline"
+                 else tracing.gradient_trace_config)(arc, params)
     trace_cfg = trace_cfg._replace(step=opts.get("step", trace_cfg.step),
                                    max_length=opts.get("length", arc.delta))
     if kind == "streamline":

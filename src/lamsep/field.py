@@ -6,13 +6,15 @@ The velocity profile over wall distance r is the shear-with-curvature law
 
 transported along circles concentric with the wall: at distance d from the
 origin, the wall's center, the speed is h(d - delta) and the direction is the
-clockwise tangent.  The closed forms below (Laplacian, advection, the stationary
+clockwise tangent.  Every field on the wall is its tangential and normal parts,
+functions of d, composed in :func:`wall_field`.  The closed forms below (Laplacian, advection, the stationary
 pressure-gradient ansatz) are all verified against finite differences in
 :mod:`lamsep.fdops`.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 from typing import Callable, NamedTuple
 
@@ -90,6 +92,23 @@ def profile_h_prime(params: LaminarParams, r):
     return params.alpha1 - params.alpha2 * r
 
 
+def wall_field(arc: ArcBoundary, components) -> FieldHandle:
+    """The planar field whose parts along the clockwise tangent and the outward
+    normal, at distance d from the origin, are ``components(d) -> (tangential,
+    normal)``: the one place a wall field is composed from its wall frame."""
+    def evaluate(x: float, y: float) -> tuple[float, float]:
+        d = norm(x, y)
+        if d == math.inf:
+            raise DomainError(f"delta = {arc.delta:g}: the distance of ({x:g}, {y:g}) from the "
+                              f"wall's center leaves the float range")
+        t, n = components(d)
+        n0, n1 = x / d, y / d
+        # t along the clockwise tangent (n1, -n0), n along the normal (n0, n1)
+        return t * n1 + n * n0, n * n1 - t * n0
+
+    return FieldHandle(evaluate)
+
+
 def laminar_field(arc: ArcBoundary, params: LaminarParams) -> FieldHandle:
     """Velocity field with speed h(dist - delta) along clockwise circles.
 
@@ -99,19 +118,19 @@ def laminar_field(arc: ArcBoundary, params: LaminarParams) -> FieldHandle:
     |u(Phi(s, r))| = h(r).
     """
     delta = arc.delta
-
-    def evaluate(x: float, y: float) -> tuple[float, float]:
-        d = norm(x, y)
-        g = profile_h(params, d - delta) / d
-        return g * y, g * -x
-
-    return FieldHandle(evaluate)
+    return wall_field(arc, lambda d: (profile_h(params, d - delta), 0.0))
 
 
 def wall_gradient(params: LaminarParams, delta: float) -> float:
     """k = nu*(alpha1/delta - alpha2): the tangential pressure gradient that no-slip
     fixes on a wall of radius delta."""
     return params.nu * (params.alpha1 / delta - params.alpha2)
+
+
+def anchored_gradient(params: LaminarParams, delta: float, d):
+    """k*delta/d: the tangential gradient, at distance d (a float or an array)
+    from the center, of the wall-anchored pressure k*s."""
+    return wall_gradient(params, delta) * delta / d
 
 
 def near_wall_scale(params: LaminarParams, delta: float) -> float:
@@ -163,15 +182,7 @@ def stationary_gradp_ansatz(params: LaminarParams, delta: float, r):
 def stationary_gradp_field(arc: ArcBoundary, params: LaminarParams) -> FieldHandle:
     """The printed ansatz gradient as a planar field: P(r) along circles, Pperp(r) outward."""
     delta = arc.delta
-
-    def evaluate(x: float, y: float) -> tuple[float, float]:
-        d = norm(x, y)
-        p_t, p_n = stationary_gradp_ansatz(params, delta, d - delta)
-        n0, n1 = x / d, y / d
-        # p_t along the clockwise tangent (n1, -n0), p_n along the normal
-        return p_t * n1 + p_n * n0, p_t * -n0 + p_n * n1
-
-    return FieldHandle(evaluate)
+    return wall_field(arc, lambda d: stationary_gradp_ansatz(params, delta, d - delta))
 
 
 def write_csv(path, header, rows) -> None:

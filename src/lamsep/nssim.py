@@ -68,7 +68,8 @@ else:
         del os.environ["OPENBLAS_NUM_THREADS"]
 
 from .errors import CheckedRecord, Diverged, ValidationError
-from .field import LaminarParams, near_wall_scale, profile_h, wall_gradient, write_csv
+from .field import (LaminarParams, anchored_gradient, near_wall_scale, profile_h, wall_gradient,
+                    write_csv)
 from .geometry import ArcBoundary, to_cartesian
 
 
@@ -261,7 +262,7 @@ class _Grid:
         # the wall gradient k, and k*delta/rho_c: the tangential gradient of the
         # wall-anchored pressure k*delta*theta, which ``step`` applies as a body force
         self.k = wall_gradient(cfg.params, self.delta)
-        self.drive = self.k * self.delta / self.rho_c
+        self.drive = anchored_gradient(cfg.params, self.delta, self.rho_c)
 
     @cached_property
     def neumann(self) -> tuple[np.ndarray, np.ndarray]:
@@ -503,7 +504,7 @@ def probe_diagnostics(state: SimState, cfg: SimConfig, r_probe_list) -> list[Pro
         u0 = float(us[i_mid, j])
         out.append(ProbeSample(
             r=r_node, u_t=u0, visc_t=visc, gradp_t=gradp,
-            wall_anchor_gradp_t=g.k * g.delta / (g.delta + r_node),
+            wall_anchor_gradp_t=anchored_gradient(cfg.params, g.delta, g.delta + r_node),
             ratio=(visc - gradp) / u0,
         ))
     return out

@@ -23,8 +23,8 @@ from typing import NamedTuple
 from . import _load
 from .errors import DomainError, NonMonotoneSequence, ValidationError
 from .fdops import ExtrapolationResult, richardson
-from .field import (LaminarParams, near_wall_scale, profile_h, stationary_gradp_ansatz,
-                    stationary_gradp_field, wall_gradient)
+from .field import (LaminarParams, anchored_gradient, near_wall_scale, profile_h,
+                    stationary_gradp_ansatz, stationary_gradp_field)
 from .geometry import ArcBoundary
 
 ADJUDICATION_RTOL = 1e-4
@@ -113,7 +113,7 @@ def theorem1_verify(
     crosscheck = []
     if arc is not None:
         tracing = _load(".tracing")  # on first use: the integrator stack
-        cfg = tracing.default_trace_config(arc, params)
+        cfg = tracing.gradient_trace_config(arc, params)
         gradp = stationary_gradp_field(arc, params)
         s0, s1 = arc.s_range
         arc.padded_s_range  # a segment the chart would wrap is refused here, named once
@@ -134,8 +134,7 @@ def theorem1_verify(
                               f"small to resolve (error estimate {ratio.error_estimate:g})")
         p_t, p_n = stationary_gradp_ansatz(params, delta, r)
         ansatz_mag = abs(complex(p_t, p_n))  # libm hypot
-        wall_mag = abs(wall_gradient(params, delta))
-        traced_mag = wall_mag * (delta / (delta + r)) / ratio.value
+        traced_mag = abs(anchored_gradient(params, delta, delta + r)) / ratio.value
         crosscheck.append(CrossCheck(r, traced_mag, ansatz_mag, traced_mag / ansatz_mag))
 
     return Theorem1Report(
@@ -157,8 +156,7 @@ def theorem2_ratio(params: LaminarParams, delta: float, r: float) -> float:
     """
     _require_inside_layer(params, r)
     p_t, _ = stationary_gradp_ansatz(params, delta, r)
-    wall = wall_gradient(params, delta) * delta / (delta + r)
-    return (p_t - wall) / profile_h(params, r)
+    return (p_t - anchored_gradient(params, delta, delta + r)) / profile_h(params, r)
 
 
 def paper_limit(params: LaminarParams, delta: float) -> float:

@@ -29,18 +29,10 @@ from typing import NamedTuple
 from .errors import (CheckedRecord, CriticalPoint, DomainError, NoCrossing, OutOfChart,
                      ValidationError)
 from .fdops import ExtrapolationResult, richardson
-from .field import FieldHandle, LaminarParams, ScalarFieldHandle, wall_gradient
-from .geometry import (
-    ArcBoundary,
-    arc_normal,
-    arc_point,
-    arc_segment_length,
-    arc_tangent,
-    from_cartesian,
-    norm,
-    to_cartesian,
-    wall_station,
-)
+from .field import (FieldHandle, LaminarParams, ScalarFieldHandle, anchored_gradient,
+                    wall_field, wall_gradient)
+from .geometry import (ArcBoundary, arc_normal, arc_point, arc_segment_length, arc_tangent,
+                       from_cartesian, local_frame, norm, to_cartesian, wall_station)
 
 
 class Polyline(NamedTuple):
@@ -104,6 +96,17 @@ def default_trace_config(arc: ArcBoundary, params: LaminarParams) -> TraceConfig
         max_length=10.0 * arc.delta,
         stagnation_tol=1e-10 * params.alpha1 * arc.delta,
     )
+
+
+def gradient_trace_config(arc: ArcBoundary, params: LaminarParams) -> TraceConfig:
+    """``default_trace_config`` for a pressure-gradient field: its stagnation
+    tolerance, a velocity there, becomes 1e-10 of the gradient's scale
+    nu*(alpha1/delta + alpha2), which bounds the wall gradient |k| and is not 0 where k is."""
+    tol = 1e-10 * params.nu * (params.alpha1 / arc.delta + params.alpha2)
+    if tol == 0:
+        raise DomainError(f"nu = {params.nu:g}: 1e-10 of the pressure gradient's scale "
+                          f"nu*(alpha1/delta + alpha2) underflows to 0")
+    return default_trace_config(arc, params)._replace(stagnation_tol=tol)
 
 
 class FlowClass(NamedTuple):
@@ -360,16 +363,8 @@ def radial_growth_field(arc: ArcBoundary, growth: float) -> FieldHandle:
     to 1 as r -> 0, i.e. weak diverging.
     """
     delta = arc.delta
-
-    def evaluate(x: float, y: float) -> tuple[float, float]:
-        d = norm(x, y)
-        r = d - delta
-        n0, n1 = x / d, y / d
-        w = growth * r * r * delta / d
-        # the clockwise tangent (n1, -n0) tilted outward by w
-        return n1 + w * n0, -n0 + w * n1
-
-    return FieldHandle(evaluate)
+    # the clockwise tangent tilted outward by growth * r**2 * delta/d
+    return wall_field(arc, lambda d: (1.0, growth * (d - delta) * (d - delta) * delta / d))
 
 
 # ----------------------------------------------------------------------------
@@ -465,8 +460,7 @@ def eta_trace(
 
     # orient the pressure line toward increasing s so it meets the level curve
     g0 = gradp(start)
-    t0, t1 = arc_tangent(arc, s)
-    along = g0[0] * t0 + g0[1] * t1
+    along, _ = local_frame(arc, s).components(g0)
     sign = 1.0 if along >= 0 else -1.0
     if abs(along) <= 1e-13 * abs(complex(*g0)):
         # gradient purely normal: the level curve already passes through the start
@@ -525,14 +519,9 @@ def perturbed_angular_pressure(
     def evaluate(x: float, y: float) -> float:
         return k * wall_station(arc, x, y) + scale * (norm(x, y) - delta) ** 2
 
-    def gradient(x: float, y: float) -> tuple[float, float]:
-        d = norm(x, y)
-        n0, n1 = x / d, y / d
-        g_t, g_n = k * delta / d, 2.0 * scale * (d - delta)
-        # g_t along the clockwise tangent (n1, -n0), g_n along the normal
-        return g_t * n1 + g_n * n0, g_t * -n0 + g_n * n1
-
-    return ScalarFieldHandle(evaluate, gradient)
+    gradient = wall_field(arc, lambda d: (anchored_gradient(params, delta, d),
+                                          2.0 * scale * (d - delta)))
+    return ScalarFieldHandle(evaluate, gradient.evaluator)
 
 
 class ZetaSample(NamedTuple):
@@ -569,12 +558,12 @@ def _zeta_sample(
     pressure line from it to the level of phi(s + eps); k is the wall gradient."""
     delta = arc.delta
     arc_span = _offset_arc_length(arc, s, eps, r)
-    wall_pt = arc_point(arc, s)
+    frame = local_frame(arc, s)
+    wall_pt = frame.origin
 
     # foot trace: level curve from phi(s) up to wall distance r
-    g0 = gradp(wall_pt)
-    n0, n1 = arc_normal(arc, s)
-    orient = 1.0 if -g0[1] * n0 + g0[0] * n1 >= 0 else -1.0
+    along, _ = frame.components(gradp(wall_pt))
+    orient = 1.0 if along >= 0 else -1.0
     dirfn_level = _unit_direction(gradp, cfg.stagnation_tol, sign=orient, perpendicular=True)
     level_cfg = cfg._replace(step=r / 100.0, max_length=4.0 * r)
 
@@ -626,13 +615,13 @@ def piecewise_linear_length(
     total = 0.0
     for _ in range(n):
         x = to_cartesian(arc, (s_k, r_k))
-        n0, n1 = arc_normal(arc, s_k)
-        g0, g1 = gradp(x)
-        gnorm = abs(complex(g0, g1))  # libm hypot
+        g = gradp(x)
+        gnorm = abs(complex(*g))  # libm hypot
         if gnorm == 0.0:
             raise CriticalPoint(f"gradient vanished at {x}")
-        cos_t = abs(g0 * n1 - g1 * n0) / gnorm
-        sin_t = (g0 * n0 + g1 * n1) / gnorm
+        g_t, g_n = local_frame(arc, s_k).components(g)
+        cos_t = abs(g_t) / gnorm
+        sin_t = g_n / gnorm
         seg = (delta + r_k) / delta * ds / cos_t
         total += seg
         r_k = r_k + seg * sin_t

@@ -264,3 +264,53 @@ def test_solver_wall_shear_onset_converges_to_the_exact_one():
     assert coarse < 0.0 and fine < 0.0
     assert math.log2(coarse / fine) >= 1.6
     assert -1.2e-3 <= _solver_onset_error(0.5, 32) <= -0.8e-3
+
+
+def _slowest_rate_at_unit_curvature():
+    """Λ: the slowest decay rate at x = 1, in units of ν/bl².  In units of bl the
+    walls are ρ = 1 and R = 3, so Λ = λ₁² for the first root λ₁ of the Bessel
+    cross-product J₁(λ)Y₁(3λ) − J₁(3λ)Y₁(λ)."""
+    j1, y1 = scipy.special.j1, scipy.special.y1
+
+    def cross(lam):
+        return j1(lam) * y1(3.0 * lam) - j1(3.0 * lam) * y1(lam)
+
+    grid = np.linspace(1e-3, 4.0, 4000)
+    first = np.nonzero(np.diff(np.sign(cross(grid))))[0][0]
+    return scipy.optimize.brentq(cross, grid[first], grid[first + 1], xtol=1e-15, rtol=1e-15)**2
+
+
+def _onsets_near_unit_curvature(gap):
+    """(ν·t_w/bl², ν·t_f/bl²) at x = 1 + gap, δ = bl/x: the wall-shear and the
+    net-flux onsets, which come past the default scan's t = 20 as gap → 0."""
+    channel = Channel(PARAMS.bl / (1.0 + gap))
+    unit = PARAMS.nu / PARAMS.bl**2
+    return (unit * first_negative(channel.inner_shear, t_max=30.0),
+            unit * first_negative(channel.flux, t_max=30.0))
+
+
+def test_slowest_rate_at_unit_curvature_is_the_bessel_mode():
+    rate = _slowest_rate_at_unit_curvature()
+    assert rate == pytest.approx(2.675240, abs=1e-6)
+    unit = PARAMS.nu / PARAMS.bl**2
+    assert Channel(PARAMS.bl).slowest_rate / unit == pytest.approx(rate, rel=1e-10)
+
+
+@pytest.mark.parametrize("gap", [1e-4, 1e-5, 1e-6])
+def test_wall_shear_onset_near_unit_curvature_is_logarithmic(gap):
+    # near x = 1 the steady wall shear is proportional to x − 1 (Dean), and the
+    # transient decays like e^{−Λνt/bl²}: the onset is where the two cancel, so
+    # ν·t_w/bl² = ln(1/(x − 1))/Λ + const + O(x − 1).
+    # Measured 0.1536319 / 0.1536279 / 0.1536282; N = 96 moves them by under 1e−8
+    shear_onset, _ = _onsets_near_unit_curvature(gap)
+    offset = shear_onset - math.log(1.0 / gap) / _slowest_rate_at_unit_curvature()
+    assert offset == pytest.approx(0.153628, abs=1e-5)
+
+
+@pytest.mark.parametrize("gap", [1e-5, 1e-6])
+def test_reversal_window_near_unit_curvature_tends_to_a_constant(gap):
+    # the wall shear and the flux both follow the slowest mode, and both steady
+    # values are proportional to x − 1, so the two onsets differ by a constant.
+    # Measured 0.1191077 / 0.1191075 (in units of bl²/ν)
+    shear_onset, flux_onset = _onsets_near_unit_curvature(gap)
+    assert flux_onset - shear_onset == pytest.approx(0.119107, abs=1e-5)

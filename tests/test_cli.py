@@ -881,18 +881,47 @@ def test_simulate_imports_no_scipy(tmp_path):
 
 
 @pytest.mark.parametrize("command, config", [
-    ("trace", {"delta": 6.1e285}),  # |x|**2 overflows: the field is NaN at the start
+    ("trace", {"delta": 6.1e285}),  # |x|**2 overflows at the start
     ("verify-theorem1", {"delta": 5.2e140, "alpha2": 8.8e200}),  # every lhs overflows
 ])
 def test_results_beyond_the_float_range_end_in_one_line(tmp_path, capsys, command, config):
     path = write_config(tmp_path, config)
     assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err.splitlines()
-    # the tracer refuses a field that is not finite at its first evaluation,
-    # before a NaN trace could reach the length check
-    expected = ("field is not finite at (0.0, 6.71e+285): (nan, nan)" if command == "trace"
+    # the wall field refuses a point whose distance from the center overflows,
+    # at its first evaluation, before a NaN trace could reach the length check
+    expected = ("delta = 6.1e+285: the distance of (0, 6.71e+285) from the wall's center "
+                "leaves the float range" if command == "trace"
                 else "a value leaves the float range at these parameters")
     assert err == [f"lamsep: error: {expected}"]
+
+
+@pytest.mark.parametrize("command, config", [
+    ("classify", {}), ("trace", {}), ("zeta-check", {}), ("verify-theorem1", {"use_tracing": True}),
+])
+def test_a_wall_past_the_float_range_is_named_by_delta(tmp_path, capsys, command, config):
+    # a wall point's distance from the center overflows: these ended in
+    # "field is not finite at (...): (nan, nan)" or in a refusal of the offset eps
+    path = write_config(tmp_path, {"delta": 1e160, **config})
+    assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "delta = 1e+160" in err[0] and "float range" in err[0], err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command, config", [
+    ("verify-theorem1", {"use_tracing": True}), ("trace", {"kind": "pressure"}),
+])
+def test_pressure_lines_trace_at_a_large_wall_radius(tmp_path, command, config):
+    # the pressure-gradient traces stop below 1e-10 of nu*(alpha1/delta + alpha2),
+    # a gradient; with the velocity tolerance 1e-10*alpha1*delta both runs refused
+    # a gradient of size 1 at delta = 1e10 as vanishing
+    path = write_config(tmp_path, {"delta": 1e10, **config})
+    assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 0
+    if command == "verify-theorem1":  # measured 0.99999999995 against 0.99999999996
+        payload = load_strict_json(tmp_path / "o" / "report.json")["payload"]
+        factor = payload["geometric_crosscheck"][0]["discrepancy_factor"]
+        assert factor == pytest.approx(payload["lhs"][0] / payload["rhs"][0], abs=1e-6)
 
 
 @pytest.mark.parametrize("command, config, names", [
@@ -903,6 +932,7 @@ def test_results_beyond_the_float_range_end_in_one_line(tmp_path, capsys, comman
     ("zeta-check", {"nu": 1e-320}, "wall gradient"),  # 1e-10 of it underflows to 0
     ("verify-theorem1", {"use_tracing": True, "nu": 1e-12}, "nu"),  # the eta ratio is ~3*nu
     ("verify-theorem1", {"use_tracing": True, "nu": 1e-14}, "nu"),
+    ("trace", {"kind": "pressure", "nu": 1e-320}, "nu"),  # its stagnation tolerance is 0
 ])
 def test_results_too_small_to_resolve_end_in_one_line(tmp_path, capsys, command, config, names):
     # these exited 0 with L/r = inf, exited 2 on a subnormal limit, named the

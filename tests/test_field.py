@@ -6,6 +6,7 @@ import pytest
 
 from lamsep.fdops import StencilSpec, fd_advection, fd_divergence, fd_laplacian
 from lamsep.field import (
+    FieldHandle,
     LaminarParams,
     advection,
     analytic_laplacian,
@@ -14,9 +15,11 @@ from lamsep.field import (
     profile_h_prime,
     stationary_gradp_ansatz,
     stationary_gradp_field,
+    wall_gradient,
     write_csv,
 )
 from lamsep.geometry import ArcBoundary, arc_normal, arc_tangent, local_frame, to_cartesian
+from lamsep.tracing import perturbed_angular_pressure, radial_growth_field
 
 ARC = ArcBoundary(delta=1.0, s_range=(0.0, 0.5))
 PARAMS = LaminarParams(alpha1=1.0, alpha2=1.0, nu=1.0)
@@ -180,6 +183,30 @@ def test_gradp_field_components():
     p_t, p_n = stationary_gradp_ansatz(PARAMS, ARC.delta, r)
     assert np.dot(g, arc_tangent(ARC, s)) == pytest.approx(p_t, rel=1e-12)
     assert np.dot(g, arc_normal(ARC, s)) == pytest.approx(p_n, rel=1e-12)
+
+
+@pytest.mark.parametrize("name", ["laminar", "stationary", "weak", "angular"])
+def test_wall_fields_read_back_their_parts_in_the_local_frame(name):
+    # each wall field is composed from (tangential, normal) parts in wall_field;
+    # the frame at its station reads them back, on the segment and off it, so
+    # a flipped sign in the composition fails here
+    arc, params, growth, amp = ArcBoundary(1.5, (0.0, 0.6)), LaminarParams(2.0, 1.0, 0.5), 0.7, 0.3
+    delta, k = arc.delta, wall_gradient(params, arc.delta)
+    field, parts = {
+        "laminar": (laminar_field(arc, params), lambda r: (profile_h(params, r), 0.0)),
+        "stationary": (stationary_gradp_field(arc, params),
+                       lambda r: stationary_gradp_ansatz(params, delta, r)),
+        "weak": (radial_growth_field(arc, growth),
+                 lambda r: (1.0, growth * r * r * delta / (delta + r))),
+        "angular": (FieldHandle(perturbed_angular_pressure(arc, params, amp).gradient),
+                    lambda r: (k * delta / (delta + r), 2.0 * amp * k * r / delta)),
+    }[name]
+    for s in (-1.0, 0.0, 0.3, 0.6, 2.5):
+        for r in (0.02, 0.3, 1.0, 3.0):
+            t, n = local_frame(arc, s).components(field(to_cartesian(arc, (s, r))))
+            want_t, want_n = parts(r)
+            size = math.hypot(want_t, want_n)
+            assert abs(t - want_t) <= 1e-13 * size and abs(n - want_n) <= 1e-13 * size, (s, r)
 
 
 def test_write_csv_round_trips_floats(tmp_path):

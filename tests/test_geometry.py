@@ -183,7 +183,7 @@ def test_arc_is_an_immutable_value_checked_on_replace():
         ARC._replace(delta=-1.0)
 
 
-def test_center_offset_matches_array_norm_bit_for_bit():
+def test_norm_matches_array_norm_bit_for_bit():
     # the field evaluators take |x|, the distance from the wall's center, from
     # norm; traces keep their bits only if it agrees with np.linalg.norm in every bit
     rng = np.random.default_rng(7)
