@@ -185,20 +185,23 @@ def _analysis_layers(lamsep, tmp: Path) -> dict:
     cli, fdops, theorems, tracing = lamsep.cli, lamsep.fdops, lamsep.theorems, lamsep.tracing
     delta, params = 1.5, lamsep.field.LaminarParams(2.5, 1.0, 1.0)
     arc = lamsep.geometry.ArcBoundary(delta, (0.0, 0.5 * delta))
-    cfg = tracing.default_trace_config(arc, params)
+    # a checkout from before the one stop rule gives each march an absolute
+    # tolerance: it is the third field of its trace config, which it builds from
+    # the parameters and which eta_ratio takes
+    legacy = len(tracing.TraceConfig._fields) == 3
+    cfg = tracing.default_trace_config(arc, *((params,) if legacy else ()))
     scale = min(params.bl, delta)
     field = lamsep.field.laminar_field(arc, params)
     start = lamsep.geometry.to_cartesian(arc, (0.1 * delta, 0.1 * scale))
     point = (float(start[0]), float(start[1]))
-    direction = tracing._unit_direction(field, cfg.stagnation_tol)
+    direction = tracing._unit_direction(field, *cfg[2:])
     grid = theorems.default_r_grid(params, delta)
     samples = [(r, theorems.theorem2_ratio(params, delta, r)) for r in grid]
     tmp.mkdir(parents=True)
     config = tmp / "config.json"
     config.write_text(json.dumps({"alpha1": 2.5, "alpha2": 1.0, "nu": 1.0, "delta": delta}))
     # the trace command's default streamline: 1000 steps of 1e-3 * delta
-    line = tracing.trace_streamline(field, start, tracing.TraceConfig(
-        step=1e-3 * delta, max_length=delta, stagnation_tol=cfg.stagnation_tol))
+    line = tracing.trace_streamline(field, start, cfg._replace(max_length=delta))
     rows = line.rows()
     report = cli.run(cli.parse_config(config, {"out": str(tmp / "t1")}, "verify-theorem1"))
     gradp = lamsep.field.stationary_gradp_field(arc, params)
@@ -218,7 +221,7 @@ def _analysis_layers(lamsep, tmp: Path) -> dict:
         "cli.report_to_json_s": _per_call(report.to_json, 200),
         "tracing.eta_ratio_s": _per_call(
             lambda: tracing.eta_ratio(gradp, arc, s0 + 0.3 * (s1 - s0), grid[0], eps_list,
-                                      cfg), 3),
+                                      *((cfg,) if legacy else ())), 3),
     }
     for i, inv in enumerate(workloads.generate("cli-analysis", 1)):
         path = tmp / f"{i}.json"

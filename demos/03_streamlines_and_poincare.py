@@ -23,11 +23,11 @@ from lamsep.tracing import TraceConfig, fan_expected_crossing, fan_field, radial
 arc = ArcBoundary(delta=1.0, s_range=(0.0, 0.5))
 params = LaminarParams(alpha1=1.0, alpha2=1.0, nu=1.0)
 field = laminar_field(arc, params)
-cfg = default_trace_config(arc, params)
+cfg = default_trace_config(arc)
 
 print("== a traced streamline stays on its circle ==")
 line = trace_streamline(field, to_cartesian(arc, (0.05, 0.2)),
-                        TraceConfig(step=1e-3, max_length=0.4, stagnation_tol=1e-12))
+                        TraceConfig(step=1e-3, max_length=0.4))
 radii = np.linalg.norm(line.points, axis=1)
 print(f"traced {line.length:.3f} units; radius drift {np.max(np.abs(radii - 1.2)):.2e}")
 

@@ -16,7 +16,6 @@ import numpy as np
 from lamsep import (
     ArcBoundary,
     LaminarParams,
-    default_trace_config,
     eta_ratio,
     stationary_gradp_ansatz,
     stationary_gradp_field,
@@ -33,11 +32,10 @@ arc = ArcBoundary(delta=1.0, s_range=(0.0, 0.5))
 print("== eta ratio on the stationary-gradient ansatz ==")
 params = LaminarParams(alpha1=1.0, alpha2=1.0, nu=1.0)
 gradp = stationary_gradp_field(arc, params)
-cfg = default_trace_config(arc, params)
 r = 0.1
 p_t, p_n = stationary_gradp_ansatz(params, arc.delta, r)
 expected = abs(p_t) / np.hypot(p_t, p_n)
-res = eta_ratio(gradp, arc, 0.15, r, [4e-3, 2e-3, 1e-3], cfg)
+res = eta_ratio(gradp, arc, 0.15, r, [4e-3, 2e-3, 1e-3])
 print(f"traced |eta|/|Phi-arc| -> {res.value:.6f}")
 print(f"closed form |P|/sqrt(P^2+Pperp^2) = {expected:.6f}")
 print(f"extrapolation error estimate {res.error_estimate:.1e}, order {res.observed_order:.2f}")

@@ -349,7 +349,7 @@ def _cmd_classify(cfg: RunConfig, tracing):
     s = opts.get("s", arc.s_range[0] + 0.2 * (arc.s_range[1] - arc.s_range[0]))
     s1 = opts.get("s1", arc.s_range[0] + 0.5 * (arc.s_range[1] - arc.s_range[0]))
     field = _classification_field(cfg, tracing)
-    trace_cfg = tracing.default_trace_config(arc, params)
+    trace_cfg = tracing.default_trace_config(arc)
     try:
         trace_cfg = trace_cfg._replace(step=opts.get("step", trace_cfg.step))
     except ValidationError as exc:  # the trace length is not a key here: say where it comes from
@@ -366,8 +366,7 @@ def _cmd_trace(cfg: RunConfig, tracing):
     arc, params, opts = cfg.arc, cfg.params, cfg.options
     kind = opts.get("kind", "streamline")
     start = to_cartesian(arc, (opts.get("start_s", 0.0), opts.get("start_r", 0.1 * arc.delta)))
-    trace_cfg = (tracing.default_trace_config if kind == "streamline"
-                 else tracing.gradient_trace_config)(arc, params)
+    trace_cfg = tracing.default_trace_config(arc)
     trace_cfg = trace_cfg._replace(step=opts.get("step", trace_cfg.step),
                                    max_length=opts.get("length", arc.delta))
     if kind == "streamline":

@@ -28,7 +28,8 @@ class NoCrossing(LamsepError):
 
 
 class CriticalPoint(LamsepError):
-    """The traced field, a velocity or a pressure gradient, vanished or is singular."""
+    """The traced field, a velocity or a pressure gradient, fell below 1e-10 of its
+    size at the march's start, is singular or is not finite."""
 
 
 class Diverged(LamsepError):

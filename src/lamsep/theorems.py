@@ -102,7 +102,8 @@ def theorem1_verify(
     wall-anchored magnitude) and compare it with the ansatz magnitude
     sqrt(P^2 + Pperp^2); the two disagree by the factor lhs/rhs, which is the
     contradiction seen geometrically.  An eta ratio whose fit is not resolved to
-    1e-2 of its value (it scales with nu) is refused with a DomainError.
+    1e-2 of its value is refused with a DomainError naming nu and delta: the
+    ratio scales with nu, and the tracer's noise with delta/r.
     """
     r_grid = _float_grid(params, delta, r_grid)
     if not r_grid:
@@ -113,25 +114,27 @@ def theorem1_verify(
     crosscheck = []
     if arc is not None:
         tracing = _load(".tracing")  # on first use: the integrator stack
-        cfg = tracing.gradient_trace_config(arc, params)
         gradp = stationary_gradp_field(arc, params)
         s0, s1 = arc.s_range
         arc.padded_s_range  # a segment the chart would wrap is refused here, named once
         s_mid = s0 + 0.3 * (s1 - s0)
         eps_list = [4e-3 * delta, 2e-3 * delta, 1e-3 * delta]
         r = r_grid[0]
-        try:
-            ratio = tracing.eta_ratio(gradp, arc, s_mid, r, eps_list, cfg)
-        except DomainError as exc:  # the segment sets the station s_mid
+        try:  # the segment sets the station s_mid: its offsets are checked before any trace
+            for eps in eps_list:
+                tracing.offset_arc_length(arc, s_mid, eps, r)
+        except DomainError as exc:
             raise DomainError(f"s_range {list(arc.s_range)}: {exc}") from exc
+        unresolved = f"nu = {params.nu:g}, delta = {delta:g}: the traced eta ratio"
+        try:
+            ratio = tracing.eta_ratio(gradp, arc, s_mid, r, eps_list)
         except NonMonotoneSequence as exc:
-            raise DomainError(f"nu = {params.nu:g}: the traced eta ratio is too small to "
-                              f"extrapolate ({exc})") from exc
-        # the ratio scales with nu, and a traced one carries ~1e-13 absolute error;
-        # its eps-truncation estimate reaches 1.3e-3 of the value at ordinary nu
+            raise DomainError(f"{unresolved} is not resolved ({exc})") from exc
+        # the ratio scales with nu, and a traced one carries ~1e-13*delta/r absolute
+        # error; its eps-truncation estimate reaches 1.3e-3 of the value at ordinary nu
         if ratio.value == 0 or not ratio.error_estimate <= 1e-2 * abs(ratio.value):
-            raise DomainError(f"nu = {params.nu:g}: the traced eta ratio {ratio.value:g} is too "
-                              f"small to resolve (error estimate {ratio.error_estimate:g})")
+            raise DomainError(f"{unresolved} {ratio.value:g} is not resolved (error estimate "
+                              f"{ratio.error_estimate:g})")
         p_t, p_n = stationary_gradp_ansatz(params, delta, r)
         ansatz_mag = abs(complex(p_t, p_n))  # libm hypot
         traced_mag = abs(anchored_gradient(params, delta, delta + r)) / ratio.value

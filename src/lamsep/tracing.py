@@ -9,10 +9,12 @@ along the march, found by :func:`_first_crossing`, which evaluates the scalar
 once per march point.  A march point exactly on the target is the hit, and a
 sign change within a step is located by bisection along the step, which stays
 robust for nearly tangential crossings.  The pressure line of the eta ratio
-stops instead where it first meets the traced level curve.  A march stops with
-:class:`CriticalPoint` where its field, the velocity or the pressure gradient,
-vanishes, is singular or is not finite, and a curve that meets no target
-within its length raises :class:`NoCrossing`.
+stops instead where it first meets the traced level curve.  Every march has one
+stop rule, in :func:`_unit_direction`: it stops with :class:`CriticalPoint`
+where its field, the velocity or the pressure gradient, falls below 1e-10 of
+its size at the march's start, is singular or is not finite, so no threshold
+carries a unit.  A curve that meets no target within its length raises
+:class:`NoCrossing`.
 
 The march runs on float pairs: a point is a tuple ``(x, y)``, and each field
 is called in point form, ``field((x, y)) -> (u, v)`` (see
@@ -24,6 +26,7 @@ of such pairs.  Lengths of direction vectors use libm's ``hypot`` (through
 from __future__ import annotations
 
 import math
+import sys
 from typing import NamedTuple
 
 from .errors import (CheckedRecord, CriticalPoint, DomainError, NoCrossing, OutOfChart,
@@ -65,7 +68,6 @@ class Polyline(NamedTuple):
 class _TraceFields(NamedTuple):
     step: float
     max_length: float
-    stagnation_tol: float = 1e-12
 
 
 # a trace takes at most this many steps (as a simulate run, nssim._MAX_STEPS)
@@ -73,8 +75,8 @@ _MAX_STEPS = 10**6
 
 
 class TraceConfig(CheckedRecord, _TraceFields):
-    """A march's step, its trace length (at most ``_MAX_STEPS`` steps of it), and
-    the field size below which it stops; a refusal names the step and the length."""
+    """A march's step and its trace length (at most ``_MAX_STEPS`` steps of it);
+    a refusal names the step and the length."""
 
     __slots__ = ()
 
@@ -86,27 +88,10 @@ class TraceConfig(CheckedRecord, _TraceFields):
         if not max_length <= _MAX_STEPS * step:  # no division: NaN and inf fail too
             raise ValidationError(f"step {step:g} over the trace length {max_length:g} "
                                   f"makes more than {_MAX_STEPS} steps")
-        if self.stagnation_tol <= 0:
-            raise ValidationError("stagnation_tol must be positive")
 
 
-def default_trace_config(arc: ArcBoundary, params: LaminarParams) -> TraceConfig:
-    return TraceConfig(
-        step=1e-3 * arc.delta,
-        max_length=10.0 * arc.delta,
-        stagnation_tol=1e-10 * params.alpha1 * arc.delta,
-    )
-
-
-def gradient_trace_config(arc: ArcBoundary, params: LaminarParams) -> TraceConfig:
-    """``default_trace_config`` for a pressure-gradient field: its stagnation
-    tolerance, a velocity there, becomes 1e-10 of the gradient's scale
-    nu*(alpha1/delta + alpha2), which bounds the wall gradient |k| and is not 0 where k is."""
-    tol = 1e-10 * params.nu * (params.alpha1 / arc.delta + params.alpha2)
-    if tol == 0:
-        raise DomainError(f"nu = {params.nu:g}: 1e-10 of the pressure gradient's scale "
-                          f"nu*(alpha1/delta + alpha2) underflows to 0")
-    return default_trace_config(arc, params)._replace(stagnation_tol=tol)
+def default_trace_config(arc: ArcBoundary) -> TraceConfig:
+    return TraceConfig(step=1e-3 * arc.delta, max_length=10.0 * arc.delta)
 
 
 class FlowClass(NamedTuple):
@@ -141,18 +126,29 @@ def _rk_step(fn, x, h):
             x1 + h6 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]))
 
 
-def _unit_direction(field: FieldHandle, tol: float, sign: float = 1.0, perpendicular=False):
-    """The field normalized to unit length (optionally turned +90 degrees), in point form.
+def _unit_direction(field: FieldHandle, sign: float = 1.0, perpendicular=False):
+    """The field normalized to unit length (optionally turned +90 degrees), in point form,
+    for one march.
 
-    A field below ``tol`` in length, singular or not finite (infinite or NaN)
-    raises :class:`CriticalPoint`.
+    Its first call, at the march's start, sets the stop threshold to 1e-10 of
+    |field| there, and refuses a start whose field is zero or subnormal.  A
+    field below the threshold, singular or not finite (infinite or NaN) raises
+    :class:`CriticalPoint`.
     """
+    tol = None
+
     def fn(x):
+        nonlocal tol
         try:
             u, v = field(x)
         except ZeroDivisionError as exc:
             raise CriticalPoint(f"field is singular at {x}") from exc
         speed = abs(complex(u, v))  # libm hypot
+        if tol is None:  # the march's start
+            if speed < sys.float_info.min:
+                raise CriticalPoint(f"|field| = {speed} at the start {x} is below the "
+                                    f"normal float range")
+            tol = 1e-10 * speed
         if not tol <= speed < math.inf:  # NaN fails too
             if speed < tol:
                 raise CriticalPoint(f"|field| = {speed} < {tol} at {x}")
@@ -231,7 +227,7 @@ def _refine_on_step(dirfn, x_prev, step, psi, psi_new, tol):
 
 def trace_streamline(field: FieldHandle, start, cfg: TraceConfig) -> Polyline:
     """Integrate the normalized velocity from ``start`` for cfg.max_length."""
-    dirfn = _unit_direction(field, cfg.stagnation_tol)
+    dirfn = _unit_direction(field)
     return Polyline.from_points([start] + [x_new for _, x_new, _, _ in _march(dirfn, start, cfg)])
 
 
@@ -239,8 +235,7 @@ def trace_pressure_line(
     gradp: FieldHandle, start, cfg: TraceConfig, *, perpendicular=False, orientation=1.0
 ) -> Polyline:
     """Integrate the normalized pressure gradient, or its perpendicular (a level curve)."""
-    dirfn = _unit_direction(gradp, cfg.stagnation_tol, sign=orientation,
-                            perpendicular=perpendicular)
+    dirfn = _unit_direction(gradp, sign=orientation, perpendicular=perpendicular)
     return Polyline.from_points([start] + [x_new for _, x_new, _, _ in _march(dirfn, start, cfg)])
 
 
@@ -263,7 +258,7 @@ def poincare_L(
     _require_on_segment(arc, "s", s)
     _require_on_segment(arc, "s1", s1)
     start = to_cartesian(arc, (s, r))
-    dirfn = _unit_direction(field, cfg.stagnation_tol)
+    dirfn = _unit_direction(field)
 
     def station(x):
         return from_cartesian(arc, x).s - s1
@@ -426,7 +421,7 @@ def _first_polyline_crossing(a0, a1, segs, blocks):
     return min(max(best_t, 0.0), 1.0)
 
 
-def _offset_arc_length(arc: ArcBoundary, s: float, eps: float, r: float) -> float:
+def offset_arc_length(arc: ArcBoundary, s: float, eps: float, r: float) -> float:
     """The length of the offset arc from wall station s to s + eps at wall
     distance r, which a trace over it takes as its scale; a DomainError when
     either station leaves the padded wall segment, when |eps| < 1e-8*delta, or
@@ -445,15 +440,13 @@ def _offset_arc_length(arc: ArcBoundary, s: float, eps: float, r: float) -> floa
     return length
 
 
-def eta_trace(
-    gradp: FieldHandle, arc: ArcBoundary, s: float, r: float, eps: float, cfg: TraceConfig
-) -> float:
+def eta_trace(gradp: FieldHandle, arc: ArcBoundary, s: float, r: float, eps: float) -> float:
     """Trace the pressure line from Phi(s, r) to the level curve through
     Phi(s+eps, r): the ratio of its length to the offset arc's."""
-    phi_len = _offset_arc_length(arc, s, eps, r)
+    phi_len = offset_arc_length(arc, s, eps, r)
     start = to_cartesian(arc, (s, r))
     anchor = to_cartesian(arc, (s + eps, r))
-    level_cfg = cfg._replace(step=phi_len / 80.0, max_length=3.0 * phi_len)
+    level_cfg = TraceConfig(step=phi_len / 80.0, max_length=3.0 * phi_len)
     fwd = trace_pressure_line(gradp, anchor, level_cfg, perpendicular=True, orientation=+1.0)
     back = trace_pressure_line(gradp, anchor, level_cfg, perpendicular=True, orientation=-1.0)
     level_pts = back.points[::-1] + fwd.points[1:]
@@ -465,8 +458,8 @@ def eta_trace(
     if abs(along) <= 1e-13 * abs(complex(*g0)):
         # gradient purely normal: the level curve already passes through the start
         return 0.0
-    dirfn = _unit_direction(gradp, cfg.stagnation_tol, sign=sign)
-    press_cfg = cfg._replace(step=phi_len / 80.0, max_length=4.0 * phi_len)
+    dirfn = _unit_direction(gradp, sign=sign)
+    press_cfg = TraceConfig(step=phi_len / 80.0, max_length=4.0 * phi_len)
     segs, blocks = _segment_blocks(level_pts)
     for x, x_new, cum, h in _march(dirfn, start, press_cfg):
         hit = _first_polyline_crossing(x, x_new, segs, blocks)
@@ -478,9 +471,8 @@ def eta_trace(
     return (cum + hit * h) / phi_len
 
 
-def eta_ratio(
-    gradp: FieldHandle, arc: ArcBoundary, s: float, r: float, eps_list, cfg: TraceConfig
-) -> ExtrapolationResult:
+def eta_ratio(gradp: FieldHandle, arc: ArcBoundary, s: float, r: float,
+              eps_list) -> ExtrapolationResult:
     """Extrapolated eps -> 0 limit of |eta arc| / |offset wall arc|.
 
     For the stationary gradient ansatz this limit is |P| / sqrt(P^2 + Pperp^2).
@@ -488,7 +480,7 @@ def eta_ratio(
     eps_list = list(eps_list)
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ValidationError("eps_list must be strictly decreasing")
-    samples = [(eps, eta_trace(gradp, arc, s, r, eps, cfg)) for eps in eps_list]
+    samples = [(eps, eta_trace(gradp, arc, s, r, eps)) for eps in eps_list]
     return richardson(samples, order=1)
 
 
@@ -544,28 +536,20 @@ class ZetaReport(NamedTuple):
     wall_gradient_rel_dev: float
 
 
-def _zeta_sample(
-    p_field: ScalarFieldHandle,
-    gradp: FieldHandle,
-    arc: ArcBoundary,
-    k: float,
-    s: float,
-    r: float,
-    eps: float,
-    cfg: TraceConfig,
-) -> ZetaSample:
+def _zeta_sample(p_field: ScalarFieldHandle, gradp: FieldHandle, arc: ArcBoundary, k: float,
+                 s: float, r: float, eps: float) -> ZetaSample:
     """The foot of the level curve of phi(s) at wall distance r, and the
     pressure line from it to the level of phi(s + eps); k is the wall gradient."""
     delta = arc.delta
-    arc_span = _offset_arc_length(arc, s, eps, r)
+    arc_span = offset_arc_length(arc, s, eps, r)
     frame = local_frame(arc, s)
     wall_pt = frame.origin
 
     # foot trace: level curve from phi(s) up to wall distance r
     along, _ = frame.components(gradp(wall_pt))
     orient = 1.0 if along >= 0 else -1.0
-    dirfn_level = _unit_direction(gradp, cfg.stagnation_tol, sign=orient, perpendicular=True)
-    level_cfg = cfg._replace(step=r / 100.0, max_length=4.0 * r)
+    dirfn_level = _unit_direction(gradp, sign=orient, perpendicular=True)
+    level_cfg = TraceConfig(step=r / 100.0, max_length=4.0 * r)
 
     def height(x):
         return norm(*x) - delta - r
@@ -577,8 +561,8 @@ def _zeta_sample(
 
     # zeta trace: pressure line from the foot to the level of phi(s + eps)
     p_target = p_field(arc_point(arc, s + eps))
-    dirfn_press = _unit_direction(gradp, cfg.stagnation_tol, sign=math.copysign(1.0, k))
-    press_cfg = cfg._replace(step=arc_span / 100.0, max_length=5.0 * arc_span)
+    dirfn_press = _unit_direction(gradp, sign=math.copysign(1.0, k))
+    press_cfg = TraceConfig(step=arc_span / 100.0, max_length=5.0 * arc_span)
 
     def level_gap(x):
         return p_field(x) - p_target
@@ -650,12 +634,9 @@ def zeta_check(
     """
     delta = arc.delta
     k = wall_gradient(params, delta)
-    # the marches stop where |grad p| falls below 1e-10 of the wall gradient:
-    # default_trace_config's tolerance is a velocity, and the pressure scales with nu
-    stagnation_tol = 1e-10 * abs(k)
-    if stagnation_tol == 0:  # k is 0, or so small that this underflows
-        raise DomainError("zeta machinery needs a nonzero wall gradient nu*(a1/delta - a2)")
-    cfg = default_trace_config(arc, params)._replace(stagnation_tol=stagnation_tol)
+    if not sys.float_info.min <= abs(k) < math.inf:  # else every march refuses its start
+        raise DomainError(f"zeta machinery needs a wall gradient nu*(a1/delta - a2) in the "
+                          f"normal float range, got {k:g}")
     gradp = FieldHandle(p_field.gradient)
 
     # wall-compatibility gate
@@ -678,7 +659,7 @@ def zeta_check(
         raise ValidationError(f"eps_over_r must be positive, got {eps_over_r}")
     _require_on_segment(arc, "s", s)
     try:
-        raw = [_zeta_sample(p_field, gradp, arc, k, s, r, eps_over_r * r, cfg) for r in r_list]
+        raw = [_zeta_sample(p_field, gradp, arc, k, s, r, eps_over_r * r) for r in r_list]
     except DomainError as exc:  # s is inside: its offset s + eps is not
         raise DomainError(f"eps_over_r = {eps_over_r:g}: {exc}") from exc
 

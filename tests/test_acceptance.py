@@ -155,7 +155,7 @@ def test_criterion_5_advection_adjudication():
 
 def test_criterion_6_poincare_classification():
     field = laminar_field(ARC, UNIT)
-    cfg = default_trace_config(ARC, UNIT)
+    cfg = default_trace_config(ARC)
     worst = max(
         abs(poincare_L(field, ARC, 0.05, 0.3, r, cfg) / r - 1.0)
         for r in np.linspace(0.01, 0.3, 7)
@@ -181,8 +181,7 @@ def test_criterion_7_eta_geometric_ratio():
     gradp = stationary_gradp_field(ARC, UNIT)
     p_t, p_n = stationary_gradp_ansatz(UNIT, ARC.delta, 0.1)
     expected = abs(p_t) / float(np.hypot(p_t, p_n))
-    cfg = default_trace_config(ARC, UNIT)
-    res = eta_ratio(gradp, ARC, 0.15, 0.1, [4e-3, 2e-3, 1e-3], cfg)
+    res = eta_ratio(gradp, ARC, 0.15, 0.1, [4e-3, 2e-3, 1e-3])
     assert res.value == pytest.approx(expected, rel=1e-3)
     report(7, f"traced eta ratio {res.value:.6f} vs closed form {expected:.6f} (1e-3 rel)")
 

@@ -314,3 +314,21 @@ def test_reversal_window_near_unit_curvature_tends_to_a_constant(gap):
     # Measured 0.1191077 / 0.1191075 (in units of bl²/ν)
     shear_onset, flux_onset = _onsets_near_unit_curvature(gap)
     assert flux_onset - shear_onset == pytest.approx(0.119107, abs=1e-5)
+
+
+def test_wall_shear_onset_tends_to_a_multiple_of_delta_squared_over_nu():
+    # as x grows the wall radius, not bl, sets the onset: nu*t_w/delta**2 rises
+    # toward about 14 by ever smaller steps.  Collocation needs N = 128 past x = 8
+    # and N = 192 past x = 64 to resolve the layer at the inner wall
+    onsets = []
+    for x in (8, 16, 32, 64, 128, 256):
+        delta = PARAMS.bl / x
+        unit = delta**2 / PARAMS.nu
+        channel = Channel(delta, n=64 if x <= 8 else 128 if x <= 64 else 192)
+        onsets.append(first_negative(channel.inner_shear, t_max=20.0 * unit,
+                                     scan=0.01 * unit) / unit)
+    assert onsets == pytest.approx([4.34389, 6.63916, 9.01074, 10.98732, 12.35597, 13.18372],
+                                   abs=1e-5)
+    assert all(a < b for a, b in zip(onsets, onsets[1:])) and onsets[-1] < 15.0
+    rises = [b - a for a, b in zip(onsets, onsets[1:])]
+    assert all(b < a for a, b in zip(rises[2:], rises[3:]))  # from x = 32 on

@@ -1,6 +1,7 @@
 import ast
 import csv
 import gc
+import importlib.util
 import json
 import math
 import os
@@ -515,6 +516,31 @@ def test_sweep_monotone_and_nu_scaling(tmp_path):
         assert vals[1] == pytest.approx(2.0 * vals[0], rel=1e-9)
 
 
+def test_sweep_rows_follow_the_curvature_law(tmp_path, monkeypatch):
+    # in units of nu/bl**2, with x = bl/delta, the derived limit is -(2x + x**2)
+    # and the printed one -(x + x**2): a law of x alone, over the benchmark's
+    # 48-row sweep of seed 1.  Measured: 2.2e-16, 4.4e-16 and 1.3e-8 (the fit)
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclass looks itself up
+    spec.loader.exec_module(workloads)
+    config, = [inv.config for inv in workloads.generate("cli-analysis", 1)
+               if inv.command == "sweep"]
+    assert main(["sweep", "--config", write_config(tmp_path, config),
+                 "--out", str(tmp_path / "o")]) == 0
+    with open(tmp_path / "o" / "data.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 48
+    for row in rows:
+        delta, alpha1, alpha2, nu = (float(row[key]) for key in ("delta", "alpha1", "alpha2", "nu"))
+        bl = alpha1 / alpha2
+        x, unit = bl / delta, bl**2 / nu
+        assert -float(row["oracle"]) * unit == pytest.approx(2 * x + x * x, rel=1e-12)
+        assert -float(row["paper"]) * unit == pytest.approx(x + x * x, rel=1e-12)
+        assert -float(row["limit"]) * unit == pytest.approx(2 * x + x * x, rel=1e-4)
+
+
 def test_determinism_byte_identical(tmp_path):
     for name in ("a", "b"):
         rc = main(["verify-theorem2", "--out", str(tmp_path / name)])
@@ -901,11 +927,14 @@ def test_results_beyond_the_float_range_end_in_one_line(tmp_path, capsys, comman
 ])
 def test_a_wall_past_the_float_range_is_named_by_delta(tmp_path, capsys, command, config):
     # a wall point's distance from the center overflows: these ended in
-    # "field is not finite at (...): (nan, nan)" or in a refusal of the offset eps
+    # "field is not finite at (...): (nan, nan)" or in a refusal of the offset eps;
+    # verify-theorem1 also put "s_range [0.0, 5e+159]: " first, which the
+    # segment does not cause
     path = write_config(tmp_path, {"delta": 1e160, **config})
     assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and "delta = 1e+160" in err[0] and "float range" in err[0], err
+    assert "s_range" not in err[0], err
     assert not (tmp_path / "o").exists()
 
 
@@ -929,20 +958,45 @@ def test_pressure_lines_trace_at_a_large_wall_radius(tmp_path, command, config):
     ("verify-theorem2", {"nu": 1e-318}, "float range"),  # subnormal ratios
     ("verify-theorem2", {"nu": 1e-320}, "float range"),
     ("sweep", {"nu_values": [1e-320]}, "float range"),
-    ("zeta-check", {"nu": 1e-320}, "wall gradient"),  # 1e-10 of it underflows to 0
+    ("zeta-check", {"nu": 1e-320}, "wall gradient"),  # k is subnormal
     ("verify-theorem1", {"use_tracing": True, "nu": 1e-12}, "nu"),  # the eta ratio is ~3*nu
     ("verify-theorem1", {"use_tracing": True, "nu": 1e-14}, "nu"),
-    ("trace", {"kind": "pressure", "nu": 1e-320}, "nu"),  # its stagnation tolerance is 0
+    # the tracer's noise on the eta ratio grows as delta/r: an estimate 0.67 of the
+    # ratio, and at 1e14 a fit that does not converge
+    ("verify-theorem1", {"use_tracing": True, "delta": 1e13}, "delta"),
+    ("verify-theorem1", {"use_tracing": True, "delta": 1e14}, "delta"),
 ])
 def test_results_too_small_to_resolve_end_in_one_line(tmp_path, capsys, command, config, names):
-    # these exited 0 with L/r = inf, exited 2 on a subnormal limit, named the
-    # internal stagnation_tol, or read a wrong discrepancy factor (nu = 1e-12)
+    # these exited 0 with L/r = inf, exited 2 on a subnormal limit, named an
+    # internal tolerance, or read a wrong discrepancy factor (nu = 1e-12)
     path = write_config(tmp_path, config)
     assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("lamsep: error:"), err
-    assert re.search(rf"\b{names}\b", err[0]) and "stagnation_tol" not in err[0], err[0]
+    assert re.search(rf"\b{names}\b", err[0]), err[0]
+    if command == "verify-theorem1":  # nu sets the ratio and delta its noise: both are named
+        assert re.search(r"\bnu = .*\bdelta = .*eta ratio .*not resolved", err[0]), err[0]
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("kind", ["pressure", "level"])
+def test_pressure_and_level_curves_trace_at_a_subnormal_nu(tmp_path, kind):
+    # at nu = 1e-320 the ansatz gradient is its nu-free normal part h/(r + delta):
+    # its pressure line is the radial ray from the start and its level curve the
+    # circle through it.  The trace used to be refused, as 1e-10*nu*(alpha1/delta
+    # + alpha2), its stop threshold then, underflowed to 0
+    path = write_config(tmp_path, {"kind": kind, "nu": 1e-320})
+    assert main(["trace", "--config", path, "--out", str(tmp_path / "o")]) == 0
+    with open(tmp_path / "o" / "data.csv", newline="") as fh:
+        rows = [[float(v) for v in row] for row in list(csv.reader(fh))[1:]]
+    assert len(rows) == 1001 and rows[0][1:3] == [0.0, 1.1]
+    if kind == "pressure":  # measured 0.99999999999989
+        assert all(abs(x) < 1e-300 for _, x, _, _ in rows)
+        assert rows[-1][2] == pytest.approx(2.1, rel=1e-12)
+        assert rows[-1][3] == pytest.approx(1.0, rel=1e-12)
+    else:  # measured 0.99999996556: the chords of the circle
+        assert max(abs(math.hypot(x, y) - 1.1) for _, x, y, _ in rows) <= 1e-12
+        assert rows[-1][3] == pytest.approx(1.0, rel=1e-7)
 
 
 # the modules lamsep.cli itself imports, and those each command adds

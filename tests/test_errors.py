@@ -34,7 +34,7 @@ EMPTY_RADII = {
     "r_grid": lambda: theorem1_verify(PARAMS, 1.0, []),
     "r_list": lambda: zeta_check(angular_pressure(ARC, PARAMS), ARC, PARAMS, 0.1, [], 2.0),
     "radii": lambda: classify_flow(laminar_field(ARC, PARAMS), ARC, [], 0.1, 0.25, 2.0,
-                                   default_trace_config(ARC, PARAMS)),
+                                   default_trace_config(ARC)),
 }
 
 

@@ -61,7 +61,7 @@ def test_laminar_return_map_is_the_identity(draw):
     arc = ArcBoundary(delta=delta, s_range=(0.0, 0.5 * delta))
     r = 0.1 * min(params.bl, delta)
     height = poincare_L(laminar_field(arc, params), arc, 0.1 * delta, 0.25 * delta, r,
-                        default_trace_config(arc, params))
+                        default_trace_config(arc))
     assert abs(height - r) <= 1e-6 * r
 
 

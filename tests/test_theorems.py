@@ -111,9 +111,9 @@ def test_verify_traces_its_crosscheck_on_the_wall_segment(monkeypatch):
 
     stations = []
 
-    def eta_ratio(gradp, arc, s, r, eps_list, cfg):
+    def eta_ratio(gradp, arc, s, r, eps_list):
         stations.append(s)
-        return real_eta_ratio(gradp, arc, s, r, eps_list, cfg)
+        return real_eta_ratio(gradp, arc, s, r, eps_list)
 
     real_eta_ratio = tracing.eta_ratio
     monkeypatch.setattr(tracing, "eta_ratio", eta_ratio)
@@ -126,14 +126,14 @@ def test_verify_traces_its_crosscheck_on_the_wall_segment(monkeypatch):
 def test_verify_refuses_an_eta_ratio_too_small_to_extrapolate_naming_nu(monkeypatch):
     from lamsep import tracing
 
-    def eta_ratio(gradp, arc, s, r, eps_list, cfg):
+    def eta_ratio(gradp, arc, s, r, eps_list):
         raise NonMonotoneSequence("differences do not shrink")
 
     monkeypatch.setattr(tracing, "eta_ratio", eta_ratio)
     params = LaminarParams(alpha1=2.0, alpha2=1.0, nu=1e-7)
     arc = ArcBoundary(delta=1.0, s_range=(0.0, 0.5))
-    with pytest.raises(DomainError, match=r"^nu = 1e-07: the traced eta ratio is too small to "
-                                          r"extrapolate \(differences do not shrink\)$"):
+    with pytest.raises(DomainError, match=r"^nu = 1e-07, delta = 1: the traced eta ratio is not "
+                                          r"resolved \(differences do not shrink\)$"):
         theorem1_verify(params, 1.0, arc=arc)
 
 

@@ -33,7 +33,7 @@ from lamsep.tracing import (
 
 ARC = ArcBoundary(delta=1.0, s_range=(0.0, 0.5))
 PARAMS = LaminarParams(alpha1=1.0, alpha2=1.0, nu=1.0)
-CFG = default_trace_config(ARC, PARAMS)
+CFG = default_trace_config(ARC)
 
 ROTATION = FieldHandle(evaluator=lambda x, y: (-y, x))
 
@@ -66,7 +66,7 @@ def test_trace_config_validation():
 
 
 def test_rigid_rotation_half_circle():
-    cfg = TraceConfig(step=1e-3, max_length=np.pi, stagnation_tol=1e-12)
+    cfg = TraceConfig(step=1e-3, max_length=np.pi)
     line = trace_streamline(ROTATION, [1.0, 0.0], cfg)
     assert np.allclose(line.points[-1], [-1.0, 0.0], atol=1e-6)
 
@@ -74,7 +74,7 @@ def test_rigid_rotation_half_circle():
 def test_streamline_stays_on_circle():
     field = laminar_field(ARC, PARAMS)
     start = to_cartesian(ARC, (0.05, 0.2))
-    cfg = TraceConfig(step=1e-3, max_length=0.4, stagnation_tol=CFG.stagnation_tol)
+    cfg = TraceConfig(step=1e-3, max_length=0.4)
     line = trace_streamline(field, start, cfg)
     dists = np.linalg.norm(line.points, axis=1)
     assert np.max(np.abs(dists - 1.2)) <= 1e-6
@@ -86,7 +86,7 @@ def test_streamline_endpoint_convergence_order():
     start = to_cartesian(ARC, (0.05, 0.2))
     ends = []
     for step in (4e-3, 2e-3, 1e-3):
-        cfg = TraceConfig(step=step, max_length=0.4 + step / 2, stagnation_tol=1e-14)
+        cfg = TraceConfig(step=step, max_length=0.4 + step / 2)
         n = int(0.4 / step)
         line = trace_streamline(field, start, cfg)
         ends.append(np.asarray(line.points[n]))
@@ -113,6 +113,60 @@ def test_a_field_that_is_not_finite_is_a_critical_point(value):
         trace_streamline(FieldHandle(lambda x, y: (value, 0.0)), [0.3, 0.4], CFG)
 
 
+# ----------------------------------------------------------------------------
+# one stop rule: below 1e-10 of the field's size at the march's start
+# ----------------------------------------------------------------------------
+
+
+def _scaled(field, factor):
+    return FieldHandle(lambda x, y: tuple(factor * c for c in field((x, y))))
+
+
+@pytest.mark.parametrize("factor", [2.0**40, 2.0**-40])
+def test_a_scaled_field_traces_the_same_points(factor):
+    # a power of 2 scales exactly, so each unit direction is the same float pair;
+    # an absolute tolerance of 1e-10*alpha1*delta stopped 2**-40 as a stagnation
+    laminar, gradp = laminar_field(ARC, PARAMS), stationary_gradp_field(ARC, PARAMS)
+    start = to_cartesian(ARC, (0.05, 0.1))
+    assert trace_streamline(_scaled(laminar, factor), start, CFG) == \
+        trace_streamline(laminar, start, CFG)
+    assert trace_pressure_line(_scaled(gradp, factor), start, CFG, perpendicular=True) == \
+        trace_pressure_line(gradp, start, CFG, perpendicular=True)
+    assert poincare_L(_scaled(laminar, factor), ARC, 0.1, 0.25, 0.1, CFG) == \
+        poincare_L(laminar, ARC, 0.1, 0.25, 0.1, CFG)
+
+
+def _dropping(fraction):
+    """The unit field along x, ``fraction`` of it from x = 0.25 on."""
+    return FieldHandle(lambda x, y: (1.0 if x < 0.25 else fraction, 0.0))
+
+
+def test_a_march_stops_below_1e_10_of_its_start():
+    cfg = TraceConfig(step=1e-3, max_length=0.5)
+    with pytest.raises(CriticalPoint, match="< 1e-10 at"):
+        trace_streamline(_dropping(0.9e-10), (0.0, 0.0), cfg)
+    line = trace_streamline(_dropping(1.1e-10), (0.0, 0.0), cfg)
+    assert line == trace_streamline(_dropping(1.0), (0.0, 0.0), cfg)
+    assert line.length == pytest.approx(0.5, rel=1e-12)
+
+
+@pytest.mark.parametrize("value, message", [
+    (0.0, "below the normal float range"), (1e-320, "below the normal float range"),
+    (math.inf, "not finite"), (math.nan, "not finite"),
+])
+def test_a_start_without_a_size_is_refused_untraced(value, message):
+    # no threshold scales from a field of no size: the start's one evaluation refuses it
+    points = []
+
+    def evaluate(x, y):
+        points.append((x, y))
+        return value, 0.0
+
+    with pytest.raises(CriticalPoint, match=message):
+        trace_pressure_line(FieldHandle(evaluate), (0.3, 0.4), CFG)
+    assert points == [(0.3, 0.4)]
+
+
 def test_poincare_identity_on_laminar():
     field = laminar_field(ARC, PARAMS)
     for r in (0.05, 0.1, 0.2):
@@ -125,7 +179,7 @@ def test_poincare_counts_a_march_point_exactly_on_the_station():
     arc = ArcBoundary(delta=2.7344054603316077, s_range=(0.0, 1.3672027301658038))
     params = LaminarParams(alpha1=3.0459975177293237, alpha2=0.6501557024114218,
                            nu=1.9669277506667733)
-    cfg = default_trace_config(arc, params)
+    cfg = default_trace_config(arc)
     field = laminar_field(arc, params)
     s, s1, r = 0.27344054603316076, 0.6836013650829019, 0.5468810920663215
     line = trace_streamline(field, to_cartesian(arc, (s, r)), cfg)
@@ -170,7 +224,7 @@ def test_polyline_crossing_skips_a_segment_parallel_to_the_step():
 
 def test_poincare_target_behind_flow_raises():
     field = laminar_field(ARC, PARAMS)
-    cfg = TraceConfig(step=1e-3, max_length=0.2, stagnation_tol=CFG.stagnation_tol)
+    cfg = TraceConfig(step=1e-3, max_length=0.2)
     with pytest.raises(NoCrossing):
         poincare_L(field, ARC, 0.25, 0.1, 0.1, cfg)
 
@@ -217,21 +271,21 @@ def test_classify_rejects_bad_inputs():
 
 def test_pressure_line_constant_gradient():
     gradp = FieldHandle(evaluator=lambda x, y: (1.0, 0.0))
-    cfg = TraceConfig(step=1e-3, max_length=0.5, stagnation_tol=1e-12)
+    cfg = TraceConfig(step=1e-3, max_length=0.5)
     line = trace_pressure_line(gradp, [0.0, 0.0], cfg)
     assert np.allclose(line.points[-1], [0.5, 0.0], atol=1e-9)
 
 
 def test_pressure_line_critical_point():
     gradp = FieldHandle(evaluator=lambda x, y: (0.0, 0.0))
-    cfg = TraceConfig(step=1e-3, max_length=0.5, stagnation_tol=1e-12)
+    cfg = TraceConfig(step=1e-3, max_length=0.5)
     with pytest.raises(CriticalPoint):
         trace_pressure_line(gradp, [0.0, 0.0], cfg)
 
 
 def test_perpendicular_trace_of_radial_gradient_is_circle():
     gradp = FieldHandle(evaluator=lambda x, y: (x / math.hypot(x, y), y / math.hypot(x, y)))
-    cfg = TraceConfig(step=1e-3, max_length=1.0, stagnation_tol=1e-12)
+    cfg = TraceConfig(step=1e-3, max_length=1.0)
     line = trace_pressure_line(gradp, [1.3, 0.0], cfg, perpendicular=True)
     radii = np.linalg.norm(line.points, axis=1)
     assert np.max(np.abs(radii - 1.3)) <= 1e-7
@@ -239,7 +293,7 @@ def test_perpendicular_trace_of_radial_gradient_is_circle():
 
 def test_ansatz_pressure_lines_stay_smooth():
     gradp = stationary_gradp_field(ARC, PARAMS)
-    cfg = TraceConfig(step=1e-3, max_length=0.1, stagnation_tol=1e-12)
+    cfg = TraceConfig(step=1e-3, max_length=0.1)
     for r in (0.1, 0.2, 0.4):
         line = trace_pressure_line(gradp, to_cartesian(ARC, (0.2, r)), cfg)
         # no CriticalPoint: the full parameter length was traced (chords fall
@@ -256,7 +310,7 @@ def test_trace_pressure_line_takes_its_direction_by_keyword():
 
 def test_eta_ratio_refuses_an_increasing_eps_list():
     with pytest.raises(ValueError, match="strictly decreasing"):
-        eta_ratio(stationary_gradp_field(ARC, PARAMS), ARC, 0.15, 0.1, [1e-3, 2e-3], CFG)
+        eta_ratio(stationary_gradp_field(ARC, PARAMS), ARC, 0.15, 0.1, [1e-3, 2e-3])
 
 
 def test_eta_ratio_purely_tangential_is_one():
@@ -266,8 +320,7 @@ def test_eta_ratio_purely_tangential_is_one():
         d = math.hypot(x, y)  # ARC is centred at the origin
         return params.nu * y / d, -params.nu * x / d
 
-    res = eta_ratio(FieldHandle(evaluator=tangential), ARC, 0.15, 0.1,
-                    [4e-3, 2e-3, 1e-3], CFG)
+    res = eta_ratio(FieldHandle(evaluator=tangential), ARC, 0.15, 0.1, [4e-3, 2e-3, 1e-3])
     assert res.value == pytest.approx(1.0, abs=1e-6)
 
 
@@ -276,7 +329,7 @@ def test_eta_ratio_purely_normal_is_zero():
         d = math.hypot(x, y)
         return x / d, y / d
 
-    res = eta_ratio(FieldHandle(evaluator=radial), ARC, 0.15, 0.1, [4e-3, 2e-3, 1e-3], CFG)
+    res = eta_ratio(FieldHandle(evaluator=radial), ARC, 0.15, 0.1, [4e-3, 2e-3, 1e-3])
     assert res.value == pytest.approx(0.0, abs=1e-12)
 
 
@@ -285,15 +338,15 @@ def test_eta_ratio_matches_ansatz_closed_form():
     p_t, p_n = stationary_gradp_ansatz(PARAMS, ARC.delta, 0.1)
     expected = abs(p_t) / np.hypot(p_t, p_n)
     assert expected == pytest.approx(0.9491, abs=2e-4)  # printed-variant value
-    res = eta_ratio(gradp, ARC, 0.15, 0.1, [4e-3, 2e-3, 1e-3], CFG)
+    res = eta_ratio(gradp, ARC, 0.15, 0.1, [4e-3, 2e-3, 1e-3])
     assert res.value == pytest.approx(expected, rel=1e-3)
     assert res.error_estimate <= 1e-3
 
 
 def test_eta_error_estimate_shrinks_with_eps():
     gradp = stationary_gradp_field(ARC, PARAMS)
-    wide = eta_ratio(gradp, ARC, 0.15, 0.1, [8e-3, 4e-3], CFG)
-    tight = eta_ratio(gradp, ARC, 0.15, 0.1, [4e-3, 2e-3, 1e-3], CFG)
+    wide = eta_ratio(gradp, ARC, 0.15, 0.1, [8e-3, 4e-3])
+    tight = eta_ratio(gradp, ARC, 0.15, 0.1, [4e-3, 2e-3, 1e-3])
     assert tight.error_estimate < wide.error_estimate
 
 
@@ -324,8 +377,7 @@ def _vanishing(evaluate, station=(-math.inf, math.inf), height=(-math.inf, math.
 
 def _zeta_sample(gradp, p_field=None):
     p_field = p_field or angular_pressure(ARC, ZETA_PARAMS)
-    return tracing._zeta_sample(p_field, gradp, ARC, 1.0, ZETA_S, ZETA_R, ZETA_EPS,
-                                default_trace_config(ARC, ZETA_PARAMS))
+    return tracing._zeta_sample(p_field, gradp, ARC, 1.0, ZETA_S, ZETA_R, ZETA_EPS)
 
 
 def _angular_gradp(**where):
@@ -336,9 +388,9 @@ def _angular_gradp(**where):
 
 def test_every_march_runs_where_nothing_vanishes():
     # the controls of the cases below: the same marches on the unbroken fields
-    line_cfg = TraceConfig(step=1e-3, max_length=0.5, stagnation_tol=1e-12)
+    line_cfg = TraceConfig(step=1e-3, max_length=0.5)
     trace_pressure_line(FieldHandle(evaluator=_tangential), [0.0, 1.1], line_cfg)
-    eta_trace(FieldHandle(evaluator=_tangential), ARC, 0.15, 0.1, 0.01, CFG)
+    eta_trace(FieldHandle(evaluator=_tangential), ARC, 0.15, 0.1, 0.01)
     _zeta_sample(_angular_gradp())
     field = laminar_field(ARC, PARAMS)
     trace_streamline(field, to_cartesian(ARC, (0.1, 0.1)), CFG)
@@ -353,8 +405,7 @@ def test_every_march_runs_where_nothing_vanishes():
                                 CFG, perpendicular=True),
     # eta's pressure line from s = 0.15 to the level curve at s = 0.16 (a normal
     # ray, which the zero band leaves alone)
-    lambda: eta_trace(_vanishing(_tangential, station=(0.152, 0.154)), ARC, 0.15, 0.1, 0.01,
-                      CFG),
+    lambda: eta_trace(_vanishing(_tangential, station=(0.152, 0.154)), ARC, 0.15, 0.1, 0.01),
     # zeta's foot trace up the normal at s, and its pressure line at height r
     lambda: _zeta_sample(_angular_gradp(height=(0.3 * ZETA_R, 0.4 * ZETA_R))),
     lambda: _zeta_sample(_angular_gradp(station=(ZETA_S + 0.4 * ZETA_EPS, ZETA_S + 0.6 * ZETA_EPS),
@@ -428,8 +479,7 @@ def _switched(first, second, station=math.inf, height=math.inf):
 @pytest.mark.parametrize("march, message", [
     # eta's level curve through s = 0.16 is the normal ray there, but the
     # pressure line from s = 0.15 climbs away from it, 0.1 across per unit up
-    (lambda: eta_trace(_switched(_tilted, _tangential, station=0.155), ARC, 0.15, 0.1, 0.01,
-                       CFG),
+    (lambda: eta_trace(_switched(_tilted, _tangential, station=0.155), ARC, 0.15, 0.1, 0.01),
      r"pressure line from \(s=0.15, r=0.1\) missed the level curve for eps=0.01"),
     # zeta's foot trace turns along the wall at half of r
     (lambda: _zeta_sample(_switched(_tangential, _normal, height=0.5 * ZETA_R)),
@@ -471,7 +521,7 @@ FAR_ARC = ArcBoundary(delta=1.0, s_range=(1e10, 1e10 + 0.5))
 def test_an_offset_too_short_to_trace_is_refused_untraced(arc, s, eps, message):
     gradp = stationary_gradp_field(arc, PARAMS)
     with pytest.raises(DomainError, match=message):
-        eta_trace(gradp, arc, s, 0.05, eps, default_trace_config(arc, PARAMS))
+        eta_trace(gradp, arc, s, 0.05, eps)
 
 
 def test_a_return_map_crossing_below_the_wall_is_no_crossing():
@@ -495,13 +545,10 @@ def test_a_return_map_crossing_below_the_wall_is_no_crossing():
 # ----------------------------------------------------------------------------
 
 
-def _array_direction(field, tol, sign=1.0, perpendicular=False):
+def _array_direction(field, sign=1.0, perpendicular=False):
     def fn(x):
         v = np.array(field((float(x[0]), float(x[1]))))
-        speed = float(np.hypot(v[0], v[1]))
-        if speed < tol:
-            raise CriticalPoint(f"|field| = {speed} at {x}")
-        v = v / speed
+        v = v / float(np.hypot(v[0], v[1]))
         if perpendicular:
             v = np.array([-v[1], v[0]])
         return sign * v
@@ -534,7 +581,7 @@ def _array_trace(fn, start, cfg):
 
 
 def _array_poincare_L(field, arc, s, s1, r, cfg):
-    fn = _array_direction(field, cfg.stagnation_tol)
+    fn = _array_direction(field)
 
     def station(x):
         return from_cartesian(arc, x).s - s1
@@ -580,12 +627,12 @@ def _rel_dev(got, ref) -> float:
 def test_float_march_matches_array_reference():
     arc = ArcBoundary(delta=1.3, s_range=(0.0, 0.6))
     params = LaminarParams(alpha1=2.7, alpha2=1.1, nu=0.8)
-    cfg = TraceConfig(step=1e-3, max_length=0.5, stagnation_tol=1e-10)
+    cfg = TraceConfig(step=1e-3, max_length=0.5)
     start = to_cartesian(arc, (0.1, 0.15))
 
     field = laminar_field(arc, params)
     line = trace_streamline(field, start, cfg)
-    expected = _array_trace(_array_direction(field, cfg.stagnation_tol), start, cfg)
+    expected = _array_trace(_array_direction(field), start, cfg)
     assert np.shape(line.points) == expected.shape
     assert _rel_dev(line.points, expected) <= POINTS_RTOL
 
@@ -593,11 +640,11 @@ def test_float_march_matches_array_reference():
     for perpendicular, sign in ((False, 1.0), (True, -1.0)):
         line = trace_pressure_line(gradp, start, cfg, perpendicular=perpendicular,
                                    orientation=sign)
-        fn = _array_direction(gradp, cfg.stagnation_tol, sign, perpendicular)
+        fn = _array_direction(gradp, sign, perpendicular)
         expected = _array_trace(fn, start, cfg)
         assert np.shape(line.points) == expected.shape
         assert _rel_dev(line.points, expected) <= POINTS_RTOL
 
-    cfg_L = TraceConfig(step=1e-3, max_length=1.0, stagnation_tol=1e-10)
+    cfg_L = TraceConfig(step=1e-3, max_length=1.0)
     got = poincare_L(field, arc, 0.1, 0.35, 0.12, cfg_L)
     assert _rel_dev(got, _array_poincare_L(field, arc, 0.1, 0.35, 0.12, cfg_L)) <= HEIGHT_RTOL
