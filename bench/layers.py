@@ -185,16 +185,12 @@ def _analysis_layers(lamsep, tmp: Path) -> dict:
     cli, fdops, theorems, tracing = lamsep.cli, lamsep.fdops, lamsep.theorems, lamsep.tracing
     delta, params = 1.5, lamsep.field.LaminarParams(2.5, 1.0, 1.0)
     arc = lamsep.geometry.ArcBoundary(delta, (0.0, 0.5 * delta))
-    # a checkout from before the one stop rule gives each march an absolute
-    # tolerance: it is the third field of its trace config, which it builds from
-    # the parameters and which eta_ratio takes
-    legacy = len(tracing.TraceConfig._fields) == 3
-    cfg = tracing.default_trace_config(arc, *((params,) if legacy else ()))
+    cfg = tracing.default_trace_config(arc)
     scale = min(params.bl, delta)
     field = lamsep.field.laminar_field(arc, params)
     start = lamsep.geometry.to_cartesian(arc, (0.1 * delta, 0.1 * scale))
     point = (float(start[0]), float(start[1]))
-    direction = tracing._unit_direction(field, *cfg[2:])
+    direction = tracing._unit_direction(field)
     grid = theorems.default_r_grid(params, delta)
     samples = [(r, theorems.theorem2_ratio(params, delta, r)) for r in grid]
     tmp.mkdir(parents=True)
@@ -220,8 +216,7 @@ def _analysis_layers(lamsep, tmp: Path) -> dict:
             lambda: lamsep.field.write_csv(tmp / "trace.csv", line.CSV_HEADER, rows), 20),
         "cli.report_to_json_s": _per_call(report.to_json, 200),
         "tracing.eta_ratio_s": _per_call(
-            lambda: tracing.eta_ratio(gradp, arc, s0 + 0.3 * (s1 - s0), grid[0], eps_list,
-                                      *((cfg,) if legacy else ())), 3),
+            lambda: tracing.eta_ratio(gradp, arc, s0 + 0.3 * (s1 - s0), grid[0], eps_list), 3),
     }
     for i, inv in enumerate(workloads.generate("cli-analysis", 1)):
         path = tmp / f"{i}.json"

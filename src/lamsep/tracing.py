@@ -7,8 +7,8 @@ them: a trace collects the points, and a crossing event (a normal ray, a
 target wall distance, a pressure level) is the first sign change of a scalar
 along the march, found by :func:`_first_crossing`, which evaluates the scalar
 once per march point.  A march point exactly on the target is the hit, and a
-sign change within a step is located by bisection along the step, which stays
-robust for nearly tangential crossings.  The pressure line of the eta ratio
+sign change within a step is bisected along the step to 1e-10 of it, which
+stays robust for nearly tangential crossings.  The pressure line of the eta ratio
 stops instead where it first meets the traced level curve.  Every march has one
 stop rule, in :func:`_unit_direction`: it stops with :class:`CriticalPoint`
 where its field, the velocity or the pressure gradient, falls below 1e-10 of
@@ -181,12 +181,12 @@ def _march(dirfn, start, cfg: TraceConfig):
         x = x_new
 
 
-def _first_crossing(dirfn, start, cfg: TraceConfig, psi, tol):
+def _first_crossing(dirfn, start, cfg: TraceConfig, psi):
     """The first sign change of ``psi`` along the march from ``start``, as the pair
     (point, arc length), or None when cfg.max_length runs out first.
 
-    A march point with psi exactly 0 is the hit.  Otherwise a sign change
-    within a step is refined to |psi| <= tol along that step.
+    A march point with psi exactly 0 is the hit; a sign change within a step
+    is located by :func:`_refine_on_step`.
     """
     p_prev = None
     for x, x_new, cum, h in _march(dirfn, start, cfg):
@@ -196,28 +196,29 @@ def _first_crossing(dirfn, start, cfg: TraceConfig, psi, tol):
         if p_new == 0.0:  # the march landed on the target itself
             return x_new, cum + h
         if p_prev != 0.0 and (p_prev > 0) != (p_new > 0):
-            hit, extra = _refine_on_step(dirfn, x, h, psi, p_new, tol)
+            hit, extra = _refine_on_step(dirfn, x, h, psi, p_new)
             return hit, cum + extra
         p_prev = p_new
     return None
 
 
-def _refine_on_step(dirfn, x_prev, step, psi, psi_new, tol):
-    """Locate psi == 0 between x_prev and its full step (where psi is psi_new)
-    by bisection: the first midpoint with |psi| <= tol, or else the last of 70
-    halvings."""
+def _refine_on_step(dirfn, x_prev, step, psi, psi_new):
+    """Bisect psi == 0 between x_prev and its full step (psi_new there) to a midpoint
+    with psi exactly 0, or else to the middle of the bracket once it is at most 1e-10
+    of the step (34 halvings): the stop rule's number, of the step, not the field."""
     lo, hi, f_hi = 0.0, 1.0, psi_new
-    for _ in range(70):
+    while hi - lo > 1e-10:
         mid = 0.5 * (lo + hi)
         x_mid = _rk_step(dirfn, x_prev, mid * step)
         f_mid = psi(x_mid)
-        if abs(f_mid) <= tol:
-            break
+        if f_mid == 0.0:
+            return x_mid, mid * step
         if (f_mid > 0) == (f_hi > 0):
             hi, f_hi = mid, f_mid
         else:
             lo = mid
-    return x_mid, mid * step
+    mid = 0.5 * (lo + hi)
+    return _rk_step(dirfn, x_prev, mid * step), mid * step
 
 
 # ----------------------------------------------------------------------------
@@ -246,6 +247,22 @@ def _require_on_segment(arc: ArcBoundary, name: str, station: float) -> None:
         raise DomainError(f"{name} = {station:g} leaves the padded wall segment [{lo:g}, {hi:g}]")
 
 
+def require_resolved_step(arc: ArcBoundary, step: float, r: float) -> None:
+    """Refuse a step that does not resolve a laminar streamline at wall distance
+    r > 0: an RK4 half-step stage lies step**2/(8*(delta + r)) inside the traced
+    circle, so below the wall, where h < 0 reverses the field, once
+    step**2 >= 8*(delta + r)*r.  A wall whose squared radius leaves the float
+    range is left to the field, which refuses the march's start naming delta."""
+    rho = arc.delta + r
+    if r <= 0 or rho * rho == math.inf:
+        return
+    largest = math.sqrt(8.0 * rho * r)
+    if not step < largest:
+        raise DomainError(f"step {step:g} does not resolve a streamline at wall distance "
+                          f"{r:g} with delta = {arc.delta:g}: an RK4 stage falls below the "
+                          f"wall; a step below {largest:g} resolves it")
+
+
 def poincare_L(
     field: FieldHandle, arc: ArcBoundary, s: float, s1: float, r: float, cfg: TraceConfig
 ) -> float:
@@ -264,7 +281,7 @@ def poincare_L(
         return from_cartesian(arc, x).s - s1
 
     try:
-        hit = _first_crossing(dirfn, start, cfg, station, 1e-13 * arc.delta)
+        hit = _first_crossing(dirfn, start, cfg, station)
     except OutOfChart as exc:
         raise NoCrossing(f"streamline left the chart before reaching s1={s1}") from exc
     if hit is None:
@@ -554,7 +571,7 @@ def _zeta_sample(p_field: ScalarFieldHandle, gradp: FieldHandle, arc: ArcBoundar
     def height(x):
         return norm(*x) - delta - r
 
-    foot_hit = _first_crossing(dirfn_level, wall_pt, level_cfg, height, 1e-13 * delta)
+    foot_hit = _first_crossing(dirfn_level, wall_pt, level_cfg, height)
     if foot_hit is None:
         raise NoCrossing(f"level curve from phi({s}) never reached wall distance {r}")
     foot, r_hat = foot_hit
@@ -567,10 +584,7 @@ def _zeta_sample(p_field: ScalarFieldHandle, gradp: FieldHandle, arc: ArcBoundar
     def level_gap(x):
         return p_field(x) - p_target
 
-    # the pressure scales with k, so the tolerance does too: |k|*delta is the
-    # pressure's change along one wall radius
-    zeta_hit = _first_crossing(dirfn_press, foot, press_cfg, level_gap,
-                               1e-14 * (abs(p_target) + abs(k) * delta))
+    zeta_hit = _first_crossing(dirfn_press, foot, press_cfg, level_gap)
     if zeta_hit is None:
         raise NoCrossing(f"pressure line from the foot missed the level of phi({s + eps})")
     zeta_pt, traced = zeta_hit
@@ -588,7 +602,7 @@ def piecewise_linear_length(
     """Euler reconstruction of a zeta sample's pressure-line length in wall coordinates.
 
     March n equal wall-arc steps from (sample.s_hat, sample.r), the foot (at
-    wall distance r to the crossing tolerance), to sample.s_hat2; at each node
+    wall distance r to the bisection's 1e-10 of a step), to sample.s_hat2; at each node
     tilt by the angle between the gradient and the wall tangent, summing
     segment lengths ((delta + r)/delta) * ds / cos(theta).  First-order in 1/n.
     """

@@ -321,6 +321,41 @@ def test_classify_names_a_station_off_the_wall_segment(tmp_path, capsys, key):
         f"lamsep: error: {key} = 5 leaves the padded wall segment [-0.05, 0.55]"]
 
 
+@pytest.mark.parametrize("delta, step, largest", [(8.1e5, 810, 804.985), (1e6, 1000, 894.427)])
+def test_classify_refuses_a_step_that_puts_an_rk4_stage_below_the_wall(
+        tmp_path, capsys, delta, step, largest):
+    # the default step 1e-3*delta at the smallest radius 0.1: these exited 0 with
+    # kind Unclassified (last ratio 2.80 and 3.22) on a laminar flow
+    path = write_config(tmp_path, {"delta": delta})
+    assert main(["classify", "--config", path, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"lamsep: error: step {step} does not resolve a streamline at wall distance 0.1 with "
+        f"delta = {delta:g}: an RK4 stage falls below the wall; a step below {largest} "
+        f"resolves it"]
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("config", [{"delta": 7.9e5}, {"delta": 1e6, "step": 100}])
+def test_classify_a_resolving_step_at_a_large_wall_radius_is_parallel(tmp_path, config):
+    assert _classify(tmp_path, config)["kind"] == "Parallel"
+
+
+def test_trace_refuses_a_streamline_start_its_step_does_not_resolve(tmp_path, capsys):
+    # 1.2e-7 used to exit 0, drifting to r = 3.42e-7 with length 0.99933
+    path = write_config(tmp_path, {"start_r": 1.2e-7})
+    assert main(["trace", "--config", path, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("lamsep: error: step 0.001 does not resolve"), err
+    path = write_config(tmp_path, {"start_r": 1.3e-7})
+    assert main(["trace", "--config", path, "--out", str(tmp_path / "o")]) == 0
+    with open(tmp_path / "o" / "data.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 1001
+    for row in rows:
+        assert math.hypot(float(row["x"]), float(row["y"])) == pytest.approx(1 + 1.3e-7,
+                                                                            abs=1e-14)
+
+
 def test_the_weak_field_default_scales_with_the_length_unit(tmp_path):
     # dr/ds = growth*r**2 makes growth a 1/length**2: its default 1/delta**2 gives the
     # same ratios when the length unit doubles or halves (delta, s_range, alpha2, nu to

@@ -167,6 +167,57 @@ def test_a_start_without_a_size_is_refused_untraced(value, message):
     assert points == [(0.3, 0.4)]
 
 
+# ----------------------------------------------------------------------------
+# one crossing rule: a sign change within a step is bisected to 1e-10 of it
+# ----------------------------------------------------------------------------
+
+
+def _east_crossing(root):
+    """The first crossing of x = root by the unit field along x from the origin, in
+    steps of 3 (which RK4 takes exactly), and the points at which psi was evaluated."""
+    calls = []
+
+    def psi(x):
+        calls.append(x)
+        return x[0] - root
+
+    east = tracing._unit_direction(FieldHandle(lambda x, y: (1.0, 0.0)))
+    return tracing._first_crossing(east, (0.0, 0.0), TraceConfig(3.0, 30.0), psi), calls
+
+
+def test_a_crossing_within_a_step_is_located_to_1e_10_of_the_step():
+    # the root 0.3 of the way along the first step: 34 halvings at most
+    ((x, y), length), calls = _east_crossing(0.9)
+    assert abs(x - 0.9) <= 1e-10 * 3.0 and y == 0.0
+    assert abs(length - 0.9) <= 1e-10 * 3.0
+    assert len(calls) <= 2 + 34  # the start, the step's end and the bisection
+
+
+def test_a_bisection_midpoint_on_the_root_is_the_crossing():
+    # the root halfway along the first step: the first midpoint is exactly on it
+    hit, calls = _east_crossing(1.5)
+    assert hit == ((1.5, 0.0), 1.5)
+    assert calls == [(0.0, 0.0), (3.0, 0.0), (1.5, 0.0)]
+
+
+# ----------------------------------------------------------------------------
+# a streamline's step must keep every RK4 stage above the wall
+# ----------------------------------------------------------------------------
+
+
+def test_a_step_that_puts_an_rk4_stage_below_the_wall_is_refused():
+    # the largest step at wall distance r is sqrt(8*(delta + r)*r): 0.000979796 at
+    # r = 1.2e-7 on the unit wall, below the default step 1e-3
+    with pytest.raises(DomainError, match=r"^step 0\.001 does not resolve a streamline at wall "
+                                          r"distance 1\.2e-07 with delta = 1: .* a step below "
+                                          r"0\.000979796 resolves it$"):
+        tracing.require_resolved_step(ARC, 1e-3, 1.2e-7)
+    tracing.require_resolved_step(ARC, 1e-3, 1.3e-7)
+    tracing.require_resolved_step(ARC, 1e-3, 0.0)  # on the wall the march refuses its start
+    # a wall past the float range is left to the field, which names delta
+    tracing.require_resolved_step(ArcBoundary(1e160, (0.0, 1.0)), 1e157, 0.4)
+
+
 def test_poincare_identity_on_laminar():
     field = laminar_field(ARC, PARAMS)
     for r in (0.05, 0.1, 0.2):

@@ -1,5 +1,8 @@
 import csv
+import importlib.util
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -100,12 +103,19 @@ def test_zeta_perturbed_bounds_hold_with_finite_constants():
         assert sm.r_hat2 <= (1 + report.fitted.epsilon_hat) * sm.r
 
 
-@pytest.mark.parametrize("factor", [0.1, 3.0])
-def test_zeta_bounds_fail_for_a_traced_length_outside_the_sandwich(monkeypatch, factor):
+@pytest.mark.parametrize("amp, eps_over_r, factor", [
+    pytest.param(0.3, 2.0, 0.1, id="0.1"), pytest.param(0.3, 2.0, 3.0, id="3.0"),
+    # the angular pressure at a small offset, where the constants sit at their
+    # floors: the sandwich is still narrow enough to catch a length 1e-9 off
+    pytest.param(0.0, 1e-3, 1.0 - 1e-9, id="angular-1e-3-short"),
+    pytest.param(0.0, 1e-3, 1.0 + 1e-9, id="angular-1e-3-long"),
+])
+def test_zeta_bounds_fail_for_a_traced_length_outside_the_sandwich(monkeypatch, amp, eps_over_r,
+                                                                    factor):
     # the constants are fitted from the foot and the crossing alone, so a traced
-    # length far below or above the sandwich they give is reported, not fitted away
-    p = perturbed_angular_pressure(ARC, PARAMS, amp=0.3)
-    exact = zeta_check(p, ARC, PARAMS, s=0.1, r_list=R_LIST, eps_over_r=2.0)
+    # length below or above the sandwich they give is reported, not fitted away
+    p = perturbed_angular_pressure(ARC, PARAMS, amp=amp)
+    exact = zeta_check(p, ARC, PARAMS, s=0.1, r_list=R_LIST, eps_over_r=eps_over_r)
     sample = tracing._zeta_sample
 
     def scaled(*args):
@@ -113,10 +123,35 @@ def test_zeta_bounds_fail_for_a_traced_length_outside_the_sandwich(monkeypatch, 
         return sm._replace(traced_length=factor * sm.traced_length)
 
     monkeypatch.setattr(tracing, "_zeta_sample", scaled)
-    report = zeta_check(p, ARC, PARAMS, s=0.1, r_list=R_LIST, eps_over_r=2.0)
+    report = zeta_check(p, ARC, PARAMS, s=0.1, r_list=R_LIST, eps_over_r=eps_over_r)
     assert exact.bounds_hold is True
     assert report.bounds_hold is False
     assert report.fitted == exact.fitted
+
+
+@pytest.mark.parametrize("eps_over_r", [1e-3, 1e-2, 0.05])
+def test_zeta_bounds_hold_at_small_offsets(eps_over_r):
+    # the default config; these were false while the level crossing stopped at
+    # 1e-14*(|p| + |k|*delta), about 5e-8 of a step at eps_over_r 1e-3
+    report = zeta_check(angular_pressure(ARC, PARAMS), ARC, PARAMS, s=0.1, r_list=R_LIST,
+                        eps_over_r=eps_over_r)
+    assert report.bounds_hold is True
+
+
+def test_zeta_bounds_hold_at_a_small_offset_on_the_benchmark_draws(tmp_path, monkeypatch):
+    # the zeta-check draws of cli-analysis seeds 1-10, at eps_over_r 1e-3: none held
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclass looks itself up
+    spec.loader.exec_module(workloads)
+    for seed in range(1, 11):
+        config, = [inv.config for inv in workloads.generate("cli-analysis", seed)
+                   if inv.command == "zeta-check"]
+        path, out = tmp_path / f"{seed}.json", tmp_path / f"o{seed}"
+        path.write_text(json.dumps({**config, "eps_over_r": 1e-3}))
+        assert main(["zeta-check", "--config", str(path), "--out", str(out)]) == 0
+        assert json.loads((out / "report.json").read_text())["payload"]["bounds_hold"] is True
 
 
 def _assert_pw_convergence_order(arc, params):
