@@ -188,16 +188,20 @@ def _analysis_layers(lamsep, tmp: Path) -> dict:
     cfg = tracing.default_trace_config(arc)
     scale = min(params.bl, delta)
     field = lamsep.field.laminar_field(arc, params)
-    start = lamsep.geometry.to_cartesian(arc, (0.1 * delta, 0.1 * scale))
-    point = (float(start[0]), float(start[1]))
-    direction = tracing._unit_direction(field)
+    start = (0.1 * delta, 0.1 * scale)  # a chart point (s, r)
+    plane = lamsep.geometry.to_cartesian(arc, start)
+    if hasattr(tracing, "require_resolved_step"):  # a checkout that marches in the plane
+        point, direction, line_from = plane, tracing._unit_direction(field), (field, plane)
+    else:
+        point, direction = (0.0, 0.0), tracing._unit_direction(field, arc, start)
+        line_from = (field, arc, start)
     grid = theorems.default_r_grid(params, delta)
     samples = [(r, theorems.theorem2_ratio(params, delta, r)) for r in grid]
     tmp.mkdir(parents=True)
     config = tmp / "config.json"
     config.write_text(json.dumps({"alpha1": 2.5, "alpha2": 1.0, "nu": 1.0, "delta": delta}))
     # the trace command's default streamline: 1000 steps of 1e-3 * delta
-    line = tracing.trace_streamline(field, start, cfg._replace(max_length=delta))
+    line = tracing.trace_streamline(*line_from, cfg._replace(max_length=delta))
     rows = line.rows()
     report = cli.run(cli.parse_config(config, {"out": str(tmp / "t1")}, "verify-theorem1"))
     gradp = lamsep.field.stationary_gradp_field(arc, params)
@@ -206,7 +210,7 @@ def _analysis_layers(lamsep, tmp: Path) -> dict:
 
     out = {
         "cli.parse_config_s": _per_call(lambda: cli.parse_config(config, None, "trace"), 200),
-        "field.eval_s": _per_call(lambda: field(point), TIMED_CALLS),
+        "field.eval_s": _per_call(lambda: field(plane), TIMED_CALLS),
         "tracing.rk_step_s": _per_call(lambda: tracing._rk_step(direction, point, cfg.step),
                                        TIMED_CALLS // 4),
         "fdops.richardson_s": _per_call(lambda: fdops.richardson(samples[-4:], order=1),

@@ -26,8 +26,8 @@ field = laminar_field(arc, params)
 cfg = default_trace_config(arc)
 
 print("== a traced streamline stays on its circle ==")
-line = trace_streamline(field, to_cartesian(arc, (0.05, 0.2)),
-                        TraceConfig(step=1e-3, max_length=0.4))
+# the march runs in the wall chart, from the station s = 0.05 at wall distance r = 0.2
+line = trace_streamline(field, arc, (0.05, 0.2), TraceConfig(step=1e-3, max_length=0.4))
 radii = np.linalg.norm(line.points, axis=1)
 print(f"traced {line.length:.3f} units; radius drift {np.max(np.abs(radii - 1.2)):.2e}")
 

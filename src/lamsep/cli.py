@@ -354,9 +354,6 @@ def _cmd_classify(cfg: RunConfig, tracing):
         trace_cfg = trace_cfg._replace(step=opts.get("step", trace_cfg.step))
     except ValidationError as exc:  # the trace length is not a key here: say where it comes from
         raise ValidationError(f"{exc} (10*delta)") from exc
-    # only the laminar field reverses below the wall, not the fan or growth field
-    if opts.get("field", "laminar") == "laminar":
-        tracing.require_resolved_step(arc, trace_cfg.step, min(radii))
     result = tracing.classify_flow(field, arc, radii, s, s1, opts.get("C", 1.2), trace_cfg,
                                    tol_par=opts.get("tol_par", 1e-4))
     _require_finite([q for _, q in result.evidence])
@@ -368,17 +365,16 @@ def _cmd_classify(cfg: RunConfig, tracing):
 def _cmd_trace(cfg: RunConfig, tracing):
     arc, params, opts = cfg.arc, cfg.params, cfg.options
     kind = opts.get("kind", "streamline")
-    start_r = opts.get("start_r", 0.1 * arc.delta)
-    start = to_cartesian(arc, (opts.get("start_s", 0.0), start_r))
+    start = (opts.get("start_s", 0.0), opts.get("start_r", 0.1 * arc.delta))
     trace_cfg = tracing.default_trace_config(arc)
     trace_cfg = trace_cfg._replace(step=opts.get("step", trace_cfg.step),
                                    max_length=opts.get("length", arc.delta))
     if kind == "streamline":
-        tracing.require_resolved_step(arc, trace_cfg.step, start_r)
-        line = tracing.trace_streamline(laminar_field(arc, params), start, trace_cfg)
+        line = tracing.trace_streamline(laminar_field(arc, params), arc, start, trace_cfg)
     else:  # pressure or level
         gradp = stationary_gradp_field(arc, params)
-        line = tracing.trace_pressure_line(gradp, start, trace_cfg, perpendicular=kind == "level")
+        line = tracing.trace_pressure_line(gradp, arc, start, trace_cfg,
+                                           perpendicular=kind == "level")
     _require_finite([line.length])
     payload = {"kind": kind, "points": len(line.points), "length": line.length}
     return payload, _data_csv(line.CSV_HEADER, line.rows()), 0, {}

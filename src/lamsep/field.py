@@ -4,12 +4,12 @@ The velocity profile over wall distance r is the shear-with-curvature law
 
     h(r) = alpha1 * r - (alpha2 / 2) * r**2,
 
-transported along circles concentric with the wall: at distance d from the
-origin, the wall's center, the speed is h(d - delta) and the direction is the
-clockwise tangent.  Every field on the wall is its tangential and normal parts,
-functions of d, composed in :func:`wall_field`.  The closed forms below (Laplacian, advection, the stationary
-pressure-gradient ansatz) are all verified against finite differences in
-:mod:`lamsep.fdops`.
+transported along circles concentric with the wall: at wall distance r, that
+is at distance delta + r from the origin, the wall's center, the speed is h(r)
+and the direction is the clockwise tangent.  Every field on the wall is its
+tangential and normal parts, functions of r, composed in :func:`wall_field`.
+The closed forms below (Laplacian, advection, the stationary pressure-gradient
+ansatz) are all verified against finite differences in :mod:`lamsep.fdops`.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import sys
 from typing import Callable, NamedTuple
 
 from .errors import CheckedRecord, DomainError, ValidationError
-from .geometry import ArcBoundary, norm
+from .geometry import ArcBoundary, norm, to_cartesian
 
 VARIANTS = ("paper", "corrected")
 
@@ -56,12 +56,17 @@ class FieldHandle(NamedTuple):
     evaluates a field: ``field((x, y))`` evaluates one point and returns the
     pair ``(u, v)``.
 
+    A field composed by :func:`wall_field` also has ``chart``, its form in the
+    wall chart: ``(s, r) -> (tangential, normal)`` parts (None for a field
+    given in the plane alone).
+
     Derivatives of a field come from the finite-difference oracles of
     :mod:`lamsep.fdops`; the laminar field's closed forms are functions of the
     wall distance (``analytic_laplacian``, ``advection``).
     """
 
     evaluator: Callable[[float, float], tuple[float, float]]
+    chart: Callable[[float, float], tuple[float, float]] | None = None
 
     def __call__(self, x):
         return self.evaluator(*x)
@@ -71,12 +76,14 @@ class ScalarFieldHandle(NamedTuple):
     """An evaluable planar scalar field (pressure) with its analytic gradient.
 
     Point form as for :class:`FieldHandle`: ``evaluator`` maps ``(x, y)`` to
-    one float, and ``gradient`` maps ``(x, y)`` to the pair
-    ``(dp/dx, dp/dy)``.  ``field((x, y))`` returns the float p(x, y).
+    one float, and ``gradient`` is the :class:`FieldHandle` of the pair
+    ``(dp/dx, dp/dy)``.  ``field((x, y))`` returns the float p(x, y).  A
+    pressure built on the wall also has ``chart``, ``(s, r) -> p``.
     """
 
     evaluator: Callable[[float, float], float]
-    gradient: Callable[[float, float], tuple[float, float]]
+    gradient: FieldHandle
+    chart: Callable[[float, float], float] | None = None
 
     def __call__(self, x):
         return self.evaluator(*x)
@@ -94,31 +101,34 @@ def profile_h_prime(params: LaminarParams, r):
 
 def wall_field(arc: ArcBoundary, components) -> FieldHandle:
     """The planar field whose parts along the clockwise tangent and the outward
-    normal, at distance d from the origin, are ``components(d) -> (tangential,
-    normal)``: the one place a wall field is composed from its wall frame."""
+    normal, at wall distance r, are ``components(r) -> (tangential, normal)``:
+    the one place a wall field is composed from its wall frame.  The plane
+    evaluator passes r = norm(x, y) - delta, the chart form reads (s, r), and
+    both refuse a point whose norm leaves the float range, naming delta."""
+    delta = arc.delta
+
     def evaluate(x: float, y: float) -> tuple[float, float]:
         d = norm(x, y)
         if d == math.inf:
-            raise DomainError(f"delta = {arc.delta:g}: the distance of ({x:g}, {y:g}) from the "
+            raise DomainError(f"delta = {delta:g}: the distance of ({x:g}, {y:g}) from the "
                               f"wall's center leaves the float range")
-        t, n = components(d)
+        t, n = components(d - delta)
         n0, n1 = x / d, y / d
         # t along the clockwise tangent (n1, -n0), n along the normal (n0, n1)
         return t * n1 + n * n0, n * n1 - t * n0
 
-    return FieldHandle(evaluate)
+    def chart(s: float, r: float) -> tuple[float, float]:
+        if (delta + r) * (delta + r) == math.inf:  # the plane form refuses its point
+            evaluate(*to_cartesian(arc, (s, r)))
+        return components(r)
+
+    return FieldHandle(evaluate, chart)
 
 
 def laminar_field(arc: ArcBoundary, params: LaminarParams) -> FieldHandle:
-    """Velocity field with speed h(dist - delta) along clockwise circles.
-
-    In the local frame at any wall point the components are
-    v1 = h(rho - delta) * (delta + r) / rho and v2 = -h(rho - delta) * s / rho
-    with rho = sqrt((delta + r)**2 + s**2); on the wall the field vanishes and
-    |u(Phi(s, r))| = h(r).
-    """
-    delta = arc.delta
-    return wall_field(arc, lambda d: (profile_h(params, d - delta), 0.0))
+    """Velocity field with speed h(r) along clockwise circles: its parts are
+    (h(r), 0), so it vanishes on the wall and |u(Phi(s, r))| = h(r)."""
+    return wall_field(arc, lambda r: (profile_h(params, r), 0.0))
 
 
 def wall_gradient(params: LaminarParams, delta: float) -> float:
@@ -182,7 +192,7 @@ def stationary_gradp_ansatz(params: LaminarParams, delta: float, r):
 def stationary_gradp_field(arc: ArcBoundary, params: LaminarParams) -> FieldHandle:
     """The printed ansatz gradient as a planar field: P(r) along circles, Pperp(r) outward."""
     delta = arc.delta
-    return wall_field(arc, lambda d: stationary_gradp_ansatz(params, delta, d - delta))
+    return wall_field(arc, lambda r: stationary_gradp_ansatz(params, delta, r))
 
 
 def write_csv(path, header, rows) -> None:

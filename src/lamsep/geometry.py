@@ -10,8 +10,8 @@ parametrization is
     outward normal   e2(s)   = (sin a, cos a)
 
 and the normal-coordinate chart places (s, r) at ``(delta+r)*e2(s)``.
-The maps take one station ``s`` as a float and return float pairs, so the
-tracer calls them point by point; ``to_cartesian`` also takes an array of
+The maps take one station ``s`` as a float and return float pairs, so a trace
+maps its chart points one by one; ``to_cartesian`` also takes an array of
 wall distances ``r`` at one station and then returns arrays of x and y.
 """
 
@@ -22,8 +22,8 @@ from typing import NamedTuple
 
 from .errors import CheckedRecord, DomainError, OutOfChart, ValidationError
 
-# from_cartesian accepts this fraction of the s-range beyond each end, so
-# tracers that overshoot the sector slightly still get chart coordinates.
+# the chart takes this fraction of the s-range beyond each end, so a trace that
+# overshoots the sector slightly (and from_cartesian's points) stays in it
 CHART_PADDING = 0.10
 
 

@@ -103,7 +103,7 @@ def theorem1_verify(
     sqrt(P^2 + Pperp^2); the two disagree by the factor lhs/rhs, which is the
     contradiction seen geometrically.  An eta ratio whose fit is not resolved to
     1e-2 of its value is refused with a DomainError naming nu and delta: the
-    ratio scales with nu, and the tracer's noise with delta/r.
+    ratio scales with nu, and reads 0 below 1e-13 of |grad p| (nu ~ 1e-14).
     """
     r_grid = _float_grid(params, delta, r_grid)
     if not r_grid:
@@ -130,8 +130,8 @@ def theorem1_verify(
             ratio = tracing.eta_ratio(gradp, arc, s_mid, r, eps_list)
         except NonMonotoneSequence as exc:
             raise DomainError(f"{unresolved} is not resolved ({exc})") from exc
-        # the ratio scales with nu, and a traced one carries ~1e-13*delta/r absolute
-        # error; its eps-truncation estimate reaches 1.3e-3 of the value at ordinary nu
+        # the ratio scales with nu, and a traced one carries roundoff relative to itself;
+        # its eps-truncation estimate reaches 1.3e-3 of the value at ordinary nu
         if ratio.value == 0 or not ratio.error_estimate <= 1e-2 * abs(ratio.value):
             raise DomainError(f"{unresolved} {ratio.value:g} is not resolved (error estimate "
                               f"{ratio.error_estimate:g})")

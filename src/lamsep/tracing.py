@@ -1,26 +1,24 @@
-"""Streamline and pressure-line tracing next to the curved wall.
+"""Streamline and pressure-line tracing next to the curved wall, in the wall chart.
 
-Everything here works on normalized direction fields with one fixed-step
-classical RK4 march, :func:`_march`, so every traced curve is arc-length
-parametrized.  The march yields its steps, and each caller is a loop over
-them: a trace collects the points, and a crossing event (a normal ray, a
-target wall distance, a pressure level) is the first sign change of a scalar
-along the march, found by :func:`_first_crossing`, which evaluates the scalar
-once per march point.  A march point exactly on the target is the hit, and a
-sign change within a step is bisected along the step to 1e-10 of it, which
-stays robust for nearly tangential crossings.  The pressure line of the eta ratio
-stops instead where it first meets the traced level curve.  Every march has one
-stop rule, in :func:`_unit_direction`: it stops with :class:`CriticalPoint`
-where its field, the velocity or the pressure gradient, falls below 1e-10 of
-its size at the march's start, is singular or is not finite, so no threshold
-carries a unit.  A curve that meets no target within its length raises
-:class:`NoCrossing`.
-
-The march runs on float pairs: a point is a tuple ``(x, y)``, and each field
-is called in point form, ``field((x, y)) -> (u, v)`` (see
-:class:`lamsep.field.FieldHandle`).  A traced curve is a :class:`Polyline`
-of such pairs.  Lengths of direction vectors use libm's ``hypot`` (through
-``abs(complex(x, y))``).
+Every march runs in the wall chart, on float pairs (sigma, rho): offsets from
+an origin (s0, r0), its start point, to the station s = s0 + sigma and the wall
+distance r = r0 + rho.  It follows the field's unit tangential and normal parts
+(t, n) as dsigma/dl = (delta/(delta + r))*t and drho/dl = n, so every curve is
+parametrized by its plane arc length l, and no station or wall distance is read
+back through plane coordinates (:func:`_chart_form` reads the field).  A
+laminar streamline is rho = 0, which RK4 keeps exactly at any step.  There is
+one fixed-step classical RK4 march, :func:`_march`, which yields its steps: a
+trace collects the points, and a crossing event (a normal ray, a target wall
+distance, a pressure level) is the first sign change of a scalar along the
+march, found by :func:`_first_crossing` with one evaluation per march point.  A
+march point exactly on the target is the hit, and a sign change within a step
+is bisected along the step to 1e-10 of it.  The pressure line of the eta ratio
+stops instead where it first meets the traced level curve.  Every march stops
+with :class:`CriticalPoint` where its field falls below 1e-10 of its size at
+the march's start, is singular or is not finite (:func:`_unit_direction`), and
+a curve that meets no target within its length raises :class:`NoCrossing`.  A
+traced curve is a :class:`Polyline` of plane points, mapped from the chart once
+the march has ended.
 """
 
 from __future__ import annotations
@@ -29,13 +27,12 @@ import math
 import sys
 from typing import NamedTuple
 
-from .errors import (CheckedRecord, CriticalPoint, DomainError, NoCrossing, OutOfChart,
-                     ValidationError)
+from .errors import CheckedRecord, CriticalPoint, DomainError, NoCrossing, ValidationError
 from .fdops import ExtrapolationResult, richardson
 from .field import (FieldHandle, LaminarParams, ScalarFieldHandle, anchored_gradient,
                     wall_field, wall_gradient)
-from .geometry import (ArcBoundary, arc_normal, arc_point, arc_segment_length, arc_tangent,
-                       from_cartesian, local_frame, norm, to_cartesian, wall_station)
+from .geometry import (ArcBoundary, arc_normal, arc_segment_length, norm, to_cartesian,
+                       wall_station)
 
 
 class Polyline(NamedTuple):
@@ -126,37 +123,60 @@ def _rk_step(fn, x, h):
             x1 + h6 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]))
 
 
-def _unit_direction(field: FieldHandle, sign: float = 1.0, perpendicular=False):
-    """The field normalized to unit length (optionally turned +90 degrees), in point form,
-    for one march.
+def _chart_form(field: FieldHandle, arc: ArcBoundary) -> FieldHandle:
+    """``field`` in the wall chart: (s, r) -> its (tangential, normal) parts there."""
+    # Two readers, as a field comes in two forms.  A wall field is its parts already,
+    # so its march never passes through plane coordinates.  A field given in the
+    # plane alone (fan_field, a test's formula) is evaluated at to_cartesian's image
+    # of (s, r) and read in the wall frame there, with one sin/cos pair.
+    if field.chart is not None:
+        return FieldHandle(field.chart)
+    evaluate, delta = field.evaluator, arc.delta
+
+    def read(s: float, r: float) -> tuple[float, float]:
+        n0, n1 = arc_normal(arc, s)
+        u, v = evaluate((delta + r) * n0, (delta + r) * n1)
+        # the clockwise tangent is (n1, -n0), the outward normal (n0, n1)
+        return u * n1 - v * n0, u * n0 + v * n1
+
+    return FieldHandle(read)
+
+
+def _unit_direction(field: FieldHandle, arc: ArcBoundary, origin, sign=1.0, perpendicular=False):
+    """For one march about ``origin = (s0, r0)``, the direction (dsigma/dl, drho/dl)
+    = ((delta/(delta + r))*t, n) of the field's unit parts (t, n) at
+    (s0 + sigma, r0 + rho), optionally turned +90 degrees.
 
     Its first call, at the march's start, sets the stop threshold to 1e-10 of
     |field| there, and refuses a start whose field is zero or subnormal.  A
     field below the threshold, singular or not finite (infinite or NaN) raises
-    :class:`CriticalPoint`.
+    :class:`CriticalPoint`, naming the chart point (s, r).
     """
+    (s0, r0), chart, delta = origin, _chart_form(field, arc), arc.delta
     tol = None
 
-    def fn(x):
+    def fn(p):
         nonlocal tol
+        at = (s0 + p[0], r0 + p[1])
         try:
-            u, v = field(x)
+            t, n = chart(at)
+            stretch = delta / (delta + at[1])
         except ZeroDivisionError as exc:
-            raise CriticalPoint(f"field is singular at {x}") from exc
-        speed = abs(complex(u, v))  # libm hypot
+            raise CriticalPoint(f"field is singular at {at}") from exc
+        speed = abs(complex(t, n))  # libm hypot
         if tol is None:  # the march's start
             if speed < sys.float_info.min:
-                raise CriticalPoint(f"|field| = {speed} at the start {x} is below the "
+                raise CriticalPoint(f"|field| = {speed} at the start {at} is below the "
                                     f"normal float range")
             tol = 1e-10 * speed
         if not tol <= speed < math.inf:  # NaN fails too
             if speed < tol:
-                raise CriticalPoint(f"|field| = {speed} < {tol} at {x}")
-            raise CriticalPoint(f"field is not finite at {x}: ({u}, {v})")
-        u, v = u / speed, v / speed
+                raise CriticalPoint(f"|field| = {speed} < {tol} at {at}")
+            raise CriticalPoint(f"field is not finite at {at}: ({t}, {n})")
+        t, n = t / speed, n / speed
         if perpendicular:
-            u, v = -v, u
-        return sign * u, sign * v
+            t, n = -n, t
+        return sign * stretch * t, sign * n
 
     return fn
 
@@ -164,7 +184,7 @@ def _unit_direction(field: FieldHandle, sign: float = 1.0, perpendicular=False):
 def _march(dirfn, start, cfg: TraceConfig):
     """Fixed-step march of a unit direction field from ``start`` for cfg.max_length.
 
-    Yields each step as (x, x_new, cum, h): the float pair x at arc length
+    Yields each step as (x, x_new, cum, h): the chart point x at arc length
     cum, and the point x_new one step of length h on.
     """
     x = (float(start[0]), float(start[1]))
@@ -226,18 +246,24 @@ def _refine_on_step(dirfn, x_prev, step, psi, psi_new):
 # ----------------------------------------------------------------------------
 
 
-def trace_streamline(field: FieldHandle, start, cfg: TraceConfig) -> Polyline:
-    """Integrate the normalized velocity from ``start`` for cfg.max_length."""
-    dirfn = _unit_direction(field)
-    return Polyline.from_points([start] + [x_new for _, x_new, _, _ in _march(dirfn, start, cfg)])
+def _traced(dirfn, arc: ArcBoundary, start, cfg: TraceConfig) -> Polyline:
+    """The march of ``dirfn`` about ``start = (s0, r0)``, as plane points."""
+    s0, r0 = start
+    points = [(0.0, 0.0)] + [x for _, x, _, _ in _march(dirfn, (0.0, 0.0), cfg)]
+    return Polyline.from_points([to_cartesian(arc, (s0 + sig, r0 + rho)) for sig, rho in points])
 
 
-def trace_pressure_line(
-    gradp: FieldHandle, start, cfg: TraceConfig, *, perpendicular=False, orientation=1.0
-) -> Polyline:
-    """Integrate the normalized pressure gradient, or its perpendicular (a level curve)."""
-    dirfn = _unit_direction(gradp, sign=orientation, perpendicular=perpendicular)
-    return Polyline.from_points([start] + [x_new for _, x_new, _, _ in _march(dirfn, start, cfg)])
+def trace_streamline(field: FieldHandle, arc: ArcBoundary, start, cfg: TraceConfig) -> Polyline:
+    """Integrate the normalized velocity from the chart point ``start = (s, r)``."""
+    return _traced(_unit_direction(field, arc, start), arc, start, cfg)
+
+
+def trace_pressure_line(gradp: FieldHandle, arc: ArcBoundary, start, cfg: TraceConfig, *,
+                        perpendicular=False, orientation=1.0) -> Polyline:
+    """Integrate the normalized pressure gradient, or its perpendicular (a level
+    curve), from the chart point ``start = (s, r)``."""
+    dirfn = _unit_direction(gradp, arc, start, orientation, perpendicular)
+    return _traced(dirfn, arc, start, cfg)
 
 
 def _require_on_segment(arc: ArcBoundary, name: str, station: float) -> None:
@@ -245,22 +271,6 @@ def _require_on_segment(arc: ArcBoundary, name: str, station: float) -> None:
     lo, hi = arc.padded_s_range
     if not lo <= station <= hi:
         raise DomainError(f"{name} = {station:g} leaves the padded wall segment [{lo:g}, {hi:g}]")
-
-
-def require_resolved_step(arc: ArcBoundary, step: float, r: float) -> None:
-    """Refuse a step that does not resolve a laminar streamline at wall distance
-    r > 0: an RK4 half-step stage lies step**2/(8*(delta + r)) inside the traced
-    circle, so below the wall, where h < 0 reverses the field, once
-    step**2 >= 8*(delta + r)*r.  A wall whose squared radius leaves the float
-    range is left to the field, which refuses the march's start naming delta."""
-    rho = arc.delta + r
-    if r <= 0 or rho * rho == math.inf:
-        return
-    largest = math.sqrt(8.0 * rho * r)
-    if not step < largest:
-        raise DomainError(f"step {step:g} does not resolve a streamline at wall distance "
-                          f"{r:g} with delta = {arc.delta:g}: an RK4 stage falls below the "
-                          f"wall; a step below {largest:g} resolves it")
 
 
 def poincare_L(
@@ -274,19 +284,18 @@ def poincare_L(
         raise ValidationError("launch wall distance r must be positive")
     _require_on_segment(arc, "s", s)
     _require_on_segment(arc, "s1", s1)
-    start = to_cartesian(arc, (s, r))
-    dirfn = _unit_direction(field)
+    lo, hi = (end - s for end in arc.padded_s_range)  # the march is made about (s, r)
+    floor, target = -1e-12 * arc.delta, s1 - s  # the chart allows floor below the wall
 
-    def station(x):
-        return from_cartesian(arc, x).s - s1
+    def station(p):
+        if not (lo <= p[0] <= hi and r + p[1] >= floor):
+            raise NoCrossing(f"streamline left the chart before reaching s1={s1}")
+        return p[0] - target
 
-    try:
-        hit = _first_crossing(dirfn, start, cfg, station)
-    except OutOfChart as exc:
-        raise NoCrossing(f"streamline left the chart before reaching s1={s1}") from exc
+    hit = _first_crossing(_unit_direction(field, arc, (s, r)), (0.0, 0.0), cfg, station)
     if hit is None:
         raise NoCrossing(f"no crossing of the normal ray at s1={s1} within {cfg.max_length}")
-    tau = norm(*hit[0]) - arc.delta
+    tau = r + hit[0][1]
     if tau <= 0:
         raise NoCrossing(f"crossing found below the wall (tau={tau})")
     return tau
@@ -375,8 +384,8 @@ def radial_growth_field(arc: ArcBoundary, growth: float) -> FieldHandle:
     to 1 as r -> 0, i.e. weak diverging.
     """
     delta = arc.delta
-    # the clockwise tangent tilted outward by growth * r**2 * delta/d
-    return wall_field(arc, lambda d: (1.0, growth * (d - delta) * (d - delta) * delta / d))
+    # the clockwise tangent tilted outward by growth * r**2 * delta/(delta + r)
+    return wall_field(arc, lambda r: (1.0, growth * r * r * delta / (delta + r)))
 
 
 # ----------------------------------------------------------------------------
@@ -442,8 +451,8 @@ def offset_arc_length(arc: ArcBoundary, s: float, eps: float, r: float) -> float
     """The length of the offset arc from wall station s to s + eps at wall
     distance r, which a trace over it takes as its scale; a DomainError when
     either station leaves the padded wall segment, when |eps| < 1e-8*delta, or
-    when the length is not positive and finite.  A traced point carries about
-    1e-16*delta of roundoff per step, so a shorter offset's ratio is noise
+    when the length is not positive and finite.  A station carries about
+    1e-16*delta of roundoff where a pressure reads it, so a shorter offset's ratio is noise
     (zeta-check's ratios at eps_over_r = 1e-12 were up to 17 % off)."""
     _require_on_segment(arc, "s", s)
     _require_on_segment(arc, "s + eps", s + eps)
@@ -459,23 +468,22 @@ def offset_arc_length(arc: ArcBoundary, s: float, eps: float, r: float) -> float
 
 def eta_trace(gradp: FieldHandle, arc: ArcBoundary, s: float, r: float, eps: float) -> float:
     """Trace the pressure line from Phi(s, r) to the level curve through
-    Phi(s+eps, r): the ratio of its length to the offset arc's."""
+    Phi(s+eps, r): the ratio of its length to the offset arc's.  Both curves
+    are marched, and crossed, in the wall chart."""
     phi_len = offset_arc_length(arc, s, eps, r)
-    start = to_cartesian(arc, (s, r))
-    anchor = to_cartesian(arc, (s + eps, r))
+    start, anchor = (0.0, 0.0), ((s + eps) - s, 0.0)  # both curves are marched about (s, r)
     level_cfg = TraceConfig(step=phi_len / 80.0, max_length=3.0 * phi_len)
-    fwd = trace_pressure_line(gradp, anchor, level_cfg, perpendicular=True, orientation=+1.0)
-    back = trace_pressure_line(gradp, anchor, level_cfg, perpendicular=True, orientation=-1.0)
-    level_pts = back.points[::-1] + fwd.points[1:]
+    fwd, back = ([x for _, x, _, _ in _march(_unit_direction(gradp, arc, (s, r), sign, True),
+                                             anchor, level_cfg)] for sign in (1.0, -1.0))
+    level_pts = back[::-1] + [anchor] + fwd
 
     # orient the pressure line toward increasing s so it meets the level curve
-    g0 = gradp(start)
-    along, _ = local_frame(arc, s).components(g0)
+    along, normal = _chart_form(gradp, arc)((s, r))
     sign = 1.0 if along >= 0 else -1.0
-    if abs(along) <= 1e-13 * abs(complex(*g0)):
+    if abs(along) <= 1e-13 * abs(complex(along, normal)):
         # gradient purely normal: the level curve already passes through the start
         return 0.0
-    dirfn = _unit_direction(gradp, sign=sign)
+    dirfn = _unit_direction(gradp, arc, (s, r), sign)
     press_cfg = TraceConfig(step=phi_len / 80.0, max_length=4.0 * phi_len)
     segs, blocks = _segment_blocks(level_pts)
     for x, x_new, cum, h in _march(dirfn, start, press_cfg):
@@ -528,9 +536,9 @@ def perturbed_angular_pressure(
     def evaluate(x: float, y: float) -> float:
         return k * wall_station(arc, x, y) + scale * (norm(x, y) - delta) ** 2
 
-    gradient = wall_field(arc, lambda d: (anchored_gradient(params, delta, d),
-                                          2.0 * scale * (d - delta)))
-    return ScalarFieldHandle(evaluate, gradient.evaluator)
+    gradient = wall_field(arc, lambda r: (anchored_gradient(params, delta, delta + r),
+                                          2.0 * scale * r))
+    return ScalarFieldHandle(evaluate, gradient, lambda s, r: k * s + scale * r**2)
 
 
 class ZetaSample(NamedTuple):
@@ -556,44 +564,36 @@ class ZetaReport(NamedTuple):
 def _zeta_sample(p_field: ScalarFieldHandle, gradp: FieldHandle, arc: ArcBoundary, k: float,
                  s: float, r: float, eps: float) -> ZetaSample:
     """The foot of the level curve of phi(s) at wall distance r, and the
-    pressure line from it to the level of phi(s + eps); k is the wall gradient."""
-    delta = arc.delta
+    pressure line from it to the level of phi(s + eps); k is the wall gradient.
+    Both are marched about (s, 0), so a hit is (sigma, rho) = (s_hat - s, r)."""
     arc_span = offset_arc_length(arc, s, eps, r)
-    frame = local_frame(arc, s)
-    wall_pt = frame.origin
 
     # foot trace: level curve from phi(s) up to wall distance r
-    along, _ = frame.components(gradp(wall_pt))
-    orient = 1.0 if along >= 0 else -1.0
-    dirfn_level = _unit_direction(gradp, sign=orient, perpendicular=True)
+    along, _ = _chart_form(gradp, arc)((s, 0.0))
+    dirfn_level = _unit_direction(gradp, arc, (s, 0.0), 1.0 if along >= 0 else -1.0, True)
     level_cfg = TraceConfig(step=r / 100.0, max_length=4.0 * r)
-
-    def height(x):
-        return norm(*x) - delta - r
-
-    foot_hit = _first_crossing(dirfn_level, wall_pt, level_cfg, height)
+    foot_hit = _first_crossing(dirfn_level, (0.0, 0.0), level_cfg, lambda p: p[1] - r)
     if foot_hit is None:
         raise NoCrossing(f"level curve from phi({s}) never reached wall distance {r}")
     foot, r_hat = foot_hit
 
-    # zeta trace: pressure line from the foot to the level of phi(s + eps)
-    p_target = p_field(arc_point(arc, s + eps))
-    dirfn_press = _unit_direction(gradp, sign=math.copysign(1.0, k))
+    # zeta trace: pressure line from the foot to the level of phi(s + eps), the pressure
+    # read as a field is: its chart form, or its formula at the plane image (in a handle,
+    # as every evaluation is a call of one)
+    chart = p_field.chart or (lambda s_, r_: p_field.evaluator(*to_cartesian(arc, (s_, r_))))
+    p_chart = p_field._replace(evaluator=lambda sigma, rho: chart(s + sigma, rho))
+    p_target = p_chart((eps, 0.0))
+    dirfn_press = _unit_direction(gradp, arc, (s, 0.0), math.copysign(1.0, k))
     press_cfg = TraceConfig(step=arc_span / 100.0, max_length=5.0 * arc_span)
 
-    def level_gap(x):
-        return p_field(x) - p_target
+    def level_gap(p):
+        return p_chart(p) - p_target
 
     zeta_hit = _first_crossing(dirfn_press, foot, press_cfg, level_gap)
     if zeta_hit is None:
         raise NoCrossing(f"pressure line from the foot missed the level of phi({s + eps})")
-    zeta_pt, traced = zeta_hit
-    np_zeta = from_cartesian(arc, zeta_pt)
-    return ZetaSample(
-        r=r, eps=eps, s_hat=from_cartesian(arc, foot).s, r_hat=r_hat,
-        s_hat2=np_zeta.s, r_hat2=np_zeta.r, traced_length=traced,
-        lower_bound=float("nan"), upper_bound=float("nan"),
-    )
+    (sigma2, r_hat2), traced = zeta_hit
+    return ZetaSample(r, eps, s + foot[0], r_hat, s + sigma2, r_hat2, traced, math.nan, math.nan)
 
 
 def piecewise_linear_length(
@@ -606,23 +606,19 @@ def piecewise_linear_length(
     tilt by the angle between the gradient and the wall tangent, summing
     segment lengths ((delta + r)/delta) * ds / cos(theta).  First-order in 1/n.
     """
-    gradp = FieldHandle(p_field.gradient)
+    chart = _chart_form(p_field.gradient, arc)
     delta = arc.delta
     ds = (sample.s_hat2 - sample.s_hat) / n
     s_k, r_k = sample.s_hat, sample.r
     total = 0.0
     for _ in range(n):
-        x = to_cartesian(arc, (s_k, r_k))
-        g = gradp(x)
-        gnorm = abs(complex(*g))  # libm hypot
+        g_t, g_n = chart((s_k, r_k))
+        gnorm = abs(complex(g_t, g_n))  # libm hypot
         if gnorm == 0.0:
-            raise CriticalPoint(f"gradient vanished at {x}")
-        g_t, g_n = local_frame(arc, s_k).components(g)
-        cos_t = abs(g_t) / gnorm
-        sin_t = g_n / gnorm
-        seg = (delta + r_k) / delta * ds / cos_t
+            raise CriticalPoint(f"gradient vanished at {(s_k, r_k)}")
+        seg = (delta + r_k) / delta * ds / (abs(g_t) / gnorm)
         total += seg
-        r_k = r_k + seg * sin_t
+        r_k = r_k + seg * (g_n / gnorm)
         s_k = s_k + ds
     return total
 
@@ -651,16 +647,13 @@ def zeta_check(
     if not sys.float_info.min <= abs(k) < math.inf:  # else every march refuses its start
         raise DomainError(f"zeta machinery needs a wall gradient nu*(a1/delta - a2) in the "
                           f"normal float range, got {k:g}")
-    gradp = FieldHandle(p_field.gradient)
+    gradp = p_field.gradient
 
-    # wall-compatibility gate
-    lo, hi = arc.s_range
-    rel_dev = 0.0
-    spacing = (hi - lo) / 8
-    for si in [lo + j * spacing for j in range(8)] + [hi]:
-        gx, gy = gradp(arc_point(arc, si))
-        t0, t1 = arc_tangent(arc, si)
-        rel_dev = max(rel_dev, abs(complex(gx - k * t0, gy - k * t1)) / abs(k))
+    # wall-compatibility gate: the parts at nine stations of the segment against (k, 0)
+    chart, (lo, hi) = _chart_form(gradp, arc), arc.s_range
+    stations = [lo + j * ((hi - lo) / 8) for j in range(8)] + [hi]
+    rel_dev = max(abs(complex(t - k, n)) for t, n in map(chart, ((si, 0.0) for si in stations)))
+    rel_dev /= abs(k)
     if rel_dev > 1e-6:
         raise DomainError(
             f"wall gradient deviates from nu*(a1/delta - a2)*e1 by {rel_dev:.3e} relative"

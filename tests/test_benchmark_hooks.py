@@ -82,7 +82,9 @@ def test_traced_counts_the_field_evaluations_of_a_tracing_run(tmp_path):
     assert record["field_evals"] > 0 and record["field_eval_s"] > 0
     assert record["simulation"] is None
     names = {span[1] for span in record["spans"]}
-    assert {"cli.parse_config", "cli.run", "theorems.theorem1_verify", "tracing.trace",
+    # the eta ratio marches its level curves in the wall chart, not through the
+    # spanned trace_pressure_line, so this run has no tracing.trace span
+    assert {"cli.parse_config", "cli.run", "theorems.theorem1_verify",
             "tracing.eta_ratio"} <= names
 
 

@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from lamsep.errors import DomainError
 from lamsep.fdops import StencilSpec, fd_advection, fd_divergence, fd_laplacian
 from lamsep.field import (
-    FieldHandle,
     LaminarParams,
     advection,
     analytic_laplacian,
@@ -198,7 +198,7 @@ def test_wall_fields_read_back_their_parts_in_the_local_frame(name):
                        lambda r: stationary_gradp_ansatz(params, delta, r)),
         "weak": (radial_growth_field(arc, growth),
                  lambda r: (1.0, growth * r * r * delta / (delta + r))),
-        "angular": (FieldHandle(perturbed_angular_pressure(arc, params, amp).gradient),
+        "angular": (perturbed_angular_pressure(arc, params, amp).gradient,
                     lambda r: (k * delta / (delta + r), 2.0 * amp * k * r / delta)),
     }[name]
     for s in (-1.0, 0.0, 0.3, 0.6, 2.5):
@@ -207,6 +207,9 @@ def test_wall_fields_read_back_their_parts_in_the_local_frame(name):
             want_t, want_n = parts(r)
             size = math.hypot(want_t, want_n)
             assert abs(t - want_t) <= 1e-13 * size and abs(n - want_n) <= 1e-13 * size, (s, r)
+            # the chart form, which the tracer marches on, gives the parts themselves
+            t, n = field.chart(s, r)
+            assert abs(t - want_t) <= 1e-15 * size and abs(n - want_n) <= 1e-15 * size, (s, r)
 
 
 def test_write_csv_round_trips_floats(tmp_path):
@@ -238,3 +241,15 @@ def test_write_csv_writes_the_bytes_of_csv_writer(tmp_path):
     want = (tmp_path / "csv.csv").read_bytes()
     assert b"\r\n" in want and b"nan" in want and b"-0," in want
     assert (tmp_path / "plain.csv").read_bytes() == want
+
+
+def test_a_wall_field_refuses_a_point_past_the_float_range_in_both_forms():
+    # the plane form's norm(x, y) overflows, and the chart form refuses the same
+    # point, so a march in the chart names delta as a plane evaluation does
+    field = laminar_field(ArcBoundary(1e160, (0.0, 1.0)), LaminarParams(2.0, 1.0, 1.0))
+    message = (r"^delta = 1e\+160: the distance of \(0, 1\.1e\+160\) from the wall's center "
+               r"leaves the float range$")
+    with pytest.raises(DomainError, match=message):
+        field((0.0, 1.1e160))
+    with pytest.raises(DomainError, match=message):
+        field.chart(0.0, 1e159)

@@ -12,9 +12,10 @@ from lamsep.field import (
     laminar_field,
     stationary_gradp_ansatz,
     stationary_gradp_field,
+    wall_field,
     write_csv,
 )
-from lamsep.geometry import ArcBoundary, from_cartesian, to_cartesian
+from lamsep.geometry import ArcBoundary, to_cartesian
 from lamsep.tracing import (
     Polyline,
     angular_pressure,
@@ -66,51 +67,66 @@ def test_trace_config_validation():
 
 
 def test_rigid_rotation_half_circle():
+    # the plane point (1, 0) is the chart point (pi/4, 0.5) of a wall of radius 0.5
     cfg = TraceConfig(step=1e-3, max_length=np.pi)
-    line = trace_streamline(ROTATION, [1.0, 0.0], cfg)
+    line = trace_streamline(ROTATION, ArcBoundary(0.5, (0.0, 0.25)), (0.25 * np.pi, 0.5), cfg)
     assert np.allclose(line.points[-1], [-1.0, 0.0], atol=1e-6)
 
 
 def test_streamline_stays_on_circle():
     field = laminar_field(ARC, PARAMS)
-    start = to_cartesian(ARC, (0.05, 0.2))
     cfg = TraceConfig(step=1e-3, max_length=0.4)
-    line = trace_streamline(field, start, cfg)
+    line = trace_streamline(field, ARC, (0.05, 0.2), cfg)
     dists = np.linalg.norm(line.points, axis=1)
     assert np.max(np.abs(dists - 1.2)) <= 1e-6
 
 
 def test_streamline_endpoint_convergence_order():
-    # halving the step moves the RK4 endpoint by O(step^4)
-    field = laminar_field(ARC, PARAMS)
-    start = to_cartesian(ARC, (0.05, 0.2))
+    # halving the step moves the RK4 endpoint by O(step^4); in the chart a laminar
+    # streamline is exact at any step, so this marches a growth field, whose
+    # direction turns with r (its endpoints move by 1e-10, far above roundoff)
+    field = radial_growth_field(ARC, 20.0)
     ends = []
     for step in (4e-3, 2e-3, 1e-3):
         cfg = TraceConfig(step=step, max_length=0.4 + step / 2)
         n = int(0.4 / step)
-        line = trace_streamline(field, start, cfg)
+        line = trace_streamline(field, ARC, (0.05, 0.2), cfg)
         ends.append(np.asarray(line.points[n]))
     errs = [np.linalg.norm(ends[0] - ends[1]), np.linalg.norm(ends[1] - ends[2])]
     assert np.log2(errs[0] / errs[1]) == pytest.approx(4.0, abs=0.4)
 
 
+@pytest.mark.parametrize("step", [1e-3, 0.125, 0.25])
+def test_a_laminar_streamline_keeps_its_wall_distance_at_any_step(step):
+    # r = const is the chart form of a laminar streamline, and RK4 keeps it
+    # exactly: every point lies at delta + r to 4 ulps of delta, even where a
+    # plane march's half-step stage (step**2/8 inside the circle) fell below the wall
+    field = laminar_field(ARC, PARAMS)
+    for r in (1e-9, 1e-3, 0.2):
+        line = trace_streamline(field, ARC, (0.0, r), TraceConfig(step=step, max_length=1.0))
+        assert len(line.points) == round(1.0 / step) + 1
+        dists = [math.hypot(x, y) for x, y in line.points]
+        assert max(abs(d - (ARC.delta + r)) for d in dists) <= 4 * math.ulp(ARC.delta)
+        assert poincare_L(field, ARC, 0.1, 0.25, r, TraceConfig(step, 10.0)) == r
+
+
 def test_stagnation_at_wall():
     field = laminar_field(ARC, PARAMS)
     with pytest.raises(CriticalPoint):
-        trace_streamline(field, to_cartesian(ARC, (0.1, 0.0)), CFG)
+        trace_streamline(field, ARC, (0.1, 0.0), CFG)
 
 
 def test_trace_from_a_singular_point_is_a_stagnation():
     # the fan field is undefined at its source: a one-line error, not a traceback
     with pytest.raises(CriticalPoint):
-        trace_streamline(fan_field([0.3, 0.4]), [0.3, 0.4], CFG)
+        trace_streamline(fan_field(to_cartesian(ARC, (0.3, 0.4))), ARC, (0.3, 0.4), CFG)
 
 
 @pytest.mark.parametrize("value", [math.inf, math.nan])
 def test_a_field_that_is_not_finite_is_a_critical_point(value):
     # a NaN direction used to march on and end in an unrelated error downstream
     with pytest.raises(CriticalPoint, match="not finite"):
-        trace_streamline(FieldHandle(lambda x, y: (value, 0.0)), [0.3, 0.4], CFG)
+        trace_streamline(FieldHandle(lambda x, y: (value, 0.0)), ARC, (0.3, 0.4), CFG)
 
 
 # ----------------------------------------------------------------------------
@@ -119,7 +135,13 @@ def test_a_field_that_is_not_finite_is_a_critical_point(value):
 
 
 def _scaled(field, factor):
-    return FieldHandle(lambda x, y: tuple(factor * c for c in field((x, y))))
+    """``field`` times ``factor``, in both of its forms (the plane form alone when
+    it has no chart form)."""
+    def scale(pair):
+        return tuple(factor * c for c in pair)
+
+    chart = field.chart and (lambda s, r: scale(field.chart(s, r)))
+    return FieldHandle(lambda x, y: scale(field((x, y))), chart)
 
 
 @pytest.mark.parametrize("factor", [2.0**40, 2.0**-40])
@@ -127,13 +149,17 @@ def test_a_scaled_field_traces_the_same_points(factor):
     # a power of 2 scales exactly, so each unit direction is the same float pair;
     # an absolute tolerance of 1e-10*alpha1*delta stopped 2**-40 as a stagnation
     laminar, gradp = laminar_field(ARC, PARAMS), stationary_gradp_field(ARC, PARAMS)
-    start = to_cartesian(ARC, (0.05, 0.1))
-    assert trace_streamline(_scaled(laminar, factor), start, CFG) == \
-        trace_streamline(laminar, start, CFG)
-    assert trace_pressure_line(_scaled(gradp, factor), start, CFG, perpendicular=True) == \
-        trace_pressure_line(gradp, start, CFG, perpendicular=True)
+    start = (0.05, 0.1)
+    assert trace_streamline(_scaled(laminar, factor), ARC, start, CFG) == \
+        trace_streamline(laminar, ARC, start, CFG)
+    assert trace_pressure_line(_scaled(gradp, factor), ARC, start, CFG, perpendicular=True) == \
+        trace_pressure_line(gradp, ARC, start, CFG, perpendicular=True)
     assert poincare_L(_scaled(laminar, factor), ARC, 0.1, 0.25, 0.1, CFG) == \
         poincare_L(laminar, ARC, 0.1, 0.25, 0.1, CFG)
+    # the plane form alone, read in the wall frame by the tracer
+    plane = FieldHandle(gradp.evaluator)
+    assert trace_pressure_line(_scaled(plane, factor), ARC, start, CFG) == \
+        trace_pressure_line(plane, ARC, start, CFG)
 
 
 def _dropping(fraction):
@@ -142,11 +168,13 @@ def _dropping(fraction):
 
 
 def test_a_march_stops_below_1e_10_of_its_start():
+    # from the plane point (0, 2), the chart point (0, 1); 2**-33 = 1.16e-10 scales
+    # the plane vector exactly, so its unit direction in the chart is the same pair
     cfg = TraceConfig(step=1e-3, max_length=0.5)
     with pytest.raises(CriticalPoint, match="< 1e-10 at"):
-        trace_streamline(_dropping(0.9e-10), (0.0, 0.0), cfg)
-    line = trace_streamline(_dropping(1.1e-10), (0.0, 0.0), cfg)
-    assert line == trace_streamline(_dropping(1.0), (0.0, 0.0), cfg)
+        trace_streamline(_dropping(0.9e-10), ARC, (0.0, 1.0), cfg)
+    line = trace_streamline(_dropping(2.0**-33), ARC, (0.0, 1.0), cfg)
+    assert line == trace_streamline(_dropping(1.0), ARC, (0.0, 1.0), cfg)
     assert line.length == pytest.approx(0.5, rel=1e-12)
 
 
@@ -163,8 +191,8 @@ def test_a_start_without_a_size_is_refused_untraced(value, message):
         return value, 0.0
 
     with pytest.raises(CriticalPoint, match=message):
-        trace_pressure_line(FieldHandle(evaluate), (0.3, 0.4), CFG)
-    assert points == [(0.3, 0.4)]
+        trace_pressure_line(FieldHandle(evaluate), ARC, (0.3, 0.4), CFG)
+    assert points == [to_cartesian(ARC, (0.3, 0.4))]
 
 
 # ----------------------------------------------------------------------------
@@ -172,50 +200,33 @@ def test_a_start_without_a_size_is_refused_untraced(value, message):
 # ----------------------------------------------------------------------------
 
 
-def _east_crossing(root):
-    """The first crossing of x = root by the unit field along x from the origin, in
-    steps of 3 (which RK4 takes exactly), and the points at which psi was evaluated."""
+def _outward_crossing(root):
+    """The first crossing of the wall distance r = root by the unit normal field
+    from the wall, in steps of 3 (which RK4 takes exactly), and the chart points at
+    which psi was evaluated."""
     calls = []
 
-    def psi(x):
-        calls.append(x)
-        return x[0] - root
+    def psi(p):
+        calls.append(p)
+        return p[1] - root
 
-    east = tracing._unit_direction(FieldHandle(lambda x, y: (1.0, 0.0)))
-    return tracing._first_crossing(east, (0.0, 0.0), TraceConfig(3.0, 30.0), psi), calls
+    outward = tracing._unit_direction(wall_field(ARC, lambda r: (0.0, 1.0)), ARC, (0.0, 0.0))
+    return tracing._first_crossing(outward, (0.0, 0.0), TraceConfig(3.0, 30.0), psi), calls
 
 
 def test_a_crossing_within_a_step_is_located_to_1e_10_of_the_step():
     # the root 0.3 of the way along the first step: 34 halvings at most
-    ((x, y), length), calls = _east_crossing(0.9)
-    assert abs(x - 0.9) <= 1e-10 * 3.0 and y == 0.0
+    ((s, r), length), calls = _outward_crossing(0.9)
+    assert abs(r - 0.9) <= 1e-10 * 3.0 and s == 0.0
     assert abs(length - 0.9) <= 1e-10 * 3.0
     assert len(calls) <= 2 + 34  # the start, the step's end and the bisection
 
 
 def test_a_bisection_midpoint_on_the_root_is_the_crossing():
     # the root halfway along the first step: the first midpoint is exactly on it
-    hit, calls = _east_crossing(1.5)
-    assert hit == ((1.5, 0.0), 1.5)
-    assert calls == [(0.0, 0.0), (3.0, 0.0), (1.5, 0.0)]
-
-
-# ----------------------------------------------------------------------------
-# a streamline's step must keep every RK4 stage above the wall
-# ----------------------------------------------------------------------------
-
-
-def test_a_step_that_puts_an_rk4_stage_below_the_wall_is_refused():
-    # the largest step at wall distance r is sqrt(8*(delta + r)*r): 0.000979796 at
-    # r = 1.2e-7 on the unit wall, below the default step 1e-3
-    with pytest.raises(DomainError, match=r"^step 0\.001 does not resolve a streamline at wall "
-                                          r"distance 1\.2e-07 with delta = 1: .* a step below "
-                                          r"0\.000979796 resolves it$"):
-        tracing.require_resolved_step(ARC, 1e-3, 1.2e-7)
-    tracing.require_resolved_step(ARC, 1e-3, 1.3e-7)
-    tracing.require_resolved_step(ARC, 1e-3, 0.0)  # on the wall the march refuses its start
-    # a wall past the float range is left to the field, which names delta
-    tracing.require_resolved_step(ArcBoundary(1e160, (0.0, 1.0)), 1e157, 0.4)
+    hit, calls = _outward_crossing(1.5)
+    assert hit == ((0.0, 1.5), 1.5)
+    assert calls == [(0.0, 0.0), (0.0, 3.0), (0.0, 1.5)]
 
 
 def test_poincare_identity_on_laminar():
@@ -225,17 +236,26 @@ def test_poincare_identity_on_laminar():
         assert L == pytest.approx(r, abs=1e-6 * r)
 
 
-def test_poincare_counts_a_march_point_exactly_on_the_station():
-    # a laminar draw whose r = 0.547 streamline has march point 180 exactly at s1
+def test_poincare_counts_a_march_point_exactly_on_the_station(monkeypatch):
+    # a laminar draw whose r = 0.547 streamline's march point 240 is taken as s1
+    # (the march is made about (s, r), and s1 - s rounds back to that point's sigma):
+    # the return map takes that point as the hit, with no bisection
     arc = ArcBoundary(delta=2.7344054603316077, s_range=(0.0, 1.3672027301658038))
     params = LaminarParams(alpha1=3.0459975177293237, alpha2=0.6501557024114218,
                            nu=1.9669277506667733)
     cfg = default_trace_config(arc)
     field = laminar_field(arc, params)
-    s, s1, r = 0.27344054603316076, 0.6836013650829019, 0.5468810920663215
-    line = trace_streamline(field, to_cartesian(arc, (s, r)), cfg)
-    assert from_cartesian(arc, line.points[180]).s == s1
-    assert poincare_L(field, arc, s, s1, r, cfg) == pytest.approx(r, rel=1e-12)
+    s, r = 0.27344054603316076, 0.5468810920663215
+    steps = tracing._march(tracing._unit_direction(field, arc, (s, r)), (0.0, 0.0), cfg)
+    sigma = next(x_new for k, (_, x_new, _, _) in enumerate(steps, 1) if k == 240)[0]
+    s1 = s + sigma
+    assert s1 - s == sigma
+
+    def no_bisection(*args):
+        raise AssertionError("the crossing was bisected")
+
+    monkeypatch.setattr(tracing, "_refine_on_step", no_bisection)
+    assert poincare_L(field, arc, s, s1, r, cfg) == r
 
 
 def test_poincare_laminar_sweep():
@@ -323,21 +343,22 @@ def test_classify_rejects_bad_inputs():
 def test_pressure_line_constant_gradient():
     gradp = FieldHandle(evaluator=lambda x, y: (1.0, 0.0))
     cfg = TraceConfig(step=1e-3, max_length=0.5)
-    line = trace_pressure_line(gradp, [0.0, 0.0], cfg)
-    assert np.allclose(line.points[-1], [0.5, 0.0], atol=1e-9)
+    line = trace_pressure_line(gradp, ARC, (0.0, 1.0), cfg)  # from the plane point (0, 2)
+    assert np.allclose(line.points[-1], [0.5, 2.0], atol=1e-9)
 
 
 def test_pressure_line_critical_point():
     gradp = FieldHandle(evaluator=lambda x, y: (0.0, 0.0))
     cfg = TraceConfig(step=1e-3, max_length=0.5)
     with pytest.raises(CriticalPoint):
-        trace_pressure_line(gradp, [0.0, 0.0], cfg)
+        trace_pressure_line(gradp, ARC, (0.0, 1.0), cfg)
 
 
 def test_perpendicular_trace_of_radial_gradient_is_circle():
     gradp = FieldHandle(evaluator=lambda x, y: (x / math.hypot(x, y), y / math.hypot(x, y)))
     cfg = TraceConfig(step=1e-3, max_length=1.0)
-    line = trace_pressure_line(gradp, [1.3, 0.0], cfg, perpendicular=True)
+    # from the plane point (1.3, 0)
+    line = trace_pressure_line(gradp, ARC, (0.5 * np.pi, 0.3), cfg, perpendicular=True)
     radii = np.linalg.norm(line.points, axis=1)
     assert np.max(np.abs(radii - 1.3)) <= 1e-7
 
@@ -346,7 +367,7 @@ def test_ansatz_pressure_lines_stay_smooth():
     gradp = stationary_gradp_field(ARC, PARAMS)
     cfg = TraceConfig(step=1e-3, max_length=0.1)
     for r in (0.1, 0.2, 0.4):
-        line = trace_pressure_line(gradp, to_cartesian(ARC, (0.2, r)), cfg)
+        line = trace_pressure_line(gradp, ARC, (0.2, r), cfg)
         # no CriticalPoint: the full parameter length was traced (chords fall
         # short of the arc by O(step^2) only)
         assert line.length >= 0.1 * (1.0 - 1e-6)
@@ -355,8 +376,7 @@ def test_ansatz_pressure_lines_stay_smooth():
 def test_trace_pressure_line_takes_its_direction_by_keyword():
     # a positional direction would otherwise read as a truthy "perpendicular"
     with pytest.raises(TypeError):
-        trace_pressure_line(stationary_gradp_field(ARC, PARAMS), to_cartesian(ARC, (0.2, 0.1)),
-                            CFG, "along")
+        trace_pressure_line(stationary_gradp_field(ARC, PARAMS), ARC, (0.2, 0.1), CFG, "along")
 
 
 def test_eta_ratio_refuses_an_increasing_eps_list():
@@ -402,6 +422,40 @@ def test_eta_error_estimate_shrinks_with_eps():
 
 
 # ----------------------------------------------------------------------------
+# a station shift along the wall moves no traced output but the stations
+# ----------------------------------------------------------------------------
+
+SHIFT_CASES = [(ArcBoundary(1.0, (0.0, 0.5)), LaminarParams(2.0, 1.0, 1.0)),
+               (ArcBoundary(1.7, (0.0, 0.85)), LaminarParams(2.7, 1.1, 0.8))]
+
+
+def shifted(arc):
+    """``arc`` with its segment moved 0.37*delta along the wall, and the shift."""
+    shift = 0.37 * arc.delta
+    return ArcBoundary(arc.delta, (arc.s_range[0] + shift, arc.s_range[1] + shift)), shift
+
+
+@pytest.mark.parametrize("arc, params", SHIFT_CASES, ids=["unit", "skew"])
+def test_a_station_shift_leaves_the_return_map_and_eta_unchanged(arc, params):
+    # the chart march is made about its start station, so a shift moves no ratio;
+    # marched in the plane a rotation of the wall moved them by up to 5.1e-8
+    moved, shift = shifted(arc)
+    delta, scale, cfg = arc.delta, min(params.bl, arc.delta), default_trace_config(arc)
+    radii, s, s1 = [0.2 * scale, 0.1 * scale, 0.05 * scale], 0.1 * delta, 0.25 * delta
+    for field in (lambda a: laminar_field(a, params), lambda a: radial_growth_field(a, delta**-2)):
+        here = classify_flow(field(arc), arc, radii, s, s1, 1.2, cfg)
+        there = classify_flow(field(moved), moved, radii, s + shift, s1 + shift, 1.2, cfg)
+        assert there.kind == here.kind
+        assert [q for _, q in there.evidence] == pytest.approx([q for _, q in here.evidence],
+                                                               rel=1e-13, abs=0.0)
+    eps_list, r = [4e-3 * delta, 2e-3 * delta, 1e-3 * delta], 0.1 * scale
+    here = eta_ratio(stationary_gradp_field(arc, params), arc, 0.15 * delta, r, eps_list)
+    there = eta_ratio(stationary_gradp_field(moved, params), moved, 0.15 * delta + shift, r,
+                      eps_list)
+    assert there.value == pytest.approx(here.value, rel=1e-13, abs=0.0)
+
+
+# ----------------------------------------------------------------------------
 # a vanishing field ends every march with the same error
 # ----------------------------------------------------------------------------
 
@@ -433,27 +487,27 @@ def _zeta_sample(gradp, p_field=None):
 
 def _angular_gradp(**where):
     """The angular pressure's gradient, zero where ``where`` says (nowhere when empty)."""
-    gradient = angular_pressure(ARC, ZETA_PARAMS).gradient
+    gradient = angular_pressure(ARC, ZETA_PARAMS).gradient.evaluator
     return _vanishing(gradient, **where) if where else FieldHandle(evaluator=gradient)
 
 
 def test_every_march_runs_where_nothing_vanishes():
     # the controls of the cases below: the same marches on the unbroken fields
     line_cfg = TraceConfig(step=1e-3, max_length=0.5)
-    trace_pressure_line(FieldHandle(evaluator=_tangential), [0.0, 1.1], line_cfg)
+    trace_pressure_line(FieldHandle(evaluator=_tangential), ARC, (0.0, 0.1), line_cfg)
     eta_trace(FieldHandle(evaluator=_tangential), ARC, 0.15, 0.1, 0.01)
     _zeta_sample(_angular_gradp())
     field = laminar_field(ARC, PARAMS)
-    trace_streamline(field, to_cartesian(ARC, (0.1, 0.1)), CFG)
+    trace_streamline(field, ARC, (0.1, 0.1), CFG)
     poincare_L(field, ARC, 0.1, 0.25, 0.1, CFG)
 
 
 @pytest.mark.parametrize("march", [
     # the pressure line and the level curve through a zero gradient
-    lambda: trace_pressure_line(FieldHandle(evaluator=lambda x, y: (0.0, 0.0)), [0.0, 0.0],
-                                CFG),
-    lambda: trace_pressure_line(FieldHandle(evaluator=lambda x, y: (0.0, 0.0)), [0.0, 0.0],
-                                CFG, perpendicular=True),
+    lambda: trace_pressure_line(FieldHandle(evaluator=lambda x, y: (0.0, 0.0)), ARC,
+                                (0.1, 0.1), CFG),
+    lambda: trace_pressure_line(FieldHandle(evaluator=lambda x, y: (0.0, 0.0)), ARC,
+                                (0.1, 0.1), CFG, perpendicular=True),
     # eta's pressure line from s = 0.15 to the level curve at s = 0.16 (a normal
     # ray, which the zero band leaves alone)
     lambda: eta_trace(_vanishing(_tangential, station=(0.152, 0.154)), ARC, 0.15, 0.1, 0.01),
@@ -463,8 +517,7 @@ def test_every_march_runs_where_nothing_vanishes():
                                         height=(0.5 * ZETA_R, math.inf))),
     # a streamline and the return map's streamline through a zero velocity
     lambda: trace_streamline(_vanishing(laminar_field(ARC, PARAMS).evaluator,
-                                        station=(0.15, 0.16)),
-                             to_cartesian(ARC, (0.1, 0.1)), CFG),
+                                        station=(0.15, 0.16)), ARC, (0.1, 0.1), CFG),
     lambda: poincare_L(_vanishing(laminar_field(ARC, PARAMS).evaluator, station=(0.15, 0.16)),
                        ARC, 0.1, 0.25, 0.1, CFG),
 ], ids=["pressure-along", "pressure-perpendicular", "eta", "zeta-foot", "zeta-line",
@@ -596,13 +649,19 @@ def test_a_return_map_crossing_below_the_wall_is_no_crossing():
 # ----------------------------------------------------------------------------
 
 
-def _array_direction(field, sign=1.0, perpendicular=False):
+def _array_direction(field, arc, origin, sign=1.0, perpendicular=False):
+    """The chart direction of a wall field about ``origin = (s0, r0)``, in numpy
+    arithmetic: its parts at (s0 + sigma, r0 + rho), normalized, turned and
+    stretched by delta/(delta + r)."""
+    delta, (s0, r0) = arc.delta, origin
+
     def fn(x):
-        v = np.array(field((float(x[0]), float(x[1]))))
+        r = r0 + float(x[1])
+        v = np.array(field.chart(s0 + float(x[0]), r))
         v = v / float(np.hypot(v[0], v[1]))
         if perpendicular:
             v = np.array([-v[1], v[0]])
-        return sign * v
+        return np.array([sign * (delta / (delta + r)) * v[0], sign * v[1]])
 
     return fn
 
@@ -624,20 +683,22 @@ def _array_steps(cfg):
     return steps
 
 
-def _array_trace(fn, start, cfg):
-    pts = [np.asarray(start, dtype=float)]
+def _array_trace(fn, arc, start, cfg):
+    """The plane points of the chart march made about ``start``."""
+    pts = [np.zeros(2)]
     for h in _array_steps(cfg):
         pts.append(_array_rk4(fn, pts[-1], h))
-    return np.array(pts)
+    return np.array([to_cartesian(arc, (start[0] + float(sigma), start[1] + float(rho)))
+                     for sigma, rho in pts])
 
 
 def _array_poincare_L(field, arc, s, s1, r, cfg):
-    fn = _array_direction(field)
+    fn = _array_direction(field, arc, (s, r))
 
     def station(x):
-        return from_cartesian(arc, x).s - s1
+        return float(x[0]) - (s1 - s)
 
-    x, cum = np.array(to_cartesian(arc, (s, r))), 0.0
+    x, cum = np.zeros(2), 0.0
     for h in _array_steps(cfg):
         x_new = _array_rk4(fn, x, h)
         f_lo, f_hi = station(x), station(x_new)
@@ -658,14 +719,15 @@ def _array_poincare_L(field, arc, s, s1, r, cfg):
             hi, f_hi = mid, f_mid
         else:
             lo = mid
-    return float(np.linalg.norm(x_mid)) - arc.delta
+    return r + float(x_mid[1])
 
 
 # Largest relative deviations of the float march from the array reference,
-# measured on the case below and on 40 random arcs and parameters: 0 for the
-# traced points (abs(complex(u, v)) is libm's hypot, as np.hypot is) and
-# 4.8e-15 for poincare_L, whose |x| the reference takes from a BLAS dot and
-# the tracer as sqrt(x*x + y*y).
+# both marched in the wall chart: 0 for the traced points (abs(complex(u, v))
+# is libm's hypot, as np.hypot is, and both map their chart points to the
+# plane with geometry.to_cartesian) and at most 1e-13 for poincare_L, whose
+# reference bisects to its own tolerance (for the laminar field both return
+# the starting r).
 POINTS_RTOL = 0.0
 HEIGHT_RTOL = 1e-13
 
@@ -679,23 +741,24 @@ def test_float_march_matches_array_reference():
     arc = ArcBoundary(delta=1.3, s_range=(0.0, 0.6))
     params = LaminarParams(alpha1=2.7, alpha2=1.1, nu=0.8)
     cfg = TraceConfig(step=1e-3, max_length=0.5)
-    start = to_cartesian(arc, (0.1, 0.15))
+    start = (0.1, 0.15)
 
-    field = laminar_field(arc, params)
-    line = trace_streamline(field, start, cfg)
-    expected = _array_trace(_array_direction(field), start, cfg)
-    assert np.shape(line.points) == expected.shape
-    assert _rel_dev(line.points, expected) <= POINTS_RTOL
+    for field in (laminar_field(arc, params), radial_growth_field(arc, 0.7)):
+        line = trace_streamline(field, arc, start, cfg)
+        expected = _array_trace(_array_direction(field, arc, start), arc, start, cfg)
+        assert np.shape(line.points) == expected.shape
+        assert _rel_dev(line.points, expected) <= POINTS_RTOL
 
     gradp = stationary_gradp_field(arc, params)
     for perpendicular, sign in ((False, 1.0), (True, -1.0)):
-        line = trace_pressure_line(gradp, start, cfg, perpendicular=perpendicular,
+        line = trace_pressure_line(gradp, arc, start, cfg, perpendicular=perpendicular,
                                    orientation=sign)
-        fn = _array_direction(gradp, sign, perpendicular)
-        expected = _array_trace(fn, start, cfg)
+        fn = _array_direction(gradp, arc, start, sign, perpendicular)
+        expected = _array_trace(fn, arc, start, cfg)
         assert np.shape(line.points) == expected.shape
         assert _rel_dev(line.points, expected) <= POINTS_RTOL
 
     cfg_L = TraceConfig(step=1e-3, max_length=1.0)
-    got = poincare_L(field, arc, 0.1, 0.35, 0.12, cfg_L)
-    assert _rel_dev(got, _array_poincare_L(field, arc, 0.1, 0.35, 0.12, cfg_L)) <= HEIGHT_RTOL
+    for field in (laminar_field(arc, params), radial_growth_field(arc, 0.7)):
+        got = poincare_L(field, arc, 0.1, 0.35, 0.12, cfg_L)
+        assert _rel_dev(got, _array_poincare_L(field, arc, 0.1, 0.35, 0.12, cfg_L)) <= HEIGHT_RTOL

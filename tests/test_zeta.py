@@ -10,7 +10,7 @@ import pytest
 from lamsep import tracing
 from lamsep.cli import main
 from lamsep.errors import CriticalPoint, DomainError, NonMonotoneSequence
-from lamsep.field import LaminarParams, ScalarFieldHandle
+from lamsep.field import FieldHandle, LaminarParams, ScalarFieldHandle
 from lamsep.geometry import ArcBoundary, arc_point, arc_tangent, norm, to_cartesian
 from lamsep.tracing import (
     angular_pressure,
@@ -37,17 +37,17 @@ def wall_incompatible_pressure(arc, params, slope):
 
     def gradient(x, y):
         d = norm(x, y)
-        gx, gy = base.gradient(x, y)
+        gx, gy = base.gradient((x, y))
         return gx + slope * x / d, gy + slope * y / d
 
-    return ScalarFieldHandle(evaluate, gradient)
+    return ScalarFieldHandle(evaluate, FieldHandle(gradient))
 
 
 def test_angular_pressure_wall_gradient():
     p = angular_pressure(ARC, PARAMS)
     k = PARAMS.nu * (PARAMS.alpha1 / ARC.delta - PARAMS.alpha2)
     for s in np.linspace(*ARC.s_range, 7):
-        g = p.gradient(*arc_point(ARC, s))
+        g = p.gradient(arc_point(ARC, s))
         assert np.allclose(g, np.multiply(k, arc_tangent(ARC, s)), atol=1e-13)
 
 
@@ -85,7 +85,7 @@ def test_zeta_angular_pw_sums_match_traced():
 def test_piecewise_length_refuses_a_vanishing_gradient():
     sm = zeta_check(angular_pressure(ARC, PARAMS), ARC, PARAMS, s=0.1, r_list=[0.04],
                     eps_over_r=2.0).samples[0]
-    flat = ScalarFieldHandle(lambda x, y: 0.0, lambda x, y: (0.0, 0.0))
+    flat = ScalarFieldHandle(lambda x, y: 0.0, FieldHandle(lambda x, y: (0.0, 0.0)))
     with pytest.raises(CriticalPoint, match="gradient vanished"):
         piecewise_linear_length(flat, ARC, sm, 8)
 
@@ -230,7 +230,7 @@ def test_pressure_gradient_matches_central_differences(p_field):
             (p_field((x + h, y)) - p_field((x - h, y))) / (2 * h),
             (p_field((x, y + h)) - p_field((x, y - h))) / (2 * h),
         ])
-        g = np.array(p_field.gradient(x, y))
+        g = np.array(p_field.gradient((x, y)))
         assert np.linalg.norm(fd - g) <= 1e-7 * np.linalg.norm(g), (x, y)
 
 
@@ -313,11 +313,55 @@ def test_zeta_check_does_not_depend_on_nu(amp):
     # A crossing tolerance of 1e-14*(|p| + 1) and a stagnation tolerance of
     # 1e-10*alpha1*delta (a velocity) used to fit c 2200 times larger at
     # nu = 1e-3 and to refuse nu <= 1e-6
-    def numbers(nu):
+    def run(nu):
         params = PARAMS._replace(nu=nu)
-        p = perturbed_angular_pressure(ARC, params, amp)
-        return _zeta_numbers(zeta_check(p, ARC, params, 0.1, R_LIST, 2.0))
+        return zeta_check(perturbed_angular_pressure(ARC, params, amp), ARC, params, 0.1,
+                          R_LIST, 2.0)
 
-    reference = numbers(1.0)
+    reference = run(1.0)
+    # c1 = (s + eps - s_hat2)/r_hat2**2 divides a difference far smaller than
+    # s_hat2 (2000 times on the perturbed pressure), so one rounding of s_hat2
+    # moves it by that condition number s_hat2/|s + eps - s_hat2|: its bound is
+    # 1e-14 times the condition of the sample that sets it, unless it sits at its floor
+    c1_at = len(reference.samples) * len(reference.samples[0]) + 1
+    sm = max(reference.samples, key=lambda sm: (0.1 + sm.eps - sm.s_hat2) / sm.r_hat2**2)
+    c1_rel = 1e-14
+    if reference.fitted.c1 > 1e-12 / ARC.delta:
+        c1_rel *= sm.s_hat2 / abs(0.1 + sm.eps - sm.s_hat2)
+    want = _zeta_numbers(reference)
     for nu in (1e-12, 1e-6, 1e6):
-        assert numbers(nu) == pytest.approx(reference, rel=1e-14, abs=0.0)
+        got = _zeta_numbers(run(nu))
+        assert got[c1_at] == pytest.approx(want[c1_at], rel=c1_rel, abs=0.0)
+        del got[c1_at]
+        assert got == pytest.approx(want[:c1_at] + want[c1_at + 1:], rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("amp", [0.0, 0.2], ids=["angular", "perturbed"])
+@pytest.mark.parametrize("arc, params", [(ARC, PARAMS), (SKEW_ARC, SKEW_PARAMS)],
+                         ids=["unit", "skew"])
+def test_a_station_shift_leaves_the_zeta_numbers_unchanged(arc, params, amp):
+    # the segment and s moved 0.37*delta along the wall: every zeta number, its
+    # stations less the shift, is the unshifted run's to 1e-13, except where a
+    # fitted constant divides a difference of stations: c = |s_hat - s|/r**2 and
+    # c1 = (s + eps - s_hat2)/r_hat2**2 may move by 1e-13 times the condition
+    # number of that difference (its station over it), unless at their floor
+    shift = 0.37 * arc.delta
+    moved = ArcBoundary(arc.delta, (arc.s_range[0] + shift, arc.s_range[1] + shift))
+    here = zeta_check(perturbed_angular_pressure(arc, params, amp), arc, params, 0.1, R_LIST,
+                      2.0)
+    there = zeta_check(perturbed_angular_pressure(moved, params, amp), moved, params,
+                       0.1 + shift, R_LIST, 2.0)
+    s, floor = 0.1 + shift, 1e-12 / arc.delta
+    for name, station, gap, size in (
+            ("c", lambda sm: sm.s_hat, lambda sm: abs(sm.s_hat - s), lambda sm: sm.r),
+            ("c1", lambda sm: sm.s_hat2, lambda sm: s + sm.eps - sm.s_hat2, lambda sm: sm.r_hat2)):
+        sm = max(there.samples, key=lambda sm: gap(sm) / size(sm)**2)
+        rel = 1e-13 if gap(sm) / size(sm)**2 <= floor else 1e-13 * station(sm) / abs(gap(sm))
+        assert getattr(there.fitted, name) == pytest.approx(getattr(here.fitted, name), rel=rel,
+                                                            abs=0.0), name
+    back = [sm._replace(s_hat=sm.s_hat - shift, s_hat2=sm.s_hat2 - shift)
+            for sm in there.samples]
+    assert [v for sm in back for v in sm] == pytest.approx(
+        [v for sm in here.samples for v in sm], rel=1e-13, abs=0.0)
+    assert [there.fitted.c2, there.fitted.epsilon_hat, there.ratio.value] == pytest.approx(
+        [here.fitted.c2, here.fitted.epsilon_hat, here.ratio.value], rel=1e-13, abs=0.0)
